@@ -82,7 +82,7 @@ def test_shard_scaling_recorded(report):
     # The adaptive engine clamps to the hardware (unless the
     # oversubscribe toggle is set, as CI's sharded legs do); the forced
     # rows always run the full requested split.
-    from repro.engine.sharded import available_parallelism, oversubscribed
+    from repro.runtime import available_parallelism, oversubscribed
 
     for row in rows:
         if row.forced:

@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .. import runtime
 from ..engine.coalesce import RequestStream
 from ..engine.window import CoalescingWindow, WindowedBatch
 from ..exma.chain import compression_ratio as chain_ratio
@@ -225,8 +226,30 @@ class WindowedRunResult:
         )
 
 
-class ExmaAccelerator:
+def replay_epoch(
+    accelerator: "ExmaAccelerator",
+    name: str,
+    flushed: "WindowedBatch | Sequence[OccRequest]",
+) -> AcceleratorRunResult:
+    """Replay one flush epoch on *accelerator*.
+
+    The unit every stream replay maps over, inline or on a pool worker
+    (module-level so the process executor pickles it by reference): a
+    :class:`~repro.engine.window.WindowedBatch` goes through
+    :meth:`ExmaAccelerator.replay_flush` (issued-count base accounting),
+    a plain request sequence through :meth:`ExmaAccelerator.run`.
+    """
+    if isinstance(flushed, WindowedBatch):
+        return accelerator.replay_flush(flushed, name=name)
+    return accelerator.run(flushed, name=name)
+
+
+class ExmaAccelerator(runtime.PoolOwner):
     """Replay FM-Index request streams on the EXMA accelerator model.
+
+    Owns a persistent epoch-replay pool (:class:`~repro.runtime.PoolOwner`
+    — created by the first parallel :meth:`run_stream`, swapped when its
+    knobs change, released by ``close()`` / context-manager exit).
 
     Args:
         table: the EXMA table resident in DRAM.
@@ -253,19 +276,6 @@ class ExmaAccelerator:
         else:
             self._modelled_lookup = np.zeros(table.kmer_count, dtype=bool)
             self._bucket_lookup = None
-        #: Persistent epoch-replay driver (:class:`~repro.accel.parallel
-        #: .ParallelReplay`), created lazily by the first parallel
-        #: ``run_stream`` and swapped when the knobs change.
-        self._replay = None
-
-    # ------------------------------------------------------------------ #
-    # Parallel replay pool lifecycle
-    # ------------------------------------------------------------------ #
-
-    @property
-    def replay(self):
-        """The persistent parallel-replay driver, or ``None`` (serial)."""
-        return self._replay
 
     @property
     def table(self) -> ExmaTable:
@@ -282,62 +292,12 @@ class ExmaAccelerator:
         """The accelerator configuration (needed to clone design points)."""
         return self._config
 
-    @staticmethod
-    def _resolve_replay_workers(replay_workers: "int | None") -> int:
-        """Explicit knob wins verbatim; the env default is hardware-clamped.
-
-        Mirrors the search side's split between the forced
-        :class:`~repro.engine.sharded.ShardedQueryEngine` (runs exactly
-        the split it was asked for — what the equivalence suite relies
-        on) and the adaptive default path (``REPRO_DEFAULT_REPLAY_WORKERS``
-        clamped by :func:`~repro.engine.sharded.effective_shards`, so a
-        blanket env toggle degrades to serial on a single-core host
-        unless ``REPRO_SHARD_OVERSUBSCRIBE`` lifts the clamp).
-        """
-        if replay_workers is None:
-            from ..engine.sharded import default_replay_workers, effective_shards
-
-            return effective_shards(default_replay_workers())
-        workers = int(replay_workers)
-        if workers < 1:
-            raise ValueError("replay_workers must be >= 1")
-        return workers
-
-    def _ensure_replay(self, workers: int, executor: "str | None"):
-        """Reuse the owned replay driver, swapping it when knobs change."""
-        from ..engine.sharded import default_executor
-        from .parallel import ParallelReplay
-
-        executor = default_executor() if executor is None else executor
-        replay = self._replay
-        if replay is not None and (
-            replay.workers != workers or replay.executor != executor
-        ):
-            replay.close()
-            replay = None
-        if replay is None:
-            replay = ParallelReplay(self, workers=workers, executor=executor)
-            self._replay = replay
-        return replay
-
-    def close(self) -> None:
-        """Release the parallel-replay pool (no-op when never created)."""
-        replay, self._replay = self._replay, None
-        if replay is not None:
-            replay.close()
-
-    def __enter__(self) -> "ExmaAccelerator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __getstate__(self) -> dict:
         # Worker pools never cross process boundaries: a process-pool
         # replay worker receives the accelerator via the pool initializer
         # and must not drag the parent's executor (unpicklable) with it.
         state = self.__dict__.copy()
-        state["_replay"] = None
+        state.pop("_pool", None)
         return state
 
     # ------------------------------------------------------------------ #
@@ -859,32 +819,43 @@ class ExmaAccelerator:
         replayed stream shrinks with W.
 
         Because epochs are independent, ``replay_workers > 1`` fans them
-        across a persistent worker pool (:class:`~repro.accel.parallel
-        .ParallelReplay`, reusing :class:`~repro.engine.sharded
-        .BackendWorkerPool` with this accelerator as the backend) and
-        reassembles the per-flush results in flush order — the result is
-        **field-for-field identical** to the serial replay.  An explicit
-        count is honoured verbatim; the default consults
-        ``REPRO_DEFAULT_REPLAY_WORKERS`` clamped to the hardware.
-        *executor* picks the pool kind (``REPRO_DEFAULT_EXECUTOR`` when
-        ``None``); the process executor ships the accelerator once per
-        worker via the pool initializer.
+        across this accelerator's persistent worker pool
+        (:class:`~repro.runtime.BackendWorkerPool`, the accelerator itself
+        as the payload — the process executor ships it once per worker)
+        and gathers the per-flush results in flush order: the result is
+        **field-for-field identical** to the serial replay, which stays
+        streaming (one flush resident at a time) and touches no pool.
+        *replay_workers* and *executor* are resolved here by
+        :func:`repro.runtime.resolve_workers` /
+        :func:`~repro.runtime.resolve_executor`: an explicit count is
+        honoured verbatim; ``None`` consults
+        ``REPRO_DEFAULT_REPLAY_WORKERS`` clamped to the hardware, and
+        ``REPRO_DEFAULT_EXECUTOR``.
         """
-        workers = self._resolve_replay_workers(replay_workers)
-        if workers > 1:
-            return self._ensure_replay(workers, executor).run_stream(windows, name=name)
-        flushes: list[AcceleratorRunResult] = []
+        workers = runtime.resolve_workers(
+            replay_workers, runtime.REPLAY_WORKERS_ENV, what="replay_workers"
+        )
+        executor = runtime.resolve_executor(executor)
         batches = 0
         issued = 0
-        for flushed in windows:
-            if isinstance(flushed, WindowedBatch):
-                batches += flushed.batches
-                issued += flushed.issued
-                flushes.append(self.replay_flush(flushed, name=name))
-            else:
-                batches += 1
-                issued += len(flushed)
-                flushes.append(self.run(flushed, name=name))
+
+        def accounted():
+            nonlocal batches, issued
+            for flushed in windows:
+                if isinstance(flushed, WindowedBatch):
+                    batches += flushed.batches
+                    issued += flushed.issued
+                else:
+                    batches += 1
+                    issued += len(flushed)
+                yield flushed
+
+        if workers == 1:
+            flushes = [replay_epoch(self, name, flushed) for flushed in accounted()]
+        else:
+            flushes = self._pool_for(self, executor, workers).map_shards(
+                replay_epoch, accounted(), name
+            )
         return WindowedRunResult(
             name=name, flushes=flushes, capacity=None, batches=batches, issued=issued
         )

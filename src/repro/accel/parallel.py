@@ -5,17 +5,20 @@ epoch* — fresh queue/cache/DRAM state per flush — and PR 5 made each
 epoch columnar.  That leaves flushes embarrassingly parallel: replaying
 flush *i* reads only the accelerator's immutable configuration (table,
 index, layout), never state left behind by flush *i-1*.  This module
-exploits that by fanning flush epochs across the same persistent
-:class:`~repro.engine.sharded.BackendWorkerPool` the sharded search
-engine uses, with the accelerator itself as the pool's backend — so the
-process executor ships the table/index/config **once** per worker via
-the pool initializer, and each submitted call carries only its flush.
+exploits that by running flush epochs on the same persistent
+:class:`~repro.runtime.BackendWorkerPool` the sharded search engine
+uses, with the accelerator itself as the pool's payload — so the process
+executor ships the table/index/config **once** per worker via the pool
+initializer, and each submitted call carries only its flush.
 
-Results are gathered in flush order and reassembled into the same
-:class:`~repro.accel.exma_accelerator.WindowedRunResult` the serial path
-builds, **field-for-field identical** (the PR 4/5 exact-equivalence
-contract extends unchanged: identical integer/float arithmetic runs per
-epoch regardless of which worker runs it).
+Whole streams fan out inside :meth:`~repro.accel.exma_accelerator
+.ExmaAccelerator.run_stream` (``replay_workers=``); :class:`ParallelReplay`
+here is the single-flush driver the serving layer shares between its
+batcher threads, with the ``pool.submit`` fault probe and gather
+timeout.  Either way each epoch result is **field-for-field identical**
+to the serial replay (the PR 4/5 exact-equivalence contract extends
+unchanged: identical integer/float arithmetic runs per epoch regardless
+of which worker runs it).
 
 Scaling notes: with the *process* executor the epochs escape the GIL
 outright.  With the *thread* executor the replay scales only as far as
@@ -28,46 +31,15 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
-from ..engine.sharded import (
-    EXECUTORS,
-    BackendWorkerPool,
-    default_executor,
-    default_replay_workers,
-)
+from .. import runtime
 from ..engine.window import WindowedBatch
 from ..exma.search import OccRequest
 from ..faults import SITE_SUBMIT, FaultInjector, InjectedFault
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .exma_accelerator import (
-        AcceleratorRunResult,
-        ExmaAccelerator,
-        WindowedRunResult,
-    )
+from .exma_accelerator import AcceleratorRunResult, ExmaAccelerator, replay_epoch
 
 __all__ = ["ParallelReplay", "replay_epoch"]
-
-
-def replay_epoch(
-    accelerator: "ExmaAccelerator",
-    name: str,
-    flushed: "WindowedBatch | Sequence[OccRequest]",
-) -> "AcceleratorRunResult":
-    """Replay one flush epoch on *accelerator* (the pool dispatch target).
-
-    Module-level so it is picklable by reference for the process
-    executor.  Mirrors exactly what the serial ``run_stream`` loop does
-    with each item: a :class:`~repro.engine.window.WindowedBatch` goes
-    through :meth:`~repro.accel.exma_accelerator.ExmaAccelerator
-    .replay_flush` (issued-count base accounting), a plain request
-    sequence through :meth:`~repro.accel.exma_accelerator
-    .ExmaAccelerator.run`.
-    """
-    if isinstance(flushed, WindowedBatch):
-        return accelerator.replay_flush(flushed, name=name)
-    return accelerator.run(flushed, name=name)
 
 
 def _exit_worker(*_args) -> None:  # pragma: no cover - runs in a pool worker
@@ -76,25 +48,22 @@ def _exit_worker(*_args) -> None:  # pragma: no cover - runs in a pool worker
     os._exit(17)
 
 
-class ParallelReplay:
+class ParallelReplay(runtime.PoolOwner):
     """A persistent flush-replay pool bound to one accelerator.
 
-    Owns a :class:`~repro.engine.sharded.BackendWorkerPool` whose backend
-    is the accelerator (created lazily on the first parallel call, reused
-    across every stream), and offers the two replay shapes its consumers
-    need: :meth:`run_stream` fans a whole window stream across the pool
-    and reassembles the serial-identical
-    :class:`~repro.accel.exma_accelerator.WindowedRunResult`;
-    :meth:`replay_flush` offloads a single epoch — the serving layer's
-    batcher threads each block on their own flush, so concurrent flushes
-    from different batchers overlap in the pool.  Usable as a context
-    manager; :meth:`close` is idempotent.
+    Owns a :class:`~repro.runtime.BackendWorkerPool` whose payload is the
+    accelerator (:class:`~repro.runtime.PoolOwner`: created on the first
+    flush, reused for every later one, closable as a context manager) and
+    offloads single epochs to it: the serving layer's batcher threads
+    each block on their own :meth:`replay_flush`, so concurrent flushes
+    from different batchers overlap in the pool.
 
     Args:
         accelerator: the accelerator every worker replays on (picklable
             for the process executor).
-        workers: pool size; defaults to the
-            ``REPRO_DEFAULT_REPLAY_WORKERS`` environment toggle.
+        workers: pool size, honoured verbatim; ``None`` defers to the
+            ``REPRO_DEFAULT_REPLAY_WORKERS`` environment toggle, clamped
+            to the hardware (:func:`repro.runtime.resolve_workers`).
         executor: ``"thread"`` or ``"process"``; defaults to the
             ``REPRO_DEFAULT_EXECUTOR`` environment toggle.
         faults: optional :class:`~repro.faults.FaultInjector` probed at
@@ -103,44 +72,35 @@ class ParallelReplay:
             fault-free path nothing).
         timeout: default gather timeout (seconds) for pool submissions;
             ``None`` waits indefinitely.  A timed-out or broken pool
-            walks :class:`~repro.engine.sharded.BackendWorkerPool`'s
-            ladder: rebuilt once, then serial replay with a warn-once —
-            the replayed results are identical either way.
+            walks :class:`~repro.runtime.BackendWorkerPool`'s ladder:
+            rebuilt once, then serial replay with a warn-once — the
+            replayed results are identical either way.
     """
 
     def __init__(
         self,
-        accelerator: "ExmaAccelerator",
+        accelerator: ExmaAccelerator,
         workers: int | None = None,
         executor: str | None = None,
         faults: FaultInjector | None = None,
         timeout: float | None = None,
     ) -> None:
-        workers = default_replay_workers() if workers is None else int(workers)
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        executor = default_executor() if executor is None else executor
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; available: {', '.join(EXECUTORS)}"
-            )
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be > 0 (or None)")
         self._accelerator = accelerator
-        self._workers = workers
-        self._executor = executor
+        self._workers = runtime.resolve_workers(workers, runtime.REPLAY_WORKERS_ENV)
+        self._executor = runtime.resolve_executor(executor)
         self._faults = faults
         self._timeout = timeout
-        self._pool: BackendWorkerPool | None = None
 
     @property
-    def accelerator(self) -> "ExmaAccelerator":
+    def accelerator(self) -> ExmaAccelerator:
         """The accelerator the replay workers are bound to."""
         return self._accelerator
 
     @property
     def workers(self) -> int:
-        """Configured replay-worker count."""
+        """Resolved replay-worker count."""
         return self._workers
 
     @property
@@ -149,20 +109,12 @@ class ParallelReplay:
         return self._executor
 
     @property
-    def active(self) -> bool:
-        """Whether the underlying pool has been created (and not closed)."""
-        return self._pool is not None and self._pool.active
-
-    @property
     def degraded(self) -> bool:
         """Whether the pool has fallen back to serial in-process replay."""
         return self._pool is not None and self._pool.degraded
 
-    def _ensure_pool(self) -> BackendWorkerPool:
-        self._pool = BackendWorkerPool.ensure(
-            self._pool, self._accelerator, self._executor, self._workers
-        )
-        return self._pool
+    def _replay_pool(self) -> runtime.BackendWorkerPool:
+        return self._pool_for(self._accelerator, self._executor, self._workers)
 
     def _inject_submit_fault(self) -> None:
         """Probe the ``pool.submit`` injection site before a pool crossing.
@@ -181,7 +133,7 @@ class ParallelReplay:
             time.sleep(spec.delay_s)
             return
         if spec.kind == "kill" and self._workers > 1 and self._executor == "process":
-            pool = self._ensure_pool()
+            pool = self._replay_pool()
             if not pool.degraded:
                 try:
                     pool.submit(_exit_worker, None)
@@ -197,71 +149,20 @@ class ParallelReplay:
         self,
         flushed: "WindowedBatch | Sequence[OccRequest]",
         name: str = "EXMA",
-    ) -> "AcceleratorRunResult":
-        """Replay one flush epoch, offloaded to the pool when parallel.
+    ) -> AcceleratorRunResult:
+        """Replay one flush epoch on a pool worker.
 
-        With ``workers == 1`` the epoch runs inline (no pool exists).
-        Otherwise it always crosses to a pool worker — even though a lone
-        flush gains nothing by itself, concurrent callers (the serving
-        batcher threads) overlap in the pool, and with the process
-        executor the replay leaves the GIL of the submitting process.
-        A broken or wedged pool is absorbed by the rebuild-once /
-        serial-fallback ladder (:meth:`~repro.engine.sharded
-        .BackendWorkerPool.run_one`), so the caller always gets the
-        field-for-field identical epoch result.
+        The epoch always crosses to a worker — even though a lone flush
+        gains nothing by itself, concurrent callers (the serving batcher
+        threads) overlap in the pool, and with the process executor the
+        replay leaves the GIL of the submitting process — except at
+        ``workers == 1``, where the pool runs it inline and no executor
+        exists.  A broken or wedged pool is absorbed by the rebuild-once
+        / serial-fallback ladder (:meth:`~repro.runtime.BackendWorkerPool
+        .run_one`), so the caller always gets the field-for-field
+        identical epoch result.
         """
         self._inject_submit_fault()
-        if self._workers == 1:
-            return replay_epoch(self._accelerator, name, flushed)
-        return self._ensure_pool().run_one(
+        return self._replay_pool().run_one(
             replay_epoch, flushed, name, timeout=self._timeout
         )
-
-    def run_stream(
-        self,
-        windows: "Iterable[WindowedBatch | Sequence[OccRequest]]",
-        name: str = "EXMA",
-    ) -> "WindowedRunResult":
-        """Fan a window stream's flush epochs across the pool, in order.
-
-        Materializes the stream (the epochs must all be known to overlap
-        them), dispatches each flush, and gathers results in flush order
-        — the returned :class:`~repro.accel.exma_accelerator
-        .WindowedRunResult` is field-for-field identical to serial
-        :meth:`~repro.accel.exma_accelerator.ExmaAccelerator.run_stream`
-        over the same stream.  Zero or one flush runs inline.
-        """
-        from .exma_accelerator import WindowedRunResult
-
-        epochs: list[WindowedBatch | Sequence[OccRequest]] = []
-        batches = 0
-        issued = 0
-        for flushed in windows:
-            if isinstance(flushed, WindowedBatch):
-                batches += flushed.batches
-                issued += flushed.issued
-            else:
-                batches += 1
-                issued += len(flushed)
-            epochs.append(flushed)
-        if self._workers == 1 or len(epochs) <= 1:
-            flushes = [replay_epoch(self._accelerator, name, epoch) for epoch in epochs]
-        else:
-            flushes = self._ensure_pool().map_shards(
-                replay_epoch, epochs, name, timeout=self._timeout
-            )
-        return WindowedRunResult(
-            name=name, flushes=flushes, capacity=None, batches=batches, issued=issued
-        )
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; recreated if used again)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    def __enter__(self) -> "ParallelReplay":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -13,15 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import runtime
 from ..engine.backends import FMIndexBackend
 from ..engine.coalesce import BatchStats
-from ..engine.engine import WorkerPoolOwner
-from ..engine.sharded import (
-    default_executor,
-    default_shards,
-    effective_shards,
-    split_shards,
-)
+from ..engine.sharded import split_shards
 from ..engine.window import CoalescingWindow, WindowedBatch
 from ..genome.alphabet import reverse_complement
 from ..genome.reads import SimulatedRead
@@ -72,7 +67,7 @@ class AlignerCounters:
         self.fm_index_iterations += other.fm_index_iterations
 
 
-class ReadAligner(WorkerPoolOwner):
+class ReadAligner(runtime.PoolOwner):
     """Aligns reads against a reference using FM-Index seeding.
 
     Args:
@@ -83,11 +78,14 @@ class ReadAligner(WorkerPoolOwner):
         extension_band: Smith-Waterman band width.
         max_seed_hits: reference positions considered per seed (seeds with
             more hits are repetitive and skipped, as BWA-MEM does).
-        shards: opt-in parallel seeding — split batch seeding across this
-            many workers (per-read MEM state machines are independent, so
-            seeds are identical to the serial pass).  ``None`` defers to
-            the ``REPRO_DEFAULT_SHARDS`` toggle.
-        executor: ``"thread"`` or ``"process"`` pool for *shards*.
+        shards: opt-in parallel seeding — split batch seeding across up
+            to this many workers (per-read MEM state machines are
+            independent, so seeds are identical to the serial pass).  An
+            upper bound clamped to the available CPUs, like
+            :class:`~repro.engine.engine.QueryEngine`'s; ``None`` defers
+            to the ``REPRO_DEFAULT_SHARDS`` toggle.
+        executor: ``"thread"`` or ``"process"`` pool for *shards*;
+            ``None`` defers to ``REPRO_DEFAULT_EXECUTOR``.
         window: scheduling-window capacity W — record each seeding pass's
             coalesced Occ request stream and merge duplicates across W
             consecutive passes through a
@@ -123,15 +121,12 @@ class ReadAligner(WorkerPoolOwner):
         self._band = extension_band
         self._max_hits = max_seed_hits
         self._scoring = scoring or ScoringScheme()
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1")
-        self._shards = shards
-        self._executor = executor
+        self._shards = runtime.resolve_workers(
+            shards, runtime.SHARDS_ENV, bound=True, what="shards"
+        )
+        self._executor = runtime.resolve_executor(executor)
         self._window = CoalescingWindow(window) if window is not None else None
         self._window_flushes: list[WindowedBatch] = []
-        #: Persistent seeding pool (WorkerPoolOwner), created lazily on
-        #: the first sharded batch and reused for every subsequent one.
-        self._pool = None
 
     @property
     def fm_index(self) -> FMIndex:
@@ -195,12 +190,9 @@ class ReadAligner(WorkerPoolOwner):
             if flushed is not None:
                 self._window_flushes.append(flushed)
             return seeds
-        shards = effective_shards(
-            self._shards if self._shards is not None else default_shards()
-        )
+        shards = self._shards
         if shards > 1 and len(oriented) >= 2 * shards:
-            executor = self._executor if self._executor is not None else default_executor()
-            pool = self._ensure_pool(shards, executor)
+            pool = self._pool_for(self._backend, self._executor, shards)
             outputs = pool.map_shards(
                 _mem_shard, split_shards(oriented, shards), self._min_seed
             )

@@ -31,12 +31,13 @@ import argparse
 import sys
 from typing import Sequence
 
-from .engine import EXECUTORS, QueryEngine, available_backends
+from .engine import QueryEngine, available_backends
 from .exma.table import exma_size_breakdown
 from .genome.io import read_fasta
 from .genome.sequence import random_genome
 from .index.kstep import kstep_size_bytes
 from .lisa.ipbwt import lisa_size_bytes
+from .runtime import EXECUTORS
 
 GB = 1024**3
 

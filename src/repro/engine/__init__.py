@@ -10,7 +10,8 @@ them in lockstep through a registered backend, coalesces duplicate
 
 Two layers scale it further: :class:`~repro.engine.sharded
 .ShardedQueryEngine` splits batches across a thread/process pool (results
-byte-identical to serial), and :class:`~repro.engine.window
+byte-identical to serial; the pool and the worker-count policy live in
+:mod:`repro.runtime`), and :class:`~repro.engine.window
 .CoalescingWindow` merges duplicate requests across *consecutive* batches
 before the stream reaches the accelerator model.
 """
@@ -35,30 +36,22 @@ from .coalesce import (
     coalesce_requests,
     pack_requests,
 )
-from .engine import BatchResult, QueryEngine, WorkerPoolOwner
+from .engine import BatchResult, QueryEngine
 from .sharded import (
-    EXECUTORS,
-    BackendWorkerPool,
     ShardedQueryEngine,
-    default_executor,
-    default_replay_workers,
-    default_shards,
     merge_shard_stats,
     merge_traces,
-    run_sharded,
     run_sharded_batch,
     split_shards,
 )
 from .window import CoalescingWindow, WindowedBatch, windowed_request_stream
 
 __all__ = [
-    "BackendWorkerPool",
     "BatchResult",
     "BatchStats",
     "BatchTrace",
     "CoalescedStep",
     "CoalescingWindow",
-    "EXECUTORS",
     "ExmaBackend",
     "FMIndexBackend",
     "LisaBackend",
@@ -70,18 +63,13 @@ __all__ = [
     "StepTrace",
     "TailContribution",
     "WindowedBatch",
-    "WorkerPoolOwner",
     "available_backends",
     "coalesce_requests",
     "pack_requests",
     "create_backend",
-    "default_executor",
-    "default_replay_workers",
-    "default_shards",
     "merge_shard_stats",
     "merge_traces",
     "register_backend",
-    "run_sharded",
     "run_sharded_batch",
     "split_shards",
     "windowed_request_stream",

@@ -19,9 +19,11 @@ exactly one search implementation per backend.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
+from .. import runtime
 from ..exma.search import OccRequest
 from ..index.fmindex import Interval
 from .backends import SearchBackend, create_backend
@@ -48,58 +50,7 @@ class BatchResult:
         return sum(1 for interval in self.intervals if not interval.empty)
 
 
-class WorkerPoolOwner:
-    """Owns one persistent shard worker pool bound to ``self._backend``.
-
-    The single implementation of the pool-owner lifecycle every holder
-    (the engines, the read aligner) mixes in: the pool is created lazily
-    on the first multi-shard call, reused across calls, transparently
-    replaced when the effective executor kind or worker count changes
-    (e.g. environment toggles), and released by ``close()``, context-
-    manager exit or garbage collection.  Hosts must provide a
-    ``_backend`` attribute.
-    """
-
-    _pool = None
-
-    @property
-    def worker_pool(self):
-        """The owned persistent pool (``None`` until the first multi-shard
-        call creates it, or after :meth:`close`)."""
-        return self._pool
-
-    def _ensure_pool(self, shards: int, executor: str):
-        from .sharded import BackendWorkerPool
-
-        self._pool = BackendWorkerPool.ensure(self._pool, self._backend, executor, shards)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool (idempotent).
-
-        The owner remains usable: the next sharded call simply creates a
-        fresh pool.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=False)
-        except Exception:
-            pass
-
-
-class QueryEngine(WorkerPoolOwner):
+class QueryEngine(runtime.PoolOwner):
     """Batched exact-match search through a pluggable backend.
 
     Args:
@@ -141,20 +92,12 @@ class QueryEngine(WorkerPoolOwner):
             if name is None or reference is None:
                 raise ValueError("provide a backend, or a registry name and reference")
             backend = create_backend(name, reference, **kwargs)
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1")
-        if executor is not None:
-            from .sharded import EXECUTORS
-
-            if executor not in EXECUTORS:
-                raise ValueError(
-                    f"unknown executor {executor!r}; available: {', '.join(EXECUTORS)}"
-                )
         self._backend = backend
-        self._shards = shards
-        self._executor = executor
-        #: Lazily created persistent worker pool for the sharded path.
-        self._pool = None
+        self._effective_shards = runtime.resolve_workers(
+            shards, runtime.SHARDS_ENV, bound=self._adaptive, what="shards"
+        )
+        self._shards = self._effective_shards if shards is None else int(shards)
+        self._executor = runtime.resolve_executor(executor)
 
     @classmethod
     def from_reference(cls, reference: str, name: str = "fmindex", **kwargs) -> "QueryEngine":
@@ -168,10 +111,12 @@ class QueryEngine(WorkerPoolOwner):
         idempotent), so clones can search concurrently from separate
         threads — which is how the serving layer gives every batcher
         worker its own engine (and persistent worker pool) without
-        duplicating the index.  The clone inherits this engine's pinned
+        duplicating the index.  The clone inherits this engine's resolved
         ``shards``/``executor`` settings but never its pool.
         """
-        return type(self)(self._backend, shards=self._shards, executor=self._executor)
+        twin = copy.copy(self)
+        twin._pool = None
+        return twin
 
     @property
     def backend(self) -> SearchBackend:
@@ -180,37 +125,25 @@ class QueryEngine(WorkerPoolOwner):
 
     @property
     def shards(self) -> int:
-        """Configured shard count (pinned, or the environment default)."""
-        if self._shards is not None:
-            return self._shards
-        from .sharded import default_shards
-
-        return default_shards()
+        """Configured shard count: the explicit request (an upper bound
+        for the adaptive engine), or what the environment default
+        resolved to at construction."""
+        return self._shards
 
     @property
     def effective_shards(self) -> int:
-        """The shard count batches actually run with.
-
-        For the adaptive engine this is the configured count clamped to
-        the available CPUs (see :func:`repro.engine.sharded
-        .effective_shards`); :class:`~repro.engine.sharded
-        .ShardedQueryEngine` always uses the configured count.
-        """
-        shards = self.shards
-        if shards > 1 and self._adaptive:
-            from .sharded import effective_shards
-
-            return effective_shards(shards)
-        return shards
+        """The shard count batches actually run with, resolved once at
+        construction (:func:`repro.runtime.resolve_workers`): the adaptive
+        engine clamps to the available CPUs,
+        :class:`~repro.engine.sharded.ShardedQueryEngine` never clamps an
+        explicit count."""
+        return self._effective_shards
 
     @property
     def executor(self) -> str:
-        """Effective executor kind (pinned, or the environment default)."""
-        if self._executor is not None:
-            return self._executor
-        from .sharded import default_executor
-
-        return default_executor()
+        """Executor kind, resolved once at construction (explicit, or
+        the environment default)."""
+        return self._executor
 
     # ------------------------------------------------------------------ #
     # Batch lifecycle
@@ -219,22 +152,19 @@ class QueryEngine(WorkerPoolOwner):
     def search_batch(self, queries: Sequence[str]) -> BatchResult:
         """Search a batch of queries in lockstep, with request coalescing.
 
-        Dispatches to the sharded parallel path when the engine (or the
-        ``REPRO_DEFAULT_SHARDS`` toggle) asks for — and the hardware can
-        run — more than one shard; intervals and stats are identical
-        either way.
+        Dispatches to the sharded parallel path when the engine resolved
+        more than one shard; intervals and stats are identical either
+        way.
         """
-        shards = self.effective_shards
+        shards = self._effective_shards
         if shards > 1:
             from .sharded import run_sharded_batch
 
-            executor = self.executor
             return run_sharded_batch(
                 self._backend,
                 queries,
-                shards=shards,
-                executor=executor,
-                pool=self._ensure_pool(shards, executor),
+                shards,
+                pool=self._pool_for(self._backend, self._executor, shards),
             )
         stats = BatchStats()
         intervals = self._backend.search_batch(list(queries), stats)

@@ -25,12 +25,11 @@ that is **byte-identical** to what the serial engine would have produced
   surviving key's contribution once re-creates the serial accounting.
   No ``replay_trace`` pass, no second trip through the index.
 
-Execution is persistent: a :class:`BackendWorkerPool` owns one
-thread/process pool for the lifetime of its engine (lazily created,
-reusable across every ``search_batch`` call, closable as a context
-manager).  The process pool ships the backend **once** per worker through
-the pool initializer — submitted calls carry only their shard of queries,
-not a fresh pickle of the index.
+This module is the split and the merge only.  *Where* the shards run —
+the persistent :class:`~repro.runtime.BackendWorkerPool` an engine owns
+(the process pool ships the backend **once** per worker; submitted calls
+carry only their shard of queries), how many workers it has and what
+happens when it fails — is :mod:`repro.runtime`'s business.
 
 The equivalence is locked down by the property-based suite in
 ``tests/test_sharded.py`` (all six backends, any shard count, both
@@ -40,20 +39,12 @@ parallel results against the serial baseline.
 
 from __future__ import annotations
 
-import os
-import warnings
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 
 from ..index.fmindex import Interval
+from .. import runtime
 from .backends import SearchBackend
 from .coalesce import (
     BatchStats,
@@ -65,182 +56,14 @@ from .coalesce import (
 from .engine import BatchResult, QueryEngine
 
 __all__ = [
-    "EXECUTORS",
-    "EXECUTOR_ENV",
-    "OVERSUBSCRIBE_ENV",
-    "REPLAY_WORKERS_ENV",
-    "SHARDS_ENV",
-    "BackendWorkerPool",
     "ShardedQueryEngine",
-    "available_parallelism",
-    "default_executor",
-    "default_replay_workers",
-    "default_shards",
-    "effective_shards",
     "merge_shard_stats",
     "merge_traces",
-    "oversubscribed",
-    "run_sharded",
     "run_sharded_batch",
     "split_shards",
 ]
 
 T = TypeVar("T")
-R = TypeVar("R")
-
-#: Supported ``concurrent.futures`` executor kinds.
-EXECUTORS = ("thread", "process")
-
-#: Environment toggles: default shard count / executor used by every
-#: :class:`QueryEngine` that does not pin its own.  CI runs the quick
-#: suite with ``REPRO_DEFAULT_SHARDS=4`` (thread) and with
-#: ``REPRO_DEFAULT_EXECUTOR=process REPRO_DEFAULT_SHARDS=2`` so both
-#: persistent-pool paths are exercised by the whole existing test matrix,
-#: not just the dedicated suite.
-SHARDS_ENV = "REPRO_DEFAULT_SHARDS"
-EXECUTOR_ENV = "REPRO_DEFAULT_EXECUTOR"
-
-#: Default replay-worker count for the epoch-parallel accelerator replay
-#: (:meth:`repro.accel.exma_accelerator.ExmaAccelerator.run_stream` and
-#: the serving layer), mirroring ``REPRO_DEFAULT_SHARDS`` for the search
-#: side.  Parsed by :func:`default_replay_workers` with the same
-#: defensive warn-once fallback.
-REPLAY_WORKERS_ENV = "REPRO_DEFAULT_REPLAY_WORKERS"
-
-#: When set truthy, :func:`effective_shards` stops clamping shard counts
-#: to the hardware — CI's sharded legs set it so the parallel path is
-#: exercised even on single-core runners.
-OVERSUBSCRIBE_ENV = "REPRO_SHARD_OVERSUBSCRIBE"
-
-
-#: Environment values already warned about, so a malformed toggle nags
-#: exactly once per process, not once per engine construction.  (A
-#: long-lived serving process builds engines continuously; spamming one
-#: warning per batch would drown the log.)
-_WARNED_ENV_VALUES: set[tuple[str, str]] = set()
-
-
-def _warn_env_once(variable: str, value: str, message: str) -> None:
-    """Emit *message* as a RuntimeWarning once per (variable, value)."""
-    key = (variable, value)
-    if key not in _WARNED_ENV_VALUES:
-        _WARNED_ENV_VALUES.add(key)
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
-def default_shards() -> int:
-    """Shard count engines use when not pinned (``REPRO_DEFAULT_SHARDS``).
-
-    Parsed defensively: a malformed value (non-integer, zero or negative)
-    must never crash engine construction deep inside a long-lived service
-    — it warns once and falls back to serial instead.
-    """
-    raw = os.environ.get(SHARDS_ENV)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        _warn_env_once(
-            SHARDS_ENV,
-            raw,
-            f"ignoring malformed {SHARDS_ENV}={raw!r} (expected a positive "
-            "integer); running serial",
-        )
-        return 1
-    if shards < 1:
-        _warn_env_once(
-            SHARDS_ENV,
-            raw,
-            f"ignoring non-positive {SHARDS_ENV}={raw!r}; running serial",
-        )
-        return 1
-    return shards
-
-
-def default_replay_workers() -> int:
-    """Replay workers used when not pinned (``REPRO_DEFAULT_REPLAY_WORKERS``).
-
-    The accelerator's :meth:`~repro.accel.exma_accelerator
-    .ExmaAccelerator.run_stream` consults this when the caller does not
-    pass ``replay_workers``.  Parsed exactly like :func:`default_shards`:
-    a malformed or non-positive value warns once per process and falls
-    back to serial replay instead of crashing a long-lived service.
-    """
-    raw = os.environ.get(REPLAY_WORKERS_ENV)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        _warn_env_once(
-            REPLAY_WORKERS_ENV,
-            raw,
-            f"ignoring malformed {REPLAY_WORKERS_ENV}={raw!r} (expected a "
-            "positive integer); replaying serial",
-        )
-        return 1
-    if workers < 1:
-        _warn_env_once(
-            REPLAY_WORKERS_ENV,
-            raw,
-            f"ignoring non-positive {REPLAY_WORKERS_ENV}={raw!r}; replaying serial",
-        )
-        return 1
-    return workers
-
-
-def default_executor() -> str:
-    """Executor engines use when not pinned (``REPRO_DEFAULT_EXECUTOR``).
-
-    Unknown values are rejected here, with a once-per-process warning
-    naming the valid choices, and fall back to ``"thread"`` — instead of
-    silently misconfiguring the pool or failing later inside it.
-    """
-    raw = os.environ.get(EXECUTOR_ENV)
-    if raw is None or not raw.strip():
-        return "thread"
-    executor = raw.strip().lower()
-    if executor not in EXECUTORS:
-        _warn_env_once(
-            EXECUTOR_ENV,
-            raw,
-            f"ignoring unknown {EXECUTOR_ENV}={raw!r} (available: "
-            f"{', '.join(EXECUTORS)}); using the thread executor",
-        )
-        return "thread"
-    return executor
-
-
-def available_parallelism() -> int:
-    """CPUs actually available to this process (affinity/cgroup aware)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - platforms without affinity
-        return max(1, os.cpu_count() or 1)
-
-
-def oversubscribed() -> bool:
-    """Whether ``REPRO_SHARD_OVERSUBSCRIBE`` disables the hardware clamp."""
-    return os.environ.get(OVERSUBSCRIBE_ENV, "").lower() in ("1", "true", "yes", "on")
-
-
-def effective_shards(shards: int) -> int:
-    """Clamp a requested shard count to the available hardware.
-
-    Splitting a batch beyond the CPUs that can actually run it buys no
-    parallelism and pays the split/merge overhead anyway, so the adaptive
-    engine path (:class:`~repro.engine.engine.QueryEngine`) treats
-    ``shards`` as an *upper bound*: ``min(shards, CPUs)``, degenerating to
-    the serial path on a single-core host.  Set
-    ``REPRO_SHARD_OVERSUBSCRIBE=1`` to disable the clamp (CI does, so the
-    parallel machinery is exercised regardless of runner size), or use
-    :class:`ShardedQueryEngine`, which always runs the split it was asked
-    for.
-    """
-    if shards <= 1 or oversubscribed():
-        return shards
-    return min(shards, available_parallelism())
 
 
 def split_shards(items: Sequence[T], shards: int) -> list[list[T]]:
@@ -264,300 +87,6 @@ def split_shards(items: Sequence[T], shards: int) -> list[list[T]]:
         chunks.append(list(items[start : start + size]))
         start += size
     return chunks
-
-
-# --------------------------------------------------------------------- #
-# Persistent worker pools
-# --------------------------------------------------------------------- #
-
-#: The backend installed in a process-pool worker by the pool initializer.
-#: Shipping it once per worker (instead of pickling it into every
-#: submitted call) is what makes process shards affordable on
-#: multi-100 kbp references.
-_WORKER_BACKEND: SearchBackend | None = None
-
-
-def _init_worker(backend: SearchBackend) -> None:
-    """Process-pool initializer: install the shared backend once."""
-    global _WORKER_BACKEND
-    _WORKER_BACKEND = backend
-
-
-def _call_worker(fn: Callable, args: tuple, shard: list) -> object:
-    """Run *fn* against the worker-resident backend (process executor)."""
-    return fn(_WORKER_BACKEND, *args, shard)
-
-
-#: Failures that indict the *pool*, not the submitted work: a broken
-#: executor (e.g. a process worker died mid-call) or a gather timeout (a
-#: worker wedged past the caller's deadline).  Exceptions raised *by* the
-#: submitted function are never in this set — they propagate to the
-#: caller untouched, because retrying them on a fresh pool would just
-#: re-raise.
-_POOL_FAILURES = (BrokenExecutor, FuturesTimeoutError, TimeoutError)
-
-
-class BackendWorkerPool:
-    """A long-lived shard worker pool bound to one backend.
-
-    The pool is created lazily on the first multi-shard call and then
-    reused for every subsequent batch — no per-batch executor spin-up.
-    Thread workers share the backend in-process; process workers receive
-    it exactly once via the pool initializer and keep it (including any
-    lazily built caches, e.g. the EXMA augmented-increment array) for the
-    pool's lifetime.  Usable as a context manager; ``shutdown`` is
-    idempotent and a fresh pool is created transparently if the instance
-    is used again afterwards.
-
-    Args:
-        backend: the backend every worker searches (picklable for the
-            process executor — all registered backends are).
-        executor: ``"thread"`` or ``"process"``.
-        max_workers: pool size, normally the engine's shard count.
-    """
-
-    def __init__(
-        self, backend: SearchBackend, executor: str = "thread", max_workers: int = 1
-    ) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; available: {', '.join(EXECUTORS)}"
-            )
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self._backend = backend
-        self._kind = executor
-        self._max_workers = int(max_workers)
-        self._pool: Executor | None = None
-        #: Degradation ladder state: one rebuild is allowed per pool
-        #: lifetime; the second pool failure flips ``degraded`` and every
-        #: later call runs inline (serial, in-process) with a warn-once.
-        self._rebuilt = False
-        self._degraded = False
-
-    @property
-    def backend(self) -> SearchBackend:
-        """The backend the workers are bound to."""
-        return self._backend
-
-    @property
-    def kind(self) -> str:
-        """Executor kind (``"thread"`` or ``"process"``)."""
-        return self._kind
-
-    @property
-    def max_workers(self) -> int:
-        """Configured pool size."""
-        return self._max_workers
-
-    @property
-    def active(self) -> bool:
-        """Whether the underlying executor has been created (and not shut
-        down)."""
-        return self._pool is not None
-
-    @property
-    def rebuilt(self) -> bool:
-        """Whether the pool has spent its one rebuild after a failure."""
-        return self._rebuilt
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the pool has fallen back to serial in-process calls.
-
-        Set after a *second* pool failure (broken executor or gather
-        timeout): the pool was rebuilt once already, so further rebuilds
-        are presumed futile and every subsequent :meth:`map_shards` /
-        :meth:`run_one` runs inline.  Results are unchanged — serial and
-        pooled execution are exact-equivalent by construction — only the
-        parallelism is lost.
-        """
-        return self._degraded
-
-    @classmethod
-    def ensure(
-        cls,
-        current: "BackendWorkerPool | None",
-        backend: SearchBackend,
-        executor: str,
-        max_workers: int,
-    ) -> "BackendWorkerPool":
-        """Reuse *current* when it matches the knobs, else replace it.
-
-        The single implementation of the owner pattern every pool holder
-        (engines, the read aligner) follows: keep one persistent pool
-        across calls, transparently swapping it when the bound backend,
-        the effective executor kind or the worker count changes (e.g.
-        environment toggles).  The backend check matters most for the
-        process executor, whose workers hold whatever backend their pool
-        initializer installed.
-        """
-        if current is not None and (
-            current.backend is not backend
-            or current.kind != executor
-            or current.max_workers != max_workers
-        ):
-            current.shutdown(wait=False)
-            current = None
-        if current is None:
-            current = cls(backend, executor, max_workers=max_workers)
-        return current
-
-    def _ensure(self) -> Executor:
-        if self._pool is None:
-            if self._kind == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self._max_workers)
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._max_workers,
-                    initializer=_init_worker,
-                    initargs=(self._backend,),
-                )
-        return self._pool
-
-    def _submit_all(self, fn: Callable, items: Sequence, args: tuple) -> list:
-        pool = self._ensure()
-        if self._kind == "thread":
-            return [pool.submit(fn, self._backend, *args, item) for item in items]
-        return [pool.submit(_call_worker, fn, args, item) for item in items]
-
-    def _note_pool_failure(self, error: BaseException) -> None:
-        """Advance the degradation ladder after a pool-level failure.
-
-        First failure: tear the executor down and spend the one rebuild
-        (the next submit lazily recreates it).  Second failure, ever:
-        flip to degraded — all later calls run serial in-process — and
-        warn exactly once per pool.
-        """
-        self.shutdown(wait=False)
-        if not self._rebuilt:
-            self._rebuilt = True
-            return
-        if not self._degraded:
-            self._degraded = True
-            warnings.warn(
-                f"{self._kind} worker pool failed twice "
-                f"({type(error).__name__}: {error}); falling back to serial "
-                f"in-process execution for the rest of this pool's lifetime",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    def map_shards(
-        self, fn: Callable, shard_lists: Sequence[list], *args, timeout: float | None = None
-    ) -> list:
-        """Apply ``fn(backend, *args, shard)`` to every shard, in order.
-
-        *fn* must be a module-level function (picklable by reference).
-        Thread workers call it with the shared backend; process workers
-        look the backend up in the worker global installed by the pool
-        initializer, so only ``(fn, args, shard)`` crosses the pipe.  A
-        single shard runs inline, skipping the pool entirely.
-
-        Pool-level failures (a broken executor, a worker exceeding
-        *timeout*) walk the degradation ladder — rebuild once, then fall
-        back to serial in-process execution with a warn-once — so a dead
-        worker pool degrades throughput instead of the result.
-        Exceptions raised by *fn* itself always propagate unchanged.
-        """
-        if not shard_lists:
-            return []
-        if len(shard_lists) == 1 or self._degraded:
-            return [fn(self._backend, *args, shard) for shard in shard_lists]
-        for _ in range(2):
-            if self._degraded:
-                break
-            try:
-                futures = self._submit_all(fn, shard_lists, args)
-                return [future.result(timeout) for future in futures]
-            except _POOL_FAILURES as error:
-                self._note_pool_failure(error)
-        return [fn(self._backend, *args, shard) for shard in shard_lists]
-
-    def run_one(self, fn: Callable, item, *args, timeout: float | None = None):
-        """Run ``fn(backend, *args, item)`` on the pool and wait for it.
-
-        The resilient single-item shape: like ``submit(...).result()``
-        but with the same rebuild-once / serial-fallback ladder as
-        :meth:`map_shards` (and an optional gather *timeout*), so a
-        broken pool costs the caller parallelism, never the result.  In
-        degraded mode the call simply runs inline.
-        """
-        if self._degraded:
-            return fn(self._backend, *args, item)
-        for _ in range(2):
-            if self._degraded:
-                break
-            try:
-                return self.submit(fn, item, *args).result(timeout)
-            except _POOL_FAILURES as error:
-                self._note_pool_failure(error)
-        return fn(self._backend, *args, item)
-
-    def submit(self, fn: Callable, item, *args):
-        """Schedule ``fn(backend, *args, item)`` on the pool; returns a Future.
-
-        Unlike :meth:`map_shards` this never runs inline: the single item
-        always crosses to a pool worker.  That is what the serving layer's
-        replay path wants — each batcher thread hands its flush to the
-        replay pool and blocks on the future, so with the process executor
-        the epoch replay escapes the submitting thread (and, for process
-        pools, the GIL) entirely.
-        """
-        pool = self._ensure()
-        if self._kind == "thread":
-            return pool.submit(fn, self._backend, *args, item)
-        return pool.submit(_call_worker, fn, args, item)
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Shut the underlying executor down (no-op when never created)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
-
-    def __enter__(self) -> "BackendWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.shutdown(wait=False)
-        except Exception:
-            pass
-
-
-def _make_executor(executor: str, workers: int) -> Executor:
-    if executor == "thread":
-        return ThreadPoolExecutor(max_workers=workers)
-    if executor == "process":
-        return ProcessPoolExecutor(max_workers=workers)
-    raise ValueError(f"unknown executor {executor!r}; available: {', '.join(EXECUTORS)}")
-
-
-def run_sharded(
-    worker: Callable[[list[T]], R],
-    items: Sequence[T],
-    shards: int,
-    executor: str = "thread",
-) -> list[R]:
-    """Apply *worker* to contiguous shards of *items*, outputs in shard order.
-
-    This is the ad-hoc one-shot path: it spins an executor per call and
-    *worker* must be picklable for the ``process`` executor.  Work bound
-    to a backend should go through a persistent :class:`BackendWorkerPool`
-    instead, which reuses its pool across calls and never re-pickles the
-    backend.  A single shard short-circuits the pool entirely.
-    """
-    shard_lists = split_shards(items, shards)
-    if not shard_lists:
-        return []
-    if len(shard_lists) == 1:
-        return [worker(shard_lists[0])]
-    with _make_executor(executor, len(shard_lists)) as pool:
-        futures = [pool.submit(worker, shard) for shard in shard_lists]
-        return [future.result() for future in futures]
 
 
 def _search_shard(backend: SearchBackend, queries: list[str]) -> tuple[list[Interval], BatchStats]:
@@ -685,7 +214,7 @@ def run_sharded_batch(
     queries: Sequence[str],
     shards: int,
     executor: str = "thread",
-    pool: BackendWorkerPool | None = None,
+    pool: runtime.BackendWorkerPool | None = None,
 ) -> BatchResult:
     """Search *queries* across shards; result identical to the serial path.
 
@@ -700,7 +229,7 @@ def run_sharded_batch(
     shard_lists = split_shards(queries, shards)
     owned = pool is None
     if pool is None:
-        pool = BackendWorkerPool(backend, executor, max_workers=len(shard_lists))
+        pool = runtime.BackendWorkerPool(backend, executor, max_workers=len(shard_lists))
     try:
         outputs = pool.map_shards(_search_shard, shard_lists)
     finally:
@@ -714,69 +243,30 @@ def run_sharded_batch(
 class ShardedQueryEngine(QueryEngine):
     """A :class:`QueryEngine` that always runs the sharded parallel path.
 
-    Unlike the adaptive base class, this engine never clamps its shard
-    count to the hardware — it runs exactly the split it was configured
-    with, which is what the equivalence suite and the forced rows of the
-    shard-scaling benchmark rely on.
+    Unlike the adaptive base class, this engine never clamps an explicit
+    shard count to the hardware — it runs exactly the split it was
+    configured with (the *verbatim* policy of
+    :func:`repro.runtime.resolve_workers`), which is what the equivalence
+    suite and the forced rows of the shard-scaling benchmark rely on.
 
-    Construction mirrors :class:`QueryEngine` (prebuilt backend, or
-    registry name + reference) plus the parallelism knobs.  Every batch
-    API (``search_batch``, ``find_batch``, ``count_batch``,
+    Construction is :class:`QueryEngine`'s (prebuilt backend, or registry
+    name + reference, plus ``shards``/``executor``).  Every batch API
+    (``search_batch``, ``find_batch``, ``count_batch``,
     ``request_stream`` and the single-query wrappers) returns exactly what
     the serial engine would.  The engine owns a persistent
-    :class:`BackendWorkerPool` (created lazily on the first multi-shard
-    batch, reused across calls); use the engine as a context manager or
-    call :meth:`~repro.engine.engine.QueryEngine.close` to release it.
-
-    Args:
-        backend: a prebuilt backend, or ``None`` to build one by name.
-        shards: number of query shards (defaults to the
-            ``REPRO_DEFAULT_SHARDS`` environment toggle).
-        executor: ``"thread"`` or ``"process"`` (defaults to the
-            ``REPRO_DEFAULT_EXECUTOR`` environment toggle).  The process
-            executor requires a picklable backend — all registered
-            backends are — and ships it to the workers once, at pool
-            creation.
-        name: registry name used when *backend* is omitted.
-        reference: reference string used when *backend* is omitted.
-        **kwargs: forwarded to the backend factory.
+    :class:`~repro.runtime.BackendWorkerPool` (created lazily on the first
+    multi-shard batch, reused across calls); use the engine as a context
+    manager or call :meth:`~repro.runtime.PoolOwner.close` to release it.
+    The process executor requires a picklable backend — all registered
+    backends are — and ships it to the workers once, at pool creation.
     """
 
     _adaptive = False
 
-    def __init__(
-        self,
-        backend: SearchBackend | None = None,
-        *,
-        shards: int | None = None,
-        executor: str | None = None,
-        name: str | None = None,
-        reference: str | None = None,
-        **kwargs,
-    ) -> None:
-        shards = default_shards() if shards is None else int(shards)
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        executor = default_executor() if executor is None else executor
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; available: {', '.join(EXECUTORS)}"
-            )
-        super().__init__(
-            backend,
-            name=name,
-            reference=reference,
-            shards=shards,
-            executor=executor,
-            **kwargs,
-        )
-
     def search_batch_per_shard(self, queries: Sequence[str]) -> list[BatchResult]:
         """The per-shard results before merging (introspection/debugging)."""
-        shard_lists = split_shards(list(queries), self.shards)
-        outputs = self._ensure_pool(self.shards, self.executor).map_shards(
-            _search_shard, shard_lists
-        )
+        pool = self._pool_for(self._backend, self.executor, self.shards)
+        outputs = pool.map_shards(_search_shard, split_shards(list(queries), self.shards))
         return [
             BatchResult(intervals=intervals, stats=stats) for intervals, stats in outputs
         ]

@@ -34,7 +34,6 @@ Reproduce the committed record with::
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -42,11 +41,11 @@ from ..accel.config import ExmaAcceleratorConfig, exma_full_config
 from ..accel.exma_accelerator import ExmaAccelerator
 from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
-from ..engine.sharded import available_parallelism
 from ..engine.window import CoalescingWindow
 from ..exma.mtl_index import MTLIndex
 from ..exma.table import ExmaTable
 from ..genome.datasets import build_dataset
+from ..runtime import host_block
 from .common import DEFAULT_STEP, sample_queries
 from .fig18_throughput import _scaled_config
 
@@ -353,11 +352,12 @@ def format_accel_replay(result: AccelReplayResult) -> str:
             f"{'yes' if row.results_equal else 'NO':>6s}"
         )
     if result.scaling_rows:
+        host = host_block()
         lines.append("")
         lines.append(
             f"epoch-parallel replay sweep ({result.replay_executor} executor, "
             f"{result.replay_batches} flush epochs, best of {result.repeats}; "
-            f"host cpus={os.cpu_count()}, available={available_parallelism()})"
+            f"host cpus={host['host_cpus']}, available={host['available_cpus']})"
         )
         lines.append(
             f"{'row':>9s} {'workers':>8s} {'serial s':>9s} {'parallel s':>11s} "
@@ -384,8 +384,7 @@ def accel_replay_report(result: AccelReplayResult, **workload) -> dict:
     """
     return {
         "benchmark": "accel_replay",
-        "host_cpus": os.cpu_count(),
-        "available_cpus": available_parallelism(),
+        **host_block(),
         "workload": {
             "k": result.k,
             "query_length": result.query_length,

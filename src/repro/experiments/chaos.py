@@ -28,7 +28,6 @@ production path nothing.  Results land in ``BENCH_chaos.json``, gated by
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -39,6 +38,7 @@ from ..engine.engine import QueryEngine
 from ..exma.table import ExmaTable
 from ..faults import SITE_LOOP, SITE_REPLAY, SITE_SEARCH, FaultPlan, FaultSpec
 from ..genome.datasets import build_dataset
+from ..runtime import host_block
 from ..serving import (
     AdmissionRejected,
     QueryService,
@@ -391,7 +391,7 @@ def chaos_report(result: ChaosResult, **workload) -> dict:
             "max_delay_s": result.max_delay,
             "queue_capacity": result.queue_capacity,
             "replay_retries": result.replay_retries,
-            "host_cpus": os.cpu_count(),
+            **host_block(),
             **dict(workload),
         },
         "fault_free": {"identical": result.fault_free_identical},

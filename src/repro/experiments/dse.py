@@ -10,10 +10,10 @@ and the coalescing window W, prices each point for throughput (Mbase/s),
 energy-per-base and a first-order area proxy, and reduces the sweep to a
 Pareto frontier (``BENCH_dse.json``).
 
-The sweep is a job queue over PR 8's :class:`~repro.engine.sharded
+The sweep is a job queue over PR 8's :class:`~repro.runtime
 .BackendWorkerPool`: the workload context (table, MTL indexes, the
 per-batch request streams) ships to the pool **once** as the bound
-backend — process pools install it via the pool initializer — and each
+payload — process pools install it via the pool initializer — and each
 job submits only its :class:`ConfigPoint` coordinate.  A job builds a
 fresh accelerator at its point, windows the shared batch streams with
 its own W and replays the flush epochs serially (the parallelism is
@@ -40,7 +40,6 @@ Reproduce the committed record with::
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -56,11 +55,11 @@ from ..accel.exma_accelerator import ExmaAccelerator
 from ..engine.backends import ExmaBackend
 from ..engine.coalesce import RequestStream
 from ..engine.engine import QueryEngine
-from ..engine.sharded import BackendWorkerPool, available_parallelism
 from ..engine.window import CoalescingWindow
 from ..exma.mtl_index import MTLIndex
 from ..exma.table import ExmaTable
 from ..genome.datasets import build_dataset
+from ..runtime import BackendWorkerPool, check_executor, check_workers, host_block
 from .common import DEFAULT_STEP, sample_queries
 
 __all__ = [
@@ -95,7 +94,7 @@ DEFAULT_GRID: dict[str, tuple] = {
 class DseWorkload:
     """The per-sweep context shipped to the worker pool exactly once.
 
-    Plays the pool's *backend* role: thread workers share it in-process,
+    Plays the pool's *payload* role: thread workers share it in-process,
     process workers receive it through the pool initializer, and every
     job afterwards only carries its :class:`ConfigPoint` across the
     pipe.  All members are picklable (the PR 8 contract).
@@ -187,7 +186,7 @@ def run_dse_job(workload: DseWorkload, point: ConfigPoint) -> DseRow:
     """Price one design point on the shared workload (a pool job).
 
     Module-level so process pools pick it up by reference; the workload
-    arrives as the pool's bound backend.  The replay inside a job is
+    arrives as the pool's payload.  The replay inside a job is
     serial (``replay_workers=1``) — the DSE's parallelism is across
     configurations, one job per :class:`ConfigPoint`.
     """
@@ -284,16 +283,17 @@ def run_dse(
     *grid* is an axes mapping (``{"cam": (64, 128), ...}``), a CLI-style
     spec string, or ``None`` for :data:`DEFAULT_GRID`; the axes cross
     over *anchor* (the reproduction-scale point by default) and the
-    Table-I baseline point is always prepended as job zero.  With
-    *workers* > 1 the jobs fan across a :class:`BackendWorkerPool` of
-    the given *executor* kind, the workload shipping once as the pool's
-    backend; results are collected in submission order, so the record
-    is identical at every worker count.
+    Table-I baseline point is always prepended as job zero.  The jobs
+    fan across a :class:`~repro.runtime.BackendWorkerPool` of *workers*
+    workers of the given *executor* kind (inline at 1), the workload
+    shipping once as the pool's payload; results are collected in
+    submission order and a dead pool degrades to the serial sweep, so
+    the record is identical at every worker count.
     """
     if batches < 1:
         raise ValueError("batches must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = check_workers(workers)
+    executor = check_executor(executor)
     started = time.perf_counter()
     if isinstance(grid, str):
         grid = parse_grid(grid)
@@ -335,12 +335,8 @@ def run_dse(
     streams = [engine.request_stream(batch)[0] for batch in batch_lists]
     workload = DseWorkload(table=table, indexes=indexes, streams=streams)
 
-    if workers > 1:
-        with BackendWorkerPool(workload, executor, max_workers=workers) as pool:
-            futures = [pool.submit(run_dse_job, point) for point in jobs]
-            rows = [future.result() for future in futures]
-    else:
-        rows = [run_dse_job(workload, point) for point in jobs]
+    with BackendWorkerPool(workload, executor, max_workers=workers) as pool:
+        rows = pool.map_shards(run_dse_job, jobs)
 
     baseline_matches_run = _check_baseline(workload, rows[0])
 
@@ -440,8 +436,7 @@ def dse_frontier_report(result: DseResult, **workload) -> dict:
     """
     return {
         "benchmark": "dse",
-        "host_cpus": os.cpu_count(),
-        "available_cpus": available_parallelism(),
+        **host_block(),
         "workload": {
             "genome_length": result.genome_length,
             "seed": result.seed,

@@ -22,7 +22,6 @@ companion the sweep rows are validated against.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 
@@ -31,6 +30,7 @@ from ..engine.engine import QueryEngine
 from ..engine.window import CoalescingWindow
 from ..exma.table import ExmaTable
 from ..genome.datasets import build_dataset
+from ..runtime import host_block
 from .common import DEFAULT_STEP, sample_queries
 
 __all__ = [
@@ -336,13 +336,10 @@ def shard_scaling_report(rows: list[ShardScalingRow], **workload) -> dict:
     adaptive clamp actually used), so a 1-CPU CI container's numbers are
     not mistaken for a scaling ceiling.
     """
-    from ..engine.sharded import available_parallelism
-
     return {
         "benchmark": "shard_scaling",
         "workload": dict(workload),
-        "host_cpus": os.cpu_count(),
-        "available_cpus": available_parallelism(),
+        **host_block(),
         "rows": [
             {
                 "shards": row.shards,

@@ -44,6 +44,7 @@ from ..engine.engine import QueryEngine
 from ..engine.window import CoalescingWindow
 from ..exma.table import ExmaTable
 from ..genome.datasets import build_dataset
+from ..runtime import host_block
 from .common import DEFAULT_STEP, sample_queries
 from .fig18_throughput import _scaled_config
 
@@ -281,6 +282,7 @@ def window_capacity_report(result: Fig18WindowResult, **workload) -> dict:
 
     return {
         "benchmark": "window_capacity",
+        **host_block(),
         "workload": {
             "genome_length": result.genome_length,
             "batch_count": result.batch_count,

@@ -31,7 +31,6 @@ workers=1 at the knee — in the tests-multicore leg.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +40,7 @@ from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
 from ..exma.table import ExmaTable
 from ..genome.datasets import build_dataset
+from ..runtime import host_block
 from ..serving import (
     QueryService,
     ServingConfig,
@@ -508,7 +508,7 @@ def serving_report(
             "window": result.window,
             "queue_capacity": result.queue_capacity,
             "workers": list(result.workers),
-            "host_cpus": os.cpu_count(),
+            **host_block(),
             **dict(workload),
         },
         "rows": [

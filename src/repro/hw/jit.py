@@ -26,24 +26,16 @@ path stays covered.
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
-__all__ = ["HAVE_NUMBA", "NO_NUMBA_ENV", "jit_recurrence", "numba_disabled"]
+from ..runtime import NO_NUMBA_ENV, env_flag
 
-#: When set truthy, numba is ignored even if importable: every recurrence
-#: runs its pure-Python fallback.  Lets CI pin the fallback path and lets
-#: operators rule numba out when debugging.
-NO_NUMBA_ENV = "REPRO_NO_NUMBA"
-
-
-def numba_disabled() -> bool:
-    """Whether ``REPRO_NO_NUMBA`` forces the pure-Python fallbacks."""
-    return os.environ.get(NO_NUMBA_ENV, "").lower() in ("1", "true", "yes", "on")
-
+__all__ = ["HAVE_NUMBA", "jit_recurrence"]
 
 try:
-    if numba_disabled():
+    # REPRO_NO_NUMBA: numba is ignored even if importable.  Lets CI pin
+    # the fallback path and lets operators rule numba out when debugging.
+    if env_flag(NO_NUMBA_ENV):
         raise ImportError("numba disabled via " + NO_NUMBA_ENV)
     from numba import njit as _njit  # type: ignore[import-not-found]
 

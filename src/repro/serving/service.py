@@ -24,7 +24,7 @@ the system must *form* the batches the engine stack is fast on.
   FIFO internally.
 * **Execution** — each batch runs through the wrapped
   :class:`~repro.engine.engine.QueryEngine` (which brings the persistent
-  sharded :class:`~repro.engine.sharded.BackendWorkerPool` substrate along
+  sharded :class:`~repro.runtime.BackendWorkerPool` substrate along
   for free), its columnar request stream feeds a
   :class:`~repro.engine.window.CoalescingWindow`, and every flushed window
   is replayed on the accelerator model via
@@ -57,9 +57,9 @@ from ..accel.exma_accelerator import (
 )
 from ..accel.parallel import ParallelReplay
 from ..engine.engine import QueryEngine
-from ..engine.sharded import EXECUTORS
 from ..faults import SITE_REPLAY, FaultInjector, FaultPlan, WorkerKilled
 from ..index.fmindex import Interval
+from ..runtime import check_executor, check_workers
 from .workers import BatcherWorker
 
 __all__ = [
@@ -237,15 +237,10 @@ class ServingConfig:
             raise ValueError("window must be >= 1")
         if self.idle_timeout <= 0:
             raise ValueError("idle_timeout must be > 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.replay_workers < 1:
-            raise ValueError("replay_workers must be >= 1")
-        if self.replay_executor is not None and self.replay_executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown replay_executor {self.replay_executor!r}; "
-                f"available: {', '.join(EXECUTORS)}"
-            )
+        check_workers(self.workers, "workers")
+        check_workers(self.replay_workers, "replay_workers")
+        if self.replay_executor is not None:
+            check_executor(self.replay_executor)
         if self.stats_retention < 1:
             raise ValueError("stats_retention must be >= 1")
         if self.replay_retries < 0:
@@ -587,7 +582,7 @@ class QueryService(object):
         )
         #: Shared epoch-replay driver all batcher workers hand their
         #: flushes to; at ``replay_workers == 1`` it replays inline (no
-        #: pool exists), so the single-worker path is unchanged.
+        #: executor exists), so the single-worker path is unchanged.
         self._replay = (
             ParallelReplay(
                 accelerator,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import pathlib
 import sys
 
@@ -26,6 +27,7 @@ from repro.accel.configspace import (
     point_from_dict,
     point_to_dict,
 )
+from repro.experiments import dse as dse_module
 from repro.experiments import run_dse, write_dse_json
 from repro.hw.dram import PagePolicy
 
@@ -143,17 +145,36 @@ def _load_ci_gates():
     return module
 
 
+TOY_SWEEP = dict(
+    genome_length=4000,
+    query_count=120,
+    query_length=32,
+    batches=3,
+    mtl_epochs=10,
+    grid="cam=64,128;window=1,2",
+)
+
+
 @pytest.fixture(scope="module")
 def toy_dse():
-    return run_dse(
-        genome_length=4000,
-        query_count=120,
-        query_length=32,
-        batches=3,
-        mtl_epochs=10,
-        grid="cam=64,128;window=1,2",
-        workers=2,
-    )
+    return run_dse(**TOY_SWEEP, workers=2)
+
+
+#: Set by the kill test before the process pool forks its workers (which
+#: inherit it): the sweep's parent pid and a marker file recording that
+#: the one kill has been spent.
+_KILL_ONCE: dict = {}
+_real_dse_job = dse_module.run_dse_job
+
+
+def _dse_job_killing_one_worker(workload, point):
+    """``run_dse_job``, except the first call to land on a pool worker
+    takes that worker process down mid-sweep."""
+    marker = _KILL_ONCE["marker"]
+    if os.getpid() != _KILL_ONCE["parent"] and not marker.exists():
+        marker.touch()
+        os._exit(17)
+    return _real_dse_job(workload, point)
 
 
 class TestDseHarness:
@@ -172,6 +193,22 @@ class TestDseHarness:
 
     def test_exactly_one_baseline_row(self, toy_dse):
         assert sum(1 for row in toy_dse.rows if row.baseline) == 1
+
+    def test_sweep_survives_a_killed_process_worker(self, toy_dse, tmp_path, monkeypatch):
+        """Regression: the sweep used to gather bare futures, so one dead
+        process worker raised BrokenProcessPool out of the whole sweep.
+        Through the pool's ladder the broken executor is rebuilt and the
+        rows still equal the serial sweep's (every row is modelled, so
+        the thread-pooled fixture, the serial run and the crashed run
+        must all agree exactly)."""
+        _KILL_ONCE.update(parent=os.getpid(), marker=tmp_path / "killed")
+        monkeypatch.setattr(dse_module, "run_dse_job", _dse_job_killing_one_worker)
+        crashed = run_dse(**TOY_SWEEP, workers=2, executor="process")
+        assert _KILL_ONCE["marker"].exists()  # a worker really died
+        monkeypatch.undo()
+        serial = run_dse(**TOY_SWEEP, workers=1)
+        assert crashed.rows == serial.rows == toy_dse.rows
+        assert crashed.frontier == serial.frontier
 
     def test_dse_gate_passes_on_written_record(self, toy_dse, tmp_path, capsys):
         record_path = tmp_path / "dse.json"

@@ -21,20 +21,6 @@ from repro.hw import jit as hw_jit
 
 
 class TestNumbaGate:
-    @pytest.mark.parametrize(
-        "raw, expected",
-        [("1", True), ("true", True), ("YES", True), ("on", True), ("", False)],
-    )
-    def test_disable_env_truthy_values(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(hw_jit.NO_NUMBA_ENV, raw)
-        assert hw_jit.numba_disabled() is expected
-
-    def test_disable_env_unset_or_falsy(self, monkeypatch):
-        monkeypatch.delenv(hw_jit.NO_NUMBA_ENV, raising=False)
-        assert not hw_jit.numba_disabled()
-        monkeypatch.setenv(hw_jit.NO_NUMBA_ENV, "0")
-        assert not hw_jit.numba_disabled()
-
     def test_jit_recurrence_matches_have_numba(self):
         """jit_recurrence returns a compiled callable iff numba loaded."""
         compiled = hw_jit.jit_recurrence(lambda x: x)

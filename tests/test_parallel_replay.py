@@ -3,7 +3,7 @@
 Every ``run_stream`` flush is an independent scheduling epoch — the
 scheduler, caches and DRAM state start fresh per flush (the PR 4
 contract) — so fanning epochs across a worker pool is pure reassembly:
-:class:`repro.accel.parallel.ParallelReplay` must produce a
+``run_stream(replay_workers=N)`` must produce a
 :class:`~repro.accel.exma_accelerator.WindowedRunResult` that is
 **field-for-field identical** (dataclass equality over every counter,
 cache/DRAM stat and energy ledger) to the serial loop, for the request
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import runtime
 from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig, ParallelReplay
 from repro.engine import CoalescingWindow, QueryEngine, create_backend
 from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend
@@ -151,40 +152,37 @@ class TestParallelReplayDriver:
 
 class TestPoolLifecycle:
     def test_pool_reused_swapped_and_closed(self, streams, accelerator):
-        """Same knobs reuse the owned driver; changed knobs swap it;
+        """Same knobs reuse the owned pool; changed knobs swap it;
         close() releases it — and every configuration stays exact."""
         serial = accelerator.run_windowed(streams["fmindex"], window=2)
 
         first = accelerator.run_windowed(streams["fmindex"], window=2, replay_workers=2)
-        driver = accelerator.replay
-        assert driver is not None and driver.workers == 2
+        pool = accelerator.worker_pool
+        assert pool is not None and pool.max_workers == 2
 
         second = accelerator.run_windowed(streams["fmindex"], window=2, replay_workers=2)
-        assert accelerator.replay is driver  # reused, not rebuilt
+        assert accelerator.worker_pool is pool  # reused, not rebuilt
 
         third = accelerator.run_windowed(streams["fmindex"], window=2, replay_workers=4)
-        assert accelerator.replay is not driver  # swapped on knob change
-        assert accelerator.replay.workers == 4
+        assert accelerator.worker_pool is not pool  # swapped on knob change
+        assert accelerator.worker_pool.max_workers == 4
 
         accelerator.close()
-        assert accelerator.replay is None
+        assert accelerator.worker_pool is None
         assert first == serial and second == serial and third == serial
 
     def test_serial_run_leaves_no_pool(self, streams, accelerator):
         accelerator.close()
         accelerator.run_windowed(streams["fmindex"], window=2, replay_workers=1)
-        assert accelerator.replay is None
+        assert accelerator.worker_pool is None
 
 
 class TestKnobResolution:
-    def test_explicit_workers_win_verbatim(self, accelerator):
-        """An explicit count is honoured even on a single-core host (the
-        forced-shard split's contract): no hardware clamp applies."""
-        assert accelerator._resolve_replay_workers(4) == 4
-
-    def test_invalid_explicit_workers(self, accelerator):
+    def test_invalid_knobs_rejected_on_entry(self, accelerator):
         with pytest.raises(ValueError):
-            accelerator._resolve_replay_workers(0)
+            accelerator.run_stream(iter([]), replay_workers=0)
+        with pytest.raises(ValueError):
+            accelerator.run_stream(iter([]), replay_workers=1, executor="greenlet")
 
     def test_env_default_picked_up(self, monkeypatch, streams, accelerator):
         """REPRO_DEFAULT_REPLAY_WORKERS re-points the default path at the
@@ -194,7 +192,8 @@ class TestKnobResolution:
         monkeypatch.setenv("REPRO_SHARD_OVERSUBSCRIBE", "1")
         serial = accelerator.run_windowed(streams["exma"], window=2, replay_workers=1)
         result = accelerator.run_windowed(streams["exma"], window=2)
-        assert accelerator.replay is not None and accelerator.replay.workers == 2
+        assert accelerator.worker_pool is not None
+        assert accelerator.worker_pool.max_workers == 2
         assert result == serial
         accelerator.close()
 
@@ -204,18 +203,16 @@ class TestKnobResolution:
         """Without the oversubscribe toggle the env default degrades to
         the host's parallelism — serial replay on a single-core box, and
         never a pool bigger than the machine."""
-        from repro.engine.sharded import available_parallelism
-
         monkeypatch.setenv("REPRO_DEFAULT_REPLAY_WORKERS", "64")
         monkeypatch.delenv("REPRO_SHARD_OVERSUBSCRIBE", raising=False)
         accelerator.close()
         accelerator.run_windowed(streams["exma"], window=2)
-        driver = accelerator.replay
-        if available_parallelism() == 1:
-            assert driver is None
+        pool = accelerator.worker_pool
+        if runtime.available_parallelism() == 1:
+            assert pool is None
         else:
-            assert driver is not None
-            assert driver.workers <= available_parallelism()
+            assert pool is not None
+            assert pool.max_workers <= runtime.available_parallelism()
         accelerator.close()
 
 

@@ -285,9 +285,11 @@ class TestPersistentPools:
         assert engine.worker_pool is not first_pool
         engine.close()
 
-    def test_pool_replaced_when_knobs_change(self, case, backends, monkeypatch):
-        """The env-toggled engine swaps its pool when the effective
-        executor changes between calls instead of reusing a stale one."""
+    def test_knobs_are_resolved_at_construction(self, case, backends, monkeypatch):
+        """An env-toggled engine keeps the executor it resolved when it
+        was built, however the environment moves afterwards; an engine
+        built after the flip gets the new kind; a clone inherits its
+        parent's resolved knobs — and every engine owns its own pool."""
         monkeypatch.setenv("REPRO_SHARD_OVERSUBSCRIBE", "1")
         monkeypatch.setenv("REPRO_DEFAULT_SHARDS", "2")
         monkeypatch.setenv("REPRO_DEFAULT_EXECUTOR", "thread")
@@ -297,9 +299,19 @@ class TestPersistentPools:
         thread_pool = engine.worker_pool
         assert thread_pool is not None and thread_pool.kind == "thread"
         monkeypatch.setenv("REPRO_DEFAULT_EXECUTOR", "process")
+        monkeypatch.setenv("REPRO_DEFAULT_SHARDS", "3")
         engine.search_batch(queries)
-        assert engine.worker_pool is not thread_pool
-        assert engine.worker_pool.kind == "process"
+        assert engine.worker_pool is thread_pool  # not re-read per batch
+        assert (engine.executor, engine.effective_shards) == ("thread", 2)
+        with QueryEngine(backends["fmindex"]) as fresh, engine.clone() as clone:
+            assert (fresh.executor, fresh.effective_shards) == ("process", 3)
+            assert (clone.executor, clone.effective_shards) == ("thread", 2)
+            assert clone.worker_pool is None  # never the parent's pool
+            fresh.search_batch(queries)
+            clone.search_batch(queries)
+            assert fresh.worker_pool.kind == "process"
+            assert clone.worker_pool.kind == "thread"
+            assert len({id(e.worker_pool) for e in (engine, fresh, clone)}) == 3
         engine.close()
 
 
@@ -312,21 +324,21 @@ class TestAdaptiveShards:
     def test_query_engine_clamps_to_available_cpus(self, case, monkeypatch):
         reference, _ = case
         monkeypatch.delenv("REPRO_SHARD_OVERSUBSCRIBE", raising=False)
-        monkeypatch.setattr("repro.engine.sharded.available_parallelism", lambda: 2)
+        monkeypatch.setattr("repro.runtime.available_parallelism", lambda: 2)
         engine = QueryEngine(FMIndexBackend(reference), shards=8)
         assert engine.shards == 8  # the configured upper bound is kept
         assert engine.effective_shards == 2
 
     def test_oversubscribe_toggle_disables_the_clamp(self, case, monkeypatch):
         reference, _ = case
-        monkeypatch.setattr("repro.engine.sharded.available_parallelism", lambda: 1)
+        monkeypatch.setattr("repro.runtime.available_parallelism", lambda: 1)
         monkeypatch.setenv("REPRO_SHARD_OVERSUBSCRIBE", "1")
         assert QueryEngine(FMIndexBackend(reference), shards=8).effective_shards == 8
 
     def test_sharded_engine_never_clamps(self, case, monkeypatch):
         reference, queries = case
         monkeypatch.delenv("REPRO_SHARD_OVERSUBSCRIBE", raising=False)
-        monkeypatch.setattr("repro.engine.sharded.available_parallelism", lambda: 1)
+        monkeypatch.setattr("repro.runtime.available_parallelism", lambda: 1)
         backend = FMIndexBackend(reference)
         engine = ShardedQueryEngine(backend, shards=4, executor="thread")
         assert engine.effective_shards == 4
@@ -374,6 +386,8 @@ class TestEngineDispatch:
         # Executor typos must fail at construction, not at the first batch.
         with pytest.raises(ValueError):
             QueryEngine(backend, shards=4, executor="processes")
+        with pytest.raises(ValueError):
+            run_sharded_batch(backend, ["ACGT", "TTTT"], shards=2, executor="rocket")
 
     def test_single_query_and_empty_batches(self, case):
         reference, _ = case

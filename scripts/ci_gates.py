@@ -655,7 +655,8 @@ def _diff_metrics(record: dict) -> "list[tuple[str, object, str]]":
 
     Kinds: ``bool`` must never flip true -> false, ``higher`` regresses
     downward, ``lower`` regresses upward.  Only invariants and headline
-    numbers are diffed — raw timings and host-shape fields move freely.
+    numbers are diffed — other raw timings and host-shape fields move
+    freely.
     """
     kind = record.get("benchmark")
     metrics: list = []
@@ -665,8 +666,14 @@ def _diff_metrics(record: dict) -> "list[tuple[str, object, str]]":
             metrics.append((f"{label}.results_equal", row.get("results_equal"), "bool"))
             metrics.append((f"{label}.speedup", row.get("speedup"), "higher"))
         for row in (record.get("replay_scaling") or {}).get("rows", []):
-            name = f"scaling.{row.get('label', '?')}@w{row.get('replay_workers')}"
+            label = f"scaling.{row.get('label', '?')}"
+            name = f"{label}@w{row.get('replay_workers')}"
             metrics.append((f"{name}.results_equal", row.get("results_equal"), "bool"))
+            # Search + replay wall-clock is a headline (ROADMAP item B);
+            # search alone is the same number on every row of a label.
+            metrics.append((f"{name}.pipeline_seconds", row.get("pipeline_seconds"), "lower"))
+            if row.get("replay_workers") == 1:
+                metrics.append((f"{label}.search_seconds", row.get("search_seconds"), "lower"))
     elif kind == "shard_scaling":
         for row in record.get("rows", []):
             if not row.get("forced") or row.get("executor") != "thread":

@@ -67,7 +67,7 @@ SHARED_NODE_BYTES = 64
 LEAF_NODE_BYTES = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class AcceleratorRunResult:
     """Everything measured while replaying one request stream."""
 

@@ -25,7 +25,7 @@ from ..genome.alphabet import (
     FULL_ALPHABET,
     SENTINEL,
     AlphabetError,
-    encode,
+    encode_right_aligned,
     pack_kmer,
     unpack_kmer,
 )
@@ -188,13 +188,12 @@ class FMIndexBackend(SearchBackend):
     def _encode_reversed(self, queries: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Encode queries right-to-left into a padded code matrix."""
         lengths = np.array([len(q) for q in queries], dtype=np.int64)
-        max_len = int(lengths.max())
-        codes = np.zeros((len(queries), max_len), dtype=np.int64)
-        for i, query in enumerate(queries):
-            encoded = encode(query)
-            if np.any(encoded == 0):
-                raise ValueError(f"query {query!r} contains the sentinel symbol")
-            codes[i, : len(query)] = encoded[::-1]
+        codes = encode_right_aligned(queries, lengths, lengths)[:, ::-1]
+        sentinel = (codes == 0).any(axis=1)
+        if sentinel.any():
+            raise ValueError(
+                f"query {queries[int(sentinel.argmax())]!r} contains the sentinel symbol"
+            )
         return codes, lengths
 
     def search_batch(
@@ -238,7 +237,7 @@ class FMIndexBackend(SearchBackend):
                 # step: record_step charges exactly that base-read rule.
                 stats.record_step(step)
 
-        return [Interval(int(low), int(high)) for low, high in zip(lows, highs)]
+        return [Interval(low, high) for low, high in zip(lows.tolist(), highs.tolist())]
 
     # ------------------------------------------------------------------ #
     # Batched seeding
@@ -362,10 +361,9 @@ class ExmaBackend(SearchBackend):
     One lockstep iteration consumes one k-mer of every live query.  The
     step's ``(kmer, pos)`` requests are coalesced exactly once across the
     whole batch — the software mirror of the accelerator's DRAM-side
-    merge — then answered k-mer-major: each unique k-mer's increment list
-    is fetched once and all its unique positions rank-queried together
-    (vectorized ``searchsorted``, or one batched MTL inference when the
-    k-mer is modelled).
+    merge — then answered columnar: one ``searchsorted`` rank-queries
+    every unique request of the step, and one ``index.predict_many``
+    prices all the modelled ones (one MLP forward per shared MTL node).
 
     Args:
         reference: DNA reference (ignored when *table* is given).
@@ -389,6 +387,17 @@ class ExmaBackend(SearchBackend):
             table = ExmaTable(reference, k=k)
         self._table = table
         self._index = index
+        #: The index's columnar face, resolved once: ``has_model`` as a mask
+        #: over packed codes (one gather classifies a whole lockstep step)
+        #: and the ``predict_many`` that prices the step's modelled requests.
+        #: Bound here rather than looked up per step on purpose: a tracer
+        #: that later wraps the class attribute (``bench/trace.py`` books
+        #: ``MTLIndex.predict_many`` spans to the replay) must keep seeing
+        #: search-side pricing as search time.
+        self._modelled = self._predict_many = None
+        if index is not None:
+            self._modelled = index.modelled_lookup(table.kmer_count)
+            self._predict_many = index.predict_many
         self._span = table.reference_length + 1
         self._augmented: np.ndarray | None = None
         self._offsets: np.ndarray | None = None
@@ -415,30 +424,23 @@ class ExmaBackend(SearchBackend):
     def _chunk_matrix(self, queries: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Pack every query's full k-chunks right-to-left, padded with -1.
 
-        The bodies are encoded once, right-aligned into one code matrix
-        and packed with a single reshape + matmul against the 2-bit place
-        values — no per-chunk Python packing.  Right alignment makes slot
-        ``max_steps - 1 - j`` of every row the j-th chunk consumed by the
-        lockstep loop, regardless of query length.
+        The whole batch is encoded once, the bodies right-aligned into one
+        code matrix and packed with a single reshape + matmul against the
+        2-bit place values — no per-query or per-chunk Python.  Right
+        alignment makes slot ``max_steps - 1 - j`` of every row the j-th
+        chunk consumed by the lockstep loop, regardless of query length.
         """
         k = self._table.k
-        n_queries = len(queries)
         lengths = np.array([len(query) for query in queries], dtype=np.int64)
         steps = lengths // k
         max_steps = int(steps.max(initial=0))
-        width = max_steps * k
-        aligned = np.zeros((n_queries, width), dtype=np.int64)
-        leftovers: list[str] = []
-        for i, query in enumerate(queries):
-            body = len(query) - len(query) % k
-            leftovers.append(query[body:])
-            if body:
-                aligned[i, width - body :] = encode(query[:body])
-        body_mask = np.arange(width) >= width - (steps * k)[:, None]
-        if np.any((aligned == 0) & body_mask):
+        bodies = steps * k
+        aligned = encode_right_aligned(queries, lengths, bodies)
+        if np.any(aligned == 0):
             raise AlphabetError("invalid k-mer symbol: '$'")
+        leftovers = [query[body:] for query, body in zip(queries, bodies.tolist())]
         place_values = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        packed = (aligned - 1).reshape(n_queries, max_steps, k) @ place_values
+        packed = (aligned - 1).reshape(len(queries), max_steps, k) @ place_values
         matrix = np.where(
             steps[:, None] > np.arange(max_steps), packed[:, ::-1], np.int64(-1)
         )
@@ -503,7 +505,7 @@ class ExmaBackend(SearchBackend):
                     step, self._step_contribution(step.kmers, step.positions, occ_unique)
                 )
 
-        return [Interval(int(low), int(high)) for low, high in zip(lows, highs)]
+        return [Interval(low, high) for low, high in zip(lows.tolist(), highs.tolist())]
 
     def _augmented_increments(self) -> tuple[np.ndarray, np.ndarray]:
         """The increment array offset into per-k-mer key ranges (cached).
@@ -545,7 +547,8 @@ class ExmaBackend(SearchBackend):
         once: ``frexp`` exponents are exactly ``bit_length`` for the int64
         frequencies.  Modelled k-mers (learned / MTL index) instead read
         the predicted entry plus successor plus the linear overshoot, and
-        contribute one prediction with its error per request.
+        contribute one prediction with its error per request: the step's
+        modelled requests are priced by a single ``predict_many`` call.
         """
         if self._frequencies is None:
             # frequencies() copies the 4^k counts table; fetch it once per
@@ -555,36 +558,19 @@ class ExmaBackend(SearchBackend):
         entries = np.maximum(
             1, np.frexp(freqs.astype(np.float64))[1].astype(np.int64)
         )
-        if self._index is None:
+        if self._modelled is None:
             return StepContribution(entries=entries)
-        predicted_mask: np.ndarray | None = None
-        errors: np.ndarray | None = None
-        unique_kmers, starts = np.unique(kmers, return_index=True)
-        boundaries = np.append(starts, kmers.size)
-        for g, packed in enumerate(unique_kmers.tolist()):
-            if not self._index.has_model(packed):
-                continue
-            begin, end = int(boundaries[g]), int(boundaries[g + 1])
-            prediction = self._predict_batch(packed, positions[begin:end])
-            group_errors = np.abs(occ_values[begin:end] - prediction)
-            if predicted_mask is None:
-                predicted_mask = np.zeros(kmers.size, dtype=bool)
-                errors = np.zeros(kmers.size, dtype=np.int64)
-            predicted_mask[begin:end] = True
-            errors[begin:end] = group_errors
-            # Predicted entry + successor, plus the linear overshoot.
-            entries[begin:end] = 2 + group_errors
-        return StepContribution(entries=entries, predicted=predicted_mask, errors=errors)
-
-    def _predict_batch(self, packed: int, positions: np.ndarray) -> np.ndarray:
-        """Vectorized index prediction, falling back to per-position calls."""
-        predict_batch = getattr(self._index, "predict_batch", None)
-        if predict_batch is not None:
-            return np.asarray(predict_batch(packed, positions), dtype=np.int64)
-        assert self._index is not None
-        return np.array(
-            [self._index.predict(packed, int(pos)) for pos in positions], dtype=np.int64
+        modelled = self._modelled[kmers]
+        if not modelled.any():
+            return StepContribution(entries=entries)
+        overshoot = np.abs(
+            occ_values[modelled] - self._predict_many(kmers[modelled], positions[modelled])
         )
+        errors = np.zeros(kmers.size, dtype=np.int64)
+        errors[modelled] = overshoot
+        # Predicted entry + successor, plus the linear overshoot.
+        entries[modelled] = 2 + overshoot
+        return StepContribution(entries=entries, predicted=modelled, errors=errors)
 
 
 def _exma_factory_with_index(index_builder):

@@ -72,6 +72,7 @@ class NaiveLearnedIndex:
         self._threshold = model_threshold
         self._increments_per_leaf = increments_per_leaf
         self._models: dict[int, _PerKmerModel] = {}
+        self._column_cache: tuple[np.ndarray, ...] | None = None
         self._fit_all()
 
     def _fit_all(self) -> None:
@@ -131,6 +132,59 @@ class NaiveLearnedIndex:
         if model is None:
             return self._table.occ(packed, pos)
         return model.predict(float(pos))
+
+    def predict_many(self, kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`predict` over aligned k-mer/position arrays.
+
+        Every model's root and leaves live in flat columns, so a request
+        gathers its root, routes to its leaf and evaluates it elementwise
+        — the same float64 arithmetic, half-to-even rounding and clip as
+        the scalar path, so the results agree exactly.  Every k-mer must
+        be modelled (see :meth:`modelled_lookup`).
+        """
+        kmers = np.asarray(kmers, dtype=np.int64)
+        pos = np.asarray(positions, dtype=np.float64)
+        root_slope, root_intercept, first_leaf, leaf_count, leaf_slope, leaf_intercept = (
+            self._columns()
+        )
+        routed = np.floor(root_slope[kmers] * pos + root_intercept[kmers])
+        leaf = first_leaf[kmers] + np.clip(routed, 0, leaf_count[kmers] - 1).astype(np.int64)
+        predicted = np.rint(leaf_slope[leaf] * pos + leaf_intercept[leaf])
+        counts = self._table.frequencies_view()[kmers]
+        return np.clip(predicted, 0, counts - 1).astype(np.int64)
+
+    def modelled_lookup(self, kmer_count: int) -> np.ndarray:
+        """Boolean mask over packed codes: the array form of :meth:`has_model`."""
+        if kmer_count != self._table.kmer_count:
+            raise ValueError("kmer_count must match the indexed table")
+        _, _, _, leaf_count, _, _ = self._columns()
+        return leaf_count > 0
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """Root slope/intercept, first leaf and leaf count per packed code,
+        plus the concatenated leaf slopes/intercepts (lazy, cached)."""
+        if self._column_cache is None:
+            size = self._table.kmer_count
+            root_slope = np.zeros(size, dtype=np.float64)
+            root_intercept = np.zeros(size, dtype=np.float64)
+            first_leaf = np.zeros(size, dtype=np.int64)
+            leaf_count = np.zeros(size, dtype=np.int64)
+            leaves: list[LinearModel] = []
+            for packed, model in self._models.items():
+                root_slope[packed] = model.root.slope
+                root_intercept[packed] = model.root.intercept
+                first_leaf[packed] = len(leaves)
+                leaf_count[packed] = len(model.leaves)
+                leaves.extend(model.leaves)
+            self._column_cache = (
+                root_slope,
+                root_intercept,
+                first_leaf,
+                leaf_count,
+                np.array([leaf.slope for leaf in leaves], dtype=np.float64),
+                np.array([leaf.intercept for leaf in leaves], dtype=np.float64),
+            )
+        return self._column_cache
 
     def lookup(self, kmer: str | int, pos: int) -> tuple[int, int]:
         """Exact Occ value plus the linear-search probe distance."""

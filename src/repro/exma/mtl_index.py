@@ -263,31 +263,6 @@ class MTLIndex:
         shared_output = float(node.forward(features)[0])
         return leaf.predict(shared_output, count)
 
-    def predict_batch(self, kmer: str | int, positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`predict` for many positions of one k-mer.
-
-        Runs the shared node's MLP once over the whole position vector and
-        applies the k-mer's linear leaf elementwise; agrees exactly with
-        per-position :meth:`predict` (same normalisation, rounding and
-        clipping).  Used by the batched query engine, which groups
-        coalesced Occ requests by k-mer.
-        """
-        packed = kmer if isinstance(kmer, int) else self._table._packed(kmer)
-        positions = np.asarray(positions, dtype=np.int64)
-        leaf = self._leaves.get(packed)
-        if leaf is None:
-            increments = self._table.increments_of(packed)
-            return np.searchsorted(increments, positions, side="left").astype(np.int64)
-        count = self._table.frequency(packed)
-        node = self._nodes[self._bucket_of[packed]]
-        n = self._table.reference_length
-        features = np.column_stack(
-            [positions / n, np.full(positions.size, count / n)]
-        )
-        shared_output = node.forward(features)
-        raw = (leaf.weight * shared_output + leaf.bias) * count
-        return np.clip(np.rint(raw), 0, max(0, count - 1)).astype(np.int64)
-
     def predict_many(self, kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`predict` over aligned k-mer/position arrays.
 
@@ -296,9 +271,9 @@ class MTLIndex:
         per-k-mer linear leaves apply elementwise through gathered
         weight/bias/count columns — the same normalisation, rounding and
         clipping as :meth:`predict`, so the results agree exactly.  Every
-        k-mer must be modelled — the columnar replay separates unmodelled
-        requests before calling, the way the accelerator's exact-scan
-        path does.
+        k-mer must be modelled — the lockstep search and the columnar
+        replay separate unmodelled requests (:meth:`modelled_lookup`)
+        before calling, the way the accelerator's exact-scan path does.
         """
         kmers = np.asarray(kmers, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
@@ -338,10 +313,10 @@ class MTLIndex:
         """Boolean mask over packed codes: True where a leaf model exists.
 
         The array form of :meth:`has_model`, sized for the table's
-        ``4^k`` code space so the columnar replay can classify a whole
-        request stream with one gather.  Every modelled k-mer has a
-        bucket assignment, so the mask is the cached bucket column's
-        validity.
+        ``4^k`` code space so the lockstep search and the columnar replay
+        classify a whole request stream with one gather.  Every modelled
+        k-mer has a bucket assignment, so the mask is the cached bucket
+        column's validity.
         """
         if kmer_count != self._table.kmer_count:
             raise ValueError("kmer_count must match the indexed table")

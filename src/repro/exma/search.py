@@ -15,18 +15,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
+import numpy as np
+
 from ..index.fmindex import Interval
 from .table import ExmaTable
 
 
 class OccIndex(Protocol):
-    """Anything that can predict positions within increment lists."""
+    """Anything that can predict positions within increment lists.
+
+    The contract has a scalar and a columnar face that must agree exactly:
+    the sequential :class:`ExmaSearch` asks one request at a time
+    (``has_model`` / ``predict``), while the batched engine and the
+    accelerator replay classify a whole request column with one gather
+    through ``modelled_lookup`` and price all its modelled requests with
+    one ``predict_many``.
+    """
 
     def predict(self, kmer: str | int, pos: int) -> int:  # pragma: no cover - protocol
         """Predicted index of *pos* within the k-mer's increment list."""
 
     def has_model(self, packed: int) -> bool:  # pragma: no cover - protocol
         """Whether this index models the k-mer."""
+
+    def predict_many(
+        self, kmers: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:  # pragma: no cover - protocol
+        """:meth:`predict` over aligned arrays of *modelled* packed k-mers
+        and positions, as an int64 array."""
+
+    def modelled_lookup(self, kmer_count: int) -> np.ndarray:  # pragma: no cover - protocol
+        """:meth:`has_model` as a boolean mask over all ``kmer_count`` codes."""
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ Two encodings are used throughout the repository:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 #: The DNA alphabet, in lexicographic order, excluding the sentinel.
@@ -77,6 +79,28 @@ def encode(sequence: str) -> np.ndarray:
         bad = sequence[int(np.argmax(codes == 0xFF))]
         raise AlphabetError(f"invalid DNA symbol: {bad!r}")
     return codes
+
+
+def encode_right_aligned(
+    sequences: Sequence[str], lengths: np.ndarray, take: np.ndarray
+) -> np.ndarray:
+    """Encode a prefix of every sequence into one right-aligned matrix.
+
+    Row ``i`` holds the codes of the first ``take[i] <= lengths[i]``
+    symbols of ``sequences[i]`` (*lengths* are the sequences' lengths,
+    which batched callers already hold), flush right in ``take.max()``
+    columns and padded on the left with -1.  The whole batch is one
+    :func:`encode` over the concatenation plus a cumulative-length gather
+    — no per-sequence Python — so a symbol outside ``$ACGT`` anywhere in
+    the batch raises :class:`AlphabetError`, and because padding is -1 a
+    code 0 in the result is always a real ``$``.
+    """
+    flat = encode("".join(sequences)).astype(np.int64)
+    width = int(take.max(initial=0))
+    offsets = np.arange(width) - (width - take)[:, None]
+    kept = offsets >= 0
+    starts = np.cumsum(lengths) - lengths
+    return np.where(kept, flat[np.where(kept, starts[:, None] + offsets, 0)], -1)
 
 
 def decode(codes: np.ndarray) -> str:

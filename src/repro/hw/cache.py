@@ -27,7 +27,7 @@ import numpy as np
 from .jit import jit_recurrence
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheStats:
     """Hit/miss counters for one cache."""
 

@@ -191,7 +191,7 @@ class MemoryRequest:
     stream: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class DRAMStats:
     """Aggregate results of replaying a request trace."""
 

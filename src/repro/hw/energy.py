@@ -46,7 +46,7 @@ DRAM_SYSTEM_POWER_W = 72.0
 CPU_POWER_W = 95.0
 
 
-@dataclass
+@dataclass(slots=True)
 class EnergyLedger:
     """Accumulates per-component operation counts and converts to joules."""
 

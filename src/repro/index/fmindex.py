@@ -27,7 +27,7 @@ from .bwt import bwt_from_suffix_array
 DEFAULT_BUCKET_WIDTH = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A half-open BW-matrix interval ``[low, high)``.
 

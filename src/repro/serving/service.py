@@ -46,9 +46,10 @@ from __future__ import annotations
 import math
 import threading
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..accel.exma_accelerator import (
     AcceleratorRunResult,
@@ -253,7 +254,7 @@ class ServingConfig:
             raise TypeError("faults must be a FaultPlan (or None)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryOutcome:
     """One served query: its search result plus the serving timeline.
 
@@ -459,6 +460,41 @@ class TenantQueues:
         return dropped
 
 
+class LatencyRing:
+    """The last ``maxlen`` appended floats (all of them when ``None``).
+
+    A ``deque(maxlen=...)`` in everything :class:`ServingStats` uses of
+    one — ``append``, ``len``, oldest-first iteration, ``.maxlen`` — but
+    stored as a packed float64 array: 8 bytes per retained latency where a
+    deque of boxed floats costs four times that, on a record that grows
+    with every served query.
+    """
+
+    __slots__ = ("maxlen", "_values", "_oldest")
+
+    def __init__(self, values: Iterable[float] = (), maxlen: int | None = None) -> None:
+        self.maxlen = maxlen
+        self._values = array("d")
+        #: Slot of the oldest entry once the ring is full (0 until then).
+        self._oldest = 0
+        for value in values:
+            self.append(value)
+
+    def append(self, value: float) -> None:
+        if self.maxlen is None or len(self._values) < self.maxlen:
+            self._values.append(value)
+        else:
+            self._values[self._oldest] = value
+            self._oldest = (self._oldest + 1) % self.maxlen
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self) -> Iterator[float]:
+        yield from self._values[self._oldest :]
+        yield from self._values[: self._oldest]
+
+
 @dataclass
 class ServingStats:
     """Counters the service accumulates over its lifetime.
@@ -469,8 +505,8 @@ class ServingStats:
 
     The scalar counters grow for the whole service lifetime, but the
     per-query ``latencies`` record is **bounded**: only the most recent
-    ``retention`` completions are kept (a ``deque(maxlen=retention)``), so
-    an always-on service does not leak one float per query forever.
+    ``retention`` completions are kept (a :class:`LatencyRing`), so an
+    always-on service does not leak one float per query forever.
     Percentiles are exact while ``completed <= retention`` — every
     benchmark run — and cover the trailing ``retention``-completion
     window beyond it (documented truncation, pinned by
@@ -513,7 +549,7 @@ class ServingStats:
     quarantined: int = 0
     #: Arrival→completion seconds per completed query, in completion
     #: order; bounded to the most recent :attr:`retention` completions.
-    latencies: "deque[float]" = field(default_factory=deque)
+    latencies: LatencyRing = field(default_factory=LatencyRing)
     #: Completed queries per tenant.
     per_tenant: dict[str, int] = field(default_factory=dict)
     #: Bound on :attr:`latencies` (``None`` = unbounded, for bare
@@ -522,7 +558,7 @@ class ServingStats:
     retention: int | None = None
 
     def __post_init__(self) -> None:
-        self.latencies = deque(self.latencies, maxlen=self.retention)
+        self.latencies = LatencyRing(self.latencies, maxlen=self.retention)
 
     def latency_percentile(self, q: float) -> float:
         """Nearest-rank latency percentile over the retained window

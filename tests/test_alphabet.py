@@ -44,6 +44,41 @@ class TestEncodeDecode:
         assert alphabet.decode(alphabet.encode(text)) == text
 
 
+class TestEncodeRightAligned:
+    @staticmethod
+    def reference(sequences, take):
+        """Per-sequence :func:`alphabet.encode`, right-aligned by hand."""
+        width = max(take, default=0)
+        rows = np.full((len(sequences), width), -1, dtype=np.int64)
+        for row, sequence, kept in zip(rows, sequences, take):
+            if kept:
+                row[width - kept :] = alphabet.encode(sequence[:kept])
+        return rows
+
+    @given(st.lists(dna_strings, max_size=8), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_sequence_encode(self, sequences, k):
+        lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+        for take in (lengths, lengths // k * k):
+            aligned = alphabet.encode_right_aligned(sequences, lengths, take)
+            assert aligned.dtype == np.int64
+            assert np.array_equal(aligned, self.reference(sequences, take.tolist()))
+
+    def test_sentinel_is_the_only_zero(self):
+        aligned = alphabet.encode_right_aligned(
+            ["AC$T", "G"], np.array([4, 1]), np.array([4, 1])
+        )
+        assert aligned.tolist() == [[1, 2, 0, 4], [-1, -1, -1, 3]]
+
+    def test_invalid_symbol_anywhere_raises(self):
+        lengths = np.array([4, 5])
+        with pytest.raises(alphabet.AlphabetError, match="N"):
+            # Outside the kept prefix too: the whole batch is validated.
+            alphabet.encode_right_aligned(["ACGT", "ACGTN"], lengths, np.array([4, 4]))
+        with pytest.raises(alphabet.AlphabetError):
+            alphabet.encode_right_aligned(["AC\u00e9T", "ACGTA"], lengths, lengths)
+
+
 class TestValidate:
     def test_valid_sequence_passes(self):
         alphabet.validate("ACGTACGT")

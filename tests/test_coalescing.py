@@ -13,13 +13,18 @@ import pytest
 
 from repro.engine import (
     BatchStats,
+    BatchTrace,
     ExmaBackend,
     FMIndexBackend,
     RequestStream,
     coalesce_requests,
 )
-from repro.exma.search import ExmaSearch, OccRequest
+from repro.exma.learned_index import NaiveLearnedIndex
+from repro.exma.mtl_index import MTLIndex
+from repro.exma.search import ExmaSearch, ExmaSearchStats, OccRequest
 from repro.exma.table import ExmaTable
+from repro.genome.sequence import RepeatProfile, random_genome
+from repro.testing import random_queries
 
 #: 8 bp toy reference; sentinel-terminated length n = 9.
 TINY = "ACGTACGT"
@@ -117,6 +122,148 @@ class TestExmaCoalescingOracle:
             OccRequest(packed_kmer=11, pos=0),   # GT packs to 0b1011 = 11
             OccRequest(packed_kmer=11, pos=n),
         ]
+
+
+class _CountingIndex:
+    """Wraps an Occ index, counting calls into each face of the contract."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = {"predict": 0, "has_model": 0, "predict_many": 0}
+
+    def predict(self, kmer, pos):
+        self.calls["predict"] += 1
+        return self.inner.predict(kmer, pos)
+
+    def has_model(self, packed):
+        self.calls["has_model"] += 1
+        return self.inner.has_model(packed)
+
+    def predict_many(self, kmers, positions):
+        self.calls["predict_many"] += 1
+        return self.inner.predict_many(kmers, positions)
+
+    def modelled_lookup(self, kmer_count):
+        return self.inner.modelled_lookup(kmer_count)
+
+
+class TestColumnarStepAccounting:
+    """The lockstep loop prices a whole step through the index's columnar
+    face; the sequential :class:`ExmaSearch` (scalar face) is the spec."""
+
+    K = 4
+
+    @pytest.fixture(scope="class")
+    def reference(self) -> str:
+        return random_genome(
+            3000,
+            repeat_profile=RepeatProfile(repeat_fraction=0.6, repeat_unit_length=90),
+            seed=13,
+        )
+
+    @pytest.fixture(scope="class")
+    def table(self, reference) -> ExmaTable:
+        return ExmaTable(reference, k=self.K)
+
+    @pytest.fixture(scope="class")
+    def threshold(self, table) -> int:
+        present = table.frequencies()[table.present_kmers()]
+        return int(np.median(present))
+
+    @pytest.fixture(scope="class", params=["exma", "exma-learned", "exma-mtl"])
+    def index(self, request, table, threshold):
+        if request.param == "exma-learned":
+            return NaiveLearnedIndex(table, model_threshold=threshold, increments_per_leaf=8)
+        if request.param == "exma-mtl":
+            return MTLIndex(
+                table, model_threshold=threshold, samples_per_kmer=16, epochs=20, seed=2
+            )
+        return None
+
+    @pytest.fixture(scope="class")
+    def batches(self, reference, table, threshold) -> dict[str, list[str]]:
+        k = self.K
+        light = [table.kmer_string(p) for p in table.present_kmers()
+                 if table.frequency(p) <= threshold]
+        heavy = [table.kmer_string(p) for p in table.present_kmers()
+                 if table.frequency(p) > threshold]
+        ragged = [
+            reference[start : start + length]
+            for length in range(1, 3 * k + 3)  # shorter than k, multiples, leftovers
+            for start in (7, 411, 1503)
+        ]
+        # Mutated reads die mid-way; random ones usually at the first chunk.
+        ragged += random_queries(
+            reference, count=30, length=3 * k + 1, seed=5, mutate_fraction=0.6
+        )
+        return {
+            "ragged": ragged,
+            # Step 0 consumes each query's last chunk: a batch ending in
+            # light k-mers has a first step with no modelled request, a
+            # batch ending in heavy ones a first step with nothing else.
+            "light-last": [heavy[i] + light[i] for i in range(6)] + light[:6],
+            "heavy-last": [light[i] + heavy[i] for i in range(6)] + heavy[:6],
+        }
+
+    def test_batch_of_one_equals_sequential_counters(self, table, index, batches):
+        backend = ExmaBackend(table=table, index=index)
+        for queries in batches.values():
+            requests, sequential = ExmaSearch(table, index).request_stream(queries)
+            merged = BatchStats()
+            for query in queries:
+                one = BatchStats()
+                backend.search_batch([query], one)
+                merged.merge(one)
+            assert merged.iterations == sequential.iterations
+            assert merged.occ_requests_unique == sequential.occ_lookups
+            assert merged.increment_entries_read == sequential.increment_entries_read
+            assert merged.index_predictions == sequential.index_predictions
+            assert merged.prediction_errors == sequential.prediction_errors
+            assert merged.requests == requests
+            # One base fetch per k-mer step or tail; the sequential path
+            # charges one per Occ lookup instead (two per step).
+            assert merged.base_reads == merged.iterations
+
+    def test_coalesced_batch_equals_scalar_accounting_of_its_stream(
+        self, table, index, batches
+    ):
+        """Whole batches mix modelled and unmodelled k-mers inside a step:
+        every unique request must cost what the scalar path charges it,
+        and prediction errors must come out in stream order."""
+        backend = ExmaBackend(table=table, index=index)
+        search = ExmaSearch(table, index)
+        shapes = set()
+        for queries in batches.values():
+            stats = BatchStats(trace=BatchTrace())
+            backend.search_batch(queries, stats)
+            oracle = ExmaSearchStats()
+            for request in stats.requests:
+                search._occ(request.packed_kmer, request.pos, oracle)
+            assert stats.increment_entries_read == oracle.increment_entries_read
+            assert stats.index_predictions == oracle.index_predictions
+            assert stats.prediction_errors == oracle.prediction_errors
+            assert stats.base_reads == len(stats.trace.tails) + sum(
+                np.unique(step.keys // (table.reference_length + 1)).size
+                for step in stats.trace.steps
+            )
+            for step in stats.trace.steps:
+                predicted = step.contribution.predicted
+                assert (predicted is None) == (step.contribution.errors is None)
+                shapes.add(
+                    "none" if predicted is None else "all" if predicted.all() else "mixed"
+                )
+        assert shapes == ({"none"} if index is None else {"none", "all", "mixed"})
+
+    def test_one_predict_many_per_step_and_no_scalar_calls(self, table, threshold, batches):
+        """Regression: the step loop used to call the index once per
+        distinct k-mer (and ``has_model`` once per k-mer) per step."""
+        index = _CountingIndex(NaiveLearnedIndex(table, model_threshold=threshold))
+        backend = ExmaBackend(table=table, index=index)
+        stats = BatchStats()
+        backend.search_batch(batches["ragged"], stats)
+        assert stats.index_predictions > 0
+        assert 0 < index.calls["predict_many"] <= stats.lockstep_iterations
+        assert index.calls["predict"] == index.calls["has_model"] == 0
 
 
 class TestFMIndexCoalescingOracle:

@@ -22,6 +22,7 @@ from repro.engine import (
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.search import ExmaSearch
 from repro.exma.table import ExmaTable
+from repro.genome.alphabet import AlphabetError
 from repro.index.fmindex import FMIndex
 from repro.lisa.search import LisaIndex
 from repro.testing import brute_force_find, reference_and_queries
@@ -156,6 +157,18 @@ class TestEngineApi:
         engine = QueryEngine.from_reference("ACGTACGTACGT", name="fmindex")
         with pytest.raises(ValueError):
             engine.search_batch(["ACGT", ""])
+
+    @pytest.mark.parametrize("name", ["fmindex", "exma"])
+    def test_batch_encoder_keeps_the_alphabet_errors(self, name):
+        """One encode over the joined batch must still reject what the
+        per-query encoder rejected, wherever in the batch it sits."""
+        engine = QueryEngine.from_reference("ACGTACGTACGTTGCA", name=name)
+        with pytest.raises(AlphabetError, match="N"):
+            engine.search_batch(["ACGTACGT", "ACGTNCGT", "ACG"])
+        # A sentinel inside a query body: never a searchable symbol.
+        with pytest.raises(ValueError, match=r"\$|sentinel") as raised:
+            engine.search_batch(["ACGTACGT", "ACG", "AC$TACGT"])
+        assert isinstance(raised.value, AlphabetError) == (name == "exma")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exma.learned_index import NaiveLearnedIndex
+from repro.exma.learned_index import NaiveLearnedIndex, _PerKmerModel
 from repro.exma.mtl_index import MTLIndex, SharedNode
 from repro.exma.table import ExmaTable
 from repro.genome.sequence import RepeatProfile, random_genome
+from repro.lisa.learned_index import LinearModel
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,52 @@ class TestNaiveLearnedIndex:
             pytest.skip("all k-mers modelled")
         packed = light[0]
         assert naive_index.predict(packed, 500) == repeat_table.occ(packed, 500)
+
+    def test_predict_many_matches_predict(self, naive_index, repeat_table):
+        modelled = np.array(naive_index.modelled_kmers)
+        positions = np.arange(repeat_table.reference_length + 1)
+        kmers = np.repeat(modelled, positions.size)
+        positions = np.tile(positions, modelled.size)
+        expected = [
+            naive_index.predict(int(kmer), int(pos)) for kmer, pos in zip(kmers, positions)
+        ]
+        assert naive_index.predict_many(kmers, positions).tolist() == expected
+        assert naive_index.predict_many(kmers[:0], positions[:0]).tolist() == []
+
+    def test_predict_many_rounds_and_clips_like_predict(self, repeat_table):
+        """Handcrafted models pin the two places a columnar rewrite drifts:
+        ``x.5`` predictions (scalar ``round`` is half-to-even, so must the
+        array path be) and the clip at ``count - 1``."""
+        index = NaiveLearnedIndex(repeat_table, model_threshold=8, increments_per_leaf=64)
+        halves, steep = index.modelled_kmers[:2]
+        for packed, slope in ((halves, 0.5), (steep, 1e6)):
+            index._models[packed] = _PerKmerModel(
+                root=LinearModel(0.0, 0.0),
+                leaves=[LinearModel(slope, 0.0)],
+                count=repeat_table.frequency(packed),
+            )
+        positions = np.arange(8)
+        assert index.predict_many(np.full(8, halves), positions).tolist() == [
+            0, 0, 1, 2, 2, 2, 3, 4,
+        ]
+        for packed in (halves, steep):
+            assert index.predict_many(np.full(8, packed), positions).tolist() == [
+                index.predict(packed, int(pos)) for pos in positions
+            ]
+        assert index.predict_many(np.array([steep]), np.array([5])).tolist() == [
+            repeat_table.frequency(steep) - 1
+        ]
+
+    def test_modelled_lookup_matches_has_model(self, repeat_table):
+        threshold = int(np.median(repeat_table.frequencies()))
+        index = NaiveLearnedIndex(repeat_table, model_threshold=threshold)
+        modelled = index.modelled_lookup(repeat_table.kmer_count)
+        assert modelled.tolist() == [
+            index.has_model(packed) for packed in range(repeat_table.kmer_count)
+        ]
+        assert modelled.any() and not modelled.all()
+        with pytest.raises(ValueError):
+            index.modelled_lookup(repeat_table.kmer_count + 1)
 
     def test_parameter_count_positive(self, naive_index):
         assert naive_index.parameter_count >= 4 * len(naive_index.modelled_kmers)

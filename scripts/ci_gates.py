@@ -665,6 +665,11 @@ def _diff_metrics(record: dict) -> "list[tuple[str, object, str]]":
             label = row.get("label", "?")
             metrics.append((f"{label}.results_equal", row.get("results_equal"), "bool"))
             metrics.append((f"{label}.speedup", row.get("speedup"), "higher"))
+            # The speedup's denominator: the columnar replay's own
+            # wall-clock, which a faster object path would otherwise hide.
+            metrics.append(
+                (f"{label}.columnar_seconds", row.get("columnar_seconds"), "lower")
+            )
         for row in (record.get("replay_scaling") or {}).get("rows", []):
             label = f"scaling.{row.get('label', '?')}"
             name = f"{label}@w{row.get('replay_workers')}"

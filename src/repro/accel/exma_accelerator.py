@@ -404,16 +404,26 @@ class ExmaAccelerator(runtime.PoolOwner):
         )
         base_miss = ~base_hits
 
-        # Stage 2 columns, in per-batch pos order.
+        # Stage 2 columns, in per-batch pos order.  The keep-open hints
+        # are read off a per-batch k-mer grouping, which is stage 1 of the
+        # 2-stage order whichever scheduler issues the requests.
         stage2_kmers = kmers[stage2]
         stage2_positions = positions[stage2]
-        keep_open = keep_open_flags(stage2_kmers, cam_entries)
+        grouped = (
+            stage1
+            if config.two_stage_scheduling
+            else scheduled_orders(kmers, positions, cam_entries, True)[0]
+        )
+        keep_open = keep_open_flags(kmers, grouped, stage2, cam_entries)
         slots = np.arange(count, dtype=np.int64)
         streams = slots % cam_entries
         modelled = self._modelled_lookup[stage2_kmers] if count else np.zeros(0, bool)
         modelled_slots = np.flatnonzero(modelled)
 
-        true_index = self._table.occ_batch(stage2_kmers, stage2_positions)
+        # Occ is ranked in arrival order — a flushed window arrives
+        # key-sorted, so the rank queries walk the increment array forward
+        # — and then permuted into issue order.
+        true_index = self._table.occ_batch(kmers, positions)[stage2]
         predicted = np.empty(count, dtype=np.int64)
         entries = np.empty(count, dtype=np.int64)
         if modelled_slots.size:

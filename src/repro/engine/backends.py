@@ -502,7 +502,10 @@ class ExmaBackend(SearchBackend):
             if stats is not None:
                 stats.iterations += n_active
                 stats.record_step(
-                    step, self._step_contribution(step.kmers, step.positions, occ_unique)
+                    step,
+                    self._step_contribution(step.kmers, step.positions, occ_unique)
+                    if stats.priced
+                    else None,
                 )
 
         return [Interval(low, high) for low, high in zip(lows.tolist(), highs.tolist())]

@@ -372,6 +372,15 @@ class BatchStats:
     #: contributions here, so a sharded run can be merged back into
     #: serial-exact counters (see :mod:`repro.engine.sharded`).
     trace: "BatchTrace | None" = None
+    #: When False, lockstep steps are recorded without their per-request
+    #: :class:`StepContribution` — backends skip computing it — so
+    #: ``increment_entries_read``, ``index_predictions``,
+    #: ``prediction_errors`` and ``binary_comparisons`` cover the
+    #: partial-chunk tails only.  Intervals, the coalescing counters and
+    #: ``requests`` are unaffected: the setting for a caller that replays
+    #: the stream through the accelerator, which prices every merged
+    #: request itself (the serving layer).
+    priced: bool = True
 
     @property
     def requests_merged(self) -> int:
@@ -412,6 +421,8 @@ class BatchStats:
         # The stream and the trace reference the *same* keys array, so a
         # traced shard pickles each step's requests exactly once.
         self.requests.append_step(step.keys, step.span)
+        if not self.priced:
+            contribution = None
         if contribution is not None:
             self.apply_contribution(contribution)
         if self.trace is not None:

@@ -89,9 +89,11 @@ def split_shards(items: Sequence[T], shards: int) -> list[list[T]]:
     return chunks
 
 
-def _search_shard(backend: SearchBackend, queries: list[str]) -> tuple[list[Interval], BatchStats]:
+def _search_shard(
+    backend: SearchBackend, priced: bool, queries: list[str]
+) -> tuple[list[Interval], BatchStats]:
     """One shard's lockstep search, with contribution tracing enabled."""
-    stats = BatchStats(trace=BatchTrace())
+    stats = BatchStats(trace=BatchTrace(), priced=priced)
     intervals = backend.search_batch(queries, stats)
     return intervals, stats
 
@@ -181,7 +183,7 @@ def merge_shard_stats(backend: SearchBackend, shard_stats: Sequence[BatchStats])
     The backend is only consulted for its position span — **no search or
     replay runs here**.
     """
-    merged = BatchStats()
+    merged = BatchStats(priced=all(stats.priced for stats in shard_stats))
     for stats in shard_stats:
         merged.queries += stats.queries
         merged.iterations += stats.iterations
@@ -215,6 +217,7 @@ def run_sharded_batch(
     shards: int,
     executor: str = "thread",
     pool: runtime.BackendWorkerPool | None = None,
+    priced: bool = True,
 ) -> BatchResult:
     """Search *queries* across shards; result identical to the serial path.
 
@@ -224,14 +227,14 @@ def run_sharded_batch(
     """
     queries = list(queries)
     if shards <= 1 or len(queries) <= 1:
-        stats = BatchStats()
+        stats = BatchStats(priced=priced)
         return BatchResult(intervals=backend.search_batch(queries, stats), stats=stats)
     shard_lists = split_shards(queries, shards)
     owned = pool is None
     if pool is None:
         pool = runtime.BackendWorkerPool(backend, executor, max_workers=len(shard_lists))
     try:
-        outputs = pool.map_shards(_search_shard, shard_lists)
+        outputs = pool.map_shards(_search_shard, shard_lists, priced)
     finally:
         if owned:
             pool.shutdown()
@@ -266,7 +269,9 @@ class ShardedQueryEngine(QueryEngine):
     def search_batch_per_shard(self, queries: Sequence[str]) -> list[BatchResult]:
         """The per-shard results before merging (introspection/debugging)."""
         pool = self._pool_for(self._backend, self.executor, self.shards)
-        outputs = pool.map_shards(_search_shard, split_shards(list(queries), self.shards))
+        outputs = pool.map_shards(
+            _search_shard, split_shards(list(queries), self.shards), True
+        )
         return [
             BatchResult(intervals=intervals, stats=stats) for intervals, stats in outputs
         ]

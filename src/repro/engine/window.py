@@ -14,7 +14,7 @@ scheduler wants.
 The window is **columnar end-to-end**: buffered batches are kept as the
 packed ``kmer * span + pos`` int64 key arrays the engine's
 :class:`~repro.engine.coalesce.RequestStream` already carries, the flush
-dedupe is one vectorized ``np.unique`` over those keys, and the flushed
+dedupe is one sort of those keys plus a neighbour mask, and the flushed
 :class:`WindowedBatch` holds the merged key array itself — which the
 accelerator's columnar replay consumes as-is, through to the cycle
 counts.  No :class:`~repro.exma.search.OccRequest` objects are
@@ -201,13 +201,14 @@ class CoalescingWindow:
     def flush(self) -> WindowedBatch | None:
         """Merge and emit whatever is buffered (``None`` when empty).
 
-        The cross-batch dedupe is one vectorized ``np.unique`` over the
-        buffered packed ``kmer * span + pos`` keys, whose ascending order
-        equals the lexicographic ``(kmer, pos)`` order the stage-1
-        scheduler wants.  Chunks packed under different spans (streams
-        from different references) are re-based onto the widest span
-        before the union; the common case — one engine, one span — is a
-        plain concatenate of the arrays the coalescer already produced.
+        The cross-batch dedupe is one ``np.sort`` over the buffered packed
+        ``kmer * span + pos`` keys plus a neighbour mask that keeps the
+        first of every run of equal keys; ascending key order equals the
+        lexicographic ``(kmer, pos)`` order the stage-1 scheduler wants.
+        Chunks packed under different spans (streams from different
+        references) are re-based onto the widest span before the union;
+        the common case — one engine, one span — is a plain concatenate
+        of the arrays the coalescer already produced.
         """
         if not self._buffered:
             return None
@@ -229,8 +230,11 @@ class CoalescingWindow:
                 keys if chunk_span == span else (keys // chunk_span) * span + keys % chunk_span
                 for keys, chunk_span in chunks
             ]
-        keys = np.unique(np.concatenate(packed))
-        return WindowedBatch(keys=keys, span=span, batches=batches, issued=issued)
+        keys = np.sort(np.concatenate(packed))
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return WindowedBatch(keys=keys[first], span=span, batches=batches, issued=issued)
 
     def stream(
         self, batch_streams: Iterable[Sequence[OccRequest]]

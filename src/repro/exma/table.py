@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..genome.alphabet import SENTINEL, pack_kmer, unpack_kmer
+from ..genome.alphabet import SENTINEL, encode, pack_kmer, unpack_kmer
 from ..index.suffix_array import suffix_array
 
 
@@ -112,31 +112,32 @@ class ExmaTable:
         """
         k = self._k
         n = self._n
-        doubled = self._text + self._text
         n_kmers = 4**k
 
-        counts = np.zeros(n_kmers, dtype=np.int64)
-        packed_per_row = np.full(n, -1, dtype=np.int64)
-        for row in range(n):
-            pos = int(self._sa[row])
-            start = (pos - k) % n
-            preceding = doubled[start : start + k]
-            if SENTINEL in preceding:
-                continue
-            packed = pack_kmer(preceding)
-            packed_per_row[row] = packed
-            counts[packed] += 1
+        # Rolling 2-bit pack of the k symbols starting at every (cyclic)
+        # text position, k vector passes instead of one slice per row.
+        codes = encode(self._text).astype(np.int64)
+        packed_at = np.zeros(n, dtype=np.int64)
+        sentinel_at = np.zeros(n, dtype=bool)
+        for offset in range(k):
+            symbols = np.roll(codes, -offset)
+            packed_at = (packed_at << 2) | (symbols - 1)
+            sentinel_at |= symbols == 0
 
+        # Row r's k-mer is the one preceding suffix SA[r]; a k-mer's
+        # increments are its rows in ascending order, i.e. one stable
+        # sort of the rows by packed code.
+        preceding = (self._sa - k) % n
+        rows = np.flatnonzero(~sentinel_at[preceding])
+        packed_per_row = packed_at[preceding[rows]]
+        counts = np.bincount(packed_per_row, minlength=n_kmers)
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         bases = np.where(counts > 0, offsets, self._max)
-        increments = np.empty(int(counts.sum()), dtype=np.int64)
-        cursor = offsets.copy()
-        for row in range(n):
-            packed = packed_per_row[row]
-            if packed < 0:
-                continue
-            increments[cursor[packed]] = row
-            cursor[packed] += 1
+        increments = rows[
+            np.argsort(
+                packed_per_row.astype(np.min_scalar_type(n_kmers - 1)), kind="stable"
+            )
+        ]
 
         # Count(kmer): number of BW-matrix rows whose suffix starts with a
         # lexicographically smaller prefix.  Rows whose k-prefix is a pure

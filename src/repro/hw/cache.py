@@ -11,10 +11,10 @@ Two implementations share the semantics:
 
 * :class:`SetAssociativeCache` — the per-access object model, kept as the
   reference the oracle suite replays against;
-* :func:`simulate_lru_hits` — the columnar replay's set-grouped array
-  simulation of a whole cold-start access sequence at once, exact LRU
-  (identical hit mask to calling :meth:`SetAssociativeCache.access` in
-  order on a fresh cache).
+* :func:`simulate_lru_hits` — the columnar replay's state-free
+  stack-distance evaluation of a whole cold-start access sequence at
+  once, exact LRU (identical hit mask to calling
+  :meth:`SetAssociativeCache.access` in order on a fresh cache).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-
-from .jit import jit_recurrence
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(slots=True)
@@ -133,23 +132,31 @@ def simulate_lru_hits(
 
     Exactly equivalent to constructing a fresh :class:`SetAssociativeCache`
     and calling :meth:`~SetAssociativeCache.access` once per address in
-    order — but computed as *set-grouped array processing*:
+    order — but computed from the sequence alone, with no recency state:
 
-    * accesses are grouped by set with one stable argsort, and runs of
-      the same line within a set collapse first (every access after a
-      run's head is a guaranteed hit that leaves the LRU stack unchanged,
-      because the line just became most-recently-used);
-    * the surviving run heads advance every set's LRU stack together, one
-      resident access per set per round, on a ``(sets, ways)`` recency
-      matrix whose rows are laid out in descending access-count order so
-      each round touches a plain prefix slice.
+    * accesses are grouped by set with one stable (radix) argsort of the
+      narrow set ids, and runs of the same line within a set collapse
+      first (every access after a run's head is a guaranteed hit that
+      leaves the LRU stack unchanged, because the line just became
+      most-recently-used);
+    * a surviving run head hits iff its line was touched before and fewer
+      than ``ways`` *distinct* lines of its set were touched since — the
+      LRU stack-distance criterion.  One stable argsort by line gives
+      every head its previous and next occurrence; a head whose reuse gap
+      (heads in between) is below ``ways`` hits outright, a first
+      occurrence misses outright, and the remaining ambiguous heads count
+      the distinct lines in between as the in-between heads that are
+      *live* — whose own next occurrence lies beyond the querying head —
+      over look-back windows that double until the count reaches
+      ``ways`` (miss) or the window reaches the previous occurrence
+      (hit).
 
-    The serial dimension is the deepest set's collapsed access count
-    instead of the sequence length, so the cost collapses whenever
-    traffic spreads over more than a handful of sets.  Degenerate shapes
-    (nearly everything landing in one set) fall back to a flat sequential
-    pass over the pre-decoded set/tag columns — same exact semantics
-    without the per-round array overhead.
+    Any position is inspected by at most ``ways`` exact look-backs (each
+    querying head adds one more distinct line in front of it), and a
+    doubling window at most doubles a look-back, so the work is
+    O(n · ways) on every trace — a hot line alternating with a streaming
+    one, a cycle of ``ways + 1`` lines, everything aliased to one set —
+    and the look-back matrices are transient.
 
     Returns a boolean array aligned with *addresses* (True = hit).
     """
@@ -166,161 +173,65 @@ def simulate_lru_hits(
 
     num_sets = capacity_bytes // (line_bytes * associativity)
     tags = addresses // line_bytes
-    set_indices = tags % num_sets
-
+    tags -= tags.min()
+    set_indices = (tags % num_sets).astype(np.min_scalar_type(num_sets - 1))
     order = np.argsort(set_indices, kind="stable")
-    sorted_sets = set_indices[order]
     sorted_tags = tags[order]
 
-    # Collapse same-line runs within each set's subsequence.
-    run_head = np.ones(sorted_tags.size, dtype=bool)
-    run_head[1:] = (sorted_tags[1:] != sorted_tags[:-1]) | (
-        sorted_sets[1:] != sorted_sets[:-1]
-    )
-    hit_grouped = np.empty(sorted_tags.size, dtype=bool)
-    hit_grouped[~run_head] = True
+    # Collapse same-line runs within each set's subsequence (a line maps
+    # to one set, so a change of set is a change of line).
+    run_head = np.empty(sorted_tags.size, dtype=bool)
+    run_head[0] = True
+    np.not_equal(sorted_tags[1:], sorted_tags[:-1], out=run_head[1:])
     head_slots = np.flatnonzero(run_head)
-    head_tags = sorted_tags[head_slots]
-    head_sets = sorted_sets[head_slots]
-
-    _, group_start, group_size = np.unique(
-        head_sets, return_index=True, return_counts=True
-    )
-    rounds = int(group_size.max())
-
-    if _lru_heads_jit is not None:
-        # Compiled flat exact-LRU pass: the same recency update as the
-        # round/sequential fallbacks, one scalar loop over the heads in
-        # their set-grouped order.  Beats both fallbacks at every shape,
-        # and releases the GIL for the epoch-parallel replay workers.
-        group_of_head = np.repeat(
-            np.arange(group_size.size, dtype=np.int64), group_size
-        )
-        head_hits = _lru_heads_jit(
-            np.ascontiguousarray(head_tags, dtype=np.int64),
-            group_of_head,
-            int(associativity),
-            int(group_size.size),
-        )
-    elif rounds * 8 > head_tags.size and rounds > 32:
-        # Skewed towards few sets: per-round matrices would be narrower
-        # than their own dispatch overhead.  Same semantics, flat pass.
-        head_hits = np.empty(head_tags.size, dtype=bool)
-        _simulate_sequential(head_sets, head_tags, associativity, head_hits)
-    else:
-        head_hits = _simulate_rounds(
-            head_tags, group_start, group_size, associativity, rounds
-        )
-    hit_grouped[head_slots] = head_hits
+    hit_grouped = np.ones(sorted_tags.size, dtype=bool)
+    hit_grouped[head_slots] = _head_hits(sorted_tags[head_slots], associativity)
     hits[order] = hit_grouped
     return hits
 
 
-def _lru_heads(
-    head_tags: np.ndarray,
-    group_of_head: np.ndarray,
-    associativity: int,
-    group_count: int,
-) -> np.ndarray:
-    """Exact LRU over collapsed run heads, one scalar pass (numba shape).
+def _head_hits(head_tags: np.ndarray, ways: int) -> np.ndarray:
+    """Stack-distance hit mask of set-grouped, run-collapsed line tags.
 
-    *head_tags*/*group_of_head* are the set-grouped head columns that
-    :func:`simulate_lru_hits` builds; each group's heads appear in their
-    original access order, so per-group LRU over this order equals
-    per-set LRU over the original sequence.  Tags are non-negative, so
-    ``-1`` marks an empty way — the same convention as
-    :func:`_simulate_rounds`.
+    Each set's heads are contiguous and in access order, and a line
+    belongs to one set, so everything between a head and its previous
+    occurrence is traffic of its own set.
     """
-    state = np.full((group_count, associativity), -1, dtype=np.int64)
-    hits = np.empty(head_tags.size, dtype=np.bool_)
-    for index in range(head_tags.size):
-        group = group_of_head[index]
-        tag = head_tags[index]
-        way = associativity - 1
-        hit = False
-        for probe in range(associativity):
-            if state[group, probe] == tag:
-                way = probe
-                hit = True
-                break
-        for slot in range(way, 0, -1):
-            state[group, slot] = state[group, slot - 1]
-        state[group, 0] = tag
-        hits[index] = hit
-    return hits
+    count = head_tags.size
+    by_tag = np.argsort(
+        head_tags.astype(np.min_scalar_type(int(head_tags.max()))), kind="stable"
+    )
+    same = head_tags[by_tag[1:]] == head_tags[by_tag[:-1]]
+    earlier, later = by_tag[:-1][same], by_tag[1:][same]
+    # Heads strictly between a head and its previous occurrence (run
+    # collapse makes that at least one; 0 marks a first occurrence).
+    gap = np.zeros(count, dtype=np.int64)
+    gap[later] = later - earlier - 1
+    # Distance to each head's next occurrence, behind a zero front pad so
+    # a look-back window may start before the first head.
+    reach = np.zeros(2 * count, dtype=np.int64)
+    reach[count:] = count
+    reach[count + earlier] = later - earlier
 
-
-#: numba-compiled head-LRU pass, or ``None`` when numba is absent/disabled.
-_lru_heads_jit = jit_recurrence(_lru_heads)
-
-
-def _simulate_rounds(
-    head_tags: np.ndarray,
-    group_start: np.ndarray,
-    group_size: np.ndarray,
-    associativity: int,
-    rounds: int,
-) -> np.ndarray:
-    """Advance every set's LRU stack one access per round, vectorized."""
-    # Lay the recency matrix out in descending access-count order: the
-    # sets still active in round r are then exactly rows [0, active_r),
-    # so every round works on prefix slices instead of fancy gathers.
-    by_depth = np.argsort(-group_size, kind="stable")
-    depth_rank = np.empty(by_depth.size, dtype=np.int64)
-    depth_rank[by_depth] = np.arange(by_depth.size)
-
-    group_of_head = np.repeat(np.arange(group_size.size), group_size)
-    round_of_head = np.arange(head_tags.size) - np.repeat(group_start, group_size)
-    round_major = np.lexsort((depth_rank[group_of_head], round_of_head))
-    tags_round_major = head_tags[round_major]
-    active_per_round = np.bincount(round_of_head, minlength=rounds)
-    bounds = np.concatenate(([0], np.cumsum(active_per_round)))
-
-    # tags are non-negative (addresses are), so -1 marks an empty way.
-    state = np.full((group_size.size, associativity), -1, dtype=np.int64)
-    shifted = np.empty_like(state)
-    ways = np.arange(associativity)
-    hit_round_major = np.empty(head_tags.size, dtype=bool)
-    for round_index in range(rounds):
-        begin, end = bounds[round_index], bounds[round_index + 1]
-        active = end - begin
-        resident = state[:active]
-        tag_now = tags_round_major[begin:end]
-        match = resident == tag_now[:, None]
-        hit = match.any(axis=1)
-        # Hits rotate [0, way] right by one; misses rotate the whole row
-        # (LRU eviction), which is the same rotation with way = ways - 1.
-        way = np.where(hit, match.argmax(axis=1), associativity - 1)
-        shifted[:active, 0] = tag_now
-        shifted[:active, 1:] = resident[:, :-1]
-        state[:active] = np.where(
-            ways[None, :] <= way[:, None], shifted[:active], resident
+    head_hits = (gap > 0) & (gap < ways)
+    pending = np.flatnonzero(gap >= ways)
+    pending_gap = gap[pending]
+    live = np.zeros(pending.size, dtype=np.int64)
+    near, far = 0, ways
+    while pending.size:
+        # Offsets (near, far] behind each pending head, oldest first; the
+        # head at offset d is live when its next occurrence is further
+        # than d away, and only offsets inside the gap count.
+        offsets = np.arange(far, near, -1)
+        window = sliding_window_view(reach, far - near)[pending + (count - far)]
+        live += np.count_nonzero(
+            (window > offsets) & (offsets <= pending_gap[:, None]), axis=1
         )
-        hit_round_major[begin:end] = hit
-    head_hits = np.empty(head_tags.size, dtype=bool)
-    head_hits[round_major] = hit_round_major
+        full = live >= ways
+        decided = full | (pending_gap <= far)
+        head_hits[pending[decided & ~full]] = True
+        pending, pending_gap, live = (
+            pending[~decided], pending_gap[~decided], live[~decided]
+        )
+        near, far = far, 2 * far
     return head_hits
-
-
-def _simulate_sequential(
-    sorted_sets: np.ndarray,
-    sorted_tags: np.ndarray,
-    associativity: int,
-    hits: np.ndarray,
-) -> None:
-    """Flat exact-LRU pass over set-grouped columns (skew fallback)."""
-    stacks: dict[int, OrderedDict[int, None]] = {}
-    for position, (set_index, tag) in enumerate(
-        zip(sorted_sets.tolist(), sorted_tags.tolist())
-    ):
-        stack = stacks.get(set_index)
-        if stack is None:
-            stack = stacks[set_index] = OrderedDict()
-        if tag in stack:
-            stack.move_to_end(tag)
-            hits[position] = True
-            continue
-        hits[position] = False
-        stack[tag] = None
-        if len(stack) > associativity:
-            stack.popitem(last=False)

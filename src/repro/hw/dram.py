@@ -228,6 +228,16 @@ class DRAMStats:
         return self.total_cycles / (clock_mhz * 1e6)
 
 
+#: Stream ids index the per-stream ready cycles, so a negative one would
+#: silently alias another stream's in the columnar model.
+NEGATIVE_STREAM = "request stream must be non-negative"
+
+
+def _check_streams(streams: np.ndarray) -> None:
+    if streams.size and int(streams.min()) < 0:
+        raise ValueError(NEGATIVE_STREAM)
+
+
 @dataclass
 class MemoryTrace:
     """A DRAM request trace as aligned column arrays.
@@ -250,13 +260,15 @@ class MemoryTrace:
     @classmethod
     def from_requests(cls, requests: "list[MemoryRequest]") -> "MemoryTrace":
         """Pack an object trace into columns (tests and adapters)."""
+        streams = np.fromiter((r.stream for r in requests), np.int64, len(requests))
+        _check_streams(streams)
         return cls(
             rows=np.fromiter((r.row for r in requests), np.int64, len(requests)),
             nbytes=np.fromiter((r.nbytes for r in requests), np.int64, len(requests)),
             keep_open=np.fromiter(
                 (r.keep_open_hint for r in requests), bool, len(requests)
             ),
-            streams=np.fromiter((r.stream for r in requests), np.int64, len(requests)),
+            streams=streams,
         )
 
     def take(self, indices: np.ndarray) -> "MemoryTrace":
@@ -325,6 +337,8 @@ class DRAMModel:
         for request in requests:
             if request.nbytes <= 0:
                 raise ValueError("request nbytes must be positive")
+            if request.stream < 0:
+                raise ValueError(NEGATIVE_STREAM)
             bank_index = request.row % cfg.banks_per_channel
             bank = banks[bank_index]
             stats.requests += 1
@@ -404,6 +418,7 @@ class DRAMModel:
         nbytes = trace.nbytes
         if int(nbytes.min()) <= 0:
             raise ValueError("request nbytes must be positive")
+        _check_streams(trace.streams)
 
         banks = trace.rows % cfg.banks_per_channel
         if self._policy is PagePolicy.CLOSE:
@@ -415,21 +430,21 @@ class DRAMModel:
 
         # Per-bank previous-request classification: a bank presents an
         # open row to request i exactly when its previous request exists
-        # and did not close, and the row matches.
-        order = np.argsort(banks, kind="stable")
+        # and did not close, and the row matches.  Bank ids are narrow,
+        # so grouping them is a radix sort.
+        order = np.argsort(
+            banks.astype(np.min_scalar_type(cfg.banks_per_channel - 1)), kind="stable"
+        )
+        banks_grouped = banks[order]
         rows_grouped = trace.rows[order]
-        same_bank = np.zeros(count, dtype=bool)
-        same_bank[1:] = banks[order][1:] == banks[order][:-1]
         open_row = np.zeros(count, dtype=bool)
-        open_row[1:] = same_bank[1:] & ~closes[order][:-1]
+        open_row[1:] = (banks_grouped[1:] == banks_grouped[:-1]) & ~closes[order][:-1]
         same_row = np.zeros(count, dtype=bool)
         same_row[1:] = rows_grouped[1:] == rows_grouped[:-1]
-        hit_grouped = open_row & same_row
-        conflict_grouped = open_row & ~same_row
         hits = np.empty(count, dtype=bool)
         conflicts = np.empty(count, dtype=bool)
-        hits[order] = hit_grouped
-        conflicts[order] = conflict_grouped
+        hits[order] = open_row & same_row
+        conflicts[order] = open_row & ~same_row
         misses = ~hits & ~conflicts
 
         commands = 1 + misses + 2 * conflicts

@@ -1,26 +1,28 @@
-"""Optional numba JIT gate for the hardware models' scalar recurrences.
+"""Optional numba JIT gate for the hardware models' scalar recurrence.
 
-PR 5 vectorized everything in the accelerator replay that does not
-genuinely chain from one request to the next; what survived are two
-scalar recurrences — the DRAM addr/data-bus + bank/stream ready chain in
-:meth:`repro.hw.dram.DRAMModel.process_columns` and the exact-LRU recency
-update in :func:`repro.hw.cache.simulate_lru_hits`.  Both are pure int64
-loops over preallocated arrays, which is exactly the shape ``numba.njit``
-compiles well, so this module compiles them when numba is importable and
-leaves the tuned pure-Python fallbacks in place when it is not.
+The accelerator replay is array code everywhere that does not genuinely
+chain from one request to the next; what survives is one scalar
+recurrence — the DRAM addr/data-bus + bank/stream ready chain in
+:meth:`repro.hw.dram.DRAMModel.process_columns`.  (The cache simulation
+needs no gate: :func:`repro.hw.cache.simulate_lru_hits` evaluates LRU by
+stack distance, array code with no recency state to step through.)  The
+recurrence is a pure int64 loop over preallocated arrays, which is
+exactly the shape ``numba.njit`` compiles well, so this module compiles
+it when numba is importable and leaves the tuned pure-Python loop in
+place when it is not.
 
-The contract is **bit-identical outputs**: the jitted functions run the
-same integer arithmetic in the same order as their fallbacks, so the
-existing hypothesis oracles (columnar vs. object DRAM/cache models) pin
-both paths.  ``nogil=True`` matters beyond single-call latency: it lets
-the epoch-parallel replay pool (:mod:`repro.accel.parallel`) scale with
-*thread* workers, because the recurrences — the dominant serial
-fraction of an epoch — release the GIL while they run.
+The contract is **bit-identical outputs**: the jitted function runs the
+same integer arithmetic in the same order as its fallback, so the
+existing hypothesis oracle (columnar vs. object DRAM model) pins both
+paths.  ``nogil=True`` matters beyond single-call latency: it lets the
+epoch-parallel replay pool (:mod:`repro.accel.parallel`) scale with
+*thread* workers, because the recurrence — the dominant serial fraction
+of an epoch — releases the GIL while it runs.
 
 numba is an optional dependency: the CI image installs it (see
 ``requirements-ci.txt``), the dev container may not.  Set
-``REPRO_NO_NUMBA=1`` to force the pure-Python fallbacks even when numba
-is installed — one CI leg runs the quick suite that way so the fallback
+``REPRO_NO_NUMBA=1`` to force the pure-Python loop even when numba is
+installed — one CI leg runs the quick suite that way so the fallback
 path stays covered.
 """
 
@@ -53,7 +55,7 @@ def jit_recurrence(fn: Callable) -> Callable | None:
     loop as the only other branch.  ``cache=True`` persists the compiled
     artifact next to the source, so process-pool replay workers do not
     each pay the compile; ``nogil=True`` lets thread-pool replay workers
-    overlap the recurrences.
+    overlap the recurrence.
     """
     if not HAVE_NUMBA:
         return None

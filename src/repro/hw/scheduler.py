@@ -18,7 +18,7 @@ The object classes replay the CAM one :class:`~repro.exma.search
 .OccRequest` at a time and remain the oracle reference; the columnar
 replay uses :func:`scheduled_orders` / :func:`keep_open_flags`, which
 compute the identical stage-1/stage-2 orders and page-policy hints for a
-whole packed request stream with a handful of ``np.lexsort`` calls.
+whole packed request stream with one packed-key stable argsort per stage.
 """
 
 from __future__ import annotations
@@ -138,6 +138,15 @@ def schedule_windowed(
     yield from scheduler.schedule(merged())
 
 
+def _batch_major(batch_of: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``batch * span + value``: one sort key whose stable argsort is the
+    per-batch stable sort by *value* (batches stay in order)."""
+    span = int(values.max()) + 1
+    if int(batch_of[-1] + 1) * span >= 2**63:
+        raise ValueError("request keys are too wide to pack per CAM batch")
+    return batch_of * span + values
+
+
 def scheduled_orders(
     kmers: np.ndarray,
     positions: np.ndarray,
@@ -154,43 +163,57 @@ def scheduled_orders(
     sorting CAM exactly — stage 1 is the stable per-batch k-mer sort of
     the arrival order, stage 2 the stable per-batch pos sort of the
     stage-1 order — because :meth:`~repro.hw.cam.SchedulingQueue
-    .sort_by_pos` reorders the already k-mer-sorted residents.
+    .sort_by_pos` reorders the already k-mer-sorted residents.  Each
+    stage is one stable argsort of a packed ``batch * span + key`` column
+    (a flushed window arrives k-mer-sorted, which the stable sort takes
+    in linear time).
     """
     if cam_entries <= 0:
         raise ValueError("cam_entries must be positive")
-    count = int(np.asarray(kmers).size)
-    arrival = np.arange(count, dtype=np.int64)
-    if not two_stage or count == 0:
+    kmers = np.asarray(kmers, dtype=np.int64)
+    positions = np.asarray(positions, dtype=np.int64)
+    arrival = np.arange(kmers.size, dtype=np.int64)
+    if not two_stage or kmers.size == 0:
         return arrival, arrival
+    # Both stages keep every batch in its slice, so slot i of either
+    # order belongs to batch i // cam_entries.
     batch_of = arrival // cam_entries
-    stage1 = np.lexsort((arrival, kmers, batch_of))
-    stage1_rank = np.empty(count, dtype=np.int64)
-    stage1_rank[stage1] = arrival
-    stage2 = np.lexsort((stage1_rank, positions, batch_of))
+    stage1 = np.argsort(_batch_major(batch_of, kmers), kind="stable")
+    stage2 = stage1[
+        np.argsort(_batch_major(batch_of, positions[stage1]), kind="stable")
+    ]
     return stage1, stage2
 
 
-def keep_open_flags(stage2_kmers: np.ndarray, cam_entries: int) -> np.ndarray:
-    """Keep-row-open hints for a stream already in stage-2 issue order.
+def keep_open_flags(
+    kmers: np.ndarray, grouped: np.ndarray, stage2: np.ndarray, cam_entries: int
+) -> np.ndarray:
+    """Keep-row-open hints of a stream, aligned with its stage-2 order.
 
     The columnar equivalent of :func:`pair_requests_by_kmer` applied to
-    every CAM batch: slot *i*'s hint is True when a later slot of the
-    same batch targets the same k-mer.
+    every CAM batch: stage-2 slot *i*'s hint is True when a later slot of
+    the same batch targets the same k-mer — every request except the one
+    its ``(batch, k-mer)`` group issues last.  *grouped* is an order that
+    keeps batches in their slices and each batch's equal k-mers adjacent,
+    which is what stage 1 of the 2-stage scheduler produces, so the hints
+    are read off its runs (the largest stage-2 slot of each run) without
+    sorting again.
     """
     if cam_entries <= 0:
         raise ValueError("cam_entries must be positive")
-    stage2_kmers = np.asarray(stage2_kmers)
-    count = stage2_kmers.size
-    keep = np.zeros(count, dtype=bool)
+    kmers = np.asarray(kmers)
+    count = int(kmers.size)
+    keep = np.ones(count, dtype=bool)
     if count == 0:
         return keep
-    slots = np.arange(count, dtype=np.int64)
-    grouped = np.lexsort((slots, stage2_kmers, slots // cam_entries))
-    followed = np.zeros(count, dtype=bool)
-    followed[:-1] = (stage2_kmers[grouped[1:]] == stage2_kmers[grouped[:-1]]) & (
-        grouped[1:] // cam_entries == grouped[:-1] // cam_entries
-    )
-    keep[grouped] = followed
+    stage2_slot = np.empty(count, dtype=np.int64)
+    stage2_slot[stage2] = np.arange(count, dtype=np.int64)
+    grouped_kmers = kmers[grouped]
+    run_start = np.empty(count, dtype=bool)
+    run_start[0] = True
+    np.not_equal(grouped_kmers[1:], grouped_kmers[:-1], out=run_start[1:])
+    run_start[::cam_entries] = True
+    keep[np.maximum.reduceat(stage2_slot[grouped], np.flatnonzero(run_start))] = False
     return keep
 
 

@@ -164,8 +164,12 @@ class BatcherWorker:
         try:
             try:
                 service._fire_fault(SITE_SEARCH)
+                # With an accelerator the flush replay prices every merged
+                # request itself; the search-side accounting would be
+                # computed per lockstep step and never read.
                 result = self.engine.search_batch(
-                    [pending.query for pending in pendings]
+                    [pending.query for pending in pendings],
+                    priced=service._accelerator is None,
                 )
             except WorkerKilled:
                 raise

@@ -23,6 +23,8 @@ layer:
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig
 from repro.engine import CoalescingWindow, QueryEngine, create_backend
+from repro.engine.window import WindowedBatch
 from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.search import OccRequest
@@ -83,19 +86,57 @@ class TestSchedulerOrders:
         assert [requests[i] for i in stage1] == stage1_ref
         assert [requests[i] for i in stage2] == stage2_ref
 
-    @given(request_lists, st.integers(1, 17))
+    @given(request_lists, st.integers(1, 17), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_keep_open_matches_pair_annotation(self, pairs, cam_entries):
+    def test_keep_open_matches_pair_annotation(self, pairs, cam_entries, two_stage):
         requests = _requests(pairs)
+        hints, hints_ref = _columnar_and_queue_hints(requests, cam_entries, two_stage)
+        assert hints == hints_ref
+
+    @pytest.mark.parametrize("cam_entries", (1, 3, 128))
+    @pytest.mark.parametrize("two_stage", (True, False))
+    def test_duplicate_keys_and_ragged_last_batch(self, cam_entries, two_stage):
+        # 3 * 128 + 5 requests over 6 k-mers x 4 positions: every CAM
+        # size leaves a partial last batch (size 1 trivially), and most
+        # (k-mer, pos) keys repeat inside a batch.
+        rng = np.random.default_rng(cam_entries)
+        requests = _requests(
+            list(zip(rng.integers(0, 6, 389).tolist(), rng.integers(0, 4, 389).tolist()))
+        )
         kmers = np.array([r.packed_kmer for r in requests], dtype=np.int64)
         positions = np.array([r.pos for r in requests], dtype=np.int64)
-        scheduler = TwoStageScheduler(CamConfig(entries=cam_entries))
-        hints_ref = []
-        for batch in scheduler.schedule(requests):
-            hints_ref.extend(hint for _, hint in pair_requests_by_kmer(batch.stage2))
-        _, stage2 = scheduled_orders(kmers, positions, cam_entries, True)
-        hints = keep_open_flags(kmers[stage2], cam_entries)
-        assert hints.tolist() == hints_ref
+        scheduler_type = TwoStageScheduler if two_stage else FrFcfsScheduler
+        batches = list(scheduler_type(CamConfig(entries=cam_entries)).schedule(requests))
+        assert len(batches[-1]) == 389 % cam_entries or cam_entries == 1
+        stage1, stage2 = scheduled_orders(kmers, positions, cam_entries, two_stage)
+        assert [requests[i] for i in stage1] == [r for b in batches for r in b.stage1]
+        assert [requests[i] for i in stage2] == [r for b in batches for r in b.stage2]
+        hints, hints_ref = _columnar_and_queue_hints(requests, cam_entries, two_stage)
+        assert hints == hints_ref
+
+    def test_rejects_keys_too_wide_to_pack(self):
+        # batch * span + k-mer would wrap int64: 2**20 batches x 2**43 codes.
+        wide = np.full(2**20 + 1, 2**43, dtype=np.int64)
+        with pytest.raises(ValueError):
+            scheduled_orders(wide, np.zeros(wide.size, dtype=np.int64), 1, True)
+
+
+def _columnar_and_queue_hints(
+    requests: list[OccRequest], cam_entries: int, two_stage: bool
+) -> tuple[list[bool], list[bool]]:
+    """Keep-open hints of the columnar replay and of the CAM object model."""
+    kmers = np.array([r.packed_kmer for r in requests], dtype=np.int64)
+    positions = np.array([r.pos for r in requests], dtype=np.int64)
+    scheduler_type = TwoStageScheduler if two_stage else FrFcfsScheduler
+    hints_ref = [
+        hint
+        for batch in scheduler_type(CamConfig(entries=cam_entries)).schedule(requests)
+        for _, hint in pair_requests_by_kmer(batch.stage2)
+    ]
+    _, stage2 = scheduled_orders(kmers, positions, cam_entries, two_stage)
+    grouped, _ = scheduled_orders(kmers, positions, cam_entries, True)
+    hints = keep_open_flags(kmers, grouped, stage2, cam_entries)
+    return hints.tolist(), hints_ref
 
 
 # --------------------------------------------------------------------- #
@@ -103,34 +144,85 @@ class TestSchedulerOrders:
 # --------------------------------------------------------------------- #
 
 
+def _reference_hits(addresses, capacity: int, line_bytes: int, ways: int) -> list[bool]:
+    cache = SetAssociativeCache(capacity, line_bytes, ways)
+    return [cache.access(int(address)) for address in addresses]
+
+
+def _hot_line_vs_leaves(seed: int) -> np.ndarray:
+    """Line 0 before every one of 60 000 draws from 5 000 other lines."""
+    leaves = np.random.default_rng(seed).integers(1, 5_000, 60_000)
+    return np.stack([np.zeros_like(leaves), leaves], axis=1).ravel()
+
+
 class TestCacheSimulation:
     @given(
         st.lists(st.integers(0, 5000), min_size=0, max_size=300),
         st.sampled_from([1, 2, 4, 8, 16]),
-        st.sampled_from([1, 2, 16]),
+        st.sampled_from([1, 2, 32]),
+        st.sampled_from(["bytes", "lines", "one-set"]),
         st.booleans(),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_hit_mask_matches_reference_cache(self, addresses, ways, sets, sort):
+    @settings(max_examples=150, deadline=None)
+    def test_hit_mask_matches_reference_cache(self, addresses, ways, sets, stride, sort):
         if sort:  # run-heavy sequences exercise the collapse fast path
             addresses = sorted(addresses)
         line_bytes = 32
+        # "one-set" strides by the set count, aliasing every line to set 0.
+        scale = {"bytes": 1, "lines": line_bytes, "one-set": line_bytes * sets}[stride]
+        addresses = [address * scale for address in addresses]
         capacity = line_bytes * ways * sets
-        cache = SetAssociativeCache(capacity, line_bytes, ways)
-        reference = [cache.access(address) for address in addresses]
         hits = simulate_lru_hits(np.array(addresses), capacity, line_bytes, ways)
-        assert hits.tolist() == reference
+        assert hits.tolist() == _reference_hits(addresses, capacity, line_bytes, ways)
 
-    def test_skew_fallback_matches_reference_cache(self):
-        # One set, many accesses: the rounds path degenerates and the
-        # flat sequential pass must take over with identical results.
+    @given(
+        st.lists(st.integers(0, 20), min_size=0, max_size=400),
+        st.sampled_from([1, 2, 4, 8, 16]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_small_working_sets_around_the_associativity(self, lines, ways):
+        # At most 21 lines in one set: reuse gaps far beyond the
+        # associativity with few distinct lines in between, the shape the
+        # look-back windows exist for.
+        addresses = np.array(lines, dtype=np.int64) * 64
+        hits = simulate_lru_hits(addresses, 64 * ways, 64, ways)
+        assert hits.tolist() == _reference_hits(addresses, 64 * ways, 64, ways)
+
+    def test_single_set_matches_reference_cache(self):
+        # One 16-way set over 50 lines: every head with a long reuse gap
+        # is decided by counting the live lines in between.
         rng = np.random.default_rng(0)
         addresses = rng.integers(0, 50, size=2000) * 64
-        capacity, line_bytes, ways = 64 * 16, 64, 16  # a single 16-way set
-        cache = SetAssociativeCache(capacity, line_bytes, ways)
-        reference = [cache.access(int(address)) for address in addresses]
+        capacity, line_bytes, ways = 64 * 16, 64, 16
         hits = simulate_lru_hits(addresses, capacity, line_bytes, ways)
-        assert hits.tolist() == reference
+        assert hits.tolist() == _reference_hits(addresses, capacity, line_bytes, ways)
+
+    # Shapes the look-back must neither mis-handle nor go quadratic on:
+    # each has >= 100 000 accesses, so an O(n * gap) look-back would run
+    # for minutes where the stack-distance pass takes milliseconds.
+    ADVERSARIAL = {
+        # (a b)^k c (a b)^k c: the second c looks back over 2k heads
+        # holding two distinct lines.
+        "huge-gap-two-distinct": (
+            np.concatenate([np.tile([0, 1], 30_000), [2]] * 2), 4, 1
+        ),
+        "cycle-of-ways-lines": (np.tile(np.arange(16), 7_000), 16, 1),
+        "cycle-of-ways-plus-one-lines": (np.tile(np.arange(17), 7_000), 16, 1),
+        # The index cache's real shape: one hot bucket line alternating
+        # with a long stream of leaf lines.
+        "hot-line-vs-leaf-stream": (_hot_line_vs_leaves(seed=1), 16, 1),
+        "hot-line-vs-leaf-stream-32-sets": (_hot_line_vs_leaves(seed=2), 16, 32),
+        "first-occurrences-only": (np.arange(120_000), 8, 2),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(ADVERSARIAL))
+    def test_adversarial_shapes_match_reference_cache(self, shape):
+        lines, ways, sets = self.ADVERSARIAL[shape]
+        assert lines.size >= 100_000
+        addresses = lines.astype(np.int64) * 64
+        capacity = 64 * ways * sets
+        hits = simulate_lru_hits(addresses, capacity, 64, ways)
+        assert hits.tolist() == _reference_hits(addresses, capacity, 64, ways)
 
     def test_rejects_invalid_geometry_and_addresses(self):
         with pytest.raises(ValueError):
@@ -174,6 +266,19 @@ class TestDRAMColumns:
         trace = MemoryTrace.from_requests([MemoryRequest(row=0, nbytes=0)])
         with pytest.raises(ValueError):
             model.process_columns(trace)
+
+    def test_rejects_negative_streams_in_both_models(self):
+        # A negative stream id used to alias the last stream's ready cycle
+        # in the columnar model while the object model gave it its own.
+        requests = [MemoryRequest(row=0, stream=1), MemoryRequest(row=1, stream=-1)]
+        with pytest.raises(ValueError, match="stream"):
+            DRAMModel().process(requests)
+        with pytest.raises(ValueError, match="stream"):
+            MemoryTrace.from_requests(requests)
+        trace = MemoryTrace.from_requests([MemoryRequest(row=0), MemoryRequest(row=1)])
+        trace.streams[1] = -1
+        with pytest.raises(ValueError, match="stream"):
+            DRAMModel().process_columns(trace)
 
     def test_channel_split_preserves_order(self):
         requests = [MemoryRequest(row=row) for row in (0, 4, 1, 8, 5, 2, 12)]
@@ -349,3 +454,47 @@ class TestRunWithoutIndex:
         stream, _ = QueryEngine(backend_map["exma-mtl"]).request_stream(batches[0])
         accelerator = ExmaAccelerator(table, mtl, _config(True, PagePolicy.DYNAMIC))
         assert accelerator.run(stream) == accelerator.run(list(stream))
+
+
+# --------------------------------------------------------------------- #
+# Guard: the replay stays columnar
+# --------------------------------------------------------------------- #
+
+
+def _calls_made(function, *args) -> int:
+    """Python-level and C-level calls *function* makes (``sys.setprofile``)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestReplayStaysColumnar:
+    def test_calls_do_not_grow_with_the_flush(self, backends):
+        # Eight times the requests may add a few look-back rounds (log2 of
+        # the longest reuse gap) and MTL buckets, never a call per access
+        # or per run head.  The DRAM bus recurrence is a call-free ``for``.
+        table, mtl, _ = backends
+        accelerator = ExmaAccelerator(table, mtl, _config(True, PagePolicy.DYNAMIC))
+        span = table.reference_length + 1
+        rng = np.random.default_rng(0)
+        keys = rng.choice(table.kmer_count * span, size=8 * 1500, replace=False)
+
+        def flush_of(count: int) -> WindowedBatch:
+            return WindowedBatch(np.sort(keys[:count]), span, batches=1, issued=count)
+
+        small, large = flush_of(1500), flush_of(8 * 1500)
+        accelerator.replay_flush(small)  # lazy per-table columns are built once
+        calls_small = _calls_made(accelerator.replay_flush, small)
+        calls_large = _calls_made(accelerator.replay_flush, large)
+        assert calls_large <= calls_small + 200, (calls_small, calls_large)

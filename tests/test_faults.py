@@ -185,10 +185,10 @@ class _PoisonEngine:
     def clone(self):
         return _PoisonEngine(self._engine.clone(), self._poison)
 
-    def search_batch(self, queries):
+    def search_batch(self, queries, **options):
         if self._poison in queries:
             raise ValueError(f"poisoned query {self._poison!r}")
-        return self._engine.search_batch(queries)
+        return self._engine.search_batch(queries, **options)
 
     def __getattr__(self, name):
         return getattr(self._engine, name)

@@ -1,13 +1,13 @@
-"""The optional numba fast paths and their pure-Python fallbacks.
+"""The optional numba fast path and its pure-Python fallback.
 
-:mod:`repro.hw.jit` compiles the two surviving scalar recurrences — the
-DRAM bus/bank/stream timing chain and the exact-LRU head pass — when
-numba is importable, and hands back ``None`` otherwise so the call sites
-keep their tuned numpy fallbacks.  The contract is **bit-identical
-outputs** on both paths; the jit-vs-fallback comparisons here only run
-where numba exists (the CI image), while the gate/dispatch tests run
-everywhere (the dev container has no numba, which is itself a covered
-configuration).
+:mod:`repro.hw.jit` compiles the one surviving scalar recurrence — the
+DRAM bus/bank/stream timing chain — when numba is importable, and hands
+back ``None`` otherwise so the call site keeps its tuned pure-Python
+loop.  The contract is **bit-identical outputs** on both paths; the
+jit-vs-fallback comparison here only runs where numba exists (the CI
+image), while the gate/dispatch tests run everywhere (the dev container
+has no numba, which is itself a covered configuration).  The LRU cache
+simulation is state-free array code with nothing to compile.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ class TestNumbaGate:
         compiled = hw_jit.jit_recurrence(lambda x: x)
         assert (compiled is not None) == hw_jit.HAVE_NUMBA
 
-    def test_module_level_jits_consistent(self):
-        """The dram/cache modules hold a jit exactly when numba loaded."""
+    def test_module_level_jit_consistent(self):
+        """The dram module holds a jit exactly when numba loaded."""
         assert (hw_dram._bus_recurrence_jit is not None) == hw_jit.HAVE_NUMBA
-        assert (hw_cache._lru_heads_jit is not None) == hw_jit.HAVE_NUMBA
 
 
 def _bus_columns(rng, n=400, bank_count=8, stream_count=5):
@@ -47,8 +46,8 @@ def _bus_columns(rng, n=400, bank_count=8, stream_count=5):
 
 @pytest.mark.skipif(not hw_jit.HAVE_NUMBA, reason="numba absent or disabled")
 class TestJitEqualsFallback:
-    """Where numba exists, the compiled recurrences must be bit-identical
-    to the pure-Python originals on arbitrary valid columns."""
+    """Where numba exists, the compiled recurrence must be bit-identical
+    to the pure-Python original on arbitrary valid columns."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bus_recurrence(self, seed):
@@ -56,22 +55,6 @@ class TestJitEqualsFallback:
         assert int(hw_dram._bus_recurrence_jit(*args)) == int(
             hw_dram._bus_recurrence(*args)
         )
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_lru_heads(self, seed):
-        rng = np.random.default_rng(seed)
-        group_count, associativity = 6, 4
-        head_tags = np.ascontiguousarray(rng.integers(0, 12, 300), dtype=np.int64)
-        group_of_head = np.ascontiguousarray(
-            rng.integers(0, group_count, 300), dtype=np.int64
-        )
-        jit_hits = hw_cache._lru_heads_jit(
-            head_tags, group_of_head, associativity, group_count
-        )
-        py_hits = hw_cache._lru_heads(
-            head_tags, group_of_head, associativity, group_count
-        )
-        assert np.array_equal(jit_hits, py_hits)
 
 
 class TestPublicDispatch:

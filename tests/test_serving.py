@@ -339,6 +339,24 @@ class TestOfflineEquivalence:
                 outcome.interval for outcome in group_outcomes
             ] == offline_engine.search_batch(group).intervals
 
+    @pytest.mark.parametrize("replayed", [True, False])
+    def test_search_is_priced_only_without_an_accelerator(self, serving_stack, replayed):
+        """A served batch whose flush is replayed skips the search-side
+        cost accounting: the replay prices every merged request itself."""
+        reference, backend, accelerator = serving_stack
+        asked = []
+
+        class Recording(QueryEngine):
+            def search_batch(self, queries, priced=True):
+                asked.append(priced)
+                return super().search_batch(queries, priced=priced)
+
+        queries = random_queries(reference, count=6, length=14, seed=9)
+        with QueryService(Recording(backend), accelerator if replayed else None) as service:
+            outcomes = service.submit(queries).result(timeout=TIMEOUT)
+        assert asked == [not replayed]
+        assert all(outcome.ok for outcome in outcomes)
+
     def test_search_only_service_matches_engine(self, serving_stack):
         reference, backend, _ = serving_stack
         queries = random_queries(reference, count=10, length=14, seed=5)

@@ -408,6 +408,31 @@ class TestEngineDispatch:
         ]
         assert_stats_identical(serial.stats, wide.stats)
 
+    @pytest.mark.parametrize("name", ["exma", "exma-mtl", "lisa-learned"])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_unpriced_search_keeps_answers_and_stream(self, case, backends, name, shards):
+        """``priced=False`` drops the lockstep steps' cost accounting only:
+        intervals, coalescing counters and the request stream are those of
+        the priced search, serial or sharded, and the cost counters cover
+        the partial-chunk tails alone."""
+        _, queries = case
+        backend = backends[name]
+        priced = QueryEngine(backend, shards=1).search_batch(queries)
+        engine = ShardedQueryEngine(backend, shards=shards, executor="thread")
+        unpriced = engine.search_batch(queries, priced=False)
+        assert unpriced.intervals == priced.intervals
+        assert not unpriced.stats.priced and priced.stats.priced
+        for field in STATS_FIELDS[:6]:
+            assert getattr(unpriced.stats, field) == getattr(priced.stats, field), field
+        assert unpriced.stats.requests == priced.stats.requests
+        traced = BatchStats(trace=BatchTrace())
+        backend.search_batch(queries, traced)
+        tails = traced.trace.tail_contributions
+        assert unpriced.stats.increment_entries_read == 0
+        assert unpriced.stats.index_predictions == sum(t.predictions for t in tails)
+        assert unpriced.stats.binary_comparisons == sum(t.comparisons for t in tails)
+        assert unpriced.stats.prediction_errors == [e for t in tails for e in t.errors]
+
     def test_find_batch_and_wrappers_route_through_sharded_path(self, case):
         reference, queries = case
         backend = FMIndexBackend(reference)

@@ -159,6 +159,40 @@ class TestColumnarFlush:
         assert merged.unique == 2
         assert merged.requests == (R(2, 3), R(5, 7))
 
+    def test_mixed_span_merge_equals_pairwise_dedupe(self):
+        from repro.engine import RequestStream
+
+        # Three batches, several chunks each, packed under spans 8, 50 and
+        # 1000, with pairs repeated inside a chunk, across chunks and
+        # across spans: the merge must equal the sorted set of pairs.
+        rng = np.random.default_rng(4)
+        window = CoalescingWindow(3)
+        pairs: set[tuple[int, int]] = set()
+        merged = None
+        for span in (8, 50, 1000):
+            stream = RequestStream()
+            for _ in range(3):
+                kmers = rng.integers(0, 6, 40)
+                positions = rng.integers(0, 8, 40)
+                stream.append_step(np.sort(kmers * span + positions), span)
+                pairs.update(zip(kmers.tolist(), positions.tolist()))
+            merged = window.push(stream)
+        assert merged is not None
+        assert merged.span == 1000 and merged.issued == 360
+        assert list(zip(merged.kmers.tolist(), merged.positions.tolist())) == sorted(pairs)
+
+    def test_all_duplicate_window_keeps_one_copy(self):
+        batch = [R(3, 1), R(1, 9), R(2, 0)]
+        window = CoalescingWindow(4)
+        for _ in range(3):
+            assert window.push(list(batch)) is None
+        merged = window.push(list(batch))
+        assert merged is not None
+        assert merged.requests == (R(1, 9), R(2, 0), R(3, 1))
+        assert (merged.issued, merged.unique, merged.merged) == (12, 3, 9)
+        single = CoalescingWindow(1).push([R(7, 7)] * 5)
+        assert single is not None and single.keys.tolist() == [7 * single.span + 7]
+
     def test_windowed_batch_is_a_sequence(self):
         flushed = CoalescingWindow(1).push([R(4, 2), R(1, 1)])
         assert flushed is not None

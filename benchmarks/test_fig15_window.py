@@ -8,11 +8,12 @@ import os
 import pytest
 
 from repro.experiments import (
+    fig15_window,
     format_fig15,
     format_shard_scaling,
     run_fig15_window,
     run_shard_scaling,
-    write_shard_scaling_json,
+    write_record,
 )
 from repro.testing import run_once
 
@@ -66,7 +67,7 @@ def test_shard_scaling_recorded(report):
     """Record sharded-vs-serial wall clock (no speedup assertion for the
     forced rows: wall-clock wins additionally need hardware parallelism,
     which CI containers may not have; equivalence is asserted elsewhere)."""
-    rows = run_shard_scaling(
+    result = run_shard_scaling(
         genome_length=20_000,
         seed=0,
         shard_counts=(1, 2, 4),
@@ -74,8 +75,9 @@ def test_shard_scaling_recorded(report):
         repeats=3,
         include_forced=True,
     )
+    rows = result.rows
     report.append("")
-    report.append(format_shard_scaling(rows))
+    report.append(format_shard_scaling(result))
     assert all(row.seconds > 0 for row in rows)
     assert {row.executor for row in rows} == {"serial", "thread", "process"}
     assert {row.forced for row in rows} == {False, True}
@@ -97,21 +99,22 @@ def test_shard_scaling_recorded(report):
 
 
 def test_shard_scaling_json_record(tmp_path, report):
-    """The committed BENCH_shard_scaling.json record round-trips with the
-    workload, host CPU count and one entry per row."""
-    rows = run_shard_scaling(
+    """The shard-scaling record round-trips through the one writer with
+    the workload, the host block and one entry per row."""
+    result = run_shard_scaling(
         genome_length=12_000, seed=0, shard_counts=(1, 2), batch_size=64, repeats=1
     )
+    rows = result.rows
     path = tmp_path / "shard_scaling.json"
-    record = write_shard_scaling_json(
-        str(path), rows, genome_length=12_000, batch_size=64, query_length=48
-    )
+    record = write_record(str(path), fig15_window.record(result))
     loaded = json.loads(path.read_text())
     assert loaded == record
     assert loaded["benchmark"] == "shard_scaling"
-    assert loaded["workload"]["genome_length"] == 12_000
-    assert loaded["host_cpus"] == os.cpu_count()
-    assert loaded["available_cpus"] >= 1
+    assert loaded["workload"] == {
+        "genome_length": 12_000, "batch_size": 64, "query_length": 48, "seed": 0, "repeats": 1
+    }
+    assert loaded["host"]["host_cpus"] == os.cpu_count()
+    assert loaded["host"]["available_cpus"] >= 1
     assert len(loaded["rows"]) == len(rows)
     for entry, row in zip(loaded["rows"], rows):
         assert entry["shards"] == row.shards

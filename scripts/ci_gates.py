@@ -17,8 +17,14 @@ Gate specs take the form ``NAME[=RECORD][:OPT[=VALUE]...]``::
 Bare comma-separated names run against each gate's committed default
 record (``--gate replay,serving,dse``).  ``--list`` prints the registry.
 
+Every record is the one envelope ``repro.experiments.record`` writes;
+:func:`load_record` refuses anything else, so each gate is also the
+schema gate.  ``bench-diff`` compares the ``headlines`` the writer
+declared — this script knows no benchmark's row shape for that.
+
 Exit codes: 0 when every requested gate holds, 1 on any violation, 2 on
-malformed input (unknown gate, unreadable record, bad option).
+malformed input (unknown gate, unreadable or envelope-less record, bad
+option).
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ REQUIRED_ARRIVALS = ("poisson", "bursty")
 
 #: Largest tolerated relative cycle increase within the window sweep.
 CYCLE_SLACK = 0.02
+
+#: What every record must carry (the ``repro.experiments.record`` envelope).
+ENVELOPE_KEYS = ("benchmark", "host", "workload", "headlines")
 
 #: Largest tolerated relative drop of a committed numeric headline in
 #: ``bench-diff`` (wall-clock numbers re-recorded on another host move;
@@ -86,7 +95,9 @@ class GateRun:
 
 
 def load_record(path: "str | None") -> dict:
-    """Load a benchmark record, mapping any I/O or JSON error to exit 2."""
+    """Load a benchmark record, mapping any I/O, JSON or envelope error
+    (a record that does not say which benchmark, host and workload
+    produced it, or declares no headlines) to exit 2."""
     if not path:
         raise GateInputError("this gate needs a record path (NAME=RECORD)")
     try:
@@ -96,6 +107,9 @@ def load_record(path: "str | None") -> dict:
         raise GateInputError(f"cannot read {path}: {error}") from None
     if not isinstance(record, dict):
         raise GateInputError(f"{path}: expected a JSON object record")
+    missing = [key for key in ENVELOPE_KEYS if key not in record]
+    if missing:
+        raise GateInputError(f"{path}: not a benchmark record, missing {missing}")
     return record
 
 
@@ -180,9 +194,10 @@ def gate_replay_scaling(run: GateRun) -> None:
     record = load_record(run.record_path)
     require_speedup = run.flag("require-speedup")
     min_speedup = run.number("min-speedup", 1.0)
+    host = record["host"]
     for key in ("host_cpus", "available_cpus"):
-        if not isinstance(record.get(key), int) or record[key] < 1:
-            run.fail(f"record is missing a positive top-level {key!r}")
+        if not isinstance(host.get(key), int) or host[key] < 1:
+            run.fail(f"record's host block is missing a positive {key!r}")
     scaling = record.get("replay_scaling")
     rows = scaling.get("rows", []) if isinstance(scaling, dict) else []
     if not rows:
@@ -227,8 +242,8 @@ def gate_replay_scaling(run: GateRun) -> None:
     if require_speedup:
         verdict += f" and the widest sweep beats {min_speedup:.2f}x"
     run.ok(
-        f"{verdict} (host_cpus={record.get('host_cpus')}, "
-        f"available_cpus={record.get('available_cpus')})"
+        f"{verdict} (host_cpus={host.get('host_cpus')}, "
+        f"available_cpus={host.get('available_cpus')})"
     )
 
 
@@ -275,12 +290,13 @@ def gate_window(run: GateRun) -> None:
 
 @register(
     "shard-speedup",
-    "BENCH_shard_scaling.json",
-    "a forced thread-shard split beats serial wall-clock on a multicore host",
+    None,
+    "a forced thread-shard split beats serial wall-clock on a multicore host "
+    "(no committed record: pass shard-speedup=RECORD, as the multicore CI leg does)",
 )
 def gate_shard_speedup(run: GateRun) -> None:
     record = load_record(run.record_path)
-    cpus = record.get("available_cpus") or record.get("host_cpus") or 1
+    cpus = record["host"].get("available_cpus") or record["host"].get("host_cpus") or 1
     rows = [
         row
         for row in record.get("rows", [])
@@ -650,77 +666,71 @@ def gate_chaos(run: GateRun) -> None:
 # --------------------------------------------------------------------- #
 
 
-def _diff_metrics(record: dict) -> "list[tuple[str, object, str]]":
-    """Headline metrics of one record as (name, value, kind) triples.
+def _headlines(record: dict) -> dict:
+    """A record's declared headlines as ``{name: (value, kind)}``."""
+    return {
+        entry["name"]: (entry["value"], entry["kind"]) for entry in record["headlines"]
+    }
 
-    Kinds: ``bool`` must never flip true -> false, ``higher`` regresses
-    downward, ``lower`` regresses upward.  Only invariants and headline
-    numbers are diffed — other raw timings and host-shape fields move
-    freely.
+
+def diff_headlines(
+    run: GateRun, path: str, old: "dict | None", new: dict, base: str, tolerance: float
+) -> None:
+    """Compare one record's declared headlines against its *base* copy.
+
+    Kinds: a ``bool`` must never flip true -> false (or vanish),
+    ``higher`` regresses downward, ``lower`` regresses upward, both
+    beyond *tolerance*.  Only what the writer declared is diffed — raw
+    timings and host-shape fields move freely.  A file absent at the
+    base, or one that predates declared headlines, diffs nothing.
     """
-    kind = record.get("benchmark")
-    metrics: list = []
-    if kind == "accel_replay":
-        for row in record.get("rows", []):
-            label = row.get("label", "?")
-            metrics.append((f"{label}.results_equal", row.get("results_equal"), "bool"))
-            metrics.append((f"{label}.speedup", row.get("speedup"), "higher"))
-            # The speedup's denominator: the columnar replay's own
-            # wall-clock, which a faster object path would otherwise hide.
-            metrics.append(
-                (f"{label}.columnar_seconds", row.get("columnar_seconds"), "lower")
-            )
-        for row in (record.get("replay_scaling") or {}).get("rows", []):
-            label = f"scaling.{row.get('label', '?')}"
-            name = f"{label}@w{row.get('replay_workers')}"
-            metrics.append((f"{name}.results_equal", row.get("results_equal"), "bool"))
-            # Search + replay wall-clock is a headline (ROADMAP item B);
-            # search alone is the same number on every row of a label.
-            metrics.append((f"{name}.pipeline_seconds", row.get("pipeline_seconds"), "lower"))
-            if row.get("replay_workers") == 1:
-                metrics.append((f"{label}.search_seconds", row.get("search_seconds"), "lower"))
-    elif kind == "shard_scaling":
-        for row in record.get("rows", []):
-            if not row.get("forced") or row.get("executor") != "thread":
-                continue
-            metrics.append(
-                (f"forced-thread-{row.get('shards')}.speedup", row.get("speedup"), "higher")
-            )
-    elif kind == "window_capacity":
-        metrics.append(
-            ("w1_matches_unwindowed", record.get("w1_matches_unwindowed"), "bool")
+    if old is None:
+        run.emit(f"{path}: new benchmark (absent at {base}) — nothing to diff")
+        return
+    if "headlines" not in old:
+        run.emit(f"{path}: {base} copy predates declared headlines — nothing to diff")
+        return
+    old_metrics, new_metrics = _headlines(old), _headlines(new)
+    changed = []
+    for name, (value, kind) in new_metrics.items():
+        old_value = old_metrics.get(name, (None, kind))[0]
+        if old_value != value:
+            changed.append((name, old_value, value, kind))
+    removed = [
+        (name, value, None, kind)
+        for name, (value, kind) in old_metrics.items()
+        if name not in new_metrics
+    ]
+    if not changed and not removed:
+        run.emit(f"{path}: headline metrics unchanged vs {base}")
+        return
+    run.emit(f"{path} vs {base}:")
+    run.emit(f"  {'metric':<52s} {'old':>12s} {'new':>12s} {'delta':>8s}")
+    for name, old_value, new_value, kind in changed + removed:
+        delta = ""
+        regressed = False
+        if new_value is None:
+            delta = "gone"
+            regressed = kind == "bool" and bool(old_value)
+        elif kind == "bool":
+            regressed = bool(old_value) and not bool(new_value)
+        elif isinstance(old_value, (int, float)) and isinstance(new_value, (int, float)):
+            if old_value:
+                relative = (new_value - old_value) / abs(old_value)
+                delta = f"{relative:+.1%}"
+                if kind == "higher":
+                    regressed = relative < -tolerance
+                elif kind == "lower":
+                    regressed = relative > tolerance
+        run.emit(
+            f"  {name:<52s} {str(old_value):>12s} {str(new_value):>12s} {delta:>8s}"
+            + ("  <-- REGRESSED" if regressed else "")
         )
-        for row in record.get("rows", []):
-            window = row.get("window")
-            metrics.append((f"W{window}.mbase_per_second", row.get("mbase_per_second"), "higher"))
-            metrics.append((f"W{window}.total_cycles", row.get("total_cycles"), "lower"))
-    elif kind == "serving":
-        for row in record.get("rows", []):
-            name = f"{row.get('arrival')}x{row.get('workers', 1)}"
-            metrics.append((f"{name}.mbase_per_second", row.get("mbase_per_second"), "higher"))
-            metrics.append(
-                (f"{name}.completed_all", row.get("completed") == row.get("accepted"), "bool")
+        if regressed:
+            run.fail(
+                f"{path}: {name} regressed {old_value!r} -> {new_value!r} "
+                f"(kind={kind}, tolerance {tolerance:.0%})"
             )
-    elif kind == "chaos":
-        metrics.append(
-            ("fault_free.identical", (record.get("fault_free") or {}).get("identical"), "bool")
-        )
-        for row in record.get("rows", []):
-            label = row.get("label", "?")
-            metrics.append((f"{label}.availability", row.get("availability"), "higher"))
-            metrics.append((f"{label}.stranded_zero", row.get("stranded") == 0, "bool"))
-    elif kind == "dse":
-        metrics.append(
-            ("baseline.matches_run", (record.get("baseline") or {}).get("matches_run"), "bool")
-        )
-        metrics.append(("frontier.size", len(record.get("frontier", [])), "higher"))
-        for point in record.get("frontier", []):
-            label = point.get("label", "?")
-            metrics.append((f"{label}.rederived_equal", point.get("rederived_equal"), "bool"))
-            metrics.append((f"{label}.mbase_per_second", point.get("mbase_per_second"), "higher"))
-            metrics.append((f"{label}.energy_per_base_nj", point.get("energy_per_base_nj"), "lower"))
-            metrics.append((f"{label}.area_mm2", point.get("area_mm2"), "lower"))
-    return metrics
 
 
 def _git_show(ref: str, path: str) -> "dict | None":
@@ -760,53 +770,7 @@ def gate_bench_diff(run: GateRun) -> None:
         raise GateInputError("no committed BENCH_*.json records to diff")
 
     for path in files:
-        old = _git_show(base, path)
-        if old is None:
-            run.emit(f"{path}: new benchmark (absent at {base}) — nothing to diff")
-            continue
-        new = load_record(path)
-        old_metrics = dict((name, (value, kind)) for name, value, kind in _diff_metrics(old))
-        changed = []
-        for name, value, kind in _diff_metrics(new):
-            old_value = old_metrics.get(name, (None, kind))[0]
-            if old_value == value:
-                continue
-            changed.append((name, old_value, value, kind))
-        removed = [
-            (name, value, None, kind)
-            for name, (value, kind) in old_metrics.items()
-            if name not in {name for name, _, _ in _diff_metrics(new)}
-        ]
-        if not changed and not removed:
-            run.emit(f"{path}: headline metrics unchanged vs {base}")
-            continue
-        run.emit(f"{path} vs {base}:")
-        run.emit(f"  {'metric':<52s} {'old':>12s} {'new':>12s} {'delta':>8s}")
-        for name, old_value, new_value, kind in changed + removed:
-            delta = ""
-            regressed = False
-            if new_value is None:
-                delta = "gone"
-                regressed = kind == "bool" and bool(old_value)
-            elif kind == "bool":
-                regressed = bool(old_value) and not bool(new_value)
-            elif isinstance(old_value, (int, float)) and isinstance(new_value, (int, float)):
-                if old_value:
-                    relative = (new_value - old_value) / abs(old_value)
-                    delta = f"{relative:+.1%}"
-                    if kind == "higher":
-                        regressed = relative < -tolerance
-                    elif kind == "lower":
-                        regressed = relative > tolerance
-            run.emit(
-                f"  {name:<52s} {str(old_value):>12s} {str(new_value):>12s} {delta:>8s}"
-                + ("  <-- REGRESSED" if regressed else "")
-            )
-            if regressed:
-                run.fail(
-                    f"{path}: {name} regressed {old_value!r} -> {new_value!r} "
-                    f"(kind={kind}, tolerance {tolerance:.0%})"
-                )
+        diff_headlines(run, path, _git_show(base, path), load_record(path), base, tolerance)
     run.ok(f"no committed benchmark headline regressed vs {base}")
 
 

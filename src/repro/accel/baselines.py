@@ -214,7 +214,6 @@ class AcceleratorModel:
             the Fig. 7 address-bus bubbles under chip-level parallelism.
         row_cycle_cycles: bank occupancy per lookup in DRAM cycles
             (tRCD + tCAS + burst + tRP for close page).
-        chip_level_parallelism: MEDAL-style per-chip activation.
         device_power_w: accelerator power (Table II "Acc Power").
         internal_memory_gb: on-accelerator memory (FindeR's 2.6 GB ReRAM);
             lookups that miss it pay an extra external access.
@@ -232,7 +231,6 @@ class AcceleratorModel:
     commands_per_lookup: float = 3.0
     bus_conflict_factor: float = 1.0
     row_cycle_cycles: int = 52
-    chip_level_parallelism: bool = False
     device_power_w: float = 10.0
     internal_memory_gb: float = 0.0
     fetched_bytes_per_lookup: float | None = None
@@ -410,7 +408,6 @@ def medal_model() -> AcceleratorModel:
         commands_per_lookup=3.0,
         bus_conflict_factor=7.85,
         row_cycle_cycles=52,
-        chip_level_parallelism=True,
         device_power_w=0.011,
         fetched_bytes_per_lookup=128.0,
     )

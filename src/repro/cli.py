@@ -1,18 +1,12 @@
 """Command-line interface for the EXMA reproduction.
 
-Five subcommands cover the common workflows without writing Python:
-
-* ``repro-exma search``    — build an EXMA table over a FASTA reference (or
-  a synthetic one) and run exact-match queries against it;
-* ``repro-exma experiment``— run one of the per-figure experiment harnesses
-  and print the paper-style output;
-* ``repro-exma serve``     — run the always-on serving layer over stdin
-  queries (one per line, optionally ``tenant<TAB>query``), with dynamic
-  batching and per-flush accelerator replay;
-* ``repro-exma serving-bench`` — measure the serving layer under open-loop
-  Poisson/bursty load and record ``BENCH_serving.json``;
-* ``repro-exma info``      — print the paper-scale size models for a chosen
-  genome length and step number.
+``repro-exma --help`` lists the sub-commands; ``repro-exma experiment
+--help`` lists the experiments.  Neither list is repeated here: the
+sub-commands are built in :func:`build_parser`, and every experiment —
+its flags, its runner, its record and its failure conditions — is one
+entry of :data:`repro.experiments.registry.EXPERIMENTS`, from which this
+module derives one sub-parser each (``serving-bench`` is a second
+spelling of the registry's ``serving`` entry).
 
 Example::
 
@@ -32,6 +26,15 @@ import sys
 from typing import Sequence
 
 from .engine import QueryEngine, available_backends
+from .experiments.common import scaled_config
+from .experiments.record import write_record
+from .experiments.registry import (
+    EXPERIMENTS,
+    Experiment,
+    add_serving_flags,
+    add_sharding_flags,
+    experiment_named,
+)
 from .exma.table import exma_size_breakdown
 from .genome.io import read_fasta
 from .genome.sequence import random_genome
@@ -40,25 +43,6 @@ from .lisa.ipbwt import lisa_size_bytes
 from .runtime import EXECUTORS
 
 GB = 1024**3
-
-#: Experiments runnable from the CLI, mapped to their harness entry points.
-EXPERIMENT_NAMES = (
-    "accel-replay",
-    "chaos",
-    "dse",
-    "fig1",
-    "fig6",
-    "fig10",
-    "fig13",
-    "fig15-window",
-    "fig18",
-    "fig18-batching",
-    "fig18-window",
-    "fig21",
-    "fig23",
-    "shard-scaling",
-    "table2",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,115 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="search backend (default: exma-mtl, or exma with --no-index)",
     )
     search.add_argument("--queries", nargs="+", required=True, help="DNA queries to search")
-    _add_sharding_flags(search)
+    add_sharding_flags(search)
 
     experiment = subparsers.add_parser("experiment", help="run one paper experiment")
-    experiment.add_argument("name", choices=EXPERIMENT_NAMES, help="experiment to run")
-    experiment.add_argument("--genome-length", type=int, default=20_000)
-    experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument(
-        "--window",
-        type=int,
-        default=8,
-        help="largest coalescing window W for fig15-window and fig18-window "
-        "(sweeps powers of two up to W)",
-    )
-    experiment.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="queries per batch (default: 256 for shard-scaling, 64 for "
-        "fig18-window, 2000 for accel-replay)",
-    )
-    experiment.add_argument(
-        "--batch-count",
-        type=int,
-        default=None,
-        help="consecutive query batches for fig18-window (default: 16)",
-    )
-    experiment.add_argument(
-        "--query-length",
-        type=int,
-        default=None,
-        help="query length for shard-scaling, fig18-window and accel-replay "
-        "(default: 48)",
-    )
-    experiment.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing repeats (best-of) for shard-scaling",
-    )
-    experiment.add_argument(
-        "--megabase-length",
-        type=int,
-        default=0,
-        help="accel-replay: also measure a megabase-scale row over a reference "
-        "of this many bp (0 disables; the recorded benchmark uses 1000000)",
-    )
-    experiment.add_argument(
-        "--replay-workers",
-        default=None,
-        metavar="N[,N...]",
-        help="replay-pool workers: a comma-separated sweep for accel-replay "
-        "(default: 1,2,4) or a single count for fig18-window (default: "
-        "REPRO_DEFAULT_REPLAY_WORKERS or serial)",
-    )
-    experiment.add_argument(
-        "--replay-executor",
-        choices=EXECUTORS,
-        default=None,
-        help="worker pool kind for --replay-workers "
-        "(default: REPRO_DEFAULT_EXECUTOR or thread)",
-    )
-    experiment.add_argument(
-        "--replay-batches",
-        type=int,
-        default=8,
-        help="accel-replay: query batches streamed through the replay-scaling "
-        "sweep (each batch's flush is one parallel epoch)",
-    )
-    experiment.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.2,
-        help="chaos: per-probe Bernoulli fault rate for the injected scenarios",
-    )
-    experiment.add_argument(
-        "--chaos-rate",
-        type=float,
-        default=400.0,
-        help="chaos: mean client arrivals per second of the open-loop load",
-    )
-    experiment.add_argument(
-        "--chaos-duration",
-        type=float,
-        default=0.5,
-        help="chaos: offered-load horizon in seconds per scenario",
-    )
-    experiment.add_argument(
-        "--grid",
-        default=None,
-        metavar="SPEC",
-        help="dse: the sweep grid as ';'-separated axes, e.g. "
-        '"cam=64,128;base_ways=4,8;page=close,dynamic;window=1,2;mtl=16,64" '
-        "(default: the built-in 4-knob toy grid)",
-    )
-    experiment.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="dse: design-point jobs running concurrently on the worker "
-        "pool (--replay-executor picks the pool kind; default: serial)",
-    )
-    experiment.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the shard-scaling / window-capacity / accel-replay "
-        "/ dse record to PATH as JSON",
-    )
-    _add_sharding_flags(experiment)
+    names = experiment.add_subparsers(dest="name", required=True, metavar="NAME")
+    for entry in EXPERIMENTS:
+        _add_experiment_parser(names, entry.name, entry)
+    _add_experiment_parser(subparsers, "serving-bench", experiment_named("serving"))
 
     serve = subparsers.add_parser(
         "serve",
@@ -251,66 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed of the per-site fault-injection RNG streams",
     )
-    _add_serving_flags(serve)
-    _add_sharding_flags(serve)
-
-    bench = subparsers.add_parser(
-        "serving-bench",
-        help="measure the serving layer under open-loop Poisson/bursty load",
-    )
-    bench.add_argument("--genome-length", type=int, default=20_000)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--step", type=int, default=6, help="EXMA step number k")
-    bench.add_argument(
-        "--rate", type=float, default=500.0, help="mean client arrivals per second"
-    )
-    bench.add_argument(
-        "--duration", type=float, default=1.0, help="offered-load horizon in seconds"
-    )
-    bench.add_argument("--tenants", type=int, default=4, help="round-robin client tenants")
-    bench.add_argument(
-        "--queries-per-arrival", type=int, default=4, help="queries each arrival submits"
-    )
-    bench.add_argument("--query-length", type=int, default=28)
-    bench.add_argument(
-        "--pool-size", type=int, default=512, help="distinct queries in the Zipf pool"
-    )
-    bench.add_argument(
-        "--zipf-s", type=float, default=1.1, help="Zipf skew exponent of the query pool"
-    )
-    bench.add_argument(
-        "--workers",
-        default="1",
-        help="comma-separated batcher worker counts to sweep (e.g. 1,2,4)",
-    )
-    bench.add_argument(
-        "--rate-sweep",
-        default=None,
-        metavar="MULTIPLIERS",
-        help="comma-separated offered-load multipliers of --rate (e.g. "
-        "1,2,4,8,16); runs the saturation sweep to the knee and records "
-        "the rejection/latency-vs-load curves alongside the headline rows",
-    )
-    bench.add_argument(
-        "--sweep-duration",
-        type=float,
-        default=0.5,
-        help="offered-load horizon in seconds per saturation rung",
-    )
-    bench.add_argument(
-        "--sweep-queue-capacity",
-        type=int,
-        default=512,
-        help="admission-queue bound during the saturation sweep (tighter "
-        "than --queue-capacity so the top rung actually saturates)",
-    )
-    bench.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the serving record to PATH as JSON",
-    )
-    _add_serving_flags(bench)
+    add_serving_flags(serve)
+    add_sharding_flags(serve)
 
     info = subparsers.add_parser("info", help="print paper-scale size models")
     info.add_argument("--genome-length", type=int, default=3_000_000_000)
@@ -318,46 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
-    """The dynamic-batching knobs shared by serve and serving-bench."""
-    parser.add_argument(
-        "--max-batch", type=int, default=64, help="most queries per dynamic batch"
-    )
-    parser.add_argument(
-        "--max-delay",
-        type=float,
-        default=0.005,
-        help="admission window in seconds (longest a query waits for a batch)",
-    )
-    parser.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=4096,
-        help="bounded admission queue; submits beyond it are rejected",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=2,
-        help="coalescing window W (dynamic batches merged per flush replay)",
-    )
-
-
-def _add_sharding_flags(parser: argparse.ArgumentParser) -> None:
-    """The parallel-path knobs shared by search and experiment."""
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="split query batches across this many workers "
-        "(default: REPRO_DEFAULT_SHARDS or serial)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help="worker pool for --shards (default: REPRO_DEFAULT_EXECUTOR or thread)",
-    )
+def _add_experiment_parser(subparsers, name: str, entry: Experiment) -> None:
+    """One sub-parser per registry entry: its own flags, nothing foreign."""
+    parser = subparsers.add_parser(name)
+    entry.add_arguments(parser)
+    if entry.record is not None:
+        parser.add_argument(
+            "--json",
+            default=None,
+            metavar="PATH",
+            help=f"also write the {entry.name} record to PATH as JSON",
+        )
+    parser.set_defaults(entry=entry)
 
 
 def _load_reference(args: argparse.Namespace) -> str:
@@ -405,175 +201,18 @@ def _run_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_experiment(args: argparse.Namespace) -> int:
-    from . import experiments as ex
-
-    name = args.name
-    if name == "accel-replay":
-        replay_workers = (1, 2, 4)
-        if args.replay_workers:
-            replay_workers = _parse_csv(args.replay_workers, int, "--replay-workers")
-        result = ex.run_accel_replay(
-            genome_length=args.genome_length,
-            seed=args.seed,
-            query_count=args.batch_size or 2000,
-            query_length=args.query_length or 48,
-            repeats=args.repeats,
-            megabase_length=args.megabase_length,
-            replay_workers=replay_workers,
-            replay_executor=args.replay_executor or "thread",
-            replay_batches=args.replay_batches,
-        )
-        print(ex.format_accel_replay(result))
-        if args.json:
-            ex.write_accel_replay_json(args.json, result)
-            print(f"wrote {args.json}")
-        if not all(row.results_equal for row in result.rows):
-            print("ERROR: columnar replay diverged from the object reference")
-            return 1
-        if not all(row.results_equal for row in result.scaling_rows):
-            print("ERROR: parallel replay diverged from the serial epoch order")
-            return 1
-    elif name == "chaos":
-        result = ex.run_chaos(
-            genome_length=args.genome_length,
-            seed=args.seed,
-            rate=args.chaos_rate,
-            duration=args.chaos_duration,
-            fault_rate=args.fault_rate,
-        )
-        print(ex.format_chaos(result))
-        if args.json:
-            ex.write_chaos_json(args.json, result)
-            print(f"wrote {args.json}")
-        if any(row.stranded for row in result.rows):
-            print("ERROR: a chaos scenario stranded accepted queries")
-            return 1
-        if not result.fault_free_identical:
-            print("ERROR: the fault-free scenario diverged from the clean run")
-            return 1
-    elif name == "dse":
-        result = ex.run_dse(
-            genome_length=args.genome_length,
-            seed=args.seed,
-            query_count=args.batch_size or 800,
-            query_length=args.query_length or 48,
-            batches=args.batch_count or 8,
-            grid=args.grid,
-            workers=args.workers or 1,
-            executor=args.replay_executor or "thread",
-        )
-        print(ex.format_dse(result))
-        if args.json:
-            ex.write_dse_json(args.json, result)
-            print(f"wrote {args.json}")
-        if not result.baseline_matches_run:
-            print("ERROR: baseline design point diverged from ExmaAccelerator.run")
-            return 1
-        if not all(point.rederived_equal for point in result.frontier):
-            print("ERROR: a frontier point did not re-derive bit-identically")
-            return 1
-    elif name == "fig1":
-        print(ex.format_fig1(ex.run_fig1(genome_length=args.genome_length, seed=args.seed)))
-    elif name == "fig6":
-        result = ex.run_fig6(genome_length=args.genome_length, seed=args.seed)
-        print("CPU throughput normalised to FM-1:")
-        for scheme, value in result.cpu_throughput_normalised.items():
-            print(f"  {scheme:10s} {value:5.2f}x")
-    elif name == "fig10":
-        result = ex.run_fig10(genome_length=args.genome_length, seed=args.seed)
-        print("throughput normalised to LISA-21:")
-        for scheme, value in result.throughput_normalised.items():
-            print(f"  {scheme:9s} {value:5.2f}x")
-    elif name == "fig13":
-        print(ex.format_fig13(ex.run_fig13(genome_length=args.genome_length, seed=args.seed)))
-    elif name == "fig15-window":
-        windows = [1]
-        while windows[-1] * 2 <= max(1, args.window):
-            windows.append(windows[-1] * 2)
-        result = ex.run_fig15_window(
-            genome_length=args.genome_length,
-            seed=args.seed,
-            windows=tuple(windows),
-            shards=args.shards,
-            executor=args.executor,
-        )
-        print(ex.format_fig15(result))
-    elif name == "fig18":
-        print(ex.format_fig18(ex.run_fig18(genome_length=args.genome_length, seed=args.seed)))
-    elif name == "fig18-window":
-        windows = [1]
-        while windows[-1] * 2 <= max(1, args.window):
-            windows.append(windows[-1] * 2)
-        query_length = args.query_length or 48
-        replay_workers = None
-        if args.replay_workers:
-            values = _parse_csv(args.replay_workers, int, "--replay-workers")
-            if len(values) != 1:
-                raise SystemExit("fig18-window takes a single --replay-workers count")
-            replay_workers = values[0]
-        result = ex.run_fig18_window(
-            genome_length=args.genome_length,
-            seed=args.seed,
-            windows=tuple(windows),
-            batch_count=args.batch_count or 16,
-            batch_size=args.batch_size or 64,
-            query_length=query_length,
-            replay_workers=replay_workers,
-            replay_executor=args.replay_executor,
-        )
-        print(ex.format_fig18_window(result))
-        if args.json:
-            ex.write_window_capacity_json(
-                args.json, result, seed=args.seed, query_length=query_length
-            )
-            print(f"wrote {args.json}")
-        if not result.w1_matches_unwindowed:
-            print("ERROR: W=1 sweep diverged from the unwindowed per-batch path")
-            return 1
-    elif name == "fig18-batching":
-        print(
-            ex.format_fig18_batching(
-                ex.run_fig18_batching(genome_length=args.genome_length, seed=args.seed)
-            )
-        )
-    elif name == "shard-scaling":
-        shard_counts = tuple(sorted({1, 2, args.shards or 4}))
-        executors = (args.executor,) if args.executor else ("thread", "process")
-        batch_size = args.batch_size or 256
-        query_length = args.query_length or 48
-        rows = ex.run_shard_scaling(
-            genome_length=args.genome_length,
-            seed=args.seed,
-            shard_counts=shard_counts,
-            executors=executors,
-            batch_size=batch_size,
-            query_length=query_length,
-            repeats=args.repeats,
-            include_forced=True,
-        )
-        print(ex.format_shard_scaling(rows))
-        if args.json:
-            ex.write_shard_scaling_json(
-                args.json,
-                rows,
-                genome_length=args.genome_length,
-                batch_size=batch_size,
-                query_length=query_length,
-                seed=args.seed,
-                repeats=args.repeats,
-            )
-            print(f"wrote {args.json}")
-    elif name == "fig21":
-        for device, value in ex.run_fig21().items():
-            print(f"  {device:6s} {value * 100:5.1f}%")
-    elif name == "fig23":
-        comparison = ex.run_fig23(genome_length=args.genome_length, seed=args.seed)
-        print(f"LISA-21 + BdI  : {comparison.lisa_bdi_gb:7.1f} GB")
-        print(f"EXMA-15 + CHAIN: {comparison.exma_chain_gb:7.1f} GB")
-    elif name == "table2":
-        print(ex.format_table2(ex.run_table2()))
-    return 0
+def _run_registered(args: argparse.Namespace) -> int:
+    """Run the registry entry the sub-parser selected."""
+    entry: Experiment = args.entry
+    result = entry.run(args)
+    print(entry.format(result))
+    if entry.record is not None and args.json:
+        write_record(args.json, entry.record(result))
+        print(f"wrote {args.json}")
+    failures = entry.verdict(result)
+    for failure in failures:
+        print(f"ERROR: {failure}")
+    return 1 if failures else 0
 
 
 def _run_serve(args: argparse.Namespace) -> int:
@@ -581,7 +220,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     from .accel.config import exma_full_config
     from .accel.exma_accelerator import ExmaAccelerator
     from .engine.backends import ExmaBackend
-    from .experiments.fig18_throughput import _scaled_config
     from .exma.table import ExmaTable
     from .faults import FaultPlan
     from .serving import QueryService, ServingConfig
@@ -593,7 +231,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     )
     accelerator = None
     if not args.no_accel:
-        accelerator = ExmaAccelerator(table, None, _scaled_config(exma_full_config()))
+        accelerator = ExmaAccelerator(table, None, scaled_config(exma_full_config()))
     faults = None
     if args.inject:
         try:
@@ -663,70 +301,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_csv(text: str, cast, flag: str) -> tuple:
-    """Parse a comma-separated CLI value like ``1,2,4`` into a tuple."""
-    try:
-        values = tuple(cast(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise SystemExit(f"invalid {flag} value: {text!r}")
-    if not values:
-        raise SystemExit(f"{flag} needs at least one value")
-    return values
-
-
-def _run_serving_bench(args: argparse.Namespace) -> int:
-    from . import experiments as ex
-
-    workers = _parse_csv(args.workers, int, "--workers")
-    result = ex.run_serving_bench(
-        genome_length=args.genome_length,
-        seed=args.seed,
-        rate=args.rate,
-        duration=args.duration,
-        tenants=args.tenants,
-        queries_per_arrival=args.queries_per_arrival,
-        query_length=args.query_length,
-        pool_size=args.pool_size,
-        zipf_s=args.zipf_s,
-        k=args.step,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay,
-        window=args.window,
-        queue_capacity=args.queue_capacity,
-        workers=workers,
-    )
-    print(ex.format_serving(result))
-    saturation = None
-    if args.rate_sweep:
-        multipliers = _parse_csv(args.rate_sweep, float, "--rate-sweep")
-        saturation = ex.run_saturation_sweep(
-            genome_length=args.genome_length,
-            seed=args.seed,
-            base_rate=args.rate,
-            multipliers=multipliers,
-            duration=args.sweep_duration,
-            tenants=args.tenants,
-            queries_per_arrival=args.queries_per_arrival,
-            query_length=args.query_length,
-            pool_size=args.pool_size,
-            zipf_s=args.zipf_s,
-            k=args.step,
-            max_batch=args.max_batch,
-            max_delay=args.max_delay,
-            window=args.window,
-            queue_capacity=args.sweep_queue_capacity,
-            workers=workers,
-        )
-        print(ex.format_saturation(saturation))
-    if args.json:
-        ex.write_serving_json(args.json, result, saturation=saturation)
-        print(f"wrote {args.json}")
-    if any(row.completed < row.accepted for row in result.rows):
-        print("ERROR: accepted queries did not all complete")
-        return 1
-    return 0
-
-
 def _run_info(args: argparse.Namespace) -> int:
     length = args.genome_length
     step = args.step
@@ -746,17 +320,8 @@ def _run_info(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    if args.command == "search":
-        return _run_search(args)
-    if args.command == "experiment":
-        return _run_experiment(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "serving-bench":
-        return _run_serving_bench(args)
-    if args.command == "info":
-        return _run_info(args)
-    return 1  # pragma: no cover - argparse enforces the choices
+    handlers = {"search": _run_search, "serve": _run_serve, "info": _run_info}
+    return handlers.get(args.command, _run_registered)(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

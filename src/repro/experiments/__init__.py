@@ -1,34 +1,39 @@
-"""Experiment harnesses: one entry point per table/figure of the paper."""
+"""Experiment harnesses: one entry point per table/figure of the paper.
+
+:mod:`~repro.experiments.registry` lists them (the CLI derives its
+sub-commands from it) and :mod:`~repro.experiments.record` is the one
+writer every ``BENCH_*.json`` goes through.
+"""
 
 from .accel_replay import (
     AccelReplayResult,
     AccelReplayRow,
     ReplayScalingRow,
-    accel_replay_report,
     format_accel_replay,
     run_accel_replay,
-    write_accel_replay_json,
 )
 from .chaos import (
     ChaosResult,
     ChaosRow,
-    chaos_report,
     format_chaos,
     run_chaos,
-    write_chaos_json,
 )
-from .common import Workload, build_workload, sample_queries
+from .common import (
+    Workload,
+    build_serving_stack,
+    build_workload,
+    sample_queries,
+    scaled_config,
+)
 from .dse import (
     DseResult,
     DseRow,
     DseWorkload,
     FrontierPoint,
-    dse_frontier_report,
     format_dse,
     parse_grid,
     run_dse,
     run_dse_job,
-    write_dse_json,
 )
 from .fig01_breakdown import BreakdownRow, format_fig1, run_fig1
 from .fig06_prior import Fig6Result, run_fig6
@@ -38,21 +43,18 @@ from .fig13_index_error import ErrorComparison, Fig13Result, format_fig13, run_f
 from .fig15_window import (
     Fig15Result,
     Fig15Row,
+    ShardScalingResult,
     ShardScalingRow,
     format_fig15,
     format_shard_scaling,
     run_fig15_window,
     run_shard_scaling,
-    shard_scaling_report,
-    write_shard_scaling_json,
 )
 from .fig18_window import (
     Fig18WindowResult,
     Fig18WindowRow,
     format_fig18_window,
     run_fig18_window,
-    window_capacity_report,
-    write_window_capacity_json,
 )
 from .fig18_throughput import (
     BatchingRow,
@@ -72,10 +74,7 @@ from .serving import (
     ServingBenchRow,
     format_saturation,
     format_serving,
-    run_saturation_sweep,
     run_serving_bench,
-    serving_report,
-    write_serving_json,
 )
 from .fig21_23_memory import (
     CompressionComparison,
@@ -84,6 +83,8 @@ from .fig21_23_memory import (
     run_fig22,
     run_fig23,
 )
+from .record import Record, row_dict, write_record
+from .registry import EXPERIMENTS, Experiment, experiment_named
 from .tables import (
     Table1Result,
     Table2Row,
@@ -96,29 +97,25 @@ __all__ = [
     "AccelReplayResult",
     "AccelReplayRow",
     "ReplayScalingRow",
-    "accel_replay_report",
     "format_accel_replay",
     "run_accel_replay",
-    "write_accel_replay_json",
     "ChaosResult",
     "ChaosRow",
-    "chaos_report",
     "format_chaos",
     "run_chaos",
-    "write_chaos_json",
     "Workload",
+    "build_serving_stack",
     "build_workload",
     "sample_queries",
+    "scaled_config",
     "DseResult",
     "DseRow",
     "DseWorkload",
     "FrontierPoint",
-    "dse_frontier_report",
     "format_dse",
     "parse_grid",
     "run_dse",
     "run_dse_job",
-    "write_dse_json",
     "BreakdownRow",
     "format_fig1",
     "run_fig1",
@@ -136,13 +133,12 @@ __all__ = [
     "run_fig13",
     "Fig15Result",
     "Fig15Row",
+    "ShardScalingResult",
     "ShardScalingRow",
     "format_fig15",
     "format_shard_scaling",
     "run_fig15_window",
     "run_shard_scaling",
-    "shard_scaling_report",
-    "write_shard_scaling_json",
     "Fig18Result",
     "Fig18Row",
     "BatchingRow",
@@ -154,8 +150,6 @@ __all__ = [
     "Fig18WindowRow",
     "format_fig18_window",
     "run_fig18_window",
-    "window_capacity_report",
-    "write_window_capacity_json",
     "ApplicationOutcome",
     "Fig19_20Result",
     "format_fig19",
@@ -168,15 +162,18 @@ __all__ = [
     "ServingBenchRow",
     "format_saturation",
     "format_serving",
-    "run_saturation_sweep",
     "run_serving_bench",
-    "serving_report",
-    "write_serving_json",
     "CompressionComparison",
     "DsePoint",
     "run_fig21",
     "run_fig22",
     "run_fig23",
+    "Record",
+    "row_dict",
+    "write_record",
+    "EXPERIMENTS",
+    "Experiment",
+    "experiment_named",
     "Table1Result",
     "Table2Row",
     "format_table2",

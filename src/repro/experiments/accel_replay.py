@@ -21,7 +21,7 @@ workload's queries split into batches whose W=1 flush epochs fan across
 ``run_stream(replay_workers ∈ {1, 2, 4})``, every point verified
 field-for-field against the serial baseline and timed alongside the
 search that produced the streams (the whole-pipeline wall-clock).  The
-record carries ``host_cpus``/``available_cpus`` so a 1-CPU container
+record's ``host`` block carries the CPU counts, so a 1-CPU container
 records a truthful tie and the multicore CI leg gates real speedup
 (``scripts/ci_gates.py --gate replay-scaling``).
 Reproduce the committed record with::
@@ -33,7 +33,6 @@ Reproduce the committed record with::
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -45,18 +44,16 @@ from ..engine.window import CoalescingWindow
 from ..exma.mtl_index import MTLIndex
 from ..exma.table import ExmaTable
 from ..genome.datasets import build_dataset
-from ..runtime import host_block
-from .common import DEFAULT_STEP, sample_queries
-from .fig18_throughput import _scaled_config
+from .common import DEFAULT_STEP, sample_queries, scaled_config
+from .record import Record, row_dict
 
 __all__ = [
     "AccelReplayResult",
     "AccelReplayRow",
     "ReplayScalingRow",
-    "accel_replay_report",
     "format_accel_replay",
+    "record",
     "run_accel_replay",
-    "write_accel_replay_json",
 ]
 
 
@@ -297,7 +294,7 @@ def run_accel_replay(
         k,
         seed,
         repeats,
-        _scaled_config(exma_full_config()),
+        scaled_config(exma_full_config()),
         mtl_epochs,
         replay_workers=replay_workers,
         replay_executor=replay_executor,
@@ -352,12 +349,10 @@ def format_accel_replay(result: AccelReplayResult) -> str:
             f"{'yes' if row.results_equal else 'NO':>6s}"
         )
     if result.scaling_rows:
-        host = host_block()
         lines.append("")
         lines.append(
             f"epoch-parallel replay sweep ({result.replay_executor} executor, "
-            f"{result.replay_batches} flush epochs, best of {result.repeats}; "
-            f"host cpus={host['host_cpus']}, available={host['available_cpus']})"
+            f"{result.replay_batches} flush epochs, best of {result.repeats})"
         )
         lines.append(
             f"{'row':>9s} {'workers':>8s} {'serial s':>9s} {'parallel s':>11s} "
@@ -373,68 +368,47 @@ def format_accel_replay(result: AccelReplayResult) -> str:
     return "\n".join(lines)
 
 
-def accel_replay_report(result: AccelReplayResult, **workload) -> dict:
-    """The comparison as a JSON-ready record (``BENCH_accel_replay.json``).
+def record(result: AccelReplayResult) -> Record:
+    """``BENCH_accel_replay.json``: both sweeps, every timing best-of-repeats.
 
-    Follows ``BENCH_shard_scaling.json``'s honesty convention: the
-    record carries ``host_cpus``/``available_cpus`` and every timing is
-    best-of-repeats, so a 1-CPU container records a truthful ~1× tie in
-    the epoch-parallel sweep while the multicore CI leg gates real
-    speedup (``scripts/ci_gates.py --gate replay-scaling``).
+    The record's ``host`` block is what keeps the epoch-parallel sweep
+    honest: a 1–2 CPU container records a truthful ~1× tie while the
+    multicore CI leg gates real speedup
+    (``scripts/ci_gates.py --gate replay-scaling``).
     """
-    return {
-        "benchmark": "accel_replay",
-        **host_block(),
-        "workload": {
-            "k": result.k,
-            "query_length": result.query_length,
-            "seed": result.seed,
-            "repeats": result.repeats,
-            **dict(workload),
-        },
-        "rows": [
-            {
-                "label": row.label,
-                "genome_length": row.genome_length,
-                "queries": row.queries,
-                "requests": row.requests,
-                "dram_requests": row.dram_requests,
-                "total_cycles": row.total_cycles,
-                "object_seconds": row.object_seconds,
-                "columnar_seconds": row.columnar_seconds,
-                "speedup": round(row.speedup, 2),
-                "results_equal": row.results_equal,
-            }
-            for row in result.rows
-        ],
-        "replay_scaling": {
-            "executor": result.replay_executor,
-            "batches": result.replay_batches,
-            "rows": [
-                {
-                    "label": row.label,
-                    "replay_workers": row.replay_workers,
-                    "executor": row.executor,
-                    "flushes": row.flushes,
-                    "requests": row.requests,
-                    "serial_seconds": row.serial_seconds,
-                    "seconds": row.seconds,
-                    "speedup": round(row.speedup, 3),
-                    "search_seconds": row.search_seconds,
-                    "pipeline_seconds": row.pipeline_seconds,
-                    "pipeline_speedup": round(row.pipeline_speedup, 3),
-                    "results_equal": row.results_equal,
-                }
-                for row in result.scaling_rows
-            ],
-        },
-    }
+    rows = [row_dict(row, "speedup", digits={"speedup": 2}) for row in result.rows]
+    scaling = [
+        row_dict(
+            row,
+            "speedup",
+            "pipeline_seconds",
+            "pipeline_speedup",
+            digits={"speedup": 3, "pipeline_speedup": 3},
+        )
+        for row in result.scaling_rows
+    ]
+    headlines = []
+    for row in rows:
+        label = row["label"]
+        headlines.append((f"{label}.results_equal", row["results_equal"], "bool"))
+        headlines.append((f"{label}.speedup", row["speedup"], "higher"))
+        # The speedup's denominator: the columnar replay's own
+        # wall-clock, which a faster object path would otherwise hide.
+        headlines.append((f"{label}.columnar_seconds", row["columnar_seconds"], "lower"))
+    for row in scaling:
+        label = f"scaling.{row['label']}"
+        name = f"{label}@w{row['replay_workers']}"
+        headlines.append((f"{name}.results_equal", row["results_equal"], "bool"))
+        # Search + replay wall-clock is a headline (ROADMAP item B);
+        # search alone is the same number on every row of a label.
+        headlines.append((f"{name}.pipeline_seconds", row["pipeline_seconds"], "lower"))
+        if row["replay_workers"] == 1:
+            headlines.append((f"{label}.search_seconds", row["search_seconds"], "lower"))
+    return Record(
+        benchmark="accel_replay",
+        workload=row_dict(result),
+        headlines=headlines,
+        rows=rows,
+        sections={"replay_scaling": {"rows": scaling}},
+    )
 
-
-def write_accel_replay_json(path: str, result: AccelReplayResult, **workload) -> dict:
-    """Write :func:`accel_replay_report` to *path*; returns the record."""
-    report = accel_replay_report(result, **workload)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    return report

@@ -27,18 +27,11 @@ production path nothing.  Results land in ``BENCH_chaos.json``, gated by
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, replace
 
-from ..accel.config import exma_full_config
-from ..accel.exma_accelerator import ExmaAccelerator
-from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
-from ..exma.table import ExmaTable
 from ..faults import SITE_LOOP, SITE_REPLAY, SITE_SEARCH, FaultPlan, FaultSpec
-from ..genome.datasets import build_dataset
-from ..runtime import host_block
 from ..serving import (
     AdmissionRejected,
     QueryService,
@@ -46,18 +39,16 @@ from ..serving import (
     percentile,
     poisson_schedule,
     make_schedule,
-    sample_query_pool,
 )
-from .common import DEFAULT_STEP
-from .fig18_throughput import _scaled_config
+from .common import DEFAULT_STEP, build_serving_stack
+from .record import Record, row_dict
 
 __all__ = [
     "ChaosResult",
     "ChaosRow",
-    "chaos_report",
     "format_chaos",
+    "record",
     "run_chaos",
-    "write_chaos_json",
 ]
 
 
@@ -255,12 +246,8 @@ def run_chaos(
     worker-kill scenario uses a fixed probe schedule instead so the
     respawn path is exercised deterministically.
     """
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    table = ExmaTable(reference.sequence, k=k)
-    backend = ExmaBackend(table=table)
-    accelerator = ExmaAccelerator(table, None, _scaled_config(exma_full_config()))
-    pool = sample_query_pool(
-        reference.sequence, pool_size=pool_size, length=query_length, seed=seed
+    backend, accelerator, pool = build_serving_stack(
+        genome_length, seed, k, query_length, pool_size
     )
     schedule = make_schedule(
         poisson_schedule(rate, duration, seed=seed),
@@ -370,60 +357,25 @@ def format_chaos(result: ChaosResult) -> str:
     return "\n".join(lines)
 
 
-def chaos_report(result: ChaosResult, **workload) -> dict:
-    """The chaos benchmark as a JSON-ready record (``BENCH_chaos.json``)."""
-    return {
-        "benchmark": "chaos",
-        "workload": {
-            "genome_length": result.genome_length,
-            "k": result.k,
-            "rate": result.rate,
-            "duration_s": result.duration,
-            "fault_rate": result.fault_rate,
-            "fault_seed": result.fault_seed,
-            "tenants": result.tenants,
-            "queries_per_arrival": result.queries_per_arrival,
-            "query_length": result.query_length,
-            "pool_size": result.pool_size,
-            "workers": result.workers,
-            "window": result.window,
-            "max_batch": result.max_batch,
-            "max_delay_s": result.max_delay,
-            "queue_capacity": result.queue_capacity,
-            "replay_retries": result.replay_retries,
-            **host_block(),
-            **dict(workload),
-        },
-        "fault_free": {"identical": result.fault_free_identical},
-        "rows": [
-            {
-                "label": row.label,
-                "faulted": row.faulted,
-                "submitted": row.submitted,
-                "accepted": row.accepted,
-                "rejected": row.rejected,
-                "completed": row.completed,
-                "failed": row.failed,
-                "cancelled": row.cancelled,
-                "stranded": row.stranded,
-                "availability": round(row.availability, 6),
-                "p50_ms": round(row.p50_ms, 4),
-                "p99_ms": round(row.p99_ms, 4),
-                "worker_crashes": row.worker_crashes,
-                "replay_faults": row.replay_faults,
-                "quarantined": row.quarantined,
-                "injected": row.injected,
-                "wall_seconds": round(row.wall_seconds, 6),
-            }
-            for row in result.rows
-        ],
-    }
+def record(result: ChaosResult) -> Record:
+    """``BENCH_chaos.json``: the scenario ledger plus the fault-free pin."""
+    workload = row_dict(result)
+    identical = workload.pop("fault_free_identical")
+    rows = [
+        row_dict(
+            row, digits={"availability": 6, "p50_ms": 4, "p99_ms": 4, "wall_seconds": 6}
+        )
+        for row in result.rows
+    ]
+    headlines = [("fault_free.identical", identical, "bool")]
+    for row in rows:
+        headlines.append((f"{row['label']}.availability", row["availability"], "higher"))
+        headlines.append((f"{row['label']}.stranded_zero", row["stranded"] == 0, "bool"))
+    return Record(
+        benchmark="chaos",
+        workload=workload,
+        headlines=headlines,
+        rows=rows,
+        sections={"fault_free": {"identical": identical}},
+    )
 
-
-def write_chaos_json(path: str, result: ChaosResult, **workload) -> dict:
-    """Write :func:`chaos_report` to *path*; returns the record."""
-    report = chaos_report(result, **workload)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    return report

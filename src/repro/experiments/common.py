@@ -1,4 +1,5 @@
-"""Shared experiment plumbing: scaled workloads, tables, indexes, queries.
+"""Shared experiment plumbing: scaled workloads, tables, indexes, queries,
+and the reproduction-scale accelerator/serving stack.
 
 Every figure/table harness needs the same ingredients: a scaled synthetic
 reference for one of the paper's datasets, an EXMA table plus MTL index
@@ -6,6 +7,11 @@ over it, a batch of seeding queries sampled from simulated reads, and the
 request stream those queries produce.  Building them is the expensive part
 of an experiment, so :class:`Workload` bundles them and
 :func:`build_workload` caches by configuration within a process.
+
+The reproduction-scale stack has one home here too: :func:`scaled_config`
+(the cache shrink every Fig. 18/20/22 replay, the serving layer and the
+``serve`` sub-command share) and :func:`build_serving_stack` (the index /
+accelerator / query pool the serving and chaos harnesses drive).
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..accel.config import ExmaAcceleratorConfig, exma_full_config
+from ..accel.exma_accelerator import ExmaAccelerator
+from ..engine.backends import ExmaBackend
 from ..exma.mtl_index import MTLIndex
 from ..exma.search import ExmaSearch, ExmaSearchStats, OccRequest
 from ..exma.table import ExmaTable
@@ -20,6 +29,7 @@ from ..genome.datasets import build_dataset
 from ..genome.reads import ILLUMINA, ReadSimulator
 from ..genome.sequence import Reference
 from ..index.fmindex import FMIndex
+from ..serving import sample_query_pool
 
 #: Default scaled reference length used by the benchmark harnesses.  Large
 #: enough for meaningful k-mer statistics, small enough to keep the whole
@@ -36,6 +46,34 @@ DEFAULT_QUERY_COUNT = 60
 
 #: Default seeding query length (one Illumina read worth of symbols).
 DEFAULT_QUERY_LENGTH = 48
+
+#: Cache capacities used at reproduction scale (the paper-scale 1 MB /
+#: 32 KB caches shrink in proportion to the scaled base-array footprint).
+SCALED_BASE_CACHE_BYTES = 8 * 1024
+SCALED_INDEX_CACHE_BYTES = 1024
+
+
+def scaled_config(base: ExmaAcceleratorConfig) -> ExmaAcceleratorConfig:
+    """Shrink the caches to match the scaled data-structure footprint."""
+    return base.with_overrides(
+        base_cache_bytes=SCALED_BASE_CACHE_BYTES,
+        index_cache_bytes=SCALED_INDEX_CACHE_BYTES,
+        cam_entries=128,
+    )
+
+
+def build_serving_stack(
+    genome_length: int, seed: int, k: int, query_length: int, pool_size: int
+) -> "tuple[ExmaBackend, ExmaAccelerator, list[str]]":
+    """One shared backend / accelerator / Zipf query pool for every
+    service a serving or chaos harness starts."""
+    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
+    table = ExmaTable(reference.sequence, k=k)
+    accelerator = ExmaAccelerator(table, None, scaled_config(exma_full_config()))
+    pool = sample_query_pool(
+        reference.sequence, pool_size=pool_size, length=query_length, seed=seed
+    )
+    return ExmaBackend(table=table), accelerator, pool
 
 
 @dataclass(frozen=True)

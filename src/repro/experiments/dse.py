@@ -39,7 +39,6 @@ Reproduce the committed record with::
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -59,8 +58,9 @@ from ..engine.window import CoalescingWindow
 from ..exma.mtl_index import MTLIndex
 from ..exma.table import ExmaTable
 from ..genome.datasets import build_dataset
-from ..runtime import BackendWorkerPool, check_executor, check_workers, host_block
+from ..runtime import BackendWorkerPool, check_executor, check_workers
 from .common import DEFAULT_STEP, sample_queries
+from .record import Record, row_dict
 
 __all__ = [
     "DEFAULT_GRID",
@@ -68,12 +68,11 @@ __all__ = [
     "DseRow",
     "DseWorkload",
     "FrontierPoint",
-    "dse_frontier_report",
     "format_dse",
     "parse_grid",
+    "record",
     "run_dse",
     "run_dse_job",
-    "write_dse_json",
 ]
 
 #: MTL split threshold of the workload's default index (``mtl=default``),
@@ -423,81 +422,58 @@ def _grid_json(grid: dict) -> dict:
     return encoded
 
 
-def dse_frontier_report(result: DseResult, **workload) -> dict:
-    """The sweep as a JSON-ready record (``BENCH_dse.json``).
+#: Decimals the record keeps for a row's rates (the objectives stay exact).
+_RATE_DIGITS = {
+    "base_cache_hit_rate": 6,
+    "index_cache_hit_rate": 6,
+    "row_hit_rate": 6,
+    "bandwidth_utilization": 6,
+}
 
-    The figure harness for the trade-off surface: every row carries its
-    full config coordinate plus the three objectives (so the frontier is
-    recomputable from the record alone), the frontier section carries
-    the re-derivation verdicts, and the host shape follows the honesty
-    convention of the other benchmark records.  Objective floats are
-    recorded at full precision — the CI gate recomputes Pareto
-    dominance from the JSON and must see the exact values.
+
+def record(result: DseResult) -> Record:
+    """``BENCH_dse.json``: the figure harness for the trade-off surface.
+
+    Every row carries its full config coordinate plus the three
+    objectives (so the frontier is recomputable from the record alone)
+    and the frontier section carries the re-derivation verdicts.
+    Objective floats are recorded at full precision — the CI gate
+    recomputes Pareto dominance from the JSON and must see the exact
+    values.
     """
-    return {
-        "benchmark": "dse",
-        **host_block(),
-        "workload": {
-            "genome_length": result.genome_length,
-            "seed": result.seed,
-            "queries": result.queries,
-            "query_length": result.query_length,
-            "k": result.k,
-            "batches": result.batches,
-            "mtl_epochs": result.mtl_epochs,
-            **dict(workload),
-        },
-        "grid": _grid_json(result.grid),
-        "workers": result.workers,
-        "executor": result.executor,
-        "elapsed_seconds": round(result.elapsed_seconds, 3),
-        "baseline": {
-            "label": baseline_point().label,
-            "matches_run": result.baseline_matches_run,
-        },
-        "rows": [
-            {
-                "label": row.label,
-                "config": point_to_dict(row.point),
-                "baseline": row.baseline,
-                "on_frontier": row.label in set(result.frontier_labels),
-                "flushes": row.flushes,
-                "issued": row.issued,
-                "requests": row.requests,
-                "bases_processed": row.bases_processed,
-                "total_cycles": row.total_cycles,
-                "dram_cycles": row.dram_cycles,
-                "dram_requests": row.dram_requests,
-                "seconds": row.seconds,
-                "mbase_per_second": row.mbase_per_second,
-                "accelerator_energy_j": row.accelerator_energy_j,
-                "dram_energy_j": row.dram_energy_j,
-                "energy_per_base_nj": row.energy_per_base_nj,
-                "area_mm2": row.area_mm2,
-                "base_cache_hit_rate": round(row.base_cache_hit_rate, 6),
-                "index_cache_hit_rate": round(row.index_cache_hit_rate, 6),
-                "row_hit_rate": round(row.row_hit_rate, 6),
-                "bandwidth_utilization": round(row.bandwidth_utilization, 6),
-            }
+    workload = row_dict(result, digits={"elapsed_seconds": 3})
+    matches_run = workload.pop("baseline_matches_run")
+    elapsed_seconds = workload.pop("elapsed_seconds")
+    on_frontier = set(result.frontier_labels)
+    frontier = [row_dict(point) for point in result.frontier]
+    headlines = [
+        ("baseline.matches_run", matches_run, "bool"),
+        ("frontier.size", len(frontier), "higher"),
+    ]
+    for point in frontier:
+        label = point["label"]
+        headlines.append((f"{label}.rederived_equal", point["rederived_equal"], "bool"))
+        headlines.append((f"{label}.mbase_per_second", point["mbase_per_second"], "higher"))
+        headlines.append((f"{label}.energy_per_base_nj", point["energy_per_base_nj"], "lower"))
+        headlines.append((f"{label}.area_mm2", point["area_mm2"], "lower"))
+    return Record(
+        benchmark="dse",
+        workload=workload,
+        headlines=headlines,
+        rows=[
+            row_dict(
+                row,
+                digits=_RATE_DIGITS,
+                config=point_to_dict(row.point),
+                on_frontier=row.label in on_frontier,
+            )
             for row in result.rows
         ],
-        "frontier": [
-            {
-                "label": point.label,
-                "mbase_per_second": point.mbase_per_second,
-                "energy_per_base_nj": point.energy_per_base_nj,
-                "area_mm2": point.area_mm2,
-                "rederived_equal": point.rederived_equal,
-            }
-            for point in result.frontier
-        ],
-    }
+        sections={
+            "grid": _grid_json(result.grid),
+            "elapsed_seconds": elapsed_seconds,
+            "baseline": {"label": baseline_point().label, "matches_run": matches_run},
+            "frontier": frontier,
+        },
+    )
 
-
-def write_dse_json(path: str, result: DseResult, **workload) -> dict:
-    """Write :func:`dse_frontier_report` to *path*; returns the record."""
-    report = dse_frontier_report(result, **workload)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    return report

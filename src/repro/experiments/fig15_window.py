@@ -21,7 +21,6 @@ companion the sweep rows are validated against.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -30,19 +29,19 @@ from ..engine.engine import QueryEngine
 from ..engine.window import CoalescingWindow
 from ..exma.table import ExmaTable
 from ..genome.datasets import build_dataset
-from ..runtime import host_block
 from .common import DEFAULT_STEP, sample_queries
+from .record import Record, row_dict
 
 __all__ = [
     "Fig15Result",
     "Fig15Row",
+    "ShardScalingResult",
     "ShardScalingRow",
     "format_fig15",
     "format_shard_scaling",
+    "record",
     "run_fig15_window",
     "run_shard_scaling",
-    "shard_scaling_report",
-    "write_shard_scaling_json",
 ]
 
 
@@ -200,6 +199,18 @@ class ShardScalingRow:
         return self.serial_seconds / max(self.seconds, 1e-12)
 
 
+@dataclass(frozen=True)
+class ShardScalingResult:
+    """The timed rows plus the workload shape that produced them."""
+
+    rows: list[ShardScalingRow]
+    genome_length: int
+    batch_size: int
+    query_length: int
+    seed: int
+    repeats: int
+
+
 def run_shard_scaling(
     genome_length: int = 20_000,
     seed: int = 0,
@@ -210,7 +221,7 @@ def run_shard_scaling(
     query_length: int = 48,
     repeats: int = 3,
     include_forced: bool = False,
-) -> list[ShardScalingRow]:
+) -> ShardScalingResult:
     """Time sharded search against the serial engine on one batch.
 
     Results are identical by construction (the equivalence suite enforces
@@ -225,10 +236,9 @@ def run_shard_scaling(
     slower than serial by more than noise).  ``include_forced`` adds
     :class:`~repro.engine.sharded.ShardedQueryEngine` rows that run the
     full requested split regardless of hardware — on a single-core host
-    (CI containers; :func:`shard_scaling_report` records ``host_cpus``)
-    those measure the pure split/merge overhead, the quantity this
-    harness exists to keep honest, as the SPEChpc single-rank sanity rows
-    do.
+    (CI containers; the record's ``host`` block says so) those measure
+    the pure split/merge overhead, the quantity this harness exists to
+    keep honest, as the SPEChpc single-rank sanity rows do.
     """
     from ..engine.sharded import ShardedQueryEngine
 
@@ -290,7 +300,7 @@ def run_shard_scaling(
         for _, engine in configs:
             engine.close()
     serial_seconds = best[0]
-    return [
+    rows = [
         ShardScalingRow(
             shards=row.shards,
             executor=row.executor,
@@ -301,6 +311,14 @@ def run_shard_scaling(
         )
         for (row, _), seconds in zip(configs, best)
     ]
+    return ShardScalingResult(
+        rows=rows,
+        genome_length=genome_length,
+        batch_size=batch_size,
+        query_length=query_length,
+        seed=seed,
+        repeats=repeats,
+    )
 
 
 def _timed(thunk) -> float:
@@ -309,13 +327,13 @@ def _timed(thunk) -> float:
     return time.perf_counter() - start
 
 
-def format_shard_scaling(rows: list[ShardScalingRow]) -> str:
+def format_shard_scaling(result: ShardScalingResult) -> str:
     """Render the shard-scaling table."""
     lines = ["Shard scaling - sharded vs serial engine (identical results)"]
     lines.append(
         f"{'shards':>7s} {'effective':>10s} {'executor':>9s} {'ms':>9s} {'speedup':>8s}"
     )
-    for row in rows:
+    for row in result.rows:
         executor = f"{row.executor}!" if row.forced else row.executor
         effective = row.effective_shards or row.shards
         lines.append(
@@ -326,39 +344,33 @@ def format_shard_scaling(rows: list[ShardScalingRow]) -> str:
     return "\n".join(lines)
 
 
-def shard_scaling_report(rows: list[ShardScalingRow], **workload) -> dict:
-    """The shard-scaling rows as a JSON-ready record.
+def record(result: ShardScalingResult) -> Record:
+    """The shard-scaling record (``BENCH_shard_scaling_multicore.json`` on
+    the multicore CI leg).
 
-    *workload* keyword arguments (genome length, batch size, ...) are
-    recorded verbatim; ``host_cpus`` / ``available_cpus`` capture how
-    much hardware parallelism the rows could possibly have seen
-    (``available_cpus`` is affinity/cgroup-aware — the number the
-    adaptive clamp actually used), so a 1-CPU CI container's numbers are
-    not mistaken for a scaling ceiling.
+    The record's ``host`` block says how much hardware parallelism the
+    rows could possibly have seen (``available_cpus`` is affinity/cgroup
+    aware — the number the adaptive clamp actually used), so a 1-CPU
+    container's numbers are not mistaken for a scaling ceiling.
     """
-    return {
-        "benchmark": "shard_scaling",
-        "workload": dict(workload),
-        **host_block(),
-        "rows": [
-            {
-                "shards": row.shards,
-                "effective_shards": row.effective_shards or row.shards,
-                "executor": row.executor,
-                "forced": row.forced,
-                "ms": round(row.seconds * 1e3, 3),
-                "serial_ms": round(row.serial_seconds * 1e3, 3),
-                "speedup": round(row.speedup, 3),
-            }
+    rows = [
+        row_dict(
+            row,
+            "speedup",
+            digits={"speedup": 3},
+            effective_shards=row.effective_shards or row.shards,
+            ms=round(row.seconds * 1e3, 3),
+            serial_ms=round(row.serial_seconds * 1e3, 3),
+        )
+        for row in result.rows
+    ]
+    return Record(
+        benchmark="shard_scaling",
+        workload=row_dict(result),
+        headlines=[
+            (f"forced-thread-{row['shards']}.speedup", row["speedup"], "higher")
             for row in rows
+            if row["forced"] and row["executor"] == "thread"
         ],
-    }
-
-
-def write_shard_scaling_json(path: str, rows: list[ShardScalingRow], **workload) -> dict:
-    """Write :func:`shard_scaling_report` to *path*; returns the record."""
-    report = shard_scaling_report(rows, **workload)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    return report
+        rows=rows,
+    )

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from ..accel.baselines import CpuThroughputModel, SoftwareAlgorithm
-from ..accel.config import ExmaAcceleratorConfig, ex_2stage_config, ex_acc_config, exma_full_config
+from ..accel.config import ex_2stage_config, ex_acc_config, exma_full_config
 from ..accel.exma_accelerator import AcceleratorRunResult, ExmaAccelerator
 from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
@@ -30,14 +30,9 @@ from ..exma.search import ExmaSearch
 from ..exma.table import ExmaTable, exma_size_breakdown
 from ..genome.datasets import DATASETS, HUMAN_PAPER_LENGTH, build_dataset
 from ..lisa.ipbwt import lisa_size_bytes
-from .common import Workload, build_workload, sample_queries
+from .common import Workload, build_workload, sample_queries, scaled_config
 
 GB = 1024**3
-
-#: Cache capacities used at reproduction scale (the paper-scale 1 MB /
-#: 32 KB caches shrink in proportion to the scaled base-array footprint).
-SCALED_BASE_CACHE_BYTES = 8 * 1024
-SCALED_INDEX_CACHE_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -62,15 +57,6 @@ class Fig18Result:
 
     rows: list[Fig18Row]
     runs: dict[str, dict[str, AcceleratorRunResult]]
-
-
-def _scaled_config(base: ExmaAcceleratorConfig) -> ExmaAcceleratorConfig:
-    """Shrink the caches to match the scaled data-structure footprint."""
-    return base.with_overrides(
-        base_cache_bytes=SCALED_BASE_CACHE_BYTES,
-        index_cache_bytes=SCALED_INDEX_CACHE_BYTES,
-        cam_entries=128,
-    )
 
 
 def concurrency_gain(
@@ -144,9 +130,9 @@ def run_fig18(
 
         dataset_runs: dict[str, AcceleratorRunResult] = {}
         variant_configs = {
-            "EX-acc": _scaled_config(ex_acc_config()),
-            "EX-2stage": _scaled_config(ex_2stage_config()),
-            "EXMA": _scaled_config(exma_full_config()),
+            "EX-acc": scaled_config(ex_acc_config()),
+            "EX-2stage": scaled_config(ex_2stage_config()),
+            "EXMA": scaled_config(exma_full_config()),
         }
         for name, config in variant_configs.items():
             accelerator = ExmaAccelerator(workload.table, workload.mtl_index, config)

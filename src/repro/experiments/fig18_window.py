@@ -30,7 +30,6 @@ bench-smoke job via the recorded ``BENCH_window_capacity.json``):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..accel.config import exma_full_config
@@ -44,17 +43,15 @@ from ..engine.engine import QueryEngine
 from ..engine.window import CoalescingWindow
 from ..exma.table import ExmaTable
 from ..genome.datasets import build_dataset
-from ..runtime import host_block
-from .common import DEFAULT_STEP, sample_queries
-from .fig18_throughput import _scaled_config
+from .common import DEFAULT_STEP, sample_queries, scaled_config
+from .record import Record, row_dict
 
 __all__ = [
     "Fig18WindowResult",
     "Fig18WindowRow",
     "format_fig18_window",
+    "record",
     "run_fig18_window",
-    "window_capacity_report",
-    "write_window_capacity_json",
 ]
 
 
@@ -99,6 +96,8 @@ class Fig18WindowResult:
     batch_size: int
     genome_length: int
     k: int
+    seed: int
+    query_length: int
     #: Raw streamed runs per capacity, for downstream inspection.
     runs: dict[int, WindowedRunResult]
 
@@ -171,7 +170,7 @@ def run_fig18_window(
         requests, _stats = engine.request_stream(queries)
         streams.append(requests)
 
-    accelerator = ExmaAccelerator(table, index, _scaled_config(exma_full_config()))
+    accelerator = ExmaAccelerator(table, index, scaled_config(exma_full_config()))
 
     # The per-batch anchor: W=1 flushes are per-batch coalescing exactly,
     # so running each flush's materialised request list through
@@ -224,6 +223,8 @@ def run_fig18_window(
         batch_size=batch_size,
         genome_length=genome_length,
         k=table.k,
+        seed=seed,
+        query_length=query_length,
         runs=runs,
     )
 
@@ -256,50 +257,28 @@ def format_fig18_window(result: Fig18WindowResult) -> str:
     return "\n".join(lines)
 
 
-def window_capacity_report(result: Fig18WindowResult, **workload) -> dict:
-    """The sweep as a JSON-ready record (``BENCH_window_capacity.json``).
-
-    *workload* keyword arguments are recorded verbatim alongside the
-    sweep's own shape, so re-recordings on other hosts stay comparable.
-    """
+def record(result: Fig18WindowResult) -> Record:
+    """``BENCH_window_capacity.json``: the sweep, its anchor and the W=1 pin."""
+    workload = row_dict(result)
+    w1_matches = workload.pop("w1_matches_unwindowed")
 
     def row_record(row: Fig18WindowRow) -> dict:
-        return {
-            "window": row.window,
-            "windows_flushed": row.windows_flushed,
-            "pre_merge_requests": row.pre_merge_requests,
-            "post_merge_requests": row.post_merge_requests,
-            "merge_ratio": round(row.merge_ratio, 4),
-            "total_cycles": row.total_cycles,
-            "dram_cycles": row.dram_cycles,
-            "inference_cycles": row.inference_cycles,
-            "dram_requests": row.dram_requests,
-            "seconds": row.seconds,
-            "accelerator_energy_j": row.accelerator_energy_j,
-            "dram_energy_j": row.dram_energy_j,
-            "mbase_per_second": round(row.mbase_per_second, 4),
-        }
+        return row_dict(row, "merge_ratio", digits={"merge_ratio": 4, "mbase_per_second": 4})
 
-    return {
-        "benchmark": "window_capacity",
-        **host_block(),
-        "workload": {
-            "genome_length": result.genome_length,
-            "batch_count": result.batch_count,
-            "batch_size": result.batch_size,
-            "k": result.k,
-            **dict(workload),
+    rows = [row_record(row) for row in result.rows]
+    headlines = [("w1_matches_unwindowed", w1_matches, "bool")]
+    for row in rows:
+        window = row["window"]
+        headlines.append((f"W{window}.mbase_per_second", row["mbase_per_second"], "higher"))
+        headlines.append((f"W{window}.total_cycles", row["total_cycles"], "lower"))
+    return Record(
+        benchmark="window_capacity",
+        workload=workload,
+        headlines=headlines,
+        rows=rows,
+        sections={
+            "w1_matches_unwindowed": w1_matches,
+            "unwindowed": row_record(result.unwindowed),
         },
-        "w1_matches_unwindowed": result.w1_matches_unwindowed,
-        "unwindowed": row_record(result.unwindowed),
-        "rows": [row_record(row) for row in result.rows],
-    }
+    )
 
-
-def write_window_capacity_json(path: str, result: Fig18WindowResult, **workload) -> dict:
-    """Write :func:`window_capacity_report` to *path*; returns the record."""
-    report = window_capacity_report(result, **workload)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    return report

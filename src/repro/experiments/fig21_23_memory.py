@@ -23,8 +23,7 @@ from ..exma import bdi, chain
 from ..exma.table import ExmaTable, exma_size_breakdown
 from ..genome.datasets import DATASETS, build_dataset
 from ..lisa.ipbwt import IPBWT, lisa_size_bytes
-from .common import build_workload
-from .fig18_throughput import SCALED_BASE_CACHE_BYTES, SCALED_INDEX_CACHE_BYTES
+from .common import SCALED_BASE_CACHE_BYTES, SCALED_INDEX_CACHE_BYTES, build_workload
 
 GB = 1024**3
 

@@ -5,16 +5,16 @@ The batch-harness figures measure how fast the accelerator model chews
 through a pre-materialised stream; a serving system is judged on what it
 *sustains* while clients keep arriving: throughput, p50/p99 latency and
 backpressure behaviour, reported together the way the SPEChpc benchmarking
-papers record sustained rates next to their scaling trajectories.  Two
-harnesses share one stack (index, accelerator, Zipf query pool):
+papers record sustained rates next to their scaling trajectories.
+:func:`run_serving_bench` measures two things over one stack (index,
+accelerator, Zipf query pool):
 
-* :func:`run_serving_bench` — the headline rows: one
-  :class:`~repro.serving.service.QueryService` per (workers, arrival
-  process) cell driven by the open-loop generator
+* the headline rows: one :class:`~repro.serving.service.QueryService`
+  per (workers, arrival process) cell driven by the open-loop generator
   (:mod:`repro.serving.loadgen`) at a fixed offered rate, recording
   sustained Mbase/s, p50/p95/p99/max latency and admission accounting;
-* :func:`run_saturation_sweep` — the knee study: for each worker count
-  and arrival process, walk a **multiplicative rate ladder**
+* with ``rate_sweep``, the knee study: for each worker count and
+  arrival process, walk a **multiplicative rate ladder**
   (:func:`~repro.serving.loadgen.rate_ladder`) and record the
   rejection-rate and latency-vs-load curve.  The **knee** is the last
   rung the service absorbs with its rejection rate under the threshold;
@@ -30,17 +30,10 @@ workers=1 at the knee — in the tests-multicore leg.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..accel.config import exma_full_config
-from ..accel.exma_accelerator import ExmaAccelerator
-from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
-from ..exma.table import ExmaTable
-from ..genome.datasets import build_dataset
-from ..runtime import host_block
 from ..serving import (
     QueryService,
     ServingConfig,
@@ -50,10 +43,9 @@ from ..serving import (
     poisson_schedule,
     rate_ladder,
     run_open_loop,
-    sample_query_pool,
 )
-from .common import DEFAULT_STEP
-from .fig18_throughput import _scaled_config
+from .common import DEFAULT_STEP, build_serving_stack
+from .record import Record, row_dict
 
 __all__ = [
     "SaturationCurve",
@@ -63,17 +55,12 @@ __all__ = [
     "ServingBenchRow",
     "format_saturation",
     "format_serving",
-    "run_saturation_sweep",
+    "record",
     "run_serving_bench",
-    "serving_report",
-    "write_serving_json",
 ]
 
 #: Arrival processes the benchmark sweeps, in recording order.
 ARRIVALS = ("poisson", "bursty")
-
-#: Worker counts the saturation study sweeps by default.
-DEFAULT_WORKERS = (1, 2, 4)
 
 #: A rung whose rejection rate stays under this fraction counts as
 #: absorbed; the knee is the last absorbed rung of the ladder.
@@ -131,6 +118,8 @@ class ServingBenchResult:
     window: int
     queue_capacity: int
     workers: tuple[int, ...]
+    #: The offered-load knee study, when the run also swept the ladder.
+    saturation: SaturationStudy | None = None
 
 
 @dataclass(frozen=True)
@@ -198,18 +187,6 @@ class SaturationStudy:
         raise KeyError(f"no curve for arrival={arrival!r}, workers={workers}")
 
 
-def _build_stack(genome_length, seed, k, query_length, pool_size):
-    """One shared index/accelerator/pool for every service the harness runs."""
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    table = ExmaTable(reference.sequence, k=k)
-    backend = ExmaBackend(table=table)
-    accelerator = ExmaAccelerator(table, None, _scaled_config(exma_full_config()))
-    pool = sample_query_pool(
-        reference.sequence, pool_size=pool_size, length=query_length, seed=seed
-    )
-    return table, backend, accelerator, pool
-
-
 def _schedule(arrival, rate, duration, seed, pool, tenants, queries_per_arrival, zipf_s):
     if arrival == "poisson":
         offsets = poisson_schedule(rate, duration, seed=seed)
@@ -244,70 +221,130 @@ def run_serving_bench(
     queue_capacity: int = 4096,
     arrivals: tuple[str, ...] = ARRIVALS,
     workers: Sequence[int] | int = (1,),
+    rate_sweep: Sequence[float] | None = None,
+    sweep_duration: float = 0.5,
+    sweep_queue_capacity: int = 512,
+    knee_rejection_threshold: float = KNEE_REJECTION_THRESHOLD,
 ) -> ServingBenchResult:
     """Measure the serving layer under open-loop Poisson and bursty load.
 
-    One index, one accelerator model; a fresh :class:`~repro.serving
-    .service.QueryService` per (workers, arrival process) cell so the
-    stats and latencies are per-row.  Rejected arrivals are counted, not
+    One index, one accelerator model, one query pool; a fresh
+    :class:`~repro.serving.service.QueryService` per cell so the stats
+    and latencies are per-row.  Rejected arrivals are counted, not
     retried — open loop.
+
+    With *rate_sweep* (multipliers of *rate*) the same stack also walks
+    the offered-load ladder to the knee for every (workers, arrival)
+    pair, *sweep_duration* seconds per rung.  The schedule of a given
+    (arrival, rung) is identical across worker counts, so the curves are
+    directly comparable.  *sweep_queue_capacity* is deliberately tighter
+    than the headline bench's — the sweep must drive the queue past its
+    bound at the top rung (``SaturationCurve.saturated``) or the knee was
+    never reached and the sweep is reported as inconclusive.
     """
     if isinstance(workers, int):
         workers = (workers,)
     workers = tuple(int(count) for count in workers)
-    _, backend, accelerator, pool = _build_stack(
+    backend, accelerator, pool = build_serving_stack(
         genome_length, seed, k, query_length, pool_size
     )
 
-    rows = []
-    for worker_count in workers:
+    def measure(worker_count, arrival, cell_rate, cell_duration, capacity, cell_seed):
+        """Drive one fresh service open-loop: the measurements every cell
+        records (as row keywords), then what the headline rows add."""
         config = ServingConfig(
             max_batch=max_batch,
             max_delay=max_delay,
-            queue_capacity=queue_capacity,
+            queue_capacity=capacity,
             window=window,
             workers=worker_count,
         )
-        for index, arrival in enumerate(arrivals):
-            schedule = _schedule(
-                arrival, rate, duration, seed + index, pool,
-                tenants, queries_per_arrival, zipf_s,
+        schedule = _schedule(
+            arrival, cell_rate, cell_duration, cell_seed, pool,
+            tenants, queries_per_arrival, zipf_s,
+        )
+        service = QueryService(QueryEngine(backend), accelerator, config)
+        with service:
+            loop = run_open_loop(service, schedule)
+        stats = service.stats
+        replay = service.result()
+        latencies_ms = [latency * 1e3 for latency in stats.latencies]
+        retry_afters = loop.retry_afters
+        cell = dict(
+            offered_qps=cell_rate * queries_per_arrival,
+            submitted=loop.offered,
+            accepted=loop.accepted,
+            rejected=loop.rejected,
+            completed=stats.completed,
+            wall_seconds=loop.wall_seconds,
+            mbase_per_second=replay.bases_processed / max(loop.wall_seconds, 1e-12) / 1e6,
+            p50_ms=percentile(latencies_ms, 50.0),
+            p99_ms=percentile(latencies_ms, 99.0),
+            mean_retry_after_s=(
+                sum(retry_afters) / len(retry_afters) if retry_afters else 0.0
+            ),
+        )
+        return cell, stats, replay, latencies_ms
+
+    pairs = [
+        (worker_count, index, arrival)
+        for worker_count in workers
+        for index, arrival in enumerate(arrivals)
+    ]
+    rows = []
+    for worker_count, index, arrival in pairs:
+        cell, stats, replay, latencies_ms = measure(
+            worker_count, arrival, rate, duration, queue_capacity, seed + index
+        )
+        rows.append(
+            ServingBenchRow(
+                arrival=arrival,
+                workers=worker_count,
+                duration_s=duration,
+                batches=stats.batches,
+                flushes=stats.flushes,
+                merge_ratio=replay.merge_ratio,
+                scheduled_requests=replay.requests,
+                bases_processed=replay.bases_processed,
+                model_mbase_per_second=replay.throughput.mbase_per_second,
+                p95_ms=percentile(latencies_ms, 95.0),
+                max_ms=max(latencies_ms) if latencies_ms else float("nan"),
+                **cell,
             )
-            service = QueryService(QueryEngine(backend), accelerator, config)
-            with service:
-                loop = run_open_loop(service, schedule)
-            stats = service.stats
-            replay = service.result()
-            latencies_ms = [latency * 1e3 for latency in stats.latencies]
-            wall = max(loop.wall_seconds, 1e-12)
-            retry_afters = loop.retry_afters
-            rows.append(
-                ServingBenchRow(
+        )
+
+    saturation = None
+    if rate_sweep:
+        rates = rate_ladder(rate, rate_sweep)
+        curves = []
+        for worker_count, index, arrival in pairs:
+            rungs = []
+            for rung_index, rung_rate in enumerate(rates):
+                cell, _, _, _ = measure(
+                    worker_count, arrival, rung_rate, sweep_duration,
+                    sweep_queue_capacity, seed + index + 101 * rung_index,
+                )
+                rungs.append(SaturationRung(rate=rung_rate, **cell))
+            knee_index = 0
+            for rung_index, rung in enumerate(rungs):
+                if rung.rejection_rate <= knee_rejection_threshold:
+                    knee_index = rung_index
+            curves.append(
+                SaturationCurve(
                     arrival=arrival,
                     workers=worker_count,
-                    offered_qps=rate * queries_per_arrival,
-                    duration_s=duration,
-                    submitted=loop.offered,
-                    accepted=loop.accepted,
-                    rejected=loop.rejected,
-                    completed=stats.completed,
-                    batches=stats.batches,
-                    flushes=stats.flushes,
-                    merge_ratio=replay.merge_ratio,
-                    scheduled_requests=replay.requests,
-                    bases_processed=replay.bases_processed,
-                    wall_seconds=loop.wall_seconds,
-                    mbase_per_second=replay.bases_processed / wall / 1e6,
-                    model_mbase_per_second=replay.throughput.mbase_per_second,
-                    p50_ms=percentile(latencies_ms, 50.0),
-                    p95_ms=percentile(latencies_ms, 95.0),
-                    p99_ms=percentile(latencies_ms, 99.0),
-                    max_ms=max(latencies_ms) if latencies_ms else float("nan"),
-                    mean_retry_after_s=(
-                        sum(retry_afters) / len(retry_afters) if retry_afters else 0.0
-                    ),
+                    rungs=rungs,
+                    knee_index=knee_index,
                 )
             )
+        saturation = SaturationStudy(
+            curves=curves,
+            base_rate=rate,
+            multipliers=tuple(float(multiplier) for multiplier in rate_sweep),
+            duration=sweep_duration,
+            queue_capacity=sweep_queue_capacity,
+            knee_rejection_threshold=knee_rejection_threshold,
+        )
 
     return ServingBenchResult(
         rows=rows,
@@ -325,113 +362,12 @@ def run_serving_bench(
         window=window,
         queue_capacity=queue_capacity,
         workers=workers,
-    )
-
-
-def run_saturation_sweep(
-    genome_length: int = 20_000,
-    seed: int = 0,
-    base_rate: float = 500.0,
-    multipliers: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0),
-    duration: float = 0.5,
-    tenants: int = 4,
-    queries_per_arrival: int = 4,
-    query_length: int = 28,
-    pool_size: int = 512,
-    zipf_s: float = 1.1,
-    k: int = DEFAULT_STEP,
-    max_batch: int = 64,
-    max_delay: float = 0.005,
-    window: int = 2,
-    queue_capacity: int = 512,
-    arrivals: tuple[str, ...] = ARRIVALS,
-    workers: Sequence[int] = DEFAULT_WORKERS,
-    knee_rejection_threshold: float = KNEE_REJECTION_THRESHOLD,
-) -> SaturationStudy:
-    """Walk the offered-load ladder to the knee for every worker count.
-
-    Every (workers, arrival, rung) cell runs a fresh service against the
-    same index/accelerator/pool, open-loop; the schedule of a given
-    (arrival, rung) is identical across worker counts, so the curves are
-    directly comparable.  The default ``queue_capacity`` is deliberately
-    tighter than the headline bench — the sweep must drive the queue past
-    its bound at the top rung (``SaturationCurve.saturated``) or the knee
-    was never reached and the sweep is reported as inconclusive.
-    """
-    workers = tuple(int(count) for count in workers)
-    rates = rate_ladder(base_rate, multipliers)
-    _, backend, accelerator, pool = _build_stack(
-        genome_length, seed, k, query_length, pool_size
-    )
-
-    curves = []
-    for worker_count in workers:
-        config = ServingConfig(
-            max_batch=max_batch,
-            max_delay=max_delay,
-            queue_capacity=queue_capacity,
-            window=window,
-            workers=worker_count,
-        )
-        for index, arrival in enumerate(arrivals):
-            rungs = []
-            for rung_index, rate in enumerate(rates):
-                schedule = _schedule(
-                    arrival, rate, duration, seed + index + 101 * rung_index,
-                    pool, tenants, queries_per_arrival, zipf_s,
-                )
-                service = QueryService(QueryEngine(backend), accelerator, config)
-                with service:
-                    loop = run_open_loop(service, schedule)
-                stats = service.stats
-                replay = service.result()
-                latencies_ms = [latency * 1e3 for latency in stats.latencies]
-                wall = max(loop.wall_seconds, 1e-12)
-                retry_afters = loop.retry_afters
-                rungs.append(
-                    SaturationRung(
-                        rate=rate,
-                        offered_qps=rate * queries_per_arrival,
-                        submitted=loop.offered,
-                        accepted=loop.accepted,
-                        rejected=loop.rejected,
-                        completed=stats.completed,
-                        wall_seconds=loop.wall_seconds,
-                        mbase_per_second=replay.bases_processed / wall / 1e6,
-                        p50_ms=percentile(latencies_ms, 50.0),
-                        p99_ms=percentile(latencies_ms, 99.0),
-                        mean_retry_after_s=(
-                            sum(retry_afters) / len(retry_afters)
-                            if retry_afters
-                            else 0.0
-                        ),
-                    )
-                )
-            knee_index = 0
-            for rung_index, rung in enumerate(rungs):
-                if rung.rejection_rate <= knee_rejection_threshold:
-                    knee_index = rung_index
-            curves.append(
-                SaturationCurve(
-                    arrival=arrival,
-                    workers=worker_count,
-                    rungs=rungs,
-                    knee_index=knee_index,
-                )
-            )
-
-    return SaturationStudy(
-        curves=curves,
-        base_rate=base_rate,
-        multipliers=tuple(float(multiplier) for multiplier in multipliers),
-        duration=duration,
-        queue_capacity=queue_capacity,
-        knee_rejection_threshold=knee_rejection_threshold,
+        saturation=saturation,
     )
 
 
 def format_serving(result: ServingBenchResult) -> str:
-    """Render the serving benchmark table."""
+    """Render the serving benchmark table (and the knee study, if swept)."""
     lines = [
         "Serving - sustained open-loop load through the always-on service "
         f"(human {result.genome_length:,} bp, k={result.k}, "
@@ -452,6 +388,8 @@ def format_serving(result: ServingBenchResult) -> str:
             f"{row.mbase_per_second:8.3f} {row.p50_ms:7.2f} {row.p99_ms:7.2f} "
             f"{row.max_ms:7.2f}"
         )
+    if result.saturation is not None:
+        lines.append(format_saturation(result.saturation))
     return "\n".join(lines)
 
 
@@ -485,107 +423,55 @@ def format_saturation(study: SaturationStudy) -> str:
     return "\n".join(lines)
 
 
-def serving_report(
-    result: ServingBenchResult,
-    saturation: SaturationStudy | None = None,
-    **workload,
-) -> dict:
-    """The benchmark as a JSON-ready record (``BENCH_serving.json``)."""
-    report = {
-        "benchmark": "serving",
-        "workload": {
-            "genome_length": result.genome_length,
-            "k": result.k,
-            "rate": result.rate,
-            "duration_s": result.duration,
-            "tenants": result.tenants,
-            "queries_per_arrival": result.queries_per_arrival,
-            "query_length": result.query_length,
-            "pool_size": result.pool_size,
-            "zipf_s": result.zipf_s,
-            "max_batch": result.max_batch,
-            "max_delay_s": result.max_delay,
-            "window": result.window,
-            "queue_capacity": result.queue_capacity,
-            "workers": list(result.workers),
-            **host_block(),
-            **dict(workload),
-        },
-        "rows": [
-            {
-                "arrival": row.arrival,
-                "workers": row.workers,
-                "offered_qps": row.offered_qps,
-                "duration_s": row.duration_s,
-                "submitted": row.submitted,
-                "accepted": row.accepted,
-                "rejected": row.rejected,
-                "completed": row.completed,
-                "batches": row.batches,
-                "flushes": row.flushes,
-                "merge_ratio": round(row.merge_ratio, 4),
-                "scheduled_requests": row.scheduled_requests,
-                "bases_processed": row.bases_processed,
-                "wall_seconds": round(row.wall_seconds, 6),
-                "mbase_per_second": round(row.mbase_per_second, 6),
-                "model_mbase_per_second": round(row.model_mbase_per_second, 4),
-                "p50_ms": round(row.p50_ms, 4),
-                "p95_ms": round(row.p95_ms, 4),
-                "p99_ms": round(row.p99_ms, 4),
-                "max_ms": round(row.max_ms, 4),
-                "mean_retry_after_s": round(row.mean_retry_after_s, 6),
-            }
-            for row in result.rows
-        ],
-    }
-    if saturation is not None:
-        report["sweep"] = {
-            "base_rate": saturation.base_rate,
-            "multipliers": list(saturation.multipliers),
-            "duration_s": saturation.duration,
-            "queue_capacity": saturation.queue_capacity,
-            "knee_rejection_threshold": saturation.knee_rejection_threshold,
-            "curves": [
-                {
-                    "arrival": curve.arrival,
-                    "workers": curve.workers,
-                    "knee_index": curve.knee_index,
-                    "knee_offered_qps": curve.knee.offered_qps,
-                    "knee_mbase_per_second": round(curve.knee.mbase_per_second, 6),
-                    "saturated": curve.saturated,
-                    "rungs": [
-                        {
-                            "rate": rung.rate,
-                            "offered_qps": rung.offered_qps,
-                            "submitted": rung.submitted,
-                            "accepted": rung.accepted,
-                            "rejected": rung.rejected,
-                            "rejection_rate": round(rung.rejection_rate, 6),
-                            "completed": rung.completed,
-                            "wall_seconds": round(rung.wall_seconds, 6),
-                            "mbase_per_second": round(rung.mbase_per_second, 6),
-                            "p50_ms": round(rung.p50_ms, 4),
-                            "p99_ms": round(rung.p99_ms, 4),
-                            "mean_retry_after_s": round(rung.mean_retry_after_s, 6),
-                        }
+#: Decimals the record keeps for host-side latency/throughput floats.
+_ROW_DIGITS = {
+    "merge_ratio": 4,
+    "wall_seconds": 6,
+    "mbase_per_second": 6,
+    "model_mbase_per_second": 4,
+    "p50_ms": 4,
+    "p95_ms": 4,
+    "p99_ms": 4,
+    "max_ms": 4,
+    "mean_retry_after_s": 6,
+    "rejection_rate": 6,
+}
+
+
+def record(result: ServingBenchResult) -> Record:
+    """``BENCH_serving.json``: the sustained-load rows, plus the
+    saturation ``sweep`` section when the run walked the rate ladder."""
+    rows = [row_dict(row, digits=_ROW_DIGITS) for row in result.rows]
+    headlines = []
+    for row in rows:
+        name = f"{row['arrival']}x{row['workers']}"
+        headlines.append((f"{name}.mbase_per_second", row["mbase_per_second"], "higher"))
+        headlines.append((f"{name}.completed_all", row["completed"] == row["accepted"], "bool"))
+    sections = {}
+    study = result.saturation
+    if study is not None:
+        sections["sweep"] = row_dict(
+            study,
+            multipliers=list(study.multipliers),
+            curves=[
+                row_dict(
+                    curve,
+                    "saturated",
+                    knee_offered_qps=curve.knee.offered_qps,
+                    knee_mbase_per_second=round(curve.knee.mbase_per_second, 6),
+                    rungs=[
+                        row_dict(rung, "rejection_rate", digits=_ROW_DIGITS)
                         for rung in curve.rungs
                     ],
-                }
-                for curve in saturation.curves
+                )
+                for curve in study.curves
             ],
-        }
-    return report
+        )
+    return Record(
+        benchmark="serving",
+        workload=row_dict(result, workers=list(result.workers)),
+        headlines=headlines,
+        rows=rows,
+        sections=sections,
+    )
 
-
-def write_serving_json(
-    path: str,
-    result: ServingBenchResult,
-    saturation: SaturationStudy | None = None,
-    **workload,
-) -> dict:
-    """Write :func:`serving_report` to *path*; returns the record."""
-    report = serving_report(result, saturation=saturation, **workload)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    return report

@@ -308,12 +308,10 @@ class DRAMModel:
         config: DDR4Config | None = None,
         page_policy: PagePolicy = PagePolicy.CLOSE,
         energy_model: DRAMEnergyModel | None = None,
-        chip_level_parallelism: bool = False,
     ) -> None:
         self._config = config or DDR4Config()
         self._policy = page_policy
         self._energy = energy_model or DRAMEnergyModel()
-        self._chip_parallel = chip_level_parallelism
 
     @property
     def config(self) -> DDR4Config:

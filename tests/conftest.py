@@ -7,6 +7,10 @@ stays fast while still exercising real construction code.
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 
 from repro.exma.mtl_index import MTLIndex
@@ -43,6 +47,17 @@ def exma_table(small_reference: str) -> ExmaTable:
 def mtl_index(exma_table: ExmaTable) -> MTLIndex:
     """A small trained MTL index over the session EXMA table."""
     return MTLIndex(exma_table, model_threshold=8, samples_per_kmer=32, epochs=60, seed=0)
+
+
+@pytest.fixture(scope="session")
+def ci_gates():
+    """``scripts/ci_gates.py`` as a module (it is a script, not a package)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "ci_gates.py"
+    spec = importlib.util.spec_from_file_location("ci_gates", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 # Shared helpers (brute_force_find, query generators) live in

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENT_NAMES, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.registry import EXPERIMENTS
 from repro.genome.io import FastaRecord, write_fasta
 from repro.genome.sequence import random_genome
 
@@ -23,11 +24,57 @@ class TestParser:
         assert args.step == 4
 
     def test_experiment_choices(self):
-        for name in EXPERIMENT_NAMES:
-            args = build_parser().parse_args(["experiment", name])
-            assert args.name == name
+        for entry in EXPERIMENTS:
+            args = build_parser().parse_args(["experiment", entry.name])
+            assert args.name == entry.name
+            assert args.entry is entry
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    def test_foreign_flags_are_an_error(self, tmp_path, capsys):
+        """Regression: the shared flag pile let `experiment fig1 --grid
+        nonsense --json ignored.json --fault-rate 9` exit 0 having
+        ignored all three."""
+        ignored = tmp_path / "ignored.json"
+        with pytest.raises(SystemExit) as raised:
+            main(
+                ["experiment", "fig1", "--grid", "nonsense", "--json", str(ignored),
+                 "--fault-rate", "9"]
+            )
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not ignored.exists()
+
+    def test_json_only_on_record_bearing_experiments(self):
+        record_bearing = {entry.name for entry in EXPERIMENTS if entry.record is not None}
+        assert record_bearing == {
+            "accel-replay", "chaos", "dse", "fig18-window", "serving", "shard-scaling"
+        }
+        for entry in EXPERIMENTS:
+            argv = ["experiment", entry.name, "--json", "out.json"]
+            if entry.record is not None:
+                assert build_parser().parse_args(argv).json == "out.json"
+            else:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv)
+
+    def test_chaos_takes_the_load_generators_flags(self):
+        args = build_parser().parse_args(
+            ["experiment", "chaos", "--rate", "300", "--duration", "0.3"]
+        )
+        assert (args.rate, args.duration) == (300.0, 0.3)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "chaos", "--chaos-rate", "300"])
+
+    def test_serving_bench_is_a_spelling_of_the_serving_entry(self):
+        argv = ["--rate", "100", "--workers", "1,2", "--rate-sweep", "1,4"]
+        spelled = build_parser().parse_args(["serving-bench", *argv])
+        named = build_parser().parse_args(["experiment", "serving", *argv])
+        assert spelled.entry is named.entry
+        assert spelled.workers == named.workers == (1, 2)
+        assert spelled.rate_sweep == (1.0, 4.0)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serving-bench", "--workers", "one"])
 
     def test_info_defaults(self):
         args = build_parser().parse_args(["info"])
@@ -125,7 +172,7 @@ class TestShardingFlags:
             ["experiment", "fig15-window", "--window", "4", "--shards", "2",
              "--executor", "process"]
         )
-        assert args.window == 4
+        assert args.windows == (1, 2, 4)
         assert args.shards == 2
         assert args.executor == "process"
 
@@ -156,6 +203,7 @@ class TestShardingFlags:
         assert "W=1 matches unwindowed: yes" in out
         report = json.loads(report_path.read_text())
         assert report["benchmark"] == "window_capacity"
+        assert report["workload"]["genome_length"] == 4000
         assert report["w1_matches_unwindowed"] is True
         assert [row["window"] for row in report["rows"]] == [1, 2]
         assert report["rows"][0]["total_cycles"] == report["unwindowed"]["total_cycles"]

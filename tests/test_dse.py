@@ -6,11 +6,8 @@ the registered ``dse`` CI gate over a freshly written record.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
-import pathlib
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +25,7 @@ from repro.accel.configspace import (
     point_to_dict,
 )
 from repro.experiments import dse as dse_module
-from repro.experiments import run_dse, write_dse_json
+from repro.experiments import run_dse, write_record
 from repro.hw.dram import PagePolicy
 
 #: Cache geometry fields that must be powers of two.
@@ -136,15 +133,6 @@ class TestGridParsing:
         }
 
 
-def _load_ci_gates():
-    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "ci_gates.py"
-    spec = importlib.util.spec_from_file_location("ci_gates", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 TOY_SWEEP = dict(
     genome_length=4000,
     query_count=120,
@@ -210,16 +198,15 @@ class TestDseHarness:
         assert crashed.rows == serial.rows == toy_dse.rows
         assert crashed.frontier == serial.frontier
 
-    def test_dse_gate_passes_on_written_record(self, toy_dse, tmp_path, capsys):
+    def test_dse_gate_passes_on_written_record(self, toy_dse, tmp_path, capsys, ci_gates):
         record_path = tmp_path / "dse.json"
-        write_dse_json(str(record_path), toy_dse)
-        ci_gates = _load_ci_gates()
+        write_record(str(record_path), dse_module.record(toy_dse))
         assert ci_gates.main(["ci_gates.py", "--gate", f"dse={record_path}"]) == 0
         assert "OK [dse]" in capsys.readouterr().out
 
-    def test_dse_gate_rejects_tampered_frontier(self, toy_dse, tmp_path, capsys):
+    def test_dse_gate_rejects_tampered_frontier(self, toy_dse, tmp_path, capsys, ci_gates):
         record_path = tmp_path / "dse.json"
-        record = write_dse_json(str(record_path), toy_dse)
+        record = write_record(str(record_path), dse_module.record(toy_dse))
         # Claim an extra, dominated row is on the frontier: the gate's
         # local Pareto recomputation must catch the mismatch.
         off = next(row for row in record["rows"] if not row["on_frontier"])
@@ -234,6 +221,5 @@ class TestDseHarness:
             }
         )
         record_path.write_text(json.dumps(record))
-        ci_gates = _load_ci_gates()
         assert ci_gates.main(["ci_gates.py", "--gate", f"dse={record_path}"]) == 1
         assert "recomputed Pareto set" in capsys.readouterr().err

@@ -78,20 +78,33 @@ class SharedNode:
         moments_m = [np.zeros_like(p) for p in params] + [0.0]
         moments_v = [np.zeros_like(p) for p in params] + [0.0]
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        weights = weights / weights.sum()
+        twice_weights = 2.0 * (weights / weights.sum())
+        # Every (n, hidden) intermediate of an epoch lives in these two.
+        hidden = np.empty((features.shape[0], self.hidden))
+        scratch = np.empty_like(hidden)
 
         for step in range(1, epochs + 1):
-            pre = features @ self.w1 + self.b1
-            hidden = 1.0 / (1.0 + np.exp(-pre))
-            pred = hidden @ self.w2 + self.b2
-            err = pred - targets
-            # Weighted MSE gradient.
-            grad_pred = 2.0 * weights * err
+            # hidden = sigmoid(features @ w1 + b1)
+            np.matmul(features, self.w1, out=hidden)
+            hidden += self.b1
+            np.negative(hidden, out=hidden)
+            np.exp(hidden, out=hidden)
+            hidden += 1.0
+            np.divide(1.0, hidden, out=hidden)
+            # Weighted MSE gradient: 2 * weights * (prediction - targets).
+            grad_pred = hidden @ self.w2
+            grad_pred += self.b2
+            grad_pred -= targets
+            grad_pred *= twice_weights
             grad_w2 = hidden.T @ grad_pred
             grad_b2 = float(grad_pred.sum())
-            grad_hidden = np.outer(grad_pred, self.w2) * hidden * (1.0 - hidden)
-            grad_w1 = features.T @ grad_hidden
-            grad_b1 = grad_hidden.sum(axis=0)
+            # scratch = outer(grad_pred, w2) * hidden * (1 - hidden)
+            np.multiply(grad_pred[:, None], self.w2, out=scratch)
+            scratch *= hidden
+            np.subtract(1.0, hidden, out=hidden)
+            scratch *= hidden
+            grad_w1 = features.T @ scratch
+            grad_b1 = scratch.sum(axis=0)
 
             grads = [grad_w1, grad_b1, grad_w2, grad_b2]
             values = [self.w1, self.b1, self.w2, self.b2]
@@ -179,7 +192,7 @@ class MTLIndex:
             self._bucket_of[packed] = bucket
 
         for bucket, kmers in grouped.items():
-            features, targets, weights, owners = [], [], [], []
+            features, targets, weights = [], [], []
             for packed in kmers:
                 increments = self._table.increments_of(packed)
                 count = increments.size
@@ -193,7 +206,6 @@ class MTLIndex:
                 targets.append(cdf)
                 # beta_i / f_i weighting of Eq. 4 with beta_i = 1.
                 weights.append(np.full(take, 1.0 / take))
-                owners.append(np.full(take, packed))
             feature_matrix = np.vstack(features)
             target_vector = np.concatenate(targets)
             weight_vector = np.concatenate(weights)
@@ -206,12 +218,13 @@ class MTLIndex:
                 seed=self._seed + bucket,
             )
             self._nodes[bucket] = node
-            # Fit the per-k-mer linear leaves on the shared output.
-            owner_vector = np.concatenate(owners)
+            # Fit the per-k-mer linear leaves on the shared output; samples
+            # were appended k-mer by k-mer, so each leaf owns one slice.
             shared_out = node.forward(feature_matrix)
-            for packed in kmers:
-                mask = owner_vector == packed
-                self._leaves[packed] = self._fit_leaf(shared_out[mask], target_vector[mask])
+            stop = 0
+            for packed, cdf in zip(kmers, targets):
+                start, stop = stop, stop + cdf.size
+                self._leaves[packed] = self._fit_leaf(shared_out[start:stop], cdf)
 
     @staticmethod
     def _fit_leaf(shared_output: np.ndarray, cdf: np.ndarray) -> LeafModel:

@@ -83,8 +83,6 @@ class ExmaTable:
         self._max = self._n + 1
 
         self._sa = suffix_array(text)
-        self._isa = np.empty(self._n, dtype=np.int64)
-        self._isa[self._sa] = np.arange(self._n)
 
         (
             self._increments,

@@ -46,6 +46,7 @@ for _char, _code in _CHAR_TO_CODE.items():
     _BYTE_TO_CODE[ord(_char)] = _code
 
 _COMPLEMENT = {"A": "T", "C": "G", "G": "C", "T": "A", SENTINEL: SENTINEL, "N": "N"}
+_COMPLEMENT_TABLE = str.maketrans(_COMPLEMENT)
 
 
 class AlphabetError(ValueError):
@@ -114,8 +115,15 @@ def decode(codes: np.ndarray) -> str:
 
 
 def reverse_complement(sequence: str) -> str:
-    """Return the reverse complement of a DNA sequence."""
-    return "".join(_COMPLEMENT[c] for c in reversed(sequence))
+    """Return the reverse complement of a DNA sequence.
+
+    Raises ``KeyError`` on a symbol with no complement
+    (``str.translate`` alone would pass it through unchanged).
+    """
+    unknown = set(sequence) - _COMPLEMENT.keys()
+    if unknown:
+        raise KeyError(min(unknown))
+    return sequence.translate(_COMPLEMENT_TABLE)[::-1]
 
 
 def pack_kmer(kmer: str) -> int:

@@ -142,9 +142,20 @@ class ReadSimulator:
         return reads
 
     def _corrupt(self, fragment: str) -> str:
-        """Apply the error profile to one fragment."""
+        """Apply the error profile to one fragment.
+
+        One bulk draw settles an error-free fragment (most Illumina
+        reads); any error rewinds the generator and replays the draws
+        base by base, so the reads are those of the scalar loop alone.
+        """
         rng = self._rng
         profile = self._profile
+        # The state carries the buffered uint32 ``integers`` draws from.
+        state = rng.bit_generator.state
+        draws = rng.random(len(fragment))
+        if (draws - profile.deletion - profile.insertion >= profile.mismatch).all():
+            return fragment
+        rng.bit_generator.state = state
         out: list[str] = []
         for base in fragment:
             r = rng.random()

@@ -152,8 +152,8 @@ def random_genome(
             tiled = np.tile(motif, span // t_unit + 1)[:span]
             codes[start : start + span] = tiled
 
-    bases = np.array(list(DNA_ALPHABET))
-    return "".join(bases[codes])
+    bases = np.frombuffer(DNA_ALPHABET.encode("ascii"), dtype=np.uint8)
+    return bases[codes].tobytes().decode("ascii")
 
 
 @dataclass

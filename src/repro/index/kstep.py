@@ -24,7 +24,7 @@ import numpy as np
 
 from ..genome.alphabet import SENTINEL
 from .fmindex import Interval
-from .suffix_array import suffix_array
+from .suffix_array import inverse_suffix_array, suffix_array
 
 #: Alphabet size used by the paper's size formula (A, C, G, T).
 SIGMA = 4
@@ -212,11 +212,8 @@ class KStepFMIndex:
 
     def _row_of_position(self, position: int) -> int:
         """BW-matrix row whose suffix starts at *position*."""
-        # Inverse suffix array lookup.
         if not hasattr(self, "_isa"):
-            isa = np.empty(self._n, dtype=np.int64)
-            isa[self._sa] = np.arange(self._n)
-            self._isa = isa
+            self._isa = inverse_suffix_array(self._sa)
         return int(self._isa[position])
 
     def occurrence_count(self, query: str) -> int:

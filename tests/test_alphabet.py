@@ -108,6 +108,14 @@ class TestReverseComplement:
     def test_empty(self):
         assert alphabet.reverse_complement("") == ""
 
+    def test_sentinel_and_n_map_to_themselves(self):
+        assert alphabet.reverse_complement("AC$N") == "N$GT"
+
+    @pytest.mark.parametrize("sequence", ["ACXGT", "acgt", "ACG T", "U"])
+    def test_unknown_symbol_raises_key_error(self, sequence):
+        with pytest.raises(KeyError):
+            alphabet.reverse_complement(sequence)
+
     @given(dna_strings)
     @settings(max_examples=30, deadline=None)
     def test_involution(self, text):

@@ -127,7 +127,67 @@ class TestNaiveLearnedIndex:
             NaiveLearnedIndex(repeat_table, increments_per_leaf=0)
 
 
+def _reference_train(features, targets, weights, epochs, seed):
+    """The allocating Adam loop `SharedNode.train` must reproduce bit for
+    bit: every intermediate a fresh array, one NumPy expression per line
+    of the maths."""
+    rng = np.random.default_rng(seed)
+    w1 = rng.normal(0.0, 0.5, size=(features.shape[1], 10))
+    b1 = np.zeros(10)
+    w2 = rng.normal(0.0, 0.5, size=10)
+    values = [w1, b1, w2, 0.0]
+    first = [np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2), 0.0]
+    second = [np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2), 0.0]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    weights = weights / weights.sum()
+    for step in range(1, epochs + 1):
+        w1, b1, w2, b2 = values
+        hidden = 1.0 / (1.0 + np.exp(-(features @ w1 + b1)))
+        grad_pred = 2.0 * weights * (hidden @ w2 + b2 - targets)
+        grad_hidden = np.outer(grad_pred, w2) * hidden * (1.0 - hidden)
+        grads = [
+            features.T @ grad_hidden,
+            grad_hidden.sum(axis=0),
+            hidden.T @ grad_pred,
+            float(grad_pred.sum()),
+        ]
+        for i, grad in enumerate(grads):
+            first[i] = beta1 * np.asarray(first[i]) + (1 - beta1) * np.asarray(grad)
+            second[i] = beta2 * np.asarray(second[i]) + (1 - beta2) * np.square(grad)
+            m_hat = first[i] / (1 - beta1**step)
+            v_hat = second[i] / (1 - beta2**step)
+            values[i] = values[i] - 0.05 * m_hat / (np.sqrt(v_hat) + eps)
+        values[3] = float(values[3])
+    return values
+
+
 class TestSharedNode:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    def test_train_equals_allocating_reference(self, n, seed):
+        # Same machine, same BLAS, same operation order: equal to the
+        # last bit, so no golden floats and no tolerance.
+        rng = np.random.default_rng(100 + seed)
+        features = rng.uniform(size=(n, 2))
+        targets = rng.uniform(size=n)
+        weights = rng.uniform(0.1, 1.0, size=n)
+        w1, b1, w2, b2 = _reference_train(features, targets, weights, epochs=40, seed=seed)
+        node = SharedNode()
+        node.train(features, targets, weights, epochs=40, seed=seed)
+        assert np.array_equal(node.w1, w1)
+        assert np.array_equal(node.b1, b1)
+        assert np.array_equal(node.w2, w2)
+        assert node.b2 == b2 and isinstance(node.b2, float)
+
+    def test_train_leaves_its_inputs_alone(self):
+        rng = np.random.default_rng(3)
+        features, targets = rng.uniform(size=(50, 2)), rng.uniform(size=50)
+        weights = rng.uniform(0.1, 1.0, size=50)
+        before = [a.copy() for a in (features, targets, weights)]
+        SharedNode().train(features, targets, weights, epochs=5)
+        for array, copy in zip((features, targets, weights), before):
+            assert np.array_equal(array, copy)
+
     def test_forward_shape(self):
         node = SharedNode()
         node.train(
@@ -205,6 +265,34 @@ class TestMTLIndex:
         if not light:
             pytest.skip("all k-mers modelled")
         assert mtl.predict(light[0], 1000) == repeat_table.occ(light[0], 1000)
+
+    def test_each_leaf_is_fit_on_its_own_samples(self, repeat_table):
+        # Re-draw every k-mer's samples the way `_train` does and fit its
+        # leaf alone.  `take = min(samples, count)` differs from k-mer to
+        # k-mer here, so a leaf fitted on a neighbour's slice would show.
+        seed, samples = 2, 70
+        index = MTLIndex(
+            repeat_table, model_threshold=8, samples_per_kmer=samples, epochs=20, seed=seed
+        )
+        n = repeat_table.reference_length
+        by_bucket: dict[int, list[int]] = {}
+        for packed in index.modelled_kmers:
+            by_bucket.setdefault(index.node_ids_for(packed)[0], []).append(packed)
+        rng = np.random.default_rng(seed)
+        takes = set()
+        for bucket, kmers in by_bucket.items():
+            node = index._nodes[bucket]
+            for packed in kmers:
+                increments = repeat_table.increments_of(packed)
+                count = increments.size
+                idx = np.sort(rng.choice(count, size=min(samples, count), replace=False))
+                features = np.column_stack([increments[idx] / n, np.full(idx.size, count / n)])
+                expected = MTLIndex._fit_leaf(node.forward(features), idx / count)
+                leaf = index._leaves[packed]
+                assert leaf.weight == pytest.approx(expected.weight, rel=1e-6, abs=1e-9)
+                assert leaf.bias == pytest.approx(expected.bias, rel=1e-6, abs=1e-9)
+                takes.add(idx.size)
+        assert len(takes) > 1
 
     def test_deterministic_with_seed(self, repeat_table):
         a = MTLIndex(repeat_table, model_threshold=8, samples_per_kmer=16, epochs=30, seed=5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.genome.reads import (
@@ -118,6 +119,52 @@ class TestReadSimulator:
         record = read.to_fastq()
         assert record.name == read.name
         assert len(record.quality) == len(record.sequence)
+
+
+class _ScalarOnly:
+    """Generator stand-in whose bulk draw reports an error in every base
+    and consumes nothing, so `_corrupt` rewinds (a no-op) and runs its
+    scalar loop on every fragment."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+
+    def random(self, size=None):
+        return self._rng.random() if size is None else np.zeros(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestBulkDrawEqualsScalarLoop:
+    CASES = [
+        (ILLUMINA, 48, 400),
+        (ILLUMINA, 1, 3000),
+        (PACBIO, 120, 40),
+        (ONT_2D, 60, 40),
+        (ONT_2D, 1, 300),
+    ]
+
+    @pytest.mark.parametrize("both_strands", [True, False])
+    @pytest.mark.parametrize("profile, read_length, count", CASES)
+    def test_same_reads_same_stream(self, reference, profile, read_length, count, both_strands):
+        bulk = ReadSimulator(reference, profile, seed=9)
+        scalar = ReadSimulator(reference, profile, seed=9)
+        scalar._rng = _ScalarOnly(scalar._rng)
+        arguments = dict(read_length=read_length, count=count, both_strands=both_strands)
+        assert bulk.simulate(**arguments) == scalar.simulate(**arguments)
+        assert bulk._rng.bit_generator.state == scalar._rng.bit_generator.state
+
+    def test_cases_take_both_paths(self, reference):
+        # A mismatch draws its base through `integers`, which leaves half
+        # a uint64 buffered in the bit generator; a clean read right after
+        # a corrupted one takes the bulk path with that buffer occupied.
+        reads = ReadSimulator(reference, ILLUMINA, seed=9).simulate(
+            read_length=48, count=400, both_strands=False
+        )
+        clean = [r.sequence == reference[r.true_position :][:48] for r in reads]
+        assert any(not first and second for first, second in zip(clean, clean[1:]))
+        assert sum(clean) > len(clean) // 2
 
 
 class TestConvenienceWrappers:

@@ -13,8 +13,9 @@ packed request stream) against the request-at-a-time object reference
   routine sweeps.
 
 Every timed pair is also checked for field-for-field equality, so the
-record doubles as an end-to-end divergence gate
-(``scripts/ci_gates.py --gate accel-replay``, wired into the CI bench-smoke leg).
+record doubles as an end-to-end divergence gate: it pins
+``<row>.results_equal`` and ``<row>.columnar_at_least_2x``
+(``scripts/ci_gates.py --gate pins=RECORD``, the CI bench-smoke leg).
 
 PR 8 grows the record an **epoch-parallel replay sweep**: each
 workload's queries split into batches whose W=1 flush epochs fan across
@@ -22,8 +23,8 @@ workload's queries split into batches whose W=1 flush epochs fan across
 field-for-field against the serial baseline and timed alongside the
 search that produced the streams (the whole-pipeline wall-clock).  The
 record's ``host`` block carries the CPU counts, so a 1-CPU container
-records a truthful tie and the multicore CI leg gates real speedup
-(``scripts/ci_gates.py --gate replay-scaling``).
+records a truthful tie and the multicore CI leg puts a floor under the
+recorded ``scaling.<row>@w<N>.speedup`` headlines.
 Reproduce the committed record with::
 
     repro-exma experiment accel-replay --genome-length 60000 \
@@ -55,6 +56,9 @@ __all__ = [
     "record",
     "run_accel_replay",
 ]
+
+#: The columnar replay must beat the object reference by at least this.
+MIN_COLUMNAR_SPEEDUP = 2.0
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class ReplayScalingRow:
     ``results_equal`` records whether this point's
     :class:`~repro.accel.exma_accelerator.WindowedRunResult` was
     field-for-field equal to the serial baseline's, so the sweep doubles
-    as the exact-equivalence gate (``scripts/ci_gates.py --gate replay-scaling``).
+    as the exact-equivalence pin (``scaling.<row>@w<N>.results_equal``).
     """
 
     label: str
@@ -373,8 +377,7 @@ def record(result: AccelReplayResult) -> Record:
 
     The record's ``host`` block is what keeps the epoch-parallel sweep
     honest: a 1–2 CPU container records a truthful ~1× tie while the
-    multicore CI leg gates real speedup
-    (``scripts/ci_gates.py --gate replay-scaling``).
+    multicore CI leg holds ``scaling.*@w4.speedup`` above a floor.
     """
     rows = [row_dict(row, "speedup", digits={"speedup": 2}) for row in result.rows]
     scaling = [
@@ -391,6 +394,9 @@ def record(result: AccelReplayResult) -> Record:
     for row in rows:
         label = row["label"]
         headlines.append((f"{label}.results_equal", row["results_equal"], "bool"))
+        headlines.append(
+            (f"{label}.columnar_at_least_2x", row["speedup"] >= MIN_COLUMNAR_SPEEDUP, "bool")
+        )
         headlines.append((f"{label}.speedup", row["speedup"], "higher"))
         # The speedup's denominator: the columnar replay's own
         # wall-clock, which a faster object path would otherwise hide.
@@ -399,6 +405,7 @@ def record(result: AccelReplayResult) -> Record:
         label = f"scaling.{row['label']}"
         name = f"{label}@w{row['replay_workers']}"
         headlines.append((f"{name}.results_equal", row["results_equal"], "bool"))
+        headlines.append((f"{name}.speedup", row["speedup"], "higher"))
         # Search + replay wall-clock is a headline (ROADMAP item B);
         # search alone is the same number on every row of a label.
         headlines.append((f"{name}.pipeline_seconds", row["pipeline_seconds"], "lower"))

@@ -21,12 +21,14 @@ The ``fault-free`` scenario doubles as a regression pin: a run with an
 *empty* fault plan (the injector threaded everywhere, injecting nothing)
 must be field-for-field identical to a run with no injector at all
 (``fault_free.identical``), proving the chaos plumbing costs the
-production path nothing.  Results land in ``BENCH_chaos.json``, gated by
-``scripts/ci_gates.py --gate chaos``.
+production path nothing.  Results land in ``BENCH_chaos.json``; the
+record pins the ledger (:func:`record`) and ``scripts/ci_gates.py --gate
+'pins=RECORD:*.availability>=0.95'`` adds the availability floor.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -367,10 +369,34 @@ def record(result: ChaosResult) -> Record:
         )
         for row in result.rows
     ]
-    headlines = [("fault_free.identical", identical, "bool")]
+    clean = [row for row in rows if not row["faulted"]]
+    faulted = [row for row in rows if row["faulted"]]
+    headlines = [
+        ("fault_free.identical", identical, "bool"),
+        # The control scenarios lost nothing and injected nothing.
+        (
+            "fault_free.clean",
+            all(
+                row["failed"] == row["cancelled"] == row["injected"] == 0
+                and row["availability"] == 1.0
+                for row in clean
+            ),
+            "bool",
+        ),
+        # A control and a faulted scenario ran, and every faulted one fired.
+        (
+            "scenarios.cover_faulted_and_clean",
+            bool(clean and faulted) and all(row["injected"] > 0 for row in faulted),
+            "bool",
+        ),
+    ]
     for row in rows:
-        headlines.append((f"{row['label']}.availability", row["availability"], "higher"))
-        headlines.append((f"{row['label']}.stranded_zero", row["stranded"] == 0, "bool"))
+        label = row["label"]
+        headlines.append((f"{label}.availability", row["availability"], "higher"))
+        headlines.append((f"{label}.stranded_zero", row["stranded"] == 0, "bool"))
+        resolved = row["completed"] + row["failed"] + row["cancelled"]
+        balanced = 0 < row["accepted"] == resolved and math.isfinite(row["availability"])
+        headlines.append((f"{label}.ledger_balanced", balanced, "bool"))
     return Record(
         benchmark="chaos",
         workload=workload,
@@ -378,4 +404,3 @@ def record(result: ChaosResult) -> Record:
         rows=rows,
         sections={"fault_free": {"identical": identical}},
     )
-

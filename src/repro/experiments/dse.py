@@ -19,8 +19,8 @@ fresh accelerator at its point, windows the shared batch streams with
 its own W and replays the flush epochs serially (the parallelism is
 *across* configurations, not within one).
 
-Correctness contract, recorded in the JSON and gated in CI
-(``scripts/ci_gates.py --gate dse``):
+Correctness contract, pinned by the record's ``bool`` headlines
+(:func:`record`; CI checks them with ``scripts/ci_gates.py --gate pins``):
 
 * the baseline point (Table-I defaults, W=1) reproduces today's
   :meth:`~repro.accel.exma_accelerator.ExmaAccelerator.run` field for
@@ -28,7 +28,8 @@ Correctness contract, recorded in the JSON and gated in CI
 * every metric is modelled (cycles, joules), so re-running any frontier
   point yields the bit-identical row (``rederived_equal`` — checked by
   actually re-running each one after the sweep);
-* Pareto membership is recomputable from the recorded rows alone.
+* Pareto membership is recomputable from the recorded rows alone
+  (``frontier.is_pareto_set``).
 
 Reproduce the committed record with::
 
@@ -60,7 +61,7 @@ from ..exma.table import ExmaTable
 from ..genome.datasets import build_dataset
 from ..runtime import BackendWorkerPool, check_executor, check_workers
 from .common import DEFAULT_STEP, sample_queries
-from .record import Record, row_dict
+from .record import Record, finite_positive, row_dict
 
 __all__ = [
     "DEFAULT_GRID",
@@ -422,6 +423,9 @@ def _grid_json(grid: dict) -> dict:
     return encoded
 
 
+#: The three objectives of a row / frontier point, as recorded.
+OBJECTIVES = ("mbase_per_second", "energy_per_base_nj", "area_mm2")
+
 #: Decimals the record keeps for a row's rates (the objectives stay exact).
 _RATE_DIGITS = {
     "base_cache_hit_rate": 6,
@@ -437,17 +441,57 @@ def record(result: DseResult) -> Record:
     Every row carries its full config coordinate plus the three
     objectives (so the frontier is recomputable from the record alone)
     and the frontier section carries the re-derivation verdicts.
-    Objective floats are recorded at full precision — the CI gate
-    recomputes Pareto dominance from the JSON and must see the exact
-    values.
+    Objective floats are recorded at full precision — the
+    ``frontier.is_pareto_set`` pin recomputes Pareto dominance from the
+    serialised rows and must see the exact values.
     """
     workload = row_dict(result, digits={"elapsed_seconds": 3})
     matches_run = workload.pop("baseline_matches_run")
     elapsed_seconds = workload.pop("elapsed_seconds")
     on_frontier = set(result.frontier_labels)
     frontier = [row_dict(point) for point in result.frontier]
+    rows = [
+        row_dict(
+            row,
+            digits=_RATE_DIGITS,
+            config=point_to_dict(row.point),
+            on_frontier=row.label in on_frontier,
+        )
+        for row in result.rows
+    ]
+    grid = _grid_json(result.grid)
+    baseline = baseline_point().label
+
+    def member(entry: dict) -> tuple:
+        return (entry["label"], *(entry[key] for key in OBJECTIVES))
+
+    labels = [row["label"] for row in rows]
+    pareto = pareto_frontier(
+        (row["mbase_per_second"], -row["energy_per_base_nj"], -row["area_mm2"]) for row in rows
+    )
     headlines = [
         ("baseline.matches_run", matches_run, "bool"),
+        (
+            "baseline.row_unique",
+            [row["label"] for row in rows if row["baseline"]] == [baseline],
+            "bool",
+        ),
+        ("grid.sweeps_two_knobs", sum(len(v) >= 2 for v in grid.values()) >= 2, "bool"),
+        ("rows.labels_unique", len(set(labels)) == len(labels), "bool"),
+        (
+            "objectives_finite",
+            all(finite_positive(*(row[key] for key in OBJECTIVES)) for row in rows),
+            "bool",
+        ),
+        # The recomputed Pareto set, the frontier section and the per-row
+        # flags must be one set of (label, objectives).
+        (
+            "frontier.is_pareto_set",
+            {member(rows[i]) for i in pareto}
+            == {member(point) for point in frontier}
+            == {member(row) for row in rows if row["on_frontier"]},
+            "bool",
+        ),
         ("frontier.size", len(frontier), "higher"),
     ]
     for point in frontier:
@@ -460,20 +504,11 @@ def record(result: DseResult) -> Record:
         benchmark="dse",
         workload=workload,
         headlines=headlines,
-        rows=[
-            row_dict(
-                row,
-                digits=_RATE_DIGITS,
-                config=point_to_dict(row.point),
-                on_frontier=row.label in on_frontier,
-            )
-            for row in result.rows
-        ],
+        rows=rows,
         sections={
-            "grid": _grid_json(result.grid),
+            "grid": grid,
             "elapsed_seconds": elapsed_seconds,
-            "baseline": {"label": baseline_point().label, "matches_run": matches_run},
+            "baseline": {"label": baseline, "matches_run": matches_run},
             "frontier": frontier,
         },
     )
-

@@ -54,6 +54,9 @@ __all__ = [
     "run_fig18_window",
 ]
 
+#: Largest tolerated relative cycle increase between neighbouring capacities.
+CYCLE_SLACK = 0.02
+
 
 @dataclass(frozen=True)
 class Fig18WindowRow:
@@ -266,7 +269,30 @@ def record(result: Fig18WindowResult) -> Record:
         return row_dict(row, "merge_ratio", digits={"merge_ratio": 4, "mbase_per_second": 4})
 
     rows = [row_record(row) for row in result.rows]
-    headlines = [("w1_matches_unwindowed", w1_matches, "bool")]
+    unwindowed = row_record(result.unwindowed)
+    ordered = sorted(rows, key=lambda row: row["window"])
+    posts = [row["post_merge_requests"] for row in ordered]
+    cycles = [row["total_cycles"] for row in ordered]
+    headlines = [
+        ("w1_matches_unwindowed", w1_matches, "bool"),
+        ("post_merge_requests_monotone", posts == sorted(posts, reverse=True), "bool"),
+        # Local steps may wobble within the slack; the widest window must win.
+        (
+            "cycles_trend_holds",
+            all(b <= a * (1 + CYCLE_SLACK) for a, b in zip(cycles, cycles[1:]))
+            and (len(cycles) < 2 or cycles[-1] < cycles[0]),
+            "bool",
+        ),
+    ]
+    if ordered and ordered[0]["window"] == 1:
+        anchored = ("post_merge_requests", "total_cycles", "dram_requests")
+        headlines.append(
+            (
+                "W1.row_equals_unwindowed",
+                all(ordered[0][key] == unwindowed[key] for key in anchored),
+                "bool",
+            )
+        )
     for row in rows:
         window = row["window"]
         headlines.append((f"W{window}.mbase_per_second", row["mbase_per_second"], "higher"))
@@ -276,9 +302,5 @@ def record(result: Fig18WindowResult) -> Record:
         workload=workload,
         headlines=headlines,
         rows=rows,
-        sections={
-            "w1_matches_unwindowed": w1_matches,
-            "unwindowed": row_record(result.unwindowed),
-        },
+        sections={"w1_matches_unwindowed": w1_matches, "unwindowed": unwindowed},
     )
-

@@ -15,11 +15,13 @@ file::
     }
 
 ``scripts/ci_gates.py`` refuses (exit 2) any record missing ``benchmark``
-/ ``host`` / ``workload`` / ``headlines``, so every gate doubles as the
-schema gate, and ``bench-diff`` compares two recordings on their declared
-``headlines`` alone — the writer, not the gate, decides which numbers are
-headlines.  Kinds: a ``bool`` is a pinned invariant (it must hold, so it
-may never flip true → false, and a run that records it false exits 1 —
+/ ``host`` / ``workload`` / ``headlines`` and knows no benchmark's row
+shape: its ``pins`` gate fails on a false ``bool`` headline, its floors
+and ``bench-diff`` read declared ``headlines`` alone — the writer, not
+the gate, states every invariant, over the rows and sections it is about
+to serialise, so what is checked is what the file contains.  Kinds: a
+``bool`` is a pinned invariant (it must hold, so it may never flip
+true → false, and a run that records it false exits 1 —
 :meth:`Record.broken_pins`), ``higher`` regresses downward, ``lower``
 regresses upward.
 """
@@ -28,14 +30,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..runtime import host_block
 
-__all__ = ["KINDS", "Record", "row_dict", "write_record"]
+__all__ = ["KINDS", "Record", "finite_positive", "row_dict", "write_record"]
 
 #: The headline kinds ``bench-diff`` knows how to compare.
 KINDS = ("bool", "higher", "lower")
+
+
+def finite_positive(*values) -> bool:
+    """Whether every recorded value is a finite number above zero."""
+    return all(
+        isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+        for value in values
+    )
 
 
 def row_dict(item, *derived: str, digits: "dict | None" = None, **extra) -> dict:
@@ -78,9 +89,13 @@ class Record:
 
     def envelope(self) -> dict:
         """The JSON-ready record, host block stamped."""
+        seen = set()
         for name, _value, kind in self.headlines:
             if kind not in KINDS:
                 raise ValueError(f"headline {name!r}: unknown kind {kind!r}; known: {KINDS}")
+            if name in seen:
+                raise ValueError(f"headline {name!r} is declared twice")
+            seen.add(name)
         envelope = {
             "benchmark": self.benchmark,
             "host": host_block(),

@@ -9,7 +9,7 @@ record-bearing entries also carry ``record`` (result →
 :class:`~repro.experiments.record.Record`), which gives them ``--json``
 and their :meth:`~Experiment.verdict`: the pinned invariants the record
 declares as ``bool`` headlines, stated once — the CLI exits 1 on a broken
-one, the gates fail on it and ``bench-diff`` never lets it flip.
+one, the ``pins`` gate fails on it and ``bench-diff`` never lets it flip.
 
 Flags are declared with ``dest=`` the keyword their harness takes, so
 :func:`_call` hands the namespace straight over; only shard-scaling,

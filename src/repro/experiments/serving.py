@@ -19,13 +19,14 @@ accelerator, Zipf query pool):
   rejection-rate and latency-vs-load curve.  The **knee** is the last
   rung the service absorbs with its rejection rate under the threshold;
   the sweep only proves saturation was *reached* when the top rung
-  actually rejects (``saturated``), which ``scripts/ci_gates.py --gate serving``
-  gates on — a ladder that never overloads the service measures nothing.
+  actually rejects — the ``sweep.<curve>.saturated`` pin: a ladder that
+  never overloads the service measures nothing.
 
-Both land in ``BENCH_serving.json`` (rows + ``sweep``), gated at toy
-scale by ``scripts/ci_gates.py --gate serving`` in the CI bench-smoke leg and at
-multicore scale — where workers=2 must sustain strictly more than
-workers=1 at the knee — in the tests-multicore leg.
+Both land in ``BENCH_serving.json`` (rows + ``sweep``) with every
+invariant a ``bool`` headline (:func:`record`), checked at toy scale by
+``scripts/ci_gates.py --gate pins=RECORD`` in the CI bench-smoke leg and
+at multicore scale — where a floor holds ``sweep.*.knee_w2_over_w1``
+above 1 — in the tests-multicore leg.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from ..serving import (
     run_open_loop,
 )
 from .common import DEFAULT_STEP, build_serving_stack
-from .record import Record, row_dict
+from .record import Record, finite_positive, row_dict
 
 __all__ = [
     "SaturationCurve",
@@ -65,6 +66,9 @@ ARRIVALS = ("poisson", "bursty")
 #: A rung whose rejection rate stays under this fraction counts as
 #: absorbed; the knee is the last absorbed rung of the ladder.
 KNEE_REJECTION_THRESHOLD = 0.01
+
+#: Sustained throughput below this is a stalled service, not a slow host.
+MIN_MBASE_PER_SECOND = 0.001
 
 
 @dataclass(frozen=True)
@@ -438,19 +442,38 @@ _ROW_DIGITS = {
 }
 
 
+def _backpressure_coherent(cell: dict) -> bool:
+    """Rejections never exceed arrivals and always carry a retry hint."""
+    return cell["rejected"] <= cell["submitted"] and (
+        cell["rejected"] == 0 or cell["mean_retry_after_s"] > 0
+    )
+
+
 def record(result: ServingBenchResult) -> Record:
     """``BENCH_serving.json``: the sustained-load rows, plus the
-    saturation ``sweep`` section when the run walked the rate ladder."""
+    saturation ``sweep`` section when the run walked the rate ladder.
+    Every pin is computed over the serialised rows and curves."""
     rows = [row_dict(row, digits=_ROW_DIGITS) for row in result.rows]
+    cells = {(row["arrival"], row["workers"]) for row in rows}
+    complete = bool(rows) and all(
+        (arrival, workers) in cells for _, workers in cells for arrival in ARRIVALS
+    )
     headlines = []
     for row in rows:
         name = f"{row['arrival']}x{row['workers']}"
         headlines.append((f"{name}.mbase_per_second", row["mbase_per_second"], "higher"))
         headlines.append((f"{name}.completed_all", row["completed"] == row["accepted"], "bool"))
+        measured = ("accepted", "p50_ms", "p99_ms", "max_ms", "mbase_per_second")
+        tails = (
+            finite_positive(*(row[key] for key in measured))
+            and row["mbase_per_second"] >= MIN_MBASE_PER_SECOND
+        )
+        headlines.append((f"{name}.tails_finite", tails, "bool"))
+        headlines.append((f"{name}.backpressure_coherent", _backpressure_coherent(row), "bool"))
     sections = {}
     study = result.saturation
     if study is not None:
-        sections["sweep"] = row_dict(
+        sweep = sections["sweep"] = row_dict(
             study,
             multipliers=list(study.multipliers),
             curves=[
@@ -467,6 +490,26 @@ def record(result: ServingBenchResult) -> Record:
                 for curve in study.curves
             ],
         )
+        knees = {}
+        for curve in sweep["curves"]:
+            name = f"sweep.{curve['arrival']}x{curve['workers']}"
+            knee = curve["rungs"][curve["knee_index"]]
+            knees[curve["arrival"], curve["workers"]] = knee["mbase_per_second"]
+            headlines.append((f"{name}.saturated", curve["saturated"], "bool"))
+            knee_finite = finite_positive(knee["mbase_per_second"], knee["p50_ms"], knee["p99_ms"])
+            headlines.append((f"{name}.knee_finite", knee_finite, "bool"))
+            coherent = all(
+                rung["completed"] == rung["accepted"] and _backpressure_coherent(rung)
+                for rung in curve["rungs"]
+            )
+            headlines.append((f"{name}.rungs_coherent", coherent, "bool"))
+        complete = complete and set(knees) == cells
+        for arrival in ARRIVALS:
+            one, two = knees.get((arrival, 1)), knees.get((arrival, 2))
+            if finite_positive(one) and two is not None:
+                ratio = round(two / one, 4)
+                headlines.append((f"sweep.{arrival}.knee_w2_over_w1", ratio, "higher"))
+    headlines.append(("arrivals_complete", complete, "bool"))
     return Record(
         benchmark="serving",
         workload=row_dict(result, workers=list(result.workers)),
@@ -474,4 +517,3 @@ def record(result: ServingBenchResult) -> Record:
         rows=rows,
         sections=sections,
     )
-

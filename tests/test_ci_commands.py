@@ -1,8 +1,9 @@
 """Nobody here can run GitHub Actions, so tier-1 parses what CI would run:
 every ``python -m repro.cli …`` command line in ``ci.yml`` (matrix rows
 expanded) through the real argument parser, and every ``--gate`` spec
-through ``ci_gates.parse_spec`` and the gate registry.  Renaming a flag,
-an experiment or a gate without updating CI fails here first.
+through ``ci_gates.parse_spec``, the gate registry and — for ``pins`` —
+the floor parser.  Renaming a flag, an experiment or a gate without
+updating CI fails here first.
 """
 
 from __future__ import annotations
@@ -65,15 +66,27 @@ GATE_SPECS = [
 
 def test_ci_runs_every_record_bearing_experiment_and_gate(ci_gates):
     """The extraction above found what it should: all six smoke rows plus
-    the multicore leg's three, and every registered gate but none unknown."""
+    the multicore leg's three, and exactly the two registered gates."""
     commands = [param.values[0] for param in CLI_COMMANDS]
     ran = {argv[1] if argv[0] == "experiment" else argv[0] for argv in commands}
     assert ran == {
         "accel-replay", "chaos", "dse", "fig18-window", "serving-bench", "shard-scaling"
     }
     assert len(commands) == 9
-    gated = {ci_gates.parse_spec(param.values[0])[0][0] for param in GATE_SPECS}
-    assert {ci_gates.ALIASES.get(name, name) for name in gated} == set(ci_gates.GATES)
+    specs = [ci_gates.parse_spec(param.values[0]) for param in GATE_SPECS]
+    assert {name for name, _record, _options in specs} == set(ci_gates.GATES) == {
+        "pins", "bench-diff"
+    }
+    # Six smoke rows, the multicore leg's three, the committed records twice.
+    assert sum(name == "pins" for name, _record, _options in specs) == 11
+    floors = sorted(option for name, _record, options in specs if name == "pins" for option in options)
+    assert floors == [
+        "*.availability>=0.85",
+        "*.availability>=0.95",
+        "forced-thread.best_speedup>1.0",
+        "scaling.*@w4.speedup>1.0",
+        "sweep.*.knee_w2_over_w1>1.0",
+    ]
 
 
 @pytest.mark.parametrize("argv", CLI_COMMANDS)
@@ -84,6 +97,8 @@ def test_ci_cli_command_parses(argv):
 
 @pytest.mark.parametrize("spec", GATE_SPECS)
 def test_ci_gate_spec_resolves(spec, ci_gates):
-    for name, record, _options in ci_gates.parse_spec(spec):
-        gate = ci_gates.GATES[ci_gates.ALIASES.get(name, name)]  # KeyError: unknown gate
-        assert record or gate.default_record or gate.name == "bench-diff"
+    name, _record, options = ci_gates.parse_spec(spec)
+    assert name in ci_gates.GATES
+    if name == "pins":
+        for option in options:
+            ci_gates.parse_floor(option)  # GateInputError: not PATTERN>=VALUE / PATTERN>VALUE

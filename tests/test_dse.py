@@ -6,8 +6,8 @@ the registered ``dse`` CI gate over a freshly written record.
 
 from __future__ import annotations
 
-import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from repro.accel.configspace import (
 )
 from repro.experiments import dse as dse_module
 from repro.experiments import run_dse, write_record
+from repro.experiments.dse import FrontierPoint
 from repro.hw.dram import PagePolicy
 
 #: Cache geometry fields that must be powers of two.
@@ -201,25 +202,27 @@ class TestDseHarness:
     def test_dse_gate_passes_on_written_record(self, toy_dse, tmp_path, capsys, ci_gates):
         record_path = tmp_path / "dse.json"
         write_record(str(record_path), dse_module.record(toy_dse))
-        assert ci_gates.main(["ci_gates.py", "--gate", f"dse={record_path}"]) == 0
-        assert "OK [dse]" in capsys.readouterr().out
+        assert ci_gates.main(["ci_gates.py", "--gate", f"pins={record_path}"]) == 0
+        assert "OK [pins]" in capsys.readouterr().out
 
     def test_dse_gate_rejects_tampered_frontier(self, toy_dse, tmp_path, capsys, ci_gates):
-        record_path = tmp_path / "dse.json"
-        record = write_record(str(record_path), dse_module.record(toy_dse))
-        # Claim an extra, dominated row is on the frontier: the gate's
-        # local Pareto recomputation must catch the mismatch.
-        off = next(row for row in record["rows"] if not row["on_frontier"])
-        off["on_frontier"] = True
-        record["frontier"].append(
-            {
-                "label": off["label"],
-                "mbase_per_second": off["mbase_per_second"],
-                "energy_per_base_nj": off["energy_per_base_nj"],
-                "area_mm2": off["area_mm2"],
-                "rederived_equal": True,
-            }
+        # Claim an extra, dominated row is on the frontier (section entry
+        # and per-row flag): the writer's Pareto recomputation over the
+        # rows it serialises must declare the pin false.
+        off = next(row for row in toy_dse.rows if row.label not in toy_dse.frontier_labels)
+        tampered = replace(
+            toy_dse,
+            frontier=[
+                *toy_dse.frontier,
+                FrontierPoint(
+                    off.label, off.mbase_per_second, off.energy_per_base_nj, off.area_mm2, True
+                ),
+            ],
+            frontier_labels=[*toy_dse.frontier_labels, off.label],
         )
-        record_path.write_text(json.dumps(record))
-        assert ci_gates.main(["ci_gates.py", "--gate", f"dse={record_path}"]) == 1
-        assert "recomputed Pareto set" in capsys.readouterr().err
+        record = dse_module.record(tampered)
+        assert record.broken_pins() == ["frontier.is_pareto_set"]
+        record_path = tmp_path / "dse.json"
+        write_record(str(record_path), record)
+        assert ci_gates.main(["ci_gates.py", "--gate", f"pins={record_path}"]) == 1
+        assert "pinned invariant frontier.is_pareto_set does not hold" in capsys.readouterr().err

@@ -3,7 +3,8 @@
 Every benchmark regenerates one table or figure of the paper at
 reproduction scale, times the underlying kernel with pytest-benchmark, and
 prints the paper-style rows/series so the output can be compared against
-the published numbers (see EXPERIMENTS.md for the recorded comparison).
+the published numbers (each benchmark reports them on a ``paper:`` line
+beside the assertions that check its result).
 
 Helper functions (``run_once``) live in :mod:`repro.testing` and are
 imported explicitly by each benchmark module; this conftest only provides

@@ -44,12 +44,9 @@ def test_fig15_window_sweep(benchmark, report):
     assert posts[-1] < result.rows[0].pre_merge_requests
 
 
-def test_fig15_sweep_identical_under_sharded_engine(report, monkeypatch):
+def test_fig15_sweep_identical_under_sharded_engine(report):
     """Strong-scaling check: the sharded engine feeds the window stage the
     exact same per-batch streams, so every sweep row matches serial."""
-    # Keep the adaptive clamp from silently serialising the sharded run on
-    # a small CI host — this test exists to drive the parallel path.
-    monkeypatch.setenv("REPRO_SHARD_OVERSUBSCRIBE", "1")
     serial = run_fig15_window(genome_length=12_000, seed=0, batch_count=4, batch_size=32)
     sharded = run_fig15_window(
         genome_length=12_000, seed=0, batch_count=4, batch_size=32, shards=4
@@ -81,21 +78,15 @@ def test_shard_scaling_recorded(report):
     assert all(row.seconds > 0 for row in rows)
     assert {row.executor for row in rows} == {"serial", "thread", "process"}
     assert {row.forced for row in rows} == {False, True}
-    # The adaptive engine clamps to the hardware (unless the
-    # oversubscribe toggle is set, as CI's sharded legs do); the forced
-    # rows always run the full requested split.
-    from repro.runtime import available_parallelism, oversubscribed
+    # The adaptive engine clamps to the hardware; the forced rows always
+    # run the full requested split.
+    from repro.runtime import available_parallelism
 
     for row in rows:
         if row.forced:
             assert row.effective_shards == row.shards
         elif row.executor != "serial":
-            expected = (
-                row.shards
-                if oversubscribed()
-                else min(row.shards, available_parallelism())
-            )
-            assert row.effective_shards == expected
+            assert row.effective_shards == min(row.shards, available_parallelism())
 
 
 def test_shard_scaling_json_record(tmp_path, report):

@@ -8,9 +8,10 @@ from repro.experiments import build_workload, format_table2, run_table2
 
 def test_table2_accelerator_comparison(benchmark, report):
     # Couple the EXMA row to the *measured* MTL index error of the scaled
-    # pinus workload, scaled to the paper's error regime (per EXPERIMENTS.md
-    # the paper-scale mean error is ~45-182 entries; the analytic default
-    # keeps the paper-scale value when the measured error is tiny).
+    # pinus workload, scaled to the paper's error regime (the paper's Fig. 13
+    # puts the MTL mean error at ~45-182 entries, the ``paper:`` line of
+    # test_fig13_index_error.py; the analytic default keeps the paper-scale
+    # value when the measured error is tiny).
     workload = build_workload("pinus", genome_length=20_000, seed=0)
     measured_error = max(workload.stats.mean_error, 182.0)
     rows = run_once(benchmark, run_table2, dataset_size_gb=128.0, mean_exma_error=measured_error)

@@ -199,9 +199,10 @@ _TABLE1_REFERENCE = ConfigPoint()
 def scaled_sweep_point() -> ConfigPoint:
     """The reproduction-scale anchor the default grids perturb.
 
-    Mirrors the Fig. 18 ``_scaled_config`` shrink (8 KB base cache,
-    1 KB index cache, 128-entry CAM) so toy-genome sweeps actually
-    exercise capacity pressure instead of fitting entirely in cache.
+    Mirrors the :func:`repro.experiments.common.scaled_config` shrink
+    (8 KB base cache, 1 KB index cache, 128-entry CAM) so toy-genome
+    sweeps actually exercise capacity pressure instead of fitting
+    entirely in cache.
     """
     return ConfigPoint(
         cam_entries=128,

@@ -810,8 +810,8 @@ class ExmaAccelerator(runtime.PoolOwner):
         self,
         windows: "Iterable[WindowedBatch | Sequence[OccRequest]]",
         name: str = "EXMA",
-        replay_workers: "int | None" = None,
-        executor: "str | None" = None,
+        replay_workers: int = 1,
+        executor: str = "thread",
     ) -> WindowedRunResult:
         """Replay a stream of flushed windows, accounting each flush alone.
 
@@ -835,17 +835,10 @@ class ExmaAccelerator(runtime.PoolOwner):
         and gathers the per-flush results in flush order: the result is
         **field-for-field identical** to the serial replay, which stays
         streaming (one flush resident at a time) and touches no pool.
-        *replay_workers* and *executor* are resolved here by
-        :func:`repro.runtime.resolve_workers` /
-        :func:`~repro.runtime.resolve_executor`: an explicit count is
-        honoured verbatim; ``None`` consults
-        ``REPRO_DEFAULT_REPLAY_WORKERS`` clamped to the hardware, and
-        ``REPRO_DEFAULT_EXECUTOR``.
+        *replay_workers* is honoured verbatim.
         """
-        workers = runtime.resolve_workers(
-            replay_workers, runtime.REPLAY_WORKERS_ENV, what="replay_workers"
-        )
-        executor = runtime.resolve_executor(executor)
+        workers = runtime.check_workers(replay_workers, "replay_workers")
+        executor = runtime.check_executor(executor)
         batches = 0
         issued = 0
 
@@ -894,8 +887,8 @@ class ExmaAccelerator(runtime.PoolOwner):
         batch_streams: "Iterable[Sequence[OccRequest]]",
         window: "int | CoalescingWindow" = 1,
         name: str = "EXMA",
-        replay_workers: "int | None" = None,
-        executor: "str | None" = None,
+        replay_workers: int = 1,
+        executor: str = "thread",
     ) -> WindowedRunResult:
         """Merge consecutive batch streams through a coalescing window and
         replay the flushes.

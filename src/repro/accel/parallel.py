@@ -61,11 +61,9 @@ class ParallelReplay(runtime.PoolOwner):
     Args:
         accelerator: the accelerator every worker replays on (picklable
             for the process executor).
-        workers: pool size, honoured verbatim; ``None`` defers to the
-            ``REPRO_DEFAULT_REPLAY_WORKERS`` environment toggle, clamped
-            to the hardware (:func:`repro.runtime.resolve_workers`).
-        executor: ``"thread"`` or ``"process"``; defaults to the
-            ``REPRO_DEFAULT_EXECUTOR`` environment toggle.
+        workers: pool size, honoured verbatim; 1 (the default) replays
+            inline.
+        executor: ``"thread"`` or ``"process"``.
         faults: optional :class:`~repro.faults.FaultInjector` probed at
             ``pool.submit`` before each pool crossing (chaos testing of
             the degradation ladder; ``None`` — the default — costs the
@@ -80,16 +78,16 @@ class ParallelReplay(runtime.PoolOwner):
     def __init__(
         self,
         accelerator: ExmaAccelerator,
-        workers: int | None = None,
-        executor: str | None = None,
+        workers: int = 1,
+        executor: str = "thread",
         faults: FaultInjector | None = None,
         timeout: float | None = None,
     ) -> None:
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be > 0 (or None)")
         self._accelerator = accelerator
-        self._workers = runtime.resolve_workers(workers, runtime.REPLAY_WORKERS_ENV)
-        self._executor = runtime.resolve_executor(executor)
+        self._workers = runtime.check_workers(workers)
+        self._executor = runtime.check_executor(executor)
         self._faults = faults
         self._timeout = timeout
 
@@ -100,7 +98,7 @@ class ParallelReplay(runtime.PoolOwner):
 
     @property
     def workers(self) -> int:
-        """Resolved replay-worker count."""
+        """Replay-worker count."""
         return self._workers
 
     @property

@@ -13,20 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import runtime
 from ..engine.backends import FMIndexBackend
 from ..engine.coalesce import BatchStats
-from ..engine.sharded import split_shards
 from ..engine.window import CoalescingWindow, WindowedBatch
 from ..genome.alphabet import reverse_complement
 from ..genome.reads import SimulatedRead
 from ..index.fmindex import FMIndex, Seed
 from .smith_waterman import ScoringScheme, banded_smith_waterman
-
-
-def _mem_shard(backend: FMIndexBackend, min_length: int, reads: list[str]) -> list[list[Seed]]:
-    """One shard's lockstep MEM seeding (module-level so processes can pickle)."""
-    return backend.maximal_exact_matches_batch(reads, min_length=min_length)
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,7 @@ class AlignerCounters:
         self.fm_index_iterations += other.fm_index_iterations
 
 
-class ReadAligner(runtime.PoolOwner):
+class ReadAligner:
     """Aligns reads against a reference using FM-Index seeding.
 
     Args:
@@ -78,24 +71,13 @@ class ReadAligner(runtime.PoolOwner):
         extension_band: Smith-Waterman band width.
         max_seed_hits: reference positions considered per seed (seeds with
             more hits are repetitive and skipped, as BWA-MEM does).
-        shards: opt-in parallel seeding — split batch seeding across up
-            to this many workers (per-read MEM state machines are
-            independent, so seeds are identical to the serial pass).  An
-            upper bound clamped to the available CPUs, like
-            :class:`~repro.engine.engine.QueryEngine`'s; ``None`` defers
-            to the ``REPRO_DEFAULT_SHARDS`` toggle.
-        executor: ``"thread"`` or ``"process"`` pool for *shards*;
-            ``None`` defers to ``REPRO_DEFAULT_EXECUTOR``.
         window: scheduling-window capacity W — record each seeding pass's
             coalesced Occ request stream and merge duplicates across W
             consecutive passes through a
             :class:`~repro.engine.window.CoalescingWindow`, producing the
             flushed :class:`~repro.engine.window.WindowedBatch` stream the
             accelerator model replays (``windowed_flushes`` /
-            ``flush_window``).  Windowed recording runs the serial
-            lockstep seeding pass (the recorded stream must be the exact
-            whole-batch stream, which per-shard recording cannot give), so
-            ``window`` takes precedence over ``shards`` for seeding.
+            ``flush_window``).
     """
 
     def __init__(
@@ -106,8 +88,6 @@ class ReadAligner(runtime.PoolOwner):
         extension_band: int = 16,
         max_seed_hits: int = 8,
         scoring: ScoringScheme | None = None,
-        shards: int | None = None,
-        executor: str | None = None,
         window: int | None = None,
     ) -> None:
         if min_seed_length <= 0:
@@ -121,10 +101,6 @@ class ReadAligner(runtime.PoolOwner):
         self._band = extension_band
         self._max_hits = max_seed_hits
         self._scoring = scoring or ScoringScheme()
-        self._shards = runtime.resolve_workers(
-            shards, runtime.SHARDS_ENV, bound=True, what="shards"
-        )
-        self._executor = runtime.resolve_executor(executor)
         self._window = CoalescingWindow(window) if window is not None else None
         self._window_flushes: list[WindowedBatch] = []
 
@@ -172,14 +148,10 @@ class ReadAligner(runtime.PoolOwner):
         return flushed
 
     def _seed_batch(self, oriented: list[str]) -> list[list[Seed]]:
-        """Seed a batch of oriented reads, sharded across workers when asked.
+        """Seed a batch of oriented reads in one lockstep MEM pass.
 
-        Batches too small to give every worker at least two reads stay on
-        the serial path — per-read ``align_read`` (a 2-string batch) must
-        not pay a pool spin-up per call when the environment toggle turns
-        sharding on globally.  With a scheduling window configured, the
-        pass runs serially with stats recording and its columnar request
-        stream is pushed through the window.
+        With a scheduling window configured, the pass records its stats
+        and its columnar request stream is pushed through the window.
         """
         if self._window is not None:
             stats = BatchStats()
@@ -190,13 +162,6 @@ class ReadAligner(runtime.PoolOwner):
             if flushed is not None:
                 self._window_flushes.append(flushed)
             return seeds
-        shards = self._shards
-        if shards > 1 and len(oriented) >= 2 * shards:
-            pool = self._pool_for(self._backend, self._executor, shards)
-            outputs = pool.map_shards(
-                _mem_shard, split_shards(oriented, shards), self._min_seed
-            )
-            return [seeds for shard_seeds in outputs for seeds in shard_seeds]
         return self._backend.maximal_exact_matches_batch(oriented, min_length=self._min_seed)
 
     def _align_from_seeds(
@@ -272,10 +237,8 @@ class ReadAligner(runtime.PoolOwner):
         Seeding for the whole batch — every read, both orientations — runs
         as one lockstep pass through the batched engine, so the Occ
         request streams of all reads coalesce, as on the accelerator.
-        With ``shards`` set, seeding fans out across the worker pool
-        (identical seeds either way).  Extension then proceeds per read
-        over the precomputed seeds; results are identical to per-read
-        :meth:`align_read`.
+        Extension then proceeds per read over the precomputed seeds;
+        results are identical to per-read :meth:`align_read`.
         """
         counters = AlignerCounters()
         oriented_all: list[str] = []

@@ -44,11 +44,10 @@ class ExactWordAnnotator:
 
     Word batches route through the batched query engine: one lockstep
     search over the whole word set with Occ-request coalescing, then a
-    locate per word.  Results are identical to per-word search.  Passing
-    ``shards`` opts the default engine into the sharded parallel path
-    (word sets are the repository's largest batches); results stay
-    identical to serial, and the engine keeps one persistent worker pool
-    across annotate calls rather than spinning a pool per batch.
+    locate per word.  Results are identical to per-word search.  Pass a
+    sharded ``engine`` (e.g. :class:`~repro.engine.sharded
+    .ShardedQueryEngine`) to search word sets in parallel; results stay
+    identical to serial.
 
     Passing ``window`` records each annotate call's coalesced Occ request
     stream into a :class:`~repro.engine.window.CoalescingWindow` of W
@@ -63,16 +62,12 @@ class ExactWordAnnotator:
         fm_index: FMIndex,
         max_positions_per_word: int = 1000,
         engine: QueryEngine | None = None,
-        shards: int | None = None,
-        executor: str | None = None,
         window: int | None = None,
     ) -> None:
         if max_positions_per_word <= 0:
             raise ValueError("max_positions_per_word must be positive")
         self._fm = fm_index
-        self._engine = engine or QueryEngine(
-            FMIndexBackend(fm_index=fm_index), shards=shards, executor=executor
-        )
+        self._engine = engine or QueryEngine(FMIndexBackend(fm_index=fm_index))
         self._max_positions = max_positions_per_word
         self._window = CoalescingWindow(window) if window is not None else None
         self._window_flushes: list[WindowedBatch] = []

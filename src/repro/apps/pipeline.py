@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..accel.metrics import ApplicationRun
-from ..engine.backends import FMIndexBackend
-from ..engine.engine import QueryEngine
 from ..genome.reads import ErrorProfile, ReadSimulator
 from ..genome.sequence import Reference
 from ..hw.energy import CPU_POWER_W, DRAM_SYSTEM_POWER_W, EXMA_ACCELERATOR_LEAKAGE_W, SystemEnergyBreakdown
@@ -91,8 +89,6 @@ def run_application(
     read_count: int = 30,
     read_length: int = 101,
     seed: int = 0,
-    shards: int | None = None,
-    executor: str | None = None,
     window: int | None = None,
     window_flushes: "list | None" = None,
 ) -> WorkCounters:
@@ -100,21 +96,16 @@ def run_application(
 
     Annotation and compression do not depend on the read error profile (the
     paper evaluates them once per dataset); alignment and assembly use
-    reads simulated with *profile*.  ``shards``/``executor`` opt the
-    FM-Index-heavy applications (alignment seeding, annotation word
-    batches) into the sharded parallel engine path — each holds one
-    persistent worker pool for its run — and work counters are identical
-    either way.  ``window`` opts the same two applications into recording
-    their coalesced request streams through a scheduling window of W
-    consecutive batches (see :class:`~repro.engine.window
+    reads simulated with *profile*.  ``window`` opts the FM-Index-heavy
+    applications (alignment seeding, annotation word batches) into
+    recording their coalesced request streams through a scheduling
+    window of W consecutive batches (see :class:`~repro.engine.window
     .CoalescingWindow`); the flushed
     :class:`~repro.engine.window.WindowedBatch` stream is appended to the
     *window_flushes* list when one is supplied — pass it to
     :meth:`repro.accel.exma_accelerator.ExmaAccelerator.run_stream` to
     replay the application's windowed stream — and the work counters
-    again stay identical.  Note the recording cost: with ``window`` set,
-    alignment seeding runs the serial recorded pass (``shards`` is
-    ignored for seeding; see :class:`~repro.apps.alignment.ReadAligner`).
+    stay identical.
     """
     if application not in APPLICATIONS:
         raise ValueError(f"unknown application {application!r}")
@@ -132,8 +123,6 @@ def run_application(
             fm_index=fm,
             min_seed_length=12 if long_read_profile else 15,
             extension_band=24 if long_read_profile else 16,
-            shards=shards,
-            executor=executor,
             window=window,
         )
         _, counters = aligner.align_batch(reads)
@@ -166,11 +155,7 @@ def run_application(
         words = words_from_reference(reference.sequence, word_length=24, stride=max(64, len(reference.sequence) // max(read_count, 1)))
         # Annotation's word set routes through the batched engine in one
         # lockstep pass; alignment's seeding is batched inside ReadAligner.
-        annotator = ExactWordAnnotator(
-            fm,
-            engine=QueryEngine(FMIndexBackend(fm_index=fm), shards=shards, executor=executor),
-            window=window,
-        )
+        annotator = ExactWordAnnotator(fm, window=window)
         counters = AnnotationCounters()
         annotator.annotate(words, counters)
         annotator.flush_window()

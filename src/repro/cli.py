@@ -113,9 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--replay-executor",
         choices=EXECUTORS,
-        default=None,
-        help="worker pool kind for --replay-workers "
-        "(default: REPRO_DEFAULT_EXECUTOR or thread)",
+        default="thread",
+        help="worker pool kind for --replay-workers (default: thread)",
     )
     serve.add_argument(
         "--inject",

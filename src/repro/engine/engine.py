@@ -63,14 +63,10 @@ class QueryEngine(runtime.PoolOwner):
             *upper bound*: the engine clamps it to the CPUs actually
             available (``min(shards, CPUs)``), because oversubscribing a
             host buys no parallelism and still pays the split/merge
-            overhead — set ``REPRO_SHARD_OVERSUBSCRIBE=1`` or use
-            :class:`~repro.engine.sharded.ShardedQueryEngine` to force the
-            full split.  ``None`` (the default) defers to the
-            ``REPRO_DEFAULT_SHARDS`` environment toggle, which defaults to
-            1 (serial).
+            overhead — use :class:`~repro.engine.sharded.ShardedQueryEngine`
+            to force the full split.  Defaults to 1 (serial).
         executor: ``"thread"`` or ``"process"`` worker pool for the
-            sharded path; ``None`` defers to ``REPRO_DEFAULT_EXECUTOR``
-            (default ``"thread"``).
+            sharded path.
         **kwargs: forwarded to the backend factory.
     """
 
@@ -84,8 +80,8 @@ class QueryEngine(runtime.PoolOwner):
         *,
         name: str | None = None,
         reference: str | None = None,
-        shards: int | None = None,
-        executor: str | None = None,
+        shards: int = 1,
+        executor: str = "thread",
         **kwargs,
     ) -> None:
         if backend is None:
@@ -93,11 +89,11 @@ class QueryEngine(runtime.PoolOwner):
                 raise ValueError("provide a backend, or a registry name and reference")
             backend = create_backend(name, reference, **kwargs)
         self._backend = backend
+        self._shards = runtime.check_workers(shards, "shards")
         self._effective_shards = runtime.resolve_workers(
-            shards, runtime.SHARDS_ENV, bound=self._adaptive, what="shards"
+            self._shards, bound=self._adaptive, what="shards"
         )
-        self._shards = self._effective_shards if shards is None else int(shards)
-        self._executor = runtime.resolve_executor(executor)
+        self._executor = runtime.check_executor(executor)
 
     @classmethod
     def from_reference(cls, reference: str, name: str = "fmindex", **kwargs) -> "QueryEngine":
@@ -125,9 +121,8 @@ class QueryEngine(runtime.PoolOwner):
 
     @property
     def shards(self) -> int:
-        """Configured shard count: the explicit request (an upper bound
-        for the adaptive engine), or what the environment default
-        resolved to at construction."""
+        """Configured shard count (an upper bound for the adaptive
+        engine)."""
         return self._shards
 
     @property
@@ -141,8 +136,7 @@ class QueryEngine(runtime.PoolOwner):
 
     @property
     def executor(self) -> str:
-        """Executor kind, resolved once at construction (explicit, or
-        the environment default)."""
+        """Executor kind of the sharded path."""
         return self._executor
 
     # ------------------------------------------------------------------ #

@@ -105,15 +105,15 @@ def run_fig15_window(
     batch_size: int = 32,
     k: int = DEFAULT_STEP,
     query_length: int = 48,
-    shards: int | None = None,
-    executor: str | None = None,
+    shards: int = 1,
+    executor: str = "thread",
     cam_entries: int = 64,
 ) -> Fig15Result:
     """Sweep the coalescing window over a stream of consecutive batches.
 
-    ``shards``/``executor`` follow the engine's semantics: ``None`` defers
-    to the ``REPRO_DEFAULT_SHARDS``/``REPRO_DEFAULT_EXECUTOR`` toggles and
-    invalid values are rejected at engine construction.
+    ``shards``/``executor`` follow the engine's semantics: the shard count
+    is an upper bound clamped to the CPUs, and invalid values are rejected
+    at engine construction.
     """
     reference = build_dataset("human", simulated_length=genome_length, seed=seed)
     engine = QueryEngine(

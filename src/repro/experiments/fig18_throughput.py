@@ -67,8 +67,8 @@ def concurrency_gain(
     The CPU overlaps at most ``cpu_mshrs`` outstanding misses; the
     accelerator keeps its scheduling queue full.  ``dram_efficiency``
     accounts for the fraction of that extra concurrency the close-page
-    DRAM system can actually absorb (calibration constant, recorded in
-    EXPERIMENTS.md).
+    DRAM system can actually absorb (a calibration constant; the EX-acc
+    speedup it yields is checked in ``benchmarks/test_fig18_throughput.py``).
     """
     if cpu_mshrs <= 0:
         raise ValueError("cpu_mshrs must be positive")

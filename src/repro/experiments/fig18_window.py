@@ -134,8 +134,8 @@ def run_fig18_window(
     query_length: int = 48,
     use_index: bool = True,
     mtl_epochs: int = 60,
-    replay_workers: "int | None" = None,
-    replay_executor: "str | None" = None,
+    replay_workers: int = 1,
+    replay_executor: str = "thread",
 ) -> Fig18WindowResult:
     """Sweep the window capacity through the full accelerator pipeline.
 

@@ -129,13 +129,13 @@ def _repeats_flag(parser) -> None:
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best-of)")
 
 
-def _replay_executor_flag(parser, dest: str, default: "str | None") -> None:
+def _replay_executor_flag(parser, dest: str) -> None:
     parser.add_argument(
         "--replay-executor",
         dest=dest,
         choices=EXECUTORS,
-        default=default,
-        help=f"worker pool kind (default: {default or 'REPRO_DEFAULT_EXECUTOR or thread'})",
+        default="thread",
+        help="worker pool kind (default: thread)",
     )
 
 
@@ -148,19 +148,18 @@ def _load_flags(parser, rate: float, duration: float) -> None:
 
 
 def add_sharding_flags(parser: argparse.ArgumentParser) -> None:
-    """The parallel-search knobs shared by search, serve and the sharded experiments."""
+    """The parallel-search knobs shared by search, serve and fig15-window."""
     parser.add_argument(
         "--shards",
         type=int,
-        default=None,
-        help="split query batches across this many workers "
-        "(default: REPRO_DEFAULT_SHARDS or serial)",
+        default=1,
+        help="split query batches across up to this many workers (default: 1, serial)",
     )
     parser.add_argument(
         "--executor",
         choices=EXECUTORS,
-        default=None,
-        help="worker pool for --shards (default: REPRO_DEFAULT_EXECUTOR or thread)",
+        default="thread",
+        help="worker pool for --shards (default: thread)",
     )
 
 
@@ -205,7 +204,7 @@ def _accel_replay_flags(parser) -> None:
         metavar="N[,N...]",
         help="replay-pool worker counts the epoch-parallel sweep visits",
     )
-    _replay_executor_flag(parser, "replay_executor", "thread")
+    _replay_executor_flag(parser, "replay_executor")
     parser.add_argument(
         "--replay-batches",
         type=int,
@@ -235,7 +234,7 @@ def _dse_flags(parser) -> None:
         "(default: the built-in 4-knob toy grid)",
     )
     parser.add_argument("--workers", type=int, default=1, help="concurrent design-point jobs")
-    _replay_executor_flag(parser, "executor", "thread")
+    _replay_executor_flag(parser, "executor")
 
 
 def _fig15_window_flags(parser) -> None:
@@ -252,24 +251,32 @@ def _fig18_window_flags(parser) -> None:
     parser.add_argument(
         "--replay-workers",
         type=int,
-        default=None,
-        help="replay-pool workers (default: REPRO_DEFAULT_REPLAY_WORKERS or serial)",
+        default=1,
+        help="replay-pool workers (default: 1, serial)",
     )
-    _replay_executor_flag(parser, "replay_executor", None)
+    _replay_executor_flag(parser, "replay_executor")
 
 
 def _shard_scaling_flags(parser) -> None:
     _reference_flags(parser)
     _query_flags(parser, 256)
     _repeats_flag(parser)
-    add_sharding_flags(parser)
+    parser.add_argument(
+        "--shards", type=int, default=4, help="largest shard count timed, beside 1 and 2"
+    )
+    parser.add_argument(
+        "--executor",
+        choices=EXECUTORS,
+        default=None,
+        help="time only this worker pool kind (default: both)",
+    )
 
 
 def _run_shard_scaling(args: argparse.Namespace) -> fig15_window.ShardScalingResult:
     kwargs = _kwargs(args)
     shards, executor = kwargs.pop("shards"), kwargs.pop("executor")
     return fig15_window.run_shard_scaling(
-        shard_counts=tuple(sorted({1, 2, shards or 4})),
+        shard_counts=tuple(sorted({1, 2, shards})),
         executors=(executor,) if executor else ("thread", "process"),
         include_forced=True,
         **kwargs,

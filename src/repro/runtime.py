@@ -7,16 +7,17 @@ them promise the same thing: *how* the host executes never changes *what*
 the model computes.  This module is the single home of that policy, so
 every consumer resolves it the same way and exactly once:
 
-* the five ``REPRO_*`` environment toggles and their defensive parsing
-  (a malformed value warns once per process and falls back to the safe
-  default — a long-lived service must never crash on an operator typo);
-* :func:`resolve_workers` / :func:`resolve_executor`, the one place an
-  explicit request, an environment default and the hardware clamp meet;
+* :func:`check_workers` / :func:`check_executor`, the one validation of
+  an explicit worker count or executor kind, and :func:`resolve_workers`,
+  the one hardware clamp (used by the adaptive ``QueryEngine``);
 * :class:`BackendWorkerPool`, the persistent thread/process pool with
   its rebuild-once → serial-fallback ladder, and :class:`PoolOwner`, the
   lazy create/reuse/swap/close lifecycle every pool holder mixes in;
 * :func:`host_block`, what a benchmark record says about the host and
   configuration that produced it.
+
+A parallel path runs only when an explicit argument asks for it: every
+default is serial, and no environment variable changes one.
 
 It is a leaf: standard library only, nothing from ``repro``.
 """
@@ -24,6 +25,7 @@ It is a leaf: standard library only, nothing from ``repro``.
 from __future__ import annotations
 
 import importlib.util
+import operator
 import os
 import threading
 import warnings
@@ -40,22 +42,14 @@ from typing import Callable, Iterable, TypeVar
 __all__ = [
     "ENV_VARIABLES",
     "EXECUTORS",
-    "EXECUTOR_ENV",
     "NO_NUMBA_ENV",
-    "OVERSUBSCRIBE_ENV",
-    "REPLAY_WORKERS_ENV",
-    "SHARDS_ENV",
     "BackendWorkerPool",
     "PoolOwner",
     "available_parallelism",
     "check_executor",
     "check_workers",
-    "env_executor",
     "env_flag",
-    "env_workers",
     "host_block",
-    "oversubscribed",
-    "resolve_executor",
     "resolve_workers",
 ]
 
@@ -64,95 +58,15 @@ R = TypeVar("R")
 #: Supported executor kinds.
 EXECUTORS = ("thread", "process")
 
-#: Default shard count / executor of every owner that does not pin its
-#: own.  CI runs the quick suite with ``REPRO_DEFAULT_SHARDS=4`` (thread)
-#: and with ``REPRO_DEFAULT_EXECUTOR=process REPRO_DEFAULT_SHARDS=2`` so
-#: both persistent-pool paths are exercised by the whole test matrix.
-SHARDS_ENV = "REPRO_DEFAULT_SHARDS"
-EXECUTOR_ENV = "REPRO_DEFAULT_EXECUTOR"
-
-#: Default replay-worker count of the epoch-parallel accelerator replay.
-REPLAY_WORKERS_ENV = "REPRO_DEFAULT_REPLAY_WORKERS"
-
-#: When truthy, worker counts are never clamped to the hardware — CI's
-#: sharded legs set it so the parallel path runs on single-core runners.
-OVERSUBSCRIBE_ENV = "REPRO_SHARD_OVERSUBSCRIBE"
-
 #: When truthy, numba is ignored even if importable (:mod:`repro.hw.jit`).
 NO_NUMBA_ENV = "REPRO_NO_NUMBA"
 
-ENV_VARIABLES = (SHARDS_ENV, EXECUTOR_ENV, REPLAY_WORKERS_ENV, OVERSUBSCRIBE_ENV, NO_NUMBA_ENV)
-
-
-# --------------------------------------------------------------------- #
-# Environment parsing
-# --------------------------------------------------------------------- #
-
-#: Environment values already warned about, so a malformed toggle nags
-#: exactly once per process, not once per engine construction.
-_WARNED_ENV_VALUES: set[tuple[str, str]] = set()
-
-
-def _warn_env_once(variable: str, value: str, message: str) -> None:
-    key = (variable, value)
-    if key not in _WARNED_ENV_VALUES:
-        _WARNED_ENV_VALUES.add(key)
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
+ENV_VARIABLES = (NO_NUMBA_ENV,)
 
 
 def env_flag(variable: str) -> bool:
     """Whether the on/off toggle *variable* is set truthy."""
     return os.environ.get(variable, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def env_workers(variable: str) -> int:
-    """The positive worker count in *variable*; 1 (serial) when unset.
-
-    A malformed value (non-integer, zero or negative) warns once and
-    falls back to serial instead of raising.
-    """
-    raw = os.environ.get(variable)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        _warn_env_once(
-            variable,
-            raw,
-            f"ignoring malformed {variable}={raw!r} (expected a positive "
-            "integer); running serial",
-        )
-        return 1
-    if count < 1:
-        _warn_env_once(
-            variable, raw, f"ignoring non-positive {variable}={raw!r}; running serial"
-        )
-        return 1
-    return count
-
-
-def env_executor() -> str:
-    """The executor kind in ``REPRO_DEFAULT_EXECUTOR``; ``"thread"`` when
-    unset.  An unknown value warns once, naming the valid choices."""
-    raw = os.environ.get(EXECUTOR_ENV)
-    if raw is None or not raw.strip():
-        return "thread"
-    try:
-        return check_executor(raw.strip().lower())
-    except ValueError:
-        _warn_env_once(
-            EXECUTOR_ENV,
-            raw,
-            f"ignoring unknown {EXECUTOR_ENV}={raw!r} (available: "
-            f"{', '.join(EXECUTORS)}); using the thread executor",
-        )
-        return "thread"
-
-
-def oversubscribed() -> bool:
-    """Whether ``REPRO_SHARD_OVERSUBSCRIBE`` disables the hardware clamp."""
-    return env_flag(OVERSUBSCRIBE_ENV)
 
 
 def available_parallelism() -> int:
@@ -164,7 +78,7 @@ def available_parallelism() -> int:
 
 
 # --------------------------------------------------------------------- #
-# Resolution: explicit request, environment default, hardware clamp
+# Validation and the hardware clamp
 # --------------------------------------------------------------------- #
 
 
@@ -176,42 +90,32 @@ def check_executor(executor: str) -> str:
 
 
 def check_workers(count: int, what: str = "workers") -> int:
-    """Return *count* as an int if it is a positive worker count, else
-    raise naming the knob (*what*)."""
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"{what} must be >= 1")
-    return count
+    """Return *count* as an ``int`` if it is a positive integer worker
+    count, else raise naming the knob (*what*).  Bools and non-integral
+    numbers are refused, never truncated."""
+    try:
+        value = None if isinstance(count, bool) else operator.index(count)
+    except TypeError:
+        value = None
+    if value is None or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {count!r}")
+    return value
 
 
-def resolve_executor(executor: str | None) -> str:
-    """An explicit executor kind validated, or the environment default."""
-    return env_executor() if executor is None else check_executor(executor)
-
-
-def resolve_workers(
-    requested: int | None, env: str, *, bound: bool = False, what: str = "workers"
-) -> int:
+def resolve_workers(requested: int, *, bound: bool = False, what: str = "workers") -> int:
     """The worker count a piece of work actually runs with.
 
     Two policies, one rule each:
 
-    * *requested* given, ``bound=False`` — **verbatim**: run exactly the
-      split that was asked for (``ShardedQueryEngine``, ``replay_workers=``
-      — what the equivalence suites and forced benchmark rows rely on);
-    * *requested* given, ``bound=True`` — **upper bound**: clamp to the
-      CPUs available (``QueryEngine``, ``ReadAligner``), because splitting
-      beyond the hardware buys no parallelism and still pays the
-      split/merge overhead.
-
-    With *requested* ``None`` the count comes from the *env* variable and
-    is always clamped.  ``REPRO_SHARD_OVERSUBSCRIBE`` lifts every clamp.
+    * ``bound=False`` — **verbatim**: run exactly the split that was asked
+      for (``ShardedQueryEngine``, ``replay_workers=`` — what the
+      equivalence suites and forced benchmark rows rely on);
+    * ``bound=True`` — **upper bound**: clamp to the CPUs available
+      (``QueryEngine``), because splitting beyond the hardware buys no
+      parallelism and still pays the split/merge overhead.
     """
-    if requested is None:
-        count, bound = env_workers(env), True
-    else:
-        count = check_workers(requested, what)
-    if bound and count > 1 and not oversubscribed():
+    count = check_workers(requested, what)
+    if bound and count > 1:
         count = min(count, available_parallelism())
     return count
 
@@ -221,14 +125,13 @@ def host_block() -> dict:
 
     Spliced (``**host_block()``) into every ``BENCH_*.json`` writer, so
     the records agree on the key names: CPU counts (``available_cpus`` is
-    affinity/cgroup-aware — the number the clamp uses), the default
-    executor, whether the numba fast paths are in play, and every
-    ``REPRO_*`` toggle that was set (blank counts as unset).
+    affinity/cgroup-aware — the number the clamp uses), whether the numba
+    fast paths are in play, and every ``REPRO_*`` toggle that was set
+    (blank counts as unset).
     """
     return {
         "host_cpus": os.cpu_count(),
         "available_cpus": available_parallelism(),
-        "default_executor": env_executor(),
         "numba": importlib.util.find_spec("numba") is not None
         and not env_flag(NO_NUMBA_ENV),
         "env": {
@@ -472,8 +375,7 @@ class PoolOwner:
     """Mixin: owns one lazily created persistent :class:`BackendWorkerPool`.
 
     The single implementation of the lifecycle every pool holder (the
-    engines, the read aligner, the accelerator, the replay driver)
-    follows: the pool is created on first use, reused across calls,
+    engines, the accelerator, the replay driver) follows: the pool is created on first use, reused across calls,
     swapped when the payload, executor kind or worker count it is asked
     for changes, and released by :meth:`close`, context-manager exit or
     garbage collection (the pool shuts itself down when dropped).

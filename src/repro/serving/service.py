@@ -183,8 +183,7 @@ class ServingConfig:
             Flush results are unchanged either way (the exact-equivalence
             contract).
         replay_executor: executor kind of the replay pool (``"thread"``
-            or ``"process"``; ``None`` defers to the
-            ``REPRO_DEFAULT_EXECUTOR`` environment toggle).
+            or ``"process"``).
         stats_retention: how many completed-query latencies (and flush
             results) the service retains, oldest-first truncation beyond.
             Percentiles and :meth:`QueryService.result` are exact while
@@ -219,7 +218,7 @@ class ServingConfig:
     idle_timeout: float = 0.05
     workers: int = 1
     replay_workers: int = 1
-    replay_executor: str | None = None
+    replay_executor: str = "thread"
     stats_retention: int = 200_000
     replay_retries: int = 2
     retry_backoff: float = 0.005
@@ -240,8 +239,7 @@ class ServingConfig:
             raise ValueError("idle_timeout must be > 0")
         check_workers(self.workers, "workers")
         check_workers(self.replay_workers, "replay_workers")
-        if self.replay_executor is not None:
-            check_executor(self.replay_executor)
+        check_executor(self.replay_executor)
         if self.stats_retention < 1:
             raise ValueError("stats_retention must be >= 1")
         if self.replay_retries < 0:

@@ -21,6 +21,7 @@ from repro.apps.pipeline import (
     default_breakdown_model,
     run_application,
 )
+from repro.engine import FMIndexBackend, ShardedQueryEngine
 from repro.genome.datasets import build_dataset
 from repro.genome.reads import ILLUMINA, PACBIO, ReadSimulator
 from repro.genome.sequence import random_genome
@@ -287,50 +288,18 @@ class TestPipeline:
 
 
 class TestShardedAppPaths:
-    """Opt-in sharded execution must not change any application result."""
+    """A sharded engine passed to an application must not change its result."""
 
-    def test_aligner_sharded_seeding_identical(self, reference):
-        simulator = ReadSimulator(reference, ILLUMINA, seed=9)
-        reads = simulator.simulate(read_length=80, count=10)
-        serial = ReadAligner(reference, min_seed_length=15, shards=1)
-        sharded = ReadAligner(reference, min_seed_length=15, shards=4, executor="thread")
-        serial_results, serial_counters = serial.align_batch(reads)
-        sharded_results, sharded_counters = sharded.align_batch(reads)
-        assert sharded_results == serial_results
-        assert sharded_counters == serial_counters
-
-    def test_aligner_process_executor_identical(self, reference):
-        simulator = ReadSimulator(reference, ILLUMINA, seed=9)
-        reads = simulator.simulate(read_length=80, count=6)
-        serial_results, _ = ReadAligner(reference, shards=1).align_batch(reads)
-        sharded_results, _ = ReadAligner(
-            reference, shards=2, executor="process"
-        ).align_batch(reads)
-        assert sharded_results == serial_results
-
-    def test_annotator_sharded_identical(self, reference):
+    def test_annotator_sharded_engine_identical(self, reference):
         fm = FMIndex(reference)
         words = words_from_reference(reference, word_length=20, stride=150)
         serial = ExactWordAnnotator(FMIndex(reference)).annotate(words)
         counters = AnnotationCounters()
-        sharded = ExactWordAnnotator(fm, shards=4, executor="thread").annotate(
-            words, counters
-        )
+        engine = ShardedQueryEngine(FMIndexBackend(fm_index=fm), shards=4, executor="thread")
+        with engine:
+            sharded = ExactWordAnnotator(fm, engine=engine).annotate(words, counters)
         assert sharded == serial
         assert counters.words == len(words)
-
-    def test_pipeline_work_counters_identical_under_sharding(self):
-        reference = build_dataset("human", simulated_length=5000, seed=4)
-        for application in ("alignment", "annotate"):
-            serial = run_application(application, reference, ILLUMINA, read_count=4, seed=4)
-            sharded = run_application(
-                application, reference, ILLUMINA, read_count=4, seed=4, shards=3
-            )
-            assert sharded == serial, application
-
-    def test_aligner_rejects_invalid_shards(self, reference):
-        with pytest.raises(ValueError):
-            ReadAligner(reference, shards=0)
 
 
 class TestWindowedAppPaths:

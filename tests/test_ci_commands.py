@@ -14,6 +14,7 @@ import shlex
 
 import pytest
 
+from repro import runtime
 from repro.cli import build_parser
 
 yaml = pytest.importorskip("yaml")
@@ -102,3 +103,10 @@ def test_ci_gate_spec_resolves(spec, ci_gates):
     if name == "pins":
         for option in options:
             ci_gates.parse_floor(option)  # GateInputError: not PATTERN>=VALUE / PATTERN>VALUE
+
+
+def test_ci_sets_only_live_repro_variables():
+    """Every ``REPRO_*`` name ``ci.yml`` mentions is one the runtime still
+    reads, so a retired variable fails here instead of lingering in CI."""
+    named = set(re.findall(r"\bREPRO_[A-Z0-9_]+", CI_YML.read_text()))
+    assert named and named <= set(runtime.ENV_VARIABLES)

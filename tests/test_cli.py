@@ -154,9 +154,8 @@ class TestShardingFlags:
             "search", "--genome-length", "2000", "--seed", "5", "--step", "4",
             "--no-index", "--queries", query,
         ]
-        # Pin the baseline to serial so the comparison also holds when the
-        # suite itself runs under REPRO_DEFAULT_SHARDS (the CI matrix job).
-        assert main(args + ["--shards", "1"]) == 0
+        # The default is serial; the sharded run must print the same answers.
+        assert main(args) == 0
         serial_out = capsys.readouterr().out
         assert main(args + ["--shards", "3", "--executor", "thread"]) == 0
         sharded_out = capsys.readouterr().out
@@ -175,6 +174,24 @@ class TestShardingFlags:
         assert args.windows == (1, 2, 4)
         assert args.shards == 2
         assert args.executor == "process"
+
+    @pytest.mark.parametrize(
+        "argv, attribute, default",
+        [
+            (["search", "--queries", "ACGT"], "shards", 1),
+            (["search", "--queries", "ACGT"], "executor", "thread"),
+            (["serve"], "shards", 1),
+            (["serve"], "replay_workers", 1),
+            (["serve"], "replay_executor", "thread"),
+            (["experiment", "fig15-window"], "executor", "thread"),
+            (["experiment", "fig18-window"], "replay_workers", 1),
+            (["experiment", "fig18-window"], "replay_executor", "thread"),
+        ],
+    )
+    def test_parallel_defaults_are_serial_literals(self, argv, attribute, default):
+        """No flag defers to the environment: unless one is passed, every
+        parallel knob parses to its serial literal."""
+        assert getattr(build_parser().parse_args(argv), attribute) == default
 
     def test_parser_rejects_unknown_executor(self, capsys):
         with pytest.raises(SystemExit):

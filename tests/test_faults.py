@@ -15,6 +15,7 @@ import pytest
 from repro.accel.exma_accelerator import ExmaAccelerator
 from repro.engine.backends import ExmaBackend
 from repro.engine.engine import QueryEngine
+from repro.engine.sharded import ShardedQueryEngine
 from repro.exma.table import ExmaTable
 from repro.faults import (
     FAULT_SITES,
@@ -286,6 +287,39 @@ class TestServingUnderFaults:
         assert all(outcome.ok for outcome in second_outcomes)
         assert service.stats.worker_crashes == 1
         stats = service.stats
+        assert stats.completed + stats.failed + stats.cancelled == stats.accepted
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_kill_with_sharded_engine_strands_nothing(self, stack, executor):
+        """The same kill over a two-shard engine, two batcher workers: the
+        killed batch fails alone, the respawned worker searches on with the
+        serial engine's answers, and the ledger balances."""
+        _, table, engine, queries = stack
+        sharded = ShardedQueryEngine(engine.backend, shards=2, executor=executor)
+        config = ServingConfig(
+            workers=2,
+            max_batch=16,
+            faults=_plan(FaultSpec(site=SITE_SEARCH, kind="kill", at=(0,))),
+        )
+        service = QueryService(sharded, ExmaAccelerator(table, None), config)
+        try:
+            with service:
+                first = service.submit(queries[:6])
+                first_outcomes = first.result(timeout=TIMEOUT)
+                second = service.submit(queries[6:])
+                second_outcomes = second.result(timeout=TIMEOUT)
+                service.stop()
+        finally:
+            for worker in service.workers:
+                worker.engine.close()
+        assert first.done() and second.done()
+        assert all("WorkerKilled" in outcome.error for outcome in first_outcomes)
+        assert [outcome.interval for outcome in second_outcomes] == (
+            engine.search_batch(queries[6:]).intervals
+        )
+        stats = service.stats
+        assert stats.worker_crashes == 1
+        assert (stats.failed, stats.completed) == (6, len(queries) - 6)
         assert stats.completed + stats.failed + stats.cancelled == stats.accepted
 
     def test_replay_fault_retried_then_completes(self, stack):

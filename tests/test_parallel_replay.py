@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import runtime
 from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig, ParallelReplay
 from repro.engine import CoalescingWindow, QueryEngine, create_backend
 from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend
@@ -183,37 +182,6 @@ class TestKnobResolution:
             accelerator.run_stream(iter([]), replay_workers=0)
         with pytest.raises(ValueError):
             accelerator.run_stream(iter([]), replay_workers=1, executor="greenlet")
-
-    def test_env_default_picked_up(self, monkeypatch, streams, accelerator):
-        """REPRO_DEFAULT_REPLAY_WORKERS re-points the default path at the
-        pool (oversubscribe lifts the single-core clamp), and the result
-        still equals serial."""
-        monkeypatch.setenv("REPRO_DEFAULT_REPLAY_WORKERS", "2")
-        monkeypatch.setenv("REPRO_SHARD_OVERSUBSCRIBE", "1")
-        serial = accelerator.run_windowed(streams["exma"], window=2, replay_workers=1)
-        result = accelerator.run_windowed(streams["exma"], window=2)
-        assert accelerator.worker_pool is not None
-        assert accelerator.worker_pool.max_workers == 2
-        assert result == serial
-        accelerator.close()
-
-    def test_env_default_clamped_without_oversubscribe(
-        self, monkeypatch, streams, accelerator
-    ):
-        """Without the oversubscribe toggle the env default degrades to
-        the host's parallelism — serial replay on a single-core box, and
-        never a pool bigger than the machine."""
-        monkeypatch.setenv("REPRO_DEFAULT_REPLAY_WORKERS", "64")
-        monkeypatch.delenv("REPRO_SHARD_OVERSUBSCRIBE", raising=False)
-        accelerator.close()
-        accelerator.run_windowed(streams["exma"], window=2)
-        pool = accelerator.worker_pool
-        if runtime.available_parallelism() == 1:
-            assert pool is None
-        else:
-            assert pool is not None
-            assert pool.max_workers <= runtime.available_parallelism()
-        accelerator.close()
 
 
 # --------------------------------------------------------------------- #

@@ -1,203 +1,79 @@
-"""The runtime plane (:mod:`repro.runtime`): environment parsing, the one
-worker-count resolver, construction-time validation, and the layering
-rule that keeps them in one place.
+"""The runtime plane (:mod:`repro.runtime`): the one worker-count
+validator and hardware clamp, construction-time validation, and the
+layering rule that keeps them in one place.
 
-A long-lived serving process must never crash (or spam its log) because
-an operator exported ``REPRO_DEFAULT_SHARDS=auto`` or typo'd the executor
-name: malformed values warn exactly once per process and fall back to the
-safe serial/thread defaults.
+A parallel path runs only when an explicit argument asks for it; every
+owner rejects a bad count or executor kind at construction, with the one
+message, instead of truncating it or failing inside the first batch.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-import warnings
 
+import numpy as np
 import pytest
 
 import repro
 from repro import runtime
 from repro.accel import ExmaAccelerator, ParallelReplay
-from repro.apps.alignment import ReadAligner
 from repro.engine import QueryEngine, ShardedQueryEngine
 from repro.engine.backends import FMIndexBackend
 from repro.exma.table import ExmaTable
 from repro.experiments import run_dse
 from repro.serving import ServingConfig
 
-WORKER_VARIABLES = (runtime.SHARDS_ENV, runtime.REPLAY_WORKERS_ENV)
 
-
-@pytest.fixture(autouse=True)
-def fresh_warn_state():
-    """Each test sees virgin warn-once state (it is per-process otherwise)."""
-    saved = set(runtime._WARNED_ENV_VALUES)
-    runtime._WARNED_ENV_VALUES.clear()
-    yield
-    runtime._WARNED_ENV_VALUES.clear()
-    runtime._WARNED_ENV_VALUES.update(saved)
-
-
-@pytest.mark.parametrize("variable", WORKER_VARIABLES)
-class TestEnvWorkers:
-    """REPRO_DEFAULT_SHARDS and REPRO_DEFAULT_REPLAY_WORKERS share one
-    parser: malformed or non-positive values warn once and fall back to
-    serial — an always-on service must never crash on an operator typo."""
-
-    def test_unset_means_serial(self, monkeypatch, variable):
-        monkeypatch.delenv(variable, raising=False)
-        assert runtime.env_workers(variable) == 1
-
-    def test_blank_means_serial(self, monkeypatch, variable):
-        monkeypatch.setenv(variable, "   ")
-        assert runtime.env_workers(variable) == 1
-
-    def test_valid_value_parses_with_whitespace(self, monkeypatch, variable):
-        monkeypatch.setenv(variable, " 8 ")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any warning is a failure
-            assert runtime.env_workers(variable) == 8
-
-    @pytest.mark.parametrize("raw", ["abc", "auto", "3.5", "4 shards", ""])
-    def test_malformed_value_warns_and_falls_back(self, monkeypatch, variable, raw):
-        monkeypatch.setenv(variable, raw)
-        if not raw.strip():
-            assert runtime.env_workers(variable) == 1
-            return
-        with pytest.warns(RuntimeWarning, match="malformed"):
-            assert runtime.env_workers(variable) == 1
-
-    @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_non_positive_value_warns_and_falls_back(self, monkeypatch, variable, raw):
-        monkeypatch.setenv(variable, raw)
-        with pytest.warns(RuntimeWarning, match="non-positive"):
-            assert runtime.env_workers(variable) == 1
-
-    def test_warns_once_per_value(self, monkeypatch, variable):
-        monkeypatch.setenv(variable, "bogus")
-        with pytest.warns(RuntimeWarning):
-            runtime.env_workers(variable)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert runtime.env_workers(variable) == 1  # second read: silent fallback
-        # A *different* bad value still gets its own warning.
-        monkeypatch.setenv(variable, "also-bogus")
-        with pytest.warns(RuntimeWarning):
-            runtime.env_workers(variable)
-
-    def test_independent_of_the_other_toggle(self, monkeypatch, variable):
-        """The two knobs are separate axes: one variable never leaks into
-        the other's default."""
-        (other,) = set(WORKER_VARIABLES) - {variable}
-        monkeypatch.setenv(other, "8")
-        monkeypatch.delenv(variable, raising=False)
-        assert runtime.env_workers(variable) == 1
-        monkeypatch.setenv(variable, "2")
-        monkeypatch.delenv(other, raising=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert runtime.env_workers(variable) == 2
-            assert runtime.env_workers(other) == 1
-
-
-class TestEnvExecutor:
-    def test_unset_means_thread(self, monkeypatch):
-        monkeypatch.delenv(runtime.EXECUTOR_ENV, raising=False)
-        assert runtime.env_executor() == "thread"
-
-    def test_known_values_normalise(self, monkeypatch):
-        for raw, expected in [("thread", "thread"), (" Process ", "process"), ("THREAD", "thread")]:
-            monkeypatch.setenv(runtime.EXECUTOR_ENV, raw)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert runtime.env_executor() == expected
-
-    def test_unknown_value_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(runtime.EXECUTOR_ENV, "greenlet")
-        with pytest.warns(RuntimeWarning, match="thread, process"):
-            assert runtime.env_executor() == "thread"
-
-    def test_warns_once_per_value(self, monkeypatch):
-        monkeypatch.setenv(runtime.EXECUTOR_ENV, "fiber")
-        with pytest.warns(RuntimeWarning):
-            runtime.env_executor()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert runtime.env_executor() == "thread"
-
-
-@pytest.mark.parametrize("variable", [runtime.OVERSUBSCRIBE_ENV, runtime.NO_NUMBA_ENV])
 class TestEnvFlag:
     @pytest.mark.parametrize(
         "raw, expected",
         [("1", True), ("true", True), ("YES", True), ("on", True), ("", False), ("0", False)],
     )
-    def test_truthy_values(self, monkeypatch, variable, raw, expected):
-        monkeypatch.setenv(variable, raw)
-        assert runtime.env_flag(variable) is expected
+    def test_truthy_values(self, monkeypatch, raw, expected):
+        monkeypatch.setenv(runtime.NO_NUMBA_ENV, raw)
+        assert runtime.env_flag(runtime.NO_NUMBA_ENV) is expected
 
-    def test_unset_is_off(self, monkeypatch, variable):
-        monkeypatch.delenv(variable, raising=False)
-        assert not runtime.env_flag(variable)
+    def test_unset_is_off(self, monkeypatch):
+        monkeypatch.delenv(runtime.NO_NUMBA_ENV, raising=False)
+        assert not runtime.env_flag(runtime.NO_NUMBA_ENV)
+
+    def test_no_numba_is_the_only_variable(self):
+        assert runtime.ENV_VARIABLES == ("REPRO_NO_NUMBA",)
 
 
 class TestResolveWorkers:
-    """The one clamp rule: explicit counts are verbatim or an upper
-    bound; environment defaults are always clamped; oversubscribe lifts
-    every clamp."""
-
-    #: (source, explicit request is an upper bound, oversubscribe) -> clamped?
-    POLICY = {
-        ("explicit", False, False): False,  # verbatim
-        ("explicit", False, True): False,
-        ("explicit", True, False): True,  # upper bound
-        ("explicit", True, True): False,
-        ("env", False, False): True,  # env defaults: always clamped
-        ("env", False, True): False,
-        ("env", True, False): True,
-        ("env", True, True): False,
-    }
+    """The one clamp rule: an explicit count is verbatim, or an upper
+    bound clamped to the available CPUs."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
-    @pytest.mark.parametrize("source, bound, oversubscribe", list(POLICY))
-    @pytest.mark.parametrize("variable", WORKER_VARIABLES)
-    def test_policy_table(self, monkeypatch, variable, source, bound, oversubscribe, cpus):
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_policy_table(self, monkeypatch, bound, cpus):
         monkeypatch.setattr(runtime, "available_parallelism", lambda: cpus)
-        if oversubscribe:
-            monkeypatch.setenv(runtime.OVERSUBSCRIBE_ENV, "1")
-        else:
-            monkeypatch.delenv(runtime.OVERSUBSCRIBE_ENV, raising=False)
-        monkeypatch.setenv(variable, "4" if source == "env" else "64")
-        requested = 4 if source == "explicit" else None
-        expected = min(4, cpus) if self.POLICY[source, bound, oversubscribe] else 4
-        assert runtime.resolve_workers(requested, variable, bound=bound) == expected
+        expected = min(4, cpus) if bound else 4
+        assert runtime.resolve_workers(4, bound=bound) == expected
 
     def test_serial_is_never_touched(self, monkeypatch):
         monkeypatch.setattr(runtime, "available_parallelism", lambda: 8)
-        monkeypatch.delenv(runtime.SHARDS_ENV, raising=False)
-        assert runtime.resolve_workers(None, runtime.SHARDS_ENV) == 1
-        assert runtime.resolve_workers(1, runtime.SHARDS_ENV, bound=True) == 1
+        assert runtime.resolve_workers(1) == 1
+        assert runtime.resolve_workers(1, bound=True) == 1
 
-    def test_invalid_explicit_count_names_the_knob(self):
-        with pytest.raises(ValueError, match="replay_workers must be >= 1"):
-            runtime.resolve_workers(0, runtime.REPLAY_WORKERS_ENV, what="replay_workers")
+    @pytest.mark.parametrize("count", [0, 2.9, True])
+    def test_invalid_explicit_count_names_the_knob(self, count):
+        with pytest.raises(ValueError, match="replay_workers must be an integer >= 1"):
+            runtime.resolve_workers(count, bound=True, what="replay_workers")
 
-    def test_replay_entry_points_agree(self, monkeypatch, exma_table):
-        """Regression: ``ParallelReplay(workers=None)`` used to take
-        REPRO_DEFAULT_REPLAY_WORKERS unclamped (64) while
-        ``run_stream(replay_workers=None)`` clamped it, in the same
-        process under the same environment."""
-        monkeypatch.setenv(runtime.REPLAY_WORKERS_ENV, "64")
-        monkeypatch.delenv(runtime.OVERSUBSCRIBE_ENV, raising=False)
-        cpus = runtime.available_parallelism()
+    def test_numpy_integers_are_counts(self):
+        count = runtime.check_workers(np.int64(3))
+        assert count == 3 and type(count) is int
+
+    def test_replay_entry_points_agree(self, exma_table):
+        """``ParallelReplay`` and ``run_stream`` both default to serial
+        replay and honour an explicit count verbatim, host or not."""
         with ExmaAccelerator(exma_table, None) as accelerator:
-            driver = ParallelReplay(accelerator)
+            assert ParallelReplay(accelerator).workers == 1
             accelerator.run_stream(iter([[], []]))
-            pool = accelerator.worker_pool
-            streamed = 1 if pool is None else pool.max_workers
-            assert driver.workers == streamed == min(64, cpus)
-            # An explicit count is still honoured verbatim, host or not.
+            assert accelerator.worker_pool is None
             assert ParallelReplay(accelerator, workers=4).workers == 4
             accelerator.run_stream(iter([[], []]), replay_workers=4)
             assert accelerator.worker_pool.max_workers == 4
@@ -206,54 +82,58 @@ class TestResolveWorkers:
 class TestValidateAtTheDoor:
     """Every owner rejects a bad executor or worker count at
     construction, through the one validator, with the one message —
-    never inside the first pooled batch."""
+    never inside the first pooled batch, and never by truncating it."""
 
     REFERENCE = "ACGTACGTACGTTTGACA" * 4
+
+    OWNERS = [
+        "QueryEngine", "ShardedQueryEngine", "ParallelReplay", "run_stream",
+        "ServingConfig.workers", "ServingConfig.replay_workers", "run_dse",
+    ]
 
     def owners(self):
         backend = FMIndexBackend(self.REFERENCE)
         accelerator = ExmaAccelerator(ExmaTable(self.REFERENCE, k=2), None)
         return {
-            "QueryEngine": lambda **kw: QueryEngine(
-                backend, shards=kw.get("workers"), executor=kw.get("executor")
+            "QueryEngine": lambda workers=1, executor="thread": QueryEngine(
+                backend, shards=workers, executor=executor
             ),
-            "ShardedQueryEngine": lambda **kw: ShardedQueryEngine(
-                backend, shards=kw.get("workers"), executor=kw.get("executor")
+            "ShardedQueryEngine": lambda workers=1, executor="thread": ShardedQueryEngine(
+                backend, shards=workers, executor=executor
             ),
-            "ReadAligner": lambda **kw: ReadAligner(
-                self.REFERENCE, shards=kw.get("workers"), executor=kw.get("executor")
+            "ParallelReplay": lambda workers=1, executor="thread": ParallelReplay(
+                accelerator, workers=workers, executor=executor
             ),
-            "ParallelReplay": lambda **kw: ParallelReplay(accelerator, **kw),
-            "ServingConfig": lambda **kw: ServingConfig(
-                replay_workers=kw.get("workers", 1), replay_executor=kw.get("executor")
+            "run_stream": lambda workers=1, executor="thread": accelerator.run_stream(
+                iter([]), replay_workers=workers, executor=executor
             ),
-            "run_dse": lambda **kw: run_dse(
-                workers=kw.get("workers", 1), executor=kw.get("executor", "thread")
+            "ServingConfig.workers": lambda workers=1, executor="thread": ServingConfig(
+                workers=workers, replay_executor=executor
+            ),
+            "ServingConfig.replay_workers": lambda workers=1, executor="thread": ServingConfig(
+                replay_workers=workers, replay_executor=executor
+            ),
+            "run_dse": lambda workers=1, executor="thread": run_dse(
+                workers=workers, executor=executor
             ),
         }
 
-    @pytest.mark.parametrize(
-        "owner",
-        ["QueryEngine", "ShardedQueryEngine", "ReadAligner", "ParallelReplay",
-         "ServingConfig", "run_dse"],
-    )
+    @pytest.mark.parametrize("owner", OWNERS)
     def test_bad_knobs_rejected_at_construction(self, owner):
         build = self.owners()[owner]
         with pytest.raises(ValueError, match="unknown executor 'greenlet'; available: thread"):
             build(executor="greenlet")
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ValueError, match="must be an integer >= 1, got 0"):
             build(workers=0)
 
-    def test_engine_construction_survives_malformed_env(self, monkeypatch):
-        """A bad *environment* pair, unlike a bad argument, must yield a
-        working serial engine, not an exception at construction."""
-        monkeypatch.setenv(runtime.SHARDS_ENV, "not-a-number")
-        monkeypatch.setenv(runtime.EXECUTOR_ENV, "greenlet")
-        with pytest.warns(RuntimeWarning):
-            engine = QueryEngine(FMIndexBackend("ACGTACGTACGT"))
-            result = engine.search_batch(["ACGT", "TTTT"])
-            assert engine.shards == 1 and engine.executor == "thread"
-        assert len(result.intervals) == 2
+    @pytest.mark.parametrize("count", [-1, 1.5, 2.9, True, False, None, "2"])
+    @pytest.mark.parametrize("owner", OWNERS)
+    def test_non_integral_counts_rejected_not_truncated(self, owner, count):
+        """Regression: ``int(count)`` used to let ``shards=2.9`` run 2
+        shards and ``ServingConfig(workers=1.5)`` (or ``"2"``) validate,
+        only for ``QueryService`` to die later in ``range()``."""
+        with pytest.raises(ValueError, match=f"must be an integer >= 1, got {count!r}"):
+            self.owners()[owner](workers=count)
 
 
 class TestPoolInlineAtSizeOne:
@@ -276,17 +156,12 @@ class TestPoolInlineAtSizeOne:
 
 class TestHostBlock:
     def test_shape(self, monkeypatch):
-        monkeypatch.setenv(runtime.SHARDS_ENV, "4")
-        monkeypatch.setenv(runtime.EXECUTOR_ENV, "process")
-        monkeypatch.delenv(runtime.REPLAY_WORKERS_ENV, raising=False)
+        monkeypatch.setenv(runtime.NO_NUMBA_ENV, "1")
         block = runtime.host_block()
-        assert list(block)[:2] == ["host_cpus", "available_cpus"]
+        assert list(block) == ["host_cpus", "available_cpus", "numba", "env"]
         assert 1 <= block["available_cpus"] <= block["host_cpus"]
-        assert block["default_executor"] == "process"
-        assert isinstance(block["numba"], bool)
-        assert block["env"][runtime.SHARDS_ENV] == "4"
-        assert runtime.REPLAY_WORKERS_ENV not in block["env"]
-        assert set(block["env"]) <= set(runtime.ENV_VARIABLES)
+        assert block["numba"] is False
+        assert block["env"] == {runtime.NO_NUMBA_ENV: "1"}
 
 
 class TestLayering:
@@ -326,6 +201,25 @@ class TestLayering:
                 if "environ" in parts or "getenv" in parts or "concurrent" in parts:
                     offenders.append(f"{path.relative_to(self.SRC)}: {name}")
         assert not offenders, offenders
+
+    def test_pool_owners_are_the_parallel_paths(self):
+        """Only the engines, the accelerator and the replay driver own a
+        pool: an application layers over ``search_batch`` and never
+        carries a second one of its own."""
+        import repro.apps  # noqa: F401 - defines every package class
+        import repro.serving  # noqa: F401
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        owners = {
+            cls.__name__
+            for cls in subclasses(runtime.PoolOwner)
+            if cls.__module__.startswith("repro.")
+        }
+        assert owners == {"QueryEngine", "ShardedQueryEngine", "ExmaAccelerator", "ParallelReplay"}
 
     def test_engine_packages_do_not_re_export_runtime_names(self):
         import repro.engine

@@ -20,6 +20,7 @@ import pytest
 from repro.accel.exma_accelerator import ExmaAccelerator
 from repro.engine.backends import ExmaBackend
 from repro.engine.engine import QueryEngine
+from repro.engine.sharded import ShardedQueryEngine
 from repro.exma.table import ExmaTable
 from repro.genome.sequence import random_genome
 from repro.serving import (
@@ -55,6 +56,61 @@ def serving_stack():
 
 def _pending(query: str, tenant: str, arrival: float = 0.0) -> _Pending:
     return _Pending(query, tenant, Ticket(1), 0, arrival)
+
+
+def _served_partitions_match_offline(serving_stack, engine, workers):
+    """Serve six exactly-``max_batch`` groups through *workers* batcher
+    workers over *engine*, then check each worker's flushes against the
+    offline ``run_windowed`` (serial engine) over the batches it took.
+    Returns the stopped service and its ``worker -> batch indexes``
+    partition."""
+    reference, backend, accelerator = serving_stack
+    batch, groups = 6, 6
+    query_groups = [
+        random_queries(reference, count=batch, length=16, seed=200 + index)
+        for index in range(groups)
+    ]
+    config = ServingConfig(
+        max_batch=batch, max_delay=30.0, window=2, idle_timeout=30.0, workers=workers
+    )
+    service = QueryService(engine, accelerator, config)
+    with service:
+        tickets = [service.submit(group) for group in query_groups]
+        service.stop()
+    outcomes = [ticket.result(timeout=TIMEOUT) for ticket in tickets]
+
+    # Single tenant + exactly-max_batch groups: dynamic batch g is
+    # group g, and one worker serves all of it.
+    partition: dict[int, list[int]] = {}
+    for group_index, group_outcomes in enumerate(outcomes):
+        assert {outcome.batch_index for outcome in group_outcomes} == {group_index}
+        owners = {outcome.worker_index for outcome in group_outcomes}
+        assert len(owners) == 1
+        partition.setdefault(owners.pop(), []).append(group_index)
+    assert sorted(index for taken in partition.values() for index in taken) == list(range(groups))
+
+    offline_engine = QueryEngine(backend)
+    streams = [offline_engine.search_batch(group).stats.requests for group in query_groups]
+    served = service.worker_results()
+    assert len(served) == workers
+    for worker_index in range(workers):
+        taken = partition.get(worker_index, [])
+        # batch_index is stamped at take time, so ascending order is
+        # the order this worker took (and flushed) its batches.
+        assert taken == sorted(taken)
+        offline = accelerator.run_windowed(
+            iter(streams[index] for index in taken), window=config.window, name=config.name
+        )
+        assert served[worker_index].flushes == offline.flushes
+        assert served[worker_index].issued == offline.issued
+        assert served[worker_index].batches == offline.batches
+
+    # And the intervals are still exactly the engine's.
+    for group, group_outcomes in zip(query_groups, outcomes):
+        assert [
+            outcome.interval for outcome in group_outcomes
+        ] == offline_engine.search_batch(group).intervals
+    return service, partition
 
 
 # --------------------------------------------------------------------- #
@@ -591,59 +647,27 @@ class TestWorkerPool:
         worker's flush sequence must equal the offline ``run_windowed``
         over the batch streams that worker happened to take, whatever the
         nondeterministic batch-to-worker assignment was."""
-        reference, backend, accelerator = serving_stack
-        batch, groups = 6, 6
-        query_groups = [
-            random_queries(reference, count=batch, length=16, seed=200 + index)
-            for index in range(groups)
-        ]
-        config = ServingConfig(
-            max_batch=batch, max_delay=30.0, window=2, idle_timeout=30.0,
-            workers=workers,
-        )
-        service = QueryService(QueryEngine(backend), accelerator, config)
-        with service:
-            tickets = [service.submit(group) for group in query_groups]
-            service.stop()
-        outcomes = [ticket.result(timeout=TIMEOUT) for ticket in tickets]
+        _, backend, _ = serving_stack
+        _served_partitions_match_offline(serving_stack, QueryEngine(backend), workers)
 
-        # Single tenant + exactly-max_batch groups: dynamic batch g is
-        # group g, and one worker serves all of it.
-        partition: dict[int, list[int]] = {}
-        for group_index, group_outcomes in enumerate(outcomes):
-            assert {outcome.batch_index for outcome in group_outcomes} == {group_index}
-            owners = {outcome.worker_index for outcome in group_outcomes}
-            assert len(owners) == 1
-            partition.setdefault(owners.pop(), []).append(group_index)
-        assert sorted(
-            index for taken in partition.values() for index in taken
-        ) == list(range(groups))
-
-        offline_engine = QueryEngine(backend)
-        streams = [
-            offline_engine.search_batch(group).stats.requests for group in query_groups
-        ]
-        served = service.worker_results()
-        assert len(served) == workers
-        for worker_index in range(workers):
-            taken = partition.get(worker_index, [])
-            # batch_index is stamped at take time, so ascending order is
-            # the order this worker took (and flushed) its batches.
-            assert taken == sorted(taken)
-            offline = accelerator.run_windowed(
-                iter(streams[index] for index in taken),
-                window=config.window,
-                name=config.name,
-            )
-            assert served[worker_index].flushes == offline.flushes
-            assert served[worker_index].issued == offline.issued
-            assert served[worker_index].batches == offline.batches
-
-        # And the intervals are still exactly the engine's.
-        for group, group_outcomes in zip(query_groups, outcomes):
-            assert [
-                outcome.interval for outcome in group_outcomes
-            ] == offline_engine.search_batch(group).intervals
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_sharded_clones_match_run_windowed(self, serving_stack, executor):
+        """The same pin over a sharded engine: every batcher worker searches
+        on its own clone of a two-shard ``ShardedQueryEngine`` (with its own
+        pool), and each worker's flushes still equal the offline serial
+        engine's ``run_windowed``."""
+        _, backend, _ = serving_stack
+        engine = ShardedQueryEngine(backend, shards=2, executor=executor)
+        service, partition = _served_partitions_match_offline(serving_stack, engine, workers=2)
+        try:
+            for worker in service.workers:
+                assert isinstance(worker.engine, ShardedQueryEngine)
+                assert (worker.engine.effective_shards, worker.engine.executor) == (2, executor)
+                if partition.get(worker.index):
+                    assert worker.engine.worker_pool is not None  # the split really ran
+        finally:
+            for worker in service.workers:
+                worker.engine.close()
 
     def test_multi_worker_open_loop_completes_everything(self, serving_stack):
         reference, backend, accelerator = serving_stack

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accel import ExmaAccelerator
 from repro.engine import (
     BatchStats,
     ExmaBackend,
@@ -37,6 +38,7 @@ from repro.testing import reference_and_queries
 
 SHARD_COUNTS = (1, 2, 4, 7)
 EXECUTORS = ("thread", "process")
+BACKEND_NAMES = ("fmindex", "exma", "exma-learned", "exma-mtl", "lisa", "lisa-learned")
 
 STATS_FIELDS = (
     "queries",
@@ -144,9 +146,7 @@ def backends(case):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize(
-    "name", ["fmindex", "exma", "exma-learned", "exma-mtl", "lisa", "lisa-learned"]
-)
+@pytest.mark.parametrize("name", BACKEND_NAMES)
 def test_all_backends_all_shards_both_executors(backends, case, name, shards, executor):
     if executor == "process" and shards == 7:
         pytest.skip("one persistent process pool per (backend, shards) cell; 4 covers it")
@@ -155,9 +155,7 @@ def test_all_backends_all_shards_both_executors(backends, case, name, shards, ex
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize(
-    "name", ["fmindex", "exma", "exma-learned", "exma-mtl", "lisa", "lisa-learned"]
-)
+@pytest.mark.parametrize("name", BACKEND_NAMES)
 def test_process_executor_odd_shard_count(backends, case, name):
     """The skipped (process, 7) cell of the quick matrix, run in the slow lane."""
     _, queries = case
@@ -285,34 +283,18 @@ class TestPersistentPools:
         assert engine.worker_pool is not first_pool
         engine.close()
 
-    def test_knobs_are_resolved_at_construction(self, case, backends, monkeypatch):
-        """An env-toggled engine keeps the executor it resolved when it
-        was built, however the environment moves afterwards; an engine
-        built after the flip gets the new kind; a clone inherits its
-        parent's resolved knobs — and every engine owns its own pool."""
-        monkeypatch.setenv("REPRO_SHARD_OVERSUBSCRIBE", "1")
-        monkeypatch.setenv("REPRO_DEFAULT_SHARDS", "2")
-        monkeypatch.setenv("REPRO_DEFAULT_EXECUTOR", "thread")
+    def test_clone_inherits_knobs_never_the_pool(self, case, backends):
+        """A clone keeps its parent's shards and executor but owns its own
+        pool — how the serving layer gives every batcher worker one."""
         _, queries = case
-        engine = QueryEngine(backends["fmindex"])
-        engine.search_batch(queries)
-        thread_pool = engine.worker_pool
-        assert thread_pool is not None and thread_pool.kind == "thread"
-        monkeypatch.setenv("REPRO_DEFAULT_EXECUTOR", "process")
-        monkeypatch.setenv("REPRO_DEFAULT_SHARDS", "3")
-        engine.search_batch(queries)
-        assert engine.worker_pool is thread_pool  # not re-read per batch
-        assert (engine.executor, engine.effective_shards) == ("thread", 2)
-        with QueryEngine(backends["fmindex"]) as fresh, engine.clone() as clone:
-            assert (fresh.executor, fresh.effective_shards) == ("process", 3)
-            assert (clone.executor, clone.effective_shards) == ("thread", 2)
-            assert clone.worker_pool is None  # never the parent's pool
-            fresh.search_batch(queries)
-            clone.search_batch(queries)
-            assert fresh.worker_pool.kind == "process"
-            assert clone.worker_pool.kind == "thread"
-            assert len({id(e.worker_pool) for e in (engine, fresh, clone)}) == 3
-        engine.close()
+        with ShardedQueryEngine(backends["fmindex"], shards=2, executor="thread") as engine:
+            engine.search_batch(queries)
+            with engine.clone() as clone:
+                assert (clone.executor, clone.effective_shards) == ("thread", 2)
+                assert clone.worker_pool is None  # never the parent's pool
+                clone.search_batch(queries)
+                assert clone.worker_pool is not None
+                assert clone.worker_pool is not engine.worker_pool
 
 
 # --------------------------------------------------------------------- #
@@ -323,21 +305,13 @@ class TestPersistentPools:
 class TestAdaptiveShards:
     def test_query_engine_clamps_to_available_cpus(self, case, monkeypatch):
         reference, _ = case
-        monkeypatch.delenv("REPRO_SHARD_OVERSUBSCRIBE", raising=False)
         monkeypatch.setattr("repro.runtime.available_parallelism", lambda: 2)
         engine = QueryEngine(FMIndexBackend(reference), shards=8)
         assert engine.shards == 8  # the configured upper bound is kept
         assert engine.effective_shards == 2
 
-    def test_oversubscribe_toggle_disables_the_clamp(self, case, monkeypatch):
-        reference, _ = case
-        monkeypatch.setattr("repro.runtime.available_parallelism", lambda: 1)
-        monkeypatch.setenv("REPRO_SHARD_OVERSUBSCRIBE", "1")
-        assert QueryEngine(FMIndexBackend(reference), shards=8).effective_shards == 8
-
     def test_sharded_engine_never_clamps(self, case, monkeypatch):
         reference, queries = case
-        monkeypatch.delenv("REPRO_SHARD_OVERSUBSCRIBE", raising=False)
         monkeypatch.setattr("repro.runtime.available_parallelism", lambda: 1)
         backend = FMIndexBackend(reference)
         engine = ShardedQueryEngine(backend, shards=4, executor="thread")
@@ -353,26 +327,14 @@ class TestAdaptiveShards:
 
 
 class TestEngineDispatch:
-    def test_env_toggle_shards_every_engine(self, case, monkeypatch):
+    def test_default_engine_is_serial(self, case):
+        """Parallel search only when asked for: the default engine runs one
+        shard on the thread executor and never creates a pool."""
         reference, queries = case
-        monkeypatch.setenv("REPRO_DEFAULT_SHARDS", "4")
-        # Oversubscription keeps the adaptive clamp from degenerating this
-        # to the serial path on single-core CI runners.
-        monkeypatch.setenv("REPRO_SHARD_OVERSUBSCRIBE", "1")
         engine = QueryEngine(FMIndexBackend(reference))
-        assert engine.shards == 4
-        assert engine.effective_shards == 4
-        serial = QueryEngine(FMIndexBackend(reference), shards=1).search_batch(queries)
-        toggled = engine.search_batch(queries)
-        assert [(i.low, i.high) for i in toggled.intervals] == [
-            (i.low, i.high) for i in serial.intervals
-        ]
-        assert_stats_identical(serial.stats, toggled.stats)
-
-    def test_pinned_shards_override_env(self, case, monkeypatch):
-        reference, _ = case
-        monkeypatch.setenv("REPRO_DEFAULT_SHARDS", "4")
-        assert QueryEngine(FMIndexBackend(reference), shards=1).shards == 1
+        assert (engine.shards, engine.effective_shards, engine.executor) == (1, 1, "thread")
+        engine.search_batch(queries)
+        assert engine.worker_pool is None
 
     def test_invalid_configuration_rejected(self, case):
         reference, _ = case
@@ -433,16 +395,47 @@ class TestEngineDispatch:
         assert unpriced.stats.binary_comparisons == sum(t.comparisons for t in tails)
         assert unpriced.stats.prediction_errors == [e for t in tails for e in t.errors]
 
-    def test_find_batch_and_wrappers_route_through_sharded_path(self, case):
-        reference, queries = case
-        backend = FMIndexBackend(reference)
-        serial_positions, serial_stats = QueryEngine(backend, shards=1).find_batch(queries)
-        engine = ShardedQueryEngine(backend, shards=3, executor="thread")
-        positions, stats = engine.find_batch(queries)
-        assert positions == serial_positions
-        assert_stats_identical(serial_stats, stats)
-        assert engine.count_batch(queries) == QueryEngine(backend, shards=1).count_batch(
-            queries
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_find_batch_and_wrappers_route_through_sharded_path(
+        self, case, backends, name, executor
+    ):
+        _, queries = case
+        backend = backends[name]
+        serial = QueryEngine(backend)
+        serial_positions, serial_stats = serial.find_batch(queries)
+        with ShardedQueryEngine(backend, shards=3, executor=executor) as engine:
+            positions, stats = engine.find_batch(queries)
+            assert positions == serial_positions
+            assert_stats_identical(serial_stats, stats)
+            assert engine.count_batch(queries) == serial.count_batch(queries)
+            requests, _ = engine.request_stream(queries)
+            assert requests == serial_stats.requests
+            assert engine.find(queries[0]) == serial.find(queries[0])
+            assert engine.occurrence_count(queries[1]) == serial.occurrence_count(queries[1])
+
+
+# --------------------------------------------------------------------- #
+# Downstream of the merge: windowing and accelerator replay
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_sharded_batches_replay_like_serial(case, backends, name, executor):
+    """The link the accelerator suites build on, with sharded search: the
+    batch streams of a sharded engine window and replay field-for-field
+    like the serial engine's (``test_accel_stream`` / ``test_accel_replay``
+    feed the serial engine)."""
+    reference, queries = case
+    batches = [queries[index::3] for index in range(3)]
+    accelerator = ExmaAccelerator(ExmaTable(reference, k=4), None)
+    serial = QueryEngine(backends[name])
+    with ShardedQueryEngine(backends[name], shards=2, executor=executor) as engine:
+        sharded = accelerator.run_windowed(
+            [engine.search_batch(batch).stats.requests for batch in batches], window=2
         )
-        requests, _ = engine.request_stream(queries)
-        assert requests == serial_stats.requests
+    expected = accelerator.run_windowed(
+        [serial.search_batch(batch).stats.requests for batch in batches], window=2
+    )
+    assert sharded == expected

@@ -547,7 +547,7 @@ class ExmaAccelerator(runtime.PoolOwner):
             inference_cost.cycles * dram_clock / self._engine.config.clock_mhz
         )
         total_cycles = max(dram_cycles, inference_cycles)
-        seconds = max(total_cycles / (dram_clock * 1e6), 1e-12)
+        seconds = total_cycles / (dram_clock * 1e6)
 
         bases = (
             bases_processed if bases_processed is not None else self._bases_processed(count)
@@ -779,7 +779,7 @@ class ExmaAccelerator(runtime.PoolOwner):
             inference_cost.cycles * dram_clock / self._engine.config.clock_mhz
         )
         total_cycles = max(dram_cycles, inference_cycles)
-        seconds = max(total_cycles / (dram_clock * 1e6), 1e-12)
+        seconds = total_cycles / (dram_clock * 1e6)
 
         bases = (
             bases_processed if bases_processed is not None else self._bases_processed(len(requests))
@@ -954,8 +954,10 @@ class ExmaAccelerator(runtime.PoolOwner):
         """DNA bases consumed by *request_count* Occ lookups.
 
         Each backward-search iteration issues two Occ lookups (low and
-        high) and consumes k symbols.
+        high) and consumes k symbols; an empty stream consumes none.
         """
+        if request_count == 0:
+            return 0
         return max(1, request_count * self._table.k // 2)
 
 

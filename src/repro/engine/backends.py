@@ -362,8 +362,10 @@ class ExmaBackend(SearchBackend):
     step's ``(kmer, pos)`` requests are coalesced exactly once across the
     whole batch — the software mirror of the accelerator's DRAM-side
     merge — then answered columnar: one ``searchsorted`` rank-queries
-    every unique request of the step, and one ``index.predict_many``
-    prices all the modelled ones (one MLP forward per shared MTL node).
+    every unique request of the step.  The step's cost (increment scan,
+    MTL inference) is priced on read: the first read of a cost counter
+    prices the whole batch with one ``index.predict_many`` (one MLP
+    forward per shared MTL node).
 
     Args:
         reference: DNA reference (ignored when *table* is given).
@@ -388,8 +390,8 @@ class ExmaBackend(SearchBackend):
         self._table = table
         self._index = index
         #: The index's columnar face, resolved once: ``has_model`` as a mask
-        #: over packed codes (one gather classifies a whole lockstep step)
-        #: and the ``predict_many`` that prices the step's modelled requests.
+        #: over packed codes (one gather classifies every priced request)
+        #: and the ``predict_many`` that prices the modelled ones.
         #: Bound here rather than looked up per step on purpose: a tracer
         #: that later wraps the class attribute (``bench/trace.py`` books
         #: ``MTLIndex.predict_many`` spans to the replay) must keep seeing
@@ -461,6 +463,7 @@ class ExmaBackend(SearchBackend):
         alive = np.ones(n_queries, dtype=bool)
         if stats is not None:
             stats.queries += n_queries
+            stats.price_with(self._step_contribution)
 
         # Trailing partial chunk first, straight from the per-k-mer counts
         # (coalesced by tail string: each distinct tail is resolved once).
@@ -501,12 +504,9 @@ class ExmaBackend(SearchBackend):
 
             if stats is not None:
                 stats.iterations += n_active
-                stats.record_step(
-                    step,
-                    self._step_contribution(step.kmers, step.positions, occ_unique)
-                    if stats.priced
-                    else None,
-                )
+                # Priced on read: the step's cost is computed only if a
+                # cost counter is ever read (see BatchStats).
+                stats.record_step(step, occ=occ_unique)
 
         return [Interval(low, high) for low, high in zip(lows.tolist(), highs.tolist())]
 
@@ -540,23 +540,24 @@ class ExmaBackend(SearchBackend):
             np.int64
         )
 
-    def _step_contribution(
-        self, kmers: np.ndarray, positions: np.ndarray, occ_values: np.ndarray
-    ) -> StepContribution:
-        """Per-unique-request resolution costs of one step, k-mer-major.
+    def _step_contribution(self, keys: np.ndarray, occ_values: np.ndarray) -> StepContribution:
+        """Per-unique-request resolution costs of packed ``kmer * span + pos``
+        *keys* with their Occ values: one step, or a batch's pending steps
+        concatenated in step order (the :class:`BatchStats` pricer).
 
         Exact resolution reads ceil-log2 of the k-mer's increment-list
-        length per request (binary search), computed for the whole step at
+        length per request (binary search), computed for every request at
         once: ``frexp`` exponents are exactly ``bit_length`` for the int64
         frequencies.  Modelled k-mers (learned / MTL index) instead read
         the predicted entry plus successor plus the linear overshoot, and
-        contribute one prediction with its error per request: the step's
-        modelled requests are priced by a single ``predict_many`` call.
+        contribute one prediction with its error per request: all modelled
+        requests are priced by a single ``predict_many`` call.
         """
         if self._frequencies is None:
             # frequencies() copies the 4^k counts table; fetch it once per
-            # backend, not once per lockstep step.
+            # backend, not once per priced batch.
             self._frequencies = self._table.frequencies()
+        kmers, positions = np.divmod(keys, self._span)
         freqs = self._frequencies[kmers]
         entries = np.maximum(
             1, np.frexp(freqs.astype(np.float64))[1].astype(np.int64)

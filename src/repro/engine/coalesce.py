@@ -19,18 +19,27 @@ recording loop nor the replay ever leaves NumPy.
 legacy consumer (``to_search_stats``, the object-path reference replay,
 tests) iterates the stream.
 
+The search-side cost counters (increment entries, predictions and their
+errors, binary comparisons) are **priced on read**.  Costs that resolving
+a step produces anyway (tails, LISA's probe counts) are folded in as a
+:class:`StepContribution` when recorded.  EXMA's costs are extra work (MTL
+inference, the increment scan), which the accelerator replay pays for
+itself.  So an EXMA step records only its keys and the Occ values it
+resolved, and the first read of a priced counter prices every pending
+step of the batch in one call.
+
 For sharded runs, backends additionally record each step's per-unique-
-request accounting *contributions* (:class:`StepContribution`: increment
-entries, predictions and their errors, binary comparisons) keyed by the
-step's packed keys.  Those contributions are what lets
-:func:`repro.engine.sharded.merge_shard_stats` rebuild serial-exact
-counters by pure array dedupe — no replay pass over the index.
+request contributions and pending Occ values keyed by the step's packed
+keys.  Those columns let :func:`repro.engine.sharded.merge_shard_stats`
+rebuild serial-exact counters by pure array dedupe, with no replay pass
+over the index.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -270,8 +279,10 @@ class StepContribution:
     """Per-unique-request accounting of one coalesced step.
 
     Each array is aligned with the step's unique requests (sorted
-    ``(kmer, pos)`` order); ``None`` means the backend contributes nothing
-    to that counter family.  The values depend only on the ``(kmer, pos)``
+    ``(kmer, pos)`` order), or with several steps' requests concatenated
+    in step order when pending steps are priced together; ``None`` means
+    the backend contributes nothing to that counter family.  The values
+    depend only on the ``(kmer, pos)``
     pair and the index structure — never on which batch or shard issued
     the request — which is what makes cross-shard dedupe by packed key
     exact:
@@ -310,10 +321,12 @@ class TailContribution:
 
 @dataclass(frozen=True)
 class StepTrace:
-    """One lockstep step of a shard trace: packed keys + contributions."""
+    """One lockstep step of a shard trace: packed keys plus either the
+    eager contribution or, for a step priced on read, its Occ values."""
 
     keys: np.ndarray
     contribution: StepContribution | None = None
+    occ: np.ndarray | None = None
 
 
 @dataclass
@@ -327,7 +340,8 @@ class BatchTrace:
     would have produced serially.  ``steps`` holds one :class:`StepTrace`
     per lockstep iteration — the packed ``kmer * span + pos`` keys exactly
     as the coalescer emitted them, plus the per-request accounting
-    contributions; ``tails`` the distinct partial-chunk strings resolved
+    contributions or the Occ values a step priced on read needs; ``tails``
+    the distinct partial-chunk strings resolved
     before the lockstep loop, in first-seen order, with their costs in the
     aligned ``tail_contributions``.  :func:`repro.engine.sharded
     .merge_shard_stats` turns merged traces back into serial-exact
@@ -344,6 +358,12 @@ class BatchTrace:
     tail_contributions: list[TailContribution] = field(default_factory=list)
 
 
+#: Prices pending lockstep steps: ``(keys, occ) -> StepContribution`` over
+#: the packed keys and Occ values of one or more steps, concatenated in
+#: step order (:meth:`repro.engine.backends.ExmaBackend._step_contribution`).
+StepPricer = Callable[[np.ndarray, np.ndarray], StepContribution]
+
+
 @dataclass
 class BatchStats:
     """Counters accumulated while searching one batch of queries.
@@ -355,6 +375,16 @@ class BatchStats:
     ``requests`` holds the *coalesced* stream, in schedule order — the
     input :meth:`repro.accel.exma_accelerator.ExmaAccelerator.run` replays
     — as a columnar :class:`RequestStream`.
+
+    The cost counters ``increment_entries_read``, ``index_predictions``,
+    ``binary_comparisons`` and ``prediction_errors`` (and ``mean_error``,
+    :meth:`merge`, :meth:`to_search_stats`) are priced on read.  A step
+    recorded with its Occ values stays *pending*.  The first read prices
+    every pending step with one call to the pricer the backend attached
+    (:meth:`price_with`), folded in step order.  So every counter, and the
+    order of ``prediction_errors``, equals pricing each step as it ran,
+    and a batch whose cost counters nobody reads never prices them.
+    Pending steps live in this object and die with it.
     """
 
     queries: int = 0
@@ -363,24 +393,22 @@ class BatchStats:
     occ_requests_issued: int = 0
     occ_requests_unique: int = 0
     base_reads: int = 0
-    increment_entries_read: int = 0
-    index_predictions: int = 0
-    binary_comparisons: int = 0
-    prediction_errors: list[int] = field(default_factory=list)
     requests: RequestStream = field(default_factory=RequestStream)
     #: When set, backends record each step's packed keys and accounting
     #: contributions here, so a sharded run can be merged back into
     #: serial-exact counters (see :mod:`repro.engine.sharded`).
     trace: "BatchTrace | None" = None
-    #: When False, lockstep steps are recorded without their per-request
-    #: :class:`StepContribution` — backends skip computing it — so
-    #: ``increment_entries_read``, ``index_predictions``,
-    #: ``prediction_errors`` and ``binary_comparisons`` cover the
-    #: partial-chunk tails only.  Intervals, the coalescing counters and
-    #: ``requests`` are unaffected: the setting for a caller that replays
-    #: the stream through the accelerator, which prices every merged
-    #: request itself (the serving layer).
-    priced: bool = True
+    _entries: int = field(default=0, init=False, repr=False)
+    _predictions: int = field(default=0, init=False, repr=False)
+    _comparisons: int = field(default=0, init=False, repr=False)
+    _errors: list[int] = field(default_factory=list, init=False, repr=False)
+    #: ``(keys, occ)`` of every step recorded but not yet priced.
+    _pending: list[tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list, init=False, repr=False
+    )
+    _pricer: StepPricer | None = field(default=None, init=False, repr=False)
+    #: Settling is check-then-act: two readers must not both price.
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     @property
     def requests_merged(self) -> int:
@@ -395,51 +423,137 @@ class BatchStats:
         return self.occ_requests_issued / self.occ_requests_unique
 
     @property
+    def increment_entries_read(self) -> int:
+        """Increment entries read resolving the unique requests."""
+        self._settle()
+        return self._entries
+
+    @property
+    def index_predictions(self) -> int:
+        """Requests answered through a learned index."""
+        self._settle()
+        return self._predictions
+
+    @property
+    def binary_comparisons(self) -> int:
+        """Binary-search comparisons resolving the unique requests."""
+        self._settle()
+        return self._comparisons
+
+    @property
+    def prediction_errors(self) -> list[int]:
+        """Error of every learned-index prediction, in schedule order."""
+        self._settle()
+        return self._errors
+
+    @property
     def mean_error(self) -> float:
         """Mean prediction error across learned-index lookups."""
-        if not self.prediction_errors:
+        errors = self.prediction_errors
+        if not errors:
             return 0.0
-        return sum(self.prediction_errors) / len(self.prediction_errors)
+        return sum(errors) / len(errors)
+
+    @property
+    def pending_steps(self) -> int:
+        """Lockstep steps recorded but not yet priced."""
+        return len(self._pending)
+
+    def price_with(self, pricer: StepPricer) -> None:
+        """Attach the pricer of pending steps (the searching backend's).
+
+        Steps already pending under a different pricer are priced first.
+        A stats object that arrived without one (see :meth:`__getstate__`)
+        simply takes *pricer* for the steps it carries.
+        """
+        if self._pricer is not None and pricer != self._pricer:
+            self._settle()
+        self._pricer = pricer
+
+    def _settle(self) -> None:
+        """Price every pending step now; a no-op once nothing is pending."""
+        if not self._pending:
+            return
+        with self._lock:
+            if not self._pending:
+                return
+            if self._pricer is None:
+                raise RuntimeError(
+                    "pending steps have no pricer: attach the searching "
+                    "backend's with price_with()"
+                )
+            contribution = self._pricer(
+                np.concatenate([keys for keys, _ in self._pending]),
+                np.concatenate([occ for _, occ in self._pending]),
+            )
+            self._fold(contribution)
+            # Emptied last: a reader that sees no pending step must also
+            # see every counter it priced.
+            self._pending = []
 
     def record_step(
-        self, step: CoalescedStep, contribution: StepContribution | None = None
+        self,
+        step: CoalescedStep,
+        contribution: StepContribution | None = None,
+        occ: np.ndarray | None = None,
     ) -> None:
         """Account one coalesced lockstep iteration.
 
         Performs *all* of the step's stats bookkeeping: the stream
         counters, one base read per distinct k-mer (every backend fetches
         a k-mer's base entry / increment list / count row once per step),
-        and the per-request *contribution* accounting — increment entries,
-        predictions with their errors, binary comparisons.  When a trace
-        is attached, the step's packed keys and contribution are recorded
+        and the per-request cost accounting — folded now from
+        *contribution*, or left pending with the step's unique Occ values
+        *occ* until a priced counter is read.  When a trace is attached,
+        the step's packed keys, contribution and Occ values are recorded
         for the sharded merge.
         """
-        self.lockstep_iterations += 1
         self.occ_requests_issued += step.issued
-        self.occ_requests_unique += step.unique
-        self.base_reads += step.unique_kmers
+        self.record_unique(step.keys, step.span, step.unique_kmers, contribution, occ)
+        if self.trace is not None:
+            self.trace.steps.append(
+                StepTrace(keys=step.keys, contribution=contribution, occ=occ)
+            )
+
+    def record_unique(
+        self,
+        keys: np.ndarray,
+        span: int,
+        distinct_kmers: int,
+        contribution: StepContribution | None = None,
+        occ: np.ndarray | None = None,
+    ) -> None:
+        """Account one step's unique requests: the half of
+        :meth:`record_step` a shard merge rebuilds from a trace."""
+        self.lockstep_iterations += 1
+        self.occ_requests_unique += int(keys.size)
+        self.base_reads += distinct_kmers
         # The stream and the trace reference the *same* keys array, so a
         # traced shard pickles each step's requests exactly once.
-        self.requests.append_step(step.keys, step.span)
-        if not self.priced:
-            contribution = None
+        self.requests.append_step(keys, span)
         if contribution is not None:
             self.apply_contribution(contribution)
-        if self.trace is not None:
-            self.trace.steps.append(StepTrace(keys=step.keys, contribution=contribution))
+        if occ is not None:
+            self._pending.append((keys, occ))
 
     def apply_contribution(self, contribution: StepContribution) -> None:
-        """Fold one step's per-request accounting into the counters."""
+        """Fold one step's per-request accounting into the counters.
+
+        Pending steps are priced first, so prediction errors stay in the
+        order the steps ran.
+        """
+        self._settle()
+        self._fold(contribution)
+
+    def _fold(self, contribution: StepContribution) -> None:
         if contribution.entries is not None:
-            self.increment_entries_read += int(contribution.entries.sum())
+            self._entries += int(contribution.entries.sum())
         if contribution.comparisons is not None:
-            self.binary_comparisons += int(contribution.comparisons.sum())
+            self._comparisons += int(contribution.comparisons.sum())
         if contribution.predicted is not None:
-            self.index_predictions += int(np.count_nonzero(contribution.predicted))
+            self._predictions += int(np.count_nonzero(contribution.predicted))
             if contribution.errors is not None:
-                self.prediction_errors.extend(
-                    contribution.errors[contribution.predicted].tolist()
-                )
+                self._errors.extend(contribution.errors[contribution.predicted].tolist())
 
     def record_tail(self, tail: str, contribution: TailContribution) -> None:
         """Account one *distinct* partial-chunk tail resolved pre-lockstep.
@@ -448,10 +562,11 @@ class BatchStats:
         resolution incurred, so the trace carries both the shard-distinct
         tail set and the accounting needed for an exact replay-free merge.
         """
+        self._settle()
         self.base_reads += contribution.base_reads
-        self.binary_comparisons += contribution.comparisons
-        self.index_predictions += contribution.predictions
-        self.prediction_errors.extend(contribution.errors)
+        self._comparisons += contribution.comparisons
+        self._predictions += contribution.predictions
+        self._errors.extend(contribution.errors)
         if self.trace is not None:
             self.trace.tails.append(tail)
             self.trace.tail_contributions.append(contribution)
@@ -466,16 +581,18 @@ class BatchStats:
         counters; :func:`repro.engine.sharded.merge_shard_stats` performs
         that merge exactly via the step traces.
         """
+        self._settle()
+        other._settle()
         self.queries += other.queries
         self.lockstep_iterations += other.lockstep_iterations
         self.iterations += other.iterations
         self.occ_requests_issued += other.occ_requests_issued
         self.occ_requests_unique += other.occ_requests_unique
         self.base_reads += other.base_reads
-        self.increment_entries_read += other.increment_entries_read
-        self.index_predictions += other.index_predictions
-        self.binary_comparisons += other.binary_comparisons
-        self.prediction_errors.extend(other.prediction_errors)
+        self._entries += other._entries
+        self._predictions += other._predictions
+        self._comparisons += other._comparisons
+        self._errors.extend(other._errors)
         self.requests.extend(other.requests)
 
     def to_search_stats(self) -> ExmaSearchStats:
@@ -495,3 +612,41 @@ class BatchStats:
             prediction_errors=list(self.prediction_errors),
             requests=list(self.requests),
         )
+
+    def __eq__(self, other: object) -> bool:
+        """Field-for-field equality, cost counters priced on both sides."""
+        if not isinstance(other, BatchStats):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def _fields(self) -> tuple:
+        return (
+            self.queries,
+            self.lockstep_iterations,
+            self.iterations,
+            self.occ_requests_issued,
+            self.occ_requests_unique,
+            self.base_reads,
+            self.increment_entries_read,
+            self.index_predictions,
+            self.binary_comparisons,
+            self.prediction_errors,
+            self.requests,
+            self.trace,
+        )
+
+    def __getstate__(self) -> dict:
+        """Pickle without the lock and the pricer.
+
+        A process shard's stats cross back as plain arrays, pending steps
+        included, and carry no backend: the parent prices them with its
+        own (:func:`repro.engine.sharded.merge_shard_stats`).
+        """
+        state = self.__dict__.copy()
+        del state["_lock"]
+        state["_pricer"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()

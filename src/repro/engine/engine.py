@@ -143,14 +143,14 @@ class QueryEngine(runtime.PoolOwner):
     # Batch lifecycle
     # ------------------------------------------------------------------ #
 
-    def search_batch(self, queries: Sequence[str], priced: bool = True) -> BatchResult:
+    def search_batch(self, queries: Sequence[str]) -> BatchResult:
         """Search a batch of queries in lockstep, with request coalescing.
 
         Dispatches to the sharded parallel path when the engine resolved
         more than one shard; intervals and stats are identical either
-        way.  ``priced=False`` skips the per-request cost accounting of
-        the lockstep steps (see :attr:`BatchStats.priced`) — for callers
-        that only want the intervals and the request stream.
+        way.  The search-side cost counters are priced when first read
+        (see :class:`BatchStats`), so a caller that wants only the
+        intervals and the request stream never pays for them.
         """
         shards = self._effective_shards
         if shards > 1:
@@ -161,9 +161,8 @@ class QueryEngine(runtime.PoolOwner):
                 queries,
                 shards,
                 pool=self._pool_for(self._backend, self._executor, shards),
-                priced=priced,
             )
-        stats = BatchStats(priced=priced)
+        stats = BatchStats()
         intervals = self._backend.search_batch(list(queries), stats)
         return BatchResult(intervals=intervals, stats=stats)
 

@@ -16,14 +16,16 @@ that is **byte-identical** to what the serial engine would have produced
 * the coalescing-dependent state is rebuilt by **contribution dedupe**:
   while a shard runs, its :class:`~repro.engine.coalesce.BatchTrace`
   records each step's packed ``(kmer, pos)`` keys together with the
-  per-unique-request accounting contributions (increment entries,
-  predictions and errors, binary comparisons — values that depend only on
-  the request and the index, never on the batch).  Lockstep step *t*
-  consumes the same symbol/chunk of every query in every shard, so one
-  vectorized ``np.unique`` over the shards' packed keys at step *t*
-  recovers exactly the serial batch's unique set — and selecting each
-  surviving key's contribution once re-creates the serial accounting.
-  No ``replay_trace`` pass, no second trip through the index.
+  per-unique-request accounting contributions (binary comparisons, LISA's
+  predictions and errors) or, for a step priced on read, its Occ values —
+  values that depend only on the request and the index, never on the
+  batch.  Lockstep step *t* consumes the same symbol/chunk of every query
+  in every shard, so one vectorized ``np.unique`` over the shards' packed
+  keys at step *t* recovers exactly the serial batch's unique set — and
+  selecting each surviving key's row once re-creates the serial
+  accounting.  No ``replay_trace`` pass, no second trip through the
+  index; shards price nothing, and the merged steps are priced on read
+  with the parent's backend.
 
 This module is the split and the merge only.  *Where* the shards run —
 the persistent :class:`~repro.runtime.BackendWorkerPool` an engine owns
@@ -90,12 +92,24 @@ def split_shards(items: Sequence[T], shards: int) -> list[list[T]]:
 
 
 def _search_shard(
-    backend: SearchBackend, priced: bool, queries: list[str]
+    backend: SearchBackend, queries: list[str]
 ) -> tuple[list[Interval], BatchStats]:
-    """One shard's lockstep search, with contribution tracing enabled."""
-    stats = BatchStats(trace=BatchTrace(), priced=priced)
+    """One shard's lockstep search, with contribution tracing enabled.
+
+    Nothing is priced here: steps priced on read stay pending in the
+    trace, and a process shard's stats pickle without their backend.
+    """
+    stats = BatchStats(trace=BatchTrace())
     intervals = backend.search_batch(queries, stats)
     return intervals, stats
+
+
+def _priced_by(backend: SearchBackend, stats: BatchStats) -> BatchStats:
+    """Give steps a shard left pending *backend*'s pricing (a process
+    shard's stats arrive without a pricer)."""
+    if stats.pending_steps:
+        stats.price_with(backend._step_contribution)
+    return stats
 
 
 # --------------------------------------------------------------------- #
@@ -104,38 +118,38 @@ def _search_shard(
 
 
 def _merge_step(shard_steps: list[StepTrace]) -> StepTrace:
-    """Union one lockstep step across shards, deduping contributions.
+    """Union one lockstep step across shards, deduping its columns.
 
     One ``np.unique`` over the concatenated packed keys yields both the
     serial unique set (sorted, exactly the order the serial coalescer
     emits) and — through ``return_index`` — the first occurrence of every
-    surviving key, which selects its contribution row.  Contribution
-    values depend only on the ``(kmer, pos)`` pair, so *which* shard's row
-    survives is irrelevant.
+    surviving key, which selects its contribution row and Occ value.
+    Both depend only on the ``(kmer, pos)`` pair, so *which* shard's row
+    survives is irrelevant.  A backend fills the same columns on every
+    step of every shard, so a column is either present in all shards or
+    in none.
     """
     if len(shard_steps) == 1:
         return shard_steps[0]
     keys = np.concatenate([step.keys for step in shard_steps])
     unique_keys, first = np.unique(keys, return_index=True)
-    contributions = [step.contribution for step in shard_steps]
-    if all(contribution is None for contribution in contributions):
-        return StepTrace(keys=unique_keys)
-    columns: dict[str, np.ndarray | None] = {}
-    for name in StepContribution._COLUMNS:
-        cols = [
-            None if contribution is None else getattr(contribution, name)
-            for contribution in contributions
-        ]
-        present = [col for col in cols if col is not None]
-        if not present:
-            columns[name] = None
-            continue
-        parts = [
-            col if col is not None else np.zeros(step.keys.size, dtype=present[0].dtype)
-            for col, step in zip(cols, shard_steps)
-        ]
-        columns[name] = np.concatenate(parts)[first]
-    return StepTrace(keys=unique_keys, contribution=StepContribution(**columns))
+
+    def union(columns: list[np.ndarray | None]) -> np.ndarray | None:
+        return None if columns[0] is None else np.concatenate(columns)[first]
+
+    contribution = None
+    if shard_steps[0].contribution is not None:
+        contribution = StepContribution(
+            **{
+                name: union([getattr(step.contribution, name) for step in shard_steps])
+                for name in StepContribution._COLUMNS
+            }
+        )
+    return StepTrace(
+        keys=unique_keys,
+        contribution=contribution,
+        occ=union([step.occ for step in shard_steps]),
+    )
 
 
 def merge_traces(traces: Sequence[BatchTrace]) -> BatchTrace:
@@ -178,12 +192,13 @@ def merge_shard_stats(backend: SearchBackend, shard_stats: Sequence[BatchStats])
     summed and everything coalescing-dependent is rebuilt from the merged
     trace: the unique request stream comes straight from the unioned
     packed keys (appended columnarly, no per-request objects), base reads
-    from the distinct k-mers per step plus the recorded tail costs, and
-    the remaining counters from the deduped per-request contributions.
-    The backend is only consulted for its position span — **no search or
-    replay runs here**.
+    from the distinct k-mers per step plus the recorded tail costs, the
+    eager counters from the deduped contributions, and the steps priced on
+    read stay pending with their deduped Occ values.  **No search,
+    replay or pricing runs here**: the backend supplies its position span
+    and, for pending steps, the pricer the first read will call.
     """
-    merged = BatchStats(priced=all(stats.priced for stats in shard_stats))
+    merged = BatchStats()
     for stats in shard_stats:
         merged.queries += stats.queries
         merged.iterations += stats.iterations
@@ -194,21 +209,13 @@ def merge_shard_stats(backend: SearchBackend, shard_stats: Sequence[BatchStats])
     # Tails are accounted first: the serial pass resolves every distinct
     # tail before entering the lockstep loop, so prediction errors keep
     # the serial append order.
-    for contribution in trace.tail_contributions:
-        merged.base_reads += contribution.base_reads
-        merged.binary_comparisons += contribution.comparisons
-        merged.index_predictions += contribution.predictions
-        merged.prediction_errors.extend(contribution.errors)
+    for tail, contribution in zip(trace.tails, trace.tail_contributions):
+        merged.record_tail(tail, contribution)
     for step in trace.steps:
         kmers = step.keys // span
-        merged.lockstep_iterations += 1
-        merged.occ_requests_unique += int(step.keys.size)
-        if kmers.size:
-            merged.base_reads += int(np.count_nonzero(np.diff(kmers))) + 1
-        merged.requests.append_step(step.keys, span)
-        if step.contribution is not None:
-            merged.apply_contribution(step.contribution)
-    return merged
+        distinct = int(np.count_nonzero(np.diff(kmers))) + 1 if kmers.size else 0
+        merged.record_unique(step.keys, span, distinct, step.contribution, step.occ)
+    return _priced_by(backend, merged)
 
 
 def run_sharded_batch(
@@ -217,7 +224,6 @@ def run_sharded_batch(
     shards: int,
     executor: str = "thread",
     pool: runtime.BackendWorkerPool | None = None,
-    priced: bool = True,
 ) -> BatchResult:
     """Search *queries* across shards; result identical to the serial path.
 
@@ -227,14 +233,14 @@ def run_sharded_batch(
     """
     queries = list(queries)
     if shards <= 1 or len(queries) <= 1:
-        stats = BatchStats(priced=priced)
+        stats = BatchStats()
         return BatchResult(intervals=backend.search_batch(queries, stats), stats=stats)
     shard_lists = split_shards(queries, shards)
     owned = pool is None
     if pool is None:
         pool = runtime.BackendWorkerPool(backend, executor, max_workers=len(shard_lists))
     try:
-        outputs = pool.map_shards(_search_shard, shard_lists, priced)
+        outputs = pool.map_shards(_search_shard, shard_lists)
     finally:
         if owned:
             pool.shutdown()
@@ -269,9 +275,8 @@ class ShardedQueryEngine(QueryEngine):
     def search_batch_per_shard(self, queries: Sequence[str]) -> list[BatchResult]:
         """The per-shard results before merging (introspection/debugging)."""
         pool = self._pool_for(self._backend, self.executor, self.shards)
-        outputs = pool.map_shards(
-            _search_shard, split_shards(list(queries), self.shards), True
-        )
+        outputs = pool.map_shards(_search_shard, split_shards(list(queries), self.shards))
         return [
-            BatchResult(intervals=intervals, stats=stats) for intervals, stats in outputs
+            BatchResult(intervals=intervals, stats=_priced_by(self._backend, stats))
+            for intervals, stats in outputs
         ]

@@ -387,7 +387,7 @@ class DRAMModel:
             stream_ready[request.stream] = data_end
             stats.total_cycles = max(stats.total_cycles, data_end)
 
-        reads_64b = max(1, stats.bytes_transferred // BURST_BYTES)
+        reads_64b = max(1, stats.bytes_transferred // BURST_BYTES) if stats.requests else 0
         stats.energy_nj = self._energy.access_energy_nj(
             stats.activations, reads_64b, stats.precharges, stats.total_cycles
         )
@@ -411,7 +411,6 @@ class DRAMModel:
         stats = DRAMStats()
         count = len(trace)
         if count == 0:
-            stats.energy_nj = self._energy.access_energy_nj(0, 1, 0, 0)
             return stats
         nbytes = trace.nbytes
         if int(nbytes.min()) <= 0:

@@ -17,6 +17,7 @@ from repro.engine import (
     ExmaBackend,
     FMIndexBackend,
     RequestStream,
+    TailContribution,
     coalesce_requests,
 )
 from repro.exma.learned_index import NaiveLearnedIndex
@@ -246,9 +247,12 @@ class TestColumnarStepAccounting:
                 np.unique(step.keys // (table.reference_length + 1)).size
                 for step in stats.trace.steps
             )
+            # Each traced step priced alone covers every shape a step's
+            # modelled mask can take.
             for step in stats.trace.steps:
-                predicted = step.contribution.predicted
-                assert (predicted is None) == (step.contribution.errors is None)
+                contribution = backend._step_contribution(step.keys, step.occ)
+                predicted = contribution.predicted
+                assert (predicted is None) == (contribution.errors is None)
                 shapes.add(
                     "none" if predicted is None else "all" if predicted.all() else "mixed"
                 )
@@ -374,7 +378,8 @@ class TestBatchStats:
         a.queries, b.queries = 2, 3
         a.occ_requests_issued, b.occ_requests_issued = 10, 6
         a.occ_requests_unique, b.occ_requests_unique = 5, 2
-        a.prediction_errors, b.prediction_errors = [1], [2, 3]
+        a.record_tail("A", TailContribution(predictions=1, errors=(1,)))
+        b.record_tail("C", TailContribution(predictions=2, errors=(2, 3)))
         a.requests = [OccRequest(packed_kmer=1, pos=0)]
         b.requests = [OccRequest(packed_kmer=2, pos=1)]
         a.merge(b)
@@ -382,13 +387,15 @@ class TestBatchStats:
         assert a.occ_requests_issued == 16
         assert a.occ_requests_unique == 7
         assert a.prediction_errors == [1, 2, 3]
+        assert a.index_predictions == 3
         assert len(a.requests) == 2
 
     def test_coalescing_factor_defaults_to_one(self):
         assert BatchStats().coalescing_factor == 1.0
 
     def test_mean_error(self):
-        stats = BatchStats(prediction_errors=[2, 4])
+        stats = BatchStats()
+        stats.record_tail("A", TailContribution(predictions=2, errors=(2, 4)))
         assert stats.mean_error == 3.0
 
     def test_to_search_stats_roundtrip(self):

@@ -40,10 +40,26 @@ class TestEmptyAcceleratorRuns:
         assert result.requests == 0
         assert result.total_cycles == 0
         assert result.dram_requests == 0
-        # The model floors bases at 1 and seconds at an epsilon so derived
-        # rates stay finite instead of dividing by zero.
-        assert result.bases_processed == 1
-        assert result.seconds > 0
+        # An empty run did no work: no bases, no time, no energy, and no
+        # DRAM channel reads a byte.  Derived rates stay finite because
+        # ``throughput`` floors the seconds it divides by.
+        assert result.bases_processed == 0
+        assert result.seconds == 0
+        assert result.accelerator_energy_j == result.dram_energy_j == 0
+        assert all(channel.energy_nj == 0 for channel in result.per_channel)
+        assert result.throughput.mbase_per_second == 0
+
+    def test_windowed_all_short_batch_is_an_empty_run(self, accelerator, engine):
+        """Queries shorter than k resolve from the tail table and issue no
+        Occ request, so their flush replays as no work at all, not as one
+        base in a picosecond."""
+        stats = engine.search_batch(["ACG", "TTA", "GGC"]).stats
+        assert len(stats.requests) == 0
+        result = accelerator.run_windowed([stats.requests], window=1)
+        assert result.windows == 1
+        assert result.bases_processed == 0
+        assert result.seconds == 0
+        assert result.accelerator_energy_j + result.dram_energy_j == 0
 
     def test_run_stream_empty_iterator(self, accelerator):
         result = accelerator.run_stream(iter([]))

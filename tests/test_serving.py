@@ -396,22 +396,27 @@ class TestOfflineEquivalence:
             ] == offline_engine.search_batch(group).intervals
 
     @pytest.mark.parametrize("replayed", [True, False])
-    def test_search_is_priced_only_without_an_accelerator(self, serving_stack, replayed):
-        """A served batch whose flush is replayed skips the search-side
-        cost accounting: the replay prices every merged request itself."""
+    def test_served_batch_prices_nothing(self, serving_stack, replayed):
+        """Nothing on the served path reads the search-side cost counters,
+        so no served batch prices them, with or without an accelerator
+        replaying its flush; the outcomes are the engine's."""
         reference, backend, accelerator = serving_stack
-        asked = []
+        pricings = []
 
-        class Recording(QueryEngine):
-            def search_batch(self, queries, priced=True):
-                asked.append(priced)
-                return super().search_batch(queries, priced=priced)
+        class Spied(ExmaBackend):
+            def _step_contribution(self, keys, occ):
+                pricings.append(keys.size)
+                return super()._step_contribution(keys, occ)
 
         queries = random_queries(reference, count=6, length=14, seed=9)
-        with QueryService(Recording(backend), accelerator if replayed else None) as service:
+        engine = QueryEngine(Spied(table=backend.table))
+        with QueryService(engine, accelerator if replayed else None) as service:
             outcomes = service.submit(queries).result(timeout=TIMEOUT)
-        assert asked == [not replayed]
+        assert pricings == []
         assert all(outcome.ok for outcome in outcomes)
+        assert [outcome.interval for outcome in outcomes] == QueryEngine(
+            backend
+        ).search_batch(queries).intervals
 
     def test_search_only_service_matches_engine(self, serving_stack):
         reference, backend, _ = serving_stack

@@ -227,8 +227,9 @@ class TestReplayFreeMerge:
     @pytest.mark.parametrize("name", ["exma", "exma-mtl", "lisa", "lisa-learned"])
     def test_merge_consults_backend_only_for_its_span(self, case, backends, name):
         """Merging per-shard stats must need the backend for nothing but
-        ``reference_length`` — proven by merging through a stub that has
-        no search structure at all."""
+        ``reference_length`` and, for steps priced on read, the pricer the
+        first read calls — proven by merging through a stub that has no
+        search structure at all, and whose pricer the merge never calls."""
         from types import SimpleNamespace
 
         _, queries = case
@@ -238,10 +239,20 @@ class TestReplayFreeMerge:
             stats = BatchStats(trace=BatchTrace())
             backend.search_batch(shard, stats)
             shard_stats.append(stats)
-        stub = SimpleNamespace(reference_length=backend.reference_length)
+        pricings = []
+
+        def pricer(keys, occ):
+            pricings.append(keys.size)
+            return backend._step_contribution(keys, occ)
+
+        stub = SimpleNamespace(
+            reference_length=backend.reference_length, _step_contribution=pricer
+        )
         merged = merge_shard_stats(stub, shard_stats)
+        assert pricings == []
         serial = QueryEngine(backend, shards=1).search_batch(queries).stats
         assert_stats_identical(serial, merged)
+        assert len(pricings) == (1 if name.startswith("exma") else 0)
 
 
 # --------------------------------------------------------------------- #
@@ -370,31 +381,6 @@ class TestEngineDispatch:
         ]
         assert_stats_identical(serial.stats, wide.stats)
 
-    @pytest.mark.parametrize("name", ["exma", "exma-mtl", "lisa-learned"])
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_unpriced_search_keeps_answers_and_stream(self, case, backends, name, shards):
-        """``priced=False`` drops the lockstep steps' cost accounting only:
-        intervals, coalescing counters and the request stream are those of
-        the priced search, serial or sharded, and the cost counters cover
-        the partial-chunk tails alone."""
-        _, queries = case
-        backend = backends[name]
-        priced = QueryEngine(backend, shards=1).search_batch(queries)
-        engine = ShardedQueryEngine(backend, shards=shards, executor="thread")
-        unpriced = engine.search_batch(queries, priced=False)
-        assert unpriced.intervals == priced.intervals
-        assert not unpriced.stats.priced and priced.stats.priced
-        for field in STATS_FIELDS[:6]:
-            assert getattr(unpriced.stats, field) == getattr(priced.stats, field), field
-        assert unpriced.stats.requests == priced.stats.requests
-        traced = BatchStats(trace=BatchTrace())
-        backend.search_batch(queries, traced)
-        tails = traced.trace.tail_contributions
-        assert unpriced.stats.increment_entries_read == 0
-        assert unpriced.stats.index_predictions == sum(t.predictions for t in tails)
-        assert unpriced.stats.binary_comparisons == sum(t.comparisons for t in tails)
-        assert unpriced.stats.prediction_errors == [e for t in tails for e in t.errors]
-
     @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_find_batch_and_wrappers_route_through_sharded_path(
@@ -413,6 +399,190 @@ class TestEngineDispatch:
             assert requests == serial_stats.requests
             assert engine.find(queries[0]) == serial.find(queries[0])
             assert engine.occurrence_count(queries[1]) == serial.occurrence_count(queries[1])
+
+
+# --------------------------------------------------------------------- #
+# Price on read: the search-side cost counters are computed when read
+# --------------------------------------------------------------------- #
+
+
+def eager_reference(backend: SearchBackend, queries: list[str]) -> tuple:
+    """The cost counters as pricing every step while it ran computes them.
+
+    A loop over one traced serial search: tails first (the serial pass
+    resolves them before the lockstep loop), then each step in order,
+    priced alone with the backend's per-step pricing when it was left
+    pending, one unique request at a time.
+    """
+    traced = BatchStats(trace=BatchTrace())
+    backend.search_batch(queries, traced)
+    entries = predictions = comparisons = 0
+    errors: list[int] = []
+    for tail in traced.trace.tail_contributions:
+        comparisons += tail.comparisons
+        predictions += tail.predictions
+        errors.extend(tail.errors)
+    for step in traced.trace.steps:
+        contribution = step.contribution
+        if step.occ is not None:
+            contribution = backend._step_contribution(step.keys, step.occ)
+        if contribution is None:
+            continue
+        for slot in range(step.keys.size):
+            if contribution.entries is not None:
+                entries += int(contribution.entries[slot])
+            if contribution.comparisons is not None:
+                comparisons += int(contribution.comparisons[slot])
+            if contribution.predicted is not None and contribution.predicted[slot]:
+                predictions += 1
+                errors.append(int(contribution.errors[slot]))
+    return entries, predictions, comparisons, errors
+
+
+def cost_counters(stats: BatchStats) -> tuple:
+    return (
+        stats.increment_entries_read,
+        stats.index_predictions,
+        stats.binary_comparisons,
+        stats.prediction_errors,
+    )
+
+
+class SpiedBackend(ExmaBackend):
+    """An EXMA backend counting its pricer and ``predict_many`` calls."""
+
+    def __init__(self, backend: ExmaBackend) -> None:
+        super().__init__(table=backend.table, index=backend.index)
+        self.calls = {"price": 0, "predict_many": 0}
+        predict_many = self._predict_many
+
+        def counted(kmers, positions):
+            self.calls["predict_many"] += 1
+            return predict_many(kmers, positions)
+
+        self._predict_many = counted
+
+    def _step_contribution(self, keys, occ):
+        self.calls["price"] += 1
+        return super()._step_contribution(keys, occ)
+
+
+class TestPriceOnRead:
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_lazy_counters_equal_eager_reference(
+        self, backends, case, name, shards, executor
+    ):
+        _, queries = case
+        backend = backends[name]
+        with ShardedQueryEngine(backend, shards=shards, executor=executor) as engine:
+            stats = engine.search_batch(queries).stats
+        assert cost_counters(stats) == eager_reference(backend, queries)
+
+    @pytest.fixture
+    def spied(self, backends):
+        return SpiedBackend(backends["exma-mtl"])
+
+    def test_unread_batch_prices_nothing(self, case, spied):
+        _, queries = case
+        stats = QueryEngine(spied).search_batch(queries).stats
+        assert stats.lockstep_iterations > 1
+        assert stats.pending_steps == stats.lockstep_iterations
+        assert spied.calls == {"price": 0, "predict_many": 0}
+
+    def test_first_read_prices_the_batch_once(self, case, backends, spied):
+        _, queries = case
+        stats = QueryEngine(spied).search_batch(queries).stats
+        first = cost_counters(stats)
+        assert spied.calls == {"price": 1, "predict_many": 1}
+        assert stats.pending_steps == 0
+        assert cost_counters(stats) == first
+        assert stats.mean_error > 0
+        assert stats.to_search_stats().prediction_errors == first[3]
+        assert spied.calls == {"price": 1, "predict_many": 1}
+        assert first == eager_reference(backends["exma-mtl"], queries)
+
+    def test_merge_and_conversion_settle_first(self, case, backends, spied):
+        _, queries = case
+        halves = queries[::2], queries[1::2]
+        merged, other = (QueryEngine(spied).search_batch(half).stats for half in halves)
+        merged.merge(other)
+        assert spied.calls["price"] == 2
+        first, second = (eager_reference(backends["exma-mtl"], half) for half in halves)
+        assert cost_counters(merged) == (
+            first[0] + second[0],
+            first[1] + second[1],
+            first[2] + second[2],
+            first[3] + second[3],
+        )
+        legacy = QueryEngine(spied).search_batch(queries).stats.to_search_stats()
+        assert spied.calls["price"] == 3
+        reference = eager_reference(backends["exma-mtl"], queries)
+        assert (legacy.increment_entries_read, legacy.index_predictions) == reference[:2]
+        assert legacy.prediction_errors == reference[3]
+
+    def test_process_shards_ship_pending_steps_not_a_backend(self, case, backends):
+        """A process shard prices nothing and pickles no backend: what it
+        sends back is bounded by its step arrays, and the merged counters
+        are priced in the parent."""
+        import pickle
+
+        from repro import runtime
+        from repro.engine.sharded import _search_shard
+
+        _, queries = case
+        backend = backends["exma-mtl"]
+        pool = runtime.BackendWorkerPool(backend, "process", max_workers=2)
+        try:
+            outputs = pool.map_shards(_search_shard, split_shards(queries, 2))
+        finally:
+            pool.shutdown()
+        for _, stats in outputs:
+            assert stats.pending_steps == stats.lockstep_iterations > 0
+            with pytest.raises(RuntimeError, match="no pricer"):
+                stats.increment_entries_read
+            step_bytes = sum(
+                step.keys.nbytes + step.occ.nbytes for step in stats.trace.steps
+            )
+            payload = len(pickle.dumps(stats))
+            assert payload < step_bytes + 8192 < len(pickle.dumps(backend))
+        with ShardedQueryEngine(backend, shards=3, executor="process") as engine:
+            merged = engine.search_batch(queries).stats
+        assert merged.pending_steps == merged.lockstep_iterations
+        assert cost_counters(merged) == eager_reference(backend, queries)
+
+    def test_concurrent_readers_settle_once(self, case, backends, spied):
+        """Settling is check-then-act: readers racing on one stats object
+        must price it exactly once and all see the same counters."""
+        import sys
+        import threading
+
+        _, queries = case
+        expected = eager_reference(backends["exma-mtl"], queries)
+        readers = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(10):
+                stats = QueryEngine(spied).search_batch(queries).stats
+                barrier = threading.Barrier(readers)
+                seen = []
+
+                def read():
+                    barrier.wait(timeout=10)
+                    seen.append(cost_counters(stats))
+
+                threads = [threading.Thread(target=read) for _ in range(readers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [expected] * readers
+                assert spied.calls["price"] == round_index + 1
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # --------------------------------------------------------------------- #

@@ -270,12 +270,22 @@ class ExmaAccelerator(runtime.PoolOwner):
         self._engine = InferenceEngine(self._config.pe_config())
         self._chain_ratio = self._effective_chain_ratio()
         self._layout = self._compute_layout()
+        # Per packed code: whether it is modelled, the index-cache
+        # addresses of its shared bucket node and of its leaf (gathered for
+        # modelled codes only), and its increment base pointer with an
+        # absent k-mer's MAX sentinel read as 0 (:meth:`_increment_address`).
         if index is not None:
             self._modelled_lookup = index.modelled_lookup(table.kmer_count)
-            self._bucket_lookup = index.bucket_lookup(table.kmer_count)
+            self._bucket_addresses = self._index_node_address(
+                index.bucket_lookup(table.kmer_count).astype(np.int64)
+            )
+            self._leaf_addresses = self._index_node_address(
+                index.shared_node_count + np.arange(table.kmer_count, dtype=np.int64)
+            )
         else:
             self._modelled_lookup = np.zeros(table.kmer_count, dtype=bool)
-            self._bucket_lookup = None
+            self._bucket_addresses = self._leaf_addresses = np.empty(0, dtype=np.int64)
+        self._fetch_bases = np.where(table.bases >= table.max_sentinel, 0, table.bases)
 
     @property
     def table(self) -> ExmaTable:
@@ -359,10 +369,11 @@ class ExmaAccelerator(runtime.PoolOwner):
         :func:`~repro.hw.scheduler.scheduled_orders`, both caches are
         simulated over their full access sequences with
         :func:`~repro.hw.cache.simulate_lru_hits`, Occ resolution and MTL
-        prediction run grouped by k-mer, the increment fetches expand into
-        a :class:`~repro.hw.dram.MemoryTrace` with one row-span
-        ``repeat``/``arange`` pass, and every DRAM channel consumes its
-        column shard.  Field-for-field identical to
+        prediction run grouped by shared node, the increment fetches
+        expand into a :class:`~repro.hw.dram.MemoryTrace` (only the few
+        that cross a row or the chunk cap run the general row-span
+        expansion), and every DRAM channel consumes its column shard.
+        Field-for-field identical to
         :meth:`run_reference` (the request-at-a-time object model) by the
         oracle suite's contract.
 
@@ -408,88 +419,67 @@ class ExmaAccelerator(runtime.PoolOwner):
         # are read off a per-batch k-mer grouping, which is stage 1 of the
         # 2-stage order whichever scheduler issues the requests.
         stage2_kmers = kmers[stage2]
-        stage2_positions = positions[stage2]
         grouped = (
             stage1
             if config.two_stage_scheduling
             else scheduled_orders(kmers, positions, cam_entries, True)[0]
         )
         keep_open = keep_open_flags(kmers, grouped, stage2, cam_entries)
-        slots = np.arange(count, dtype=np.int64)
-        streams = slots % cam_entries
-        modelled = self._modelled_lookup[stage2_kmers] if count else np.zeros(0, bool)
+        modelled = self._modelled_lookup[stage2_kmers]
         modelled_slots = np.flatnonzero(modelled)
+        exact_slots = np.flatnonzero(~modelled)
+        modelled_kmers = stage2_kmers[modelled_slots]
 
         # Occ is ranked in arrival order — a flushed window arrives
         # key-sorted, so the rank queries walk the increment array forward
-        # — and then permuted into issue order.
+        # — and then permuted into issue order.  An exact scan reads from
+        # the k-mer's first entry up to the true one; a modelled lookup
+        # reads its probe distance plus two entries.
         true_index = self._table.occ_batch(kmers, positions)[stage2]
+        exact_true = true_index[exact_slots]
+        exact_entries = np.maximum(
+            1,
+            np.minimum(self._table.frequency_batch(stage2_kmers[exact_slots]), exact_true + 1),
+        )
         predicted = np.empty(count, dtype=np.int64)
-        entries = np.empty(count, dtype=np.int64)
+        predicted[exact_slots] = np.maximum(0, exact_true - exact_entries + 1)
         if modelled_slots.size:
             assert self._index is not None
-            predicted[modelled] = self._index.predict_many(
-                stage2_kmers[modelled], stage2_positions[modelled]
+            predicted[modelled_slots] = self._index.predict_many(
+                modelled_kmers, positions[stage2[modelled_slots]]
             )
-            entries[modelled] = 2 + np.abs(true_index[modelled] - predicted[modelled])
-        exact = ~modelled
-        if count and exact.any():
-            frequency = self._table.frequency_batch(stage2_kmers[exact])
-            exact_entries = np.maximum(
-                1, np.minimum(frequency, true_index[exact] + 1)
-            )
-            entries[exact] = exact_entries
-            predicted[exact] = np.maximum(0, true_index[exact] - exact_entries + 1)
+        entries = np.abs(true_index - predicted)
+        entries += 2
+        entries[exact_slots] = exact_entries
 
         # Index-cache accesses: the shared bucket node then the leaf, per
         # modelled request, again simulated as one sequence.
-        if modelled_slots.size:
-            node_ids = np.empty(modelled_slots.size * 2, dtype=np.int64)
-            node_ids[0::2] = self._bucket_lookup[stage2_kmers[modelled_slots]]
-            node_ids[1::2] = (
-                self._index.shared_node_count + stage2_kmers[modelled_slots]
-            )
-            index_addresses = (
-                self._layout["index_offset"] + node_ids * SHARED_NODE_BYTES
-            )
-            index_hits = simulate_lru_hits(
-                index_addresses,
-                config.index_cache_bytes,
-                config.cache_line_bytes,
-                config.index_cache_ways,
-            )
-        else:
-            index_addresses = np.empty(0, dtype=np.int64)
-            index_hits = np.empty(0, dtype=bool)
+        index_addresses = np.empty(2 * modelled_slots.size, dtype=np.int64)
+        index_addresses[0::2] = self._bucket_addresses[modelled_kmers]
+        index_addresses[1::2] = self._leaf_addresses[modelled_kmers]
+        index_hits = simulate_lru_hits(
+            index_addresses,
+            config.index_cache_bytes,
+            config.cache_line_bytes,
+            config.index_cache_ways,
+        )
 
         inference_lookups = int(modelled_slots.size)
-        increment_entries = int(entries.sum()) if count else 0
+        increment_entries = int(entries.sum())
 
-        # Increment fetch: byte ranges -> row-span expansion into chunks.
-        if count:
-            base_pointers = self._table.bases[stage2_kmers]
-            base_pointers = np.where(
-                base_pointers >= self._table.max_sentinel, 0, base_pointers
-            )
-            entry_bytes = INCREMENT_ENTRY_BYTES * self._chain_ratio
-            fetch_start = self._layout["increment_offset"] + (
-                (base_pointers + predicted).astype(np.float64) * entry_bytes
-            ).astype(np.int64)
-            fetch_bytes = np.maximum(
-                1,
-                (
-                    (entries * INCREMENT_ENTRY_BYTES).astype(np.float64)
-                    * self._chain_ratio
-                ).astype(np.int64),
-            )
+        # Increment fetch: one byte range per slot.
+        entry_bytes = INCREMENT_ENTRY_BYTES * self._chain_ratio
+        fetch_start = self._layout["increment_offset"] + (
+            (self._fetch_bases[stage2_kmers] + predicted).astype(np.float64)
+            * entry_bytes
+        ).astype(np.int64)
+        fetch_bytes = np.maximum(
+            1,
             (
-                chunk_rows,
-                chunk_bytes,
-                chunks_per_slot,
-            ) = _expand_row_spans(fetch_start, fetch_bytes, row_bytes, BURST_BYTES * 8)
-        else:
-            chunk_rows = chunk_bytes = np.empty(0, dtype=np.int64)
-            chunks_per_slot = np.zeros(0, dtype=np.int64)
+                (entries * INCREMENT_ENTRY_BYTES).astype(np.float64)
+                * self._chain_ratio
+            ).astype(np.int64),
+        )
 
         trace = self._assemble_trace(
             count,
@@ -500,11 +490,9 @@ class ExmaAccelerator(runtime.PoolOwner):
             modelled_slots,
             index_addresses,
             index_hits,
-            chunk_rows,
-            chunk_bytes,
-            chunks_per_slot,
+            fetch_start,
+            fetch_bytes,
             keep_open,
-            streams,
         )
 
         if count:
@@ -512,7 +500,9 @@ class ExmaAccelerator(runtime.PoolOwner):
             ledger.record("base_cache", count)
             ledger.record("sched_and_row", count)
         index_misses = int(index_hits.size - index_hits.sum())
-        dma_operations = int(base_miss.sum()) + index_misses + int(chunks_per_slot.sum())
+        # Every trace entry is one DMA transfer: a base miss, an index-node
+        # miss or an increment chunk.
+        dma_operations = len(trace)
         if dma_operations:
             ledger.record("dma_ctrl", dma_operations)
         if index_hits.size:
@@ -522,11 +512,10 @@ class ExmaAccelerator(runtime.PoolOwner):
         if increment_entries:
             ledger.record("decompress", increment_entries)
 
-        base_cache_stats = CacheStats(
-            hits=int(base_hits.sum()), misses=int(base_miss.sum())
-        )
+        base_misses = int(base_miss.sum())
+        base_cache_stats = CacheStats(hits=count - base_misses, misses=base_misses)
         index_cache_stats = CacheStats(
-            hits=int(index_hits.sum()), misses=index_misses
+            hits=int(index_hits.size) - index_misses, misses=index_misses
         )
 
         # Replay DRAM traffic, sharded over channels.
@@ -584,82 +573,85 @@ class ExmaAccelerator(runtime.PoolOwner):
         modelled_slots: np.ndarray,
         index_addresses: np.ndarray,
         index_hits: np.ndarray,
-        chunk_rows: np.ndarray,
-        chunk_bytes: np.ndarray,
-        chunks_per_slot: np.ndarray,
+        fetch_start: np.ndarray,
+        fetch_bytes: np.ndarray,
         keep_open: np.ndarray,
-        streams: np.ndarray,
     ) -> MemoryTrace:
         """Scatter the per-stage access columns into one issue-order trace.
 
         The reference interleaving per CAM batch is: every stage-1 base
         miss (stage-1 order), then per stage-2 slot its index-node misses
-        (bucket before leaf) followed by its increment chunks.  Every
-        destination offset is computed with cumulative sums, so the trace
-        materialises with a handful of scatters regardless of length.
+        (bucket before leaf) followed by its increment chunks (the fetch
+        byte range cut by :func:`_expand_row_spans`), on the slot's stream
+        ``slot % cam_entries``.  Each slot owns its misses and chunks and a
+        batch's stage-1 misses are charged to its first slot, so one
+        cumulative sum over the slots places everything.  Per-slot columns
+        are scattered once, to each slot's first chunk; only the misses and
+        the later chunks of multi-chunk slots (a few per cent of each) are
+        expanded on their own.
         """
         if count == 0:
             return MemoryTrace()
-        batch_starts = np.arange(0, count, cam_entries, dtype=np.int64)
-        batch_sizes = np.minimum(cam_entries, count - batch_starts)
-        slots = np.arange(count, dtype=np.int64)
-        batch_of = slots // cam_entries
+        first_rows, first_bytes, chunks_per_slot, rest_rows, rest_bytes = (
+            _expand_row_spans(fetch_start, fetch_bytes, row_bytes, BURST_BYTES * 8)
+        )
+        batches = -(-count // cam_entries)
+        streams = np.tile(np.arange(cam_entries, dtype=np.int64), batches)[:count]
+        base_slots = np.flatnonzero(base_miss)
+        base_batches = base_slots // cam_entries
+        stage1_per_batch = np.bincount(base_batches, minlength=batches)
+        bucket_missed = ~index_hits[0::2]
+        leaf_missed = ~index_hits[1::2]
+        bucket_slots = modelled_slots[bucket_missed]
+        leaf_slots = modelled_slots[leaf_missed]
 
-        index_misses_per_slot = np.zeros(count, dtype=np.int64)
-        if modelled_slots.size:
-            miss_pairs = (~index_hits).reshape(-1, 2)
-            index_misses_per_slot[modelled_slots] = miss_pairs.sum(axis=1)
-        per_slot = index_misses_per_slot + chunks_per_slot
+        owned = chunks_per_slot.copy()
+        owned[bucket_slots] += 1
+        owned[leaf_slots] += 1
+        owned[::cam_entries] += stage1_per_batch
+        slot_end = np.cumsum(owned)
+        chunk_start = slot_end - chunks_per_slot
 
-        miss_counts = base_miss.astype(np.int64)
-        stage1_per_batch = np.add.reduceat(miss_counts, batch_starts)
-        stage2_per_batch = np.add.reduceat(per_slot, batch_starts)
-        batch_offsets = np.cumsum(stage1_per_batch + stage2_per_batch)
-        batch_offsets = np.concatenate(([0], batch_offsets[:-1]))
-
-        total = int(base_miss.sum() + per_slot.sum())
+        total = int(slot_end[-1])
         rows = np.empty(total, dtype=np.int64)
         nbytes = np.empty(total, dtype=np.int64)
         keep = np.zeros(total, dtype=bool)
         request_streams = np.zeros(total, dtype=np.int64)
 
-        # Stage-1 misses land first in their batch's span.
-        rank = np.cumsum(miss_counts) - miss_counts
-        rank -= np.repeat(rank[batch_starts], batch_sizes)
-        stage1_dest = (batch_offsets[batch_of] + rank)[base_miss]
-        rows[stage1_dest] = base_addresses[base_miss] // row_bytes
+        # Stage-1 misses open their batch, right after the previous
+        # batch's last slot.
+        batch_begin = np.zeros(batches, dtype=np.int64)
+        batch_begin[1:] = slot_end[cam_entries - 1 : count - 1 : cam_entries]
+        stage1_before = np.cumsum(stage1_per_batch) - stage1_per_batch
+        stage1_dest = np.arange(base_slots.size, dtype=np.int64) + (
+            batch_begin - stage1_before
+        )[base_batches]
+        rows[stage1_dest] = base_addresses[base_slots] // row_bytes
         nbytes[stage1_dest] = BURST_BYTES
 
-        # Each stage-2 slot owns the span after its batch's stage-1
-        # misses and its predecessors' spans.
-        span_before = np.cumsum(per_slot) - per_slot
-        span_before -= np.repeat(span_before[batch_starts], batch_sizes)
-        slot_offsets = (
-            batch_offsets[batch_of] + stage1_per_batch[batch_of] + span_before
-        )
+        # Index-node misses sit just before their slot's first chunk.
+        leaf_dest = chunk_start[leaf_slots] - 1
+        rows[leaf_dest] = index_addresses[1::2][leaf_missed] // row_bytes
+        nbytes[leaf_dest] = BURST_BYTES
+        request_streams[leaf_dest] = streams[leaf_slots]
+        bucket_dest = chunk_start[bucket_slots] - 1 - leaf_missed[bucket_missed]
+        rows[bucket_dest] = index_addresses[0::2][bucket_missed] // row_bytes
+        nbytes[bucket_dest] = BURST_BYTES
+        request_streams[bucket_dest] = streams[bucket_slots]
 
-        if modelled_slots.size:
-            index_rows = index_addresses // row_bytes
-            modelled_offsets = slot_offsets[modelled_slots]
-            modelled_streams = streams[modelled_slots]
-            bucket_missed = miss_pairs[:, 0]
-            leaf_missed = miss_pairs[:, 1]
-            bucket_dest = modelled_offsets[bucket_missed]
-            rows[bucket_dest] = index_rows[0::2][bucket_missed]
-            nbytes[bucket_dest] = BURST_BYTES
-            request_streams[bucket_dest] = modelled_streams[bucket_missed]
-            leaf_dest = (modelled_offsets + bucket_missed)[leaf_missed]
-            rows[leaf_dest] = index_rows[1::2][leaf_missed]
-            nbytes[leaf_dest] = BURST_BYTES
-            request_streams[leaf_dest] = modelled_streams[leaf_missed]
-
-        chunk_dest = np.repeat(
-            slot_offsets + index_misses_per_slot, chunks_per_slot
-        ) + _segment_arange(chunks_per_slot)
-        rows[chunk_dest] = chunk_rows
-        nbytes[chunk_dest] = chunk_bytes
-        keep[chunk_dest] = np.repeat(keep_open, chunks_per_slot)
-        request_streams[chunk_dest] = np.repeat(streams, chunks_per_slot)
+        # Increment chunks: every slot's first, then the rest of the
+        # multi-chunk slots, each carrying its slot's hint and stream.
+        rows[chunk_start] = first_rows
+        nbytes[chunk_start] = first_bytes
+        keep[chunk_start] = keep_open
+        request_streams[chunk_start] = streams
+        multi = np.flatnonzero(chunks_per_slot > 1)
+        more = chunks_per_slot[multi] - 1
+        rest_dest = np.repeat(chunk_start[multi] + 1, more) + _segment_arange(more)
+        rows[rest_dest] = rest_rows
+        nbytes[rest_dest] = rest_bytes
+        keep[rest_dest] = np.repeat(keep_open[multi], more)
+        request_streams[rest_dest] = np.repeat(streams[multi], more)
         return MemoryTrace(
             rows=rows, nbytes=nbytes, keep_open=keep, streams=request_streams
         )
@@ -989,33 +981,44 @@ def _segment_arange(counts: np.ndarray) -> np.ndarray:
 
 def _expand_row_spans(
     starts: np.ndarray, nbytes: np.ndarray, row_bytes: int, chunk_cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand byte ranges into per-row DMA chunks, vectorized.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut byte ranges into per-row DMA chunks, vectorized.
 
     The array form of the reference replay's cursor loop: each range
     ``[start, start + nbytes)`` is cut at DRAM row boundaries, and every
     row segment is fetched in bursts of at most *chunk_cap* bytes with the
     remainder last — exactly the greedy ``min(remaining, room_in_row,
-    cap)`` sequence, produced by two ``repeat``/``arange`` expansions.
+    cap)`` sequence.  Every range's first chunk is that minimum taken at
+    its start; only the ranges it leaves unfinished — those crossing a row
+    or exceeding the cap, a few per cent of a flush — resume the cursor
+    after it through two ``repeat``/``arange`` expansions.
 
-    Returns ``(chunk_rows, chunk_sizes, chunks_per_range)`` with chunks in
-    range-major, ascending-row order (the issue order).
+    Returns ``(first_rows, first_sizes, chunks_per_range, rest_rows,
+    rest_sizes)``: each range's first chunk and chunk count, then every
+    later chunk of the multi-chunk ranges, range-major in ascending-row
+    order (the issue order).
     """
-    ends = starts + nbytes
     first_rows = starts // row_bytes
-    rows_per_range = (ends - 1) // row_bytes - first_rows + 1
-    range_of_row = np.repeat(np.arange(starts.size, dtype=np.int64), rows_per_range)
-    row_ids = np.repeat(first_rows, rows_per_range) + _segment_arange(rows_per_range)
-    segment_start = np.maximum(starts[range_of_row], row_ids * row_bytes)
-    segment_end = np.minimum(ends[range_of_row], (row_ids + 1) * row_bytes)
+    first_sizes = np.minimum(nbytes, (first_rows + 1) * row_bytes - starts)
+    np.minimum(first_sizes, chunk_cap, out=first_sizes)
+    unfinished = np.flatnonzero(first_sizes < nbytes)
+    rest_starts = starts[unfinished] + first_sizes[unfinished]
+    rest_ends = starts[unfinished] + nbytes[unfinished]
+    rest_first_rows = rest_starts // row_bytes
+    rows_per_range = (rest_ends - 1) // row_bytes - rest_first_rows + 1
+    range_of_row = np.repeat(np.arange(unfinished.size, dtype=np.int64), rows_per_range)
+    row_ids = np.repeat(rest_first_rows, rows_per_range) + _segment_arange(rows_per_range)
+    segment_start = np.maximum(rest_starts[range_of_row], row_ids * row_bytes)
+    segment_end = np.minimum(rest_ends[range_of_row], (row_ids + 1) * row_bytes)
     segment_len = segment_end - segment_start
     chunks_per_row = -(-segment_len // chunk_cap)
     row_of_chunk = np.repeat(np.arange(row_ids.size, dtype=np.int64), chunks_per_row)
     within_row = _segment_arange(chunks_per_row)
-    chunk_sizes = np.minimum(
+    rest_sizes = np.minimum(
         chunk_cap, segment_len[row_of_chunk] - within_row * chunk_cap
     )
-    chunk_rows = row_ids[row_of_chunk]
+    rest_rows = row_ids[row_of_chunk]
     row_starts = np.cumsum(rows_per_range) - rows_per_range
-    chunks_per_range = np.add.reduceat(chunks_per_row, row_starts)
-    return chunk_rows, chunk_sizes, chunks_per_range
+    chunks_per_range = np.ones(starts.size, dtype=np.int64)
+    chunks_per_range[unfinished] += np.add.reduceat(chunks_per_row, row_starts)
+    return first_rows, first_sizes, chunks_per_range, rest_rows, rest_sizes

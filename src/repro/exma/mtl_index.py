@@ -53,9 +53,20 @@ class SharedNode:
         return int(self.w1.size + self.b1.size + self.w2.size + 1)
 
     def forward(self, features: np.ndarray) -> np.ndarray:
-        """Evaluate the node on an ``(n, 2)`` feature matrix."""
-        hidden = 1.0 / (1.0 + np.exp(-(features @ self.w1 + self.b1)))
-        return hidden @ self.w2 + self.b2
+        """Evaluate the node on an ``(n, 2)`` feature matrix.
+
+        One ``(n, hidden)`` buffer, in the operation order :meth:`train`
+        uses, so both see the same rounding.
+        """
+        hidden = features @ self.w1
+        hidden += self.b1
+        np.negative(hidden, out=hidden)
+        np.exp(hidden, out=hidden)
+        hidden += 1.0
+        np.divide(1.0, hidden, out=hidden)
+        output = hidden @ self.w2
+        output += self.b2
+        return output
 
     def train(
         self,
@@ -279,41 +290,66 @@ class MTLIndex:
     def predict_many(self, kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`predict` over aligned k-mer/position arrays.
 
-        Groups the requests by shared node (bucket): one MLP forward pass
-        per bucket covers every request routed through that node, and the
-        per-k-mer linear leaves apply elementwise through gathered
-        weight/bias/count columns — the same normalisation, rounding and
-        clipping as :meth:`predict`, so the results agree exactly.  Every
-        k-mer must be modelled — the lockstep search and the columnar
-        replay separate unmodelled requests (:meth:`modelled_lookup`)
-        before calling, the way the accelerator's exact-scan path does.
+        Groups the requests by shared node (bucket) with one stable
+        argsort of the narrow bucket ids: each node's MLP forward pass runs
+        over one contiguous slice of a feature matrix written in grouped
+        order, and the per-k-mer linear leaves apply elementwise through
+        gathered weight/bias/count columns — the same normalisation,
+        rounding and clipping as :meth:`predict`, so the results agree
+        exactly.  Every k-mer must be modelled — the lockstep search and
+        the columnar replay separate unmodelled requests
+        (:meth:`modelled_lookup`) before calling, the way the accelerator's
+        exact-scan path does; an unmodelled one raises ``ValueError``.
         """
         kmers = np.asarray(kmers, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
-        result = np.empty(kmers.size, dtype=np.int64)
-        if kmers.size == 0:
+        size = kmers.size
+        result = np.empty(size, dtype=np.int64)
+        if size == 0:
             return result
         weights, biases, buckets = self._leaf_columns()
+        request_buckets = buckets[kmers]
+        order = np.argsort(request_buckets, kind="stable")
+        grouped = request_buckets[order]
+        if grouped[0] < 0:
+            raise ValueError(
+                "predict_many needs every k-mer modelled; separate the "
+                "unmodelled ones with modelled_lookup first"
+            )
+        kmers = kmers[order]
         counts = self._table.frequencies_view()[kmers]
         n = self._table.reference_length
-        features = np.column_stack([positions / n, counts / n])
-        shared_output = np.empty(kmers.size, dtype=np.float64)
-        request_buckets = buckets[kmers]
-        for bucket in np.unique(request_buckets):
-            in_bucket = request_buckets == bucket
-            shared_output[in_bucket] = self._nodes[int(bucket)].forward(
-                features[in_bucket]
+        features = np.empty((size, 2), dtype=np.float64)
+        np.divide(positions[order], n, out=features[:, 0])
+        np.divide(counts, n, out=features[:, 1])
+        shared_output = np.empty(size, dtype=np.float64)
+        bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), size]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            shared_output[start:stop] = self._nodes[int(grouped[start])].forward(
+                features[start:stop]
             )
-        raw = (weights[kmers] * shared_output + biases[kmers]) * counts
-        return np.clip(np.rint(raw), 0, np.maximum(0, counts - 1)).astype(np.int64)
+        raw = weights[kmers] * shared_output
+        raw += biases[kmers]
+        raw *= counts
+        np.rint(raw, out=raw)
+        np.clip(raw, 0, np.maximum(0, counts - 1), out=raw)
+        result[order] = raw
+        return result
 
     def _leaf_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Leaf weight/bias and bucket id per packed code (lazy, cached)."""
+        """Leaf weight/bias and bucket id per packed code (lazy, cached).
+
+        Bucket ids are the narrowest signed type that holds every bucket
+        and the ``-1`` of an unmodelled code, so grouping by them is a
+        radix sort.
+        """
         if self._leaf_column_cache is None:
             size = self._table.kmer_count
             weights = np.zeros(size, dtype=np.float64)
             biases = np.zeros(size, dtype=np.float64)
-            buckets = np.full(size, -1, dtype=np.int64)
+            buckets = np.full(
+                size, -1, dtype=np.min_scalar_type(-1 - len(self._edges))
+            )
             for packed, leaf in self._leaves.items():
                 weights[packed] = leaf.weight
                 biases[packed] = leaf.bias

@@ -284,7 +284,9 @@ class MemoryTrace:
         """Shard by ``row % channels``, preserving per-channel issue order."""
         if channels <= 0:
             raise ValueError("channels must be positive")
-        assignment = self.rows % channels
+        # ``rows % channels`` (floored), spelled with a floor division,
+        # which NumPy does several times faster than the remainder.
+        assignment = self.rows - self.rows // channels * channels
         return [self.take(np.flatnonzero(assignment == c)) for c in range(channels)]
 
 

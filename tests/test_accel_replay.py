@@ -13,12 +13,15 @@ layer:
   :func:`~repro.hw.cache.simulate_lru_hits` against per-access
   :meth:`~repro.hw.cache.SetAssociativeCache.access`,
   :meth:`~repro.hw.dram.DRAMModel.process_columns` against the object
-  :meth:`~repro.hw.dram.DRAMModel.process`, and the batched table/index
-  queries against their scalar forms;
+  :meth:`~repro.hw.dram.DRAMModel.process`, the row-span expansion
+  against the reference replay's greedy cursor, and the batched
+  table/index queries against their scalar forms;
 * end-to-end: :meth:`~repro.accel.exma_accelerator.ExmaAccelerator.run`
   and :meth:`~repro.accel.exma_accelerator.ExmaAccelerator.run_stream`
   field-for-field equal to the reference for the request streams of all
-  six engine backends, under both schedulers and every page policy.
+  six engine backends, under both schedulers and every page policy, for
+  an MTL index with several shared nodes, and for fetches that cross
+  DRAM rows and the chunk cap.
 """
 
 from __future__ import annotations
@@ -31,15 +34,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig
+from repro.accel import exma_accelerator
 from repro.engine import CoalescingWindow, QueryEngine, create_backend
 from repro.engine.window import WindowedBatch
 from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.search import OccRequest
 from repro.exma.table import ExmaTable
+from repro.genome.sequence import RepeatProfile, random_genome
 from repro.hw.cache import SetAssociativeCache, simulate_lru_hits
 from repro.hw.cam import CamConfig
-from repro.hw.dram import DDR4Config, DRAMModel, MemoryRequest, MemoryTrace, PagePolicy
+from repro.hw.dram import (
+    DDR4Config,
+    DRAMModel,
+    MemoryRequest,
+    MemoryTrace,
+    PagePolicy,
+    rows_for_bytes,
+)
 from repro.hw.scheduler import (
     FrFcfsScheduler,
     TwoStageScheduler,
@@ -293,6 +305,84 @@ class TestDRAMColumns:
 
 
 # --------------------------------------------------------------------- #
+# Row-span expansion vs the reference replay's cursor
+# --------------------------------------------------------------------- #
+
+
+def _cursor_chunks(start: int, nbytes: int, row_bytes: int, cap: int) -> list[tuple[int, int]]:
+    """``(row, bytes)`` chunks of the reference replay's greedy cursor: each
+    row :func:`rows_for_bytes` names, in bursts of at most *cap* bytes."""
+    chunks = []
+    cursor, remaining = start, nbytes
+    for row in rows_for_bytes(start, nbytes, row_bytes):
+        row_end = (row + 1) * row_bytes
+        while remaining and cursor < row_end:
+            chunk = min(remaining, row_end - cursor, cap)
+            chunks.append((row, chunk))
+            cursor += chunk
+            remaining -= chunk
+    return chunks
+
+
+@st.composite
+def _byte_range(draw, row_bytes: int) -> tuple[int, int]:
+    """One fetch range of a given shape relative to the DRAM rows."""
+    offset = draw(st.integers(0, row_bytes - 1))
+    start = draw(st.integers(0, 5)) * row_bytes + offset
+    room = row_bytes - offset
+    shape = draw(st.sampled_from(["inside", "to-boundary", "across", "any"]))
+    if shape == "inside":
+        return start, draw(st.integers(1, room))
+    if shape == "to-boundary":  # ends exactly on a row boundary
+        return start, room + row_bytes * draw(st.integers(0, 2))
+    if shape == "across":
+        return start, room + draw(st.integers(1, 3 * row_bytes))
+    return start, draw(st.integers(1, 4 * row_bytes))
+
+
+@st.composite
+def _range_columns(draw):
+    row_bytes = draw(st.sampled_from([64, 96, 2048]))
+    cap = draw(st.sampled_from([16, 64, 512]))
+    ranges = draw(st.lists(_byte_range(row_bytes), max_size=40))
+    return ranges, row_bytes, cap
+
+
+class TestRowSpanExpansion:
+    @given(_range_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_chunks_match_the_scalar_cursor(self, columns):
+        ranges, row_bytes, cap = columns
+        starts = np.array([start for start, _ in ranges], dtype=np.int64)
+        nbytes = np.array([size for _, size in ranges], dtype=np.int64)
+        first_rows, first_sizes, counts, rest_rows, rest_sizes = (
+            exma_accelerator._expand_row_spans(starts, nbytes, row_bytes, cap)
+        )
+        rest = iter(zip(rest_rows.tolist(), rest_sizes.tolist()))
+        for i, (start, size) in enumerate(ranges):
+            expected = _cursor_chunks(start, size, row_bytes, cap)
+            assert counts[i] == len(expected)
+            got = [(int(first_rows[i]), int(first_sizes[i]))]
+            got += [next(rest) for _ in range(len(expected) - 1)]
+            assert got == expected
+        assert next(rest, None) is None
+
+    def test_only_unfinished_ranges_have_later_chunks(self):
+        # Inside one row under the cap, ending on a row boundary, longer
+        # than the cap inside one row, and across two boundaries.
+        starts = np.array([10, 2048 - 40, 4096, 6000], dtype=np.int64)
+        nbytes = np.array([30, 40, 1100, 2500], dtype=np.int64)
+        first_rows, first_sizes, counts, rest_rows, rest_sizes = (
+            exma_accelerator._expand_row_spans(starts, nbytes, 2048, 512)
+        )
+        assert first_rows.tolist() == [0, 0, 2, 2]
+        assert first_sizes.tolist() == [30, 40, 512, 144]
+        assert counts.tolist() == [1, 1, 3, 6]
+        assert rest_rows.tolist() == [2, 2, 3, 3, 3, 3, 4]
+        assert rest_sizes.tolist() == [512, 76, 512, 512, 512, 512, 308]
+
+
+# --------------------------------------------------------------------- #
 # Batched table/index queries vs their scalar forms
 # --------------------------------------------------------------------- #
 
@@ -353,6 +443,62 @@ class TestBatchedQueries:
         assert frequencies.tolist() == [
             small_table.frequency(packed) for packed in range(small_table.kmer_count)
         ]
+
+
+@pytest.fixture(scope="module")
+def repeat_genome() -> str:
+    """A repeat-rich reference: its 2-mers have hundreds of increments."""
+    return random_genome(
+        4000, repeat_profile=RepeatProfile(repeat_fraction=0.7, repeat_unit_length=120), seed=11
+    )
+
+
+@pytest.fixture(scope="module")
+def multi_node(repeat_genome):
+    """An MTL index whose small bucket edges spread its 3-mers over four
+    shared nodes; the lightest 3-mers stay unmodelled."""
+    table = ExmaTable(repeat_genome, k=3)
+    index = MTLIndex(
+        table, bucket_edges=(48, 64, 80), model_threshold=30, samples_per_kmer=16,
+        epochs=20, seed=0,
+    )
+    return table, index
+
+
+class TestSeveralSharedNodes:
+    """Every other MTL fixture has one shared node, where routing a request
+    through the wrong node changes nothing."""
+
+    def test_fixture_spans_several_nodes(self, multi_node):
+        table, index = multi_node
+        buckets = index.bucket_lookup(table.kmer_count)
+        assert index.shared_node_count >= 3
+        assert np.unique(buckets[index.modelled_kmers]).size == index.shared_node_count
+        assert (buckets[table.frequencies() > 0] < 0).any()
+
+    def test_predict_many_matches_predict_shuffled(self, multi_node):
+        table, index = multi_node
+        rng = np.random.default_rng(4)
+        kmers = rng.permutation(np.repeat(index.modelled_kmers, 12))
+        positions = rng.integers(0, table.reference_length + 1, size=kmers.size)
+        buckets = index.bucket_lookup(table.kmer_count)[kmers]
+        assert (np.diff(buckets) < 0).any()  # node ids interleaved, not sorted
+        expected = [
+            index.predict(int(kmer), int(pos)) for kmer, pos in zip(kmers, positions)
+        ]
+        assert index.predict_many(kmers, positions).tolist() == expected
+
+    @pytest.mark.parametrize("two_stage", (True, False))
+    def test_run_equals_reference(self, repeat_genome, multi_node, two_stage):
+        table, index = multi_node
+        queries = random_queries(repeat_genome, count=12, length=16, seed=9)
+        stream, _ = QueryEngine(ExmaBackend(table=table, index=index)).request_stream(
+            queries
+        )
+        buckets = index.bucket_lookup(table.kmer_count)[stream.kmers]
+        assert np.unique(buckets[buckets >= 0]).size >= 3
+        accelerator = ExmaAccelerator(table, index, _config(two_stage, PagePolicy.DYNAMIC))
+        assert accelerator.run(stream) == accelerator.run_reference(list(stream))
 
 
 # --------------------------------------------------------------------- #
@@ -429,6 +575,38 @@ class TestRunEqualsReference:
             for flushed in flushes
         ]
         assert result.flushes == expected
+
+
+@pytest.fixture(scope="module")
+def long_scans(repeat_genome):
+    """The unindexed request stream of the repeat-rich 2-mer table: exact
+    scans of up to ~1.5 KB once CHAIN compression is off."""
+    table = ExmaTable(repeat_genome, k=2)
+    queries = random_queries(repeat_genome, count=10, length=16, seed=9)
+    stream, _ = QueryEngine(ExmaBackend(table=table)).request_stream(queries)
+    return table, stream
+
+
+@pytest.mark.parametrize("two_stage", (True, False))
+@pytest.mark.parametrize("policy", list(PagePolicy))
+class TestRunAcrossRows:
+    def test_run_field_for_field_equal(self, two_stage, policy, long_scans, monkeypatch):
+        table, stream = long_scans
+        config = _config(two_stage, policy).with_overrides(use_chain_compression=False)
+        accelerator = ExmaAccelerator(table, None, config)
+        fetched = []
+        expand = exma_accelerator._expand_row_spans
+
+        def recorded(starts, nbytes, row_bytes, cap):
+            fetched.append((starts, nbytes, row_bytes, cap))
+            return expand(starts, nbytes, row_bytes, cap)
+
+        monkeypatch.setattr(exma_accelerator, "_expand_row_spans", recorded)
+        assert accelerator.run(stream) == accelerator.run_reference(list(stream))
+        ((starts, nbytes, row_bytes, cap),) = fetched
+        assert len(stream) % config.cam_entries  # a partial last CAM batch
+        assert (starts % row_bytes + nbytes > row_bytes).any()  # fetches cross rows
+        assert (nbytes > cap).any()  # and exceed the chunk cap
 
 
 class TestRunWithoutIndex:

@@ -188,6 +188,16 @@ class TestSharedNode:
         for array, copy in zip((features, targets, weights), before):
             assert np.array_equal(array, copy)
 
+    def test_forward_equals_allocating_expression(self):
+        rng = np.random.default_rng(5)
+        node = SharedNode()
+        node.train(
+            rng.uniform(size=(300, 2)), rng.uniform(size=300), np.full(300, 1 / 300), epochs=10
+        )
+        features = rng.uniform(size=(1000, 2))
+        hidden = 1.0 / (1.0 + np.exp(-(features @ node.w1 + node.b1)))
+        assert np.array_equal(node.forward(features), hidden @ node.w2 + node.b2)
+
     def test_forward_shape(self):
         node = SharedNode()
         node.train(
@@ -265,6 +275,20 @@ class TestMTLIndex:
         if not light:
             pytest.skip("all k-mers modelled")
         assert mtl.predict(light[0], 1000) == repeat_table.occ(light[0], 1000)
+
+    def test_predict_many_refuses_unmodelled_kmers(self, repeat_table):
+        # Bucket ids are narrow and grouped by sorting, so an unmodelled
+        # k-mer's -1 must be refused, never routed through some node.
+        index = MTLIndex(repeat_table, model_threshold=40, samples_per_kmer=16, epochs=10)
+        modelled = index.modelled_lookup(repeat_table.kmer_count)
+        light = int(np.flatnonzero(~modelled)[0])
+        heavy = index.modelled_kmers[0]
+        for kmers in ([light], [heavy, light, heavy]):
+            with pytest.raises(ValueError, match="modelled"):
+                index.predict_many(np.array(kmers), np.arange(len(kmers)))
+        assert index.predict_many(np.array([heavy]), np.array([7])).tolist() == [
+            index.predict(heavy, 7)
+        ]
 
     def test_each_leaf_is_fit_on_its_own_samples(self, repeat_table):
         # Re-draw every k-mer's samples the way `_train` does and fit its

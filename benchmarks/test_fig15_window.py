@@ -44,22 +44,6 @@ def test_fig15_window_sweep(benchmark, report):
     assert posts[-1] < result.rows[0].pre_merge_requests
 
 
-def test_fig15_sweep_identical_under_sharded_engine(report):
-    """Strong-scaling check: the sharded engine feeds the window stage the
-    exact same per-batch streams, so every sweep row matches serial."""
-    serial = run_fig15_window(genome_length=12_000, seed=0, batch_count=4, batch_size=32)
-    sharded = run_fig15_window(
-        genome_length=12_000, seed=0, batch_count=4, batch_size=32, shards=4
-    )
-    assert [
-        (r.window, r.pre_merge_requests, r.post_merge_requests, r.scheduled_batches)
-        for r in serial.rows
-    ] == [
-        (r.window, r.pre_merge_requests, r.post_merge_requests, r.scheduled_batches)
-        for r in sharded.rows
-    ]
-
-
 def test_shard_scaling_recorded(report):
     """Record sharded-vs-serial wall clock (no speedup assertion for the
     forced rows: wall-clock wins additionally need hardware parallelism,

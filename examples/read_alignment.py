@@ -12,8 +12,7 @@ Run with:  python examples/read_alignment.py
 
 from __future__ import annotations
 
-from repro.apps import ReadAligner, alignment_accuracy, default_breakdown_model
-from repro.apps.pipeline import WorkCounters
+from repro.apps import ReadAligner, WorkCounters, alignment_accuracy, default_breakdown_model
 from repro.genome import ILLUMINA, PACBIO, ReadSimulator, build_dataset
 
 

@@ -21,10 +21,11 @@ The package is organised bottom-up:
   reference-based compression plus the pipeline time/energy models.
 * :mod:`repro.experiments` — one entry point per table/figure of the
   paper's evaluation.
+* :mod:`repro.serving` — the always-on multi-tenant query service.
+
+Each subpackage's ``__init__`` names only what some reader outside it
+imports through the package path; everything else is imported from its
+defining module.  Importing ``repro`` imports no subpackage.
 """
 
-from . import accel, apps, engine, exma, genome, hw, index, lisa
-
 __version__ = "1.0.0"
-
-__all__ = ["accel", "apps", "engine", "exma", "genome", "hw", "index", "lisa", "__version__"]

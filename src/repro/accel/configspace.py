@@ -42,7 +42,6 @@ __all__ = [
     "AXES",
     "ConfigPoint",
     "baseline_point",
-    "clone_accelerator",
     "enumerate_grid",
     "parse_grid",
     "pareto_frontier",
@@ -314,22 +313,6 @@ def point_from_dict(record: Mapping) -> ConfigPoint:
     """Rebuild a validated point from :func:`point_to_dict` output."""
     kwargs = {f.name: record[f.name] for f in fields(ConfigPoint) if f.name in record}
     return ConfigPoint(**kwargs)
-
-
-def clone_accelerator(
-    accelerator: "ExmaAccelerator", point: ConfigPoint, index: "MTLIndex | None" = None
-) -> "ExmaAccelerator":
-    """A fresh accelerator over *accelerator*'s table at *point*.
-
-    The table (and by default the index) are shared, not copied — the
-    DSE re-prices the microarchitecture, not the data structure.  Pass
-    *index* explicitly when the point sweeps the MTL shape.
-    """
-    return point.build_accelerator(
-        accelerator.table,
-        accelerator.index if index is None else index,
-        accelerator.config,
-    )
 
 
 def pareto_frontier(vectors: Iterable[Sequence[float]]) -> list[int]:

@@ -1,72 +1,22 @@
 """Genome-analysis applications: alignment, assembly, annotation, compression."""
 
-from .alignment import AlignerCounters, AlignmentResult, ReadAligner, alignment_accuracy
-from .annotation import (
-    AnnotationCounters,
-    ExactWordAnnotator,
-    WordAnnotation,
-    words_from_reference,
-)
-from .assembly import (
-    AssemblyCounters,
-    Contig,
-    Overlap,
-    OverlapAssembler,
-    error_correct_reads,
-    n50,
-)
-from .compression import (
-    CompressionCounters,
-    LiteralToken,
-    MatchToken,
-    ReferenceCompressor,
-    compressed_size_bytes,
-)
-from .pipeline import (
-    APPLICATIONS,
-    BreakdownModel,
-    WorkCounters,
-    application_energy,
-    application_speedup,
-    default_breakdown_model,
-    run_application,
-)
-from .smith_waterman import (
-    LocalAlignment,
-    ScoringScheme,
-    banded_smith_waterman,
-    smith_waterman,
-)
+from .alignment import ReadAligner, alignment_accuracy
+from .annotation import AnnotationCounters, ExactWordAnnotator, words_from_reference
+from .assembly import AssemblyCounters, OverlapAssembler, n50
+from .compression import CompressionCounters, ReferenceCompressor
+from .pipeline import WorkCounters, default_breakdown_model
 
 __all__ = [
-    "AlignerCounters",
-    "AlignmentResult",
-    "ReadAligner",
-    "alignment_accuracy",
     "AnnotationCounters",
-    "ExactWordAnnotator",
-    "WordAnnotation",
-    "words_from_reference",
     "AssemblyCounters",
-    "Contig",
-    "Overlap",
-    "OverlapAssembler",
-    "error_correct_reads",
-    "n50",
     "CompressionCounters",
-    "LiteralToken",
-    "MatchToken",
+    "ExactWordAnnotator",
+    "OverlapAssembler",
+    "ReadAligner",
     "ReferenceCompressor",
-    "compressed_size_bytes",
-    "APPLICATIONS",
-    "BreakdownModel",
     "WorkCounters",
-    "application_energy",
-    "application_speedup",
+    "alignment_accuracy",
     "default_breakdown_model",
-    "run_application",
-    "LocalAlignment",
-    "ScoringScheme",
-    "banded_smith_waterman",
-    "smith_waterman",
+    "n50",
+    "words_from_reference",
 ]

@@ -16,61 +16,7 @@ byte-identical to serial; the pool and the worker-count policy live in
 before the stream reaches the accelerator model.
 """
 
-from .backends import (
-    ExmaBackend,
-    FMIndexBackend,
-    LisaBackend,
-    SearchBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
-from .coalesce import (
-    BatchStats,
-    BatchTrace,
-    CoalescedStep,
-    RequestStream,
-    StepContribution,
-    StepTrace,
-    TailContribution,
-    coalesce_requests,
-    pack_requests,
-)
-from .engine import BatchResult, QueryEngine
-from .sharded import (
-    ShardedQueryEngine,
-    merge_shard_stats,
-    merge_traces,
-    run_sharded_batch,
-    split_shards,
-)
-from .window import CoalescingWindow, WindowedBatch, windowed_request_stream
+from .backends import available_backends
+from .engine import QueryEngine
 
-__all__ = [
-    "BatchResult",
-    "BatchStats",
-    "BatchTrace",
-    "CoalescedStep",
-    "CoalescingWindow",
-    "ExmaBackend",
-    "FMIndexBackend",
-    "LisaBackend",
-    "QueryEngine",
-    "RequestStream",
-    "SearchBackend",
-    "ShardedQueryEngine",
-    "StepContribution",
-    "StepTrace",
-    "TailContribution",
-    "WindowedBatch",
-    "available_backends",
-    "coalesce_requests",
-    "pack_requests",
-    "create_backend",
-    "merge_shard_stats",
-    "merge_traces",
-    "register_backend",
-    "run_sharded_batch",
-    "split_shards",
-    "windowed_request_stream",
-]
+__all__ = ["QueryEngine", "available_backends"]

@@ -41,9 +41,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..exma.search import OccRequest
+from ..runtime import check_workers
 from .coalesce import RequestStream, pack_requests
 
-__all__ = ["CoalescingWindow", "WindowedBatch", "windowed_request_stream"]
+__all__ = ["CoalescingWindow", "WindowedBatch"]
 
 
 class WindowedBatch(Sequence):
@@ -157,9 +158,7 @@ class CoalescingWindow:
     """
 
     def __init__(self, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("window capacity must be >= 1")
-        self._capacity = capacity
+        self._capacity = check_workers(capacity, "window capacity")
         self._buffered: list[list[tuple[np.ndarray, int]]] = []
 
     @property
@@ -248,14 +247,3 @@ class CoalescingWindow:
         final = self.flush()
         if final is not None:
             yield final
-
-
-def windowed_request_stream(
-    batch_streams: Iterable[Sequence[OccRequest]], capacity: int
-) -> tuple[list[OccRequest], list[WindowedBatch]]:
-    """The full post-merge stream of *batch_streams* under window *capacity*,
-    plus the per-window flushes (for counting and sweeps)."""
-    window = CoalescingWindow(capacity)
-    flushes = list(window.stream(batch_streams))
-    requests = [request for flushed in flushes for request in flushed.requests]
-    return requests, flushes

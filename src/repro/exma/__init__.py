@@ -1,29 +1,9 @@
 """EXMA core: table, learned/MTL indexes, search, CHAIN/BΔI compression."""
 
 from . import bdi, chain
-from .learned_index import (
-    DEFAULT_INCREMENTS_PER_LEAF,
-    DEFAULT_MODEL_THRESHOLD,
-    NaiveLearnedIndex,
-)
-from .mtl_index import DEFAULT_BUCKET_EDGES, LeafModel, MTLIndex, SharedNode
-from .search import ExmaSearch, ExmaSearchStats, OccRequest
-from .table import ExmaSizeBreakdown, ExmaTable, exma_size_breakdown
+from .learned_index import NaiveLearnedIndex
+from .mtl_index import MTLIndex
+from .search import ExmaSearch
+from .table import ExmaTable
 
-__all__ = [
-    "bdi",
-    "chain",
-    "DEFAULT_INCREMENTS_PER_LEAF",
-    "DEFAULT_MODEL_THRESHOLD",
-    "NaiveLearnedIndex",
-    "DEFAULT_BUCKET_EDGES",
-    "LeafModel",
-    "MTLIndex",
-    "SharedNode",
-    "ExmaSearch",
-    "ExmaSearchStats",
-    "OccRequest",
-    "ExmaSizeBreakdown",
-    "ExmaTable",
-    "exma_size_breakdown",
-]
+__all__ = ["ExmaSearch", "ExmaTable", "MTLIndex", "NaiveLearnedIndex", "bdi", "chain"]

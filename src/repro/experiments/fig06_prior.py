@@ -37,20 +37,6 @@ class RowAccessTrace:
     consecutive_same_bucket_rate: float
     bucket_count: int
 
-    @property
-    def distinct_fraction(self) -> float:
-        """Distinct buckets touched relative to accesses issued.
-
-        At paper scale (47M rows for the human genome) this is ~1.0 — the
-        paper's "197 different rows out of 200 iterations"; at reproduction
-        scale the bucket pool is small so the fraction is bounded by
-        ``bucket_count / accesses`` and the consecutive-hit rate is the
-        meaningful no-locality signal.
-        """
-        if self.accesses == 0:
-            return 0.0
-        return self.distinct_buckets / self.accesses
-
 
 @dataclass(frozen=True)
 class Fig6Result:

@@ -5,8 +5,8 @@ the accelerator may merge duplicate ``(k-mer, pos)`` requests: the wider
 the window, the longer the replayed stream and the more duplicates fall
 inside one merge.  At reproduction scale we generate a stream of
 consecutive query batches (consecutive read batches off one reference),
-run each through the batched engine — optionally sharded across a worker
-pool — and replay the per-batch request streams through a
+run each through the batched engine and replay the per-batch request
+streams through a
 :class:`~repro.engine.window.CoalescingWindow` at each sweep point.
 
 Window capacities are swept in powers of two because aligned
@@ -74,8 +74,6 @@ class Fig15Result:
     rows: list[Fig15Row]
     batch_count: int
     batch_size: int
-    shards: int
-    executor: str
 
 
 def _batch_streams(
@@ -105,22 +103,11 @@ def run_fig15_window(
     batch_size: int = 32,
     k: int = DEFAULT_STEP,
     query_length: int = 48,
-    shards: int = 1,
-    executor: str = "thread",
     cam_entries: int = 64,
 ) -> Fig15Result:
-    """Sweep the coalescing window over a stream of consecutive batches.
-
-    ``shards``/``executor`` follow the engine's semantics: the shard count
-    is an upper bound clamped to the CPUs, and invalid values are rejected
-    at engine construction.
-    """
+    """Sweep the coalescing window over a stream of consecutive batches."""
     reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    engine = QueryEngine(
-        ExmaBackend(table=ExmaTable(reference.sequence, k=k)),
-        shards=shards,
-        executor=executor,
-    )
+    engine = QueryEngine(ExmaBackend(table=ExmaTable(reference.sequence, k=k)))
     streams = _batch_streams(
         engine, reference.sequence, seed, batch_count, batch_size, query_length
     )
@@ -143,21 +130,14 @@ def run_fig15_window(
                 scheduled_batches=scheduled,
             )
         )
-    return Fig15Result(
-        rows=rows,
-        batch_count=batch_count,
-        batch_size=batch_size,
-        shards=engine.shards,
-        executor=engine.executor,
-    )
+    return Fig15Result(rows=rows, batch_count=batch_count, batch_size=batch_size)
 
 
 def format_fig15(result: Fig15Result) -> str:
     """Render the window sweep table."""
     lines = [
         "Fig. 15 - coalescing-window sweep "
-        f"({result.batch_count} batches x {result.batch_size} queries, "
-        f"shards={result.shards}/{result.executor})"
+        f"({result.batch_count} batches x {result.batch_size} queries)"
     ]
     lines.append(
         f"{'W':>3s} {'windows':>8s} {'pre':>8s} {'post':>8s} {'merge':>7s} {'CAM batches':>12s}"

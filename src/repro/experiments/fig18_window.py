@@ -134,8 +134,6 @@ def run_fig18_window(
     query_length: int = 48,
     use_index: bool = True,
     mtl_epochs: int = 60,
-    replay_workers: int = 1,
-    replay_executor: str = "thread",
 ) -> Fig18WindowResult:
     """Sweep the window capacity through the full accelerator pipeline.
 
@@ -147,13 +145,6 @@ def run_fig18_window(
     — the request-at-a-time object path — and the W=1 row is required to
     match it flush by flush, so the sweep doubles as an object-vs-columnar
     equivalence gate.
-
-    *replay_workers*/*replay_executor* pass straight through to
-    :meth:`~repro.accel.exma_accelerator.ExmaAccelerator.run_windowed`:
-    with workers > 1 every capacity's flush epochs fan across the
-    persistent replay pool — and because the anchor comparison and the
-    sweep rows still demand field-for-field equality, the experiment
-    doubles as an end-to-end parallel-replay gate.
     """
     reference = build_dataset("human", simulated_length=genome_length, seed=seed)
     table = ExmaTable(reference.sequence, k=k)
@@ -206,12 +197,7 @@ def run_fig18_window(
     runs: dict[int, WindowedRunResult] = {}
     w1_matches = True
     for window in windows:
-        result = accelerator.run_windowed(
-            streams,
-            window=window,
-            replay_workers=replay_workers,
-            executor=replay_executor,
-        )
+        result = accelerator.run_windowed(streams, window=window)
         runs[window] = result
         rows.append(_row(window, result))
         if window == 1:

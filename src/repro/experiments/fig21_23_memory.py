@@ -112,11 +112,6 @@ class CompressionComparison:
     measured_bdi_ratio: float
     measured_chain_ratio: float
 
-    @property
-    def lisa_to_exma_original_ratio(self) -> float:
-        """How much larger LISA-21 is than EXMA-15 before compression."""
-        return self.lisa_original_gb / max(self.exma_original_gb, 1e-9)
-
 
 def run_fig23(
     dataset: str = "pinus", genome_length: int = 40_000, k: int = 6, seed: int = 0

@@ -148,7 +148,7 @@ def _load_flags(parser, rate: float, duration: float) -> None:
 
 
 def add_sharding_flags(parser: argparse.ArgumentParser) -> None:
-    """The parallel-search knobs shared by search, serve and fig15-window."""
+    """The parallel-search knobs shared by search and serve."""
     parser.add_argument(
         "--shards",
         type=int,
@@ -240,7 +240,6 @@ def _dse_flags(parser) -> None:
 def _fig15_window_flags(parser) -> None:
     _reference_flags(parser)
     _window_flag(parser)
-    add_sharding_flags(parser)
 
 
 def _fig18_window_flags(parser) -> None:
@@ -248,13 +247,6 @@ def _fig18_window_flags(parser) -> None:
     _window_flag(parser)
     parser.add_argument("--batch-count", type=int, default=16, help="consecutive query batches")
     _query_flags(parser, 64)
-    parser.add_argument(
-        "--replay-workers",
-        type=int,
-        default=1,
-        help="replay-pool workers (default: 1, serial)",
-    )
-    _replay_executor_flag(parser, "replay_executor")
 
 
 def _shard_scaling_flags(parser) -> None:

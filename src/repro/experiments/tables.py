@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..accel.baselines import standard_accelerator_suite
 from ..accel.config import DEFAULT_CPU_CONFIG
-from ..accel.metrics import SearchThroughput
 from ..hw.dram import DDR4Config
 from ..hw.energy import (
     EXMA_ACCELERATOR_AREA_MM2,
@@ -109,17 +108,3 @@ def format_table2(rows: list[Table2Row]) -> str:
             f"{row.mbase_per_second_per_watt:8.2f}"
         )
     return "\n".join(lines)
-
-
-def table2_throughputs(rows: list[Table2Row]) -> dict[str, SearchThroughput]:
-    """Convert Table II rows back into throughput records (for tests)."""
-    return {
-        row.name: SearchThroughput(
-            name=row.name,
-            bases_processed=int(row.mbase_per_second * 1e6),
-            seconds=1.0,
-            accelerator_power_w=row.acc_power_w,
-            dram_power_w=row.mem_power_w,
-        )
-        for row in rows
-    }

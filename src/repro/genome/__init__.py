@@ -1,90 +1,15 @@
 """Genome substrate: alphabet, synthetic references, I/O, read simulators."""
 
-from .alphabet import (
-    DNA_ALPHABET,
-    FULL_ALPHABET,
-    SENTINEL,
-    AlphabetError,
-    decode,
-    encode,
-    gc_content,
-    iter_kmers,
-    kmer_count,
-    pack_kmer,
-    reverse_complement,
-    unpack_kmer,
-    validate,
-)
-from .datasets import (
-    DATASETS,
-    HUMAN,
-    PICEA,
-    PINUS,
-    DatasetProfile,
-    build_all_datasets,
-    build_dataset,
-)
-from .io import (
-    FastaRecord,
-    FastqRecord,
-    FormatError,
-    read_fasta,
-    read_fastq,
-    write_fasta,
-    write_fastq,
-)
-from .reads import (
-    ILLUMINA,
-    ONT_2D,
-    PACBIO,
-    PROFILES,
-    ErrorProfile,
-    ReadSimulator,
-    SimulatedRead,
-    simulate_long_reads,
-    simulate_short_reads,
-)
-from .sequence import Reference, RepeatProfile, VariantModel, random_genome
+from .datasets import build_dataset
+from .reads import ILLUMINA, PACBIO, ReadSimulator, simulate_short_reads
+from .sequence import VariantModel, random_genome
 
 __all__ = [
-    "DNA_ALPHABET",
-    "FULL_ALPHABET",
-    "SENTINEL",
-    "AlphabetError",
-    "decode",
-    "encode",
-    "gc_content",
-    "iter_kmers",
-    "kmer_count",
-    "pack_kmer",
-    "reverse_complement",
-    "unpack_kmer",
-    "validate",
-    "DATASETS",
-    "HUMAN",
-    "PICEA",
-    "PINUS",
-    "DatasetProfile",
-    "build_all_datasets",
-    "build_dataset",
-    "FastaRecord",
-    "FastqRecord",
-    "FormatError",
-    "read_fasta",
-    "read_fastq",
-    "write_fasta",
-    "write_fastq",
     "ILLUMINA",
-    "ONT_2D",
     "PACBIO",
-    "PROFILES",
-    "ErrorProfile",
     "ReadSimulator",
-    "SimulatedRead",
-    "simulate_long_reads",
-    "simulate_short_reads",
-    "Reference",
-    "RepeatProfile",
     "VariantModel",
+    "build_dataset",
     "random_genome",
+    "simulate_short_reads",
 ]

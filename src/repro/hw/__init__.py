@@ -1,68 +1,1 @@
 """Hardware substrate: DRAM, caches, CAM, schedulers, PE arrays, energy."""
-
-from .cache import CacheStats, SetAssociativeCache, simulate_lru_hits
-from .cam import CamConfig, SchedulingQueue
-from .dram import (
-    BURST_BYTES,
-    DDR4Config,
-    DRAMEnergyModel,
-    DRAMModel,
-    DRAMStats,
-    MemoryRequest,
-    MemoryTrace,
-    PagePolicy,
-    rows_for_bytes,
-)
-from .energy import (
-    CPU_POWER_W,
-    DRAM_SYSTEM_POWER_W,
-    EXMA_ACCELERATOR_AREA_MM2,
-    EXMA_ACCELERATOR_LEAKAGE_W,
-    EXMA_COMPONENTS,
-    ComponentSpec,
-    EnergyLedger,
-    SystemEnergyBreakdown,
-)
-from .pe_array import InferenceCost, InferenceEngine, PEArrayConfig
-from .scheduler import (
-    FrFcfsScheduler,
-    ScheduledBatch,
-    TwoStageScheduler,
-    keep_open_flags,
-    pair_requests_by_kmer,
-    scheduled_orders,
-)
-
-__all__ = [
-    "CacheStats",
-    "SetAssociativeCache",
-    "simulate_lru_hits",
-    "CamConfig",
-    "SchedulingQueue",
-    "BURST_BYTES",
-    "DDR4Config",
-    "DRAMEnergyModel",
-    "DRAMModel",
-    "DRAMStats",
-    "MemoryRequest",
-    "MemoryTrace",
-    "PagePolicy",
-    "rows_for_bytes",
-    "CPU_POWER_W",
-    "DRAM_SYSTEM_POWER_W",
-    "EXMA_ACCELERATOR_AREA_MM2",
-    "EXMA_ACCELERATOR_LEAKAGE_W",
-    "EXMA_COMPONENTS",
-    "ComponentSpec",
-    "EnergyLedger",
-    "SystemEnergyBreakdown",
-    "InferenceCost",
-    "InferenceEngine",
-    "PEArrayConfig",
-    "FrFcfsScheduler",
-    "ScheduledBatch",
-    "TwoStageScheduler",
-    "keep_open_flags",
-    "pair_requests_by_kmer",
-    "scheduled_orders",
-]

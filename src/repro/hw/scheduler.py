@@ -24,11 +24,10 @@ whole packed request stream with one packed-key stable argsort per stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..engine.window import CoalescingWindow
 from ..exma.search import OccRequest
 from .cam import CamConfig, SchedulingQueue
 
@@ -100,42 +99,6 @@ class TwoStageScheduler:
             queue.sort_by_pos()
             stage2 = tuple(queue.drain())
             yield ScheduledBatch(stage1=stage1, stage2=stage2)
-
-
-class RequestScheduler(Protocol):
-    """What both schedulers expose (for windowed scheduling helpers)."""
-
-    def schedule(self, requests: Iterable[OccRequest]) -> Iterator[ScheduledBatch]:
-        ...
-
-
-def schedule_windowed(
-    scheduler: RequestScheduler,
-    batch_streams: Iterable[Sequence[OccRequest]],
-    window: int | CoalescingWindow = 1,
-) -> Iterator[ScheduledBatch]:
-    """Schedule consecutive batch streams through a coalescing window.
-
-    The object-path twin of the windowed replay, kept for the test suite
-    and exploratory use: the window merges the streams array-side, and
-    request objects materialise here, at the CAM boundary, as the
-    schedulers iterate each flush's lazy ``requests`` view.  Each unique
-    ``(k-mer, pos)`` pair of a window is scheduled exactly once (the
-    Fig. 15 sweep knob).  *window* may be a capacity or a prebuilt window
-    instance.  The production pipeline never takes this path — the
-    accelerator's columnar replay orders each flush's packed arrays with
-    :func:`scheduled_orders`; for the full pipeline with per-flush
-    cycle/energy accounting, see :meth:`repro.accel.exma_accelerator
-    .ExmaAccelerator.run_stream`.
-    """
-    if isinstance(window, int):
-        window = CoalescingWindow(window)
-
-    def merged() -> Iterator[OccRequest]:
-        for flushed in window.stream(batch_streams):
-            yield from flushed.requests
-
-    yield from scheduler.schedule(merged())
 
 
 def _batch_major(batch_of: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -1,36 +1,5 @@
 """Index substrate: suffix arrays, BWT, FM-Index (1-step and k-step)."""
 
-from .bwt import bwt, bwt_from_suffix_array, inverse_bwt, run_length_encode
-from .fmindex import (
-    DEFAULT_BUCKET_WIDTH,
-    FMIndex,
-    Interval,
-    SearchTrace,
-    Seed,
-    fm_index_size_bytes,
-)
-from .kstep import KStepFMIndex, KStepStats, kstep_size_bytes
-from .sampled_sa import SampledSuffixArray, sampled_sa_size_bytes
-from .suffix_array import inverse_suffix_array, lcp_array, naive_suffix_array, suffix_array
+from .fmindex import FMIndex
 
-__all__ = [
-    "bwt",
-    "bwt_from_suffix_array",
-    "inverse_bwt",
-    "run_length_encode",
-    "DEFAULT_BUCKET_WIDTH",
-    "FMIndex",
-    "Interval",
-    "SearchTrace",
-    "Seed",
-    "fm_index_size_bytes",
-    "KStepFMIndex",
-    "KStepStats",
-    "kstep_size_bytes",
-    "SampledSuffixArray",
-    "sampled_sa_size_bytes",
-    "inverse_suffix_array",
-    "lcp_array",
-    "naive_suffix_array",
-    "suffix_array",
-]
+__all__ = ["FMIndex"]

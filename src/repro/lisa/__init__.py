@@ -1,16 +1,1 @@
 """LISA substrate: IP-BWT, recursive-model learned index, LISA search."""
-
-from .ipbwt import IPBWT, IPBWTEntry, lisa_size_bytes
-from .learned_index import LinearModel, PredictionStats, RecursiveModelIndex
-from .search import LisaIndex, LisaSearchStats
-
-__all__ = [
-    "IPBWT",
-    "IPBWTEntry",
-    "lisa_size_bytes",
-    "LinearModel",
-    "PredictionStats",
-    "RecursiveModelIndex",
-    "LisaIndex",
-    "LisaSearchStats",
-]

@@ -12,47 +12,19 @@ open-loop Poisson/bursty/Zipfian load generation the serving benchmark
 """
 
 from .loadgen import (
-    Arrival,
-    OpenLoopResult,
     bursty_schedule,
     make_schedule,
     poisson_schedule,
     rate_ladder,
     run_open_loop,
     sample_query_pool,
-    zipfian_picks,
 )
-from .service import (
-    AdmissionRejected,
-    QueryCancelled,
-    QueryFailed,
-    QueryOutcome,
-    QueryService,
-    ReplayFailed,
-    SearchFailed,
-    ServingConfig,
-    ServingStats,
-    TenantQueues,
-    Ticket,
-    percentile,
-)
-from .workers import BatcherWorker
+from .service import AdmissionRejected, QueryService, ServingConfig, percentile
 
 __all__ = [
     "AdmissionRejected",
-    "Arrival",
-    "BatcherWorker",
-    "OpenLoopResult",
-    "QueryCancelled",
-    "QueryFailed",
-    "QueryOutcome",
     "QueryService",
-    "ReplayFailed",
-    "SearchFailed",
     "ServingConfig",
-    "ServingStats",
-    "TenantQueues",
-    "Ticket",
     "bursty_schedule",
     "make_schedule",
     "percentile",
@@ -60,5 +32,4 @@ __all__ = [
     "rate_ladder",
     "run_open_loop",
     "sample_query_pool",
-    "zipfian_picks",
 ]

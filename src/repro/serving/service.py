@@ -44,6 +44,7 @@ p50/p99 (:mod:`repro.experiments.serving`).
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import time
 from array import array
@@ -227,23 +228,23 @@ class ServingConfig:
     name: str = "EXMA-serving"
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        counts = ("max_batch", "queue_capacity", "window", "workers", "replay_workers",
+                  "stats_retention")
+        for name in counts:
+            check_workers(getattr(self, name), name)
         if self.max_delay <= 0:
             raise ValueError("max_delay must be > 0")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
         if self.idle_timeout <= 0:
             raise ValueError("idle_timeout must be > 0")
-        check_workers(self.workers, "workers")
-        check_workers(self.replay_workers, "replay_workers")
         check_executor(self.replay_executor)
-        if self.stats_retention < 1:
-            raise ValueError("stats_retention must be >= 1")
-        if self.replay_retries < 0:
-            raise ValueError("replay_retries must be >= 0")
+        # The one count that may be 0: check_workers' integer test, floor 0.
+        retries = self.replay_retries
+        try:
+            valid = not isinstance(retries, bool) and operator.index(retries) >= 0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"replay_retries must be an integer >= 0, got {retries!r}")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
         if self.replay_timeout is not None and self.replay_timeout <= 0:

@@ -33,11 +33,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig
-from repro.accel import exma_accelerator
-from repro.engine import CoalescingWindow, QueryEngine, create_backend
-from repro.engine.window import WindowedBatch
-from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend
+from repro.accel import ExmaAccelerator, exma_accelerator
+from repro.accel.config import ExmaAcceleratorConfig
+from repro.engine import QueryEngine
+from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend, create_backend
+from repro.engine.window import CoalescingWindow, WindowedBatch
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.search import OccRequest
 from repro.exma.table import ExmaTable

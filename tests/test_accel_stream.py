@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig
+from repro.accel import ExmaAccelerator
+from repro.accel.config import ExmaAcceleratorConfig
 from repro.accel.baselines import (
     CpuThroughputModel,
     SoftwareAlgorithm,
     exma_analytic_model,
     stream_merge_ratio,
 )
-from repro.engine import CoalescingWindow, QueryEngine, create_backend
-from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend
+from repro.engine import QueryEngine
+from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend, create_backend
+from repro.engine.window import CoalescingWindow
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
 from repro.lisa.search import LisaIndex

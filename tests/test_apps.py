@@ -21,7 +21,8 @@ from repro.apps.pipeline import (
     default_breakdown_model,
     run_application,
 )
-from repro.engine import FMIndexBackend, ShardedQueryEngine
+from repro.engine.backends import FMIndexBackend
+from repro.engine.sharded import ShardedQueryEngine
 from repro.genome.datasets import build_dataset
 from repro.genome.reads import ILLUMINA, PACBIO, ReadSimulator
 from repro.genome.sequence import random_genome
@@ -351,7 +352,8 @@ class TestWindowedAppPaths:
         assert annotator.flush_window() is None  # nothing pending
 
     def test_windowed_flushes_feed_the_accelerator(self, reference):
-        from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig
+        from repro.accel import ExmaAccelerator
+        from repro.accel.config import ExmaAcceleratorConfig
         from repro.exma.table import ExmaTable
 
         fm = FMIndex(reference)

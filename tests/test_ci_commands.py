@@ -2,8 +2,10 @@
 every ``python -m repro.cli …`` command line in ``ci.yml`` (matrix rows
 expanded) through the real argument parser, and every ``--gate`` spec
 through ``ci_gates.parse_spec``, the gate registry and — for ``pins`` —
-the floor parser.  Renaming a flag, an experiment or a gate without
-updating CI fails here first.
+the floor parser.  The same checks cover the commands the documentation
+tells a reader to run: every such line in the bash blocks of
+``README.md`` and the verify skill.  Renaming a flag, an experiment or a
+gate without updating CI or the docs fails here first.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from repro.cli import build_parser
 
 yaml = pytest.importorskip("yaml")
 
-CI_YML = pathlib.Path(__file__).resolve().parent.parent / ".github" / "workflows" / "ci.yml"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CI_YML = ROOT / ".github" / "workflows" / "ci.yml"
+DOCS = (ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
 
 
 def _command_lines() -> list[tuple[str, list[str]]]:
@@ -44,25 +48,46 @@ def _command_lines() -> list[tuple[str, list[str]]]:
     return lines
 
 
+def _doc_command_lines() -> list[tuple[str, list[str]]]:
+    """Every line of the docs' bash blocks, as (file, tokens), backslash
+    continuations joined."""
+    lines = []
+    for path in DOCS:
+        blocks = re.findall(r"^[ \t]*```bash\n(.*?)^[ \t]*```", path.read_text(), re.S | re.M)
+        for block in blocks:
+            text = re.sub(r"\\\n", " ", block)
+            lines.extend((path.name, shlex.split(line, comments=True)) for line in text.splitlines())
+    return lines
+
+
 def _after(tokens: list[str], marker: str) -> "list[str] | None":
     return tokens[tokens.index(marker) + 1 :] if marker in tokens else None
 
 
+def _cli_commands(command_lines) -> list:
+    return [
+        pytest.param(argv, id=f"{label}: {' '.join(argv[:2])}")
+        for label, tokens in command_lines
+        if (argv := _after(tokens, "repro.cli")) is not None
+    ]
+
+
+def _gate_specs(command_lines) -> list:
+    return [
+        pytest.param(spec, id=f"{label}: {spec}")
+        for label, tokens in command_lines
+        if (argv := _after(tokens, "scripts/ci_gates.py")) is not None
+        for flag, spec in zip(argv, argv[1:])
+        if flag == "--gate"
+    ]
+
+
 COMMAND_LINES = _command_lines()
-
-CLI_COMMANDS = [
-    pytest.param(argv, id=f"{label}: {' '.join(argv[:2])}")
-    for label, tokens in COMMAND_LINES
-    if (argv := _after(tokens, "repro.cli")) is not None
-]
-
-GATE_SPECS = [
-    pytest.param(spec, id=f"{label}: {spec}")
-    for label, tokens in COMMAND_LINES
-    if (argv := _after(tokens, "scripts/ci_gates.py")) is not None
-    for flag, spec in zip(argv, argv[1:])
-    if flag == "--gate"
-]
+CLI_COMMANDS = _cli_commands(COMMAND_LINES)
+GATE_SPECS = _gate_specs(COMMAND_LINES)
+DOC_LINES = _doc_command_lines()
+DOC_CLI_COMMANDS = _cli_commands(DOC_LINES)
+DOC_GATE_SPECS = _gate_specs(DOC_LINES)
 
 
 def test_ci_runs_every_record_bearing_experiment_and_gate(ci_gates):
@@ -96,7 +121,20 @@ def test_ci_cli_command_parses(argv):
     assert args.json, "every experiment CI runs records its result"
 
 
-@pytest.mark.parametrize("spec", GATE_SPECS)
+def test_docs_hold_commands():
+    """The extraction found commands in both documents."""
+    assert {label for label, tokens in DOC_LINES if "repro.cli" in tokens} == {
+        path.name for path in DOCS
+    }
+    assert DOC_GATE_SPECS
+
+
+@pytest.mark.parametrize("argv", DOC_CLI_COMMANDS)
+def test_doc_cli_command_parses(argv):
+    build_parser().parse_args(argv)  # argparse exits (SystemExit 2) on a stale flag
+
+
+@pytest.mark.parametrize("spec", GATE_SPECS + DOC_GATE_SPECS)
 def test_ci_gate_spec_resolves(spec, ci_gates):
     name, _record, options = ci_gates.parse_spec(spec)
     assert name in ci_gates.GATES

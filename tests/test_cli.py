@@ -165,15 +165,16 @@ class TestShardingFlags:
         assert [line for line in sharded_out.splitlines() if not line.startswith("sharded:")] \
             == serial_out.splitlines()
 
-    def test_parser_accepts_window_and_sharding_flags(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["experiment", "fig15-window", "--window", "4", "--shards", "2",
-             "--executor", "process"]
-        )
+    def test_parser_accepts_window_flag(self):
+        args = build_parser().parse_args(["experiment", "fig15-window", "--window", "4"])
         assert args.windows == (1, 2, 4)
-        assert args.shards == 2
-        assert args.executor == "process"
+        # The sweeps' outputs do not depend on how the host runs them, so
+        # neither takes a parallelism flag.
+        for argv in (["fig15-window", "--shards", "2"], ["fig15-window", "--executor", "thread"],
+                     ["fig18-window", "--replay-workers", "2"],
+                     ["fig18-window", "--replay-executor", "thread"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["experiment", *argv])
 
     @pytest.mark.parametrize(
         "argv, attribute, default",
@@ -183,9 +184,6 @@ class TestShardingFlags:
             (["serve"], "shards", 1),
             (["serve"], "replay_workers", 1),
             (["serve"], "replay_executor", "thread"),
-            (["experiment", "fig15-window"], "executor", "thread"),
-            (["experiment", "fig18-window"], "replay_workers", 1),
-            (["experiment", "fig18-window"], "replay_executor", "thread"),
         ],
     )
     def test_parallel_defaults_are_serial_literals(self, argv, attribute, default):

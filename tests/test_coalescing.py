@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import (
+from repro.engine.backends import ExmaBackend, FMIndexBackend
+from repro.engine.coalesce import (
     BatchStats,
     BatchTrace,
-    ExmaBackend,
-    FMIndexBackend,
     RequestStream,
     TailContribution,
     coalesce_requests,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import ExmaAcceleratorConfig
+from repro.accel.config import ExmaAcceleratorConfig
 from repro.accel.configspace import (
     AXES,
     ConfigPoint,
@@ -25,8 +25,8 @@ from repro.accel.configspace import (
     point_to_dict,
 )
 from repro.experiments import dse as dse_module
-from repro.experiments import run_dse, write_record
-from repro.experiments.dse import FrontierPoint
+from repro.experiments import write_record
+from repro.experiments.dse import FrontierPoint, run_dse
 from repro.hw.dram import PagePolicy
 
 #: Cache geometry fields that must be powers of two.

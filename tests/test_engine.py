@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import (
-    ExmaBackend,
-    FMIndexBackend,
-    LisaBackend,
-    QueryEngine,
-    available_backends,
-    create_backend,
-)
+from repro.engine import QueryEngine, available_backends
+from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend, create_backend
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.search import ExmaSearch
 from repro.exma.table import ExmaTable

@@ -11,7 +11,6 @@ import pytest
 
 from repro.experiments import (
     build_workload,
-    exma_size_sweep,
     run_fig1,
     run_fig6,
     run_fig10,
@@ -24,8 +23,9 @@ from repro.experiments import (
     run_fig23,
     run_table1,
     run_table2,
-    sample_queries,
 )
+from repro.experiments.common import sample_queries
+from repro.experiments.fig10_exma_tradeoff import exma_size_sweep
 
 pytestmark = pytest.mark.slow  # regenerates every experiment end-to-end
 

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig, ParallelReplay
-from repro.engine import CoalescingWindow, QueryEngine, create_backend
-from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend
+from repro.accel import ExmaAccelerator
+from repro.accel.config import ExmaAcceleratorConfig
+from repro.accel.parallel import ParallelReplay
+from repro.engine import QueryEngine
+from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend, create_backend
+from repro.engine.window import CoalescingWindow
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
 from repro.lisa.search import LisaIndex

@@ -21,18 +21,16 @@ import pytest
 from repro.accel.configspace import baseline_point
 from repro.cli import build_parser
 from repro.experiments import (
-    EXPERIMENTS,
-    Record,
     accel_replay,
     chaos,
     dse,
-    experiment_named,
     fig15_window,
     fig18_window,
-    row_dict,
     serving,
     write_record,
 )
+from repro.experiments.record import Record, row_dict
+from repro.experiments.registry import EXPERIMENTS, experiment_named
 from repro.runtime import host_block
 
 

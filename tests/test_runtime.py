@@ -10,18 +10,26 @@ message, instead of truncating it or failing inside the first batch.
 from __future__ import annotations
 
 import ast
+import importlib
+import os
 import pathlib
+import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import repro
 from repro import runtime
-from repro.accel import ExmaAccelerator, ParallelReplay
-from repro.engine import QueryEngine, ShardedQueryEngine
+from repro.accel import ExmaAccelerator
+from repro.accel.parallel import ParallelReplay
+from repro.engine import QueryEngine
 from repro.engine.backends import FMIndexBackend
+from repro.engine.sharded import ShardedQueryEngine
+from repro.engine.window import CoalescingWindow
 from repro.exma.table import ExmaTable
-from repro.experiments import run_dse
+from repro.experiments.dse import run_dse
 from repro.serving import ServingConfig
 
 
@@ -126,14 +134,39 @@ class TestValidateAtTheDoor:
         with pytest.raises(ValueError, match="must be an integer >= 1, got 0"):
             build(workers=0)
 
-    @pytest.mark.parametrize("count", [-1, 1.5, 2.9, True, False, None, "2"])
-    @pytest.mark.parametrize("owner", OWNERS)
+    #: Counts that take no executor, each with its floor.
+    COUNTS = {
+        "ServingConfig.max_batch": (lambda n: ServingConfig(max_batch=n), 1),
+        "ServingConfig.queue_capacity": (lambda n: ServingConfig(queue_capacity=n), 1),
+        "ServingConfig.window": (lambda n: ServingConfig(window=n), 1),
+        "ServingConfig.stats_retention": (lambda n: ServingConfig(stats_retention=n), 1),
+        "ServingConfig.replay_retries": (lambda n: ServingConfig(replay_retries=n), 0),
+        "CoalescingWindow": (CoalescingWindow, 1),
+    }
+
+    @pytest.mark.parametrize("count", [-1, 0.5, 1.5, 2.5, 2.9, True, False, None, "2"])
+    @pytest.mark.parametrize("owner", OWNERS + list(COUNTS))
     def test_non_integral_counts_rejected_not_truncated(self, owner, count):
         """Regression: ``int(count)`` used to let ``shards=2.9`` run 2
         shards and ``ServingConfig(workers=1.5)`` (or ``"2"``) validate,
-        only for ``QueryService`` to die later in ``range()``."""
-        with pytest.raises(ValueError, match=f"must be an integer >= 1, got {count!r}"):
-            self.owners()[owner](workers=count)
+        only for ``QueryService`` to die later in ``range()``; and a bare
+        ``< 1`` check let ``ServingConfig(max_batch=2.5)`` form batches of
+        3, ``replay_retries=0.5`` fail every flush inside its retry loop
+        and ``CoalescingWindow(True)`` build a window of one."""
+        if owner in self.COUNTS:
+            build, floor = self.COUNTS[owner]
+        else:
+            build, floor = (lambda n: self.owners()[owner](workers=n)), 1
+        with pytest.raises(ValueError, match=f"must be an integer >= {floor}, got {count!r}"):
+            build(count)
+
+    def test_numpy_integer_counts_accepted(self):
+        config = ServingConfig(
+            max_batch=np.int64(8), queue_capacity=np.int32(16), window=np.int64(2),
+            stats_retention=np.int64(4), replay_retries=np.int64(0),
+        )
+        assert (config.max_batch, config.window, config.replay_retries) == (8, 2, 0)
+        assert CoalescingWindow(np.int64(3)).capacity == 3
 
 
 class TestPoolInlineAtSizeOne:
@@ -206,8 +239,10 @@ class TestLayering:
         """Only the engines, the accelerator and the replay driver own a
         pool: an application layers over ``search_batch`` and never
         carries a second one of its own."""
-        import repro.apps  # noqa: F401 - defines every package class
-        import repro.serving  # noqa: F401
+        # ``import repro`` imports no subpackage: import every module so a
+        # new owner anywhere is seen.
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
 
         def subclasses(cls):
             for sub in cls.__subclasses__():
@@ -228,3 +263,82 @@ class TestLayering:
         for module in (repro.engine, repro.engine.sharded):
             for name in runtime.__all__:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestSurface:
+    """Every export has a reader: a subpackage's ``__init__`` names only
+    what some reader outside the package imports through its path, and
+    the scripts outside ``src/`` reach the package through those paths
+    (``bench/`` excepted: it wraps deep module paths by design)."""
+
+    SRC = TestLayering.SRC
+    ROOT = pathlib.Path(__file__).resolve().parents[1]
+    PACKAGES = sorted(path.parent.name for path in SRC.glob("*/__init__.py"))
+    #: Top-level modules a script outside ``src/`` may import.
+    MODULES = ("testing", "runtime", "cli")
+
+    def _scripts(self, *folders: str):
+        return [path for folder in folders for path in sorted((self.ROOT / folder).rglob("*.py"))]
+
+    @staticmethod
+    def _imports(path: pathlib.Path, package: tuple[str, ...] | None):
+        """``(module, names)`` of every ``from`` import in *path*; relative
+        ones resolved against *package* (``None``: a script, none)."""
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0:
+                module = node.module
+            elif package is None:
+                continue
+            else:
+                base = package[: len(package) - node.level + 1]
+                module = ".".join(base + ((node.module,) if node.module else ()))
+            yield module, [alias.name for alias in node.names]
+
+    def test_every_export_has_a_non_test_reader(self):
+        read: dict[str, set[str]] = {name: set() for name in self.PACKAGES}
+        readers = [(path, None) for path in self._scripts("examples", "benchmarks", "bench")]
+        readers += [
+            (path, path.relative_to(self.SRC.parent).with_suffix("").parts[:-1])
+            for path in self.SRC.rglob("*.py")
+        ]
+        for path, package in readers:
+            for module, names in self._imports(path, package):
+                parts = (module or "").split(".")
+                if len(parts) == 2 and parts[0] == "repro" and parts[1] in read:
+                    if package is None or package[1:2] != (parts[1],):
+                        read[parts[1]].update(names)
+        unread = {
+            name: sorted(set(getattr(importlib.import_module(f"repro.{name}"), "__all__", ()))
+                         - read[name])
+            for name in self.PACKAGES
+        }
+        assert not any(unread.values()), unread
+
+    def test_scripts_import_only_the_package_paths(self):
+        allowed = {"repro"} | {f"repro.{name}" for name in (*self.PACKAGES, *self.MODULES)}
+        offenders = []
+        for path in self._scripts("examples", "benchmarks"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(self.ROOT)}: {module}"
+                    for module in modules
+                    if module.split(".")[0] == "repro" and module not in allowed
+                ]
+        assert not offenders, offenders
+
+    def test_importing_repro_imports_no_subpackage(self):
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('repro.')))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(self.SRC.parent)},
+        )
+        assert loaded.stdout.strip() == "[]"

@@ -27,18 +27,15 @@ from repro.serving import (
     AdmissionRejected,
     QueryService,
     ServingConfig,
-    ServingStats,
-    TenantQueues,
-    Ticket,
     bursty_schedule,
     make_schedule,
     percentile,
     poisson_schedule,
     run_open_loop,
     sample_query_pool,
-    zipfian_picks,
 )
-from repro.serving.service import _Pending
+from repro.serving.loadgen import zipfian_picks
+from repro.serving.service import ServingStats, TenantQueues, Ticket, _Pending
 from repro.testing import random_queries
 
 #: Generous join/result timeout: everything here is toy-scale.

@@ -17,20 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel import ExmaAccelerator
-from repro.engine import (
-    BatchStats,
+from repro.engine import QueryEngine
+from repro.engine.backends import (
     ExmaBackend,
     FMIndexBackend,
     LisaBackend,
-    QueryEngine,
     SearchBackend,
-    ShardedQueryEngine,
     create_backend,
+)
+from repro.engine.coalesce import BatchStats, BatchTrace
+from repro.engine.sharded import (
+    ShardedQueryEngine,
     merge_shard_stats,
     run_sharded_batch,
     split_shards,
 )
-from repro.engine.coalesce import BatchTrace
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
 from repro.genome.sequence import random_genome

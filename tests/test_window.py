@@ -16,11 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import CoalescingWindow, coalesce_requests, windowed_request_stream
-from repro.engine.window import WindowedBatch
+from repro.engine.coalesce import RequestStream, coalesce_requests
+from repro.engine.window import CoalescingWindow, WindowedBatch
 from repro.exma.search import OccRequest
-from repro.hw.cam import CamConfig
-from repro.hw.scheduler import FrFcfsScheduler, TwoStageScheduler, schedule_windowed
 
 
 def R(kmer: int, pos: int) -> OccRequest:
@@ -70,7 +68,7 @@ class TestWindowOracle:
         # Disjoint batches: merging buys nothing, but costs nothing either.
         first = [R(1, 1)]
         second = [R(2, 2)]
-        _, flushes = windowed_request_stream([first, second], capacity=2)
+        flushes = list(CoalescingWindow(2).stream([first, second]))
         assert sum(f.unique for f in flushes) == 2 == len(first) + len(second)
 
     def test_flush_emits_trailing_partial_window(self):
@@ -95,8 +93,6 @@ class TestWindowOracle:
         pushing ``stats.requests`` and then searching another batch into
         the same stats object may not leak the later requests into the
         flushed window."""
-        from repro.engine import RequestStream
-
         stream = RequestStream()
         stream.append_step(np.array([1 * 10 + 0, 2 * 10 + 5]), 10)
         window = CoalescingWindow(capacity=4)
@@ -120,8 +116,6 @@ class TestColumnarFlush:
     """The flush path never materialises request objects."""
 
     def test_flush_stays_columnar_until_requests_accessed(self):
-        from repro.engine import RequestStream
-
         stream = RequestStream()
         stream.append_step(np.array([1 * 10 + 0, 2 * 10 + 5]), 10)
         flushed = CoalescingWindow(1).push(stream)
@@ -145,8 +139,6 @@ class TestColumnarFlush:
         assert merged.issued == 5
 
     def test_mixed_span_chunks_rebase_onto_widest_span(self):
-        from repro.engine import RequestStream
-
         narrow = RequestStream()
         narrow.append_step(np.array([2 * 4 + 3]), 4)  # (2, 3) with span 4
         wide = RequestStream()
@@ -160,8 +152,6 @@ class TestColumnarFlush:
         assert merged.requests == (R(2, 3), R(5, 7))
 
     def test_mixed_span_merge_equals_pairwise_dedupe(self):
-        from repro.engine import RequestStream
-
         # Three batches, several chunks each, packed under spans 8, 50 and
         # 1000, with pairs repeated inside a chunk, across chunks and
         # across spans: the merge must equal the sorted set of pairs.
@@ -201,38 +191,6 @@ class TestColumnarFlush:
         assert list(flushed) == [R(1, 1), R(4, 2)]
 
 
-class TestScheduleWindowed:
-    """The hw schedulers consume windowed streams."""
-
-    BATCHES = [[R(3, 0), R(7, 4), R(3, 0)], [R(3, 0), R(1, 2)], [R(5, 5)]]
-
-    def test_frfcfs_consumes_post_merge_stream(self):
-        scheduled = list(
-            schedule_windowed(FrFcfsScheduler(CamConfig(entries=4)), self.BATCHES, window=3)
-        )
-        requests = [r for batch in scheduled for r in batch.stage1]
-        # One window of 3 batches: unique pairs, (kmer, pos)-sorted.
-        assert requests == [R(1, 2), R(3, 0), R(5, 5), R(7, 4)]
-
-    def test_two_stage_scheduler_sees_fewer_requests_with_wider_window(self):
-        def scheduled_requests(window: int) -> int:
-            scheduler = TwoStageScheduler(CamConfig(entries=4))
-            return sum(
-                len(batch) for batch in schedule_windowed(scheduler, self.BATCHES, window)
-            )
-
-        assert scheduled_requests(1) == 5  # per-batch dedupe only
-        assert scheduled_requests(3) == 4  # cross-batch (3,0) merged
-        assert scheduled_requests(3) <= scheduled_requests(1)
-
-    def test_accepts_prebuilt_window(self):
-        window = CoalescingWindow(2)
-        scheduled = list(
-            schedule_windowed(FrFcfsScheduler(CamConfig(entries=8)), self.BATCHES, window)
-        )
-        assert sum(len(batch) for batch in scheduled) == 4
-
-
 # --------------------------------------------------------------------- #
 # Properties on arbitrary streams
 # --------------------------------------------------------------------- #
@@ -250,7 +208,7 @@ class TestWindowProperties:
     @settings(max_examples=60, deadline=None)
     def test_post_merge_counts_monotone_over_power_of_two_windows(self, stream):
         totals = [
-            sum(f.unique for f in windowed_request_stream(stream, capacity=w)[1])
+            sum(f.unique for f in CoalescingWindow(w).stream(stream))
             for w in (1, 2, 4, 8)
         ]
         assert totals == sorted(totals, reverse=True)
@@ -258,11 +216,9 @@ class TestWindowProperties:
     @given(stream=stream_strategy, capacity=st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
     def test_issued_requests_conserved_and_bounded(self, stream, capacity):
-        _, flushes = windowed_request_stream(stream, capacity=capacity)
+        flushes = list(CoalescingWindow(capacity).stream(stream))
         assert sum(f.issued for f in flushes) == sum(len(batch) for batch in stream)
-        per_batch_total = sum(
-            f.unique for f in windowed_request_stream(stream, capacity=1)[1]
-        )
+        per_batch_total = sum(f.unique for f in CoalescingWindow(1).stream(stream))
         assert sum(f.unique for f in flushes) <= per_batch_total
         for flushed in flushes:
             assert flushed.unique <= flushed.issued
@@ -274,7 +230,8 @@ class TestWindowProperties:
     @given(stream=stream_strategy)
     @settings(max_examples=30, deadline=None)
     def test_whole_stream_window_equals_global_dedupe(self, stream):
-        merged, flushes = windowed_request_stream(stream, capacity=len(stream))
+        flushes = list(CoalescingWindow(len(stream)).stream(stream))
         assert len(flushes) == 1
+        merged = flushes[0].requests
         expected = sorted({(r.packed_kmer, r.pos) for batch in stream for r in batch})
         assert [(r.packed_kmer, r.pos) for r in merged] == expected

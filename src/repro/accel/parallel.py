@@ -22,9 +22,9 @@ of which worker runs it).
 
 Scaling notes: with the *process* executor the epochs escape the GIL
 outright.  With the *thread* executor the replay scales only as far as
-the per-epoch code releases the GIL — mostly numpy kernels, plus the
-DRAM/cache scalar recurrences when the optional numba fast paths
-(:mod:`repro.hw.jit`) are compiled (``nogil=True``).
+the per-epoch code releases the GIL — the numpy kernels.  The DRAM bus
+recurrence runs compiled (:mod:`repro.hw.native`) but keeps the GIL: at
+a few ns a request it is no longer a serial fraction worth releasing.
 """
 
 from __future__ import annotations

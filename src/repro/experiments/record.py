@@ -7,7 +7,7 @@ file::
 
     {
       "benchmark": "window_capacity",
-      "host":      {...},                 # runtime.host_block(), stamped here
+      "host":      {...},                 # runtime.host_block() + compiled_recurrence
       "workload":  {...},
       "headlines": [{"name": ..., "value": ..., "kind": "bool|higher|lower"}],
       "<section>": ...,                   # e.g. "unwindowed", "frontier", "sweep"
@@ -33,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from ..hw.native import kernel_active
 from ..runtime import host_block
 
 __all__ = ["KINDS", "Record", "finite_positive", "row_dict", "write_record"]
@@ -88,7 +89,8 @@ class Record:
         return [name for name, value, kind in self.headlines if kind == "bool" and not value]
 
     def envelope(self) -> dict:
-        """The JSON-ready record, host block stamped."""
+        """The JSON-ready record, host block stamped (plus whether the
+        DRAM bus recurrence runs compiled, :mod:`repro.hw.native`)."""
         seen = set()
         for name, _value, kind in self.headlines:
             if kind not in KINDS:
@@ -98,7 +100,7 @@ class Record:
             seen.add(name)
         envelope = {
             "benchmark": self.benchmark,
-            "host": host_block(),
+            "host": {**host_block(), "compiled_recurrence": kernel_active()},
             "workload": dict(self.workload),
             "headlines": [
                 {"name": name, "value": value, "kind": kind}

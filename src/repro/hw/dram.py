@@ -28,56 +28,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jit import jit_recurrence
+from . import native
 
 #: DDR4 burst length in bytes for a 64-bit channel (BL8).
 BURST_BYTES = 64
 
 
 def _bus_recurrence(
-    banks: np.ndarray,
-    streams: np.ndarray,
-    commands: np.ndarray,
-    latencies: np.ndarray,
-    bursts: np.ndarray,
-    bumps: np.ndarray,
-    bank_count: int,
-    stream_count: int,
+    banks, streams, commands, latencies, bursts, bumps, bank_count: int, stream_count: int
 ) -> int:
-    """The serial bus/bank/stream timing chain over precomputed columns.
-
-    Written as a plain int64 scalar loop so numba can compile it
-    (``nogil``, so thread-pool replay workers overlap here); the integer
-    arithmetic is identical to the tolist-based fallback loop in
-    :meth:`DRAMModel.process_columns`, so both produce the same cycle
-    count bit for bit.
-    """
-    bank_ready = np.zeros(bank_count, dtype=np.int64)
-    stream_ready = np.zeros(stream_count, dtype=np.int64)
-    addr_bus_free = 0
-    data_bus_free = 0
-    for index in range(banks.size):
-        bank = banks[index]
-        stream = streams[index]
+    """The serial bus/bank/stream timing chain over precomputed columns:
+    the specification of the compiled twin in :mod:`repro.hw.native`, and
+    its fallback (tolist/zip, which beats numpy scalar indexing)."""
+    bank_ready = [0] * bank_count
+    stream_ready = [0] * stream_count
+    addr_bus_free = data_bus_free = 0
+    for bank, stream, command_count, request_latency, burst, bump in zip(
+        *(c.tolist() for c in (banks, streams, commands, latencies, bursts, bumps))
+    ):
         issue = bank_ready[bank]
         pending = stream_ready[stream]
         if pending > issue:
             issue = pending
         if addr_bus_free > issue:
             issue = addr_bus_free
-        addr_bus_free = issue + commands[index]
-        data_start = issue + latencies[index]
+        addr_bus_free = issue + command_count
+        data_start = issue + request_latency
         if data_bus_free > data_start:
             data_start = data_bus_free
-        data_end = data_start + bursts[index]
+        data_end = data_start + burst
         data_bus_free = data_end
-        bank_ready[bank] = data_end + bumps[index]
+        bank_ready[bank] = data_end + bump
         stream_ready[stream] = data_end
     return data_bus_free
-
-
-#: numba-compiled recurrence, or ``None`` when numba is absent/disabled.
-_bus_recurrence_jit = jit_recurrence(_bus_recurrence)
 
 
 class PagePolicy(enum.Enum):
@@ -461,53 +444,14 @@ class DRAMModel:
         stats.data_bus_busy_cycles = int(bursts.sum())
         stats.address_bus_busy_cycles = int(commands.sum())
 
-        # The genuinely serial recurrence: issue slots on the shared
-        # address bus, data beats on the shared data bus, and the ready
-        # cycles of the bank and stream each request belongs to.  The
-        # jitted path runs the same int64 arithmetic compiled (and GIL-
-        # free); the fallback keeps the tolist/zip loop, which beats
-        # numpy scalar indexing in pure Python.
-        stream_count = int(trace.streams.max()) + 1
-        if _bus_recurrence_jit is not None:
-            data_bus_free = int(
-                _bus_recurrence_jit(
-                    np.ascontiguousarray(banks, dtype=np.int64),
-                    np.ascontiguousarray(trace.streams, dtype=np.int64),
-                    np.ascontiguousarray(commands, dtype=np.int64),
-                    np.ascontiguousarray(latency, dtype=np.int64),
-                    np.ascontiguousarray(bursts, dtype=np.int64),
-                    np.ascontiguousarray(ready_bumps, dtype=np.int64),
-                    cfg.banks_per_channel,
-                    stream_count,
-                )
-            )
-        else:
-            bank_ready = [0] * cfg.banks_per_channel
-            stream_ready = [0] * stream_count
-            addr_bus_free = 0
-            data_bus_free = 0
-            for bank, stream, command_count, request_latency, burst, bump in zip(
-                banks.tolist(),
-                trace.streams.tolist(),
-                commands.tolist(),
-                latency.tolist(),
-                bursts.tolist(),
-                ready_bumps.tolist(),
-            ):
-                issue = bank_ready[bank]
-                pending = stream_ready[stream]
-                if pending > issue:
-                    issue = pending
-                if addr_bus_free > issue:
-                    issue = addr_bus_free
-                addr_bus_free = issue + command_count
-                data_start = issue + request_latency
-                if data_bus_free > data_start:
-                    data_start = data_bus_free
-                data_end = data_start + burst
-                data_bus_free = data_end
-                bank_ready[bank] = data_end + bump
-                stream_ready[stream] = data_end
+        # The genuinely serial recurrence — address/data bus slots and the
+        # ready cycles of each request's bank and stream — runs compiled,
+        # or as the Python loop where the compiled twin declines.
+        columns = (banks, trace.streams, commands, latency, bursts, ready_bumps)
+        sizes = (cfg.banks_per_channel, int(trace.streams.max()) + 1)
+        data_bus_free = native.bus_recurrence(*columns, *sizes)
+        if data_bus_free is None:
+            data_bus_free = _bus_recurrence(*columns, *sizes)
 
         stats.total_cycles = data_bus_free
         reads_64b = max(1, stats.bytes_transferred // BURST_BYTES)

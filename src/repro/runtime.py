@@ -24,7 +24,6 @@ It is a leaf: standard library only, nothing from ``repro``.
 
 from __future__ import annotations
 
-import importlib.util
 import operator
 import os
 import threading
@@ -42,7 +41,7 @@ from typing import Callable, Iterable, TypeVar
 __all__ = [
     "ENV_VARIABLES",
     "EXECUTORS",
-    "NO_NUMBA_ENV",
+    "PURE_PYTHON_ENV",
     "BackendWorkerPool",
     "PoolOwner",
     "available_parallelism",
@@ -58,10 +57,11 @@ R = TypeVar("R")
 #: Supported executor kinds.
 EXECUTORS = ("thread", "process")
 
-#: When truthy, numba is ignored even if importable (:mod:`repro.hw.jit`).
-NO_NUMBA_ENV = "REPRO_NO_NUMBA"
+#: When truthy, the DRAM bus recurrence runs its pure-Python loop even
+#: where the compiled twin is cached (:mod:`repro.hw.native`).
+PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
 
-ENV_VARIABLES = (NO_NUMBA_ENV,)
+ENV_VARIABLES = (PURE_PYTHON_ENV,)
 
 
 def env_flag(variable: str) -> bool:
@@ -125,15 +125,14 @@ def host_block() -> dict:
 
     Spliced (``**host_block()``) into every ``BENCH_*.json`` writer, so
     the records agree on the key names: CPU counts (``available_cpus`` is
-    affinity/cgroup-aware — the number the clamp uses), whether the numba
-    fast paths are in play, and every ``REPRO_*`` toggle that was set
-    (blank counts as unset).
+    affinity/cgroup-aware — the number the clamp uses) and every
+    ``REPRO_*`` toggle that was set (blank counts as unset).  The record
+    writer adds whether the compiled DRAM recurrence ran, which only
+    ``repro.hw`` knows.
     """
     return {
         "host_cpus": os.cpu_count(),
         "available_cpus": available_parallelism(),
-        "numba": importlib.util.find_spec("numba") is not None
-        and not env_flag(NO_NUMBA_ENV),
         "env": {
             name: os.environ[name]
             for name in ENV_VARIABLES

@@ -125,7 +125,8 @@ class TestRegistryRecords:
         entry, _toy, result, envelope, path = case
         assert list(envelope)[:4] == ["benchmark", "host", "workload", "headlines"]
         assert list(envelope)[-1] == "rows" and envelope["rows"]
-        assert set(envelope["host"]) == set(host_block())
+        assert set(envelope["host"]) == {*host_block(), "compiled_recurrence"}
+        assert isinstance(envelope["host"]["compiled_recurrence"], bool)
         # accel-replay sizes each row separately; the rest size the workload.
         sized = {**envelope["rows"][0], **envelope["workload"]}
         assert sized["genome_length"] == int(_toy.argv[1])

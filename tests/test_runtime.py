@@ -39,15 +39,15 @@ class TestEnvFlag:
         [("1", True), ("true", True), ("YES", True), ("on", True), ("", False), ("0", False)],
     )
     def test_truthy_values(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(runtime.NO_NUMBA_ENV, raw)
-        assert runtime.env_flag(runtime.NO_NUMBA_ENV) is expected
+        monkeypatch.setenv(runtime.PURE_PYTHON_ENV, raw)
+        assert runtime.env_flag(runtime.PURE_PYTHON_ENV) is expected
 
     def test_unset_is_off(self, monkeypatch):
-        monkeypatch.delenv(runtime.NO_NUMBA_ENV, raising=False)
-        assert not runtime.env_flag(runtime.NO_NUMBA_ENV)
+        monkeypatch.delenv(runtime.PURE_PYTHON_ENV, raising=False)
+        assert not runtime.env_flag(runtime.PURE_PYTHON_ENV)
 
-    def test_no_numba_is_the_only_variable(self):
-        assert runtime.ENV_VARIABLES == ("REPRO_NO_NUMBA",)
+    def test_pure_python_is_the_only_variable(self):
+        assert runtime.ENV_VARIABLES == ("REPRO_PURE_PYTHON",)
 
 
 class TestResolveWorkers:
@@ -189,12 +189,11 @@ class TestPoolInlineAtSizeOne:
 
 class TestHostBlock:
     def test_shape(self, monkeypatch):
-        monkeypatch.setenv(runtime.NO_NUMBA_ENV, "1")
+        monkeypatch.setenv(runtime.PURE_PYTHON_ENV, "1")
         block = runtime.host_block()
-        assert list(block) == ["host_cpus", "available_cpus", "numba", "env"]
+        assert list(block) == ["host_cpus", "available_cpus", "env"]
         assert 1 <= block["available_cpus"] <= block["host_cpus"]
-        assert block["numba"] is False
-        assert block["env"] == {runtime.NO_NUMBA_ENV: "1"}
+        assert block["env"] == {runtime.PURE_PYTHON_ENV: "1"}
 
 
 class TestLayering:

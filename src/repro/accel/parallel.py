@@ -23,7 +23,7 @@ of which worker runs it).
 Scaling notes: with the *process* executor the epochs escape the GIL
 outright.  With the *thread* executor the replay scales only as far as
 the per-epoch code releases the GIL — the numpy kernels.  The DRAM bus
-recurrence runs compiled (:mod:`repro.hw.native`) but keeps the GIL: at
+recurrence runs compiled (:mod:`repro.native`) but keeps the GIL: at
 a few ns a request it is no longer a serial fraction worth releasing.
 """
 

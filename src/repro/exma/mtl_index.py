@@ -24,12 +24,55 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import native
 from ..lisa.learned_index import PredictionStats
+from ..runtime import check_workers
 from .table import ExmaTable
 
 #: Increment-count bucket edges used to group k-mers into shared models
 #: (mirrors the buckets of Fig. 12: 2-256, 256-1K, 1K-4K, ..., >1M).
 DEFAULT_BUCKET_EDGES = (256, 1024, 4096, 16384, 65536, 262144, 1048576)
+
+
+def _sigmoid_spec(hidden: np.ndarray, b1: np.ndarray) -> None:
+    """``hidden = 1 / (1 + exp(-(hidden + b1)))`` in place: the
+    specification of :func:`repro.native.sigmoid`, and its fallback."""
+    hidden += b1
+    np.negative(hidden, out=hidden)
+    np.exp(hidden, out=hidden)
+    hidden += 1.0
+    np.divide(1.0, hidden, out=hidden)
+
+
+def _sigmoid_backward_spec(
+    hidden: np.ndarray, grad_pred: np.ndarray, w2: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """``scratch = outer(grad_pred, w2) * hidden * (1 - hidden)``, returning
+    its column sum (the gradient of ``b1``); *hidden* is consumed.  The
+    specification of :func:`repro.native.sigmoid_backward`, and its
+    fallback."""
+    np.multiply(grad_pred[:, None], w2, out=scratch)
+    scratch *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    scratch *= hidden
+    return scratch.sum(axis=0)
+
+
+#: Rows from which the hidden layer's elementwise passes run compiled.
+#: Below it NumPy's passes cost less than the ctypes hand-off (≈ 6 µs:
+#: pointer look-ups and two calls) — replay's per-node groups are tens of
+#: rows, a training set hundreds of thousands.  The bits are the same.
+COMPILED_MIN_ROWS = 1024
+
+
+def _hidden_layer(
+    features: np.ndarray, w1: np.ndarray, b1: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``sigmoid(features @ w1 + b1)``, compiled where it can be and pays."""
+    hidden = np.matmul(features, w1, out=out)
+    if len(hidden) < COMPILED_MIN_ROWS or not native.sigmoid(hidden, b1):
+        _sigmoid_spec(hidden, b1)
+    return hidden
 
 
 @dataclass
@@ -55,15 +98,9 @@ class SharedNode:
     def forward(self, features: np.ndarray) -> np.ndarray:
         """Evaluate the node on an ``(n, 2)`` feature matrix.
 
-        One ``(n, hidden)`` buffer, in the operation order :meth:`train`
-        uses, so both see the same rounding.
+        The hidden layer is :meth:`train`'s, so both see the same rounding.
         """
-        hidden = features @ self.w1
-        hidden += self.b1
-        np.negative(hidden, out=hidden)
-        np.exp(hidden, out=hidden)
-        hidden += 1.0
-        np.divide(1.0, hidden, out=hidden)
+        hidden = _hidden_layer(features, self.w1, self.b1)
         output = hidden @ self.w2
         output += self.b2
         return output
@@ -95,13 +132,7 @@ class SharedNode:
         scratch = np.empty_like(hidden)
 
         for step in range(1, epochs + 1):
-            # hidden = sigmoid(features @ w1 + b1)
-            np.matmul(features, self.w1, out=hidden)
-            hidden += self.b1
-            np.negative(hidden, out=hidden)
-            np.exp(hidden, out=hidden)
-            hidden += 1.0
-            np.divide(1.0, hidden, out=hidden)
+            _hidden_layer(features, self.w1, self.b1, out=hidden)
             # Weighted MSE gradient: 2 * weights * (prediction - targets).
             grad_pred = hidden @ self.w2
             grad_pred += self.b2
@@ -109,13 +140,10 @@ class SharedNode:
             grad_pred *= twice_weights
             grad_w2 = hidden.T @ grad_pred
             grad_b2 = float(grad_pred.sum())
-            # scratch = outer(grad_pred, w2) * hidden * (1 - hidden)
-            np.multiply(grad_pred[:, None], self.w2, out=scratch)
-            scratch *= hidden
-            np.subtract(1.0, hidden, out=hidden)
-            scratch *= hidden
+            grad_b1 = native.sigmoid_backward(hidden, grad_pred, self.w2, scratch)
+            if grad_b1 is None:
+                grad_b1 = _sigmoid_backward_spec(hidden, grad_pred, self.w2, scratch)
             grad_w1 = features.T @ scratch
-            grad_b1 = scratch.sum(axis=0)
 
             grads = [grad_w1, grad_b1, grad_w2, grad_b2]
             values = [self.w1, self.b1, self.w2, self.b2]
@@ -154,6 +182,9 @@ class MTLIndex:
             searched exactly (no model), matching the paper's >256 rule.
         samples_per_kmer: training samples drawn from each k-mer.
         epochs: Adam epochs per shared node.
+
+    Raises:
+        ValueError: *samples_per_kmer* or *epochs* is not an integer >= 1.
     """
 
     def __init__(
@@ -168,8 +199,8 @@ class MTLIndex:
         self._table = table
         self._edges = tuple(sorted(bucket_edges))
         self._threshold = model_threshold
-        self._samples_per_kmer = samples_per_kmer
-        self._epochs = epochs
+        self._samples_per_kmer = check_workers(samples_per_kmer, "samples_per_kmer")
+        self._epochs = check_workers(epochs, "epochs")
         self._seed = seed
         self._nodes: dict[int, SharedNode] = {}
         self._leaves: dict[int, LeafModel] = {}
@@ -202,24 +233,26 @@ class MTLIndex:
             grouped.setdefault(bucket, []).append(packed)
             self._bucket_of[packed] = bucket
 
+        increments, bases = self._table.increments, self._table.bases
         for bucket, kmers in grouped.items():
-            features, targets, weights = [], [], []
-            for packed in kmers:
-                increments = self._table.increments_of(packed)
-                count = increments.size
-                take = min(self._samples_per_kmer, count)
+            # Draw every k-mer's sample ranks in k-mer order (the RNG stream
+            # is the recipe), then build the columns in one pass each.
+            counts = self._table.frequency_batch(kmers)
+            takes = np.minimum(counts, self._samples_per_kmer)
+            ranks = []
+            for count, take in zip(counts.tolist(), takes.tolist()):
                 idx = rng.choice(count, size=take, replace=False)
                 idx.sort()
-                pos_norm = increments[idx].astype(np.float64) / n
-                cdf = idx.astype(np.float64) / count
-                freq_norm = np.full(take, count / n)
-                features.append(np.column_stack([pos_norm, freq_norm]))
-                targets.append(cdf)
-                # beta_i / f_i weighting of Eq. 4 with beta_i = 1.
-                weights.append(np.full(take, 1.0 / take))
-            feature_matrix = np.vstack(features)
-            target_vector = np.concatenate(targets)
-            weight_vector = np.concatenate(weights)
+                ranks.append(idx)
+            rank = np.concatenate(ranks)
+            sample_counts = np.repeat(counts, takes)
+            feature_matrix = np.empty((rank.size, 2))
+            positions = increments[np.repeat(bases[kmers], takes) + rank]
+            np.divide(positions.astype(np.float64), n, out=feature_matrix[:, 0])
+            np.divide(sample_counts, n, out=feature_matrix[:, 1])
+            target_vector = rank.astype(np.float64) / sample_counts
+            # beta_i / f_i weighting of Eq. 4 with beta_i = 1.
+            weight_vector = 1.0 / np.repeat(takes, takes)
             node = SharedNode()
             node.train(
                 feature_matrix,
@@ -230,12 +263,13 @@ class MTLIndex:
             )
             self._nodes[bucket] = node
             # Fit the per-k-mer linear leaves on the shared output; samples
-            # were appended k-mer by k-mer, so each leaf owns one slice.
+            # were drawn k-mer by k-mer, so each leaf owns one slice.
             shared_out = node.forward(feature_matrix)
-            stop = 0
-            for packed, cdf in zip(kmers, targets):
-                start, stop = stop, stop + cdf.size
-                self._leaves[packed] = self._fit_leaf(shared_out[start:stop], cdf)
+            stops = np.cumsum(takes).tolist()
+            for packed, start, stop in zip(kmers, [0, *stops], stops):
+                self._leaves[packed] = self._fit_leaf(
+                    shared_out[start:stop], target_vector[start:stop]
+                )
 
     @staticmethod
     def _fit_leaf(shared_output: np.ndarray, cdf: np.ndarray) -> LeafModel:

@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from ..hw.native import kernel_active
+from ..native import kernel_active
 from ..runtime import host_block
 
 __all__ = ["KINDS", "Record", "finite_positive", "row_dict", "write_record"]
@@ -89,8 +89,11 @@ class Record:
         return [name for name, value, kind in self.headlines if kind == "bool" and not value]
 
     def envelope(self) -> dict:
-        """The JSON-ready record, host block stamped (plus whether the
-        DRAM bus recurrence runs compiled, :mod:`repro.hw.native`)."""
+        """The JSON-ready record, host block stamped, plus
+        ``compiled_recurrence``: whether the compiled library
+        (:mod:`repro.native`) is loaded.  The key keeps the name it had when
+        the library held only the DRAM recurrence, so committed records
+        stay valid."""
         seen = set()
         for name, _value, kind in self.headlines:
             if kind not in KINDS:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import native
+from .. import native
 
 #: DDR4 burst length in bytes for a 64-bit channel (BL8).
 BURST_BYTES = 64
@@ -38,7 +38,7 @@ def _bus_recurrence(
     banks, streams, commands, latencies, bursts, bumps, bank_count: int, stream_count: int
 ) -> int:
     """The serial bus/bank/stream timing chain over precomputed columns:
-    the specification of the compiled twin in :mod:`repro.hw.native`, and
+    the specification of the compiled twin in :mod:`repro.native`, and
     its fallback (tolist/zip, which beats numpy scalar indexing)."""
     bank_ready = [0] * bank_count
     stream_ready = [0] * stream_count

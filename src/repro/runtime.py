@@ -57,8 +57,9 @@ R = TypeVar("R")
 #: Supported executor kinds.
 EXECUTORS = ("thread", "process")
 
-#: When truthy, the DRAM bus recurrence runs its pure-Python loop even
-#: where the compiled twin is cached (:mod:`repro.hw.native`).
+#: When truthy, the DRAM bus recurrence and the MTL training epoch run
+#: their Python/NumPy specifications even where the compiled library is
+#: cached (:mod:`repro.native`).
 PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
 
 ENV_VARIABLES = (PURE_PYTHON_ENV,)

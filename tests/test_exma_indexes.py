@@ -291,12 +291,15 @@ class TestMTLIndex:
         ]
 
     def test_each_leaf_is_fit_on_its_own_samples(self, repeat_table):
-        # Re-draw every k-mer's samples the way `_train` does and fit its
-        # leaf alone.  `take = min(samples, count)` differs from k-mer to
-        # k-mer here, so a leaf fitted on a neighbour's slice would show.
-        seed, samples = 2, 70
+        # Re-draw every k-mer's samples the way the recipe states them — one
+        # k-mer at a time, columns stacked — train each shared node on them
+        # and fit each leaf on its own slice: the index holds the same bits.
+        # `take = min(samples, count)` differs from k-mer to k-mer here, so a
+        # leaf fitted on a neighbour's slice, or a sample weighted 1 / count
+        # instead of 1 / take, would show.
+        seed, samples, epochs = 2, 70, 20
         index = MTLIndex(
-            repeat_table, model_threshold=8, samples_per_kmer=samples, epochs=20, seed=seed
+            repeat_table, model_threshold=8, samples_per_kmer=samples, epochs=epochs, seed=seed
         )
         n = repeat_table.reference_length
         by_bucket: dict[int, list[int]] = {}
@@ -305,17 +308,34 @@ class TestMTLIndex:
         rng = np.random.default_rng(seed)
         takes = set()
         for bucket, kmers in by_bucket.items():
-            node = index._nodes[bucket]
+            features, targets, weights = [], [], []
             for packed in kmers:
                 increments = repeat_table.increments_of(packed)
                 count = increments.size
-                idx = np.sort(rng.choice(count, size=min(samples, count), replace=False))
-                features = np.column_stack([increments[idx] / n, np.full(idx.size, count / n)])
-                expected = MTLIndex._fit_leaf(node.forward(features), idx / count)
-                leaf = index._leaves[packed]
-                assert leaf.weight == pytest.approx(expected.weight, rel=1e-6, abs=1e-9)
-                assert leaf.bias == pytest.approx(expected.bias, rel=1e-6, abs=1e-9)
-                takes.add(idx.size)
+                take = min(samples, count)
+                idx = np.sort(rng.choice(count, size=take, replace=False))
+                features.append(np.column_stack([increments[idx] / n, np.full(take, count / n)]))
+                targets.append(idx / count)
+                weights.append(np.full(take, 1.0 / take))
+                takes.add(take)
+            feature_matrix = np.vstack(features)
+            node = SharedNode()
+            node.train(
+                feature_matrix,
+                np.concatenate(targets),
+                np.concatenate(weights),
+                epochs=epochs,
+                seed=seed + bucket,
+            )
+            trained = index._nodes[bucket]
+            for name in ("w1", "b1", "w2"):
+                assert getattr(node, name).tobytes() == getattr(trained, name).tobytes()
+            assert node.b2 == trained.b2
+            shared_out = node.forward(feature_matrix)
+            stop = 0
+            for packed, cdf in zip(kmers, targets):
+                start, stop = stop, stop + cdf.size
+                assert index._leaves[packed] == MTLIndex._fit_leaf(shared_out[start:stop], cdf)
         assert len(takes) > 1
 
     def test_deterministic_with_seed(self, repeat_table):

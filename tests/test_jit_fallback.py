@@ -1,12 +1,14 @@
-"""The compiled DRAM bus recurrence, its loader and the pure-Python loop.
+"""The compiled kernels, their loader and their specifications.
 
-:mod:`repro.hw.native` builds the one surviving scalar recurrence — the
-DRAM bus/bank/stream timing chain — from C on first use and loads it
-with ctypes; :func:`repro.hw.dram._bus_recurrence` is the Python loop it
-is specified by and falls back to.  The contract is **bit-identical
-outputs** on both paths, and a failed build is a warning, never an
-exception or a different number.  The LRU cache simulation is state-free
-array code with nothing to compile.
+:mod:`repro.native` builds one C library on first use and loads it with
+ctypes.  It holds the one surviving scalar recurrence — the DRAM
+bus/bank/stream timing chain, specified by
+:func:`repro.hw.dram._bus_recurrence` — and the elementwise tail of an MTL
+training epoch, specified by the two NumPy functions in
+:mod:`repro.exma.mtl_index`.  The contract is **bit-identical outputs**
+on both paths, and a failed build is one warning, never an exception or
+a different number.  The LRU cache simulation is state-free array code
+with nothing to compile.
 """
 
 from __future__ import annotations
@@ -23,11 +25,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro
+from repro import native
+from repro.exma import mtl_index
+from repro.exma.mtl_index import MTLIndex
+from repro.exma.table import ExmaTable
+from repro.genome.datasets import build_dataset
 from repro.hw import cache as hw_cache
 from repro.hw import dram as hw_dram
-from repro.hw import native
 from repro.hw.dram import DDR4Config, DRAMModel, MemoryRequest, MemoryTrace, PagePolicy
 from repro.runtime import PURE_PYTHON_ENV
 
@@ -74,9 +81,9 @@ def bus_columns(draw):
 
 @pytest.fixture
 def compiled(monkeypatch):
-    """Force the compiled kernel on, whatever ``REPRO_PURE_PYTHON`` says."""
+    """Force the compiled library on, whatever ``REPRO_PURE_PYTHON`` says."""
     monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
-    monkeypatch.setattr(native, "_kernel", native._UNRESOLVED)
+    monkeypatch.setattr(native, "_library", native._UNRESOLVED)
     assert native.kernel_active(), "this host has a C compiler: the kernel must load"
 
 
@@ -95,9 +102,24 @@ def spec_calls(monkeypatch):
 
 
 @pytest.fixture
+def mtl_spec_calls(monkeypatch):
+    """Record (name, rows) for each run of the MTL epoch's NumPy specs."""
+    calls = []
+    for name in ("_sigmoid_spec", "_sigmoid_backward_spec"):
+        spec = getattr(mtl_index, name)
+
+        def counted(hidden, *args, _spec=spec, _name=name):
+            calls.append((_name, len(hidden)))
+            return _spec(hidden, *args)
+
+        monkeypatch.setattr(mtl_index, name, counted)
+    return calls
+
+
+@pytest.fixture
 def unresolved(monkeypatch, tmp_path):
     """A process that has not resolved the kernel yet, caching in *tmp_path*."""
-    monkeypatch.setattr(native, "_kernel", native._UNRESOLVED)
+    monkeypatch.setattr(native, "_library", native._UNRESOLVED)
     monkeypatch.setattr(native, "CACHE_DIR", tmp_path / "cache")
     return tmp_path / "cache"
 
@@ -170,7 +192,7 @@ class TestProcessColumnsBothPaths:
     @pytest.mark.parametrize("path", ["compiled", "python"])
     def test_matches_process(self, request, monkeypatch, spec_calls, policy, path):
         if path == "python":
-            monkeypatch.setattr(native, "_kernel", None)
+            monkeypatch.setattr(native, "_library", None)
         else:
             request.getfixturevalue("compiled")
         requests = _requests(seed=3)
@@ -206,6 +228,224 @@ class TestProcessColumnsBothPaths:
         assert stats.total_cycles > 2**56
 
 
+# Values the MTL kernels must treat exactly as NumPy does: signed zeros,
+# subnormals, the largest doubles, infinities, and exp arguments either
+# side of its overflow (709.78) and of its underflow to zero (-745.13).
+EDGE_DOUBLES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, 1.0, -1.0,
+    1e308, -1e308, np.inf, -np.inf, 709.0, 710.0, -745.0, -746.0,
+)
+doubles = st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_DOUBLES))
+probabilities = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 5e-324, 0.5)))
+mtl_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def _bits(array) -> np.ndarray:
+    """Compare doubles by their bits, so -0.0 and NaN payloads count."""
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def layer_arrays(draw, hidden_values=doubles, min_width=1):
+    rows = draw(st.integers(0, 40))
+    width = draw(st.integers(min_width, 12))
+    hidden = draw(hnp.arrays(np.float64, (rows, width), elements=hidden_values))
+    row_values = draw(hnp.arrays(np.float64, rows, elements=doubles))
+    column_values = draw(hnp.arrays(np.float64, width, elements=doubles))
+    return hidden, row_values, column_values
+
+
+def _both_sigmoids(hidden, bias):
+    """(compiled, spec) outputs of the forward activation on *hidden*."""
+    compiled, spec = hidden.copy(), hidden.copy()
+    with np.errstate(all="ignore"):
+        assert native.sigmoid(compiled, bias)
+        mtl_index._sigmoid_spec(spec, bias)
+    return compiled, spec
+
+
+def _both_backwards(hidden, grad_pred, w2):
+    """(compiled, spec) ``(scratch, column sum)`` of the backward pass."""
+    compiled, spec = np.empty_like(hidden), np.empty_like(hidden)
+    before = hidden.copy()
+    with np.errstate(all="ignore"):
+        compiled_sum = native.sigmoid_backward(hidden, grad_pred, w2, compiled)
+        spec_sum = mtl_index._sigmoid_backward_spec(hidden.copy(), grad_pred, w2, spec)
+    assert compiled_sum is not None
+    assert np.array_equal(_bits(hidden), _bits(before)), "C must leave hidden as it was"
+    return (compiled, compiled_sum), (spec, spec_sum)
+
+
+def _assert_same_bits(left, right):
+    for a, b in zip(left, right):
+        assert a.shape == b.shape
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+class TestMTLKernelsEqualSpec:
+    @given(layer_arrays())
+    @mtl_settings
+    def test_sigmoid_oracle(self, compiled, arrays):
+        hidden, _rows, bias = arrays
+        compiled_out, spec_out = _both_sigmoids(hidden, bias)
+        _assert_same_bits([compiled_out], [spec_out])
+
+    @given(st.one_of(layer_arrays(min_width=2), layer_arrays(probabilities, min_width=2)))
+    @mtl_settings
+    def test_sigmoid_backward_oracle(self, compiled, arrays):
+        hidden, grad_pred, w2 = arrays
+        _assert_same_bits(*_both_backwards(hidden, grad_pred, w2))
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_no_rows_and_one_row(self, compiled, rows):
+        rng = np.random.default_rng(rows)
+        hidden = rng.normal(size=(rows, 10))
+        _assert_same_bits(*_both_sigmoids(hidden, rng.normal(size=10)))
+        sigmoid = 1.0 / (1.0 + np.exp(-hidden))
+        _assert_same_bits(*_both_backwards(sigmoid, rng.normal(size=rows), rng.normal(size=10)))
+
+    def test_exp_overflow_gives_zero(self, compiled):
+        # -(-1000 + 0) = 1000: exp overflows to inf and 1 / (inf + 1) is 0.0.
+        compiled_out, spec_out = _both_sigmoids(np.array([[-1000.0, 1000.0]]), np.zeros(2))
+        _assert_same_bits([compiled_out], [spec_out])
+        assert _bits(compiled_out).tolist() == _bits([[0.0, 1.0]]).tolist()
+
+    def test_subnormal_products(self, compiled):
+        hidden = np.full((3, 4), 0.5)
+        grad_pred = np.array([5e-324, -1e-310, 2.2e-308])
+        (scratch, column_sum), spec = _both_backwards(hidden, grad_pred, np.full(4, 3.0))
+        _assert_same_bits((scratch, column_sum), spec)
+        assert scratch[1, 0] != 0.0 and abs(scratch[1, 0]) < np.finfo(np.float64).tiny
+
+    def test_column_sum_is_sequential_not_pairwise(self, compiled):
+        # hidden = 0.5 and w2 = 4 make every scratch entry grad_pred's exactly,
+        # so each column is 1.0 followed by fifteen 2**-53: added one row at
+        # a time they vanish, summed pairwise they do not.  A NumPy whose
+        # sum(axis=0) changes order fails here instead of drifting silently.
+        column = np.array([1.0] + [2.0**-53] * 15)
+        hidden, w2 = np.full((16, 3), 0.5), np.full(3, 4.0)
+        (scratch, column_sum), spec = _both_backwards(hidden, column, w2)
+        _assert_same_bits((scratch, column_sum), spec)
+        assert np.array_equal(scratch, np.repeat(column[:, None], 3, axis=1))
+        assert column_sum.tolist() == [1.0] * 3
+        assert float(np.sum(column)) != 1.0, "the case must tell the two orders apart"
+
+    def test_one_column_is_declined(self, compiled):
+        # NumPy sums an (n, 1) array pairwise, so the sequential C sum
+        # would differ: that shape takes the spec.
+        hidden, column = np.full((16, 1), 0.5), np.array([1.0] + [2.0**-53] * 15)
+        args = (column, np.full(1, 4.0), np.empty((16, 1)))
+        assert native.sigmoid_backward(hidden, *args) is None
+        assert mtl_index._sigmoid_backward_spec(hidden, *args).tolist() != [1.0]
+
+    def test_negative_zero_column_sums_like_numpy(self, compiled):
+        hidden = np.full((2, 3), 0.5)
+        grad_pred = np.array([-0.0, -0.0])
+        _assert_same_bits(*_both_backwards(hidden, grad_pred, np.full(3, 4.0)))
+
+
+class TestContiguityGuard:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda h: np.asfortranarray(h),
+            lambda h: np.repeat(h, 2, axis=1)[:, ::2],
+            lambda h: h.astype(np.float32),
+            lambda h: h.tolist(),
+            lambda h: h[0],
+        ],
+        ids=["fortran", "strided", "float32", "list", "one-dimensional"],
+    )
+    def test_foreign_hidden_is_declined(self, compiled, make):
+        hidden = make(np.random.default_rng(0).normal(size=(6, 4)))
+        before = np.array(hidden, copy=True)
+        assert not native.sigmoid(hidden, np.zeros(4))
+        assert np.array_equal(np.asarray(hidden), before), "a declined call writes nothing"
+        assert native.sigmoid_backward(hidden, np.ones(6), np.ones(4), np.empty((6, 4))) is None
+
+    def test_foreign_operands_are_declined(self, compiled):
+        hidden = np.full((6, 4), 0.5)
+        assert not native.sigmoid(hidden, np.zeros(8)[::2])
+        assert not native.sigmoid(hidden, np.zeros(5))
+        readonly = hidden.copy()
+        readonly.flags.writeable = False
+        assert not native.sigmoid(readonly, np.zeros(4))
+        ones, scratch = np.ones(6), np.empty((6, 4))
+        assert native.sigmoid_backward(hidden, ones[:5], np.ones(4), scratch) is None
+        assert native.sigmoid_backward(hidden, ones, np.ones(4, np.float32), scratch) is None
+        assert native.sigmoid_backward(hidden, ones, np.ones(4), scratch.T.copy().T) is None
+        assert native.sigmoid_backward(hidden, ones, np.ones(4), hidden) is None
+        scratch.flags.writeable = False
+        assert native.sigmoid_backward(hidden, ones, np.ones(4), scratch) is None
+        assert not native.sigmoid(hidden, hidden[0]), "the bias may not overlap the output"
+
+    def test_declined_layer_runs_the_spec_with_the_same_bits(self, compiled, mtl_spec_calls):
+        rng = np.random.default_rng(1)
+        rows = mtl_index.COMPILED_MIN_ROWS
+        features, w1 = rng.random((rows, 2)), rng.normal(size=(2, 10))
+        bias = rng.normal(size=10)
+        expected = mtl_index._hidden_layer(features, w1, bias)
+        assert not mtl_spec_calls
+        strided = np.repeat(bias, 2)[::2]
+        _assert_same_bits([mtl_index._hidden_layer(features, w1, strided)], [expected])
+        assert mtl_spec_calls == [("_sigmoid_spec", rows)]
+
+    def test_small_layers_take_the_spec_with_the_same_bits(self, compiled, mtl_spec_calls):
+        rng = np.random.default_rng(2)
+        rows = mtl_index.COMPILED_MIN_ROWS
+        features, w1, bias = rng.random((rows, 2)), rng.normal(size=(2, 10)), rng.normal(size=10)
+        full = mtl_index._hidden_layer(features, w1, bias)
+        head = mtl_index._hidden_layer(features[: rows - 1], w1, bias)
+        assert mtl_spec_calls == [("_sigmoid_spec", rows - 1)]
+        _assert_same_bits([head], [full[: rows - 1]])
+
+
+def _trained(length: int, seed: int) -> MTLIndex:
+    """The benchmark's recipe: k = 6, threshold 16, 64 samples, 60 epochs."""
+    reference = build_dataset("human", simulated_length=length, seed=seed).sequence
+    table = ExmaTable(reference, k=6)
+    return MTLIndex(table, model_threshold=16, samples_per_kmer=64, epochs=60, seed=seed)
+
+
+def _fingerprint(index: MTLIndex) -> dict:
+    """Every trained bit of *index*, and its predictions over a fixed grid."""
+    nodes = {
+        bucket: [_bits(a).tolist() for a in (node.w1, node.b1, node.w2, [node.b2])]
+        for bucket, node in index._nodes.items()
+    }
+    leaves = {
+        packed: _bits([leaf.weight, leaf.bias]).tolist() for packed, leaf in index._leaves.items()
+    }
+    kmers = np.repeat(np.array(index.modelled_kmers, dtype=np.int64), 5)
+    positions = np.random.default_rng(0).integers(0, index.table.reference_length + 1, kmers.size)
+    predictions = index.predict_many(kmers, positions).tolist()
+    return {"nodes": nodes, "leaves": leaves, "predictions": predictions}
+
+
+class TestTrainedIndexBothPaths:
+    @pytest.mark.parametrize("length", [20_000, 40_000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_identical_index(self, compiled, monkeypatch, mtl_spec_calls, length, seed):
+        fast = _fingerprint(_trained(length, seed))
+        # Training runs compiled; only layers too small to pay take the spec.
+        assert all(rows < mtl_index.COMPILED_MIN_ROWS for _name, rows in mtl_spec_calls)
+        monkeypatch.setattr(native, "_library", None)
+        spec = _fingerprint(_trained(length, seed))
+        assert {"_sigmoid_spec", "_sigmoid_backward_spec"} <= {name for name, _ in mtl_spec_calls}
+        assert fast["leaves"] and fast == spec
+
+
+class TestRecipeValidation:
+    @pytest.mark.parametrize("knob", ["samples_per_kmer", "epochs"])
+    @pytest.mark.parametrize("value", [0, -1, True, 2.5], ids=["zero", "negative", "bool", "float"])
+    def test_nonsense_is_refused(self, knob, value):
+        table = ExmaTable("ACGTTGCA" * 40, k=2)
+        with pytest.raises(ValueError, match=f"{knob} must be an integer >= 1"):
+            MTLIndex(table, **{knob: value})
+
+
 class TestLoader:
     def test_no_compiler_warns_once_and_runs_the_loop(self, monkeypatch, unresolved, spec_calls):
         monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
@@ -222,12 +462,37 @@ class TestLoader:
         assert len(spec_calls) == 2 and not native.kernel_active()
         assert not unresolved.exists()
 
+    def test_no_compiler_one_warning_for_every_kernel(
+        self, monkeypatch, unresolved, spec_calls, mtl_spec_calls
+    ):
+        # MTL training comes first in a stack's set-up: it warns once for the
+        # whole library, and the DRAM recurrence after it stays quiet.
+        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
+        monkeypatch.setattr(native, "COMPILER", "repro-no-such-compiler")
+        table = ExmaTable("ACGTTGCAAC" * 60, k=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            index = MTLIndex(table, model_threshold=8, samples_per_kmer=16, epochs=5)
+            index.predict_many(np.array(index.modelled_kmers), np.zeros(len(index.modelled_kmers)))
+            requests = _requests(seed=4)
+            trace = MemoryTrace.from_requests(requests)
+            stats = DRAMModel(page_policy=PagePolicy.DYNAMIC).process_columns(trace)
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert len(messages) == 1 and "compiled kernels unavailable" in messages[0]
+        assert {"_sigmoid_spec", "_sigmoid_backward_spec"} <= {name for name, _ in mtl_spec_calls}
+        assert spec_calls == [len(requests)]
+        assert stats == DRAMModel(page_policy=PagePolicy.DYNAMIC).process(requests)
+        assert not unresolved.exists()
+
     def test_pure_python_forces_the_loop(self, monkeypatch, unresolved):
         monkeypatch.setenv(PURE_PYTHON_ENV, "1")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not native.kernel_active()
         assert native.bus_recurrence(*[_int64([0])] * 6, 1, 1) is None
+        hidden = np.full((3, 2), 0.5)
+        assert not native.sigmoid(hidden, np.zeros(2))
+        assert native.sigmoid_backward(hidden, np.ones(3), np.ones(2), np.empty((3, 2))) is None
         assert not unresolved.exists()
 
     def test_shared_cache_directory_is_refused(self, monkeypatch, unresolved):
@@ -283,7 +548,7 @@ class TestLoader:
             "import pathlib, sys, warnings\n"
             "warnings.simplefilter('error')\n"
             "import numpy as np\n"
-            "from repro.hw import native\n"
+            "from repro import native\n"
             "native.CACHE_DIR = pathlib.Path(sys.argv[1])\n"
             "column = np.arange(1, 1001, dtype=np.int64)\n"
             "print(native.bus_recurrence(column % 7, column % 3, column, column, column,"

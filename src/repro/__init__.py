@@ -3,9 +3,9 @@
 The package is organised bottom-up:
 
 * :mod:`repro.genome` — DNA alphabet, synthetic references, read simulators,
-  FASTA/FASTQ I/O.
-* :mod:`repro.index` — suffix arrays, BWT, conventional 1-step and k-step
-  FM-Index.
+  FASTA I/O.
+* :mod:`repro.index` — suffix arrays, BWT, the 1-step FM-Index and the
+  Eq. 2 size model of the k-step FM-Index.
 * :mod:`repro.lisa` — LISA: IP-BWT plus a recursive-model learned index.
 * :mod:`repro.exma` — the paper's contribution: the EXMA table, the naive
   and MTL learned indexes, EXMA search, CHAIN and BΔI compression.

@@ -22,12 +22,10 @@ calibration assumptions recorded here and in DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
 
-from ..engine.window import WindowedBatch
 from ..hw.dram import DDR4Config
-from ..hw.energy import CPU_POWER_W, DRAM_SYSTEM_POWER_W
+from ..hw.energy import DRAM_SYSTEM_POWER_W
 from .metrics import SearchThroughput
 
 #: Bytes of one IP-BWT entry (k-mer + paired row) used for scan traffic.
@@ -35,28 +33,6 @@ IPBWT_ENTRY_BYTES = 16
 
 #: Bytes of one EXMA increment entry.
 INCREMENT_ENTRY_BYTES = 4
-
-
-def stream_merge_ratio(windows: "Iterable[WindowedBatch]") -> float:
-    """Issued-to-unique request ratio of a windowed stream (>= 1.0).
-
-    The scheduling-window merge removes duplicate ``(k-mer, pos)``
-    requests before they reach a device, so every lookup-rate-bound model
-    serves ``1 / ratio`` as many lookups per base.  Plain request
-    sequences count as already-merged windows (ratio contribution 1).
-    """
-    issued = 0
-    unique = 0
-    for flushed in windows:
-        if isinstance(flushed, WindowedBatch):
-            issued += flushed.issued
-            unique += flushed.unique
-        else:
-            issued += len(flushed)
-            unique += len(flushed)
-    if unique == 0:
-        return 1.0
-    return max(1.0, issued / unique)
 
 
 # --------------------------------------------------------------------------- #
@@ -114,11 +90,6 @@ class CpuThroughputModel:
     def __init__(self, parameters: CpuMemoryParameters | None = None) -> None:
         self._params = parameters or CpuMemoryParameters()
 
-    @property
-    def parameters(self) -> CpuMemoryParameters:
-        """The calibration constants in use."""
-        return self._params
-
     def _tlb_penalty_ns(self, structure_size_gb: float) -> float:
         """Extra nanoseconds per random access due to TLB misses."""
         params = self._params
@@ -157,36 +128,6 @@ class CpuThroughputModel:
             raise ValueError("iteration time must be positive")
         per_core = algorithm.symbols_per_iteration / (iteration_ns * 1e-9)
         return per_core * self._params.cores
-
-    def throughput(self, algorithm: SoftwareAlgorithm) -> SearchThroughput:
-        """Full throughput record including CPU and DRAM power."""
-        bases_per_second = self.bases_per_second(algorithm)
-        # Report over a nominal one-second window.
-        return SearchThroughput(
-            name=algorithm.name,
-            bases_processed=int(bases_per_second),
-            seconds=1.0,
-            accelerator_power_w=CPU_POWER_W,
-            dram_power_w=DRAM_SYSTEM_POWER_W,
-        )
-
-    def run_stream(
-        self, algorithm: SoftwareAlgorithm, windows: "Iterable[WindowedBatch]"
-    ) -> SearchThroughput:
-        """Throughput of *algorithm* consuming a windowed request stream.
-
-        The software mirror of the accelerator's scheduling-window merge:
-        duplicate ``(k-mer, pos)`` lookups inside one window are resolved
-        once and the result shared, so the random accesses each iteration
-        actually issues shrink by the stream's merge ratio while the
-        symbols consumed per iteration stay the same.
-        """
-        ratio = stream_merge_ratio(windows)
-        merged = replace(
-            algorithm,
-            random_accesses_per_iteration=algorithm.random_accesses_per_iteration / ratio,
-        )
-        return self.throughput(merged)
 
 
 # --------------------------------------------------------------------------- #
@@ -307,26 +248,6 @@ class AcceleratorModel:
             accelerator_power_w=self.device_power_w,
             dram_power_w=DRAM_SYSTEM_POWER_W,
             bandwidth_utilization=utilization,
-        )
-
-    def run_stream(
-        self,
-        windows: "Iterable[WindowedBatch]",
-        dram: DDR4Config | None = None,
-        dataset_size_gb: float = 128.0,
-    ) -> SearchThroughput:
-        """Throughput when the device consumes a windowed request stream.
-
-        The stream-consuming twin of :meth:`throughput`: the flushes'
-        issued/unique counts set the coalescing factor, so a wider
-        scheduling window (more duplicates merged per flush) raises every
-        lookup-bound rate.  A stream of W=1 flushes with no cross-step
-        duplicates degenerates to :meth:`throughput` exactly.
-        """
-        return self.throughput(
-            dram,
-            dataset_size_gb=dataset_size_gb,
-            coalescing_factor=stream_merge_ratio(windows),
         )
 
 

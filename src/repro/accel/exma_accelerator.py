@@ -139,11 +139,6 @@ class WindowedRunResult:
         return sum(result.requests for result in self.flushes)
 
     @property
-    def merged(self) -> int:
-        """Requests eliminated by the cross-batch merge."""
-        return self.issued - self.requests
-
-    @property
     def merge_ratio(self) -> float:
         """Issued-to-scheduled request ratio (1.0 means nothing merged)."""
         if self.requests == 0:
@@ -286,16 +281,6 @@ class ExmaAccelerator(runtime.PoolOwner):
             self._modelled_lookup = np.zeros(table.kmer_count, dtype=bool)
             self._bucket_addresses = self._leaf_addresses = np.empty(0, dtype=np.int64)
         self._fetch_bases = np.where(table.bases >= table.max_sentinel, 0, table.bases)
-
-    @property
-    def table(self) -> ExmaTable:
-        """The EXMA table this accelerator replays against."""
-        return self._table
-
-    @property
-    def index(self) -> "MTLIndex | None":
-        """The MTL index, or ``None`` (exact Occ resolution)."""
-        return self._index
 
     @property
     def config(self) -> ExmaAcceleratorConfig:

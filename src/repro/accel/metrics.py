@@ -53,12 +53,6 @@ class SearchThroughput:
             return 0.0
         return self.mbase_per_second / self.total_power_w
 
-    def speedup_over(self, baseline: "SearchThroughput") -> float:
-        """Throughput ratio against a baseline result."""
-        if baseline.bases_per_second <= 0:
-            raise ValueError("baseline throughput must be positive")
-        return self.bases_per_second / baseline.bases_per_second
-
 
 @dataclass(frozen=True)
 class ApplicationRun:
@@ -94,16 +88,6 @@ class ApplicationRun:
             raise ValueError("search_speedup must be positive")
         fraction = self.fm_index_fraction
         return 1.0 / ((1.0 - fraction) + fraction / search_speedup)
-
-
-def normalise(values: dict[str, float], baseline: str) -> dict[str, float]:
-    """Divide every value by the named baseline's value."""
-    if baseline not in values:
-        raise KeyError(f"baseline {baseline!r} not present")
-    base = values[baseline]
-    if base == 0:
-        raise ValueError("baseline value must be non-zero")
-    return {name: value / base for name, value in values.items()}
 
 
 def geometric_mean(values: list[float]) -> float:

@@ -92,19 +92,9 @@ class ParallelReplay(runtime.PoolOwner):
         self._timeout = timeout
 
     @property
-    def accelerator(self) -> ExmaAccelerator:
-        """The accelerator the replay workers are bound to."""
-        return self._accelerator
-
-    @property
     def workers(self) -> int:
         """Replay-worker count."""
         return self._workers
-
-    @property
-    def executor(self) -> str:
-        """Executor kind (``"thread"`` or ``"process"``)."""
-        return self._executor
 
     @property
     def degraded(self) -> bool:

@@ -50,15 +50,6 @@ class AlignerCounters:
     unmapped: int = 0
     fm_index_iterations: int = 0
 
-    def merge(self, other: "AlignerCounters") -> None:
-        """Accumulate another counter set into this one."""
-        self.reads += other.reads
-        self.seeds += other.seeds
-        self.seeding_bases_searched += other.seeding_bases_searched
-        self.extension_cells += other.extension_cells
-        self.unmapped += other.unmapped
-        self.fm_index_iterations += other.fm_index_iterations
-
 
 class ReadAligner:
     """Aligns reads against a reference using FM-Index seeding.
@@ -103,16 +94,6 @@ class ReadAligner:
         self._scoring = scoring or ScoringScheme()
         self._window = CoalescingWindow(window) if window is not None else None
         self._window_flushes: list[WindowedBatch] = []
-
-    @property
-    def fm_index(self) -> FMIndex:
-        """The FM-Index used for seeding."""
-        return self._fm
-
-    @property
-    def backend(self) -> FMIndexBackend:
-        """The batched search backend used for batch seeding."""
-        return self._backend
 
     def align_read(
         self, read: str, name: str = "read", counters: AlignerCounters | None = None

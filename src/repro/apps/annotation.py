@@ -73,21 +73,6 @@ class ExactWordAnnotator:
         self._window_flushes: list[WindowedBatch] = []
 
     @property
-    def fm_index(self) -> FMIndex:
-        """The index searched by this annotator."""
-        return self._fm
-
-    @property
-    def engine(self) -> QueryEngine:
-        """The batched query engine answering word searches."""
-        return self._engine
-
-    @property
-    def window_capacity(self) -> int | None:
-        """The configured scheduling-window W, or ``None``."""
-        return self._window.capacity if self._window is not None else None
-
-    @property
     def windowed_flushes(self) -> tuple[WindowedBatch, ...]:
         """Windows flushed so far (cross-batch merged Occ request streams)."""
         return tuple(self._window_flushes)
@@ -100,10 +85,6 @@ class ExactWordAnnotator:
         if flushed is not None:
             self._window_flushes.append(flushed)
         return flushed
-
-    def annotate_word(self, word: str, counters: AnnotationCounters | None = None) -> WordAnnotation:
-        """Find every exact occurrence of *word* (a batch of one)."""
-        return self.annotate([word], counters)[0]
 
     def annotate(
         self, words: list[str], counters: AnnotationCounters | None = None

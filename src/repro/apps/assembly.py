@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..index.fmindex import FMIndex
-
 
 @dataclass(frozen=True)
 class Overlap:
@@ -161,35 +159,3 @@ def n50(contigs: list[Contig]) -> int:
         if running * 2 >= total:
             return length
     return lengths[-1]
-
-
-def error_correct_reads(reads: list[str], fm_index: FMIndex, kmer: int = 15, min_support: int = 3) -> list[str]:
-    """FM-Index-based error correction (the FMLRC-style scheme SGA uses).
-
-    Every k-mer of a read is checked against the reference index; a k-mer
-    with fewer than *min_support* occurrences is treated as erroneous and
-    the offending base is replaced by the alternative that maximises the
-    corrected k-mer's support.
-    """
-    if kmer <= 1:
-        raise ValueError("kmer must be greater than 1")
-    corrected = []
-    for read in reads:
-        bases = list(read)
-        for start in range(0, max(0, len(bases) - kmer + 1)):
-            fragment = "".join(bases[start : start + kmer])
-            if fm_index.occurrence_count(fragment) >= min_support:
-                continue
-            middle = start + kmer // 2
-            best_base, best_support = bases[middle], 0
-            for candidate in "ACGT":
-                if candidate == bases[middle]:
-                    continue
-                trial = fragment[: kmer // 2] + candidate + fragment[kmer // 2 + 1 :]
-                support = fm_index.occurrence_count(trial)
-                if support > best_support:
-                    best_base, best_support = candidate, support
-            if best_support >= min_support:
-                bases[middle] = best_base
-        corrected.append("".join(bases))
-    return corrected

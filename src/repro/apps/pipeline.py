@@ -9,8 +9,9 @@ annotation, compression) to the performance models:
 * :class:`BreakdownModel` converts those counters into CPU execution-time
   components — the Fig. 1 stacked bars (FM-Index vs dynamic programming vs
   other).
-* :func:`application_speedup` applies Amdahl's law with a measured FM-Index
-  search speedup to produce the Fig. 19 bars.
+* :meth:`~repro.accel.metrics.ApplicationRun.speedup_with_search_speedup`
+  applies Amdahl's law with a measured FM-Index search speedup to produce
+  the Fig. 19 bars.
 * :func:`application_energy` produces the Fig. 20 energy comparison from
   the same time components plus the power/energy constants.
 """
@@ -197,11 +198,6 @@ def _alignment_work(counters: AlignerCounters) -> WorkCounters:
         dp_cells=counters.extension_cells,
         other_units=counters.reads * 4 + counters.seeds,
     )
-
-
-def application_speedup(run: ApplicationRun, search_speedup: float) -> float:
-    """Fig. 19: whole-application speedup given an FM-Index search speedup."""
-    return run.speedup_with_search_speedup(search_speedup)
 
 
 def application_energy(

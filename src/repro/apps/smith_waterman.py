@@ -41,16 +41,6 @@ class LocalAlignment:
     target_end: int
     cells_computed: int
 
-    @property
-    def query_span(self) -> int:
-        """Aligned query length."""
-        return self.query_end - self.query_start
-
-    @property
-    def target_span(self) -> int:
-        """Aligned target length."""
-        return self.target_end - self.target_start
-
 
 def smith_waterman(
     query: str, target: str, scoring: ScoringScheme | None = None

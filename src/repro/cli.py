@@ -36,7 +36,8 @@ from .experiments.registry import (
     experiment_named,
 )
 from .exma.table import exma_size_breakdown
-from .genome.io import read_fasta
+from .genome.alphabet import AlphabetError
+from .genome.io import FormatError, read_fasta, validate_reference_record
 from .genome.sequence import random_genome
 from .index.kstep import kstep_size_bytes
 from .lisa.ipbwt import lisa_size_bytes
@@ -156,12 +157,19 @@ def _add_experiment_parser(subparsers, name: str, entry: Experiment) -> None:
 
 
 def _load_reference(args: argparse.Namespace) -> str:
-    if args.reference:
+    """The ``--reference`` FASTA's first record, checked before any index is
+    built from it (one line naming the file on a bad one), or the
+    synthetic genome."""
+    if not args.reference:
+        return random_genome(args.genome_length, seed=args.seed)
+    try:
         records = read_fasta(args.reference)
         if not records:
-            raise SystemExit(f"no FASTA records in {args.reference}")
-        return records[0].sequence
-    return random_genome(args.genome_length, seed=args.seed)
+            raise FormatError("no FASTA records")
+        validate_reference_record(records[0])
+    except (OSError, UnicodeDecodeError, FormatError, AlphabetError) as error:
+        raise SystemExit(f"invalid --reference {args.reference}: {error}")
+    return records[0].sequence
 
 
 #: --no-index downgrades of the learned backends to their exact variants.

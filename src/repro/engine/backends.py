@@ -174,11 +174,6 @@ class FMIndexBackend(SearchBackend):
         self._fm = fm_index
 
     @property
-    def fm_index(self) -> FMIndex:
-        """The wrapped FM-Index."""
-        return self._fm
-
-    @property
     def reference_length(self) -> int:
         return self._fm.reference_length
 
@@ -647,11 +642,6 @@ class LisaBackend(SearchBackend):
                 raise ValueError("either reference or lisa_index is required")
             lisa_index = LisaIndex(reference, k=k, use_learned_index=use_learned_index)
         self._lisa = lisa_index
-
-    @property
-    def lisa_index(self) -> LisaIndex:
-        """The wrapped LISA structure."""
-        return self._lisa
 
     @property
     def reference_length(self) -> int:

@@ -16,8 +16,8 @@ accelerator's columnar replay (:meth:`repro.accel.exma_accelerator
 .ExmaAccelerator.run`) consumes those arrays directly — neither the hot
 recording loop nor the replay ever leaves NumPy.
 :class:`~repro.exma.search.OccRequest` objects materialise only when a
-legacy consumer (``to_search_stats``, the object-path reference replay,
-tests) iterates the stream.
+legacy consumer (the object-path reference replay, tests) iterates the
+stream.
 
 The search-side cost counters (increment entries, predictions and their
 errors, binary comparisons) are **priced on read**.  Costs that resolving
@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..exma.search import ExmaSearchStats, OccRequest
+from ..exma.search import OccRequest
 
 __all__ = [
     "BatchStats",
@@ -112,11 +112,6 @@ class CoalescedStep:
         if self.kmers.size == 0:
             return 0
         return int(np.count_nonzero(np.diff(self.kmers))) + 1
-
-    @property
-    def merged(self) -> int:
-        """Requests eliminated by coalescing in this step."""
-        return self.issued - self.unique
 
     def scatter(self, unique_values: np.ndarray) -> np.ndarray:
         """Broadcast per-unique-pair results back to every issued request."""
@@ -201,20 +196,6 @@ class RequestStream(Sequence):
         """
         return list(zip(self._key_chunks, self._spans))
 
-    def snapshot(self) -> "RequestStream":
-        """A copy decoupled from future growth of this stream.
-
-        The per-step key arrays are shared (the engine never mutates them
-        in place); only the chunk bookkeeping is copied, so a consumer —
-        e.g. :meth:`repro.engine.window.CoalescingWindow.push` — can hold
-        the stream while the producing ``BatchStats`` keeps accumulating.
-        """
-        copy = RequestStream()
-        copy._key_chunks = list(self._key_chunks)
-        copy._spans = list(self._spans)
-        copy._size = self._size
-        return copy
-
     def _decomposed(self) -> tuple[np.ndarray, np.ndarray]:
         if self._columns is None:
             if not self._key_chunks:
@@ -269,9 +250,6 @@ class RequestStream(Sequence):
         if isinstance(other, (list, tuple)):
             return self.materialize() == list(other)
         return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RequestStream({self._size} requests, {len(self._key_chunks)} steps)"
 
 
 @dataclass(frozen=True)
@@ -368,9 +346,8 @@ StepPricer = Callable[[np.ndarray, np.ndarray], StepContribution]
 class BatchStats:
     """Counters accumulated while searching one batch of queries.
 
-    The counters mirror :class:`repro.exma.search.ExmaSearchStats` (so the
-    existing hardware model and experiment harnesses can consume them)
-    plus the batching-specific quantities: lockstep iterations executed,
+    The counters mirror :class:`repro.exma.search.ExmaSearchStats` plus
+    the batching-specific quantities: lockstep iterations executed,
     requests issued before coalescing, and requests surviving it.
     ``requests`` holds the *coalesced* stream, in schedule order — the
     input :meth:`repro.accel.exma_accelerator.ExmaAccelerator.run` replays
@@ -378,8 +355,8 @@ class BatchStats:
 
     The cost counters ``increment_entries_read``, ``index_predictions``,
     ``binary_comparisons`` and ``prediction_errors`` (and ``mean_error``,
-    :meth:`merge`, :meth:`to_search_stats`) are priced on read.  A step
-    recorded with its Occ values stays *pending*.  The first read prices
+    :meth:`merge`) are priced on read.  A step recorded with its Occ
+    values stays *pending*.  The first read prices
     every pending step with one call to the pricer the backend attached
     (:meth:`price_with`), folded in step order.  So every counter, and the
     order of ``prediction_errors``, equals pricing each step as it ran,
@@ -409,11 +386,6 @@ class BatchStats:
     _pricer: StepPricer | None = field(default=None, init=False, repr=False)
     #: Settling is check-then-act: two readers must not both price.
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
-
-    @property
-    def requests_merged(self) -> int:
-        """Duplicate requests removed by coalescing across the batch."""
-        return self.occ_requests_issued - self.occ_requests_unique
 
     @property
     def coalescing_factor(self) -> float:
@@ -594,24 +566,6 @@ class BatchStats:
         self._comparisons += other._comparisons
         self._errors.extend(other._errors)
         self.requests.extend(other.requests)
-
-    def to_search_stats(self) -> ExmaSearchStats:
-        """Convert to the legacy per-query stats record.
-
-        Lets everything written against :class:`ExmaSearchStats` (the
-        accelerator model, the figure harnesses) consume a batched run
-        unchanged.  This is the one conversion that materialises the
-        columnar request stream into objects.
-        """
-        return ExmaSearchStats(
-            iterations=self.iterations,
-            occ_lookups=self.occ_requests_unique,
-            base_reads=self.base_reads,
-            increment_entries_read=self.increment_entries_read,
-            index_predictions=self.index_predictions,
-            prediction_errors=list(self.prediction_errors),
-            requests=list(self.requests),
-        )
 
     def __eq__(self, other: object) -> bool:
         """Field-for-field equality, cost counters priced on both sides."""

@@ -44,11 +44,6 @@ class BatchResult:
         """Occurrence count per query."""
         return [interval.count for interval in self.intervals]
 
-    @property
-    def matched(self) -> int:
-        """Queries with at least one occurrence."""
-        return sum(1 for interval in self.intervals if not interval.empty)
-
 
 class QueryEngine(runtime.PoolOwner):
     """Batched exact-match search through a pluggable backend.

@@ -19,8 +19,8 @@ dedupe is one sort of those keys plus a neighbour mask, and the flushed
 accelerator's columnar replay consumes as-is, through to the cycle
 counts.  No :class:`~repro.exma.search.OccRequest` objects are
 materialised anywhere on that path — the batch only builds them lazily
-when a legacy consumer (the object-path reference replay,
-``to_search_stats``, tests) iterates its ``requests`` view.
+when a legacy consumer (the object-path reference replay, tests)
+iterates its ``requests`` view.
 
 Two oracle properties pin the semantics down (``tests/test_window.py``):
 
@@ -91,11 +91,6 @@ class WindowedBatch(Sequence):
         """Requests surviving the window merge."""
         return int(self.keys.size)
 
-    @property
-    def merged(self) -> int:
-        """Requests eliminated by the cross-batch merge."""
-        return self.issued - self.unique
-
     def _decomposed(self) -> tuple[np.ndarray, np.ndarray]:
         if self._columns is None:
             self._columns = (self.keys // self.span, self.keys % self.span)
@@ -135,12 +130,6 @@ class WindowedBatch(Sequence):
 
     def __getitem__(self, index):
         return self.requests[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WindowedBatch({self.unique} unique of {self.issued} issued, "
-            f"{self.batches} batches)"
-        )
 
 
 class CoalescingWindow:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..lisa.learned_index import LinearModel, PredictionStats
+from ..lisa.learned_index import LinearModel
 from .table import ExmaTable
 
 #: k-mers with at most this many increments are searched exactly.
@@ -101,11 +101,6 @@ class NaiveLearnedIndex:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-
-    @property
-    def table(self) -> ExmaTable:
-        """The indexed EXMA table."""
-        return self._table
 
     @property
     def modelled_kmers(self) -> list[int]:
@@ -208,7 +203,3 @@ class NaiveLearnedIndex:
                 _, err = self.lookup(packed, int(pos))
                 errors.append(err)
         return np.array(errors, dtype=np.float64)
-
-    def error_stats(self, packed_kmers: list[int] | None = None, seed: int = 0) -> PredictionStats:
-        """Error statistics in the format of Fig. 13."""
-        return PredictionStats.from_errors(self.prediction_errors(packed_kmers, seed=seed))

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import native
-from ..lisa.learned_index import PredictionStats
 from ..runtime import check_workers
 from .table import ExmaTable
 
@@ -451,7 +450,3 @@ class MTLIndex:
                 _, err = self.lookup(packed, int(pos))
                 errors.append(err)
         return np.array(errors, dtype=np.float64)
-
-    def error_stats(self, packed_kmers: list[int] | None = None, seed: int = 0) -> PredictionStats:
-        """Error statistics in the format of Fig. 13."""
-        return PredictionStats.from_errors(self.prediction_errors(packed_kmers, seed=seed))

@@ -94,11 +94,6 @@ class ExmaSearch:
         """The searched EXMA table."""
         return self._table
 
-    @property
-    def index(self) -> OccIndex | None:
-        """The learned index in use, if any."""
-        return self._index
-
     def _occ(self, packed: int, pos: int, stats: ExmaSearchStats | None) -> int:
         """One Occ lookup, modelling the predict/verify/linear-search path."""
         if stats is not None:
@@ -175,11 +170,6 @@ class ExmaSearch:
         """All reference positions where *query* occurs (sorted)."""
         interval = self.backward_search(query)
         return self._table.locate(interval.low, interval.high)
-
-    def iterations_for_query(self, query_length: int) -> int:
-        """Backward-search iterations needed for a query of this length."""
-        full, leftover = divmod(query_length, self._table.k)
-        return full + (1 if leftover else 0)
 
     def request_stream(self, queries: list[str]) -> tuple[list[OccRequest], ExmaSearchStats]:
         """Run a batch of queries, returning the Occ request stream.

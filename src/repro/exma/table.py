@@ -190,11 +190,6 @@ class ExmaTable:
         """Per-k-mer base pointers into the increment array."""
         return self._bases
 
-    @property
-    def suffix_array_(self) -> np.ndarray:
-        """The underlying suffix array (for locate)."""
-        return self._sa
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -277,28 +272,6 @@ class ExmaTable:
         result = int(self._kmer_rank_base[packed]) + sentinel_below
         self._count_cache[packed] = result
         return result
-
-    def occ_linear(self, kmer: str | int, pos: int, start: int = 0) -> tuple[int, int]:
-        """Occ via linear scan from *start*, returning (occ, entries_read).
-
-        Models the hardware's verify-and-linear-search fallback: the
-        returned ``entries_read`` is the number of increment entries that
-        had to be fetched.
-        """
-        increments = self.increments_of(kmer)
-        start = max(0, min(start, len(increments)))
-        # Scan backwards if we started past the answer, forwards otherwise.
-        reads = 0
-        idx = start
-        if idx < len(increments) and increments[idx] < pos:
-            while idx < len(increments) and increments[idx] < pos:
-                idx += 1
-                reads += 1
-        else:
-            while idx > 0 and increments[idx - 1] >= pos:
-                idx -= 1
-                reads += 1
-        return idx, max(reads, 1)
 
     def prefix_interval(self, partial: str) -> tuple[int, int]:
         """BW-matrix interval of rows whose suffix starts with *partial*.
@@ -383,7 +356,3 @@ class ExmaTable:
     def kmer_string(self, packed: int) -> str:
         """Unpack a packed k-mer code back to its string form."""
         return unpack_kmer(packed, self._k)
-
-    def storage_bytes(self) -> int:
-        """Bytes of the simulated table (8-byte entries, no compression)."""
-        return int(self._increments.size * 8 + self._bases.size * 8 + self._counts.size * 8)

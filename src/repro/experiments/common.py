@@ -89,11 +89,6 @@ class Workload:
     requests: tuple[OccRequest, ...]
     stats: ExmaSearchStats
 
-    @property
-    def k(self) -> int:
-        """The EXMA step number of this workload."""
-        return self.table.k
-
 
 def sample_queries(
     reference: str,

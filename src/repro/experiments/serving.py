@@ -183,13 +183,6 @@ class SaturationStudy:
     queue_capacity: int
     knee_rejection_threshold: float
 
-    def curve(self, arrival: str, workers: int) -> SaturationCurve:
-        """The curve of one (arrival, workers) pair."""
-        for candidate in self.curves:
-            if candidate.arrival == arrival and candidate.workers == workers:
-                return candidate
-        raise KeyError(f"no curve for arrival={arrival!r}, workers={workers}")
-
 
 def _schedule(arrival, rate, duration, seed, pool, tenants, queries_per_arrival, zipf_s):
     if arrival == "poisson":

@@ -221,11 +221,6 @@ class FaultInjector:
         self._injected = {site: 0 for site in FAULT_SITES}
 
     @property
-    def plan(self) -> FaultPlan:
-        """The immutable scenario this injector evaluates."""
-        return self._plan
-
-    @property
     def probes(self) -> dict[str, int]:
         """Probe counts per site (a snapshot copy)."""
         with self._lock:

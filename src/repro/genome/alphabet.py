@@ -151,21 +151,6 @@ def unpack_kmer(value: int, k: int) -> str:
     return "".join(symbols)
 
 
-def iter_kmers(sequence: str, k: int):
-    """Yield all overlapping k-mers of *sequence* (no sentinel)."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    for i in range(len(sequence) - k + 1):
-        yield sequence[i : i + k]
-
-
-def kmer_count(k: int) -> int:
-    """Number of distinct k-mers over the 4-letter DNA alphabet."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return 4**k
-
-
 def gc_content(sequence: str) -> float:
     """Fraction of G/C symbols in *sequence* (0.0 for empty input)."""
     if not sequence:

@@ -95,13 +95,3 @@ def build_dataset(
     except KeyError as exc:
         raise KeyError(f"unknown dataset {name!r}; expected one of {sorted(DATASETS)}") from exc
     return profile.build(simulated_length=simulated_length, seed=seed)
-
-
-def build_all_datasets(
-    simulated_length: int = DEFAULT_SIMULATED_LENGTH, seed: int = 0
-) -> dict[str, Reference]:
-    """Build all three evaluation datasets at the same simulated length."""
-    return {
-        name: profile.build(simulated_length=simulated_length, seed=seed + i)
-        for i, (name, profile) in enumerate(DATASETS.items())
-    }

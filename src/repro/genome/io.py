@@ -1,11 +1,12 @@
-"""FASTA / FASTQ input and output.
+"""FASTA input and output.
 
-Minimal, dependency-free readers and writers covering the formats the
-pipeline touches: references are stored as FASTA, simulated reads as FASTQ
-(with quality strings derived from the simulator's per-base error
-probabilities).  The parsers are deliberately strict — malformed records
-raise :class:`FormatError` rather than being silently skipped — because a
-truncated reference would invalidate every downstream index.
+A minimal, dependency-free reader and writer for the one file format the
+pipeline touches: a reference passed as ``--reference`` is FASTA (reads are
+simulated in memory and never written out).  The parser is deliberately
+strict — malformed records raise :class:`FormatError` rather than being
+silently skipped — because a truncated reference would invalidate every
+downstream index; :func:`validate_reference_record` then checks that the
+record is a usable DNA reference before any index is built from it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .alphabet import validate
 
 
 class FormatError(ValueError):
-    """Raised when a FASTA/FASTQ stream is malformed."""
+    """Raised when a FASTA stream is malformed."""
 
 
 @dataclass(frozen=True)
@@ -27,22 +28,6 @@ class FastaRecord:
 
     name: str
     sequence: str
-
-
-@dataclass(frozen=True)
-class FastqRecord:
-    """A single FASTQ record: name, sequence, and a quality string."""
-
-    name: str
-    sequence: str
-    quality: str
-
-    def __post_init__(self) -> None:
-        if len(self.sequence) != len(self.quality):
-            raise FormatError(
-                f"sequence/quality length mismatch for read {self.name!r}: "
-                f"{len(self.sequence)} vs {len(self.quality)}"
-            )
 
 
 def _open_for_read(path: str | Path) -> TextIO:
@@ -88,42 +73,6 @@ def write_fasta(path: str | Path, records: Iterable[FastaRecord], width: int = 7
             seq = record.sequence
             for i in range(0, len(seq), width):
                 handle.write(seq[i : i + width] + "\n")
-
-
-def parse_fastq(stream: Iterable[str]) -> Iterator[FastqRecord]:
-    """Parse FASTQ records from an iterable of lines."""
-    lines = iter(stream)
-    while True:
-        try:
-            header = next(lines).rstrip("\n")
-        except StopIteration:
-            return
-        if not header:
-            continue
-        if not header.startswith("@"):
-            raise FormatError(f"expected '@' header line, got {header!r}")
-        try:
-            sequence = next(lines).rstrip("\n")
-            plus = next(lines).rstrip("\n")
-            quality = next(lines).rstrip("\n")
-        except StopIteration as exc:
-            raise FormatError("truncated FASTQ record") from exc
-        if not plus.startswith("+"):
-            raise FormatError(f"expected '+' separator line, got {plus!r}")
-        yield FastqRecord(name=header[1:].strip(), sequence=sequence.upper(), quality=quality)
-
-
-def read_fastq(path: str | Path) -> list[FastqRecord]:
-    """Read all FASTQ records from *path*."""
-    with _open_for_read(path) as handle:
-        return list(parse_fastq(handle))
-
-
-def write_fastq(path: str | Path, records: Iterable[FastqRecord]) -> None:
-    """Write FASTQ *records* to *path*."""
-    with open(Path(path), "w", encoding="ascii") as handle:
-        for record in records:
-            handle.write(f"@{record.name}\n{record.sequence}\n+\n{record.quality}\n")
 
 
 def validate_reference_record(record: FastaRecord) -> None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import DNA_ALPHABET, reverse_complement
-from .io import FastqRecord
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,8 @@ ONT_2D = ErrorProfile("ONT2D", mismatch=0.1650, insertion=0.0510, deletion=0.084
 
 PROFILES = {p.name: p for p in (ILLUMINA, PACBIO, ONT_2D)}
 
-#: Default read lengths used in the paper's evaluation.
+#: Default short-read length used in the paper's evaluation.
 SHORT_READ_LENGTH = 101
-LONG_READ_LENGTH = 1000
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,6 @@ class SimulatedRead:
     true_position: int
     reverse: bool
     profile: str
-
-    def to_fastq(self) -> FastqRecord:
-        """Convert to a FASTQ record with a flat quality string."""
-        return FastqRecord(name=self.name, sequence=self.sequence, quality="I" * len(self.sequence))
 
 
 class ReadSimulator:
@@ -87,11 +81,6 @@ class ReadSimulator:
         self._reference = reference
         self._profile = profile
         self._rng = np.random.default_rng(seed)
-
-    @property
-    def profile(self) -> ErrorProfile:
-        """The error profile reads are generated with."""
-        return self._profile
 
     def simulate(
         self,
@@ -181,16 +170,3 @@ def simulate_short_reads(
     """Convenience wrapper: Illumina-profile 101-bp reads."""
     simulator = ReadSimulator(reference, ILLUMINA, seed=seed)
     return simulator.simulate(read_length=SHORT_READ_LENGTH, coverage=coverage)
-
-
-def simulate_long_reads(
-    reference: str,
-    profile: ErrorProfile = PACBIO,
-    coverage: float = 1.0,
-    read_length: int = LONG_READ_LENGTH,
-    seed: int | None = 0,
-) -> list[SimulatedRead]:
-    """Convenience wrapper: PacBio/ONT-profile long reads."""
-    read_length = min(read_length, len(reference))
-    simulator = ReadSimulator(reference, profile, seed=seed)
-    return simulator.simulate(read_length=read_length, coverage=coverage)

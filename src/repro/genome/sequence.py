@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphabet import DNA_ALPHABET, gc_content, validate
+from .alphabet import DNA_ALPHABET, validate
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,6 @@ class Reference:
 
     def __len__(self) -> int:
         return len(self.sequence)
-
-    @property
-    def gc(self) -> float:
-        """GC content of the simulated sequence."""
-        return gc_content(self.sequence)
-
-    @property
-    def scale_factor(self) -> float:
-        """Ratio between the paper-scale genome and the simulated one."""
-        return self.paper_length / len(self.sequence)
 
 
 def random_genome(

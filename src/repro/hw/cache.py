@@ -66,26 +66,6 @@ class SetAssociativeCache:
         self._sets: list[OrderedDict[int, None]] = [OrderedDict() for _ in range(self._num_sets)]
         self.stats = CacheStats()
 
-    @property
-    def capacity_bytes(self) -> int:
-        """Total capacity in bytes."""
-        return self._num_sets * self._associativity * self._line_bytes
-
-    @property
-    def line_bytes(self) -> int:
-        """Cache line size in bytes."""
-        return self._line_bytes
-
-    @property
-    def associativity(self) -> int:
-        """Ways per set."""
-        return self._associativity
-
-    @property
-    def num_sets(self) -> int:
-        """Number of sets."""
-        return self._num_sets
-
     def _locate(self, address: int) -> tuple[int, int]:
         line = address // self._line_bytes
         return line % self._num_sets, line
@@ -105,21 +85,6 @@ class SetAssociativeCache:
         if len(ways) > self._associativity:
             ways.popitem(last=False)
         return False
-
-    def contains(self, address: int) -> bool:
-        """Whether the line holding *address* is currently cached."""
-        set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
-
-    def flush(self) -> None:
-        """Invalidate every line (the paper flushes EXMA data from the CPU
-        hierarchy before searches start; the accelerator caches start cold)."""
-        for ways in self._sets:
-            ways.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters without touching contents."""
-        self.stats = CacheStats()
 
 
 def simulate_lru_hits(

@@ -32,15 +32,6 @@ class CamConfig:
         if self.entries <= 0 or self.entry_bits <= 0:
             raise ValueError("entries and entry_bits must be positive")
 
-    def max_kmer_length(self) -> int:
-        """Longest k-mer an entry can hold alongside its position."""
-        return (self.entry_bits - POSITION_BITS) // SYMBOL_BITS
-
-    @property
-    def size_bytes(self) -> int:
-        """Total CAM storage in bytes."""
-        return self.entries * self.entry_bits // 8
-
 
 class SchedulingQueue:
     """A bounded queue of Occ requests with CAM-style sorting.
@@ -54,11 +45,6 @@ class SchedulingQueue:
     def __init__(self, config: CamConfig | None = None) -> None:
         self._config = config or CamConfig()
         self._entries: list[OccRequest] = []
-
-    @property
-    def config(self) -> CamConfig:
-        """The CAM configuration."""
-        return self._config
 
     @property
     def capacity(self) -> int:
@@ -79,14 +65,6 @@ class SchedulingQueue:
             return False
         self._entries.append(request)
         return True
-
-    def extend(self, requests: list[OccRequest]) -> list[OccRequest]:
-        """Insert as many requests as fit; returns the overflow."""
-        overflow = []
-        for request in requests:
-            if not self.push(request):
-                overflow.append(request)
-        return overflow
 
     def sort_by_kmer(self) -> None:
         """Stage-1 sort: lexicographic by k-mer (packed code order)."""

@@ -114,16 +114,6 @@ class DDR4Config:
         )
 
     @property
-    def peak_bandwidth_bytes_per_cycle(self) -> float:
-        """Aggregate peak data-bus bandwidth across channels."""
-        return self.channels * self.bus_bytes_per_cycle
-
-    @property
-    def peak_bandwidth_gbs(self) -> float:
-        """Aggregate peak bandwidth in GB/s."""
-        return self.peak_bandwidth_bytes_per_cycle * self.clock_mhz * 1e6 / 1e9
-
-    @property
     def total_capacity_gb(self) -> int:
         """Main-memory capacity in GB (Table I lists 384 GB)."""
         return 384
@@ -203,12 +193,6 @@ class DRAMStats:
         if self.total_cycles == 0:
             return 0.0
         return min(1.0, self.data_bus_busy_cycles / self.total_cycles)
-
-    def seconds(self, clock_mhz: float) -> float:
-        """Wall-clock time of the window at the given DRAM clock."""
-        if clock_mhz <= 0:
-            raise ValueError("clock_mhz must be positive")
-        return self.total_cycles / (clock_mhz * 1e6)
 
 
 #: Stream ids index the per-stream ready cycles, so a negative one would
@@ -297,16 +281,6 @@ class DRAMModel:
         self._config = config or DDR4Config()
         self._policy = page_policy
         self._energy = energy_model or DRAMEnergyModel()
-
-    @property
-    def config(self) -> DDR4Config:
-        """The DDR4 configuration in use."""
-        return self._config
-
-    @property
-    def page_policy(self) -> PagePolicy:
-        """The configured page policy."""
-        return self._policy
 
     def process(self, requests: list[MemoryRequest]) -> DRAMStats:
         """Replay *requests* in order and return aggregate statistics."""

@@ -113,9 +113,3 @@ class SystemEnergyBreakdown:
             + self.accelerator_leakage_j
             + self.cpu_j
         )
-
-    def normalised_to(self, baseline_total_j: float) -> float:
-        """This run's energy relative to a baseline total."""
-        if baseline_total_j <= 0:
-            raise ValueError("baseline_total_j must be positive")
-        return self.total_j / baseline_total_j

@@ -101,7 +101,3 @@ class InferenceEngine:
         return InferenceCost(
             macs=total_macs, cycles=cycles, energy_pj=single.energy_pj * lookups
         )
-
-    def cycles_to_seconds(self, cycles: int) -> float:
-        """Convert engine cycles to seconds at the configured clock."""
-        return cycles / (self._config.clock_mhz * 1e6)

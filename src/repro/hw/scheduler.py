@@ -80,11 +80,6 @@ class TwoStageScheduler:
     def __init__(self, cam_config: CamConfig | None = None) -> None:
         self._cam_config = cam_config or CamConfig()
 
-    @property
-    def batch_size(self) -> int:
-        """Requests per batch (bounded by the CAM capacity)."""
-        return self._cam_config.entries
-
     def schedule(self, requests: Iterable[OccRequest]) -> Iterator[ScheduledBatch]:
         """Yield batches with stage-1 (k-mer) and stage-2 (pos) orderings."""
         queue = SchedulingQueue(self._cam_config)

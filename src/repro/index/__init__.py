@@ -1,4 +1,4 @@
-"""Index substrate: suffix arrays, BWT, FM-Index (1-step and k-step)."""
+"""Index substrate: suffix arrays, BWT, the FM-Index and the Eq. 2 k-step size model."""
 
 from .fmindex import FMIndex
 

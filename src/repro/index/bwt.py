@@ -61,24 +61,3 @@ def inverse_bwt(transformed: str) -> str:
     # Rotate so the sentinel ends the string.
     sentinel_at = text.index(SENTINEL)
     return text[sentinel_at + 1 :] + text[: sentinel_at + 1]
-
-
-def run_length_encode(transformed: str) -> list[tuple[str, int]]:
-    """Run-length encode a BWT string.
-
-    Genomic BWTs are highly runny; this is used by the compression
-    application and by storage-size reporting.
-    """
-    if not transformed:
-        return []
-    runs: list[tuple[str, int]] = []
-    current = transformed[0]
-    count = 1
-    for symbol in transformed[1:]:
-        if symbol == current:
-            count += 1
-        else:
-            runs.append((current, count))
-            current, count = symbol, 1
-    runs.append((current, count))
-    return runs

@@ -65,11 +65,6 @@ class SearchTrace:
         """Record one Occ-bucket access."""
         self.bucket_accesses.append(bucket)
 
-    @property
-    def access_count(self) -> int:
-        """Total number of Occ lookups issued."""
-        return len(self.bucket_accesses)
-
 
 @dataclass(frozen=True)
 class Seed:
@@ -165,19 +160,9 @@ class FMIndex:
         return self._bwt
 
     @property
-    def bucket_width(self) -> int:
-        """Occ sampling distance ``d``."""
-        return self._bucket_width
-
-    @property
     def bucket_count(self) -> int:
         """Number of Occ/BWT buckets in the index."""
         return (self._n + self._bucket_width - 1) // self._bucket_width
-
-    @property
-    def suffix_array_(self) -> np.ndarray:
-        """The full suffix array (read-only view)."""
-        return self._sa
 
     # ------------------------------------------------------------------ #
     # Core FM-Index operations
@@ -324,22 +309,3 @@ class FMIndex:
     # ------------------------------------------------------------------ #
     # Size model
     # ------------------------------------------------------------------ #
-
-    def storage_bytes(self) -> int:
-        """Bytes occupied by the simulated index (BWT + markers + SA)."""
-        bwt_bits = self._n * 3
-        marker_bytes = self._occ_markers.size * 8
-        sa_bytes = self._sa_samples.size * 8
-        return bwt_bits // 8 + marker_bytes + sa_bytes
-
-
-def fm_index_size_bytes(genome_length: int, bucket_width: int = DEFAULT_BUCKET_WIDTH) -> int:
-    """Analytic FM-1 size for a genome of *genome_length* bases.
-
-    Follows Eq. 2 of the paper with k = 1: markers of
-    ``ceil(log2 |G|) * |G| * |Sigma| / (8 d)`` bytes plus the packed BWT of
-    ``|G| * ceil(log2(|Sigma| + 1)) / 8`` bytes.
-    """
-    from .kstep import kstep_size_bytes
-
-    return kstep_size_bytes(genome_length, k=1, bucket_width=bucket_width)

@@ -82,32 +82,3 @@ def inverse_suffix_array(sa: np.ndarray) -> np.ndarray:
     isa = np.empty_like(sa)
     isa[sa] = np.arange(sa.size, dtype=np.int64)
     return isa
-
-
-def lcp_array(text: str, sa: np.ndarray | None = None) -> np.ndarray:
-    """Longest-common-prefix array via Kasai's algorithm.
-
-    ``lcp[i]`` is the length of the longest common prefix of the suffixes
-    at ranks ``i-1`` and ``i`` (``lcp[0]`` is 0).  Used by the assembly
-    substrate for overlap detection sanity checks.
-    """
-    terminated = _ensure_terminated(text)
-    if sa is None:
-        sa = suffix_array(terminated)
-    sa = np.asarray(sa, dtype=np.int64)
-    n = sa.size
-    isa = inverse_suffix_array(sa)
-    lcp = np.zeros(n, dtype=np.int64)
-    h = 0
-    for i in range(n):
-        rank = isa[i]
-        if rank > 0:
-            j = sa[rank - 1]
-            while i + h < n and j + h < n and terminated[i + h] == terminated[j + h]:
-                h += 1
-            lcp[rank] = h
-            if h > 0:
-                h -= 1
-        else:
-            h = 0
-    return lcp

@@ -84,15 +84,6 @@ class IPBWT:
         """Length of the sentinel-terminated reference."""
         return self._n
 
-    @property
-    def suffix_array_(self) -> np.ndarray:
-        """The underlying suffix array (for locate)."""
-        return self._sa
-
-    def is_sorted(self) -> bool:
-        """Whether entries are sorted by (kmer, paired_row) — an invariant."""
-        return all(self._keys[i] <= self._keys[i + 1] for i in range(len(self._keys) - 1))
-
     def lower_bound(self, kmer: str, pos: int) -> int:
         """First row whose (kmer, paired_row) key is >= (kmer, pos).
 
@@ -100,31 +91,6 @@ class IPBWT:
         ``Count(kmer) + Occ(kmer, pos)``.
         """
         return bisect.bisect_left(self._keys, (kmer, pos))
-
-    def step(self, kmer: str, interval: Interval) -> Interval:
-        """Apply one k-symbol backward-search step to *interval*."""
-        if len(kmer) != self._k:
-            raise ValueError(f"expected a {self._k}-mer, got {kmer!r}")
-        low = self.lower_bound(kmer, interval.low)
-        high = self.lower_bound(kmer, interval.high)
-        return Interval(low, high)
-
-    def partial_step(self, prefix: str) -> Interval:
-        """Initial step for a query chunk shorter than k (LISA padding).
-
-        The partial chunk is only ever the first-processed chunk (the
-        query's tail), so the current interval is the full matrix.  LISA
-        pads the chunk with the smallest symbol for ``low`` and the largest
-        for ``high``.
-        """
-        if not 0 < len(prefix) < self._k:
-            raise ValueError("partial chunk length must be in (0, k)")
-        pad = self._k - len(prefix)
-        low_key = prefix + SENTINEL * pad
-        high_key = prefix + "T" * pad
-        low = self.lower_bound(low_key, 0)
-        high = self.lower_bound(high_key, self._n)
-        return Interval(low, high)
 
     def locate(self, interval: Interval) -> list[int]:
         """Reference positions for a BW-matrix interval."""

@@ -118,16 +118,6 @@ class RecursiveModelIndex:
                 leaves.append(LinearModel(0.0, 0.0))
         return leaves
 
-    @property
-    def size(self) -> int:
-        """Number of indexed keys."""
-        return self._n
-
-    @property
-    def parameter_count(self) -> int:
-        """Total trainable parameters across root and leaves."""
-        return self._root.parameter_count + sum(leaf.parameter_count for leaf in self._leaves)
-
     def predict(self, key: float) -> int:
         """Predicted position of *key* (clamped to the valid range)."""
         bucket = int(np.clip(np.floor(self._root.predict(key)), 0, self._fanout - 1))

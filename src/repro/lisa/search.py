@@ -171,8 +171,3 @@ class LisaIndex:
     def find(self, query: str) -> list[int]:
         """All reference positions where *query* occurs (sorted)."""
         return self._ipbwt.locate(self.backward_search(query))
-
-    def iterations_for_query(self, query_length: int) -> int:
-        """Backward-search iterations needed for a query of this length."""
-        full, leftover = divmod(query_length, self.k)
-        return full + (1 if leftover else 0)

@@ -188,11 +188,6 @@ class OpenLoopResult:
     #: Wall-clock seconds from first submit to all tickets resolved.
     wall_seconds: float = 0.0
 
-    @property
-    def rejection_rate(self) -> float:
-        """Fraction of offered queries bounced."""
-        return self.rejected / self.offered if self.offered else 0.0
-
 
 def run_open_loop(
     service: QueryService,

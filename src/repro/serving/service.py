@@ -812,11 +812,6 @@ class QueryService(object):
             else:
                 self._service_ewma += _EWMA_ALPHA * (seconds - self._service_ewma)
 
-    @property
-    def service_time_ewma(self) -> float | None:
-        """EWMA of observed batch service seconds (None before any batch)."""
-        return self._service_ewma
-
     # ------------------------------------------------------------------ #
     # Batch formation (shared by all workers; see workers.py for the loop)
     # ------------------------------------------------------------------ #

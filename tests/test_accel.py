@@ -23,7 +23,7 @@ from repro.accel.config import (
     exma_full_config,
 )
 from repro.accel.exma_accelerator import ExmaAccelerator
-from repro.accel.metrics import ApplicationRun, SearchThroughput, geometric_mean, normalise
+from repro.accel.metrics import ApplicationRun, SearchThroughput, geometric_mean
 from repro.exma.search import ExmaSearch
 from repro.hw.dram import PagePolicy
 
@@ -71,11 +71,6 @@ class TestMetrics:
                                   accelerator_power_w=1.0, dram_power_w=72.0)
         assert result.mbase_per_second_per_watt == pytest.approx(1.0)
 
-    def test_speedup_over(self):
-        fast = SearchThroughput("f", 100, 1.0, 1.0, 1.0)
-        slow = SearchThroughput("s", 50, 1.0, 1.0, 1.0)
-        assert fast.speedup_over(slow) == pytest.approx(2.0)
-
     def test_invalid_seconds(self):
         with pytest.raises(ValueError):
             SearchThroughput("x", 1, 0.0, 1.0, 1.0)
@@ -89,13 +84,6 @@ class TestMetrics:
         run = ApplicationRun("align", "human", 8, 1, 1)
         assert run.speedup_with_search_speedup(1e9) == pytest.approx(5.0, rel=1e-3)
         assert run.speedup_with_search_speedup(1.0) == pytest.approx(1.0)
-
-    def test_normalise(self):
-        assert normalise({"a": 2.0, "b": 4.0}, "a") == {"a": 1.0, "b": 2.0}
-
-    def test_normalise_missing_baseline(self):
-        with pytest.raises(KeyError):
-            normalise({"a": 1.0}, "z")
 
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
@@ -127,12 +115,6 @@ class TestCpuThroughputModel:
             "err", 21, scan_entries_per_lookup=3000.0, structure_size_gb=16.0
         )
         assert model.bases_per_second(erroneous) < model.bases_per_second(clean)
-
-    def test_throughput_record(self):
-        model = CpuThroughputModel()
-        record = model.throughput(SoftwareAlgorithm("FM-1", 1))
-        assert record.mbase_per_second > 0
-        assert record.total_power_w > 72.0
 
 
 class TestBaselineAccelerators:

@@ -14,9 +14,7 @@ Pins the contract of :meth:`repro.accel.exma_accelerator.ExmaAccelerator
   W-windows), and cycles follow the same trend — strictly fewer at the
   widest window, with at most CYCLE_SLACK of local model noise per step
   (shifted scheduling-epoch boundaries can move row-conflict patterns
-  slightly even as the stream monotonically shrinks);
-* the analytic baselines' stream entry points never report a windowed
-  stream slower than the unwindowed model.
+  slightly even as the stream monotonically shrinks).
 """
 
 from __future__ import annotations
@@ -25,12 +23,7 @@ import pytest
 
 from repro.accel import ExmaAccelerator
 from repro.accel.config import ExmaAcceleratorConfig
-from repro.accel.baselines import (
-    CpuThroughputModel,
-    SoftwareAlgorithm,
-    exma_analytic_model,
-    stream_merge_ratio,
-)
+from repro.accel.baselines import exma_analytic_model
 from repro.engine import QueryEngine
 from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend, create_backend
 from repro.engine.window import CoalescingWindow
@@ -158,23 +151,6 @@ class TestStreamEntryPoints:
         assert result.windows == len(flushes)
         # Plain sequences carry no issued/batches metadata beyond length.
         assert result.issued == sum(len(requests) for requests in as_lists)
-
-    def test_analytic_models_never_slower_with_wider_window(self, streams):
-        model = exma_analytic_model()
-        rates = []
-        for window in WINDOWS:
-            flushes = list(CoalescingWindow(window).stream(streams["exma"]))
-            assert stream_merge_ratio(flushes) >= 1.0
-            rates.append(model.run_stream(flushes).mbase_per_second)
-        assert rates == sorted(rates)
-        assert rates[0] >= model.throughput().mbase_per_second * 0.999
-
-    def test_cpu_model_stream_entry_point(self, streams):
-        model = CpuThroughputModel()
-        algorithm = SoftwareAlgorithm(name="EXMA-15", symbols_per_iteration=15)
-        flushes = list(CoalescingWindow(4).stream(streams["exma"]))
-        windowed = model.run_stream(algorithm, flushes)
-        assert windowed.bases_per_second >= model.bases_per_second(algorithm) * 0.999
 
     def test_coalescing_factor_below_one_rejected(self):
         with pytest.raises(ValueError):

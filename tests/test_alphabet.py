@@ -156,29 +156,6 @@ class TestKmerPacking:
     def test_pack_unpack_roundtrip(self, kmer):
         assert alphabet.unpack_kmer(alphabet.pack_kmer(kmer), len(kmer)) == kmer
 
-    def test_kmer_count(self):
-        assert alphabet.kmer_count(0) == 1
-        assert alphabet.kmer_count(3) == 64
-
-    def test_kmer_count_negative_raises(self):
-        with pytest.raises(ValueError):
-            alphabet.kmer_count(-1)
-
-
-class TestIterKmers:
-    def test_yields_all_windows(self):
-        assert list(alphabet.iter_kmers("ACGTA", 3)) == ["ACG", "CGT", "GTA"]
-
-    def test_k_longer_than_sequence(self):
-        assert list(alphabet.iter_kmers("AC", 3)) == []
-
-    def test_k_zero_raises(self):
-        with pytest.raises(ValueError):
-            list(alphabet.iter_kmers("ACGT", 0))
-
-    def test_k_equal_length(self):
-        assert list(alphabet.iter_kmers("ACGT", 4)) == ["ACGT"]
-
 
 class TestGcContent:
     def test_all_gc(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.alignment import AlignerCounters, ReadAligner, alignment_accuracy
 from repro.apps.annotation import AnnotationCounters, ExactWordAnnotator, words_from_reference
-from repro.apps.assembly import AssemblyCounters, OverlapAssembler, error_correct_reads, n50
+from repro.apps.assembly import AssemblyCounters, OverlapAssembler, n50
 from repro.apps.compression import (
     CompressionCounters,
     LiteralToken,
@@ -147,29 +147,19 @@ class TestAssembly:
         with pytest.raises(ValueError):
             OverlapAssembler(min_overlap=0)
 
-    def test_error_correction_fixes_isolated_error(self):
-        genome = ("ACGTTGCA" * 40) + random_genome(200, seed=47)
-        fm = FMIndex(genome)
-        clean = genome[16:61]
-        corrupted = clean[:20] + ("A" if clean[20] != "A" else "C") + clean[21:]
-        corrected = error_correct_reads([corrupted], fm, kmer=9, min_support=3)[0]
-        mismatches_before = sum(1 for a, b in zip(corrupted, clean) if a != b)
-        mismatches_after = sum(1 for a, b in zip(corrected, clean) if a != b)
-        assert mismatches_after <= mismatches_before
-
 
 class TestAnnotation:
     def test_word_positions_exact(self, reference):
         fm = FMIndex(reference)
         annotator = ExactWordAnnotator(fm)
         word = reference[100:124]
-        annotation = annotator.annotate_word(word)
+        (annotation,) = annotator.annotate([word])
         assert 100 in annotation.positions
         assert annotation.count >= 1
 
     def test_absent_word_empty(self, reference):
         annotator = ExactWordAnnotator(FMIndex(reference))
-        annotation = annotator.annotate_word("ACGT" * 10)
+        (annotation,) = annotator.annotate(["ACGT" * 10])
         assert annotation.count == len(
             [i for i in range(len(reference) - 39) if reference[i : i + 40] == "ACGT" * 10]
         )
@@ -191,7 +181,7 @@ class TestAnnotation:
 
     def test_empty_word_raises(self, reference):
         with pytest.raises(ValueError):
-            ExactWordAnnotator(FMIndex(reference)).annotate_word("")
+            ExactWordAnnotator(FMIndex(reference)).annotate([""])
 
 
 class TestCompression:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.genome.sequence import random_genome
-from repro.index.bwt import bwt, bwt_from_suffix_array, inverse_bwt, run_length_encode
+from repro.index.bwt import bwt, bwt_from_suffix_array, inverse_bwt
 from repro.index.suffix_array import suffix_array
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=60)
@@ -59,25 +59,3 @@ class TestInverseBwt:
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_property(self, text):
         assert inverse_bwt(bwt(text)) == text + "$"
-
-
-class TestRunLengthEncode:
-    def test_empty(self):
-        assert run_length_encode("") == []
-
-    def test_single_run(self):
-        assert run_length_encode("AAAA") == [("A", 4)]
-
-    def test_alternating(self):
-        assert run_length_encode("ACAC") == [("A", 1), ("C", 1), ("A", 1), ("C", 1)]
-
-    def test_reconstruction(self):
-        text = bwt(random_genome(150, seed=4))
-        runs = run_length_encode(text)
-        assert "".join(symbol * count for symbol, count in runs) == text
-
-    def test_genomic_bwt_is_runny(self):
-        # A repeat-rich genome's BWT should have fewer runs than symbols.
-        text = random_genome(2000, seed=5)
-        runs = run_length_encode(bwt(text))
-        assert len(runs) < len(text) + 1

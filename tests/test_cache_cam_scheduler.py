@@ -45,28 +45,6 @@ class TestSetAssociativeCache:
         cache.access(0)
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
 
-    def test_contains_does_not_allocate(self):
-        cache = SetAssociativeCache(1024)
-        assert cache.contains(0) is False
-        assert cache.access(0) is False
-
-    def test_flush(self):
-        cache = SetAssociativeCache(1024)
-        cache.access(0)
-        cache.flush()
-        assert cache.access(0) is False
-
-    def test_reset_stats(self):
-        cache = SetAssociativeCache(1024)
-        cache.access(0)
-        cache.reset_stats()
-        assert cache.stats.accesses == 0
-
-    def test_capacity_property(self):
-        cache = SetAssociativeCache(32 * 1024, line_bytes=64, associativity=16)
-        assert cache.capacity_bytes == 32 * 1024
-        assert cache.num_sets == 32
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             SetAssociativeCache(1000, line_bytes=64, associativity=8)
@@ -94,9 +72,6 @@ class TestSchedulingQueue:
         assert CamConfig().entries == 512
         assert CamConfig().entry_bits == 128
 
-    def test_entry_holds_15mer(self):
-        assert CamConfig().max_kmer_length() >= 15
-
     def test_push_until_full(self):
         queue = SchedulingQueue(CamConfig(entries=2))
         assert queue.push(make_request(1, 1))
@@ -104,35 +79,29 @@ class TestSchedulingQueue:
         assert not queue.push(make_request(3, 3))
         assert queue.full
 
-    def test_extend_returns_overflow(self):
-        queue = SchedulingQueue(CamConfig(entries=2))
-        overflow = queue.extend([make_request(i, i) for i in range(5)])
-        assert len(overflow) == 3
-
     def test_sort_by_kmer(self):
         queue = SchedulingQueue()
-        queue.extend([make_request(3, 0), make_request(1, 5), make_request(2, 2)])
+        for request in (make_request(3, 0), make_request(1, 5), make_request(2, 2)):
+            queue.push(request)
         queue.sort_by_kmer()
         assert [r.packed_kmer for r in queue.peek()] == [1, 2, 3]
 
     def test_sort_by_pos(self):
         queue = SchedulingQueue()
-        queue.extend([make_request(3, 9), make_request(1, 5), make_request(2, 2)])
+        for request in (make_request(3, 9), make_request(1, 5), make_request(2, 2)):
+            queue.push(request)
         queue.sort_by_pos()
         assert [r.pos for r in queue.peek()] == [2, 5, 9]
 
     def test_drain_empties_queue(self):
         queue = SchedulingQueue()
-        queue.extend([make_request(1, 1)])
+        queue.push(make_request(1, 1))
         assert len(queue.drain()) == 1
         assert len(queue) == 0
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             CamConfig(entries=0)
-
-    def test_size_bytes(self):
-        assert CamConfig().size_bytes == 512 * 128 // 8
 
 
 class TestSchedulers:

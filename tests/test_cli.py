@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +129,66 @@ class TestInfoCommand:
         assert exit_code == 0
         assert "increments" in out
         assert "GB" in out
+
+
+#: Malformed ``--reference`` files, as raw bytes (``None``: no file at all).
+BAD_REFERENCES = {
+    "header-only": b">chr1\n",
+    "N": b">chr1\nACGTNACGT\n",
+    "sentinel": b">chr1\nACG$TACGT\n",
+    "non-ascii": b">chr1\nACGT\xc3\xa9ACGT\n",
+    "missing": None,
+}
+
+
+class TestReferenceValidation:
+    """A bad ``--reference`` is refused where it enters — one line naming
+    the file — before any index is built from it."""
+
+    @staticmethod
+    def _reference(tmp_path, name: str) -> str:
+        path = tmp_path / f"{name}.fa"
+        if BAD_REFERENCES[name] is not None:
+            path.write_bytes(BAD_REFERENCES[name])
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    @pytest.mark.parametrize("name", sorted(BAD_REFERENCES))
+    def test_malformed_reference_is_one_line_naming_the_file(self, tmp_path, command, name):
+        path = self._reference(tmp_path, name)
+        argv = [command, "--reference", path]
+        if command == "search":
+            argv += ["--queries", "ACGT"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and message.startswith(f"invalid --reference {path}: ")
+        assert "\n" not in message
+
+    def test_no_traceback_from_the_command_line(self, tmp_path):
+        path = self._reference(tmp_path, "N")
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "search", "--reference", path,
+             "--queries", "ACGT"],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode != 0
+        assert done.stderr.splitlines() == [
+            f"invalid --reference {path}: invalid DNA symbols: ['N']"
+        ]
+
+    def test_lowercase_fasta_still_searches(self, tmp_path, capsys):
+        genome = random_genome(1500, seed=6)
+        path = tmp_path / "lower.fa"
+        path.write_text(f">chr\n{genome.lower()}\n", encoding="ascii")
+        query = genome[200:216]
+        exit_code = main(
+            ["search", "--reference", str(path), "--step", "4", "--no-index",
+             "--queries", query]
+        )
+        assert exit_code == 0
+        assert f"{query}: 1 occurrence" in capsys.readouterr().out
 
 
 class TestExperimentCommand:

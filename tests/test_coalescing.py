@@ -37,7 +37,6 @@ class TestCoalesceRequests:
         step = coalesce_requests(kmers, positions, span=10)
         assert step.issued == 5
         assert step.unique == 2
-        assert step.merged == 3
         # Unique pairs come back sorted (kmer, pos)-major.
         assert step.kmers.tolist() == [3, 7]
         assert step.positions.tolist() == [0, 4]
@@ -54,7 +53,6 @@ class TestCoalesceRequests:
         positions = np.array([0, 1, 0])
         step = coalesce_requests(kmers, positions, span=10)
         assert step.issued == step.unique == 3
-        assert step.merged == 0
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -93,7 +91,6 @@ class TestExmaCoalescingOracle:
         assert stats.iterations == 6                   # 3 queries x 2 steps
         assert stats.occ_requests_issued == 12         # 2 per query per step
         assert stats.occ_requests_unique == 4          # 2 unique per step
-        assert stats.requests_merged == 8
         assert stats.coalescing_factor == pytest.approx(3.0)
         assert stats.base_reads == 2                   # one fetch of GT, one of AC
         # Exact resolution reads ceil-log2 of the 2-entry list per unique
@@ -286,7 +283,6 @@ class TestFMIndexCoalescingOracle:
         assert stats.lockstep_iterations == 3
         assert stats.occ_requests_issued == 12
         assert stats.occ_requests_unique == 2 + 2 + 4
-        assert stats.requests_merged == 4
 
     def test_identical_queries_fully_coalesce(self):
         stats = BatchStats()
@@ -333,14 +329,6 @@ class TestRequestStream:
         stream.append_step(np.array([2 * 10 + 2]), 10)
         assert len(stream) == 4
         assert stream[-1] == OccRequest(packed_kmer=2, pos=2)
-
-    def test_snapshot_decouples_from_growth(self):
-        stream = self._stream()
-        frozen = stream.snapshot()
-        stream.append_step(np.array([2 * 10 + 2]), 10)
-        assert len(frozen) == 3
-        assert len(stream) == 4
-        assert frozen == self._stream()
 
     def test_equality_against_streams_and_lists(self):
         stream = self._stream()
@@ -396,14 +384,3 @@ class TestBatchStats:
         stats = BatchStats()
         stats.record_tail("A", TailContribution(predictions=2, errors=(2, 4)))
         assert stats.mean_error == 3.0
-
-    def test_to_search_stats_roundtrip(self):
-        stats = BatchStats()
-        table = ExmaTable(TINY, k=2)
-        ExmaBackend(table=table).search_batch(["ACGT", "GTAC"], stats)
-        legacy = stats.to_search_stats()
-        assert legacy.iterations == stats.iterations
-        assert legacy.occ_lookups == stats.occ_requests_unique
-        assert legacy.requests == stats.requests
-        assert legacy.base_reads == stats.base_reads
-        assert legacy.increment_entries_read == stats.increment_entries_read

@@ -10,7 +10,6 @@ from repro.genome.datasets import (
     HUMAN_PAPER_LENGTH,
     PICEA,
     PINUS,
-    build_all_datasets,
     build_dataset,
 )
 
@@ -38,10 +37,6 @@ class TestBuildDataset:
         ref = build_dataset("human", simulated_length=5000, seed=0)
         assert ref.paper_length == HUMAN_PAPER_LENGTH
 
-    def test_scale_factor(self):
-        ref = build_dataset("human", simulated_length=3000, seed=0)
-        assert ref.scale_factor == pytest.approx(1_000_000)
-
     def test_unknown_dataset_raises(self):
         with pytest.raises(KeyError):
             build_dataset("ecoli")
@@ -55,8 +50,3 @@ class TestBuildDataset:
         human = build_dataset("human", simulated_length=3000, seed=1)
         pinus = build_dataset("pinus", simulated_length=3000, seed=1)
         assert human.sequence != pinus.sequence
-
-    def test_build_all(self):
-        refs = build_all_datasets(simulated_length=2000, seed=0)
-        assert set(refs) == {"human", "picea", "pinus"}
-        assert all(len(ref) == 2000 for ref in refs.values())

@@ -28,10 +28,6 @@ class TestDDR4Config:
     def test_banks_per_channel(self):
         assert DDR4Config().banks_per_channel == 3 * 4 * 2 * 2
 
-    def test_peak_bandwidth(self):
-        config = DDR4Config()
-        assert config.peak_bandwidth_gbs == pytest.approx(4 * 16 * 1200 * 1e6 / 1e9)
-
     def test_burst_cycles(self):
         config = DDR4Config()
         assert config.burst_cycles(64) == 4
@@ -138,15 +134,6 @@ class TestTimingAndStats:
         )
         # Close page: first touch of a bank is a miss (ACT + RD = 2 slots).
         assert stats.address_bus_busy_cycles == 10
-
-    def test_seconds_conversion(self):
-        stats = DRAMModel().process([MemoryRequest(row=0)])
-        assert stats.seconds(1200.0) == pytest.approx(stats.total_cycles / 1.2e9)
-
-    def test_seconds_invalid_clock(self):
-        stats = DRAMModel().process([MemoryRequest(row=0)])
-        with pytest.raises(ValueError):
-            stats.seconds(0)
 
 
 class TestEnergyModel:

@@ -175,12 +175,11 @@ class TestEngineApi:
         assert engine.find(query) == brute_force_find(reference, query)
         assert engine.occurrence_count(query) == len(brute_force_find(reference, query))
 
-    def test_batch_result_counts_and_matched(self):
+    def test_batch_result_counts(self):
         reference = "ACGTACGTACGT"
         engine = QueryEngine.from_reference(reference, name="fmindex")
         result = engine.search_batch(["ACGT", "TTTT"])
         assert result.counts == [3, 0]
-        assert result.matched == 1
 
     def test_stats_populated(self):
         reference, queries = reference_and_queries(genome_length=500, count=16, seed=4)

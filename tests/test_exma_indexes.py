@@ -115,11 +115,6 @@ class TestNaiveLearnedIndex:
         assert errors.size == 10 * len(naive_index.modelled_kmers)
         assert np.all(errors >= 0)
 
-    def test_error_stats(self, naive_index):
-        stats = naive_index.error_stats(seed=2)
-        assert stats.mean_error >= 0
-        assert stats.max_error >= stats.percentile_75 >= stats.percentile_25
-
     def test_invalid_parameters_raise(self, repeat_table):
         with pytest.raises(ValueError):
             NaiveLearnedIndex(repeat_table, model_threshold=-1)

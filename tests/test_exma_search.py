@@ -111,10 +111,6 @@ class TestStats:
         assert len(requests) == stats.occ_lookups
         assert stats.iterations >= len(queries)
 
-    def test_iterations_for_query(self, exact_search):
-        assert exact_search.iterations_for_query(16) == 4
-        assert exact_search.iterations_for_query(17) == 5
-
 
 class TestAgainstDifferentReferences:
     def test_repetitive_reference(self):

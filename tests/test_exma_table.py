@@ -103,21 +103,6 @@ class TestOccAndCount:
             assert count == interval.low
             assert count + exma_table.frequency(kmer) == interval.high
 
-    def test_occ_linear_matches_occ(self, exma_table, small_reference):
-        packed = pack_kmer(small_reference[40:44])
-        for pos in (0, 50, 500, 1500):
-            exact = exma_table.occ(packed, pos)
-            linear, reads = exma_table.occ_linear(packed, pos, start=0)
-            assert linear == exact
-            assert reads >= 1
-
-    def test_occ_linear_from_wrong_start_still_correct(self, exma_table, small_reference):
-        packed = pack_kmer(small_reference[200:204])
-        count = exma_table.frequency(packed)
-        exact = exma_table.occ(packed, 800)
-        linear, _ = exma_table.occ_linear(packed, 800, start=count)
-        assert linear == exact
-
     def test_wrong_kmer_length_raises(self, exma_table):
         with pytest.raises(ValueError):
             exma_table.occ("ACG", 0)
@@ -154,9 +139,6 @@ class TestLocateAndStrings:
 
     def test_kmer_string_roundtrip(self, exma_table):
         assert exma_table.kmer_string(pack_kmer("GATC")) == "GATC"
-
-    def test_storage_bytes_positive(self, exma_table):
-        assert exma_table.storage_bytes() > 0
 
 
 class TestSizeModel:

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.testing import brute_force_find
-from repro.index.fmindex import (
-    DEFAULT_BUCKET_WIDTH,
-    FMIndex,
-    Interval,
-    SearchTrace,
-    fm_index_size_bytes,
-)
+from repro.index.fmindex import FMIndex, Interval, SearchTrace
 
 
 class TestInterval:
@@ -150,7 +144,7 @@ class TestSearchTrace:
     def test_trace_counts_two_lookups_per_iteration(self, fm_index):
         trace = SearchTrace()
         fm_index.backward_search("ACGTACGTAC", trace)
-        assert trace.access_count <= 2 * trace.iterations
+        assert len(trace.bucket_accesses) <= 2 * trace.iterations
         assert trace.iterations <= 10
 
     def test_trace_records_bucket_indices(self, fm_index):
@@ -160,7 +154,7 @@ class TestSearchTrace:
 
     def test_trace_empty_initially(self):
         trace = SearchTrace()
-        assert trace.access_count == 0 and trace.iterations == 0
+        assert len(trace.bucket_accesses) == 0 and trace.iterations == 0
 
 
 class TestSeeding:
@@ -192,14 +186,3 @@ class TestSeeding:
     def test_garbage_read_produces_no_long_seeds(self, fm_index):
         seeds = fm_index.maximal_exact_matches("ACGT" * 25, min_length=60)
         assert all(seed.length < 60 for seed in seeds) or not seeds
-
-
-class TestSizeModels:
-    def test_storage_bytes_positive(self, fm_index):
-        assert fm_index.storage_bytes() > 0
-
-    def test_analytic_size_monotone_in_genome_length(self):
-        assert fm_index_size_bytes(10**9) < fm_index_size_bytes(3 * 10**9)
-
-    def test_analytic_size_uses_default_bucket_width(self):
-        assert fm_index_size_bytes(10**6, DEFAULT_BUCKET_WIDTH) == fm_index_size_bytes(10**6)

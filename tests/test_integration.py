@@ -20,7 +20,6 @@ from repro.exma.table import ExmaTable
 from repro.genome.datasets import build_dataset
 from repro.genome.reads import ILLUMINA, ReadSimulator
 from repro.index.fmindex import FMIndex
-from repro.index.kstep import KStepFMIndex
 from repro.lisa.search import LisaIndex
 
 pytestmark = pytest.mark.slow  # drives every layer end-to-end
@@ -36,7 +35,6 @@ def all_indexes(pipeline_reference):
     table = ExmaTable(pipeline_reference, k=4)
     return {
         "fm": FMIndex(pipeline_reference),
-        "kstep": KStepFMIndex(pipeline_reference, k=4),
         "lisa": LisaIndex(pipeline_reference, k=4, use_learned_index=True),
         "exma": ExmaSearch(
             table, index=MTLIndex(table, model_threshold=16, samples_per_kmer=32, epochs=50)
@@ -59,7 +57,6 @@ class TestAllSearchStructuresAgree:
         query = pipeline_reference[1000:1018]
         expected = brute_force_find(pipeline_reference, query)
         assert all_indexes["fm"].find(query) == expected
-        assert all_indexes["kstep"].find(query) == expected
         assert all_indexes["lisa"].find(query) == expected
         assert all_indexes["exma"].find(query) == expected
 

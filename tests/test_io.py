@@ -1,4 +1,4 @@
-"""Unit tests for repro.genome.io (FASTA/FASTQ)."""
+"""Unit tests for repro.genome.io (FASTA)."""
 
 from __future__ import annotations
 
@@ -6,15 +6,11 @@ import pytest
 
 from repro.genome.io import (
     FastaRecord,
-    FastqRecord,
     FormatError,
     parse_fasta,
-    parse_fastq,
     read_fasta,
-    read_fastq,
     validate_reference_record,
     write_fasta,
-    write_fastq,
 )
 
 
@@ -70,38 +66,3 @@ class TestFasta:
         with pytest.raises(Exception):
             validate_reference_record(FastaRecord("c", "ACGN"))
 
-
-class TestFastq:
-    def test_parse_single_record(self):
-        records = list(parse_fastq(["@r1", "ACGT", "+", "IIII"]))
-        assert records == [FastqRecord(name="r1", sequence="ACGT", quality="IIII")]
-
-    def test_parse_multiple_records(self):
-        lines = ["@r1", "AC", "+", "II", "@r2", "GT", "+", "II"]
-        assert [r.name for r in parse_fastq(lines)] == ["r1", "r2"]
-
-    def test_missing_plus_raises(self):
-        with pytest.raises(FormatError):
-            list(parse_fastq(["@r1", "ACGT", "IIII", "@r2"]))
-
-    def test_truncated_record_raises(self):
-        with pytest.raises(FormatError):
-            list(parse_fastq(["@r1", "ACGT"]))
-
-    def test_header_without_at_raises(self):
-        with pytest.raises(FormatError):
-            list(parse_fastq(["r1", "ACGT", "+", "IIII"]))
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(FormatError):
-            FastqRecord(name="r", sequence="ACGT", quality="II")
-
-    def test_roundtrip_via_files(self, tmp_path):
-        path = tmp_path / "reads.fq"
-        records = [FastqRecord("r1", "ACGT", "IIII"), FastqRecord("r2", "GG", "!!")]
-        write_fastq(path, records)
-        assert read_fastq(path) == records
-
-    def test_parse_skips_blank_lines_between_records(self):
-        lines = ["@r1", "AC", "+", "II", "", "@r2", "GT", "+", "II"]
-        assert len(list(parse_fastq(lines))) == 2

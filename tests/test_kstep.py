@@ -1,70 +1,11 @@
-"""Unit tests for repro.index.kstep (k-step FM-Index)."""
+"""Unit tests for repro.index.kstep (the Eq. 2 k-step FM-Index size model)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.testing import brute_force_find
 from repro.genome.datasets import HUMAN_PAPER_LENGTH
-from repro.index.kstep import KStepFMIndex, KStepStats, kstep_size_bytes
-
-
-@pytest.fixture(scope="module")
-def kstep(small_reference) -> KStepFMIndex:
-    return KStepFMIndex(small_reference, k=3)
-
-
-class TestKStepSearch:
-    def test_matches_one_step_intervals(self, kstep, fm_index, small_reference):
-        for start in range(0, 1500, 127):
-            query = small_reference[start : start + 12]
-            a = kstep.backward_search(query)
-            b = fm_index.backward_search(query)
-            assert (a.low, a.high) == (b.low, b.high)
-
-    def test_find_matches_brute_force(self, kstep, small_reference):
-        for start in range(0, 1400, 191):
-            query = small_reference[start : start + 9]
-            assert kstep.find(query) == brute_force_find(small_reference, query)
-
-    def test_partial_chunk_queries(self, kstep, fm_index, small_reference):
-        for length in (4, 5, 7, 8, 10, 11):
-            query = small_reference[50 : 50 + length]
-            assert kstep.occurrence_count(query) == fm_index.occurrence_count(query)
-
-    def test_absent_query(self, kstep, small_reference):
-        query = "ACGTACGTACGT"
-        assert kstep.occurrence_count(query) == len(brute_force_find(small_reference, query))
-
-    def test_empty_query_raises(self, kstep):
-        with pytest.raises(ValueError):
-            kstep.backward_search("")
-
-    def test_wrong_kmer_length_raises(self, kstep):
-        with pytest.raises(ValueError):
-            kstep.extend_backward(kstep.full_interval(), "AC")
-
-    def test_stats_count_iterations(self, kstep, small_reference):
-        stats = KStepStats()
-        kstep.backward_search(small_reference[10:19], stats)
-        assert stats.iterations == 3
-        assert stats.occ_lookups >= 4
-
-    def test_iterations_for_query(self, kstep):
-        assert kstep.iterations_for_query(9) == 3
-        assert kstep.iterations_for_query(10) == 4
-        assert kstep.iterations_for_query(2) == 1
-
-    def test_k_property(self, kstep):
-        assert kstep.k == 3
-
-    def test_invalid_k_raises(self, small_reference):
-        with pytest.raises(ValueError):
-            KStepFMIndex(small_reference, k=0)
-
-    def test_empty_reference_raises(self):
-        with pytest.raises(ValueError):
-            KStepFMIndex("", k=2)
+from repro.index.kstep import kstep_size_bytes
 
 
 class TestKStepSizeModel:

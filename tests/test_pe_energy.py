@@ -74,10 +74,6 @@ class TestInferenceEngine:
         with pytest.raises(ValueError):
             InferenceEngine().batch_cost(-1)
 
-    def test_cycles_to_seconds(self):
-        engine = InferenceEngine()
-        assert engine.cycles_to_seconds(800_000_000) == pytest.approx(1.0)
-
 
 class TestTable1Constants:
     def test_component_inventory(self):
@@ -140,10 +136,3 @@ class TestSystemEnergyBreakdown:
 
     def test_total(self):
         assert self._breakdown().total_j == pytest.approx(171.5)
-
-    def test_normalised(self):
-        assert self._breakdown(0.5).normalised_to(self._breakdown().total_j) == pytest.approx(0.5)
-
-    def test_normalised_invalid_baseline(self):
-        with pytest.raises(ValueError):
-            self._breakdown().normalised_to(0.0)

@@ -16,7 +16,7 @@ from repro.exma import chain
 from repro.exma.search import ExmaSearch
 from repro.exma.table import ExmaTable
 from repro.genome.alphabet import reverse_complement
-from repro.index.bwt import bwt, run_length_encode
+from repro.index.bwt import bwt
 from repro.index.fmindex import FMIndex
 from repro.index.suffix_array import suffix_array
 from repro.lisa.ipbwt import IPBWT
@@ -65,13 +65,6 @@ class TestIndexInvariants:
 
     @given(dna_text)
     @settings(max_examples=30, deadline=None)
-    def test_run_length_encoding_is_lossless(self, text):
-        transformed = bwt(text)
-        runs = run_length_encode(transformed)
-        assert "".join(symbol * count for symbol, count in runs) == transformed
-
-    @given(dna_text)
-    @settings(max_examples=30, deadline=None)
     def test_suffix_array_sorts_suffixes(self, text):
         terminated = text + "$"
         sa = suffix_array(terminated)
@@ -81,7 +74,9 @@ class TestIndexInvariants:
     @given(dna_text)
     @settings(max_examples=25, deadline=None)
     def test_ipbwt_is_sorted_for_any_text(self, text):
-        assert IPBWT(text, k=2).is_sorted()
+        ipbwt = IPBWT(text, k=2)
+        keys = [ipbwt[row].key() for row in range(len(ipbwt))]
+        assert keys == sorted(keys)
 
     @given(dna_text)
     @settings(max_examples=25, deadline=None)

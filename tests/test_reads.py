@@ -12,7 +12,6 @@ from repro.genome.reads import (
     PROFILES,
     ErrorProfile,
     ReadSimulator,
-    simulate_long_reads,
     simulate_short_reads,
 )
 from repro.genome.sequence import random_genome
@@ -114,12 +113,6 @@ class TestReadSimulator:
         with pytest.raises(ValueError):
             ReadSimulator("", ILLUMINA)
 
-    def test_fastq_conversion(self, reference):
-        read = ReadSimulator(reference, ILLUMINA, seed=7).simulate(read_length=50, count=1)[0]
-        record = read.to_fastq()
-        assert record.name == read.name
-        assert len(record.quality) == len(record.sequence)
-
 
 class _ScalarOnly:
     """Generator stand-in whose bulk draw reports an error in every base
@@ -172,12 +165,3 @@ class TestConvenienceWrappers:
         reads = simulate_short_reads(reference, coverage=0.5, seed=8)
         assert all(r.profile == "Illumina" for r in reads)
         assert all(abs(len(r.sequence) - 101) <= 5 for r in reads)
-
-    def test_long_reads_wrapper(self, reference):
-        reads = simulate_long_reads(reference, profile=PACBIO, coverage=0.5, seed=9)
-        assert all(r.profile == "PacBio" for r in reads)
-
-    def test_long_reads_cap_to_reference(self):
-        genome = random_genome(400, seed=10)
-        reads = simulate_long_reads(genome, coverage=1.0, read_length=1000, seed=11)
-        assert all(len(r.sequence) <= 600 for r in reads)

@@ -69,15 +69,8 @@ class TestReference:
         ref = Reference(name="x", sequence="ACGTACGT")
         assert ref.paper_length == 8
 
-    def test_scale_factor(self):
-        ref = Reference(name="x", sequence="ACGT" * 10, paper_length=4000)
-        assert ref.scale_factor == pytest.approx(100.0)
-
     def test_len(self):
         assert len(Reference(name="x", sequence="ACGT")) == 4
-
-    def test_gc_property(self):
-        assert Reference(name="x", sequence="GGCC").gc == 1.0
 
     def test_empty_sequence_raises(self):
         with pytest.raises(ValueError):

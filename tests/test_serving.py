@@ -259,7 +259,7 @@ class TestBackpressure:
         )
         service.submit(["ACGT"] * 8)
         service._observe_service_time(0.5)
-        assert service.service_time_ewma == pytest.approx(0.5)
+        assert service._service_ewma == pytest.approx(0.5)
         with pytest.raises(AdmissionRejected) as excinfo:
             service.submit(["ACGT"])
         # 2 backlog batches at the observed 0.5 s pace, not the 5 ms window.
@@ -269,11 +269,11 @@ class TestBackpressure:
     def test_service_time_ewma_smooths(self, serving_stack):
         _, backend, _ = serving_stack
         service = QueryService(QueryEngine(backend))
-        assert service.service_time_ewma is None
+        assert service._service_ewma is None
         service._observe_service_time(0.5)
         service._observe_service_time(0.1)
         # alpha = 0.2: 0.5 + 0.2 * (0.1 - 0.5)
-        assert service.service_time_ewma == pytest.approx(0.42)
+        assert service._service_ewma == pytest.approx(0.42)
         service.stop(drain=False)
 
 

@@ -181,9 +181,7 @@ class TestShardMergeSemantics:
         assert serial.base_reads > 0
         assert sharded.base_reads == serial.base_reads
         assert sharded.increment_entries_read == serial.increment_entries_read
-        # The legacy conversion the figure harnesses consume must agree too.
-        assert sharded.to_search_stats().occ_lookups == serial.to_search_stats().occ_lookups
-        assert sharded.to_search_stats().base_reads == serial.to_search_stats().base_reads
+        assert sharded.occ_requests_unique == serial.occ_requests_unique
 
     def test_naive_merge_would_overstate_unique_requests(self, case, backends):
         """Documents why the trace-based merge exists: summing per-shard
@@ -500,11 +498,11 @@ class TestPriceOnRead:
         assert stats.pending_steps == 0
         assert cost_counters(stats) == first
         assert stats.mean_error > 0
-        assert stats.to_search_stats().prediction_errors == first[3]
+        assert stats.prediction_errors == first[3]
         assert spied.calls == {"price": 1, "predict_many": 1}
         assert first == eager_reference(backends["exma-mtl"], queries)
 
-    def test_merge_and_conversion_settle_first(self, case, backends, spied):
+    def test_merge_settles_first_and_a_fresh_batch_prices_once(self, case, backends, spied):
         _, queries = case
         halves = queries[::2], queries[1::2]
         merged, other = (QueryEngine(spied).search_batch(half).stats for half in halves)
@@ -517,11 +515,12 @@ class TestPriceOnRead:
             first[2] + second[2],
             first[3] + second[3],
         )
-        legacy = QueryEngine(spied).search_batch(queries).stats.to_search_stats()
+        fresh = QueryEngine(spied).search_batch(queries).stats
+        read = (fresh.increment_entries_read, fresh.index_predictions, fresh.prediction_errors)
         assert spied.calls["price"] == 3
         reference = eager_reference(backends["exma-mtl"], queries)
-        assert (legacy.increment_entries_read, legacy.index_predictions) == reference[:2]
-        assert legacy.prediction_errors == reference[3]
+        assert read[:2] == reference[:2]
+        assert read[2] == reference[3]
 
     def test_process_shards_ship_pending_steps_not_a_backend(self, case, backends):
         """A process shard prices nothing and pickles no backend: what it

@@ -31,7 +31,7 @@ class TestSmithWaterman:
     def test_identical_sequences(self):
         result = smith_waterman("ACGTACGT", "ACGTACGT")
         assert result.score == 16
-        assert result.query_span == 8
+        assert result.query_end - result.query_start == 8
         assert result.target_start == 0
 
     def test_substring_match(self):

@@ -13,7 +13,6 @@ from repro.genome.datasets import build_dataset
 from repro.genome.sequence import random_genome
 from repro.index.suffix_array import (
     inverse_suffix_array,
-    lcp_array,
     naive_suffix_array,
     suffix_array,
 )
@@ -139,7 +138,7 @@ class TestTableFromOracle:
         text = human_5k + "$"
         n = len(text)
         oracle = naive_suffix_array(text)
-        assert np.array_equal(table.suffix_array_, oracle)
+        assert np.array_equal(table._sa, oracle)
 
         # Row r belongs to the k-mer (cyclically) preceding suffix SA[r].
         rows_of: dict[int, list[int]] = {}
@@ -184,28 +183,3 @@ class TestInverseSuffixArray:
     def test_is_permutation(self):
         sa = suffix_array(random_genome(80, seed=5))
         assert sorted(inverse_suffix_array(sa)) == list(range(len(sa)))
-
-
-class TestLcpArray:
-    def test_first_entry_zero(self):
-        assert lcp_array("ACGTACGT")[0] == 0
-
-    def test_known_repetitive_case(self):
-        # For AAAA$, sorted suffixes are $, A$, AA$, AAA$, AAAA$ with LCPs
-        # 0, 0, 1, 2, 3.
-        assert list(lcp_array("AAAA")) == [0, 0, 1, 2, 3]
-
-    def test_lcp_matches_direct_comparison(self):
-        text = random_genome(100, seed=6) + "$"
-        sa = suffix_array(text)
-        lcp = lcp_array(text, sa)
-        for rank in range(1, len(sa)):
-            a, b = text[sa[rank - 1] :], text[sa[rank] :]
-            common = 0
-            while common < min(len(a), len(b)) and a[common] == b[common]:
-                common += 1
-            assert lcp[rank] == common
-
-    def test_lcp_length_matches(self):
-        text = random_genome(60, seed=7)
-        assert len(lcp_array(text)) == len(text) + 1

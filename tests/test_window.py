@@ -46,7 +46,6 @@ class TestWindowOracle:
         assert list(flushed.requests) == oracle == [R(3, 0), R(3, 9), R(7, 4)]
         assert flushed.issued == 4
         assert flushed.unique == 3
-        assert flushed.merged == 1
         assert flushed.batches == 1
 
     def test_w2_merges_cross_batch_duplicates_once(self):
@@ -109,7 +108,7 @@ class TestWindowOracle:
     def test_windowed_batch_counters(self):
         flushed = WindowedBatch.from_requests((R(1, 1),), batches=2, issued=5)
         assert flushed.unique == 1
-        assert flushed.merged == 4
+        assert flushed.issued == 5
 
 
 class TestColumnarFlush:
@@ -179,7 +178,7 @@ class TestColumnarFlush:
         merged = window.push(list(batch))
         assert merged is not None
         assert merged.requests == (R(1, 9), R(2, 0), R(3, 1))
-        assert (merged.issued, merged.unique, merged.merged) == (12, 3, 9)
+        assert (merged.issued, merged.unique) == (12, 3)
         single = CoalescingWindow(1).push([R(7, 7)] * 5)
         assert single is not None and single.keys.tolist() == [7 * single.span + 7]
 

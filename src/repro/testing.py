@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import random
 
+from .genome.alphabet import DNA_ALPHABET, reverse_complement
+from .genome.reads import ReadSimulator, SimulatedRead
 from .genome.sequence import random_genome
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "random_queries",
     "reference_and_queries",
     "run_once",
+    "scalar_reads",
 ]
 
 
@@ -84,3 +87,55 @@ def reference_and_queries(
 def run_once(benchmark, function, *args, **kwargs):
     """Benchmark *function* with a single round (experiments are heavy)."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def scalar_reads(
+    simulator: ReadSimulator,
+    read_length: int,
+    count: int | None = None,
+    coverage: float | None = None,
+    both_strands: bool = True,
+) -> list[SimulatedRead]:
+    """The per-read, per-base loop that defines ``ReadSimulator.simulate``
+    (test oracle): the block walk must make the same reads and leave
+    ``simulator._rng`` in the same state."""
+    ref_len = len(simulator._reference)
+    if coverage is not None:
+        count = max(1, int(round(coverage * ref_len / read_length)))
+
+    rng = simulator._rng
+    profile = simulator._profile
+    reads = []
+    max_start = ref_len - read_length
+    starts = rng.integers(0, max_start + 1, size=count)
+    for i, start in enumerate(starts):
+        fragment = simulator._reference[start : start + read_length]
+        reverse = bool(both_strands and rng.random() < 0.5)
+        if reverse:
+            fragment = reverse_complement(fragment)
+        out: list[str] = []
+        for base in fragment:
+            r = rng.random()
+            if r < profile.deletion:
+                continue
+            r -= profile.deletion
+            if r < profile.insertion:
+                out.append(DNA_ALPHABET[rng.integers(4)])
+            r -= profile.insertion
+            if r < profile.mismatch:
+                choices = [b for b in DNA_ALPHABET if b != base]
+                out.append(choices[rng.integers(3)])
+            else:
+                out.append(base)
+        if not out:
+            out.append(fragment[0])
+        reads.append(
+            SimulatedRead(
+                name=f"{profile.name.lower()}_read_{i}",
+                sequence="".join(out),
+                true_position=int(start),
+                reverse=reverse,
+                profile=profile.name,
+            )
+        )
+    return reads

@@ -140,11 +140,6 @@ EXPLAINED: dict[str, str] = {
     "tests/test_sharded.py sets against the trace-based shard merge",
     "engine/window.py:WindowedBatch.from_requests": "oracle: builds the expected flush "
     "from plain requests (tests/test_window.py)",
-    "exma/bdi.py:BdiLine.decompress": "oracle: inverts the BdI compression (tests/test_compression.py)",
-    "exma/bdi.py:decompress": "oracle: inverts the BdI compression (tests/test_compression.py)",
-    "exma/chain.py:CompressedLine.decompress": "oracle: inverts CHAIN "
-    "(tests/test_compression.py)",
-    "exma/chain.py:decompress": "oracle: inverts CHAIN (tests/test_compression.py)",
     "genome/alphabet.py:decode": "oracle: inverts encode in tests/test_alphabet.py",
     "genome/alphabet.py:gc_content": "oracle: tests/test_sequence.py checks random_genome's "
     "GC bias with it",
@@ -200,8 +195,6 @@ EXPLAINED: dict[str, str] = {
     "engine/window.py:WindowedBatch.__len__": "protocol: abstract in the Sequence ABC",
     "engine/window.py:WindowedBatch.__iter__": "protocol: Sequence iteration over the "
     "materialised request view",
-    "exma/learned_index.py:NaiveLearnedIndex.predict_many": "protocol: the columnar face "
-    "of the OccIndex protocol (the batched paths run MTLIndex's)",
     "runtime.py:PoolOwner.__enter__": "protocol: the with statement",
     "runtime.py:PoolOwner.__exit__": "protocol: the with statement",
     # test-seam: a test observes or drives the system through it.

@@ -5,7 +5,10 @@ cache line by storing the first data section as a base and every other
 section as its delta against that base, choosing the smallest delta width
 that fits.  The paper applies BΔI to the CPU baseline's LISA data and
 contrasts it with CHAIN on EXMA tables (Fig. 23); this module implements
-the line-level compression and the size accounting for that comparison.
+the size accounting for that comparison, one column pass over the lines
+(:func:`repro.exma.chain.line_bytes`).  A line whose deltas need more than
+4 bytes stays uncompressed, which is the same size as 8-byte deltas.  The
+per-line codec is ``bdi_compress`` in :mod:`repro.testing`.
 
 Unlike CHAIN, BΔI deltas are taken against the *first* section of the line
 rather than the preceding value, so sorted-but-spread data compresses
@@ -14,9 +17,9 @@ noticeably worse — which is exactly the effect the figure shows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .chain import line_bytes
 
 #: Memory line size in bytes.
 LINE_BYTES = 64
@@ -24,78 +27,14 @@ LINE_BYTES = 64
 #: Section width used by BΔI (8-byte sections, 8 per line).
 SECTION_BYTES = 8
 
-_DELTA_WIDTHS = (1, 2, 4)
 
-
-@dataclass(frozen=True)
-class BdiLine:
-    """One BΔI-compressed line: a base section plus fixed-width deltas."""
-
-    base: int
-    deltas: tuple[int, ...]
-    delta_bytes: int
-    compressed: bool
-
-    @property
-    def compressed_bytes(self) -> int:
-        """Line size after compression (uncompressed lines keep 64 bytes)."""
-        if not self.compressed:
-            return SECTION_BYTES * (len(self.deltas) + 1)
-        return SECTION_BYTES + len(self.deltas) * self.delta_bytes
-
-    def decompress(self) -> np.ndarray:
-        """Recover the original sections."""
-        values = np.empty(len(self.deltas) + 1, dtype=np.int64)
-        values[0] = self.base
-        for i, delta in enumerate(self.deltas):
-            values[i + 1] = self.base + delta
-        return values
-
-
-def compress_line(sections: np.ndarray) -> BdiLine:
-    """BΔI-compress one line's worth of 8-byte sections."""
-    sections = np.asarray(sections, dtype=np.int64)
-    if sections.size == 0:
-        raise ValueError("cannot compress an empty line")
-    base = int(sections[0])
-    deltas = sections[1:] - base
-    largest = int(np.abs(deltas).max()) if deltas.size else 0
-    for width in _DELTA_WIDTHS:
-        if largest < (1 << (8 * width - 1)):
-            return BdiLine(
-                base=base,
-                deltas=tuple(int(d) for d in deltas),
-                delta_bytes=width,
-                compressed=True,
-            )
-    return BdiLine(
-        base=base, deltas=tuple(int(d) for d in deltas), delta_bytes=SECTION_BYTES, compressed=False
-    )
-
-
-def compress(values: np.ndarray, sections_per_line: int | None = None) -> list[BdiLine]:
-    """BΔI-compress an array of 8-byte sections, line by line."""
-    values = np.asarray(values, dtype=np.int64)
+def compressed_size_bytes(values: np.ndarray, sections_per_line: int | None = None) -> int:
+    """Total compressed size of *values* under BΔI."""
     if sections_per_line is None:
         sections_per_line = LINE_BYTES // SECTION_BYTES
     if sections_per_line <= 0:
         raise ValueError("sections_per_line must be positive")
-    lines = []
-    for start in range(0, values.size, sections_per_line):
-        lines.append(compress_line(values[start : start + sections_per_line]))
-    return lines
-
-
-def decompress(lines: list[BdiLine]) -> np.ndarray:
-    """Recover the original sections from BΔI lines."""
-    if not lines:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([line.decompress() for line in lines])
-
-
-def compressed_size_bytes(values: np.ndarray, sections_per_line: int | None = None) -> int:
-    """Total compressed size of *values* under BΔI."""
-    return sum(line.compressed_bytes for line in compress(values, sections_per_line))
+    return line_bytes(values, sections_per_line, SECTION_BYTES, from_base=True)
 
 
 def uncompressed_size_bytes(values: np.ndarray) -> int:

@@ -7,15 +7,16 @@ subsequent value as the delta to its predecessor; decompression is a prefix
 sum (``incr_i = incr_0 + sum(delta_1..delta_i)``), implementable with a
 single 64-bit adder.
 
-The functions here provide bit-exact compress/decompress round trips plus
-the compressed-size accounting used for Fig. 23, where deltas are encoded
-with the smallest fixed byte width that fits the largest delta of the line
-(1, 2, 4 or 8 bytes).
+This module is the compressed-size accounting used for Fig. 23 and the
+accelerator's increment traffic: a line's deltas are encoded with the
+smallest fixed byte width that fits its largest delta (1, 2, 4 or 8
+bytes), and every line is sized in one integer-exact pass over the value
+column (:func:`line_bytes`).  The per-line codec that round-trips the
+values, and states what that pass must equal, is ``chain_compress`` in
+:mod:`repro.testing`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,80 +27,46 @@ LINE_BYTES = 64
 #: 32-bit row numbers at paper scale; we account 4 bytes per entry).
 ENTRY_BYTES = 4
 
-_WIDTHS = (1, 2, 4, 8)
+_WIDTHS = np.array([1, 2, 4, 8])
+
+#: A delta below ``_LIMITS[i]`` in magnitude fits ``_WIDTHS[i]`` signed bytes.
+_LIMITS = np.array([1 << 7, 1 << 15, 1 << 31])
 
 
-@dataclass(frozen=True)
-class CompressedLine:
-    """One CHAIN-compressed memory line."""
+def line_bytes(
+    values: np.ndarray, per_line: int, header_bytes: int, *, from_base: bool = False
+) -> int:
+    """Compressed bytes of *values* cut into lines of *per_line* entries.
 
-    first: int
-    deltas: tuple[int, ...]
-    delta_bytes: int
-
-    @property
-    def compressed_bytes(self) -> int:
-        """Size of the line after compression (first value + deltas)."""
-        return ENTRY_BYTES + len(self.deltas) * self.delta_bytes
-
-    def decompress(self) -> np.ndarray:
-        """Recover the original values of the line (prefix sum)."""
-        values = np.empty(len(self.deltas) + 1, dtype=np.int64)
-        values[0] = self.first
-        running = self.first
-        for i, delta in enumerate(self.deltas):
-            running += delta
-            values[i + 1] = running
-        return values
-
-
-def _delta_width(deltas: np.ndarray) -> int:
-    """Smallest fixed byte width that can hold every delta of a line."""
-    if deltas.size == 0:
-        return 1
-    largest = int(np.abs(deltas).max())
-    for width in _WIDTHS:
-        if largest < (1 << (8 * width - 1)):
-            return width
-    return 8
-
-
-def compress_line(values: np.ndarray) -> CompressedLine:
-    """CHAIN-compress one memory line's worth of sorted values."""
+    Each line stores its first value in *header_bytes* and every further
+    value as a delta at the line's width: the smallest of 1, 2, 4 or 8
+    bytes that holds its largest ``|delta|``.  CHAIN deltas each value
+    against its predecessor; BΔI (*from_base*) against the line's first.
+    Full lines are one ``(lines, per_line)`` reshape, the remainder one
+    more line; deltas are int64, as in the per-line codecs.
+    """
     values = np.asarray(values, dtype=np.int64)
-    if values.size == 0:
-        raise ValueError("cannot compress an empty line")
-    deltas = np.diff(values)
-    return CompressedLine(
-        first=int(values[0]),
-        deltas=tuple(int(d) for d in deltas),
-        delta_bytes=_delta_width(deltas),
-    )
-
-
-def compress(values: np.ndarray, entries_per_line: int | None = None) -> list[CompressedLine]:
-    """CHAIN-compress an array, line by line."""
-    values = np.asarray(values, dtype=np.int64)
-    if entries_per_line is None:
-        entries_per_line = LINE_BYTES // ENTRY_BYTES
-    if entries_per_line <= 0:
-        raise ValueError("entries_per_line must be positive")
-    lines = []
-    for start in range(0, values.size, entries_per_line):
-        lines.append(compress_line(values[start : start + entries_per_line]))
-    return lines
-
-
-def decompress(lines: list[CompressedLine]) -> np.ndarray:
-    """Recover the original array from CHAIN-compressed lines."""
-    if not lines:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([line.decompress() for line in lines])
+    full = values.size // per_line * per_line
+    lines = [values[:full].reshape(-1, per_line)]
+    if full < values.size:
+        lines.append(values[full:].reshape(1, -1))
+    total = 0
+    for line in lines:
+        total += len(line) * header_bytes
+        if len(line) and line.shape[1] > 1:
+            deltas = line[:, 1:] - line[:, :1] if from_base else np.diff(line, axis=1)
+            widths = _WIDTHS[np.searchsorted(_LIMITS, np.abs(deltas).max(axis=1), side="right")]
+            total += (line.shape[1] - 1) * int(widths.sum())
+    return total
 
 
 def compressed_size_bytes(values: np.ndarray, entries_per_line: int | None = None) -> int:
     """Total compressed size of *values* under CHAIN."""
-    return sum(line.compressed_bytes for line in compress(values, entries_per_line))
+    if entries_per_line is None:
+        entries_per_line = LINE_BYTES // ENTRY_BYTES
+    if entries_per_line <= 0:
+        raise ValueError("entries_per_line must be positive")
+    return line_bytes(values, entries_per_line, ENTRY_BYTES)
 
 
 def uncompressed_size_bytes(values: np.ndarray) -> int:

@@ -16,17 +16,43 @@ baseline and hardware do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..lisa.learned_index import LinearModel
+from ..runtime import check_workers
 from .table import ExmaTable
+
+if TYPE_CHECKING:
+    from .search import OccIndex
 
 #: k-mers with at most this many increments are searched exactly.
 DEFAULT_MODEL_THRESHOLD = 256
 
 #: Increments per leaf model (the fixed parameters-to-increments ratio).
 DEFAULT_INCREMENTS_PER_LEAF = 4096
+
+
+def sampled_errors(
+    index: OccIndex, table: ExmaTable, packed_kmers: list[int], samples_per_kmer: int, seed: int
+) -> np.ndarray:
+    """Absolute prediction errors of *index* at ``samples_per_kmer``
+    positions drawn per k-mer, k-mer by k-mer, as float64.
+
+    One ``occ_batch`` and one ``predict_many`` over every draw; an
+    unmodelled k-mer's prediction is exact, so its errors are 0.
+    """
+    rng = np.random.default_rng(seed)
+    n = table.reference_length
+    draws = [rng.integers(0, n + 1, size=samples_per_kmer) for _ in packed_kmers]
+    positions = np.array(draws, dtype=np.int64).reshape(-1)
+    kmers = np.repeat(np.asarray(packed_kmers, dtype=np.int64), samples_per_kmer)
+    errors = np.zeros(kmers.size)
+    modelled = index.modelled_lookup(table.kmer_count)[kmers]
+    predicted = index.predict_many(kmers[modelled], positions[modelled])
+    errors[modelled] = np.abs(table.occ_batch(kmers[modelled], positions[modelled]) - predicted)
+    return errors
 
 
 @dataclass
@@ -64,12 +90,10 @@ class NaiveLearnedIndex:
         model_threshold: int = DEFAULT_MODEL_THRESHOLD,
         increments_per_leaf: int = DEFAULT_INCREMENTS_PER_LEAF,
     ) -> None:
-        if model_threshold < 0:
-            raise ValueError("model_threshold must be non-negative")
         if increments_per_leaf <= 0:
             raise ValueError("increments_per_leaf must be positive")
         self._table = table
-        self._threshold = model_threshold
+        self._threshold = check_workers(model_threshold, "model_threshold", minimum=0)
         self._increments_per_leaf = increments_per_leaf
         self._models: dict[int, _PerKmerModel] = {}
         self._column_cache: tuple[np.ndarray, ...] | None = None
@@ -191,15 +215,8 @@ class NaiveLearnedIndex:
     def prediction_errors(
         self, packed_kmers: list[int] | None = None, samples_per_kmer: int = 200, seed: int = 0
     ) -> np.ndarray:
-        """Absolute prediction errors over sampled positions of k-mers."""
-        rng = np.random.default_rng(seed)
+        """Absolute prediction errors over sampled positions of k-mers
+        (:func:`sampled_errors`)."""
         if packed_kmers is None:
             packed_kmers = self.modelled_kmers
-        errors = []
-        n = self._table.reference_length
-        for packed in packed_kmers:
-            positions = rng.integers(0, n + 1, size=samples_per_kmer)
-            for pos in positions:
-                _, err = self.lookup(packed, int(pos))
-                errors.append(err)
-        return np.array(errors, dtype=np.float64)
+        return sampled_errors(self, self._table, packed_kmers, samples_per_kmer, seed)

@@ -16,16 +16,25 @@ optimizer (implemented here in numpy on the pooled, normalised samples).
 The index is trained and evaluated on the same EXMA table, exactly as LISA
 and the paper do — prediction accuracy only affects search *throughput*
 (linear-probe length), never mapping correctness.
+
+The trained index is columnar: a leaf weight, leaf bias and bucket id per
+packed code, which the scalar :meth:`MTLIndex.predict` and the batched
+:meth:`MTLIndex.predict_many` both read.  The leaves of a bucket are fitted
+as one stacked least-squares per sample count (:func:`_fit_leaves`), bit
+for bit what ``np.polyfit`` per k-mer (:func:`_fit_leaf`, the spec and
+fallback) gives.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import native
-from ..runtime import check_workers
+from ..runtime import PURE_PYTHON_ENV, check_workers, env_flag
+from .learned_index import sampled_errors
 from .table import ExmaTable
 
 #: Increment-count bucket edges used to group k-mers into shared models
@@ -157,17 +166,82 @@ class SharedNode:
             self.b2 = float(new_values[3])
 
 
-@dataclass(frozen=True)
-class LeafModel:
-    """Per-k-mer leaf: one weight and one bias over the shared output."""
+def _fit_leaf(shared_output: np.ndarray, cdf: np.ndarray) -> tuple[float, float]:
+    """Least-squares linear leaf ``(weight, bias)`` mapping shared output to
+    the CDF, one ``np.polyfit`` per k-mer: the specification of
+    :func:`_fit_leaves`, and its fallback."""
+    if shared_output.size < 2 or float(np.ptp(shared_output)) < 1e-12:
+        return 1.0, float(np.mean(cdf - shared_output))
+    slope, intercept = np.polyfit(shared_output, cdf, 1)
+    return float(slope), float(intercept)
 
-    weight: float
-    bias: float
 
-    def predict(self, shared_output: float, count: int) -> int:
-        """Eq. 3: scale the shared CDF estimate to an increment index."""
-        raw = (self.weight * shared_output + self.bias) * count
-        return int(np.clip(round(raw), 0, max(0, count - 1)))
+#: The gufunc ``np.linalg.lstsq`` wraps (LAPACK ``dgelsd``); ``None`` where
+#: this NumPy does not expose it, and every leaf then takes the spec.
+_LSTSQ = getattr(getattr(np.linalg, "_umath_linalg", None), "lstsq", None)
+
+
+def _fit_stack(shared_output: np.ndarray, cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.polyfit(x, y, 1)`` over each row of two ``(leaves, take)``
+    arrays, in polyfit's own steps: Vandermonde, column scale, the lstsq
+    gufunc with ``rcond = take·eps`` under ``lstsq``'s errstate (a LAPACK
+    failure raises), unscale.  Every row gets polyfit's bits, and its
+    ``RankWarning``."""
+    leaves, take = shared_output.shape
+    lhs = np.empty((leaves, take, 2))
+    np.add(shared_output, 0.0, out=lhs[:, :, 0])
+    lhs[:, :, 1] = 1.0
+    scale = np.sqrt((lhs * lhs).sum(axis=1))
+    lhs /= scale[:, None, :]
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        coefficients, _, rank, _ = _LSTSQ(
+            lhs,
+            np.add(cdf, 0.0)[:, :, None],
+            take * np.finfo(np.float64).eps,
+            signature="ddd->ddid",
+        )
+    for _ in range(np.count_nonzero(rank != 2)):
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    coefficients = coefficients[:, :, 0] / scale
+    return coefficients[:, 0], coefficients[:, 1]
+
+
+#: Leaves per stacked solve.  It bounds the solve's temporaries (a few
+#: ``leaves × take`` float64 arrays) so they do not raise peak RSS.
+STACK_LEAVES = 256
+
+
+def _fit_leaves(
+    shared_output: np.ndarray, cdf: np.ndarray, takes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_fit_leaf` over consecutive slices of *takes* rows each, as
+    weight and bias columns.
+
+    Slices of one size share a :func:`_fit_stack` call per
+    :data:`STACK_LEAVES`; a slice of one row or with no spread keeps the
+    scalar branch.  Where the gufunc is missing or refuses the call, and
+    under ``REPRO_PURE_PYTHON=1``, each slice runs the spec.
+    """
+    stops = np.cumsum(takes)
+    starts = stops - takes
+    weights = np.empty(takes.size)
+    biases = np.empty(takes.size)
+    spread = np.maximum.reduceat(shared_output, starts) - np.minimum.reduceat(shared_output, starts)
+    stacked = (takes >= 2) & ~(spread < 1e-12) & (not env_flag(PURE_PYTHON_ENV))
+    spec = np.flatnonzero(~stacked).tolist()
+    for take in np.unique(takes[stacked]).tolist():
+        same_take = np.flatnonzero(stacked & (takes == take))
+        for first in range(0, same_take.size, STACK_LEAVES):
+            leaves = same_take[first : first + STACK_LEAVES]
+            rows = starts[leaves, None] + np.arange(take)
+            try:
+                weights[leaves], biases[leaves] = _fit_stack(shared_output[rows], cdf[rows])
+            except (TypeError, FloatingPointError):
+                spec.extend(leaves.tolist())
+    for leaf in spec:
+        part = slice(starts[leaf], stops[leaf])
+        weights[leaf], biases[leaf] = _fit_leaf(shared_output[part], cdf[part])
+    return weights, biases
 
 
 class MTLIndex:
@@ -183,7 +257,8 @@ class MTLIndex:
         epochs: Adam epochs per shared node.
 
     Raises:
-        ValueError: *samples_per_kmer* or *epochs* is not an integer >= 1.
+        ValueError: *samples_per_kmer*, *epochs* or a bucket edge is not an
+            integer >= 1, or *model_threshold* is not an integer >= 0.
     """
 
     def __init__(
@@ -196,55 +271,53 @@ class MTLIndex:
         seed: int = 0,
     ) -> None:
         self._table = table
-        self._edges = tuple(sorted(bucket_edges))
-        self._threshold = model_threshold
+        self._edges = tuple(sorted(check_workers(edge, "bucket_edges") for edge in bucket_edges))
+        self._threshold = check_workers(model_threshold, "model_threshold", minimum=0)
         self._samples_per_kmer = check_workers(samples_per_kmer, "samples_per_kmer")
         self._epochs = check_workers(epochs, "epochs")
         self._seed = seed
         self._nodes: dict[int, SharedNode] = {}
-        self._leaves: dict[int, LeafModel] = {}
-        self._bucket_of: dict[int, int] = {}
-        self._leaf_column_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._train()
 
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
 
-    def _bucket_index(self, count: int) -> int:
-        """Bucket index for a k-mer with *count* increments."""
-        for i, edge in enumerate(self._edges):
-            if count <= edge:
-                return i
-        return len(self._edges)
-
     def _train(self) -> None:
-        n = self._table.reference_length
+        """Train every shared node, then write the per-code leaf columns.
+
+        Bucket ids are the narrowest signed type that holds every bucket
+        and the ``-1`` of an unmodelled code, so grouping by them is a
+        radix sort.
+        """
+        table = self._table
+        n = table.reference_length
         rng = np.random.default_rng(self._seed)
+        counts = table.frequencies_view()
+        self._weights = np.zeros(table.kmer_count)
+        self._biases = np.zeros(table.kmer_count)
+        self._buckets = np.full(
+            table.kmer_count, -1, dtype=np.min_scalar_type(-1 - len(self._edges))
+        )
+        modelled = np.flatnonzero(counts > self._threshold)
+        buckets = np.searchsorted(self._edges, counts[modelled])
+        self._buckets[modelled] = buckets
 
-        # Group modelled k-mers by increment-count bucket.
-        grouped: dict[int, list[int]] = {}
-        for packed in self._table.present_kmers():
-            count = self._table.frequency(packed)
-            if count <= self._threshold:
-                continue
-            bucket = self._bucket_index(count)
-            grouped.setdefault(bucket, []).append(packed)
-            self._bucket_of[packed] = bucket
-
-        increments, bases = self._table.increments, self._table.bases
-        for bucket, kmers in grouped.items():
-            # Draw every k-mer's sample ranks in k-mer order (the RNG stream
-            # is the recipe), then build the columns in one pass each.
-            counts = self._table.frequency_batch(kmers)
-            takes = np.minimum(counts, self._samples_per_kmer)
+        # Buckets train in the order of their first k-mer, drawing every
+        # k-mer's sample ranks in k-mer order (the RNG stream is the recipe).
+        increments, bases = table.increments, table.bases
+        _, firsts = np.unique(buckets, return_index=True)
+        for bucket in buckets[np.sort(firsts)].tolist():
+            kmers = modelled[buckets == bucket]
+            kmer_counts = counts[kmers]
+            takes = np.minimum(kmer_counts, self._samples_per_kmer)
             ranks = []
-            for count, take in zip(counts.tolist(), takes.tolist()):
+            for count, take in zip(kmer_counts.tolist(), takes.tolist()):
                 idx = rng.choice(count, size=take, replace=False)
                 idx.sort()
                 ranks.append(idx)
             rank = np.concatenate(ranks)
-            sample_counts = np.repeat(counts, takes)
+            sample_counts = np.repeat(kmer_counts, takes)
             feature_matrix = np.empty((rank.size, 2))
             positions = increments[np.repeat(bases[kmers], takes) + rank]
             np.divide(positions.astype(np.float64), n, out=feature_matrix[:, 0])
@@ -263,20 +336,9 @@ class MTLIndex:
             self._nodes[bucket] = node
             # Fit the per-k-mer linear leaves on the shared output; samples
             # were drawn k-mer by k-mer, so each leaf owns one slice.
-            shared_out = node.forward(feature_matrix)
-            stops = np.cumsum(takes).tolist()
-            for packed, start, stop in zip(kmers, [0, *stops], stops):
-                self._leaves[packed] = self._fit_leaf(
-                    shared_out[start:stop], target_vector[start:stop]
-                )
-
-    @staticmethod
-    def _fit_leaf(shared_output: np.ndarray, cdf: np.ndarray) -> LeafModel:
-        """Least-squares linear leaf mapping shared output to the CDF."""
-        if shared_output.size < 2 or float(np.ptp(shared_output)) < 1e-12:
-            return LeafModel(weight=1.0, bias=float(np.mean(cdf - shared_output)))
-        slope, intercept = np.polyfit(shared_output, cdf, 1)
-        return LeafModel(weight=float(slope), bias=float(intercept))
+            self._weights[kmers], self._biases[kmers] = _fit_leaves(
+                node.forward(feature_matrix), target_vector, takes
+            )
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -290,7 +352,7 @@ class MTLIndex:
     @property
     def modelled_kmers(self) -> list[int]:
         """Packed codes of k-mers covered by a leaf model."""
-        return sorted(self._leaves)
+        return np.flatnonzero(self._buckets >= 0).tolist()
 
     @property
     def shared_node_count(self) -> int:
@@ -301,24 +363,25 @@ class MTLIndex:
     def parameter_count(self) -> int:
         """Total parameters: shared nodes plus 2 per modelled k-mer."""
         shared = sum(node.parameter_count for node in self._nodes.values())
-        return shared + 2 * len(self._leaves)
+        return shared + 2 * int(np.count_nonzero(self._buckets >= 0))
 
     def has_model(self, packed: int) -> bool:
         """Whether *packed* is covered by the MTL index."""
-        return packed in self._leaves
+        return bool(self._buckets[packed] >= 0)
 
     def predict(self, kmer: str | int, pos: int) -> int:
-        """Predicted index of *pos* within the k-mer's increment list."""
+        """Predicted index of *pos* within the k-mer's increment list
+        (Eq. 3: the leaf scales the shared CDF estimate by the count)."""
         packed = kmer if isinstance(kmer, int) else self._table._packed(kmer)
-        count = self._table.frequency(packed)
-        leaf = self._leaves.get(packed)
-        if leaf is None:
+        bucket = int(self._buckets[packed])
+        if bucket < 0:
             return self._table.occ(packed, pos)
-        node = self._nodes[self._bucket_of[packed]]
+        count = self._table.frequency(packed)
         n = self._table.reference_length
         features = np.array([[pos / n, count / n]])
-        shared_output = float(node.forward(features)[0])
-        return leaf.predict(shared_output, count)
+        shared_output = float(self._nodes[bucket].forward(features)[0])
+        raw = (float(self._weights[packed]) * shared_output + float(self._biases[packed])) * count
+        return int(np.clip(round(raw), 0, max(0, count - 1)))
 
     def predict_many(self, kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`predict` over aligned k-mer/position arrays.
@@ -340,8 +403,7 @@ class MTLIndex:
         result = np.empty(size, dtype=np.int64)
         if size == 0:
             return result
-        weights, biases, buckets = self._leaf_columns()
-        request_buckets = buckets[kmers]
+        request_buckets = self._buckets[kmers]
         order = np.argsort(request_buckets, kind="stable")
         grouped = request_buckets[order]
         if grouped[0] < 0:
@@ -361,35 +423,13 @@ class MTLIndex:
             shared_output[start:stop] = self._nodes[int(grouped[start])].forward(
                 features[start:stop]
             )
-        raw = weights[kmers] * shared_output
-        raw += biases[kmers]
+        raw = self._weights[kmers] * shared_output
+        raw += self._biases[kmers]
         raw *= counts
         np.rint(raw, out=raw)
         np.clip(raw, 0, np.maximum(0, counts - 1), out=raw)
         result[order] = raw
         return result
-
-    def _leaf_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Leaf weight/bias and bucket id per packed code (lazy, cached).
-
-        Bucket ids are the narrowest signed type that holds every bucket
-        and the ``-1`` of an unmodelled code, so grouping by them is a
-        radix sort.
-        """
-        if self._leaf_column_cache is None:
-            size = self._table.kmer_count
-            weights = np.zeros(size, dtype=np.float64)
-            biases = np.zeros(size, dtype=np.float64)
-            buckets = np.full(
-                size, -1, dtype=np.min_scalar_type(-1 - len(self._edges))
-            )
-            for packed, leaf in self._leaves.items():
-                weights[packed] = leaf.weight
-                biases[packed] = leaf.bias
-            for packed, bucket in self._bucket_of.items():
-                buckets[packed] = bucket
-            self._leaf_column_cache = (weights, biases, buckets)
-        return self._leaf_column_cache
 
     def modelled_lookup(self, kmer_count: int) -> np.ndarray:
         """Boolean mask over packed codes: True where a leaf model exists.
@@ -397,31 +437,23 @@ class MTLIndex:
         The array form of :meth:`has_model`, sized for the table's
         ``4^k`` code space so the lockstep search and the columnar replay
         classify a whole request stream with one gather.  Every modelled
-        k-mer has a bucket assignment, so the mask is the cached bucket
-        column's validity.
+        k-mer has a bucket assignment, so the mask is the bucket column's
+        validity.
         """
         if kmer_count != self._table.kmer_count:
             raise ValueError("kmer_count must match the indexed table")
-        return self._leaf_columns()[2] >= 0
+        return self._buckets >= 0
 
     def bucket_lookup(self, kmer_count: int) -> np.ndarray:
         """Shared-node (bucket) id per packed code, -1 where unmodelled.
 
         The array form of the bucket half of :meth:`node_ids_for` (the
-        leaf node id is always ``shared_node_count + packed``), served
-        from the same cached columns :meth:`predict_many` gathers
-        through; callers must not mutate it.
+        leaf node id is always ``shared_node_count + packed``): the column
+        :meth:`predict_many` groups by; callers must not mutate it.
         """
         if kmer_count != self._table.kmer_count:
             raise ValueError("kmer_count must match the indexed table")
-        return self._leaf_columns()[2]
-
-    def lookup(self, kmer: str | int, pos: int) -> tuple[int, int]:
-        """Exact Occ value plus the linear-search probe distance."""
-        packed = kmer if isinstance(kmer, int) else self._table._packed(kmer)
-        true_index = self._table.occ(packed, pos)
-        predicted = self.predict(packed, pos)
-        return true_index, abs(true_index - predicted)
+        return self._buckets
 
     def node_ids_for(self, kmer: str | int) -> tuple[int, ...]:
         """Identifiers of the index nodes touched by a lookup of *kmer*.
@@ -430,23 +462,16 @@ class MTLIndex:
         bucket node and the k-mer's leaf.  Unmodelled k-mers touch nothing.
         """
         packed = kmer if isinstance(kmer, int) else self._table._packed(kmer)
-        if packed not in self._leaves:
+        bucket = int(self._buckets[packed])
+        if bucket < 0:
             return ()
-        bucket = self._bucket_of[packed]
         return (bucket, self.shared_node_count + packed)
 
     def prediction_errors(
         self, packed_kmers: list[int] | None = None, samples_per_kmer: int = 200, seed: int = 0
     ) -> np.ndarray:
-        """Absolute prediction errors over sampled positions of k-mers."""
-        rng = np.random.default_rng(seed)
+        """Absolute prediction errors over sampled positions of k-mers
+        (:func:`~repro.exma.learned_index.sampled_errors`)."""
         if packed_kmers is None:
             packed_kmers = self.modelled_kmers
-        n = self._table.reference_length
-        errors = []
-        for packed in packed_kmers:
-            positions = rng.integers(0, n + 1, size=samples_per_kmer)
-            for pos in positions:
-                _, err = self.lookup(packed, int(pos))
-                errors.append(err)
-        return np.array(errors, dtype=np.float64)
+        return sampled_errors(self, self._table, packed_kmers, samples_per_kmer, seed)

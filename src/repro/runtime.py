@@ -59,7 +59,8 @@ EXECUTORS = ("thread", "process")
 
 #: When truthy, the DRAM bus recurrence and the MTL training epoch run
 #: their Python/NumPy specifications even where the compiled library is
-#: cached (:mod:`repro.native`).
+#: cached (:mod:`repro.native`), and each MTL leaf is fitted by its own
+#: ``np.polyfit`` instead of one stacked solve per sample count.
 PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
 
 ENV_VARIABLES = (PURE_PYTHON_ENV,)
@@ -90,16 +91,17 @@ def check_executor(executor: str) -> str:
     return executor
 
 
-def check_workers(count: int, what: str = "workers") -> int:
-    """Return *count* as an ``int`` if it is a positive integer worker
-    count, else raise naming the knob (*what*).  Bools and non-integral
-    numbers are refused, never truncated."""
+def check_workers(count: int, what: str = "workers", *, minimum: int = 1) -> int:
+    """Return *count* as an ``int`` if it is an integer >= *minimum* (a
+    positive worker count by default), else raise naming the knob
+    (*what*).  Bools and non-integral numbers are refused, never
+    truncated."""
     try:
         value = None if isinstance(count, bool) else operator.index(count)
     except TypeError:
         value = None
-    if value is None or value < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {count!r}")
+    if value is None or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {count!r}")
     return value
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exma.learned_index import NaiveLearnedIndex, _PerKmerModel
+from repro.exma import mtl_index
 from repro.exma.mtl_index import MTLIndex, SharedNode
 from repro.exma.table import ExmaTable
 from repro.genome.sequence import RepeatProfile, random_genome
@@ -122,6 +123,35 @@ class TestNaiveLearnedIndex:
             NaiveLearnedIndex(repeat_table, increments_per_leaf=0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda table: NaiveLearnedIndex(table, model_threshold=40, increments_per_leaf=64),
+        lambda table: MTLIndex(table, model_threshold=40, samples_per_kmer=16, epochs=10),
+    ],
+    ids=["naive", "mtl"],
+)
+def test_prediction_errors_are_scalar_probe_distances(build, repeat_table):
+    # One occ_batch and one predict_many over the same per-k-mer draws as
+    # a scalar |Occ - predict| per position; an unmodelled k-mer's
+    # prediction is exact, so its errors are 0.
+    index = build(repeat_table)
+    light = [p for p in repeat_table.present_kmers() if not index.has_model(p)][:3]
+    assert light
+    kmers = index.modelled_kmers[:7] + light
+    n = repeat_table.reference_length
+    rng = np.random.default_rng(9)
+    expected = [
+        abs(repeat_table.occ(packed, int(pos)) - index.predict(packed, int(pos)))
+        for packed in kmers
+        for pos in rng.integers(0, n + 1, size=13)
+    ]
+    errors = index.prediction_errors(kmers, samples_per_kmer=13, seed=9)
+    assert errors.dtype == np.float64
+    assert errors.tolist() == expected
+    assert index.prediction_errors([], samples_per_kmer=13).size == 0
+
+
 def _reference_train(features, targets, weights, epochs, seed):
     """The allocating Adam loop `SharedNode.train` must reproduce bit for
     bit: every intermediate a fresh array, one NumPy expression per line
@@ -226,13 +256,6 @@ class TestMTLIndex:
         for packed in mtl.modelled_kmers:
             assert repeat_table.frequency(packed) > 8
 
-    def test_lookup_returns_exact_occ(self, mtl, repeat_table):
-        for packed in mtl.modelled_kmers[:5]:
-            for pos in (0, 500, 2000, repeat_table.reference_length):
-                true_index, error = mtl.lookup(packed, pos)
-                assert true_index == repeat_table.occ(packed, pos)
-                assert error >= 0
-
     def test_prediction_within_range(self, mtl, repeat_table):
         for packed in mtl.modelled_kmers[:5]:
             count = repeat_table.frequency(packed)
@@ -330,7 +353,10 @@ class TestMTLIndex:
             stop = 0
             for packed, cdf in zip(kmers, targets):
                 start, stop = stop, stop + cdf.size
-                assert index._leaves[packed] == MTLIndex._fit_leaf(shared_out[start:stop], cdf)
+                weight, bias = mtl_index._fit_leaf(shared_out[start:stop], cdf)
+                assert index._weights[packed].tobytes() == np.float64(weight).tobytes()
+                assert index._biases[packed].tobytes() == np.float64(bias).tobytes()
+                assert index._buckets[packed] == bucket
         assert len(takes) > 1
 
     def test_deterministic_with_seed(self, repeat_table):

@@ -8,11 +8,13 @@ training epoch, specified by the two NumPy functions in
 :mod:`repro.exma.mtl_index`.  The contract is **bit-identical outputs**
 on both paths, and a failed build is one warning, never an exception or
 a different number.  The LRU cache simulation is state-free array code
-with nothing to compile.
+with nothing to compile.  The MTL leaves' stacked least-squares keeps
+the same contract with its spec, the per-k-mer ``np.polyfit``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pathlib
 import stat
@@ -30,6 +32,7 @@ from hypothesis.extra import numpy as hnp
 import repro
 from repro import native
 from repro.exma import mtl_index
+from repro.exma.learned_index import NaiveLearnedIndex
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
 from repro.genome.datasets import build_dataset
@@ -416,7 +419,9 @@ def _fingerprint(index: MTLIndex) -> dict:
         for bucket, node in index._nodes.items()
     }
     leaves = {
-        packed: _bits([leaf.weight, leaf.bias]).tolist() for packed, leaf in index._leaves.items()
+        packed: _bits([index._weights[packed], index._biases[packed]]).tolist()
+        + [int(index._buckets[packed])]
+        for packed in index.modelled_kmers
     }
     kmers = np.repeat(np.array(index.modelled_kmers, dtype=np.int64), 5)
     positions = np.random.default_rng(0).integers(0, index.table.reference_length + 1, kmers.size)
@@ -437,6 +442,131 @@ class TestTrainedIndexBothPaths:
         assert fast["leaves"] and fast == spec
 
 
+#: sha256 over the weight, bias and bucket columns of the benchmark-recipe
+#: index at 60 kbp, seed 0, as the per-k-mer ``np.polyfit`` leaves wrote them.
+GOLDEN_COLUMNS_60K_SEED0 = "515dd4979c0115e2f012e922843241c22fd7ea9faf1ed5327472880bad468533"
+
+
+def _slices(draw_kinds, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared outputs, CDF targets and takes for ``(take, kind)`` slices."""
+    rng = np.random.default_rng(seed)
+    outputs, targets = [], []
+    for take, kind in draw_kinds:
+        if kind == "spread":
+            x = rng.random(take)
+        elif kind == "constant":
+            x = np.full(take, rng.random())
+        else:  # ulps of spread around 1024: the scalar branch, or rank-deficient
+            x = 1024.0 + np.arange(take) * int(rng.integers(1, 9)) * np.spacing(1024.0)
+        outputs.append(x)
+        targets.append(np.sort(rng.random(take)))
+    takes = np.array([take for take, _ in draw_kinds], dtype=np.int64)
+    return np.concatenate(outputs), np.concatenate(targets), takes
+
+
+def _leaves_and_warnings(fit, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fitted = fit(*args)
+    ranks = [w for w in caught if issubclass(w.category, np.exceptions.RankWarning)]
+    return fitted, len(ranks)
+
+
+class TestStackedLeaves:
+    """The leaves of a bucket are fitted as one stacked least-squares per
+    sample count; ``np.polyfit`` per k-mer (``_fit_leaf``) is the spec and
+    the fallback, and every leaf must carry its bits."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 70), st.sampled_from(["spread", "constant", "near-constant"])
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_equals_per_kmer_polyfit(self, slices, seed):
+        outputs, targets, takes = _slices(slices, seed)
+        (weights, biases), stacked_warnings = _leaves_and_warnings(
+            mtl_index._fit_leaves, outputs, targets, takes
+        )
+        stops = np.cumsum(takes)
+        spec, spec_warnings = _leaves_and_warnings(
+            lambda: [
+                mtl_index._fit_leaf(outputs[stop - take : stop], targets[stop - take : stop])
+                for take, stop in zip(takes.tolist(), stops.tolist())
+            ]
+        )
+        assert _bits(weights).tolist() == _bits([w for w, _ in spec]).tolist()
+        assert _bits(biases).tolist() == _bits([b for _, b in spec]).tolist()
+        assert stacked_warnings == spec_warnings
+
+    @pytest.mark.parametrize("stack_leaves", [1, 2, 5])
+    def test_stacks_split_into_blocks_keep_the_bits(self, monkeypatch, stack_leaves):
+        outputs, targets, takes = _slices([(7, "spread"), (3, "spread"), (7, "constant")] * 4, 5)
+        whole = mtl_index._fit_leaves(outputs, targets, takes)
+        monkeypatch.setattr(mtl_index, "STACK_LEAVES", stack_leaves)
+        split = mtl_index._fit_leaves(outputs, targets, takes)
+        assert [_bits(c).tolist() for c in split] == [_bits(c).tolist() for c in whole]
+
+    def test_near_constant_outputs_warn_once_per_leaf(self):
+        # Spread above the scalar branch's 1e-12, far below dgelsd's rcond.
+        takes = np.array([2, 64, 2, 64, 10])
+        outputs = np.concatenate(
+            [1024.0 + np.arange(take) * (8 if take == 2 else 4) * np.spacing(1024.0) for take in takes]
+        )
+        targets = np.linspace(0.0, 1.0, outputs.size)
+        _, stacked_warnings = _leaves_and_warnings(mtl_index._fit_leaves, outputs, targets, takes)
+        assert stacked_warnings == takes.size
+
+    @pytest.fixture
+    def scalar_sizes(self, monkeypatch):
+        """Record the slice size of each run of the per-k-mer spec."""
+        sizes = []
+        spec = mtl_index._fit_leaf
+        monkeypatch.setattr(mtl_index, "_fit_leaf", lambda x, y: sizes.append(x.size) or spec(x, y))
+        return sizes
+
+    def test_only_degenerate_leaves_take_the_scalar_branch(self, monkeypatch, scalar_sizes):
+        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
+        outputs, targets, takes = _slices([(1, "spread"), (5, "constant"), (9, "spread")] * 4, 3)
+        mtl_index._fit_leaves(outputs, targets, takes)
+        assert sorted(scalar_sizes) == [1] * 4 + [5] * 4
+
+    @pytest.mark.parametrize(
+        "gufunc",
+        # Missing, or failing the way a LAPACK error surfaces under the errstate.
+        [None, lambda *args, **kwargs: np.zeros(2) / np.zeros(2)],
+        ids=["missing", "failing"],
+    )
+    def test_fallback_without_the_gufunc_has_the_same_bits(
+        self, monkeypatch, scalar_sizes, gufunc
+    ):
+        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
+        stacked = _fingerprint(_trained(20_000, 1))
+        assert not scalar_sizes
+        monkeypatch.setattr(mtl_index, "_LSTSQ", gufunc)
+        assert _fingerprint(_trained(20_000, 1)) == stacked
+        assert len(scalar_sizes) == len(stacked["leaves"])
+
+    def test_pure_python_runs_the_spec_with_the_same_bits(self, monkeypatch, scalar_sizes):
+        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
+        stacked = _fingerprint(_trained(20_000, 1))
+        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
+        assert _fingerprint(_trained(20_000, 1)) == stacked
+        assert len(scalar_sizes) == len(stacked["leaves"])
+
+    def test_golden_columns_of_the_benchmark_recipe(self):
+        index = _trained(60_000, 0)
+        columns = (index._weights, index._biases, index._buckets)
+        assert [column.dtype for column in columns] == [np.float64, np.float64, np.int8]
+        digest = hashlib.sha256(b"".join(column.tobytes() for column in columns)).hexdigest()
+        assert digest == GOLDEN_COLUMNS_60K_SEED0
+
+
 class TestRecipeValidation:
     @pytest.mark.parametrize("knob", ["samples_per_kmer", "epochs"])
     @pytest.mark.parametrize("value", [0, -1, True, 2.5], ids=["zero", "negative", "bool", "float"])
@@ -444,6 +574,27 @@ class TestRecipeValidation:
         table = ExmaTable("ACGTTGCA" * 40, k=2)
         with pytest.raises(ValueError, match=f"{knob} must be an integer >= 1"):
             MTLIndex(table, **{knob: value})
+
+    @pytest.mark.parametrize("index", [MTLIndex, NaiveLearnedIndex])
+    @pytest.mark.parametrize("value", [-1, True, 2.5, "16"], ids=["negative", "bool", "float", "str"])
+    def test_threshold_nonsense_is_refused(self, index, value):
+        table = ExmaTable("ACGTTGCA" * 40, k=2)
+        with pytest.raises(ValueError, match="model_threshold must be an integer >= 0"):
+            index(table, model_threshold=value)
+
+    @pytest.mark.parametrize("index", [MTLIndex, NaiveLearnedIndex])
+    def test_zero_threshold_models_every_present_kmer(self, index):
+        table = ExmaTable("ACGTTGCA" * 40, k=2)
+        assert index(table, model_threshold=0).modelled_kmers == table.present_kmers()
+
+    @pytest.mark.parametrize(
+        "edges", [(0, 64), (-4,), (True, 64), (2.5, 64), (64, "256")],
+        ids=["zero", "negative", "bool", "float", "str"],
+    )
+    def test_bucket_edge_nonsense_is_refused(self, edges):
+        table = ExmaTable("ACGTTGCA" * 40, k=2)
+        with pytest.raises(ValueError, match="bucket_edges must be an integer >= 1"):
+            MTLIndex(table, bucket_edges=edges)
 
 
 class TestLoader:

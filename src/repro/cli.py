@@ -26,7 +26,7 @@ import sys
 from typing import Sequence
 
 from .engine import QueryEngine, available_backends
-from .experiments.common import scaled_config
+from .experiments.common import SEARCH_MTL_RECIPE, serving_stack
 from .experiments.record import write_record
 from .experiments.registry import (
     EXPERIMENTS,
@@ -34,6 +34,8 @@ from .experiments.registry import (
     add_serving_flags,
     add_sharding_flags,
     experiment_named,
+    non_negative_int,
+    positive_int,
 )
 from .exma.table import exma_size_breakdown
 from .genome.alphabet import AlphabetError
@@ -57,12 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     search = subparsers.add_parser(
         "search", help="search a query batch through the batched query engine"
     )
-    search.add_argument("--reference", help="FASTA file with the reference (first record used)")
-    search.add_argument(
-        "--genome-length", type=int, default=50_000, help="synthetic genome length when no FASTA"
-    )
-    search.add_argument("--step", type=int, default=6, help="EXMA/LISA step number k")
-    search.add_argument("--seed", type=int, default=0, help="synthetic genome seed")
+    _reference_source_flags(search, "EXMA/LISA step number k")
     search.add_argument(
         "--no-index",
         action="store_true",
@@ -87,12 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve stdin queries through the always-on dynamic-batching layer",
     )
-    serve.add_argument("--reference", help="FASTA file with the reference (first record used)")
-    serve.add_argument(
-        "--genome-length", type=int, default=50_000, help="synthetic genome length when no FASTA"
-    )
-    serve.add_argument("--step", type=int, default=6, help="EXMA step number k")
-    serve.add_argument("--seed", type=int, default=0, help="synthetic genome seed")
+    _reference_source_flags(serve, "EXMA step number k")
     serve.add_argument(
         "--no-accel",
         action="store_true",
@@ -137,9 +129,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_sharding_flags(serve)
 
     info = subparsers.add_parser("info", help="print paper-scale size models")
-    info.add_argument("--genome-length", type=int, default=3_000_000_000)
-    info.add_argument("--step", type=int, default=15)
+    info.add_argument("--genome-length", type=positive_int, default=3_000_000_000)
+    info.add_argument("--step", type=positive_int, default=15)
     return parser
+
+
+def _reference_source_flags(parser: argparse.ArgumentParser, step_help: str) -> None:
+    """``search`` and ``serve``: a FASTA reference or a synthetic genome, and k."""
+    parser.add_argument("--reference", help="FASTA file with the reference (first record used)")
+    parser.add_argument(
+        "--genome-length",
+        type=positive_int,
+        default=50_000,
+        help="synthetic genome length when no FASTA",
+    )
+    parser.add_argument("--step", type=positive_int, default=6, help=step_help)
+    parser.add_argument("--seed", type=non_negative_int, default=0, help="synthetic genome seed")
 
 
 def _add_experiment_parser(subparsers, name: str, entry: Experiment) -> None:
@@ -185,7 +190,7 @@ def _run_search(args: argparse.Namespace) -> int:
     if backend_name.startswith(("exma", "lisa")):
         kwargs["k"] = args.step
     if backend_name == "exma-mtl":
-        kwargs.update(model_threshold=32, epochs=100)
+        kwargs.update(SEARCH_MTL_RECIPE)
     engine = QueryEngine.from_reference(
         reference, name=backend_name, shards=args.shards, executor=args.executor, **kwargs
     )
@@ -224,21 +229,14 @@ def _run_registered(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """Serve stdin queries (one per line, optionally ``tenant<TAB>query``)."""
-    from .accel.config import exma_full_config
-    from .accel.exma_accelerator import ExmaAccelerator
-    from .engine.backends import ExmaBackend
-    from .exma.table import ExmaTable
     from .faults import FaultPlan
     from .serving import QueryService, ServingConfig
 
     reference = _load_reference(args)
-    table = ExmaTable(reference, k=args.step)
-    engine = QueryEngine(
-        ExmaBackend(table=table), shards=args.shards, executor=args.executor
-    )
-    accelerator = None
-    if not args.no_accel:
-        accelerator = ExmaAccelerator(table, None, scaled_config(exma_full_config()))
+    backend, accelerator = serving_stack(reference, args.step)
+    engine = QueryEngine(backend, shards=args.shards, executor=args.executor)
+    if args.no_accel:
+        accelerator = None
     faults = None
     if args.inject:
         try:

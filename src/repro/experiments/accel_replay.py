@@ -34,7 +34,6 @@ Reproduce the committed record with::
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..accel.config import ExmaAcceleratorConfig, exma_full_config
@@ -42,10 +41,7 @@ from ..accel.exma_accelerator import ExmaAccelerator
 from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
 from ..engine.window import CoalescingWindow
-from ..exma.mtl_index import MTLIndex
-from ..exma.table import ExmaTable
-from ..genome.datasets import build_dataset
-from .common import DEFAULT_STEP, sample_queries, scaled_config
+from .common import DEFAULT_STEP, best_of, build_stack, sample_queries, scaled_config
 from .record import Record, row_dict
 
 __all__ = [
@@ -169,28 +165,19 @@ def _measure(
     against the serial baseline (and the search that produced the
     streams timed alongside, for the whole-pipeline number).
     """
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    table = ExmaTable(reference.sequence, k=k)
-    index = MTLIndex(
-        table, model_threshold=16, samples_per_kmer=64, epochs=mtl_epochs, seed=seed
-    )
-    engine = QueryEngine(ExmaBackend(table=table, index=index))
+    stack = build_stack("human", genome_length, k, seed, mtl_epochs)
+    engine = QueryEngine(ExmaBackend(table=stack.table, index=stack.index))
     queries = sample_queries(
-        reference.sequence, count=query_count, length=query_length, seed=seed
+        stack.reference.sequence, count=query_count, length=query_length, seed=seed
     )
     stream, _stats = engine.request_stream(queries)
-    accelerator = ExmaAccelerator(table, index, config)
+    accelerator = ExmaAccelerator(stack.table, stack.index, config)
 
     materialised = list(stream)
-    columnar_seconds = object_seconds = float("inf")
-    columnar_result = object_result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        columnar_result = accelerator.run(stream)
-        columnar_seconds = min(columnar_seconds, time.perf_counter() - start)
-        start = time.perf_counter()
-        object_result = accelerator.run_reference(materialised)
-        object_seconds = min(object_seconds, time.perf_counter() - start)
+    columnar_seconds, columnar_result = best_of(repeats, lambda: accelerator.run(stream))
+    object_seconds, object_result = best_of(
+        repeats, lambda: accelerator.run_reference(materialised)
+    )
 
     row = AccelReplayRow(
         label=label,
@@ -208,31 +195,21 @@ def _measure(
     if replay_workers:
         chunk = max(1, -(-len(queries) // replay_batches))
         batches = [queries[i : i + chunk] for i in range(0, len(queries), chunk)]
-        search_seconds = float("inf")
-        streams = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            streams = [engine.request_stream(batch)[0] for batch in batches]
-            search_seconds = min(search_seconds, time.perf_counter() - start)
+        search_seconds, streams = best_of(
+            repeats, lambda: [engine.request_stream(batch)[0] for batch in batches]
+        )
         flushes = list(CoalescingWindow(1).stream(iter(streams)))
-        serial_seconds = float("inf")
-        serial_result = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            serial_result = accelerator.run_stream(iter(flushes), replay_workers=1)
-            serial_seconds = min(serial_seconds, time.perf_counter() - start)
+        serial_seconds, serial_result = best_of(
+            repeats, lambda: accelerator.run_stream(iter(flushes), replay_workers=1)
+        )
         total_requests = sum(flush.requests for flush in serial_result.flushes)
         for workers in replay_workers:
-            seconds = float("inf")
-            result = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = accelerator.run_stream(
-                    iter(flushes),
-                    replay_workers=workers,
-                    executor=replay_executor,
-                )
-                seconds = min(seconds, time.perf_counter() - start)
+            seconds, result = best_of(
+                repeats,
+                lambda: accelerator.run_stream(
+                    iter(flushes), replay_workers=workers, executor=replay_executor
+                ),
+            )
             scaling.append(
                 ReplayScalingRow(
                     label=label,
@@ -288,34 +265,21 @@ def run_accel_replay(
         raise ValueError("replay_workers must all be >= 1")
     if replay_workers and replay_batches < 1:
         raise ValueError("replay_batches must be >= 1")
+    legs = [("fig18", genome_length, query_count, scaled_config(exma_full_config()))]
+    if megabase_length:
+        legs.append(("megabase", megabase_length, megabase_query_count, exma_full_config()))
     rows = []
     scaling_rows: list[ReplayScalingRow] = []
-    row, scaling = _measure(
-        "fig18",
-        genome_length,
-        query_count,
-        query_length,
-        k,
-        seed,
-        repeats,
-        scaled_config(exma_full_config()),
-        mtl_epochs,
-        replay_workers=replay_workers,
-        replay_executor=replay_executor,
-        replay_batches=replay_batches,
-    )
-    rows.append(row)
-    scaling_rows.extend(scaling)
-    if megabase_length:
+    for label, length, count, config in legs:
         row, scaling = _measure(
-            "megabase",
-            megabase_length,
-            megabase_query_count,
+            label,
+            length,
+            count,
             query_length,
             k,
             seed,
             repeats,
-            exma_full_config(),
+            config,
             mtl_epochs,
             replay_workers=replay_workers,
             replay_executor=replay_executor,

@@ -56,11 +56,9 @@ from ..engine.backends import ExmaBackend
 from ..engine.coalesce import RequestStream
 from ..engine.engine import QueryEngine
 from ..engine.window import CoalescingWindow
-from ..exma.mtl_index import MTLIndex
 from ..exma.table import ExmaTable
-from ..genome.datasets import build_dataset
 from ..runtime import BackendWorkerPool, check_executor, check_workers
-from .common import DEFAULT_STEP, sample_queries
+from .common import DEFAULT_STEP, build_stack, sample_queries
 from .record import Record, finite_positive, row_dict
 
 __all__ = [
@@ -75,10 +73,6 @@ __all__ = [
     "run_dse",
     "run_dse_job",
 ]
-
-#: MTL split threshold of the workload's default index (``mtl=default``),
-#: matching the accel-replay harness so the baseline workload is the same.
-DEFAULT_MTL_THRESHOLD = 16
 
 #: The default sweep: CAM width × base-cache ways × page policy × window,
 #: crossed over the reproduction-scale anchor point (16 grid points).
@@ -302,38 +296,22 @@ def run_dse(
     points = [p for p in enumerate_grid(grid, anchor) if p != base]
     jobs = [base, *points]
 
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    table = ExmaTable(reference.sequence, k=k)
-    indexes: dict = {
-        None: MTLIndex(
-            table,
-            model_threshold=DEFAULT_MTL_THRESHOLD,
-            samples_per_kmer=64,
-            epochs=mtl_epochs,
-            seed=seed,
-        )
-    }
+    # Every threshold variant shares the default stack's table.
+    stack = build_stack("human", genome_length, k, seed, mtl_epochs)
+    indexes: dict = {None: stack.index}
     for threshold in sorted({p.mtl_threshold for p in jobs} - {None}):
-        indexes[threshold] = (
-            indexes[None]
-            if threshold == DEFAULT_MTL_THRESHOLD
-            else MTLIndex(
-                table,
-                model_threshold=threshold,
-                samples_per_kmer=64,
-                epochs=mtl_epochs,
-                seed=seed,
-            )
-        )
+        indexes[threshold] = build_stack(
+            "human", genome_length, k, seed, mtl_epochs, mtl_threshold=threshold
+        ).index
 
-    engine = QueryEngine(ExmaBackend(table=table, index=indexes[None]))
+    engine = QueryEngine(ExmaBackend(table=stack.table, index=stack.index))
     queries = sample_queries(
-        reference.sequence, count=query_count, length=query_length, seed=seed
+        stack.reference.sequence, count=query_count, length=query_length, seed=seed
     )
     chunk = max(1, -(-len(queries) // batches))
     batch_lists = [queries[i : i + chunk] for i in range(0, len(queries), chunk)]
     streams = [engine.request_stream(batch)[0] for batch in batch_lists]
-    workload = DseWorkload(table=table, indexes=indexes, streams=streams)
+    workload = DseWorkload(table=stack.table, indexes=indexes, streams=streams)
 
     with BackendWorkerPool(workload, executor, max_workers=workers) as pool:
         rows = pool.map_shards(run_dse_job, jobs)

@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..accel.baselines import CpuThroughputModel, SoftwareAlgorithm
-from ..exma.learned_index import NaiveLearnedIndex
-from ..exma.mtl_index import MTLIndex
-from ..exma.table import ExmaTable, exma_size_breakdown
-from ..genome.datasets import HUMAN_PAPER_LENGTH, build_dataset
+from ..exma.table import exma_size_breakdown
+from ..genome.datasets import HUMAN_PAPER_LENGTH
 from ..lisa.ipbwt import lisa_size_bytes
 from ..lisa.search import LisaIndex, LisaSearchStats
-from .common import sample_queries
+from .common import build_stack, naive_index, sample_queries
 
 GB = 1024**3
 
@@ -81,7 +79,13 @@ def throughput_comparison(
     the paper's 14/15/16/17 sweep (same increments-per-k-mer operating
     range) and couples every scheme's scan overhead to its measured error.
     """
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
+    # EXMA stacks at the scaled steps; the paper step labels map linearly.
+    scaled_steps = {14: 5, 15: 6, 16: 7, 17: 8}
+    stacks = {
+        step: build_stack("human", genome_length, k, seed, mtl_epochs if step == 15 else None)
+        for step, k in scaled_steps.items()
+    }
+    reference = stacks[15].reference
 
     # LISA-21 error measured on the scaled genome.
     lisa = LisaIndex(reference.sequence, k=6, use_learned_index=True)
@@ -90,8 +94,6 @@ def throughput_comparison(
         lisa.backward_search(query, lisa_stats)
     lisa_error = max(lisa_stats.mean_probe, 1.0)
 
-    # EXMA tables at the scaled steps; the paper step labels map linearly.
-    scaled_steps = {14: 5, 15: 6, 16: 7, 17: 8}
     errors: dict[str, float] = {"LISA-21": lisa_error}
     parameters: dict[str, int] = {}
     model = CpuThroughputModel()
@@ -105,10 +107,9 @@ def throughput_comparison(
         )
     ]
     mtl_error_for_15 = None
-    for paper_step, scaled_k in scaled_steps.items():
-        table = ExmaTable(reference.sequence, k=scaled_k)
-        naive = NaiveLearnedIndex(table, model_threshold=16, increments_per_leaf=256)
-        naive_errors = naive.prediction_errors(samples_per_kmer=40, seed=seed)
+    for paper_step, stack in stacks.items():
+        naive = naive_index(stack.table)
+        naive_errors = naive.prediction_errors(naive.modelled_kmers, 40, seed=seed)
         naive_error = float(naive_errors.mean()) if naive_errors.size else 0.0
         name = f"EXMA-{paper_step}"
         errors[name] = naive_error
@@ -124,11 +125,9 @@ def throughput_comparison(
                 structure_size_gb=size_gb,
             )
         )
-        if paper_step == 15:
-            mtl = MTLIndex(
-                table, model_threshold=16, samples_per_kmer=64, epochs=mtl_epochs, seed=seed
-            )
-            mtl_errors = mtl.prediction_errors(samples_per_kmer=40, seed=seed)
+        mtl = stack.index
+        if mtl is not None:
+            mtl_errors = mtl.prediction_errors(mtl.modelled_kmers, 40, seed=seed)
             mtl_error_for_15 = float(mtl_errors.mean()) if mtl_errors.size else 0.0
             errors["EXMA-15M"] = mtl_error_for_15
             parameters["EXMA-15M"] = mtl.parameter_count

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..exma.learned_index import NaiveLearnedIndex
 from ..exma.table import ExmaTable
-from ..genome.datasets import build_dataset
+from .common import build_stack, naive_index
 
 #: Increment-count bucket edges of Fig. 12 (scaled: the paper uses 2-256
 #: up to >1M on a 3 Gbp genome; the same relative buckets are used here).
@@ -152,9 +152,8 @@ def run_fig11_12(
     genome_length: int = 30_000, k: int = 6, seed: int = 0
 ) -> Fig11_12Result:
     """Run both figures on the scaled human dataset."""
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    table = ExmaTable(reference.sequence, k=k)
-    index = NaiveLearnedIndex(table, model_threshold=16, increments_per_leaf=256)
+    table = build_stack("human", genome_length, k, seed).table
+    index = naive_index(table)
     similarity = increment_similarity(table)
     buckets = exma_profile(table, index, seed=seed)
     return Fig11_12Result(similarity=similarity, buckets=buckets)

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-from ..exma.learned_index import NaiveLearnedIndex
-from ..exma.mtl_index import MTLIndex
 from ..exma.table import ExmaTable
-from ..genome.datasets import build_dataset
 from ..lisa.learned_index import PredictionStats
+from .common import build_stack, naive_index
 
 
 @dataclass(frozen=True)
@@ -80,16 +77,15 @@ def run_fig13(
     samples_per_kmer: int = 60,
 ) -> Fig13Result:
     """Compare naive and MTL index errors on the heavy k-mer classes."""
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    table = ExmaTable(reference.sequence, k=k)
-    naive = NaiveLearnedIndex(table, model_threshold=16, increments_per_leaf=256)
-    mtl = MTLIndex(table, model_threshold=16, samples_per_kmer=64, epochs=mtl_epochs, seed=seed)
+    stack = build_stack("human", genome_length, k, seed, mtl_epochs)
+    table, mtl = stack.table, stack.index
+    naive = naive_index(table)
 
     heavy_class, heaviest_class = _frequency_classes(table)
     comparisons = []
     for label, kmers in (("heavy", heavy_class), ("heaviest", heaviest_class)):
-        naive_errors = naive.prediction_errors(kmers, samples_per_kmer=samples_per_kmer, seed=seed)
-        mtl_errors = mtl.prediction_errors(kmers, samples_per_kmer=samples_per_kmer, seed=seed)
+        naive_errors = naive.prediction_errors(kmers, samples_per_kmer, seed=seed)
+        mtl_errors = mtl.prediction_errors(kmers, samples_per_kmer, seed=seed)
         comparisons.append(
             ErrorComparison(
                 label=label,

@@ -21,16 +21,13 @@ companion the sweep rows are validated against.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 from .. import runtime
 from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
 from ..engine.window import CoalescingWindow
-from ..exma.table import ExmaTable
-from ..genome.datasets import build_dataset
-from .common import DEFAULT_STEP, sample_queries
+from .common import DEFAULT_STEP, batch_streams, best_of, build_stack, sample_queries
 from .record import Record, row_dict
 
 __all__ = [
@@ -76,25 +73,6 @@ class Fig15Result:
     batch_size: int
 
 
-def _batch_streams(
-    engine: QueryEngine,
-    reference: str,
-    seed: int,
-    batch_count: int,
-    batch_size: int,
-    query_length: int,
-) -> list[list]:
-    """Per-batch coalesced request streams of consecutive read batches."""
-    streams = []
-    for batch_index in range(batch_count):
-        queries = sample_queries(
-            reference, count=batch_size, length=query_length, seed=seed + batch_index
-        )
-        requests, _stats = engine.request_stream(queries)
-        streams.append(requests)
-    return streams
-
-
 def run_fig15_window(
     genome_length: int = 20_000,
     seed: int = 0,
@@ -106,10 +84,10 @@ def run_fig15_window(
     cam_entries: int = 64,
 ) -> Fig15Result:
     """Sweep the coalescing window over a stream of consecutive batches."""
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    engine = QueryEngine(ExmaBackend(table=ExmaTable(reference.sequence, k=k)))
-    streams = _batch_streams(
-        engine, reference.sequence, seed, batch_count, batch_size, query_length
+    stack = build_stack("human", genome_length, k, seed)
+    engine = QueryEngine(ExmaBackend(table=stack.table))
+    streams = batch_streams(
+        engine, stack.reference.sequence, seed, batch_count, batch_size, query_length
     )
     pre_merge = sum(len(stream) for stream in streams)
     rows = []
@@ -225,10 +203,10 @@ def run_shard_scaling(
     """
     from ..engine.sharded import ShardedQueryEngine
 
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    backend = ExmaBackend(table=ExmaTable(reference.sequence, k=k))
+    stack = build_stack("human", genome_length, k, seed)
+    backend = ExmaBackend(table=stack.table)
     queries = sample_queries(
-        reference.sequence, count=batch_size, length=query_length, seed=seed
+        stack.reference.sequence, count=batch_size, length=query_length, seed=seed
     )
 
     # One engine per configuration, all warmed up front (index caches +
@@ -276,9 +254,8 @@ def run_shard_scaling(
             for offset in range(len(configs)):
                 index = (round_index + offset) % len(configs)
                 engine = configs[index][1]
-                best[index] = min(
-                    best[index], _timed(lambda: engine.search_batch(queries))
-                )
+                seconds, _ = best_of(1, lambda: engine.search_batch(queries))
+                best[index] = min(best[index], seconds)
     finally:
         for _, engine in configs:
             engine.close()
@@ -300,12 +277,6 @@ def run_shard_scaling(
         seed=seed,
         repeats=repeats,
     )
-
-
-def _timed(thunk) -> float:
-    start = time.perf_counter()
-    thunk()
-    return time.perf_counter() - start
 
 
 def format_shard_scaling(result: ShardScalingResult) -> str:

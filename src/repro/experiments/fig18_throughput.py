@@ -18,7 +18,6 @@ the scaling factor is reported alongside the results.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..accel.baselines import CpuThroughputModel, SoftwareAlgorithm
@@ -27,10 +26,10 @@ from ..accel.exma_accelerator import AcceleratorRunResult, ExmaAccelerator
 from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
 from ..exma.search import ExmaSearch
-from ..exma.table import ExmaTable, exma_size_breakdown
-from ..genome.datasets import DATASETS, HUMAN_PAPER_LENGTH, build_dataset
+from ..exma.table import exma_size_breakdown
+from ..genome.datasets import DATASETS, HUMAN_PAPER_LENGTH
 from ..lisa.ipbwt import lisa_size_bytes
-from .common import Workload, build_workload, sample_queries, scaled_config
+from .common import Workload, best_of, build_stack, build_workload, sample_queries, scaled_config
 
 GB = 1024**3
 
@@ -224,23 +223,19 @@ def run_fig18_batching(
     request coalescing per batch.  Each measurement takes the best of
     *repeats* runs to damp scheduler noise.
     """
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    table = ExmaTable(reference.sequence, k=k)
-    sequential = ExmaSearch(table)
-    engine = QueryEngine(ExmaBackend(table=table))
+    stack = build_stack("human", genome_length, k, seed)
+    sequential = ExmaSearch(stack.table)
+    engine = QueryEngine(ExmaBackend(table=stack.table))
 
     rows = []
     for batch_size in batch_sizes:
         queries = sample_queries(
-            reference.sequence, count=batch_size, length=query_length, seed=seed
+            stack.reference.sequence, count=batch_size, length=query_length, seed=seed
         )
-        sequential_seconds = min(
-            _timed(lambda: [sequential.backward_search(q) for q in queries])
-            for _ in range(repeats)
+        sequential_seconds, _ = best_of(
+            repeats, lambda: [sequential.backward_search(q) for q in queries]
         )
-        batched_seconds = min(
-            _timed(lambda: engine.backend.search_batch(queries)) for _ in range(repeats)
-        )
+        batched_seconds, _ = best_of(repeats, lambda: engine.backend.search_batch(queries))
         stats = engine.search_batch(queries).stats
         rows.append(
             BatchingRow(
@@ -251,12 +246,6 @@ def run_fig18_batching(
             )
         )
     return rows
-
-
-def _timed(thunk) -> float:
-    start = time.perf_counter()
-    thunk()
-    return time.perf_counter() - start
 
 
 def format_fig18_batching(rows: list[BatchingRow]) -> str:

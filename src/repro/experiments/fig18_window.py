@@ -41,9 +41,7 @@ from ..accel.exma_accelerator import (
 from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
 from ..engine.window import CoalescingWindow
-from ..exma.table import ExmaTable
-from ..genome.datasets import build_dataset
-from .common import DEFAULT_STEP, sample_queries, scaled_config
+from .common import DEFAULT_STEP, batch_streams, build_stack, scaled_config
 from .record import Record, row_dict
 
 __all__ = [
@@ -146,25 +144,13 @@ def run_fig18_window(
     match it flush by flush, so the sweep doubles as an object-vs-columnar
     equivalence gate.
     """
-    reference = build_dataset("human", simulated_length=genome_length, seed=seed)
-    table = ExmaTable(reference.sequence, k=k)
-    index = None
-    if use_index:
-        from ..exma.mtl_index import MTLIndex
+    stack = build_stack("human", genome_length, k, seed, mtl_epochs if use_index else None)
+    engine = QueryEngine(ExmaBackend(table=stack.table, index=stack.index))
+    streams = batch_streams(
+        engine, stack.reference.sequence, seed, batch_count, batch_size, query_length
+    )
 
-        index = MTLIndex(
-            table, model_threshold=16, samples_per_kmer=64, epochs=mtl_epochs, seed=seed
-        )
-    engine = QueryEngine(ExmaBackend(table=table, index=index))
-    streams = []
-    for batch_index in range(batch_count):
-        queries = sample_queries(
-            reference.sequence, count=batch_size, length=query_length, seed=seed + batch_index
-        )
-        requests, _stats = engine.request_stream(queries)
-        streams.append(requests)
-
-    accelerator = ExmaAccelerator(table, index, scaled_config(exma_full_config()))
+    accelerator = ExmaAccelerator(stack.table, stack.index, scaled_config(exma_full_config()))
 
     # The per-batch anchor: W=1 flushes are per-batch coalescing exactly,
     # so running each flush's materialised request list through
@@ -211,7 +197,7 @@ def run_fig18_window(
         batch_count=batch_count,
         batch_size=batch_size,
         genome_length=genome_length,
-        k=table.k,
+        k=k,
         seed=seed,
         query_length=query_length,
         runs=runs,

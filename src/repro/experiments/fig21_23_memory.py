@@ -20,10 +20,10 @@ from ..accel.config import exma_full_config
 from ..accel.exma_accelerator import ExmaAccelerator
 from ..engine.coalesce import RequestStream
 from ..exma import bdi, chain
-from ..exma.table import ExmaTable, exma_size_breakdown
-from ..genome.datasets import DATASETS, build_dataset
+from ..exma.table import exma_size_breakdown
+from ..genome.datasets import DATASETS
 from ..lisa.ipbwt import IPBWT, lisa_size_bytes
-from .common import SCALED_BASE_CACHE_BYTES, SCALED_INDEX_CACHE_BYTES, build_workload
+from .common import SCALED_BASE_CACHE_BYTES, build_stack, build_workload, scaled_config
 
 GB = 1024**3
 
@@ -62,13 +62,7 @@ def run_fig22(genome_length: int = 60_000, seed: int = 0) -> list[DsePoint]:
     requests.extend(workload.requests)
 
     def run_with(**overrides) -> float:
-        settings = {
-            "base_cache_bytes": SCALED_BASE_CACHE_BYTES,
-            "index_cache_bytes": SCALED_INDEX_CACHE_BYTES,
-            "cam_entries": 128,
-        }
-        settings.update(overrides)
-        config = exma_full_config().with_overrides(**settings)
+        config = scaled_config(exma_full_config()).with_overrides(**overrides)
         accelerator = ExmaAccelerator(workload.table, workload.mtl_index, config)
         return accelerator.run(requests, name="dse").throughput.bases_per_second
 
@@ -122,11 +116,10 @@ def run_fig23(
     EXMA increments and IP-BWT entries; the absolute GB numbers apply those
     measured ratios to the paper-scale analytic sizes.
     """
-    reference = build_dataset(dataset, simulated_length=genome_length, seed=seed)
-    table = ExmaTable(reference.sequence, k=k)
-    ipbwt = IPBWT(reference.sequence, k=k)
+    stack = build_stack(dataset, genome_length, k, seed)
+    ipbwt = IPBWT(stack.reference.sequence, k=k)
 
-    chain_ratio = chain.compression_ratio(table.increments)
+    chain_ratio = chain.compression_ratio(stack.table.increments)
     ipbwt_rows = np.array([entry.paired_row for entry in [ipbwt[i] for i in range(len(ipbwt))]])
     # An IP-BWT entry is a 16-byte (k-mer, row) pair; BΔI compresses the
     # sorted row halves well and the k-mer halves barely at all, so the

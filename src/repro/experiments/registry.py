@@ -38,6 +38,8 @@ __all__ = [
     "add_serving_flags",
     "add_sharding_flags",
     "experiment_named",
+    "non_negative_int",
+    "positive_int",
 ]
 
 
@@ -90,6 +92,23 @@ def _csv(cast: type) -> Callable[[str], tuple]:
     return parse
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for a length or step: refused at the parser, in
+    one ``error:`` line naming the flag, unless an integer > 0."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse ``type=`` for a seed: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _window_sweep(text: str) -> tuple:
     """``--window W`` → the aligned power-of-two capacities up to W."""
     windows = [1]
@@ -104,8 +123,10 @@ def _window_sweep(text: str) -> tuple:
 
 
 def _reference_flags(parser) -> None:
-    parser.add_argument("--genome-length", type=int, default=20_000, help="reference length, bp")
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument(
+        "--genome-length", type=positive_int, default=20_000, help="reference length, bp"
+    )
+    parser.add_argument("--seed", type=non_negative_int, default=0, help="workload seed")
 
 
 def _query_flags(parser, batch_size: int, dest: str = "batch_size") -> None:
@@ -277,7 +298,7 @@ def _run_shard_scaling(args: argparse.Namespace) -> fig15_window.ShardScalingRes
 
 def _serving_flags(parser) -> None:
     _reference_flags(parser)
-    parser.add_argument("--step", dest="k", type=int, default=6, help="EXMA step number k")
+    parser.add_argument("--step", dest="k", type=positive_int, default=6, help="EXMA step number k")
     _load_flags(parser, rate=500.0, duration=1.0)
     parser.add_argument("--tenants", type=int, default=4, help="round-robin client tenants")
     parser.add_argument("--queries-per-arrival", type=int, default=4, help="queries per arrival")

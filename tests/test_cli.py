@@ -131,6 +131,48 @@ class TestInfoCommand:
         assert "GB" in out
 
 
+#: ``(command, flag, bad value)``: a length or step must be > 0, a seed >= 0.
+BAD_NUMBERS = [
+    (("experiment", "fig13"), "--genome-length", "0"),
+    (("experiment", "fig13"), "--genome-length", "-5"),
+    (("experiment", "fig13"), "--seed", "-1"),
+    (("experiment", "serving"), "--step", "0"),
+    (("serving-bench",), "--step", "0"),
+    (("search", "--queries", "ACGT"), "--genome-length", "0"),
+    (("search", "--queries", "ACGT"), "--step", "0"),
+    (("search", "--queries", "ACGT"), "--seed", "-3"),
+    (("serve",), "--genome-length", "0"),
+    (("serve",), "--step", "0"),
+    (("serve",), "--seed", "-1"),
+    (("info",), "--genome-length", "0"),
+    (("info",), "--step", "0"),
+    (("info",), "--step", "six"),
+]
+
+
+class TestNumericFlags:
+    """A bad length, step or seed is refused at the parser: exit 2 and one
+    ``error:`` line naming the flag, never a traceback from the stack."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        BAD_NUMBERS,
+        ids=[" ".join((*command[:2], flag, value)) for command, flag, value in BAD_NUMBERS],
+    )
+    def test_refused_at_the_parser(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as raised:
+            main([*command, flag, value])
+        assert raised.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {flag}: " in errors[0] and value in errors[0]
+
+    def test_paper_scale_lengths_still_parse(self):
+        args = build_parser().parse_args(["info", "--genome-length", "3000000000", "--step", "1"])
+        assert (args.genome_length, args.step) == (3_000_000_000, 1)
+        assert build_parser().parse_args(["search", "--seed", "0", "--queries", "A"]).seed == 0
+
+
 #: Malformed ``--reference`` files, as raw bytes (``None``: no file at all).
 BAD_REFERENCES = {
     "header-only": b">chr1\n",

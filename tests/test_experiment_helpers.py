@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.experiments.fig06_prior import cpu_throughput_comparison, size_vs_step
@@ -12,7 +13,16 @@ from repro.experiments.fig18_throughput import (
     cpu_lisa_baseline,
     exma_software_throughput,
 )
-from repro.experiments.common import build_workload
+from repro.experiments.common import (
+    MTL_SAMPLES,
+    MTL_THRESHOLD,
+    build_serving_stack,
+    build_stack,
+    build_workload,
+    naive_index,
+    serving_stack,
+)
+from repro.exma.mtl_index import MTLIndex
 from repro.experiments import (
     format_fig1,
     format_fig13,
@@ -26,6 +36,61 @@ from repro.experiments import (
     run_fig19_20,
     run_table2,
 )
+
+
+class TestStackBuilder:
+    """``build_stack`` memoises on normalised values and shares one table
+    between stacks that differ only in their index."""
+
+    def test_index_is_the_recipe_trained_directly(self):
+        stack = build_stack("human", 6000, 4, 3, mtl_epochs=5)
+        direct = MTLIndex(
+            stack.table, model_threshold=16, samples_per_kmer=64, epochs=5, seed=3
+        )
+        assert (MTL_THRESHOLD, MTL_SAMPLES) == (16, 64)
+        for column in ("_weights", "_biases", "_buckets"):
+            assert np.array_equal(getattr(stack.index, column), getattr(direct, column))
+            assert getattr(stack.index, column).dtype == getattr(direct, column).dtype
+
+    def test_a_threshold_variant_shares_the_table(self):
+        default = build_stack("human", 6000, 4, 3, mtl_epochs=5)
+        variant = build_stack("human", 6000, 4, 3, mtl_epochs=5, mtl_threshold=8)
+        assert variant.table is default.table
+        assert variant.index is not default.index
+        assert build_stack("human", 6000, 4, 3, mtl_epochs=5, mtl_threshold=16) is default
+
+    def test_no_epochs_no_index(self):
+        stack = build_stack("human", 6000, 4, 3)
+        assert stack.index is None
+        assert stack.table is build_stack("human", 6000, 4, 3, mtl_epochs=5).table
+        assert build_stack("human", 6000, 4, 3, mtl_threshold=8) is stack
+
+    def test_spelling_does_not_matter(self):
+        assert build_stack(genome_length=6000, k=4, seed=3) is build_stack("human", 6000, 4, 3)
+        assert build_workload(genome_length=8000, k=4, query_count=5) is build_workload(
+            "human", 8000, 4, 5
+        )
+
+    def test_workload_sits_on_the_stack(self):
+        workload = build_workload("human", 8000, 4, 5)
+        stack = build_stack("human", 8000, 4, 0, mtl_epochs=150)
+        assert (workload.reference, workload.table, workload.mtl_index) == (
+            stack.reference,
+            stack.table,
+            stack.index,
+        )
+
+    def test_naive_index_is_memoised_per_table(self):
+        table = build_stack("human", 6000, 4, 3).table
+        assert naive_index(table) is naive_index(table)
+
+    def test_serving_stack_shares_the_table_not_the_machines(self):
+        reference = build_stack("human", 6000, 4, 3).reference.sequence
+        backend, accelerator = serving_stack(reference, 4)
+        again, _, _ = build_serving_stack(6000, 3, 4, 20, 8)
+        assert backend is not again
+        assert backend.table is again.table is build_stack("human", 6000, 4, 3).table
+        assert accelerator is not serving_stack(reference, 4)[1]
 
 
 class TestFig6Helpers:

@@ -341,3 +341,34 @@ class TestSurface:
             env={**os.environ, "PYTHONPATH": str(self.SRC.parent)},
         )
         assert loaded.stdout.strip() == "[]"
+
+
+class TestOneStackBuilder:
+    """The EXMA stack has one builder: within the experiments and the CLI
+    only ``experiments/common.py`` constructs a table or an index, and only
+    it spells out an index recipe (AST, so an alias cannot dodge it)."""
+
+    SRC = TestLayering.SRC
+    CONSTRUCTORS = {"ExmaTable", "MTLIndex", "NaiveLearnedIndex"}
+    RECIPE_KEYWORDS = {"model_threshold", "samples_per_kmer", "increments_per_leaf"}
+
+    def test_only_common_builds_tables_and_indexes(self):
+        paths = [*sorted((self.SRC / "experiments").glob("*.py")), self.SRC / "cli.py"]
+        offenders = []
+        for path in paths:
+            if path.name == "common.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                where = f"{path.relative_to(self.SRC)}:{node.lineno}"
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
+                if name in self.CONSTRUCTORS:
+                    offenders.append(f"{where}: {name}(")
+                offenders += [
+                    f"{where}: {keyword.arg}="
+                    for keyword in node.keywords
+                    if keyword.arg in self.RECIPE_KEYWORDS
+                ]
+        assert len(paths) > 10 and not offenders, offenders

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .. import runtime
 from ..hw.cam import CamConfig
 from ..hw.dram import DDR4Config, PagePolicy
 from ..hw.pe_array import PEArrayConfig
@@ -51,17 +52,12 @@ class ExmaAcceleratorConfig:
     use_chain_compression: bool = True
 
     def __post_init__(self) -> None:
-        if min(
-            self.pe_arrays,
-            self.cam_entries,
-            self.index_cache_bytes,
-            self.base_cache_bytes,
-            self.cache_line_bytes,
-            self.decompress_adders,
-            self.dimms_per_channel,
-            self.channels,
-        ) <= 0:
-            raise ValueError("accelerator parameters must be positive")
+        for name in (
+            "pe_arrays", "cam_entries", "index_cache_bytes", "index_cache_ways",
+            "base_cache_bytes", "base_cache_ways", "cache_line_bytes",
+            "decompress_adders", "dimms_per_channel", "channels",
+        ):
+            runtime.check_workers(getattr(self, name), name)
 
     def cam_config(self) -> CamConfig:
         """The scheduling-queue configuration."""

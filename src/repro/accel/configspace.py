@@ -29,6 +29,7 @@ import itertools
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .. import runtime
 from ..hw.dram import PagePolicy
 from ..hw.energy import EXMA_COMPONENTS
 from .config import ExmaAcceleratorConfig
@@ -52,7 +53,7 @@ __all__ = [
 
 
 def _is_power_of_two(value: int) -> bool:
-    return isinstance(value, int) and value > 0 and value & (value - 1) == 0
+    return type(value) is int and value > 0 and value & (value - 1) == 0
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,10 @@ class ConfigPoint:
             value = getattr(self, name)
             if not _is_power_of_two(value):
                 raise ValueError(f"{name} must be a power of two, got {value!r}")
-        if not isinstance(self.cam_entries, int) or self.cam_entries < 1:
-            raise ValueError(f"cam_entries must be a positive int, got {self.cam_entries!r}")
-        if not isinstance(self.window, int) or self.window < 1:
-            raise ValueError(f"window must be a positive int, got {self.window!r}")
-        if self.mtl_threshold is not None and (
-            not isinstance(self.mtl_threshold, int) or self.mtl_threshold < 1
-        ):
-            raise ValueError(
-                f"mtl_threshold must be None or a positive int, got {self.mtl_threshold!r}"
-            )
+        runtime.check_workers(self.cam_entries, "cam_entries")
+        runtime.check_workers(self.window, "window")
+        if self.mtl_threshold is not None:
+            runtime.check_workers(self.mtl_threshold, "mtl_threshold")
         policy = self.page_policy
         if isinstance(policy, str):
             try:

@@ -11,10 +11,10 @@ Two implementations share the semantics:
 
 * :class:`SetAssociativeCache` — the per-access object model, kept as the
   reference the oracle suite replays against;
-* :func:`simulate_lru_hits` — the columnar replay's state-free
-  stack-distance evaluation of a whole cold-start access sequence at
-  once, exact LRU (identical hit mask to calling
-  :meth:`SetAssociativeCache.access` in order on a fresh cache).
+* :func:`simulate_lru_hits` — the columnar replay's whole cold-start
+  access sequence at once, exact LRU (identical hit mask to calling
+  :meth:`SetAssociativeCache.access` in order on a fresh cache): one
+  compiled call, or where it declines its state-free stack-distance spec.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .. import native
 
 
 @dataclass(slots=True)
@@ -97,7 +99,8 @@ def simulate_lru_hits(
 
     Exactly equivalent to constructing a fresh :class:`SetAssociativeCache`
     and calling :meth:`~SetAssociativeCache.access` once per address in
-    order — but computed from the sequence alone, with no recency state:
+    order.  Compiled (:func:`repro.native.lru_hits`), or where that declines
+    by this spec, from the sequence alone, with no recency state:
 
     * accesses are grouped by set with one stable (radix) argsort of the
       narrow set ids, and runs of the same line within a set collapse
@@ -132,11 +135,14 @@ def simulate_lru_hits(
     addresses = np.asarray(addresses, dtype=np.int64)
     if addresses.size and int(addresses.min()) < 0:
         raise ValueError("address must be non-negative")
+    num_sets = capacity_bytes // (line_bytes * associativity)
+    hits = native.lru_hits(addresses, line_bytes, num_sets, associativity)
+    if hits is not None:
+        return hits
     hits = np.empty(addresses.size, dtype=bool)
     if addresses.size == 0:
         return hits
 
-    num_sets = capacity_bytes // (line_bytes * associativity)
     tags = addresses // line_bytes
     tags -= tags.min()
     # ``tags % num_sets``, spelled with a floor division (NumPy divides

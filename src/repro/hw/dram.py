@@ -19,6 +19,10 @@ contention.  This model captures exactly those effects:
 
 The model is intentionally transaction-level, not cycle-accurate gem5 +
 DRAMsim2; DESIGN.md records this substitution.
+
+:meth:`DRAMModel.process` is the per-request object model; the replay's
+:meth:`DRAMModel.process_columns` runs one channel's columns as one
+compiled pass, or, where that declines, its NumPy + Python specification.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import native
+from .. import native, runtime
 
 #: DDR4 burst length in bytes for a 64-bit channel (BL8).
 BURST_BYTES = 64
@@ -38,8 +42,8 @@ def _bus_recurrence(
     banks, streams, commands, latencies, bursts, bumps, bank_count: int, stream_count: int
 ) -> int:
     """The serial bus/bank/stream timing chain over precomputed columns:
-    the specification of the compiled twin in :mod:`repro.native`, and
-    its fallback (tolist/zip, which beats numpy scalar indexing)."""
+    the recurrence half of :meth:`DRAMModel._columns_spec`, the compiled
+    pass's specification (tolist/zip, which beats numpy scalar indexing)."""
     bank_ready = [0] * bank_count
     stream_ready = [0] * stream_count
     addr_bus_free = data_bus_free = 0
@@ -90,18 +94,14 @@ class DDR4Config:
     address_bus_bits: int = 17
 
     def __post_init__(self) -> None:
-        if min(
-            self.channels,
-            self.dimms_per_channel,
-            self.ranks_per_dimm,
-            self.chips_per_rank,
-            self.bank_groups_per_rank,
-            self.banks_per_group,
-            self.row_bytes,
-        ) <= 0:
-            raise ValueError("all geometry parameters must be positive")
-        if min(self.trcd, self.tcas, self.trp) < 0:
-            raise ValueError("timings must be non-negative")
+        # Integers only: a float timing would price two paths differently.
+        for name in (
+            "channels", "dimms_per_channel", "ranks_per_dimm", "chips_per_rank",
+            "bank_groups_per_rank", "banks_per_group", "row_bytes", "bus_bytes_per_cycle",
+        ):
+            runtime.check_workers(getattr(self, name), name)
+        for name in ("trcd", "tcas", "trp"):
+            runtime.check_workers(getattr(self, name), name, minimum=0)
 
     @property
     def banks_per_channel(self) -> int:
@@ -239,7 +239,7 @@ class MemoryTrace:
         )
 
     def take(self, indices: np.ndarray) -> "MemoryTrace":
-        """The sub-trace at *indices*, order preserved (channel sharding)."""
+        """The sub-trace at *indices* (an index array or a slice)."""
         return MemoryTrace(
             rows=self.rows[indices],
             nbytes=self.nbytes[indices],
@@ -252,9 +252,13 @@ class MemoryTrace:
         if channels <= 0:
             raise ValueError("channels must be positive")
         # ``rows % channels`` (floored), spelled with a floor division,
-        # which NumPy does several times faster than the remainder.
+        # which NumPy does several times faster than the remainder; one
+        # stable radix sort of the narrow ids makes each shard a slice.
         assignment = self.rows - self.rows // channels * channels
-        return [self.take(np.flatnonzero(assignment == c)) for c in range(channels)]
+        order = np.argsort(assignment.astype(np.min_scalar_type(channels - 1)), kind="stable")
+        ends = np.cumsum(np.bincount(assignment, minlength=channels)).tolist()
+        grouped = self.take(order)
+        return [grouped.take(slice(start, end)) for start, end in zip([0] + ends, ends)]
 
 
 @dataclass
@@ -355,6 +359,31 @@ class DRAMModel:
     def process_columns(self, trace: MemoryTrace) -> DRAMStats:
         """Replay a columnar trace; identical statistics to :meth:`process`.
 
+        One compiled pass over the columns computes every counter; where
+        it declines, :meth:`_columns_spec` does.
+        """
+        cfg = self._config
+        count = len(trace)
+        if count == 0:
+            return DRAMStats()
+        if int(trace.nbytes.min()) <= 0:
+            raise ValueError("request nbytes must be positive")
+        _check_streams(trace.streams)
+        counters = native.dram_channel(
+            trace.rows, trace.nbytes, trace.keep_open, trace.streams, cfg.banks_per_channel,
+            (cfg.tcas, cfg.trcd, cfg.trp), cfg.bus_bytes_per_cycle,
+            (PagePolicy.OPEN, PagePolicy.CLOSE, PagePolicy.DYNAMIC).index(self._policy),
+        )
+        stats = self._columns_spec(trace) if counters is None else DRAMStats(count, *counters)
+        reads_64b = max(1, stats.bytes_transferred // BURST_BYTES)
+        stats.energy_nj = self._energy.access_energy_nj(
+            stats.activations, reads_64b, stats.precharges, stats.total_cycles
+        )
+        return stats
+
+    def _columns_spec(self, trace: MemoryTrace) -> DRAMStats:
+        """The compiled pass's specification and fallback, energy aside.
+
         Everything that does not genuinely chain from one request to the
         next is vectorized up front: bank assignment, the page-policy
         close decision, the row hit/miss/conflict classification (each
@@ -363,18 +392,12 @@ class DRAMModel:
         request at once), command counts, latencies and burst cycles.
         What remains is the timing recurrence itself — the address-bus and
         data-bus scalars plus the per-bank/per-stream ready cycles that
-        actually carry between requests — executed as one tight pass over
-        the precomputed columns.
+        actually carry between requests — run by :func:`_bus_recurrence`.
         """
         cfg = self._config
         stats = DRAMStats()
         count = len(trace)
-        if count == 0:
-            return stats
         nbytes = trace.nbytes
-        if int(nbytes.min()) <= 0:
-            raise ValueError("request nbytes must be positive")
-        _check_streams(trace.streams)
 
         banks = trace.rows % cfg.banks_per_channel
         if self._policy is PagePolicy.CLOSE:
@@ -418,19 +441,9 @@ class DRAMModel:
         stats.data_bus_busy_cycles = int(bursts.sum())
         stats.address_bus_busy_cycles = int(commands.sum())
 
-        # The genuinely serial recurrence — address/data bus slots and the
-        # ready cycles of each request's bank and stream — runs compiled,
-        # or as the Python loop where the compiled twin declines.
         columns = (banks, trace.streams, commands, latency, bursts, ready_bumps)
-        sizes = (cfg.banks_per_channel, int(trace.streams.max()) + 1)
-        data_bus_free = native.bus_recurrence(*columns, *sizes)
-        if data_bus_free is None:
-            data_bus_free = _bus_recurrence(*columns, *sizes)
-
-        stats.total_cycles = data_bus_free
-        reads_64b = max(1, stats.bytes_transferred // BURST_BYTES)
-        stats.energy_nj = self._energy.access_energy_nj(
-            stats.activations, reads_64b, stats.precharges, stats.total_cycles
+        stats.total_cycles = _bus_recurrence(
+            *columns, cfg.banks_per_channel, int(trace.streams.max()) + 1
         )
         return stats
 

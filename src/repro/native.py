@@ -1,10 +1,12 @@
 """The compiled kernels: one C library built on first use, called via ctypes.
 
-:data:`SOURCE` holds the C twins of two specifications, each the same
-IEEE operations in the same order as its Python or NumPy original:
+:data:`SOURCE` holds the C twins of three specifications, each the same
+operations in the same order as its Python or NumPy original:
 
-* ``bus_recurrence`` is :func:`repro.hw.dram._bus_recurrence`, the DRAM
-  bus/bank/stream timing chain, in int64;
+* ``lru_hits`` is :func:`repro.hw.cache.simulate_lru_hits`: each set's
+  tags in recency order, an O(ways) scan per access;
+* ``dram_channel`` is :meth:`repro.hw.dram.DRAMModel.process` over one
+  channel's columns, every counter in one int64 pass;
 * ``sigmoid_in``, ``sigmoid_out`` and ``sigmoid_backward`` are the
   elementwise tail of an MTL training epoch,
   :func:`repro.exma.mtl_index._sigmoid_spec` and
@@ -39,27 +41,51 @@ import numpy as np
 
 from .runtime import PURE_PYTHON_ENV, env_flag
 
-__all__ = ["bus_recurrence", "kernel_active", "sigmoid", "sigmoid_backward"]
+__all__ = ["dram_channel", "kernel_active", "lru_hits", "sigmoid", "sigmoid_backward"]
 
 SOURCE = r"""
 #include <stdint.h>
-int64_t bus_recurrence(int64_t count, const int64_t *banks, const int64_t *streams,
-    const int64_t *commands, const int64_t *latencies, const int64_t *bursts,
-    const int64_t *bumps, int64_t *bank_ready, int64_t *stream_ready) {
+void lru_hits(int64_t count, const int64_t *addresses, int64_t line_bytes, int64_t set_count,
+    const int64_t *dense_sets, int64_t ways, int64_t *tags, uint8_t *hits) {
+    /* Each set's `ways` tags, most recent first; -1 is an empty way.  A
+       shift and a mask replace dividing by powers of two (addresses >= 0). */
+    int pow2 = !(line_bytes & (line_bytes - 1)) && !(set_count & (set_count - 1));
+    int shift = __builtin_ctzll(line_bytes);
+    for (int64_t i = 0; i < count; ++i) {
+        int64_t line = pow2 ? addresses[i] >> shift : addresses[i] / line_bytes, j = 0;
+        int64_t set_id = pow2 ? line & (set_count - 1) : line % set_count;
+        int64_t *set = tags + (dense_sets ? dense_sets[i] : set_id) * ways;
+        while (j < ways - 1 && set[j] != line && set[j] != -1) ++j;
+        hits[i] = set[j] == line;
+        for (; j > 0; --j) set[j] = set[j - 1];
+        set[0] = line;
+    }
+}
+void dram_channel(int64_t count, const int64_t *rows, const int64_t *nbytes,
+    const uint8_t *keep_open, const int64_t *streams, int64_t bank_count, int64_t tcas,
+    int64_t trcd, int64_t trp, int64_t bus_bytes, int64_t close_mode, int64_t *banks,
+    int64_t *stream_ready, int64_t *stats) {
+    /* banks: (ready, open, row) each; stats: DRAMStats' ints after `requests`. */
     int64_t addr_bus_free = 0, data_bus_free = 0;
     for (int64_t i = 0; i < count; ++i) {
-        int64_t issue = bank_ready[banks[i]], pending = stream_ready[streams[i]];
+        int64_t slot = rows[i] % bank_count;  /* floored below, as Python's % */
+        int64_t *bank = banks + 3 * (slot < 0 ? slot + bank_count : slot);
+        int64_t issue = bank[0], pending = stream_ready[streams[i]], commands = 1, latency = tcas;
         if (pending > issue) issue = pending;
+        if (!bank[1]) commands = 2, latency += trcd, ++stats[1];
+        else if (bank[2] == rows[i]) ++stats[0];
+        else commands = 3, latency += trp + trcd, ++stats[2], ++stats[4];
         if (addr_bus_free > issue) issue = addr_bus_free;
-        addr_bus_free = issue + commands[i];
-        int64_t data_start = issue + latencies[i];
+        addr_bus_free = issue + commands;
+        int64_t burst = (nbytes[i] - 1) / bus_bytes + 1, data_start = issue + latency;
         if (data_bus_free > data_start) data_start = data_bus_free;
-        int64_t data_end = data_start + bursts[i];
-        data_bus_free = data_end;
-        bank_ready[banks[i]] = data_end + bumps[i];
-        stream_ready[streams[i]] = data_end;
+        data_bus_free = data_start + burst;
+        stats[5] += nbytes[i], stats[6] += burst, stats[7] += commands;
+        int close = close_mode == 2 ? !keep_open[i] : (int)close_mode;
+        bank[0] = data_bus_free + (close ? trp : 0), bank[1] = !close, bank[2] = rows[i];
+        stats[4] += close, stream_ready[streams[i]] = data_bus_free;
     }
-    return data_bus_free;
+    stats[3] = stats[1] + stats[2], stats[8] = data_bus_free;
 }
 void sigmoid_in(int64_t rows, int64_t width, const double *restrict bias, double *restrict x) {
     for (int64_t i = 0; i < rows; ++i, x += width)
@@ -89,6 +115,8 @@ FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 #: Private to the user: never the source tree, never a shared ``/tmp``.
 CACHE_DIR = pathlib.Path.home() / ".cache" / "repro-exma"
 INT64_END = 2**63
+#: The compiled LRU's scratch bound, in tags per access.
+LRU_TAGS_PER_ACCESS = 64
 
 _UNRESOLVED = object()
 _library: object = _UNRESOLVED
@@ -97,7 +125,8 @@ _lock = threading.Lock()
 _INT64 = ctypes.c_int64
 _POINTER = ctypes.c_void_p
 _SIGNATURES = {
-    "bus_recurrence": (_INT64, [_INT64] + [_POINTER] * 8),
+    "lru_hits": (None, [_INT64, _POINTER, _INT64, _INT64, _POINTER, _INT64, _POINTER, _POINTER]),
+    "dram_channel": (None, [_INT64] + [_POINTER] * 4 + [_INT64] * 6 + [_POINTER] * 3),
     "sigmoid_in": (None, [_INT64, _INT64, _POINTER, _POINTER]),
     "sigmoid_out": (None, [_INT64, _POINTER]),
     "sigmoid_backward": (None, [_INT64, _INT64] + [_POINTER] * 5),
@@ -158,32 +187,62 @@ def kernel_active() -> bool:
     return _loaded() is not None
 
 
-def bus_recurrence(
-    banks, streams, commands, latencies, bursts, bumps, bank_count: int, stream_count: int
-) -> int | None:
-    """``_bus_recurrence`` run compiled, or ``None`` (disabled, unavailable,
-    an index outside its ready array, or a cycle that could pass int64:
-    none exceeds the positive cost entries' sum, at most ``count * Σ
-    peaks``) and the caller runs the loop."""
+def lru_hits(addresses: np.ndarray, line_bytes: int, set_count: int, ways: int):
+    """``simulate_lru_hits`` run compiled: the hit mask of a cold LRU over
+    int64 *addresses*, or ``None`` where it declines (disabled,
+    unavailable, a geometry or address the cache refuses, or scratch of
+    more than ``LRU_TAGS_PER_ACCESS`` tags an access).  Scratch is one
+    tag per way of each *touched* set, never more ways than accesses, so
+    a Table-I cache on a 10-request flush allocates ten sets of tags."""
     library = _loaded()
-    if library is None:
+    count = addresses.size
+    if library is None or min(line_bytes, set_count, ways) <= 0 or count and addresses.min() < 0:
         return None
+    addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+    dense_sets, touched = None, set_count
+    if set_count > count:  # renumber the touched sets densely
+        unique, dense_sets = np.unique(addresses // line_bytes % set_count, return_inverse=True)
+        dense_sets, touched = np.ascontiguousarray(dense_sets, dtype=np.int64), unique.size
+    ways = min(ways, count)
+    if touched * ways > LRU_TAGS_PER_ACCESS * count:
+        return None
+    tags = np.full(touched * ways, -1, dtype=np.int64)
+    hits = np.empty(count, dtype=bool)
+    dense = None if dense_sets is None else dense_sets.ctypes.data
+    args = (addresses.ctypes.data, line_bytes, set_count, dense, ways, tags.ctypes.data)
+    library.lru_hits(count, *args, hits.ctypes.data)
+    return hits
+
+
+def dram_channel(
+    rows, nbytes, keep_open, streams, banks: int, timings, bus_bytes: int, close_mode: int
+):
+    """``DRAMModel.process`` over one channel's columns, compiled: the
+    ``DRAMStats`` counters from ``row_hits`` to ``total_cycles``, or
+    ``None`` where it declines (disabled, unavailable, no request, a
+    value the model refuses, or counters that could pass int64: none
+    exceeds ``count * (max nbytes + 3 + tcas + trcd + 2 trp)``).
+    *timings* is ``(tcas, trcd, trp)``; *close_mode* 0 never closes a
+    row, 1 always does, 2 unless *keep_open*."""
+    library = _loaded()
     columns = [
-        np.ascontiguousarray(column, dtype=np.int64)
-        for column in (banks, streams, commands, latencies, bursts, bumps)
+        np.ascontiguousarray(c, dtype=t)
+        for c, t in zip((rows, nbytes, keep_open, streams), (np.int64, np.int64, bool, np.int64))
     ]
-    count = columns[0].size
+    count, nbytes, streams = columns[0].size, columns[1], columns[3]
     if any(column.size != count for column in columns):
-        raise ValueError("recurrence columns differ in length")
-    if count and (
-        count * sum(max(0, int(column.max())) for column in columns[2:]) >= INT64_END
-        or min(columns[0].min(), columns[1].min()) < 0
-        or columns[0].max() >= bank_count
-        or columns[1].max() >= stream_count
-    ):
+        raise ValueError("trace columns differ in length")
+    if library is None or not count or close_mode not in (0, 1, 2) or min(timings) < 0:
         return None
-    ready = [np.zeros(size, dtype=np.int64) for size in (bank_count, stream_count)]
-    return library.bus_recurrence(count, *(array.ctypes.data for array in columns + ready))
+    peak = int(nbytes.max()) + 3 + sum(timings) + timings[2]
+    if min(banks, bus_bytes, nbytes.min(), streams.min() + 1) <= 0 or count * peak >= INT64_END:
+        return None
+    state = [np.zeros(size, dtype=np.int64) for size in (3 * banks, streams.max() + 1, 9)]
+    library.dram_channel(
+        count, *(c.ctypes.data for c in columns), banks, *timings, bus_bytes, close_mode,
+        *(a.ctypes.data for a in state),
+    )
+    return state[2].tolist()
 
 
 def _doubles(array, shape: tuple[int, ...]) -> bool:

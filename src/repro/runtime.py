@@ -57,10 +57,11 @@ R = TypeVar("R")
 #: Supported executor kinds.
 EXECUTORS = ("thread", "process")
 
-#: When truthy, the DRAM bus recurrence and the MTL training epoch run
-#: their Python/NumPy specifications even where the compiled library is
-#: cached (:mod:`repro.native`), and each MTL leaf is fitted by its own
-#: ``np.polyfit`` instead of one stacked solve per sample count.
+#: When truthy, the replay's LRU caches and DRAM channels and the MTL
+#: training epoch run their Python/NumPy specifications even where the
+#: compiled library is cached (:mod:`repro.native`), and each MTL leaf is
+#: fitted by its own ``np.polyfit`` instead of one stacked solve per
+#: sample count.
 PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
 
 ENV_VARIABLES = (PURE_PYTHON_ENV,)

@@ -55,6 +55,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExmaAcceleratorConfig(pe_arrays=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("channels", 2.5),
+            ("cache_line_bytes", True),
+            ("base_cache_ways", 8.0),
+            ("index_cache_ways", 0),
+            ("base_cache_ways", 0),
+            ("cam_entries", "512"),
+            ("dimms_per_channel", -3),
+        ],
+    )
+    def test_counts_are_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            ExmaAcceleratorConfig(**{field: value})
+
     def test_invalid_cpu_config_raises(self):
         with pytest.raises(ValueError):
             CpuConfig(cores=0)

@@ -659,9 +659,10 @@ def _calls_made(function, *args) -> int:
 
 class TestReplayStaysColumnar:
     def test_calls_do_not_grow_with_the_flush(self, backends):
-        # Eight times the requests may add a few look-back rounds (log2 of
-        # the longest reuse gap) and MTL buckets, never a call per access
-        # or per run head.  The DRAM bus recurrence is a call-free ``for``.
+        # Eight times the requests may add MTL buckets, never a call per
+        # access or per run head: each cache is one compiled LRU call and
+        # each DRAM channel one compiled pass (where the LRU declines, its
+        # spec adds a few look-back rounds, log2 of the longest reuse gap).
         table, mtl, _ = backends
         accelerator = ExmaAccelerator(table, mtl, _config(True, PagePolicy.DYNAMIC))
         span = table.reference_length + 1

@@ -46,6 +46,23 @@ class TestDDR4Config:
         with pytest.raises(ValueError):
             DDR4Config(trcd=-1)
 
+    @pytest.mark.parametrize("field", ["trcd", "tcas", "trp"])
+    @pytest.mark.parametrize("value", [16.5, 16.0, True, "16", -1], ids=["half", "float", "bool", "str", "negative"])
+    def test_timings_are_integer_cycles(self, field, value):
+        # tcas=16.5 once priced 146.0 cycles in the object model and 144
+        # in the compiled replay; a zero timing stays allowed.
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+            DDR4Config(**{field: value})
+        assert getattr(DDR4Config(**{field: 0}), field) == 0
+
+    @pytest.mark.parametrize(
+        "field", ["channels", "dimms_per_channel", "banks_per_group", "row_bytes", "bus_bytes_per_cycle"]
+    )
+    @pytest.mark.parametrize("value", [0, 2.5, 4.0, True], ids=["zero", "half", "float", "bool"])
+    def test_counts_are_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            DDR4Config(**{field: value})
+
     def test_capacity(self):
         assert DDR4Config().total_capacity_gb == 384
 

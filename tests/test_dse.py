@@ -73,6 +73,17 @@ class TestConfigPointValidation:
         with pytest.raises(ValueError):
             ConfigPoint(**{field_name: value})
 
+    @pytest.mark.parametrize(
+        "field_name",
+        ("cam_entries", "window", "mtl_threshold", "base_cache_ways", "index_cache_sets"),
+    )
+    @pytest.mark.parametrize("value", (True, 2.0, "64"), ids=("bool", "float", "str"))
+    def test_rejects_non_integers(self, field_name, value):
+        # True once passed as a 1 and only failed when projected onto an
+        # accelerator configuration.
+        with pytest.raises(ValueError, match=field_name):
+            ConfigPoint(**{field_name: value})
+
     def test_baseline_is_table1(self):
         assert baseline_point().accelerator_config() == ExmaAcceleratorConfig()
 

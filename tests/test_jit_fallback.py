@@ -1,15 +1,18 @@
 """The compiled kernels, their loader and their specifications.
 
 :mod:`repro.native` builds one C library on first use and loads it with
-ctypes.  It holds the one surviving scalar recurrence — the DRAM
-bus/bank/stream timing chain, specified by
-:func:`repro.hw.dram._bus_recurrence` — and the elementwise tail of an MTL
-training epoch, specified by the two NumPy functions in
+ctypes.  It holds the two hardware state machines of the replay — the
+set-associative LRU (``lru_hits``, specified by the stack-distance
+:func:`repro.hw.cache.simulate_lru_hits` and, above it,
+:meth:`~repro.hw.cache.SetAssociativeCache.access`) and one DRAM channel
+(``dram_channel``, specified by ``DRAMModel._columns_spec`` with its
+:func:`repro.hw.dram._bus_recurrence` and, above it,
+:meth:`~repro.hw.dram.DRAMModel.process`) — and the elementwise tail of
+an MTL training epoch, specified by the two NumPy functions in
 :mod:`repro.exma.mtl_index`.  The contract is **bit-identical outputs**
 on both paths, and a failed build is one warning, never an exception or
-a different number.  The LRU cache simulation is state-free array code
-with nothing to compile.  The MTL leaves' stacked least-squares keeps
-the same contract with its spec, the per-k-mer ``np.polyfit``.
+a different number.  The MTL leaves' stacked least-squares keeps the
+same contract with its spec, the per-k-mer ``np.polyfit``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,44 +46,13 @@ from repro.hw.dram import DDR4Config, DRAMModel, MemoryRequest, MemoryTrace, Pag
 from repro.runtime import PURE_PYTHON_ENV
 
 SOURCE_TREE = pathlib.Path(repro.__file__).resolve().parent
+kernel_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 
 
 def _int64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
-
-
-def _bound(commands, latencies, bursts, bumps) -> int:
-    """The guard's bound: count * the sum of the column peaks."""
-    columns = (commands, latencies, bursts, bumps)
-    return len(commands) * sum(max(0, int(max(c, default=0))) for c in columns)
-
-
-@st.composite
-def bus_columns(draw):
-    count = draw(st.integers(0, 60))
-    bank_count = draw(st.integers(1, 8))
-    stream_count = draw(st.integers(1, 6))
-    # Small cycles, or peaks sized so count * Σ peaks lands around 2**63.
-    near_guard = draw(st.booleans())
-    peak = (native.INT64_END // (4 * max(count, 1))) if near_guard else 50
-    peak = draw(st.integers(peak - 2, peak + 2)) if near_guard else peak
-
-    def column(low, high):
-        values = draw(st.lists(st.integers(low, high), min_size=count, max_size=count))
-        if near_guard and values:
-            values[draw(st.integers(0, count - 1))] = high  # the peak the guard sees
-        return _int64(values)
-
-    return (
-        column(0, bank_count - 1),
-        column(0, stream_count - 1),
-        column(1, peak),
-        column(0, peak),
-        column(1, peak),
-        column(0, peak),
-        bank_count,
-        stream_count,
-    )
 
 
 @pytest.fixture
@@ -90,18 +63,29 @@ def compiled(monkeypatch):
     assert native.kernel_active(), "this host has a C compiler: the kernel must load"
 
 
-@pytest.fixture
-def spec_calls(monkeypatch):
-    """Count the Python loop's runs inside ``process_columns``."""
+def _counting(monkeypatch, module, name: str) -> list[int]:
+    """Record the first argument's length at each call of *module.name*."""
     calls = []
-    spec = hw_dram._bus_recurrence
+    spec = getattr(module, name)
 
     def counted(*args):
         calls.append(len(args[0]))
         return spec(*args)
 
-    monkeypatch.setattr(hw_dram, "_bus_recurrence", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def spec_calls(monkeypatch):
+    """Count the DRAM spec's runs (its Python loop) inside ``process_columns``."""
+    return _counting(monkeypatch, hw_dram, "_bus_recurrence")
+
+
+@pytest.fixture
+def lru_spec_calls(monkeypatch):
+    """Count the stack-distance spec's runs inside ``simulate_lru_hits``."""
+    return _counting(monkeypatch, hw_cache, "_head_hits")
 
 
 @pytest.fixture
@@ -140,54 +124,79 @@ def _requests(seed: int, count: int = 300) -> list[MemoryRequest]:
     ]
 
 
+@st.composite
+def dram_requests(draw):
+    """Short traces over a few banks' rows, negative rows (floored modulo)
+    and sparse stream ids up to 10**6 included."""
+    rows = st.integers(-200, 200)
+    streams = st.one_of(st.integers(0, 5), st.sampled_from([10**6, 250_000, 77]))
+    return [
+        MemoryRequest(row=r, nbytes=n, keep_open_hint=k, stream=s)
+        for r, n, k, s in draw(
+            st.lists(
+                st.tuples(rows, st.integers(1, 700), st.booleans(), streams), max_size=60
+            )
+        )
+    ]
+
+
+def _spec_stats(model: DRAMModel, trace: MemoryTrace) -> hw_dram.DRAMStats:
+    """``process_columns`` with the compiled pass unavailable."""
+    library, native._library = native._library, None
+    try:
+        return model.process_columns(trace)
+    finally:
+        native._library = library
+
+
 class TestCompiledEqualsSpec:
-    @given(bus_columns())
-    @settings(
-        max_examples=150,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_oracle(self, compiled, args):
-        result = native.bus_recurrence(*args)
-        if _bound(*args[2:6]) >= native.INT64_END:
-            assert result is None
-        else:
-            assert result == hw_dram._bus_recurrence(*args)
+    @given(dram_requests(), st.sampled_from(list(PagePolicy)), st.sampled_from([(16, 16, 16), (0, 3, 50)]))
+    @kernel_settings
+    def test_oracle(self, compiled, requests, policy, timings):
+        tcas, trcd, trp = timings
+        model = DRAMModel(DDR4Config(tcas=tcas, trcd=trcd, trp=trp), page_policy=policy)
+        trace = MemoryTrace.from_requests(requests)
+        assert model.process_columns(trace) == model.process(requests) == _spec_stats(model, trace)
 
     @pytest.mark.parametrize(
-        "banks, streams",
+        "rows, streams",
         [([], []), ([0] * 40, list(range(40))), (list(range(40)), [0] * 40)],
         ids=["empty", "one-bank", "one-stream"],
     )
-    def test_edge_shapes(self, compiled, banks, streams):
-        count = len(banks)
-        ones = _int64([1] * count)
-        args = (_int64(banks), _int64(streams), ones, 16 * ones, 4 * ones, 16 * ones)
-        args += (max(banks, default=0) + 1, max(streams, default=0) + 1)
-        assert native.bus_recurrence(*args) == hw_dram._bus_recurrence(*args)
+    @pytest.mark.parametrize("policy", list(PagePolicy))
+    def test_edge_shapes(self, compiled, spec_calls, rows, streams, policy):
+        requests = [MemoryRequest(row=r, stream=s) for r, s in zip(rows, streams)]
+        model = DRAMModel(page_policy=policy)
+        assert model.process_columns(MemoryTrace.from_requests(requests)) == model.process(requests)
+        assert not spec_calls
 
     def test_guard_edge(self, compiled):
-        # Four requests whose cycles sum to just under 2**63 still run
-        # compiled and agree; one more cycle of headroom and they do not.
-        peak = (native.INT64_END - 1) // 4
-        zeros = _int64([0] * 4)
-        args = [zeros, zeros, zeros, zeros, _int64([peak] * 4), zeros, 1, 1]
-        assert native.bus_recurrence(*args) == hw_dram._bus_recurrence(*args) == 4 * peak
-        args[4] = _int64([peak + 1] * 4)
-        assert native.bus_recurrence(*args) is None
+        # Four requests whose counters are bounded just under 2**63 run
+        # compiled; one byte more and the kernel declines.
+        bound = 3 + 16 + 16 + 2 * 16
+        nbytes = (native.INT64_END - 1) // 4 - bound
+        args = [_int64([0] * 4), _int64([nbytes] * 4), np.zeros(4, bool), _int64([0] * 4)]
+        assert native.dram_channel(*args, 48, (16, 16, 16), 16, 2) is not None
+        args[1] = _int64([nbytes + 1] * 4)
+        assert native.dram_channel(*args, 48, (16, 16, 16), 16, 2) is None
 
-
-    @pytest.mark.parametrize("bank, stream", [(-1, 0), (2, 0), (0, -1), (0, 3)])
-    def test_index_outside_its_ready_array_declines(self, compiled, bank, stream):
-        # process_columns never builds one; C would read out of bounds.
-        ones = _int64([1, 1])
-        args = (_int64([0, bank]), _int64([0, stream]), ones, ones, ones, ones, 2, 3)
-        assert native.bus_recurrence(*args) is None
+    @pytest.mark.parametrize(
+        "stream, nbytes, banks, bus, timings, mode",
+        [(-1, 64, 48, 16, (16, 16, 16), 2), (0, 0, 48, 16, (16, 16, 16), 2),
+         (0, 64, 0, 16, (16, 16, 16), 2), (0, 64, 48, 0, (16, 16, 16), 2),
+         (0, 64, 48, 16, (16, -1, 16), 2), (0, 64, 48, 16, (16, 16, 16), 3)],
+        ids=["negative-stream", "empty-request", "no-bank", "no-bus", "negative-timing", "mode"],
+    )
+    def test_values_the_model_refuses_decline(self, compiled, stream, nbytes, banks, bus, timings, mode):
+        # process_columns refuses or never builds these; C would index out
+        # of bounds or divide by zero.
+        args = (_int64([0, 1]), _int64([64, nbytes]), np.zeros(2, bool), _int64([0, stream]))
+        assert native.dram_channel(*args, banks, timings, bus, mode) is None
 
     def test_ragged_columns_are_refused(self, compiled):
         ones = _int64([1, 1])
         with pytest.raises(ValueError, match="length"):
-            native.bus_recurrence(ones, ones, ones, ones, _int64([1]), ones, 2, 2)
+            native.dram_channel(ones, ones, np.zeros(1, bool), ones, 48, (16, 16, 16), 16, 2)
 
 
 class TestProcessColumnsBothPaths:
@@ -212,23 +221,109 @@ class TestProcessColumnsBothPaths:
                 zip([-1, -49, 5, -1, 47, -96, 0, -1], [0, 10**6, 3, 250_000, 10**6, 7, 0, 3])
             )
         ]
-        for policy in PagePolicy:
-            model = DRAMModel(page_policy=policy)
-            assert model.process_columns(MemoryTrace.from_requests(requests)) == model.process(
-                requests
-            )
+        trace = MemoryTrace.from_requests(requests)
+        models = [DRAMModel(page_policy=policy) for policy in PagePolicy]
+        for model in models:
+            assert model.process_columns(trace) == model.process(requests)
         assert not spec_calls
+        for model in models:
+            assert _spec_stats(model, trace) == model.process(requests)
+        assert spec_calls == [len(requests)] * len(models)
 
-    def test_huge_request_takes_the_python_path(self, compiled, spec_calls):
+    @pytest.mark.parametrize("policy", list(PagePolicy))
+    def test_huge_request_takes_the_python_path(self, compiled, spec_calls, policy):
         # A caller-built trace can carry any positive nbytes: one of ~2**60
-        # bytes among 200 small ones puts count * Σ peaks past 2**63.
+        # bytes among 200 small ones puts the counters' bound past 2**63.
         requests = _requests(seed=5, count=200)
         requests[17] = MemoryRequest(row=3, nbytes=2**60 - 5, stream=1)
-        model = DRAMModel(page_policy=PagePolicy.DYNAMIC)
+        model = DRAMModel(page_policy=policy)
         stats = model.process_columns(MemoryTrace.from_requests(requests))
         assert spec_calls == [len(requests)]
         assert stats == model.process(requests)
         assert stats.total_cycles > 2**56
+
+
+def _lru_three_ways(addresses, capacity: int, line: int, ways: int):
+    """(compiled, spec, object model) hit masks of one cold cache."""
+    addresses = _int64(addresses)
+    compiled = native.lru_hits(addresses, line, capacity // (line * ways), ways)
+    library, native._library = native._library, None
+    try:
+        spec = hw_cache.simulate_lru_hits(addresses, capacity, line, ways)
+    finally:
+        native._library = library
+    return compiled, spec, _reference_hits(addresses, capacity, line, ways)
+
+
+def _reference_hits(addresses, capacity: int, line: int, ways: int) -> np.ndarray:
+    """The object model's hit mask: a fresh cache, one access each."""
+    reference = hw_cache.SetAssociativeCache(capacity, line, ways)
+    return np.array([reference.access(int(a)) for a in addresses], dtype=bool)
+
+
+def _adversarial(sets: int, ways: int, line: int) -> dict[str, list[int]]:
+    stride = sets * line  # consecutive multiples alias to one set
+    return {
+        "cycle-of-ways-plus-one": [stride * (i % (ways + 1)) for i in range(40 * ways)],
+        "hot-and-streaming": [0 if i % 2 == 0 else stride * (i // 2 + 1) for i in range(300)],
+        "one-set": [stride * v for v in np.random.default_rng(1).integers(0, 3 * ways, 300)],
+        "same-line-runs": [line * (i // 25) + i % line for i in range(500)],
+        "empty": [],
+    }
+
+
+class TestLruKernel:
+    @given(
+        st.integers(1, 64),
+        st.integers(1, 16),
+        st.one_of(st.sampled_from([16, 32, 64, 128]), st.integers(16, 128)),
+        st.lists(st.integers(0, 2**20), max_size=200),
+    )
+    @kernel_settings
+    def test_oracle(self, compiled, sets, ways, line, addresses):
+        compiled_hits, spec, expected = _lru_three_ways(addresses, sets * ways * line, line, ways)
+        assert np.array_equal(compiled_hits, expected)
+        assert np.array_equal(spec, expected)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (64, 16), (2048, 8)])
+    @pytest.mark.parametrize(
+        "trace", ["cycle-of-ways-plus-one", "hot-and-streaming", "one-set", "same-line-runs", "empty"]
+    )
+    def test_adversarial_traces(self, compiled, shape, trace):
+        sets, ways = shape
+        addresses = _adversarial(sets, ways, 64)[trace]
+        compiled_hits, spec, expected = _lru_three_ways(addresses, sets * ways * 64, 64, ways)
+        assert np.array_equal(compiled_hits, expected) and np.array_equal(spec, expected)
+
+    def test_public_entry_point_runs_compiled(self, compiled, lru_spec_calls):
+        addresses = np.random.default_rng(7).integers(0, 4096, 500) * 8
+        hits = hw_cache.simulate_lru_hits(addresses, 2048, 64, 4)
+        assert not lru_spec_calls
+        assert np.array_equal(hits, _reference_hits(addresses, 2048, 64, 4))
+
+    def test_small_flush_on_a_table_one_cache_allocates_for_the_flush(self, compiled):
+        # 2048 sets x 8 ways would be 128 KiB of tags; ten touched sets
+        # of at most ten ways are 800 bytes.
+        addresses = _int64(np.arange(10) * 4096)
+        native.lru_hits(addresses, 64, 2048, 8)  # warm NumPy's own caches
+        tracemalloc.start()
+        try:
+            hits = native.lru_hits(addresses, 64, 2048, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hits is not None and not hits.any()
+        assert peak < 16 * 1024, peak
+
+    def test_scratch_beyond_its_bound_declines(self, compiled, lru_spec_calls):
+        # 256 ways in 256 touched sets would be 256 tags per access.
+        addresses = _int64(np.repeat(np.arange(256) * 64, 2))
+        assert native.lru_hits(addresses, 64, 256, 256) is None
+        hits = hw_cache.simulate_lru_hits(addresses, 256 * 256 * 64, 64, 256)
+        assert lru_spec_calls and np.array_equal(hits, np.arange(512) % 2 == 1)
+
+    def test_negative_address_declines(self, compiled):
+        assert native.lru_hits(_int64([0, -64]), 64, 4, 2) is None
 
 
 # Values the MTL kernels must treat exactly as NumPy does: signed zeros,
@@ -240,9 +335,6 @@ EDGE_DOUBLES = (
 )
 doubles = st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_DOUBLES))
 probabilities = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 5e-324, 0.5)))
-mtl_settings = settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
 
 
 def _bits(array) -> np.ndarray:
@@ -289,14 +381,14 @@ def _assert_same_bits(left, right):
 
 class TestMTLKernelsEqualSpec:
     @given(layer_arrays())
-    @mtl_settings
+    @kernel_settings
     def test_sigmoid_oracle(self, compiled, arrays):
         hidden, _rows, bias = arrays
         compiled_out, spec_out = _both_sigmoids(hidden, bias)
         _assert_same_bits([compiled_out], [spec_out])
 
     @given(st.one_of(layer_arrays(min_width=2), layer_arrays(probabilities, min_width=2)))
-    @mtl_settings
+    @kernel_settings
     def test_sigmoid_backward_oracle(self, compiled, arrays):
         hidden, grad_pred, w2 = arrays
         _assert_same_bits(*_both_backwards(hidden, grad_pred, w2))
@@ -598,26 +690,32 @@ class TestRecipeValidation:
 
 
 class TestLoader:
-    def test_no_compiler_warns_once_and_runs_the_loop(self, monkeypatch, unresolved, spec_calls):
+    def test_no_compiler_warns_once_and_runs_the_specs(
+        self, monkeypatch, unresolved, spec_calls, lru_spec_calls
+    ):
         monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
         monkeypatch.setattr(native, "COMPILER", "repro-no-such-compiler")
         requests = _requests(seed=4)
         model = DRAMModel(page_policy=PagePolicy.DYNAMIC)
         trace = MemoryTrace.from_requests(requests)
+        addresses = trace.rows * 64
         with pytest.warns(RuntimeWarning, match="repro-no-such-compiler"):
             first = model.process_columns(trace)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             second = model.process_columns(trace)
+            hits = hw_cache.simulate_lru_hits(addresses, 2048, 64, 4)
         assert first == second == model.process(requests)
-        assert len(spec_calls) == 2 and not native.kernel_active()
+        assert np.array_equal(hits, _reference_hits(addresses, 2048, 64, 4))
+        assert len(spec_calls) == 2 and len(lru_spec_calls) == 1
+        assert not native.kernel_active()
         assert not unresolved.exists()
 
     def test_no_compiler_one_warning_for_every_kernel(
-        self, monkeypatch, unresolved, spec_calls, mtl_spec_calls
+        self, monkeypatch, unresolved, spec_calls, lru_spec_calls, mtl_spec_calls
     ):
         # MTL training comes first in a stack's set-up: it warns once for the
-        # whole library, and the DRAM recurrence after it stays quiet.
+        # whole library, and the replay's cache and DRAM kernels stay quiet.
         monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
         monkeypatch.setattr(native, "COMPILER", "repro-no-such-compiler")
         table = ExmaTable("ACGTTGCAAC" * 60, k=2)
@@ -628,19 +726,22 @@ class TestLoader:
             requests = _requests(seed=4)
             trace = MemoryTrace.from_requests(requests)
             stats = DRAMModel(page_policy=PagePolicy.DYNAMIC).process_columns(trace)
+            hw_cache.simulate_lru_hits(trace.rows * 64, 2048, 64, 4)
         messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert len(messages) == 1 and "compiled kernels unavailable" in messages[0]
         assert {"_sigmoid_spec", "_sigmoid_backward_spec"} <= {name for name, _ in mtl_spec_calls}
-        assert spec_calls == [len(requests)]
+        assert spec_calls == [len(requests)] and len(lru_spec_calls) == 1
         assert stats == DRAMModel(page_policy=PagePolicy.DYNAMIC).process(requests)
         assert not unresolved.exists()
 
-    def test_pure_python_forces_the_loop(self, monkeypatch, unresolved):
+    def test_pure_python_forces_the_specs(self, monkeypatch, unresolved):
         monkeypatch.setenv(PURE_PYTHON_ENV, "1")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not native.kernel_active()
-        assert native.bus_recurrence(*[_int64([0])] * 6, 1, 1) is None
+        zero = _int64([0])
+        assert native.dram_channel(zero, zero + 64, np.zeros(1, bool), zero, 1, (0, 0, 0), 1, 1) is None
+        assert native.lru_hits(_int64([0, 64]), 64, 1, 1) is None
         hidden = np.full((3, 2), 0.5)
         assert not native.sigmoid(hidden, np.zeros(2))
         assert native.sigmoid_backward(hidden, np.ones(3), np.ones(2), np.empty((3, 2))) is None
@@ -666,21 +767,22 @@ class TestLoader:
         (library,) = unresolved.iterdir()
         assert library.suffix == ".so"
         assert stat.S_IMODE(unresolved.stat().st_mode) == 0o700
-        args = (_int64([0, 1]), _int64([0, 0]), *[_int64([1, 2])] * 4, 2, 1)
-        assert native.bus_recurrence(*args) == hw_dram._bus_recurrence(*args)
+        compiled_hits, _spec, expected = _lru_three_ways([0, 64, 0, 128, 64], 128, 64, 2)
+        assert np.array_equal(compiled_hits, expected)
 
     def test_concurrent_first_use_in_threads(self, monkeypatch, unresolved):
         # Eight threads on two CPUs race the one-time build: the lock lets
         # exactly one compile, and every caller gets the spec's answer.
         monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
-        column = np.arange(1, 501, dtype=np.int64)
-        args = (column % 5, column % 4, column, column, column, column, 5, 4)
+        requests = _requests(seed=6, count=500)
+        trace = MemoryTrace.from_requests(requests)
+        model = DRAMModel(page_policy=PagePolicy.DYNAMIC)
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             threads = [
-                threading.Thread(target=lambda: results.append(native.bus_recurrence(*args)))
+                threading.Thread(target=lambda: results.append(model.process_columns(trace)))
                 for _ in range(8)
             ]
             for thread in threads:
@@ -690,8 +792,8 @@ class TestLoader:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        expected = hw_dram._bus_recurrence(*args)
-        assert results == [expected] * 8
+        assert native.kernel_active()
+        assert results == [model.process(requests)] * 8
         assert len(list(unresolved.iterdir())) == 1
 
     def test_concurrent_first_use_in_two_processes(self, tmp_path):
@@ -702,8 +804,7 @@ class TestLoader:
             "from repro import native\n"
             "native.CACHE_DIR = pathlib.Path(sys.argv[1])\n"
             "column = np.arange(1, 1001, dtype=np.int64)\n"
-            "print(native.bus_recurrence(column % 7, column % 3, column, column, column,"
-            " column, 7, 3))\n"
+            "print(native.lru_hits(column % 97 * 64, 64, 8, 4).tobytes().hex())\n"
         )
         env = {**os.environ, "PYTHONPATH": str(SOURCE_TREE.parent)}
         env.pop(PURE_PYTHON_ENV, None)
@@ -720,25 +821,6 @@ class TestLoader:
         outputs = [worker.communicate(timeout=120) for worker in workers]
         assert [worker.returncode for worker in workers] == [0, 0], outputs
         column = np.arange(1, 1001, dtype=np.int64)
-        expected = hw_dram._bus_recurrence(
-            column % 7, column % 3, column, column, column, column, 7, 3
-        )
-        assert [int(out) for out, _err in outputs] == [expected, expected]
+        expected = _reference_hits(column % 97 * 64, 8 * 4 * 64, 64, 4)
+        assert [out.strip() for out, _err in outputs] == [expected.tobytes().hex()] * 2
         assert len(list((tmp_path / "cache").iterdir())) == 1
-
-
-class TestPublicDispatch:
-    """Whichever path is active, the public entry points agree with the
-    object-model references (belt over the hypothesis oracles)."""
-
-    def test_simulate_lru_hits_vs_reference_cache(self):
-        rng = np.random.default_rng(7)
-        addresses = rng.integers(0, 4096, 500) * 8
-        hits = hw_cache.simulate_lru_hits(
-            addresses, capacity_bytes=2048, line_bytes=64, associativity=4
-        )
-        reference = hw_cache.SetAssociativeCache(
-            capacity_bytes=2048, line_bytes=64, associativity=4
-        )
-        expected = np.array([reference.access(int(a)) for a in addresses])
-        assert np.array_equal(hits, expected)

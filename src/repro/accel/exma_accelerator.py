@@ -19,8 +19,8 @@ packed ``(k-mer, pos)`` arrays that the engine's
 :class:`~repro.engine.coalesce.RequestStream` and the window's
 :class:`~repro.engine.window.WindowedBatch` already carry, schedules them
 with array sorts, simulates both caches set-grouped, expands the increment
-fetches into a structured DRAM trace and replays each channel's columns —
-no per-request Python objects anywhere on the hot path.
+fetches into a structured DRAM trace and replays every channel in one
+pass — no per-request Python objects anywhere on the hot path.
 :meth:`ExmaAccelerator.run_reference` keeps the original request-at-a-time
 object pipeline as the oracle the equivalence suite replays against; both
 paths produce field-for-field identical :class:`AcceleratorRunResult`\\ s.
@@ -263,6 +263,9 @@ class ExmaAccelerator(runtime.PoolOwner):
         self._index = index
         self._config = config or ExmaAcceleratorConfig()
         self._engine = InferenceEngine(self._config.pe_config())
+        # The config is frozen, so its DRAM model is built once, not per run.
+        self._dram_config = self._config.dram_config()
+        self._dram = DRAMModel(self._dram_config, page_policy=self._config.page_policy)
         self._chain_ratio = self._effective_chain_ratio()
         self._layout = self._compute_layout()
         # Per packed code: whether it is modelled, the index-cache
@@ -357,7 +360,7 @@ class ExmaAccelerator(runtime.PoolOwner):
         prediction run grouped by shared node, the increment fetches
         expand into a :class:`~repro.hw.dram.MemoryTrace` (only the few
         that cross a row or the chunk cap run the general row-span
-        expansion), and every DRAM channel consumes its column shard.
+        expansion), and one call replays that trace on every DRAM channel.
         Field-for-field identical to
         :meth:`run_reference` (the request-at-a-time object model) by the
         oracle suite's contract.
@@ -378,7 +381,7 @@ class ExmaAccelerator(runtime.PoolOwner):
         kmers, positions = _request_columns(requests)
         count = int(kmers.size)
         ledger = EnergyLedger()
-        row_bytes = config.dram_config().row_bytes
+        row_bytes = self._dram_config.row_bytes
         cam_entries = config.cam_entries
 
         stage1, stage2 = scheduled_orders(
@@ -504,19 +507,13 @@ class ExmaAccelerator(runtime.PoolOwner):
         )
 
         # Replay DRAM traffic, sharded over channels.
-        dram_config = config.dram_config()
-        per_channel = [
-            DRAMModel(dram_config, page_policy=config.page_policy).process_columns(
-                channel_trace
-            )
-            for channel_trace in trace.split_channels(config.channels)
-        ]
+        per_channel = self._dram.process_columns(trace, config.channels)
         dram_cycles = max((stats.total_cycles for stats in per_channel), default=0)
         dram_stats = self._merge_dram(per_channel, dram_cycles)
 
         inference_cost = self._engine.batch_cost(inference_lookups)
         # Convert engine cycles (800 MHz) to DRAM-clock cycles (1200 MHz).
-        dram_clock = dram_config.clock_mhz
+        dram_clock = self._dram_config.clock_mhz
         inference_cycles = int(
             inference_cost.cycles * dram_clock / self._engine.config.clock_mhz
         )
@@ -674,7 +671,7 @@ class ExmaAccelerator(runtime.PoolOwner):
         dram_trace: list[MemoryRequest] = []
         inference_lookups = 0
         increment_entries = 0
-        row_bytes = config.dram_config().row_bytes
+        row_bytes = self._dram_config.row_bytes
 
         for batch in scheduler.schedule(requests):
             # Stage 1: base-cache accesses in k-mer order.
@@ -751,7 +748,7 @@ class ExmaAccelerator(runtime.PoolOwner):
 
         inference_cost = self._engine.batch_cost(inference_lookups)
         # Convert engine cycles (800 MHz) to DRAM-clock cycles (1200 MHz).
-        dram_clock = self._config.dram_config().clock_mhz
+        dram_clock = self._dram_config.clock_mhz
         inference_cycles = int(
             inference_cost.cycles * dram_clock / self._engine.config.clock_mhz
         )
@@ -892,16 +889,11 @@ class ExmaAccelerator(runtime.PoolOwner):
 
     def _run_dram(self, trace: list[MemoryRequest]) -> list[DRAMStats]:
         """Shard the trace across channels and replay each channel."""
-        config = self._config
-        dram_config = config.dram_config()
-        channels: list[list[MemoryRequest]] = [[] for _ in range(config.channels)]
+        channel_count = self._config.channels
+        channels: list[list[MemoryRequest]] = [[] for _ in range(channel_count)]
         for request in trace:
-            channels[request.row % config.channels].append(request)
-        results = []
-        for channel_trace in channels:
-            model = DRAMModel(dram_config, page_policy=config.page_policy)
-            results.append(model.process(channel_trace))
-        return results
+            channels[request.row % channel_count].append(request)
+        return [self._dram.process(channel_trace) for channel_trace in channels]
 
     @staticmethod
     def _merge_dram(per_channel: list[DRAMStats], total_cycles: int) -> DRAMStats:

@@ -356,11 +356,11 @@ class ExmaBackend(SearchBackend):
     One lockstep iteration consumes one k-mer of every live query.  The
     step's ``(kmer, pos)`` requests are coalesced exactly once across the
     whole batch — the software mirror of the accelerator's DRAM-side
-    merge — then answered columnar: one ``searchsorted`` rank-queries
-    every unique request of the step.  The step's cost (increment scan,
-    MTL inference) is priced on read: the first read of a cost counter
-    prices the whole batch with one ``index.predict_many`` (one MLP
-    forward per shared MTL node).
+    merge — then answered columnar: one ``ExmaTable.occ_batch`` call
+    rank-queries every unique request of the step.  The step's cost
+    (increment scan, MTL inference) is priced on read: the first read of
+    a cost counter prices the whole batch with one
+    ``index.predict_many`` (one MLP forward per shared MTL node).
 
     Args:
         reference: DNA reference (ignored when *table* is given).
@@ -384,20 +384,20 @@ class ExmaBackend(SearchBackend):
             table = ExmaTable(reference, k=k)
         self._table = table
         self._index = index
-        #: The index's columnar face, resolved once: ``has_model`` as a mask
-        #: over packed codes (one gather classifies every priced request)
-        #: and the ``predict_many`` that prices the modelled ones.
-        #: Bound here rather than looked up per step on purpose: a tracer
-        #: that later wraps the class attribute (``bench/trace.py`` books
-        #: ``MTLIndex.predict_many`` spans to the replay) must keep seeing
-        #: search-side pricing as search time.
+        #: The table's ``occ_batch`` that resolves each step, and the
+        #: index's columnar face: ``has_model`` as a mask over packed codes
+        #: (one gather classifies every priced request) and the
+        #: ``predict_many`` that prices the modelled ones.  Bound here
+        #: rather than looked up per step on purpose: a tracer that later
+        #: wraps the class attributes (``bench/trace.py`` books
+        #: ``ExmaTable.occ_batch`` and ``MTLIndex.predict_many`` spans to
+        #: the replay) must keep seeing search-side calls as search time.
+        self._occ_batch = table.occ_batch
         self._modelled = self._predict_many = None
         if index is not None:
             self._modelled = index.modelled_lookup(table.kmer_count)
             self._predict_many = index.predict_many
         self._span = table.reference_length + 1
-        self._augmented: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
         self._frequencies: np.ndarray | None = None
 
     @property
@@ -488,7 +488,7 @@ class ExmaBackend(SearchBackend):
                 np.concatenate([lows[active], highs[active]]),
                 span=n + 1,
             )
-            occ_unique = self._resolve_unique(step.kmers, step.positions)
+            occ_unique = self._occ_batch(step.kmers, step.positions)
             occ_all = step.scatter(occ_unique)
 
             counts = self._table.count_table()[packed]
@@ -504,36 +504,6 @@ class ExmaBackend(SearchBackend):
                 stats.record_step(step, occ=occ_unique)
 
         return [Interval(low, high) for low, high in zip(lows.tolist(), highs.tolist())]
-
-    def _augmented_increments(self) -> tuple[np.ndarray, np.ndarray]:
-        """The increment array offset into per-k-mer key ranges (cached).
-
-        ``augmented[i] = increments[i] + owner_kmer(i) * span`` is globally
-        sorted (increment lists are concatenated k-mer-major and sorted
-        within each list), so ``Occ(kmer, pos)`` for *every* unique request
-        of a step is one vectorized ``searchsorted`` of the packed
-        ``kmer * span + pos`` keys minus the k-mer's list offset — no
-        Python loop over k-mers.
-        """
-        if self._augmented is None:
-            counts = self._table.frequencies()
-            owners = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-            augmented = self._table.increments + owners * self._span
-            # Publish offsets before the array other threads gate on:
-            # concurrent shard threads (sharded.py's thread executor) check
-            # ``_augmented is None``, so it must become visible last.
-            self._offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            self._augmented = augmented
-        assert self._offsets is not None
-        return self._augmented, self._offsets
-
-    def _resolve_unique(self, kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Answer each unique (kmer, pos) request exactly once."""
-        augmented, offsets = self._augmented_increments()
-        keys = kmers * self._span + positions
-        return (np.searchsorted(augmented, keys, side="left") - offsets[kmers]).astype(
-            np.int64
-        )
 
     def _step_contribution(self, keys: np.ndarray, occ_values: np.ndarray) -> StepContribution:
         """Per-unique-request resolution costs of packed ``kmer * span + pos``

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import native
 from ..genome.alphabet import SENTINEL, encode, pack_kmer, unpack_kmer
 from ..index.suffix_array import suffix_array
 
@@ -227,14 +228,10 @@ class ExmaTable:
     def occ_batch(self, kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`occ` over aligned k-mer/position arrays.
 
-        One global ``np.searchsorted`` resolves every request at once: the
-        concatenated increment array is augmented (lazily, cached) with
-        ``kmer * (|G| + 2)`` per entry, which makes it globally ascending
-        — increments are already sorted within each k-mer's segment and
-        segments are concatenated in packed order — so the rank of
-        ``kmer * (|G| + 2) + pos`` minus the k-mer's segment offset is
-        exactly ``Occ(kmer, pos)``.  Agrees exactly with per-request
-        :meth:`occ` (pure integer rank queries on the same data).
+        One compiled pass (:func:`repro.native.occ_ranks`) ranks each
+        request in its k-mer's increment segment, one merge walk over a
+        key-sorted step or flush.  Where it declines, the range checks and
+        :meth:`_occ_spec` run; both equal per-request :meth:`occ`.
         """
         kmers = np.asarray(kmers, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
@@ -242,15 +239,25 @@ class ExmaTable:
             raise ValueError("kmers and positions must have identical shapes")
         if kmers.size == 0:
             return np.empty(0, dtype=np.int64)
+        ranks = native.occ_ranks(kmers, positions, self._increments, self._kmer_rank_base, self._n)
+        if ranks is not None:
+            return ranks.reshape(kmers.shape)
         if int(positions.min()) < 0 or int(positions.max()) > self._n:
             raise ValueError(f"positions out of range [0, {self._n}]")
         if int(kmers.min()) < 0 or int(kmers.max()) >= self._bases.size:
             raise ValueError("packed k-mer out of range")
+        return self._occ_spec(kmers, positions)
+
+    def _occ_spec(self, kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """The compiled pass's spec and fallback, one global ``searchsorted``:
+        adding ``kmer * (|G| + 2)`` to each increment (a lazy, cached copy)
+        makes the sorted segments, concatenated in packed order, globally
+        ascending, so the rank of ``kmer * (|G| + 2) + pos`` minus the
+        k-mer's segment offset is exactly ``Occ(kmer, pos)``."""
+        stride = self._n + 2
         if self._augmented_increments is None:
-            stride = self._n + 2
             owners = np.repeat(np.arange(self._counts.size, dtype=np.int64), self._counts)
             self._augmented_increments = self._increments + owners * stride
-        stride = self._n + 2
         ranks = np.searchsorted(
             self._augmented_increments, kmers * stride + positions, side="left"
         )

@@ -20,9 +20,10 @@ contention.  This model captures exactly those effects:
 The model is intentionally transaction-level, not cycle-accurate gem5 +
 DRAMsim2; DESIGN.md records this substitution.
 
-:meth:`DRAMModel.process` is the per-request object model; the replay's
-:meth:`DRAMModel.process_columns` runs one channel's columns as one
-compiled pass, or, where that declines, its NumPy + Python specification.
+:meth:`DRAMModel.process` is the per-request object model of one
+channel; the replay's :meth:`DRAMModel.process_columns` runs a whole
+trace, every channel at once, as one compiled pass, or, where that
+declines, each channel's shard through its NumPy + Python specification.
 """
 
 from __future__ import annotations
@@ -211,9 +212,9 @@ class MemoryTrace:
 
     The columnar twin of ``list[MemoryRequest]``: one int64/bool column per
     request field, in issue order.  The accelerator's replay builds one
-    trace per run with pure array arithmetic (no request objects), shards
-    it across channels by row, and hands each shard to
-    :meth:`DRAMModel.process_columns`.
+    trace per run with pure array arithmetic (no request objects) and
+    hands it whole to :meth:`DRAMModel.process_columns`, which shards it
+    across channels by row.
     """
 
     rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -272,8 +273,8 @@ class DRAMModel:
 
     The model serialises command and data bus usage, lets banks overlap
     their row-cycle latencies, and applies the configured page policy.
-    Only one channel is modelled explicitly; the accelerator layer shards
-    traffic across channels and aggregates.
+    :meth:`process` models one channel, :meth:`process_columns` each
+    channel of a trace; the accelerator layer aggregates.
     """
 
     def __init__(
@@ -356,33 +357,41 @@ class DRAMModel:
         )
         return stats
 
-    def process_columns(self, trace: MemoryTrace) -> DRAMStats:
-        """Replay a columnar trace; identical statistics to :meth:`process`.
+    def process_columns(self, trace: MemoryTrace, channels: int = 1) -> list[DRAMStats]:
+        """Replay a columnar trace over *channels* channels: one
+        :class:`DRAMStats` per channel, each identical to :meth:`process`
+        over that channel's :meth:`~MemoryTrace.split_channels` shard.
 
-        One compiled pass over the columns computes every counter; where
-        it declines, :meth:`_columns_spec` does.
+        One compiled issue-order pass over the unsplit columns computes
+        every channel's counters; where it declines, the shards run
+        :meth:`_columns_spec`.  An empty channel reads ``DRAMStats()``.
         """
         cfg = self._config
-        count = len(trace)
-        if count == 0:
-            return DRAMStats()
-        if int(trace.nbytes.min()) <= 0:
+        channels = runtime.check_workers(channels, "channels")
+        if len(trace) and int(trace.nbytes.min()) <= 0:
             raise ValueError("request nbytes must be positive")
         _check_streams(trace.streams)
-        counters = native.dram_channel(
-            trace.rows, trace.nbytes, trace.keep_open, trace.streams, cfg.banks_per_channel,
-            (cfg.tcas, cfg.trcd, cfg.trp), cfg.bus_bytes_per_cycle,
+        counters = native.dram_channels(
+            trace.rows, trace.nbytes, trace.keep_open, trace.streams, channels,
+            cfg.banks_per_channel, (cfg.tcas, cfg.trcd, cfg.trp), cfg.bus_bytes_per_cycle,
             (PagePolicy.OPEN, PagePolicy.CLOSE, PagePolicy.DYNAMIC).index(self._policy),
         )
-        stats = self._columns_spec(trace) if counters is None else DRAMStats(count, *counters)
-        reads_64b = max(1, stats.bytes_transferred // BURST_BYTES)
-        stats.energy_nj = self._energy.access_energy_nj(
-            stats.activations, reads_64b, stats.precharges, stats.total_cycles
-        )
-        return stats
+        if counters is None:
+            shards = trace.split_channels(channels)
+            per_channel = [self._columns_spec(s) if len(s) else DRAMStats() for s in shards]
+        else:
+            per_channel = [DRAMStats(*channel) for channel in counters]
+        for stats in per_channel:
+            if stats.requests:
+                reads_64b = max(1, stats.bytes_transferred // BURST_BYTES)
+                stats.energy_nj = self._energy.access_energy_nj(
+                    stats.activations, reads_64b, stats.precharges, stats.total_cycles
+                )
+        return per_channel
 
     def _columns_spec(self, trace: MemoryTrace) -> DRAMStats:
-        """The compiled pass's specification and fallback, energy aside.
+        """One channel's compiled pass: its specification and fallback,
+        energy aside.
 
         Everything that does not genuinely chain from one request to the
         next is vectorized up front: bank assignment, the page-policy

@@ -18,7 +18,7 @@ The object classes replay the CAM one :class:`~repro.exma.search
 .OccRequest` at a time and remain the oracle reference; the columnar
 replay uses :func:`scheduled_orders` / :func:`keep_open_flags`, which
 compute the identical stage-1/stage-2 orders and page-policy hints for a
-whole packed request stream with one packed-key stable argsort per stage.
+whole packed request stream with one packed-key sort per stage.
 """
 
 from __future__ import annotations
@@ -96,13 +96,13 @@ class TwoStageScheduler:
             yield ScheduledBatch(stage1=stage1, stage2=stage2)
 
 
-def _batch_major(batch_of: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``batch * span + value``: one sort key whose stable argsort is the
-    per-batch stable sort by *value* (batches stay in order)."""
+def _batch_major(batch_of: np.ndarray, values: np.ndarray, scale: int = 1) -> np.ndarray:
+    """``(batch * span + value) * scale``: a sort key whose stable argsort
+    is the per-batch stable sort by *value* (batches stay in order)."""
     span = int(values.max()) + 1
-    if int(batch_of[-1] + 1) * span >= 2**63:
+    if int(batch_of[-1] + 1) * span * scale >= 2**63:
         raise ValueError("request keys are too wide to pack per CAM batch")
-    return batch_of * span + values
+    return (batch_of * span + values) * scale
 
 
 def scheduled_orders(
@@ -121,10 +121,11 @@ def scheduled_orders(
     sorting CAM exactly — stage 1 is the stable per-batch k-mer sort of
     the arrival order, stage 2 the stable per-batch pos sort of the
     stage-1 order — because :meth:`~repro.hw.cam.SchedulingQueue
-    .sort_by_pos` reorders the already k-mer-sorted residents.  Each
-    stage is one stable argsort of a packed ``batch * span + key`` column
-    (a flushed window arrives k-mer-sorted, which the stable sort takes
-    in linear time).
+    .sort_by_pos` reorders the already k-mer-sorted residents.  Stage 1
+    is one stable argsort of a packed ``batch * span + kmer`` column (a
+    flushed window arrives k-mer-sorted, which it takes in linear time);
+    stage 2 one plain sort of the unique ``(batch * span + pos) << b |
+    slot``, each request's stage-1 slot in its batch in the low ``b`` bits.
     """
     if cam_entries <= 0:
         raise ValueError("cam_entries must be positive")
@@ -137,10 +138,14 @@ def scheduled_orders(
     # order belongs to batch i // cam_entries.
     batch_of = arrival // cam_entries
     stage1 = np.argsort(_batch_major(batch_of, kmers), kind="stable")
-    stage2 = stage1[
-        np.argsort(_batch_major(batch_of, positions[stage1]), kind="stable")
-    ]
-    return stage1, stage2
+    slot_mask = (1 << (cam_entries - 1).bit_length()) - 1
+    batch_start = batch_of * cam_entries
+    keys = _batch_major(batch_of, positions[stage1], slot_mask + 1)
+    keys |= arrival - batch_start
+    keys.sort()
+    keys &= slot_mask
+    keys += batch_start
+    return stage1, stage1[keys]
 
 
 def keep_open_flags(

@@ -1,12 +1,14 @@
 """The compiled kernels: one C library built on first use, called via ctypes.
 
-:data:`SOURCE` holds the C twins of three specifications, each the same
-operations in the same order as its Python or NumPy original:
+:data:`SOURCE` holds the C twins of four specifications, each giving
+the same answers as its Python or NumPy original:
 
 * ``lru_hits`` is :func:`repro.hw.cache.simulate_lru_hits`: each set's
   tags in recency order, an O(ways) scan per access;
-* ``dram_channel`` is :meth:`repro.hw.dram.DRAMModel.process` over one
-  channel's columns, every counter in one int64 pass;
+* ``dram_channels`` is :meth:`repro.hw.dram.DRAMModel.process` over each
+  channel's shard of a trace, all in one int64 pass over the whole trace;
+* ``occ_ranks`` is :meth:`repro.exma.table.ExmaTable._occ_spec` as a
+  merge walk from each answer to the next in key order;
 * ``sigmoid_in``, ``sigmoid_out`` and ``sigmoid_backward`` are the
   elementwise tail of an MTL training epoch,
   :func:`repro.exma.mtl_index._sigmoid_spec` and
@@ -41,7 +43,8 @@ import numpy as np
 
 from .runtime import PURE_PYTHON_ENV, env_flag
 
-__all__ = ["dram_channel", "kernel_active", "lru_hits", "sigmoid", "sigmoid_backward"]
+__all__ = ["dram_channels", "kernel_active", "lru_hits", "occ_ranks", "sigmoid",
+           "sigmoid_backward"]
 
 SOURCE = r"""
 #include <stdint.h>
@@ -61,31 +64,57 @@ void lru_hits(int64_t count, const int64_t *addresses, int64_t line_bytes, int64
         set[0] = line;
     }
 }
-void dram_channel(int64_t count, const int64_t *rows, const int64_t *nbytes,
-    const uint8_t *keep_open, const int64_t *streams, int64_t bank_count, int64_t tcas,
-    int64_t trcd, int64_t trp, int64_t bus_bytes, int64_t close_mode, int64_t *banks,
-    int64_t *stream_ready, int64_t *stats) {
-    /* banks: (ready, open, row) each; stats: DRAMStats' ints after `requests`. */
-    int64_t addr_bus_free = 0, data_bus_free = 0;
+void dram_channels(int64_t count, const int64_t *rows, const int64_t *nbytes,
+    const uint8_t *keep_open, const int64_t *streams, int64_t channels, int64_t bank_count,
+    int64_t tcas, int64_t trcd, int64_t trp, int64_t bus_bytes, int64_t close_mode,
+    int64_t stream_count, int64_t *banks, int64_t *stream_ready, int64_t *stats) {
+    /* Per channel (floored, as Python's %): banks of (ready, open, row), stream
+       ready cycles, DRAMStats' ints from `requests` (`total_cycles` is the data
+       bus's free cycle throughout) and the address bus's free cycle. */
     for (int64_t i = 0; i < count; ++i) {
-        int64_t slot = rows[i] % bank_count;  /* floored below, as Python's % */
-        int64_t *bank = banks + 3 * (slot < 0 ? slot + bank_count : slot);
-        int64_t issue = bank[0], pending = stream_ready[streams[i]], commands = 1, latency = tcas;
-        if (pending > issue) issue = pending;
-        if (!bank[1]) commands = 2, latency += trcd, ++stats[1];
-        else if (bank[2] == rows[i]) ++stats[0];
-        else commands = 3, latency += trp + trcd, ++stats[2], ++stats[4];
-        if (addr_bus_free > issue) issue = addr_bus_free;
-        addr_bus_free = issue + commands;
+        int64_t row = rows[i], channel = row % channels, slot = row % bank_count;
+        if (channel < 0) channel += channels;
+        if (slot < 0) slot += bank_count;
+        int64_t *bank = banks + 3 * (channel * bank_count + slot), *s = stats + 11 * channel;
+        int64_t *ready = stream_ready + channel * stream_count + streams[i];
+        int64_t issue = bank[0] > *ready ? bank[0] : *ready, commands = 1, latency = tcas;
+        if (!bank[1]) commands = 2, latency += trcd, ++s[2];
+        else if (bank[2] == row) ++s[1];
+        else commands = 3, latency += trp + trcd, ++s[3], ++s[5];
+        if (s[10] > issue) issue = s[10];
+        s[10] = issue + commands;
         int64_t burst = (nbytes[i] - 1) / bus_bytes + 1, data_start = issue + latency;
-        if (data_bus_free > data_start) data_start = data_bus_free;
-        data_bus_free = data_start + burst;
-        stats[5] += nbytes[i], stats[6] += burst, stats[7] += commands;
+        if (s[9] > data_start) data_start = s[9];
+        s[9] = data_start + burst;
+        ++s[0], s[6] += nbytes[i], s[7] += burst, s[8] += commands;
         int close = close_mode == 2 ? !keep_open[i] : (int)close_mode;
-        bank[0] = data_bus_free + (close ? trp : 0), bank[1] = !close, bank[2] = rows[i];
-        stats[4] += close, stream_ready[streams[i]] = data_bus_free;
+        bank[0] = s[9] + (close ? trp : 0), bank[1] = !close, bank[2] = row;
+        s[5] += close, *ready = s[9];
     }
-    stats[3] = stats[1] + stats[2], stats[8] = data_bus_free;
+    for (int64_t *s = stats; s < stats + 11 * channels; s += 11) s[4] = s[2] + s[3];
+}
+int64_t occ_ranks(int64_t count, const int64_t *kmers, const int64_t *positions,
+    const int64_t *increments, const int64_t *starts, int64_t kmer_count, int64_t total,
+    int64_t max_pos, int64_t *ranks) {
+    /* A request after one of the same k-mer at no larger position starts
+       from that answer, others from the segment start (the last segment ends
+       at total); both gallop then bisect.  0 at a request out of range. */
+    int64_t previous_kmer = -1, previous_pos = 0, rank = 0;
+    for (int64_t i = 0; i < count; ++i) {
+        int64_t kmer = kmers[i], pos = positions[i], step = 1;
+        if ((uint64_t)kmer >= (uint64_t)kmer_count || (uint64_t)pos > (uint64_t)max_pos) return 0;
+        const int64_t *segment = increments + starts[kmer];
+        int64_t size = (kmer + 1 < kmer_count ? starts[kmer + 1] : total) - starts[kmer];
+        int64_t low = kmer == previous_kmer && pos >= previous_pos ? rank : 0, high = low;
+        while (high < size && segment[high] < pos) low = high + 1, high += step, step <<= 1;
+        if (high > size) high = size;
+        while (low < high) {
+            int64_t middle = low + (high - low) / 2;
+            if (segment[middle] < pos) low = middle + 1; else high = middle;
+        }
+        ranks[i] = rank = low, previous_kmer = kmer, previous_pos = pos;
+    }
+    return 1;
 }
 void sigmoid_in(int64_t rows, int64_t width, const double *restrict bias, double *restrict x) {
     for (int64_t i = 0; i < rows; ++i, x += width)
@@ -126,7 +155,8 @@ _INT64 = ctypes.c_int64
 _POINTER = ctypes.c_void_p
 _SIGNATURES = {
     "lru_hits": (None, [_INT64, _POINTER, _INT64, _INT64, _POINTER, _INT64, _POINTER, _POINTER]),
-    "dram_channel": (None, [_INT64] + [_POINTER] * 4 + [_INT64] * 6 + [_POINTER] * 3),
+    "dram_channels": (None, [_INT64] + [_POINTER] * 4 + [_INT64] * 8 + [_POINTER] * 3),
+    "occ_ranks": (_INT64, [_INT64] + [_POINTER] * 4 + [_INT64] * 3 + [_POINTER]),
     "sigmoid_in": (None, [_INT64, _INT64, _POINTER, _POINTER]),
     "sigmoid_out": (None, [_INT64, _POINTER]),
     "sigmoid_backward": (None, [_INT64, _INT64] + [_POINTER] * 5),
@@ -214,11 +244,13 @@ def lru_hits(addresses: np.ndarray, line_bytes: int, set_count: int, ways: int):
     return hits
 
 
-def dram_channel(
-    rows, nbytes, keep_open, streams, banks: int, timings, bus_bytes: int, close_mode: int
+def dram_channels(
+    rows, nbytes, keep_open, streams, channels: int, banks: int, timings, bus_bytes: int,
+    close_mode: int,
 ):
-    """``DRAMModel.process`` over one channel's columns, compiled: the
-    ``DRAMStats`` counters from ``row_hits`` to ``total_cycles``, or
+    """``DRAMModel.process`` over every channel's shard of one trace in one
+    issue-order pass, compiled: per channel (floored ``row % channels``)
+    the ``DRAMStats`` counters from ``requests`` to ``total_cycles``, or
     ``None`` where it declines (disabled, unavailable, no request, a
     value the model refuses, or counters that could pass int64: none
     exceeds ``count * (max nbytes + 3 + tcas + trcd + 2 trp)``).
@@ -235,14 +267,38 @@ def dram_channel(
     if library is None or not count or close_mode not in (0, 1, 2) or min(timings) < 0:
         return None
     peak = int(nbytes.max()) + 3 + sum(timings) + timings[2]
-    if min(banks, bus_bytes, nbytes.min(), streams.min() + 1) <= 0 or count * peak >= INT64_END:
+    stream_count = int(streams.max()) + 1
+    if min(channels, banks, bus_bytes, nbytes.min(), streams.min() + 1) <= 0 or (
+        count * peak >= INT64_END
+    ):
         return None
-    state = [np.zeros(size, dtype=np.int64) for size in (3 * banks, streams.max() + 1, 9)]
-    library.dram_channel(
-        count, *(c.ctypes.data for c in columns), banks, *timings, bus_bytes, close_mode,
-        *(a.ctypes.data for a in state),
+    state = [np.zeros(channels * n, dtype=np.int64) for n in (3 * banks, stream_count, 11)]
+    library.dram_channels(
+        count, *(c.ctypes.data for c in columns), channels, banks, *timings, bus_bytes,
+        close_mode, stream_count, *(a.ctypes.data for a in state),
     )
-    return state[2].tolist()
+    return state[2].reshape(channels, 11)[:, :10].tolist()
+
+
+def occ_ranks(kmers, positions, increments, starts, max_pos: int) -> np.ndarray | None:
+    """``ExmaTable.occ_batch`` compiled: per request, the entries of
+    ``increments[starts[kmer] : starts[kmer + 1]]`` (ascending offsets, the
+    last segment ending with *increments*) below its position; ``None``
+    where it declines (disabled, unavailable, a k-mer or position out of
+    range: found by the pass itself)."""
+    library = _loaded()
+    if library is None:
+        return None
+    columns = [np.ascontiguousarray(c, dtype=np.int64) for c in (kmers, positions, increments)]
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    if columns[1].size != columns[0].size:
+        raise ValueError("kmers and positions differ in length")
+    ranks = np.empty(columns[0].size, dtype=np.int64)
+    found = library.occ_ranks(
+        ranks.size, *(c.ctypes.data for c in columns), starts.ctypes.data, starts.size,
+        columns[2].size, max_pos, ranks.ctypes.data,
+    )
+    return ranks if found else None
 
 
 def _doubles(array, shape: tuple[int, ...]) -> bool:

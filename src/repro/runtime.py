@@ -57,8 +57,8 @@ R = TypeVar("R")
 #: Supported executor kinds.
 EXECUTORS = ("thread", "process")
 
-#: When truthy, the replay's LRU caches and DRAM channels and the MTL
-#: training epoch run their Python/NumPy specifications even where the
+#: When truthy, the replay's LRU caches, DRAM channels and Occ ranks and
+#: the MTL training epoch run their Python/NumPy specifications even where the
 #: compiled library is cached (:mod:`repro.native`), and each MTL leaf is
 #: fitted by its own ``np.polyfit`` instead of one stacked solve per
 #: sample count.

@@ -132,6 +132,21 @@ class TestSchedulerOrders:
         with pytest.raises(ValueError):
             scheduled_orders(wide, np.zeros(wide.size, dtype=np.int64), 1, True)
 
+    def test_stage_two_key_bound(self):
+        # Stage 2 sorts (batch * span + pos) * 4 + slot (four slots take
+        # two bits): one 4-entry batch packs while span * 4 < 2**63 and is
+        # refused from 2**63 on, though batch * span alone would still fit.
+        kmers = np.array([3, 1, 3, 0], dtype=np.int64)
+        for top, fits in ((2**61 - 2, True), (2**61 - 1, False), (2**62, False)):
+            positions = np.array([top, 0, 5, top], dtype=np.int64)
+            if fits:
+                stage1, stage2 = scheduled_orders(kmers, positions, 4, True)
+                assert stage1.tolist() == [3, 1, 0, 2]
+                assert stage2.tolist() == [1, 2, 3, 0]
+            else:
+                with pytest.raises(ValueError, match="too wide"):
+                    scheduled_orders(kmers, positions, 4, True)
+
 
 def _columnar_and_queue_hints(
     requests: list[OccRequest], cam_entries: int, two_stage: bool
@@ -269,9 +284,9 @@ class TestDRAMColumns:
             for row, nbytes, keep, stream in rows
         ]
         model = DRAMModel(DDR4Config(), page_policy=policy)
-        assert model.process_columns(MemoryTrace.from_requests(requests)) == model.process(
-            list(requests)
-        )
+        assert model.process_columns(MemoryTrace.from_requests(requests)) == [
+            model.process(list(requests))
+        ]
 
     def test_rejects_nonpositive_bytes(self):
         model = DRAMModel()

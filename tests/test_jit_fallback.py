@@ -4,13 +4,15 @@
 ctypes.  It holds the two hardware state machines of the replay — the
 set-associative LRU (``lru_hits``, specified by the stack-distance
 :func:`repro.hw.cache.simulate_lru_hits` and, above it,
-:meth:`~repro.hw.cache.SetAssociativeCache.access`) and one DRAM channel
-(``dram_channel``, specified by ``DRAMModel._columns_spec`` with its
-:func:`repro.hw.dram._bus_recurrence` and, above it,
-:meth:`~repro.hw.dram.DRAMModel.process`) — and the elementwise tail of
-an MTL training epoch, specified by the two NumPy functions in
-:mod:`repro.exma.mtl_index`.  The contract is **bit-identical outputs**
-on both paths, and a failed build is one warning, never an exception or
+:meth:`~repro.hw.cache.SetAssociativeCache.access`) and the DRAM
+channels (``dram_channels``, specified by ``split_channels`` and
+``DRAMModel._columns_spec`` with its :func:`repro.hw.dram._bus_recurrence`
+per shard and, above them, :meth:`~repro.hw.dram.DRAMModel.process`) —
+the replay's Occ ranks (``occ_ranks``, specified by
+``ExmaTable._occ_spec`` and, above it, :meth:`ExmaTable.occ`), and the
+elementwise tail of an MTL training epoch, specified by the two NumPy
+functions in :mod:`repro.exma.mtl_index`.  The contract is
+**bit-identical outputs** on both paths, and a failed build is one warning, never an exception or
 a different number.  The MTL leaves' stacked least-squares keeps the
 same contract with its spec, the per-k-mer ``np.polyfit``.
 """
@@ -140,13 +142,28 @@ def dram_requests(draw):
     ]
 
 
-def _spec_stats(model: DRAMModel, trace: MemoryTrace) -> hw_dram.DRAMStats:
+def _spec_stats(model: DRAMModel, trace: MemoryTrace, channels: int = 1) -> list:
     """``process_columns`` with the compiled pass unavailable."""
     library, native._library = native._library, None
     try:
-        return model.process_columns(trace)
+        return model.process_columns(trace, channels)
     finally:
         native._library = library
+
+
+def _shard_stats(model: DRAMModel, trace: MemoryTrace, channels: int) -> list:
+    """The object model over each of :meth:`MemoryTrace.split_channels`' shards."""
+    return [
+        model.process(
+            [
+                MemoryRequest(row=r, nbytes=n, keep_open_hint=k, stream=s)
+                for r, n, k, s in zip(
+                    *(c.tolist() for c in (shard.rows, shard.nbytes, shard.keep_open, shard.streams))
+                )
+            ]
+        )
+        for shard in trace.split_channels(channels)
+    ]
 
 
 class TestCompiledEqualsSpec:
@@ -156,7 +173,7 @@ class TestCompiledEqualsSpec:
         tcas, trcd, trp = timings
         model = DRAMModel(DDR4Config(tcas=tcas, trcd=trcd, trp=trp), page_policy=policy)
         trace = MemoryTrace.from_requests(requests)
-        assert model.process_columns(trace) == model.process(requests) == _spec_stats(model, trace)
+        assert model.process_columns(trace) == [model.process(requests)] == _spec_stats(model, trace)
 
     @pytest.mark.parametrize(
         "rows, streams",
@@ -167,7 +184,8 @@ class TestCompiledEqualsSpec:
     def test_edge_shapes(self, compiled, spec_calls, rows, streams, policy):
         requests = [MemoryRequest(row=r, stream=s) for r, s in zip(rows, streams)]
         model = DRAMModel(page_policy=policy)
-        assert model.process_columns(MemoryTrace.from_requests(requests)) == model.process(requests)
+        trace = MemoryTrace.from_requests(requests)
+        assert model.process_columns(trace) == [model.process(requests)]
         assert not spec_calls
 
     def test_guard_edge(self, compiled):
@@ -176,27 +194,33 @@ class TestCompiledEqualsSpec:
         bound = 3 + 16 + 16 + 2 * 16
         nbytes = (native.INT64_END - 1) // 4 - bound
         args = [_int64([0] * 4), _int64([nbytes] * 4), np.zeros(4, bool), _int64([0] * 4)]
-        assert native.dram_channel(*args, 48, (16, 16, 16), 16, 2) is not None
-        args[1] = _int64([nbytes + 1] * 4)
-        assert native.dram_channel(*args, 48, (16, 16, 16), 16, 2) is None
+        for channels in (1, 3):
+            args[1] = _int64([nbytes] * 4)
+            assert native.dram_channels(*args, channels, 48, (16, 16, 16), 16, 2) is not None
+            args[1] = _int64([nbytes + 1] * 4)
+            assert native.dram_channels(*args, channels, 48, (16, 16, 16), 16, 2) is None
 
     @pytest.mark.parametrize(
-        "stream, nbytes, banks, bus, timings, mode",
-        [(-1, 64, 48, 16, (16, 16, 16), 2), (0, 0, 48, 16, (16, 16, 16), 2),
-         (0, 64, 0, 16, (16, 16, 16), 2), (0, 64, 48, 0, (16, 16, 16), 2),
-         (0, 64, 48, 16, (16, -1, 16), 2), (0, 64, 48, 16, (16, 16, 16), 3)],
-        ids=["negative-stream", "empty-request", "no-bank", "no-bus", "negative-timing", "mode"],
+        "stream, nbytes, channels, banks, bus, timings, mode",
+        [(-1, 64, 2, 48, 16, (16, 16, 16), 2), (0, 0, 2, 48, 16, (16, 16, 16), 2),
+         (0, 64, 0, 48, 16, (16, 16, 16), 2), (0, 64, 2, 0, 16, (16, 16, 16), 2),
+         (0, 64, 2, 48, 0, (16, 16, 16), 2), (0, 64, 2, 48, 16, (16, -1, 16), 2),
+         (0, 64, 2, 48, 16, (16, 16, 16), 3)],
+        ids=["negative-stream", "empty-request", "no-channel", "no-bank", "no-bus",
+             "negative-timing", "mode"],
     )
-    def test_values_the_model_refuses_decline(self, compiled, stream, nbytes, banks, bus, timings, mode):
+    def test_values_the_model_refuses_decline(
+        self, compiled, stream, nbytes, channels, banks, bus, timings, mode
+    ):
         # process_columns refuses or never builds these; C would index out
         # of bounds or divide by zero.
         args = (_int64([0, 1]), _int64([64, nbytes]), np.zeros(2, bool), _int64([0, stream]))
-        assert native.dram_channel(*args, banks, timings, bus, mode) is None
+        assert native.dram_channels(*args, channels, banks, timings, bus, mode) is None
 
     def test_ragged_columns_are_refused(self, compiled):
         ones = _int64([1, 1])
         with pytest.raises(ValueError, match="length"):
-            native.dram_channel(ones, ones, np.zeros(1, bool), ones, 48, (16, 16, 16), 16, 2)
+            native.dram_channels(ones, ones, np.zeros(1, bool), ones, 1, 48, (16, 16, 16), 16, 2)
 
 
 class TestProcessColumnsBothPaths:
@@ -209,9 +233,9 @@ class TestProcessColumnsBothPaths:
             request.getfixturevalue("compiled")
         requests = _requests(seed=3)
         model = DRAMModel(DDR4Config(), page_policy=policy)
-        assert model.process_columns(MemoryTrace.from_requests(requests)) == model.process(
-            requests
-        )
+        assert model.process_columns(MemoryTrace.from_requests(requests)) == [
+            model.process(requests)
+        ]
         assert bool(spec_calls) == (path == "python")
 
     def test_negative_rows_and_sparse_streams_run_compiled(self, compiled, spec_calls):
@@ -224,10 +248,10 @@ class TestProcessColumnsBothPaths:
         trace = MemoryTrace.from_requests(requests)
         models = [DRAMModel(page_policy=policy) for policy in PagePolicy]
         for model in models:
-            assert model.process_columns(trace) == model.process(requests)
+            assert model.process_columns(trace) == [model.process(requests)]
         assert not spec_calls
         for model in models:
-            assert _spec_stats(model, trace) == model.process(requests)
+            assert _spec_stats(model, trace) == [model.process(requests)]
         assert spec_calls == [len(requests)] * len(models)
 
     @pytest.mark.parametrize("policy", list(PagePolicy))
@@ -237,10 +261,171 @@ class TestProcessColumnsBothPaths:
         requests = _requests(seed=5, count=200)
         requests[17] = MemoryRequest(row=3, nbytes=2**60 - 5, stream=1)
         model = DRAMModel(page_policy=policy)
-        stats = model.process_columns(MemoryTrace.from_requests(requests))
+        (stats,) = model.process_columns(MemoryTrace.from_requests(requests))
         assert spec_calls == [len(requests)]
         assert stats == model.process(requests)
         assert stats.total_cycles > 2**56
+
+
+class TestChannelsInOnePass:
+    """``process_columns(trace, c)`` is :meth:`DRAMModel.process` over each
+    ``split_channels(c)`` shard, whichever path computes it."""
+
+    @given(dram_requests(), st.integers(1, 5), st.sampled_from(list(PagePolicy)))
+    @kernel_settings
+    def test_oracle(self, compiled, requests, channels, policy):
+        model = DRAMModel(page_policy=policy)
+        trace = MemoryTrace.from_requests(requests)
+        expected = _shard_stats(model, trace, channels)
+        assert model.process_columns(trace, channels) == expected
+        assert _spec_stats(model, trace, channels) == expected
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("decline", [None, "huge-request", "no-library"])
+    def test_declines_and_empty_channels(self, compiled, monkeypatch, spec_calls, channels, decline):
+        # Rows -150..149 in steps of 5: with five channels every row lands
+        # on channel 0 and the other four stay empty.
+        requests = [
+            MemoryRequest(row=row, nbytes=1 + 37 * i % 700, keep_open_hint=i % 3 == 0, stream=i % 7)
+            for i, row in enumerate(range(-150, 150, 5))
+        ]
+        if decline == "huge-request":
+            requests[17] = MemoryRequest(row=-65, nbytes=2**60 - 5, stream=1)
+        elif decline == "no-library":
+            monkeypatch.setattr(native, "_library", None)
+        model = DRAMModel(page_policy=PagePolicy.DYNAMIC)
+        trace = MemoryTrace.from_requests(requests)
+        per_channel = model.process_columns(trace, channels)
+        assert per_channel == _shard_stats(model, trace, channels)
+        assert sum(stats.requests for stats in per_channel) == len(requests)
+        if channels == 5:
+            assert per_channel[1:] == [hw_dram.DRAMStats()] * 4
+        # The spec runs once per non-empty shard, and only on a decline.
+        shards = sum(1 for shard in trace.split_channels(channels) if len(shard))
+        assert len(spec_calls) == (0 if decline is None else shards)
+
+    @pytest.mark.parametrize("channels", [0, -1, True, 2.0])
+    def test_refuses_a_channel_count_that_is_not_positive(self, channels):
+        trace = MemoryTrace.from_requests([MemoryRequest(row=0)])
+        with pytest.raises(ValueError, match="channels"):
+            DRAMModel().process_columns(trace, channels)
+
+    def test_empty_trace_reads_empty_channels(self, compiled):
+        assert DRAMModel().process_columns(MemoryTrace(), 3) == [hw_dram.DRAMStats()] * 3
+
+
+@pytest.fixture(scope="module")
+def occ_table():
+    """3-mers over a reference with no ``T`` but a long ``A`` run: 37 of the
+    64 k-mers never occur, and ``AAA`` owns a segment of 300 increments."""
+    rng = np.random.default_rng(11)
+    return ExmaTable("".join(rng.choice(list("ACG"), 900)) + "A" * 300 + "CG" * 50, k=3)
+
+
+@pytest.fixture
+def occ_spec_calls(monkeypatch):
+    """Record the request count of each run of ``ExmaTable.occ_batch``'s spec."""
+    calls = []
+    spec = ExmaTable._occ_spec
+
+    def counted(table, kmers, positions):
+        calls.append(kmers.size)
+        return spec(table, kmers, positions)
+
+    monkeypatch.setattr(ExmaTable, "_occ_spec", counted)
+    return calls
+
+
+def _occ_spec(table: ExmaTable, kmers, positions) -> np.ndarray:
+    """``occ_batch`` with the compiled pass unavailable."""
+    library, native._library = native._library, None
+    try:
+        return table.occ_batch(kmers, positions)
+    finally:
+        native._library = library
+
+
+@st.composite
+def occ_requests(draw, kmer_count: int = 64, n: int = 1301):
+    """Request columns in one of four orders, over every k-mer (absent ones
+    included) and positions weighted to both ends, 0 and n."""
+    position = st.one_of(st.sampled_from([0, 1, n - 1, n]), st.integers(0, n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, kmer_count - 1), position), max_size=80))
+    order = draw(st.sampled_from(["sorted", "reverse-sorted", "random", "repeated"]))
+    if order == "sorted":
+        pairs.sort()
+    elif order == "reverse-sorted":
+        pairs.sort(reverse=True)
+    elif order == "repeated":
+        pairs = sorted(pairs + pairs[: len(pairs) // 2])
+    kmers, positions = zip(*pairs) if pairs else ((), ())
+    return _int64(kmers), _int64(positions)
+
+
+class TestOccRanks:
+    """The compiled Occ walk equals the augmented-array ``searchsorted`` and
+    the scalar :meth:`ExmaTable.occ` in any request order."""
+
+    def test_table_shape(self, occ_table):
+        assert occ_table.reference_length == 1301
+        assert (occ_table.frequencies() == 0).sum() == 37
+        assert occ_table.frequency("AAA") >= 300
+
+    @given(occ_requests())
+    @kernel_settings
+    def test_oracle(self, compiled, occ_spec_calls, occ_table, columns):
+        kmers, positions = columns
+        spec_runs = len(occ_spec_calls)  # hypothesis reuses the fixture
+        ranks = occ_table.occ_batch(kmers, positions)
+        assert len(occ_spec_calls) == spec_runs
+        expected = [occ_table.occ(int(k), int(p)) for k, p in zip(kmers, positions)]
+        assert ranks.dtype == np.int64 and ranks.tolist() == expected
+        assert _occ_spec(occ_table, kmers, positions).tolist() == expected
+
+    def test_every_key_in_order_walks_every_segment(self, compiled, occ_spec_calls, occ_table):
+        # All 64 x 1302 keys sorted: each k-mer's segment is walked from
+        # its first entry to past its last, absent k-mers' empty ones too.
+        n = occ_table.reference_length
+        kmers = np.repeat(np.arange(64, dtype=np.int64), n + 1)
+        positions = np.tile(np.arange(n + 1, dtype=np.int64), 64)
+        for order in (slice(None), slice(None, None, -1)):
+            ranks = occ_table.occ_batch(kmers[order], positions[order])
+            assert np.array_equal(ranks, _occ_spec(occ_table, kmers[order], positions[order]))
+        assert ranks[0] == 0 and ranks[-1] == occ_table.frequency(63)
+        assert len(occ_spec_calls) == 2
+
+    def test_two_dimensional_requests_keep_their_shape(self, compiled, occ_table):
+        kmers = _int64([[0, 5, 5], [63, 0, 2]])
+        positions = _int64([[0, 1301, 7], [1301, 1301, 0]])
+        assert np.array_equal(
+            occ_table.occ_batch(kmers, positions), _occ_spec(occ_table, kmers, positions)
+        )
+
+    def test_requests_out_of_range_decline(self, compiled, occ_spec_calls, occ_table):
+        # The pass finds them itself (C would read past the offsets), and
+        # occ_batch then refuses them on the spec path.
+        increments = _int64([1, 3, 5, 8, 13, 2, 4, 6, 9, 0, 7, 11])
+        starts = _int64([0, 5, 9])  # three segments, the last ending with increments
+        ranks = native.occ_ranks(_int64([2, 0, 1]), _int64([7, 0, 20]), increments, starts, 20)
+        assert ranks.tolist() == [1, 0, 4]
+        refused = (([3, 0], [7, 7]), ([0, -1], [7, 7]), ([0, 1], [-1, 7]), ([0, 1], [7, 21]))
+        for kmers, positions in refused:
+            assert native.occ_ranks(_int64(kmers), _int64(positions), increments, starts, 20) is None
+        with pytest.raises(ValueError, match="length"):
+            native.occ_ranks(_int64([0, 1]), _int64([7]), increments, starts, 20)
+        for kmers, positions in (([0, 64], [1, 1]), ([0, -1], [1, 1]), ([5, 5], [1302, 0])):
+            with pytest.raises(ValueError, match="out of range"):
+                occ_table.occ_batch(_int64(kmers), _int64(positions))
+        assert occ_spec_calls == []
+
+    def test_pure_python_runs_the_spec(self, monkeypatch, unresolved, occ_spec_calls, occ_table):
+        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
+        kmers, positions = _int64([0, 0, 5, 63]), _int64([1301, 0, 700, 1301])
+        ranks = occ_table.occ_batch(kmers, positions)
+        assert occ_spec_calls == [4]
+        assert ranks.tolist() == [occ_table.occ(int(k), int(p)) for k, p in zip(kmers, positions)]
+        starts = _int64([0] * 64)
+        assert native.occ_ranks(kmers, positions, occ_table.increments, starts, 1301) is None
 
 
 def _lru_three_ways(addresses, capacity: int, line: int, ways: int):
@@ -705,7 +890,7 @@ class TestLoader:
             warnings.simplefilter("error")
             second = model.process_columns(trace)
             hits = hw_cache.simulate_lru_hits(addresses, 2048, 64, 4)
-        assert first == second == model.process(requests)
+        assert first == second == [model.process(requests)]
         assert np.array_equal(hits, _reference_hits(addresses, 2048, 64, 4))
         assert len(spec_calls) == 2 and len(lru_spec_calls) == 1
         assert not native.kernel_active()
@@ -725,7 +910,7 @@ class TestLoader:
             index.predict_many(np.array(index.modelled_kmers), np.zeros(len(index.modelled_kmers)))
             requests = _requests(seed=4)
             trace = MemoryTrace.from_requests(requests)
-            stats = DRAMModel(page_policy=PagePolicy.DYNAMIC).process_columns(trace)
+            (stats,) = DRAMModel(page_policy=PagePolicy.DYNAMIC).process_columns(trace)
             hw_cache.simulate_lru_hits(trace.rows * 64, 2048, 64, 4)
         messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert len(messages) == 1 and "compiled kernels unavailable" in messages[0]
@@ -740,7 +925,9 @@ class TestLoader:
             warnings.simplefilter("error")
             assert not native.kernel_active()
         zero = _int64([0])
-        assert native.dram_channel(zero, zero + 64, np.zeros(1, bool), zero, 1, (0, 0, 0), 1, 1) is None
+        keep = np.zeros(1, bool)
+        assert native.dram_channels(zero, zero + 64, keep, zero, 1, 1, (0, 0, 0), 1, 1) is None
+        assert native.occ_ranks(zero, zero, zero, zero, 1) is None
         assert native.lru_hits(_int64([0, 64]), 64, 1, 1) is None
         hidden = np.full((3, 2), 0.5)
         assert not native.sigmoid(hidden, np.zeros(2))
@@ -793,7 +980,7 @@ class TestLoader:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert native.kernel_active()
-        assert results == [model.process(requests)] * 8
+        assert results == [[model.process(requests)]] * 8
         assert len(list(unresolved.iterdir())) == 1
 
     def test_concurrent_first_use_in_two_processes(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Benchmark: Fig. 15 — coalescing-window sweep + shard scaling record."""
+"""Benchmark: Fig. 15 — coalescing-window sweep + the host-scaling record."""
 
 from __future__ import annotations
 
@@ -7,14 +7,7 @@ import os
 
 import pytest
 
-from repro.experiments import (
-    fig15_window,
-    format_fig15,
-    format_shard_scaling,
-    run_fig15_window,
-    run_shard_scaling,
-    write_record,
-)
+from repro.experiments import format_fig15, run_fig15_window, scaling, write_record
 from repro.testing import run_once
 
 
@@ -44,54 +37,47 @@ def test_fig15_window_sweep(benchmark, report):
     assert posts[-1] < result.rows[0].pre_merge_requests
 
 
-def test_shard_scaling_recorded(report):
-    """Record sharded-vs-serial wall clock (no speedup assertion for the
-    forced rows: wall-clock wins additionally need hardware parallelism,
-    which CI containers may not have; equivalence is asserted elsewhere)."""
-    result = run_shard_scaling(
-        genome_length=20_000,
-        seed=0,
-        shard_counts=(1, 2, 4),
-        batch_size=256,
-        repeats=3,
-        include_forced=True,
-    )
+def test_scaling_recorded(report):
+    """Record each parallel layer against its serial run (no speedup
+    assertion: wall-clock wins additionally need hardware parallelism,
+    which CI containers may not have; the multicore CI leg holds the
+    floors).  Every point is a forced split, and equals serial."""
+    result = scaling.run_scaling(genome_length=20_000, seed=0, batch_size=256, repeats=3)
     rows = result.rows
     report.append("")
-    report.append(format_shard_scaling(result))
-    assert all(row.seconds > 0 for row in rows)
-    assert {row.executor for row in rows} == {"serial", "thread", "process"}
-    assert {row.forced for row in rows} == {False, True}
-    # The adaptive engine clamps to the hardware; the forced rows always
-    # run the full requested split.
-    from repro.runtime import available_parallelism
-
-    for row in rows:
-        if row.forced:
-            assert row.effective_shards == row.shards
-        elif row.executor != "serial":
-            assert row.effective_shards == min(row.shards, available_parallelism())
+    report.append(scaling.format_scaling(result))
+    assert all(row.seconds > 0 and row.serial_seconds > 0 for row in rows)
+    assert all(row.results_equal for row in rows)
+    assert [(row.layer, row.executor, row.workers) for row in rows] == [
+        (layer, executor, workers)
+        for layer in ("search", "replay")
+        for executor in ("thread", "process")
+        for workers in (2, 4)
+    ]
+    assert result.replay_epochs == 16
 
 
-def test_shard_scaling_json_record(tmp_path, report):
-    """The shard-scaling record round-trips through the one writer with
-    the workload, the host block and one entry per row."""
-    result = run_shard_scaling(
-        genome_length=12_000, seed=0, shard_counts=(1, 2), batch_size=64, repeats=1
+def test_scaling_json_record(tmp_path, report):
+    """The scaling record round-trips through the one writer with the
+    workload, the host block and one entry per point."""
+    result = scaling.run_scaling(
+        genome_length=12_000, seed=0, batch_size=64, repeats=1, workers=(2,), executor="thread"
     )
     rows = result.rows
-    path = tmp_path / "shard_scaling.json"
-    record = write_record(str(path), fig15_window.record(result))
+    path = tmp_path / "scaling.json"
+    record = write_record(str(path), scaling.record(result))
     loaded = json.loads(path.read_text())
     assert loaded == record
-    assert loaded["benchmark"] == "shard_scaling"
+    assert loaded["benchmark"] == "scaling"
     assert loaded["workload"] == {
-        "genome_length": 12_000, "batch_size": 64, "query_length": 48, "seed": 0, "repeats": 1
+        "genome_length": 12_000, "seed": 0, "batch_size": 64, "query_length": 48,
+        "repeats": 1, "replay_epochs": 16,
     }
     assert loaded["host"]["host_cpus"] == os.cpu_count()
     assert loaded["host"]["available_cpus"] >= 1
-    assert len(loaded["rows"]) == len(rows)
+    assert len(loaded["rows"]) == len(rows) == 2
     for entry, row in zip(loaded["rows"], rows):
-        assert entry["shards"] == row.shards
+        assert entry["layer"] == row.layer
+        assert entry["workers"] == row.workers
         assert entry["executor"] == row.executor
         assert entry["speedup"] == pytest.approx(row.speedup, abs=5e-3)

@@ -62,13 +62,6 @@ ENTRY_POINTS: tuple[tuple[str, ...], ...] = (
     ("examples/assembly_and_compression.py",),
     ("examples/read_alignment.py",),
     # Every registry entry; the record-bearing ones at their CI smoke rows.
-    (*_CLI, "experiment", "accel-replay", "--genome-length", "20000", "--batch-size", "1000",
-     "--json", "{tmp}/accel_replay.json"),
-    (*_CLI, "experiment", "accel-replay", "--genome-length", "8000", "--batch-size", "400",
-     "--repeats", "1", "--replay-workers", "1,2", "--replay-batches", "4",
-     "--replay-executor", "process"),
-    ("REPRO_PURE_PYTHON=1", *_CLI, "experiment", "accel-replay", "--genome-length", "4000",
-     "--batch-size", "200", "--repeats", "1", "--replay-workers", "1"),
     (*_CLI, "experiment", "chaos", "--genome-length", "8000", "--rate", "300",
      "--duration", "0.3", "--json", "{tmp}/chaos.json"),
     (*_CLI, "experiment", "dse", "--genome-length", "8000", "--workers", "2",
@@ -89,8 +82,14 @@ ENTRY_POINTS: tuple[tuple[str, ...], ...] = (
     (*_CLI, "serving-bench", "--genome-length", "8000", "--rate", "400", "--duration", "1.0",
      "--workers", "1,2", "--rate-sweep", "1,4,32", "--sweep-duration", "0.25",
      "--sweep-queue-capacity", "256", "--json", "{tmp}/serving.json"),
-    (*_CLI, "experiment", "shard-scaling", "--genome-length", "20000", "--batch-size", "256",
-     "--repeats", "3", "--json", "{tmp}/shard_scaling.json"),
+    (*_CLI, "experiment", "scaling", "--genome-length", "20000", "--batch-size", "1000",
+     "--repeats", "3", "--json", "{tmp}/scaling.json"),
+    # Both layers on process workers alone, and every compiled kernel's
+    # spec: the stack trains an MTL index, and the sweep replays.
+    (*_CLI, "experiment", "scaling", "--genome-length", "8000", "--batch-size", "400",
+     "--repeats", "1", "--workers", "2", "--executor", "process"),
+    ("REPRO_PURE_PYTHON=1", *_CLI, "experiment", "scaling", "--genome-length", "4000",
+     "--batch-size", "200", "--repeats", "1", "--workers", "2", "--executor", "thread"),
     (*_CLI, "experiment", "table2"),
     # search: every backend, a sharded batch, and a FASTA reference.
     *(
@@ -191,6 +190,8 @@ EXPLAINED: dict[str, str] = {
     "lisa/ipbwt.py:IPBWT.reference_length": "protocol: what LisaBackend.reference_length, "
     "abstract in the SearchBackend ABC, returns",
     "engine/coalesce.py:RequestStream.__getitem__": "protocol: abstract in the Sequence ABC",
+    "engine/coalesce.py:RequestStream.__iter__": "protocol: Sequence iteration over the "
+    "lazy object view (tests/test_coalescing.py TestRequestStream); the replay reads columns",
     "engine/window.py:WindowedBatch.__getitem__": "protocol: abstract in the Sequence ABC",
     "engine/window.py:WindowedBatch.__len__": "protocol: abstract in the Sequence ABC",
     "engine/window.py:WindowedBatch.__iter__": "protocol: Sequence iteration over the "
@@ -225,6 +226,8 @@ EXPLAINED: dict[str, str] = {
     "index error of a batch",
     "engine/sharded.py:ShardedQueryEngine.search_batch_per_shard": "test-seam: the "
     "per-shard results tests/test_sharded.py merges naively",
+    "engine/coalesce.py:RequestStream.materialize": "test-seam: the object view tests "
+    "check stays cached until the stream grows (tests/test_coalescing.py)",
     "engine/window.py:CoalescingWindow.pending": "test-seam: tests read the unflushed "
     "batch count",
     "engine/window.py:WindowedBatch.materialised": "test-seam: tests check the object "

@@ -48,6 +48,7 @@ from ..hw.scheduler import (
     FrFcfsScheduler,
     TwoStageScheduler,
     keep_open_flags,
+    kmer_grouping,
     pair_requests_by_kmer,
     scheduled_orders,
 )
@@ -408,9 +409,7 @@ class ExmaAccelerator(runtime.PoolOwner):
         # 2-stage order whichever scheduler issues the requests.
         stage2_kmers = kmers[stage2]
         grouped = (
-            stage1
-            if config.two_stage_scheduling
-            else scheduled_orders(kmers, positions, cam_entries, True)[0]
+            stage1 if config.two_stage_scheduling else kmer_grouping(kmers, cam_entries)
         )
         keep_open = keep_open_flags(kmers, grouped, stage2, cam_entries)
         modelled = self._modelled_lookup[stage2_kmers]

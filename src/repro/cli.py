@@ -196,7 +196,10 @@ def _run_search(args: argparse.Namespace) -> int:
     )
     print(f"reference: {len(reference):,} bp, backend {backend_name}, step k={args.step}")
     if engine.shards > 1:
-        print(f"sharded: {engine.shards} shards via {engine.executor} executor")
+        print(
+            f"sharded: {engine.shards} shards via {engine.executor} executor, "
+            f"{engine.effective_shards} effective"
+        )
     result = engine.search_batch(args.queries)
     for query, interval in zip(args.queries, result.intervals):
         positions = (

@@ -256,7 +256,7 @@ class ShardedQueryEngine(QueryEngine):
     shard count to the hardware — it runs exactly the split it was
     configured with (the *verbatim* policy of
     :func:`repro.runtime.resolve_workers`), which is what the equivalence
-    suite and the forced rows of the shard-scaling benchmark rely on.
+    suite and the search layer of ``experiment scaling`` rely on.
 
     Construction is :class:`QueryEngine`'s (prebuilt backend, or registry
     name + reference, plus ``shards``/``executor``).  Every batch API

@@ -11,7 +11,7 @@ from .fig06_prior import run_fig6
 from .fig10_exma_tradeoff import run_fig10
 from .fig11_12_increments import run_fig11_12
 from .fig13_index_error import format_fig13, run_fig13
-from .fig15_window import format_fig15, format_shard_scaling, run_fig15_window, run_shard_scaling
+from .fig15_window import format_fig15, run_fig15_window
 from .fig18_throughput import format_fig18, format_fig18_batching, run_fig18, run_fig18_batching
 from .fig18_window import format_fig18_window, run_fig18_window
 from .fig19_20_apps import format_fig19, format_fig20, run_fig19_20
@@ -29,7 +29,6 @@ __all__ = [
     "format_fig18_window",
     "format_fig19",
     "format_fig20",
-    "format_shard_scaling",
     "format_table2",
     "run_fig1",
     "run_fig6",
@@ -44,7 +43,6 @@ __all__ = [
     "run_fig21",
     "run_fig22",
     "run_fig23",
-    "run_shard_scaling",
     "run_table1",
     "run_table2",
     "write_record",

@@ -4,7 +4,7 @@
 Each :class:`Experiment` says how one harness meets the command line:
 ``add_arguments`` declares exactly the flags that apply to it (so a
 foreign flag is an argparse error, not a silent no-op), ``run`` turns the
-parsed namespace into a result and ``format`` renders it.  The six
+parsed namespace into a result and ``format`` renders it.  The five
 record-bearing entries also carry ``record`` (result →
 :class:`~repro.experiments.record.Record`), which gives them ``--json``
 and their :meth:`~Experiment.verdict`: the pinned invariants the record
@@ -12,8 +12,7 @@ declares as ``bool`` headlines, stated once — the CLI exits 1 on a broken
 one, the ``pins`` gate fails on it and ``bench-diff`` never lets it flip.
 
 Flags are declared with ``dest=`` the keyword their harness takes, so
-:func:`_call` hands the namespace straight over; only shard-scaling,
-which derives its shard list, spells out its own ``run``.
+:func:`_call` hands every entry's namespace straight over.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..runtime import EXECUTORS
-from . import accel_replay, chaos, dse, fig15_window, fig18_window, serving
+from . import chaos, dse, fig15_window, fig18_window, scaling, serving
 from .fig01_breakdown import format_fig1, run_fig1
 from .fig06_prior import run_fig6
 from .fig10_exma_tradeoff import run_fig10
@@ -150,16 +149,6 @@ def _repeats_flag(parser) -> None:
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best-of)")
 
 
-def _replay_executor_flag(parser, dest: str) -> None:
-    parser.add_argument(
-        "--replay-executor",
-        dest=dest,
-        choices=EXECUTORS,
-        default="thread",
-        help="worker pool kind (default: thread)",
-    )
-
-
 def _load_flags(parser, rate: float, duration: float) -> None:
     """The open-loop load generator's two values (serving and chaos)."""
     parser.add_argument("--rate", type=float, default=rate, help="mean client arrivals per second")
@@ -207,33 +196,6 @@ def add_serving_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _accel_replay_flags(parser) -> None:
-    _reference_flags(parser)
-    _query_flags(parser, 2000, dest="query_count")
-    _repeats_flag(parser)
-    parser.add_argument(
-        "--megabase-length",
-        type=int,
-        default=0,
-        help="also measure a Table-I-config row over a reference of this many bp "
-        "(0 disables; the recorded benchmark uses 1000000)",
-    )
-    parser.add_argument(
-        "--replay-workers",
-        type=_csv(int),
-        default=(1, 2, 4),
-        metavar="N[,N...]",
-        help="replay-pool worker counts the epoch-parallel sweep visits",
-    )
-    _replay_executor_flag(parser, "replay_executor")
-    parser.add_argument(
-        "--replay-batches",
-        type=int,
-        default=8,
-        help="query batches in the sweep (each batch's flush is one parallel epoch)",
-    )
-
-
 def _chaos_flags(parser) -> None:
     _reference_flags(parser)
     _load_flags(parser, rate=400.0, duration=0.5)
@@ -255,7 +217,13 @@ def _dse_flags(parser) -> None:
         "(default: the built-in 4-knob toy grid)",
     )
     parser.add_argument("--workers", type=int, default=1, help="concurrent design-point jobs")
-    _replay_executor_flag(parser, "executor")
+    parser.add_argument(
+        "--replay-executor",
+        dest="executor",
+        choices=EXECUTORS,
+        default="thread",
+        help="worker pool kind (default: thread)",
+    )
 
 
 def _fig15_window_flags(parser) -> None:
@@ -270,29 +238,22 @@ def _fig18_window_flags(parser) -> None:
     _query_flags(parser, 64)
 
 
-def _shard_scaling_flags(parser) -> None:
+def _scaling_flags(parser) -> None:
     _reference_flags(parser)
     _query_flags(parser, 256)
     _repeats_flag(parser)
     parser.add_argument(
-        "--shards", type=int, default=4, help="largest shard count timed, beside 1 and 2"
+        "--workers",
+        type=_csv(positive_int),
+        default=(2, 4),
+        metavar="N[,N...]",
+        help="worker counts each layer is timed at, against its serial run",
     )
     parser.add_argument(
         "--executor",
         choices=EXECUTORS,
         default=None,
         help="time only this worker pool kind (default: both)",
-    )
-
-
-def _run_shard_scaling(args: argparse.Namespace) -> fig15_window.ShardScalingResult:
-    kwargs = _kwargs(args)
-    shards, executor = kwargs.pop("shards"), kwargs.pop("executor")
-    return fig15_window.run_shard_scaling(
-        shard_counts=tuple(sorted({1, 2, shards})),
-        executors=(executor,) if executor else ("thread", "process"),
-        include_forced=True,
-        **kwargs,
     )
 
 
@@ -358,13 +319,6 @@ def _format_fig23(comparison) -> str:
 # --------------------------------------------------------------------- #
 
 EXPERIMENTS: "tuple[Experiment, ...]" = (
-    Experiment(
-        "accel-replay",
-        _accel_replay_flags,
-        _call(accel_replay.run_accel_replay),
-        accel_replay.format_accel_replay,
-        accel_replay.record,
-    ),
     Experiment("chaos", _chaos_flags, _call(chaos.run_chaos), chaos.format_chaos, chaos.record),
     Experiment("dse", _dse_flags, _call(dse.run_dse), dse.format_dse, dse.record),
     Experiment("fig1", _reference_flags, _call(run_fig1), format_fig1),
@@ -400,6 +354,13 @@ EXPERIMENTS: "tuple[Experiment, ...]" = (
     ),
     Experiment("fig21", lambda parser: None, _call(run_fig21), _format_fig21),
     Experiment("fig23", _reference_flags, _call(run_fig23), _format_fig23),
+    Experiment(
+        "scaling",
+        _scaling_flags,
+        _call(scaling.run_scaling),
+        scaling.format_scaling,
+        scaling.record,
+    ),
     # Also spelled `repro-exma serving-bench`.
     Experiment(
         "serving",
@@ -407,13 +368,6 @@ EXPERIMENTS: "tuple[Experiment, ...]" = (
         _call(serving.run_serving_bench),
         serving.format_serving,
         serving.record,
-    ),
-    Experiment(
-        "shard-scaling",
-        _shard_scaling_flags,
-        _run_shard_scaling,
-        fig15_window.format_shard_scaling,
-        fig15_window.record,
     ),
     Experiment("table2", lambda parser: None, _call(run_table2), format_table2),
 )

@@ -96,6 +96,13 @@ class TwoStageScheduler:
             yield ScheduledBatch(stage1=stage1, stage2=stage2)
 
 
+def _batch_of(count: int, cam_entries: int) -> np.ndarray:
+    """The CAM batch of each of *count* arrival slots, ``slot // cam_entries``
+    (one ``repeat``, several times cheaper than an int64 floor division)."""
+    batches = np.arange(-(-count // cam_entries), dtype=np.int64)
+    return np.repeat(batches, cam_entries)[:count]
+
+
 def _batch_major(batch_of: np.ndarray, values: np.ndarray, scale: int = 1) -> np.ndarray:
     """``(batch * span + value) * scale``: a sort key whose stable argsort
     is the per-batch stable sort by *value* (batches stay in order)."""
@@ -103,6 +110,23 @@ def _batch_major(batch_of: np.ndarray, values: np.ndarray, scale: int = 1) -> np
     if int(batch_of[-1] + 1) * span * scale >= 2**63:
         raise ValueError("request keys are too wide to pack per CAM batch")
     return (batch_of * span + values) * scale
+
+
+def kmer_grouping(kmers: np.ndarray, cam_entries: int) -> np.ndarray:
+    """Stage 1 of the 2-stage scheduler over a whole packed request stream.
+
+    The stable per-batch k-mer sort of the arrival order, as one stable
+    argsort of a packed ``batch * span + kmer`` column (a flushed window
+    arrives k-mer-sorted, which it takes in linear time): an index array
+    whose consecutive ``cam_entries``-sized slices are the CAM batches,
+    each with its equal k-mers adjacent.
+    """
+    if cam_entries <= 0:
+        raise ValueError("cam_entries must be positive")
+    kmers = np.asarray(kmers, dtype=np.int64)
+    if kmers.size == 0:
+        return np.arange(0, dtype=np.int64)
+    return np.argsort(_batch_major(_batch_of(kmers.size, cam_entries), kmers), kind="stable")
 
 
 def scheduled_orders(
@@ -122,10 +146,9 @@ def scheduled_orders(
     the arrival order, stage 2 the stable per-batch pos sort of the
     stage-1 order — because :meth:`~repro.hw.cam.SchedulingQueue
     .sort_by_pos` reorders the already k-mer-sorted residents.  Stage 1
-    is one stable argsort of a packed ``batch * span + kmer`` column (a
-    flushed window arrives k-mer-sorted, which it takes in linear time);
-    stage 2 one plain sort of the unique ``(batch * span + pos) << b |
-    slot``, each request's stage-1 slot in its batch in the low ``b`` bits.
+    is :func:`kmer_grouping`; stage 2 one plain sort of the unique
+    ``(batch * span + pos) << b | slot``, each request's stage-1 slot in
+    its batch in the low ``b`` bits.
     """
     if cam_entries <= 0:
         raise ValueError("cam_entries must be positive")
@@ -136,8 +159,8 @@ def scheduled_orders(
         return arrival, arrival
     # Both stages keep every batch in its slice, so slot i of either
     # order belongs to batch i // cam_entries.
-    batch_of = arrival // cam_entries
-    stage1 = np.argsort(_batch_major(batch_of, kmers), kind="stable")
+    batch_of = _batch_of(kmers.size, cam_entries)
+    stage1 = kmer_grouping(kmers, cam_entries)
     slot_mask = (1 << (cam_entries - 1).bit_length()) - 1
     batch_start = batch_of * cam_entries
     keys = _batch_major(batch_of, positions[stage1], slot_mask + 1)

@@ -34,13 +34,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel import ExmaAccelerator, exma_accelerator
-from repro.accel.config import ExmaAcceleratorConfig
+from repro.accel.config import ExmaAcceleratorConfig, exma_full_config
 from repro.engine import QueryEngine
 from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend, create_backend
 from repro.engine.window import CoalescingWindow, WindowedBatch
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.search import OccRequest
 from repro.exma.table import ExmaTable
+from repro.experiments.common import scaled_config
 from repro.genome.sequence import RepeatProfile, random_genome
 from repro.hw.cache import SetAssociativeCache, simulate_lru_hits
 from repro.hw.cam import CamConfig
@@ -56,6 +57,7 @@ from repro.hw.scheduler import (
     FrFcfsScheduler,
     TwoStageScheduler,
     keep_open_flags,
+    kmer_grouping,
     pair_requests_by_kmer,
     scheduled_orders,
 )
@@ -126,6 +128,16 @@ class TestSchedulerOrders:
         hints, hints_ref = _columnar_and_queue_hints(requests, cam_entries, two_stage)
         assert hints == hints_ref
 
+    def test_kmer_grouping_is_stage_one(self):
+        kmers = np.array([3, 1, 3, 0, 2, 2, 1], dtype=np.int64)
+        positions = np.arange(kmers.size, dtype=np.int64)
+        for cam_entries in (1, 3, 7):
+            stage1, _ = scheduled_orders(kmers, positions, cam_entries, True)
+            assert kmer_grouping(kmers, cam_entries).tolist() == stage1.tolist()
+        assert kmer_grouping(np.empty(0, dtype=np.int64), 4).size == 0
+        with pytest.raises(ValueError):
+            kmer_grouping(kmers, 0)
+
     def test_rejects_keys_too_wide_to_pack(self):
         # batch * span + k-mer would wrap int64: 2**20 batches x 2**43 codes.
         wide = np.full(2**20 + 1, 2**43, dtype=np.int64)
@@ -161,8 +173,7 @@ def _columnar_and_queue_hints(
         for _, hint in pair_requests_by_kmer(batch.stage2)
     ]
     _, stage2 = scheduled_orders(kmers, positions, cam_entries, two_stage)
-    grouped, _ = scheduled_orders(kmers, positions, cam_entries, True)
-    hints = keep_open_flags(kmers, grouped, stage2, cam_entries)
+    hints = keep_open_flags(kmers, kmer_grouping(kmers, cam_entries), stage2, cam_entries)
     return hints.tolist(), hints_ref
 
 
@@ -480,6 +491,16 @@ def multi_node(repeat_genome):
     return table, index
 
 
+def _config(two_stage: bool, policy: PagePolicy) -> ExmaAcceleratorConfig:
+    return ExmaAcceleratorConfig().with_overrides(
+        base_cache_bytes=2048,
+        index_cache_bytes=1024,
+        cam_entries=32,
+        two_stage_scheduling=two_stage,
+        page_policy=policy,
+    )
+
+
 class TestSeveralSharedNodes:
     """Every other MTL fixture has one shared node, where routing a request
     through the wrong node changes nothing."""
@@ -503,16 +524,28 @@ class TestSeveralSharedNodes:
         ]
         assert index.predict_many(kmers, positions).tolist() == expected
 
-    @pytest.mark.parametrize("two_stage", (True, False))
-    def test_run_equals_reference(self, repeat_genome, multi_node, two_stage):
+    # The third input is the configuration every Fig. 18/20/22 harness and
+    # the scaling sweep replay: Table-I with scaled caches and 128 CAM
+    # entries, so the stream spans several CAM batches.
+    @pytest.mark.parametrize(
+        "config",
+        [
+            _config(True, PagePolicy.DYNAMIC),
+            _config(False, PagePolicy.DYNAMIC),
+            scaled_config(exma_full_config()),
+        ],
+        ids=["True", "False", "scaled-full"],
+    )
+    def test_run_equals_reference(self, repeat_genome, multi_node, config):
         table, index = multi_node
-        queries = random_queries(repeat_genome, count=12, length=16, seed=9)
+        queries = random_queries(repeat_genome, count=40, length=16, seed=9)
         stream, _ = QueryEngine(ExmaBackend(table=table, index=index)).request_stream(
             queries
         )
         buckets = index.bucket_lookup(table.kmer_count)[stream.kmers]
         assert np.unique(buckets[buckets >= 0]).size >= 3
-        accelerator = ExmaAccelerator(table, index, _config(two_stage, PagePolicy.DYNAMIC))
+        assert len(stream) > 2 * config.cam_entries
+        accelerator = ExmaAccelerator(table, index, config)
         assert accelerator.run(stream) == accelerator.run_reference(list(stream))
 
 
@@ -545,16 +578,6 @@ def backends(workload):
             lisa_index=LisaIndex(reference, k=3, use_learned_index=True)
         ),
     }
-
-
-def _config(two_stage: bool, policy: PagePolicy) -> ExmaAcceleratorConfig:
-    return ExmaAcceleratorConfig().with_overrides(
-        base_cache_bytes=2048,
-        index_cache_bytes=1024,
-        cam_entries=32,
-        two_stage_scheduling=two_stage,
-        page_policy=policy,
-    )
 
 
 @pytest.mark.parametrize("name", BACKEND_NAMES)

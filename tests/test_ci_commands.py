@@ -91,26 +91,24 @@ DOC_GATE_SPECS = _gate_specs(DOC_LINES)
 
 
 def test_ci_runs_every_record_bearing_experiment_and_gate(ci_gates):
-    """The extraction above found what it should: all six smoke rows plus
-    the multicore leg's three, and exactly the two registered gates."""
+    """The extraction above found what it should: all five smoke rows plus
+    the multicore leg's two, and exactly the two registered gates."""
     commands = [param.values[0] for param in CLI_COMMANDS]
     ran = {argv[1] if argv[0] == "experiment" else argv[0] for argv in commands}
-    assert ran == {
-        "accel-replay", "chaos", "dse", "fig18-window", "serving-bench", "shard-scaling"
-    }
-    assert len(commands) == 9
+    assert ran == {"chaos", "dse", "fig18-window", "scaling", "serving-bench"}
+    assert len(commands) == 7
     specs = [ci_gates.parse_spec(param.values[0]) for param in GATE_SPECS]
     assert {name for name, _record, _options in specs} == set(ci_gates.GATES) == {
         "pins", "bench-diff"
     }
-    # Six smoke rows, the multicore leg's three, the committed records twice.
-    assert sum(name == "pins" for name, _record, _options in specs) == 11
+    # Five smoke rows, the multicore leg's two, the committed records twice.
+    assert sum(name == "pins" for name, _record, _options in specs) == 9
     floors = sorted(option for name, _record, options in specs if name == "pins" for option in options)
     assert floors == [
         "*.availability>=0.85",
         "*.availability>=0.95",
-        "forced-thread.best_speedup>1.0",
-        "scaling.*@w4.speedup>1.0",
+        "replay.process@w4.speedup>1.0",
+        "search.thread.best_speedup>1.0",
         "sweep.*.knee_w2_over_w1>1.0",
     ]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, experiment_named
 from repro.genome.io import FastaRecord, write_fasta
 from repro.genome.sequence import random_genome
 
@@ -51,9 +52,7 @@ class TestParser:
 
     def test_json_only_on_record_bearing_experiments(self):
         record_bearing = {entry.name for entry in EXPERIMENTS if entry.record is not None}
-        assert record_bearing == {
-            "accel-replay", "chaos", "dse", "fig18-window", "serving", "shard-scaling"
-        }
+        assert record_bearing == {"chaos", "dse", "fig18-window", "scaling", "serving"}
         for entry in EXPERIMENTS:
             argv = ["experiment", entry.name, "--json", "out.json"]
             if entry.record is not None:
@@ -61,6 +60,46 @@ class TestParser:
             else:
                 with pytest.raises(SystemExit):
                     build_parser().parse_args(argv)
+
+    def test_scaling_takes_exactly_seven_flags(self):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["experiment", "scaling", "--genome-length", "6000", "--seed", "3",
+             "--batch-size", "64", "--query-length", "40", "--repeats", "2",
+             "--workers", "2,4", "--executor", "process"]
+        )
+        assert (args.genome_length, args.seed, args.batch_size, args.query_length) == (
+            6000, 3, 64, 40
+        )
+        assert (args.repeats, args.workers, args.executor) == (2, (2, 4), "process")
+        scaling_parser = argparse.ArgumentParser()
+        experiment_named("scaling").add_arguments(scaling_parser)
+        flags = {
+            option
+            for action in scaling_parser._actions
+            for option in action.option_strings
+            if option != "--help" and option.startswith("--")
+        }
+        assert flags == {
+            "--genome-length", "--seed", "--batch-size", "--query-length", "--repeats",
+            "--workers", "--executor",
+        }
+
+    @pytest.mark.parametrize(
+        "flag", ["--megabase-length 1", "--replay-batches 8", "--replay-executor thread"]
+    )
+    def test_scaling_refuses_the_replaced_entries_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["experiment", "scaling", *flag.split()])
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["accel-replay", "shard-scaling"])
+    def test_the_replaced_host_timing_entries_are_gone(self, name, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["experiment", name])
+        assert raised.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_chaos_takes_the_load_generators_flags(self):
         args = build_parser().parse_args(

@@ -19,13 +19,13 @@ from dataclasses import dataclass, replace
 import pytest
 
 from repro.accel.configspace import baseline_point
-from repro.cli import build_parser
+from repro.cli import build_parser, main
+from repro.engine.sharded import ShardedQueryEngine
 from repro.experiments import (
-    accel_replay,
     chaos,
     dse,
-    fig15_window,
     fig18_window,
+    scaling,
     serving,
     write_record,
 )
@@ -54,12 +54,6 @@ class Toy:
 
 
 TOYS = {
-    "accel-replay": Toy(
-        ("--genome-length", "8000", "--batch-size", "300", "--repeats", "1",
-         "--replay-workers", "1,2", "--replay-batches", "4"),
-        lambda result: _replace_row(result, 0, results_equal=False),
-        "fig18.results_equal",
-    ),
     # CI's smoke scale: the worker-kill scenario needs enough loop probes
     # for its scheduled kills to fire.  The availability floor is the one
     # timing-dependent rule — two killed workers can take two in-flight
@@ -91,12 +85,12 @@ TOYS = {
         lambda result: _replace_row(result, 0, completed=result.rows[0].completed - 1),
         "poissonx1.completed_all",
     ),
-    # Row 1 is the adaptive 2-thread engine; no host in tier-1 can
-    # promise a forced split wins, so no floor here (TestFloors has it).
-    "shard-scaling": Toy(
-        ("--genome-length", "6000", "--batch-size", "64", "--repeats", "1"),
-        lambda result: _replace_row(result, 1, results_equal=False),
-        "thread-2.results_equal",
+    # Row 0 is the forced 2-thread search split; no host in tier-1 can
+    # promise a pool wins, so no floor here (TestFloors has both).
+    "scaling": Toy(
+        ("--genome-length", "6000", "--batch-size", "64", "--repeats", "1", "--workers", "2"),
+        lambda result: _replace_row(result, 0, results_equal=False),
+        "search.thread@w2.results_equal",
     ),
 }
 
@@ -127,9 +121,7 @@ class TestRegistryRecords:
         assert list(envelope)[-1] == "rows" and envelope["rows"]
         assert set(envelope["host"]) == {*host_block(), "compiled_recurrence"}
         assert isinstance(envelope["host"]["compiled_recurrence"], bool)
-        # accel-replay sizes each row separately; the rest size the workload.
-        sized = {**envelope["rows"][0], **envelope["workload"]}
-        assert sized["genome_length"] == int(_toy.argv[1])
+        assert envelope["workload"]["genome_length"] == int(_toy.argv[1])
         assert envelope["headlines"]
         for headline in envelope["headlines"]:
             assert set(headline) == {"name", "value", "kind"}
@@ -165,33 +157,97 @@ class TestRegistryRecords:
         assert "missing ['host']" in capsys.readouterr().err
 
 
+class TestScalingSweep:
+    def test_a_diverging_split_makes_the_run_exit_1(self, monkeypatch, capsys):
+        """``Experiment.verdict`` at the command line: a forced search split
+        that loses one query's answer breaks its ``results_equal`` pin."""
+
+        class Diverging(ShardedQueryEngine):
+            def search_batch(self, queries):
+                result = super().search_batch(queries)
+                return replace(result, intervals=result.intervals[:-1])
+
+        monkeypatch.setattr(scaling, "ShardedQueryEngine", Diverging)
+        argv = ["experiment", "scaling", *TOYS["scaling"].argv, "--executor", "thread"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "ERROR: pinned invariant search.thread@w2.results_equal does not hold" in out
+        assert out.count("ERROR:") == 1  # the replay layer still equals serial
+
+    def test_a_reordered_replay_makes_the_run_exit_1(self, monkeypatch, capsys):
+        """A pooled replay that gathers its epochs out of flush order breaks
+        the replay layer's ``results_equal`` pin, and only that one."""
+
+        class Reordering(scaling.ExmaAccelerator):
+            def run_stream(self, windows, name="EXMA", replay_workers=1, executor="thread"):
+                result = super().run_stream(windows, name, replay_workers, executor)
+                if replay_workers > 1:
+                    result = replace(result, flushes=result.flushes[::-1])
+                return result
+
+        monkeypatch.setattr(scaling, "ExmaAccelerator", Reordering)
+        argv = ["experiment", "scaling", *TOYS["scaling"].argv, "--executor", "thread"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "ERROR: pinned invariant replay.thread@w2.results_equal does not hold" in out
+        assert out.count("ERROR:") == 1  # the search layer still equals serial
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"repeats": 0}, "repeats must be >= 1"),
+            ({"workers": (2, 0)}, "workers must be an integer >= 1, got 0"),
+            ({"executor": "fork"}, "unknown executor 'fork'"),
+        ],
+    )
+    def test_a_bad_setting_is_refused_before_any_stack_is_built(
+        self, monkeypatch, changes, message
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("build_stack reached")
+
+        monkeypatch.setattr(scaling, "build_stack", unreachable)
+        with pytest.raises(ValueError, match=message):
+            scaling.run_scaling(**changes)
+
+    @pytest.mark.parametrize("cpus, best", [(1, 1.5), (2, 0.8), (4, 1.5)])
+    def test_best_speedup_is_over_the_counts_the_host_runs_in_parallel(
+        self, monkeypatch, cpus, best
+    ):
+        """w2 at 0.8x, w4 at 1.5x: a 2-CPU host is held to its w2 point; a
+        host that runs neither in parallel is held to the best of both."""
+        result = replace(
+            _scaling(),
+            rows=[
+                scaling.ScalingPoint("search", "thread", 2, 0.0125, 0.01, True),
+                scaling.ScalingPoint("search", "thread", 4, 0.01 / 1.5, 0.01, True),
+            ],
+        )
+        monkeypatch.setattr(scaling.runtime, "available_parallelism", lambda: cpus)
+        headlines = {name: value for name, value, _kind in scaling.record(result).headlines}
+        assert headlines["search.thread.best_speedup"] == best
+
+
 # --------------------------------------------------------------------- #
 # Hand-built results: one row per check of the seven deleted gate functions
 # --------------------------------------------------------------------- #
 
 
-def _accel(widest: int = 4, widest_speedup: float = 1.5):
-    row = accel_replay.AccelReplayRow(
-        "fig18", 8000, 300, 5000, 900, 70000,
-        columnar_seconds=0.01, object_seconds=0.1, results_equal=True,
-    )
-    scaling = [
-        accel_replay.ReplayScalingRow(
-            "fig18", workers, "thread", flushes=4, requests=5000,
-            seconds=0.01 if workers == 1 else 0.01 / widest_speedup,
-            serial_seconds=0.01, search_seconds=0.02, results_equal=True,
-        )
-        for workers in (1, 2, 4) if workers <= widest
+def _scaling(search_speedup: "float | None" = 1.25, widest: int = 4, widest_speedup: float = 1.5):
+    """Forced search splits on 2 and 4 threads (both alike, so the host's
+    CPU count cannot matter), then process replay up to *widest* workers."""
+    point = scaling.ScalingPoint
+    rows = []
+    if search_speedup:
+        rows += [point("search", "thread", w, 0.01 / search_speedup, 0.01, True) for w in (2, 4)]
+    rows += [
+        point("replay", "process", w, 0.01 / widest_speedup, 0.01, True)
+        for w in (2, 4) if w <= widest
     ]
-    return accel_replay.AccelReplayResult(
-        [row], k=6, query_length=48, seed=0, repeats=1, scaling_rows=scaling, replay_batches=4
+    return scaling.ScalingResult(
+        rows, genome_length=6000, seed=0, batch_size=64, query_length=48, repeats=1,
+        replay_epochs=16,
     )
-
-
-def _replace_scaling(result, index: int, **changes):
-    rows = list(result.scaling_rows)
-    rows[index] = replace(rows[index], **changes)
-    return replace(result, scaling_rows=rows)
 
 
 def _window_row(window: int, post: int, cycles: int):
@@ -210,19 +266,6 @@ def _window(*rows):
     return fig18_window.Fig18WindowResult(
         rows=rows, unwindowed=_window_row(1, 1000, 9000), w1_matches_unwindowed=True,
         batch_count=4, batch_size=32, genome_length=4000, k=6, seed=0, query_length=48, runs={},
-    )
-
-
-def _shards(forced_speedup: "float | None" = 1.25):
-    row = fig15_window.ShardScalingRow
-    rows = [row(1, "serial", 0.01, 0.01, 1), row(2, "thread", 0.01, 0.01, 2)]
-    if forced_speedup:  # both splits alike, so the host's CPU count cannot matter
-        rows += [
-            row(shards, "thread", 0.01 / forced_speedup, 0.01, shards, forced=True)
-            for shards in (2, 4)
-        ]
-    return fig15_window.ShardScalingResult(
-        rows, genome_length=6000, batch_size=64, query_length=48, seed=0, repeats=1
     )
 
 
@@ -356,13 +399,9 @@ NAN = float("nan")
 #: one pin that must go false).  The checks that became a floor, a
 #: ``load_record`` refusal or an exception are in the classes below.
 DELETED_GATE_CHECKS = [
-    # gate_accel_replay / gate_replay_scaling
-    ("columnar diverged from the object reference", accel_replay, _accel,
-     lambda r: _replace_row(r, 0, results_equal=False), "fig18.results_equal"),
-    ("speedup below the 2.0x gate", accel_replay, _accel,
-     lambda r: _replace_row(r, 0, object_seconds=0.015), "fig18.columnar_at_least_2x"),
-    ("parallel replay diverged from the serial order", accel_replay, _accel,
-     lambda r: _replace_scaling(r, 1, results_equal=False), "scaling.fig18@w2.results_equal"),
+    # gate_replay_scaling, now the scaling sweep's replay layer
+    ("parallel replay diverged from the serial order", scaling, _scaling,
+     lambda r: _replace_row(r, 2, results_equal=False), "replay.process@w2.results_equal"),
     # gate_window
     ("W=1 flushes diverged from the unwindowed path", fig18_window, _window,
      lambda r: replace(r, w1_matches_unwindowed=False), "w1_matches_unwindowed"),
@@ -374,9 +413,9 @@ DELETED_GATE_CHECKS = [
      lambda r: _replace_row(r, 1, total_cycles=9200), "cycles_trend_holds"),
     ("widest window did not reduce cycles", fig18_window, _window,
      lambda r: _replace_row(r, 2, total_cycles=9000), "cycles_trend_holds"),
-    # (new) shard-scaling's exactness pin
-    ("sharded diverged from serial", fig15_window, _shards,
-     lambda r: _replace_row(r, 2, results_equal=False), "thread-2!.results_equal"),
+    # shard-scaling's exactness pin, now the scaling sweep's search layer
+    ("sharded diverged from serial", scaling, _scaling,
+     lambda r: _replace_row(r, 0, results_equal=False), "search.thread@w2.results_equal"),
     # gate_serving
     ("missing required arrival process", serving, _serving,
      lambda r: replace(r, rows=r.rows[:-1]), "arrivals_complete"),
@@ -468,8 +507,8 @@ DELETED_GATE_CHECKS = [
 class TestEveryDeletedGateCheck:
     @pytest.mark.parametrize(
         "module, sound",
-        [(accel_replay, _accel), (fig18_window, _window), (fig15_window, _shards),
-         (serving, _serving), (dse, _dse), (chaos, _chaos)],
+        [(scaling, _scaling), (fig18_window, _window), (serving, _serving), (dse, _dse),
+         (chaos, _chaos)],
         ids=lambda value: getattr(value, "__name__", None),
     )
     def test_the_sound_result_breaks_no_pin(self, module, sound):
@@ -521,14 +560,14 @@ class TestFloors:
         ("chaos", lambda: chaos.record(_chaos()), "*.availability>=0.95", 0),
         ("chaos", lambda: chaos.record(_chaos()), "*.availability>0.95", 1),
         ("chaos", lambda: chaos.record(_chaos()), "*.availability>=0.5", 0),
-        # forced thread split vs serial (gate_shard_speedup)
-        ("shards 1.25x", lambda: fig15_window.record(_shards(1.25)), "forced-thread.best_speedup>1.0", 0),
-        ("shards 0.8x", lambda: fig15_window.record(_shards(0.8)), "forced-thread.best_speedup>1.0", 1),
-        ("no forced rows", lambda: fig15_window.record(_shards(None)), "forced-thread.best_speedup>1.0", 2),
-        # the widest replay sweep point (require-speedup)
-        ("w4 1.5x", lambda: accel_replay.record(_accel(4, 1.5)), "scaling.*@w4.speedup>1.0", 0),
-        ("w4 0.9x", lambda: accel_replay.record(_accel(4, 0.9)), "scaling.*@w4.speedup>1.0", 1),
-        ("sweep stops at w2", lambda: accel_replay.record(_accel(2, 1.5)), "scaling.*@w4.speedup>1.0", 2),
+        # forced thread split of search vs serial (gate_shard_speedup)
+        ("search 1.25x", lambda: scaling.record(_scaling(1.25)), "search.thread.best_speedup>1.0", 0),
+        ("search 0.8x", lambda: scaling.record(_scaling(0.8)), "search.thread.best_speedup>1.0", 1),
+        ("no search rows", lambda: scaling.record(_scaling(None)), "search.thread.best_speedup>1.0", 2),
+        # the widest process replay point (require-speedup)
+        ("w4 1.5x", lambda: scaling.record(_scaling()), "replay.process@w4.speedup>1.0", 0),
+        ("w4 0.9x", lambda: scaling.record(_scaling(widest_speedup=0.9)), "replay.process@w4.speedup>1.0", 1),
+        ("sweep stops at w2", lambda: scaling.record(_scaling(widest=2)), "replay.process@w4.speedup>1.0", 2),
         # the saturation knee moves with the pool (require-worker-scaling)
         ("w2 knee 2x", lambda: serving.record(_serving()), "sweep.*.knee_w2_over_w1>1.0", 0),
         ("w2 knee tie", lambda: serving.record(_serving(w2_knee=0.02)), "sweep.*.knee_w2_over_w1>1.0", 1),

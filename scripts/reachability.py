@@ -112,6 +112,10 @@ ENTRY_POINTS: tuple[tuple[str, ...], ...] = (
     (*_CLI, "info"),
     ("bench/run.py", "--smoke"),
     ("-m", "pytest", "benchmarks", "--benchmark-disable", "-q", "-p", "no:cacheprovider"),
+    # serve with a search fault on every probe: each bisection leaf fails
+    # and is quarantined, so the failure paths run on every audit (the
+    # random faults above land on an in-flight batch only by chance).
+    (*_CLI, "serve", "--genome-length", "4000", "--inject", "engine.search:raise:1"),
 )
 
 #: The reasons an unreached function may stay.

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .. import native
 from ..exma.search import OccIndex
 from ..exma.table import ExmaTable
 from ..genome.alphabet import (
@@ -230,7 +231,7 @@ class FMIndexBackend(SearchBackend):
                 stats.iterations += n_active
                 # One gather from the dense Occ table per unique symbol per
                 # step: record_step charges exactly that base-read rule.
-                stats.record_step(step)
+                stats.record_step(step.keys, step.span, step.issued, step.unique_kmers)
 
         return [Interval(low, high) for low, high in zip(lows.tolist(), highs.tolist())]
 
@@ -311,7 +312,7 @@ class FMIndexBackend(SearchBackend):
                 stats.iterations += int(n_active)
                 # Same base-read rule as search_batch: one gather from the
                 # dense Occ table per unique symbol per global step.
-                stats.record_step(step)
+                stats.record_step(step.keys, step.span, step.issued, step.unique_kmers)
 
             for i, (state, _) in enumerate(extenders):
                 if new_lows[i] < new_highs[i]:
@@ -356,8 +357,9 @@ class ExmaBackend(SearchBackend):
     One lockstep iteration consumes one k-mer of every live query.  The
     step's ``(kmer, pos)`` requests are coalesced exactly once across the
     whole batch — the software mirror of the accelerator's DRAM-side
-    merge — then answered columnar: one ``ExmaTable.occ_batch`` call
-    rank-queries every unique request of the step.  The step's cost
+    merge — then rank-queried once each.  Every step of a batch runs in
+    one compiled call, :func:`repro.native.lockstep`, with
+    :func:`_lockstep_spec` as its oracle and fallback.  The step's cost
     (increment scan, MTL inference) is priced on read: the first read of
     a cost counter prices the whole batch with one
     ``index.predict_many`` (one MLP forward per shared MTL node).
@@ -384,7 +386,7 @@ class ExmaBackend(SearchBackend):
             table = ExmaTable(reference, k=k)
         self._table = table
         self._index = index
-        #: The table's ``occ_batch`` that resolves each step, and the
+        #: The table's ``occ_batch`` that resolves each spec step, and the
         #: index's columnar face: ``has_model`` as a mask over packed codes
         #: (one gather classifies every priced request) and the
         #: ``predict_many`` that prices the modelled ones.  Bound here
@@ -450,7 +452,7 @@ class ExmaBackend(SearchBackend):
             return []
         self._validate(queries)
         n = self._table.reference_length
-        chunk_matrix, steps, leftovers = self._chunk_matrix(queries)
+        matrix, steps, leftovers = self._chunk_matrix(queries)
 
         n_queries = len(queries)
         lows = np.zeros(n_queries, dtype=np.int64)
@@ -478,30 +480,23 @@ class ExmaBackend(SearchBackend):
             if lows[i] >= highs[i]:
                 alive[i] = False
 
-        for step_index in range(chunk_matrix.shape[1]):
-            active = alive & (steps > step_index)
-            if not np.any(active):
-                break
-            packed = chunk_matrix[active, step_index]
-            step = coalesce_requests(
-                np.concatenate([packed, packed]),
-                np.concatenate([lows[active], highs[active]]),
-                span=n + 1,
+        table, counts = self._table, self._table.count_table()
+        result = native.lockstep(
+            matrix, steps, lows, highs, alive, counts, table.increments, table._kmer_rank_base, n
+        )
+        if result is None:
+            result = _lockstep_spec(
+                matrix, steps, lows, highs, alive, counts, self._occ_batch, self._span
             )
-            occ_unique = self._occ_batch(step.kmers, step.positions)
-            occ_all = step.scatter(occ_unique)
-
-            counts = self._table.count_table()[packed]
-            n_active = int(packed.size)
-            lows[active] = counts + occ_all[:n_active]
-            highs[active] = counts + occ_all[n_active:]
-            alive &= lows < highs
-
-            if stats is not None:
-                stats.iterations += n_active
-                # Priced on read: the step's cost is computed only if a
-                # cost counter is ever read (see BatchStats).
-                stats.record_step(step, occ=occ_unique)
+        lows, highs, keys, occ, offsets, issued, distinct = result
+        if stats is not None:
+            stats.iterations += int(issued.sum()) // 2
+            # Priced on read: the steps' cost is computed only if a cost
+            # counter is ever read (see BatchStats).
+            offsets = offsets.tolist()
+            for step, (count, kmers) in enumerate(zip(issued.tolist(), distinct.tolist())):
+                begin, end = offsets[step], offsets[step + 1]
+                stats.record_step(keys[begin:end], self._span, count, kmers, occ[begin:end])
 
         return [Interval(low, high) for low, high in zip(lows.tolist(), highs.tolist())]
 
@@ -540,6 +535,47 @@ class ExmaBackend(SearchBackend):
         # Predicted entry + successor, plus the linear overshoot.
         entries[modelled] = 2 + overshoot
         return StepContribution(entries=entries, predicted=modelled, errors=errors)
+
+
+def _lockstep_spec(matrix, steps, lows, highs, alive, counts, occ_batch, span: int):
+    """:func:`repro.native.lockstep`'s specification and fallback: the
+    lockstep steps of :meth:`ExmaBackend.search_batch` after its tails.
+
+    Step *t* coalesces the ``(kmer, low)`` and ``(kmer, high)`` requests
+    of every live query with a chunk *t* (``steps > t``), resolves the
+    unique ones with one *occ_batch* call and moves each issuer to
+    ``counts[kmer] + occ``; the first step with no live query ends the
+    pass.  Returns the final lows and highs, every step's unique keys and
+    Occ concatenated, the step offsets into them, and each step's issued
+    and distinct-k-mer counts.  The inputs are left as they were.
+    """
+    lows, highs, alive = lows.copy(), highs.copy(), alive.copy()
+    keys, occ, issued, distinct = [], [], [], []
+    for step_index in range(matrix.shape[1]):
+        active = alive & (steps > step_index)
+        if not np.any(active):
+            break
+        packed = matrix[active, step_index]
+        step = coalesce_requests(
+            np.concatenate([packed, packed]),
+            np.concatenate([lows[active], highs[active]]),
+            span=span,
+        )
+        occ_unique = occ_batch(step.kmers, step.positions)
+        occ_all = step.scatter(occ_unique)
+        lows[active] = counts[packed] + occ_all[: packed.size]
+        highs[active] = counts[packed] + occ_all[packed.size :]
+        alive &= lows < highs
+        keys.append(step.keys)
+        occ.append(occ_unique)
+        issued.append(step.issued)
+        distinct.append(step.unique_kmers)
+    offsets = np.cumsum([0] + [step_keys.size for step_keys in keys])
+    empty = [np.empty(0, dtype=np.int64)]
+    return (
+        lows, highs, np.concatenate(keys + empty), np.concatenate(occ + empty), offsets,
+        np.array(issued, dtype=np.int64), np.array(distinct, dtype=np.int64),
+    )
 
 
 def _exma_factory_with_index(index_builder):
@@ -715,7 +751,9 @@ class LisaBackend(SearchBackend):
                     contribution = StepContribution(
                         predicted=np.ones(step.unique, dtype=bool), errors=costs
                     )
-                stats.record_step(step, contribution)
+                stats.record_step(
+                    step.keys, step.span, step.issued, step.unique_kmers, contribution=contribution
+                )
             for slot, i in enumerate(issuers):
                 lows[i] = int(bounds_all[slot])
                 highs[i] = int(bounds_all[slot + len(issuers)])

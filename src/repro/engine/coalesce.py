@@ -465,11 +465,15 @@ class BatchStats:
 
     def record_step(
         self,
-        step: CoalescedStep,
-        contribution: StepContribution | None = None,
+        keys: np.ndarray,
+        span: int,
+        issued: int,
+        distinct_kmers: int,
         occ: np.ndarray | None = None,
+        contribution: StepContribution | None = None,
     ) -> None:
-        """Account one coalesced lockstep iteration.
+        """Account one coalesced lockstep iteration from its sorted unique
+        packed *keys*, *issued* request count and *distinct_kmers*.
 
         Performs *all* of the step's stats bookkeeping: the stream
         counters, one base read per distinct k-mer (every backend fetches
@@ -480,12 +484,10 @@ class BatchStats:
         the step's packed keys, contribution and Occ values are recorded
         for the sharded merge.
         """
-        self.occ_requests_issued += step.issued
-        self.record_unique(step.keys, step.span, step.unique_kmers, contribution, occ)
+        self.occ_requests_issued += issued
+        self.record_unique(keys, span, distinct_kmers, contribution, occ)
         if self.trace is not None:
-            self.trace.steps.append(
-                StepTrace(keys=step.keys, contribution=contribution, occ=occ)
-            )
+            self.trace.steps.append(StepTrace(keys=keys, contribution=contribution, occ=occ))
 
     def record_unique(
         self,

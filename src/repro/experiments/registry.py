@@ -130,9 +130,9 @@ def _reference_flags(parser) -> None:
 
 def _query_flags(parser, batch_size: int, dest: str = "batch_size") -> None:
     parser.add_argument(
-        "--batch-size", dest=dest, type=int, default=batch_size, help="queries per batch"
+        "--batch-size", dest=dest, type=positive_int, default=batch_size, help="queries per batch"
     )
-    parser.add_argument("--query-length", type=int, default=48, help="query length, bp")
+    parser.add_argument("--query-length", type=positive_int, default=48, help="query length, bp")
 
 
 def _window_flag(parser) -> None:

@@ -1,6 +1,6 @@
 """The compiled kernels: one C library built on first use, called via ctypes.
 
-:data:`SOURCE` holds the C twins of four specifications, each giving
+:data:`SOURCE` holds the C twins of six specifications, each giving
 the same answers as its Python or NumPy original:
 
 * ``lru_hits`` is :func:`repro.hw.cache.simulate_lru_hits`: each set's
@@ -9,6 +9,8 @@ the same answers as its Python or NumPy original:
   channel's shard of a trace, all in one int64 pass over the whole trace;
 * ``occ_ranks`` is :meth:`repro.exma.table.ExmaTable._occ_spec` as a
   merge walk from each answer to the next in key order;
+* ``lockstep`` is :func:`repro.engine.backends._lockstep_spec`, every
+  step of a search batch in one call, ranked by ``occ_ranks``' walk;
 * ``sigmoid_in``, ``sigmoid_out`` and ``sigmoid_backward`` are the
   elementwise tail of an MTL training epoch,
   :func:`repro.exma.mtl_index._sigmoid_spec` and
@@ -43,7 +45,7 @@ import numpy as np
 
 from .runtime import PURE_PYTHON_ENV, env_flag
 
-__all__ = ["dram_channels", "kernel_active", "lru_hits", "occ_ranks", "sigmoid",
+__all__ = ["dram_channels", "kernel_active", "lockstep", "lru_hits", "occ_ranks", "sigmoid",
            "sigmoid_backward"]
 
 SOURCE = r"""
@@ -93,28 +95,100 @@ void dram_channels(int64_t count, const int64_t *rows, const int64_t *nbytes,
     }
     for (int64_t *s = stats; s < stats + 11 * channels; s += 11) s[4] = s[2] + s[3];
 }
+typedef struct {  /* the Occ merge walk: the table's segments and the last answer */
+    const int64_t *increments, *starts;
+    int64_t kmer_count, total, kmer, pos, rank;
+} walk_t;
+static int64_t walk_rank(walk_t *w, int64_t kmer, int64_t pos) {
+    /* A request after one of the same k-mer at no larger position starts
+       from that answer, others from the segment start (the last segment ends
+       at total); both gallop then bisect.  The caller range-checks. */
+    const int64_t *segment = w->increments + w->starts[kmer];
+    int64_t size = (kmer + 1 < w->kmer_count ? w->starts[kmer + 1] : w->total) - w->starts[kmer];
+    int64_t low = kmer == w->kmer && pos >= w->pos ? w->rank : 0, high = low, step = 1;
+    while (high < size && segment[high] < pos) low = high + 1, high += step, step <<= 1;
+    if (high > size) high = size;
+    while (low < high) {
+        int64_t middle = low + (high - low) / 2;
+        if (segment[middle] < pos) low = middle + 1; else high = middle;
+    }
+    w->kmer = kmer, w->pos = pos;
+    return w->rank = low;
+}
 int64_t occ_ranks(int64_t count, const int64_t *kmers, const int64_t *positions,
     const int64_t *increments, const int64_t *starts, int64_t kmer_count, int64_t total,
     int64_t max_pos, int64_t *ranks) {
-    /* A request after one of the same k-mer at no larger position starts
-       from that answer, others from the segment start (the last segment ends
-       at total); both gallop then bisect.  0 at a request out of range. */
-    int64_t previous_kmer = -1, previous_pos = 0, rank = 0;
+    /* 0 at a request out of range. */
+    walk_t walk = {increments, starts, kmer_count, total, -1, 0, 0};
     for (int64_t i = 0; i < count; ++i) {
-        int64_t kmer = kmers[i], pos = positions[i], step = 1;
+        int64_t kmer = kmers[i], pos = positions[i];
         if ((uint64_t)kmer >= (uint64_t)kmer_count || (uint64_t)pos > (uint64_t)max_pos) return 0;
-        const int64_t *segment = increments + starts[kmer];
-        int64_t size = (kmer + 1 < kmer_count ? starts[kmer + 1] : total) - starts[kmer];
-        int64_t low = kmer == previous_kmer && pos >= previous_pos ? rank : 0, high = low;
-        while (high < size && segment[high] < pos) low = high + 1, high += step, step <<= 1;
-        if (high > size) high = size;
-        while (low < high) {
-            int64_t middle = low + (high - low) / 2;
-            if (segment[middle] < pos) low = middle + 1; else high = middle;
-        }
-        ranks[i] = rank = low, previous_kmer = kmer, previous_pos = pos;
+        ranks[i] = walk_rank(&walk, kmer, pos);
     }
     return 1;
+}
+static void sort_pairs(int64_t n, int64_t *keys, int64_t *slots, int64_t *spare, int64_t bytes) {
+    /* Ascending keys, each slot moved with its key: an LSD radix sort by
+       bytes, an even number of passes so the result ends where it began. */
+    int64_t *spare_slots = spare + n, *swap;
+    for (int64_t shift = 0; shift < 8 * (bytes + (bytes & 1)); shift += 8) {
+        int64_t at[257] = {0};
+        for (int64_t i = 0; i < n; ++i) ++at[(keys[i] >> shift & 255) + 1];
+        for (int64_t b = 0; b < 256; ++b) at[b + 1] += at[b];
+        for (int64_t i = 0; i < n; ++i) {
+            int64_t to = at[keys[i] >> shift & 255]++;
+            spare[to] = keys[i], spare_slots[to] = slots[i];
+        }
+        swap = keys, keys = spare, spare = swap;
+        swap = slots, slots = spare_slots, spare_slots = swap;
+    }
+}
+int64_t lockstep(int64_t queries, int64_t max_steps, const int64_t *matrix, const int64_t *steps,
+    const int64_t *lows, const int64_t *highs, const int64_t *alive, const int64_t *counts,
+    const int64_t *increments, const int64_t *starts, int64_t kmer_count, int64_t total,
+    int64_t max_pos, int64_t *out) {
+    /* Every lockstep step of a batch; returns the steps run, -1 at a k-mer or
+       position out of range.  `out` holds, in order: the bounds (lows, then
+       highs), the steps' unique keys and their Occ (2 * queries * max_steps
+       each), the step offsets into them (max_steps + 1), each step's issued
+       and distinct-k-mer counts (max_steps each), then the sort's scratch
+       (8 * queries).  A query issues while alive, with steps left and, after
+       the first step, its interval non-empty. */
+    int64_t span = max_pos + 1, capacity = 2 * queries * max_steps, key_bytes = 1;
+    int64_t *bounds = out, *keys = bounds + 2 * queries, *occ = keys + capacity;
+    int64_t *offsets = occ + capacity, *issued = offsets + max_steps + 1;
+    int64_t *distinct = issued + max_steps, *sort_keys = distinct + max_steps;
+    int64_t *sort_slots = sort_keys + 2 * queries, *spare = sort_slots + 2 * queries, s = 0;
+    while (key_bytes < 8 && (kmer_count * span - 1) >> (8 * key_bytes)) ++key_bytes;
+    for (int64_t i = 0; i < queries; ++i) bounds[i] = lows[i], bounds[queries + i] = highs[i];
+    offsets[0] = 0;
+    for (; s < max_steps; ++s) {
+        int64_t n = 0, unique = offsets[s], previous = -1, value = 0;
+        for (int64_t i = 0; i < queries; ++i) {
+            if (!alive[i] || steps[i] <= s || (s && bounds[i] >= bounds[queries + i])) continue;
+            int64_t kmer = matrix[i * max_steps + s], low = bounds[i], high = bounds[queries + i];
+            if ((uint64_t)kmer >= (uint64_t)kmer_count || (uint64_t)low > (uint64_t)max_pos
+                || (uint64_t)high > (uint64_t)max_pos) return -1;
+            sort_keys[n] = kmer * span + low, sort_slots[n++] = i;
+            sort_keys[n] = kmer * span + high, sort_slots[n++] = queries + i;
+        }
+        if (!n) break;
+        sort_pairs(n, sort_keys, sort_slots, spare, key_bytes);
+        walk_t walk = {increments, starts, kmer_count, total, -1, 0, 0};
+        distinct[s] = 0;
+        for (int64_t j = 0; j < n; ++j) {
+            if (sort_keys[j] != previous) {
+                int64_t kmer = sort_keys[j] / span, rank;
+                distinct[s] += kmer != walk.kmer;
+                rank = walk_rank(&walk, kmer, sort_keys[j] - kmer * span);
+                previous = keys[unique] = sort_keys[j], occ[unique++] = rank;
+                value = counts[kmer] + rank;
+            }
+            bounds[sort_slots[j]] = value;
+        }
+        issued[s] = n, offsets[s + 1] = unique;
+    }
+    return s;
 }
 void sigmoid_in(int64_t rows, int64_t width, const double *restrict bias, double *restrict x) {
     for (int64_t i = 0; i < rows; ++i, x += width)
@@ -157,6 +231,7 @@ _SIGNATURES = {
     "lru_hits": (None, [_INT64, _POINTER, _INT64, _INT64, _POINTER, _INT64, _POINTER, _POINTER]),
     "dram_channels": (None, [_INT64] + [_POINTER] * 4 + [_INT64] * 8 + [_POINTER] * 3),
     "occ_ranks": (_INT64, [_INT64] + [_POINTER] * 4 + [_INT64] * 3 + [_POINTER]),
+    "lockstep": (_INT64, [_INT64] * 2 + [_POINTER] * 8 + [_INT64] * 3 + [_POINTER]),
     "sigmoid_in": (None, [_INT64, _INT64, _POINTER, _POINTER]),
     "sigmoid_out": (None, [_INT64, _POINTER]),
     "sigmoid_backward": (None, [_INT64, _INT64] + [_POINTER] * 5),
@@ -299,6 +374,40 @@ def occ_ranks(kmers, positions, increments, starts, max_pos: int) -> np.ndarray 
         columns[2].size, max_pos, ranks.ctypes.data,
     )
     return ranks if found else None
+
+
+def lockstep(matrix, steps, lows, highs, alive, counts, increments, starts, max_pos: int):
+    """:func:`repro.engine.backends._lockstep_spec` compiled, every step in
+    one pass, with the same outputs; ``None`` where it declines (disabled,
+    unavailable, keys that could pass int64, or a k-mer or position out of
+    range: found by the pass itself).  The inputs are left as they were."""
+    library = _loaded()
+    queries, max_steps = np.shape(matrix)
+    if library is None or starts.size * (max_pos + 1) >= INT64_END:
+        return None
+    columns = [
+        np.ascontiguousarray(c, dtype=np.int64)
+        for c in (matrix, steps, lows, highs, alive, counts, increments, starts)
+    ]
+    if any(c.size != queries for c in columns[1:5]) or columns[5].size != columns[7].size:
+        raise ValueError("lockstep columns differ in length")
+    capacity = 2 * queries * max_steps
+    # Where C's outputs begin in `out`: keys, Occ, offsets, issued, distinct.
+    at = np.cumsum((2 * queries, capacity, capacity, max_steps + 1, max_steps)).tolist()
+    out = np.empty(at[-1] + max_steps + 8 * queries, dtype=np.int64)
+    ran = library.lockstep(
+        queries, max_steps, *(c.ctypes.data for c in columns), columns[7].size, columns[6].size,
+        max_pos, out.ctypes.data,
+    )
+    if ran < 0:
+        return None
+    offsets = out[at[2] : at[2] + ran + 1]
+    used = int(offsets[-1])
+    return (
+        out[:queries], out[queries : 2 * queries], out[at[0] : at[0] + used].copy(),
+        out[at[1] : at[1] + used].copy(), offsets, out[at[3] : at[3] + ran],
+        out[at[4] : at[4] + ran],
+    )
 
 
 def _doubles(array, shape: tuple[int, ...]) -> bool:

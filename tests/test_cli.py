@@ -170,8 +170,12 @@ class TestInfoCommand:
         assert "GB" in out
 
 
-#: ``(command, flag, bad value)``: a length or step must be > 0, a seed >= 0.
+#: ``(command, flag, bad value)``: a length, step or batch size must be
+#: > 0, a seed >= 0.
 BAD_NUMBERS = [
+    (("experiment", "scaling"), "--batch-size", "0"),
+    (("experiment", "dse"), "--batch-size", "-4"),
+    (("experiment", "fig18-window"), "--query-length", "0"),
     (("experiment", "fig13"), "--genome-length", "0"),
     (("experiment", "fig13"), "--genome-length", "-5"),
     (("experiment", "fig13"), "--seed", "-1"),

@@ -37,11 +37,15 @@ from hypothesis.extra import numpy as hnp
 
 import repro
 from repro import native
+from repro.engine import backends as engine_backends
+from repro.engine.backends import ExmaBackend, _lockstep_spec
+from repro.engine.coalesce import BatchStats, BatchTrace
 from repro.exma import mtl_index
 from repro.exma.learned_index import NaiveLearnedIndex
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
 from repro.genome.datasets import build_dataset
+from repro.genome.sequence import random_genome
 from repro.hw import cache as hw_cache
 from repro.hw import dram as hw_dram
 from repro.hw.dram import DDR4Config, DRAMModel, MemoryRequest, MemoryTrace, PagePolicy
@@ -426,6 +430,200 @@ class TestOccRanks:
         assert ranks.tolist() == [occ_table.occ(int(k), int(p)) for k, p in zip(kmers, positions)]
         starts = _int64([0] * 64)
         assert native.occ_ranks(kmers, positions, occ_table.increments, starts, 1301) is None
+
+
+LOCKSTEP_REFERENCE = random_genome(1200, seed=21)
+LOCKSTEP_STEPS = (2, 4, 6)
+
+
+@pytest.fixture(scope="module")
+def lockstep_backends():
+    """One EXMA backend per step number k over the same reference."""
+    return {k: ExmaBackend(table=ExmaTable(LOCKSTEP_REFERENCE, k=k)) for k in LOCKSTEP_STEPS}
+
+
+@pytest.fixture
+def lockstep_spec_calls(monkeypatch):
+    """Record the batch size of each run of ``search_batch``'s lockstep spec."""
+    calls = []
+
+    def counted(matrix, *args):
+        calls.append(len(matrix))
+        return _lockstep_spec(matrix, *args)
+
+    monkeypatch.setattr(engine_backends, "_lockstep_spec", counted)
+    return calls
+
+
+@st.composite
+def lockstep_batches(draw):
+    """A step number and a batch mixing reference substrings (hits of any
+    length, shorter than k included), random strings (which die within a
+    few steps) and repeats of both."""
+    k = draw(st.sampled_from(LOCKSTEP_STEPS))
+    substring = st.tuples(
+        st.integers(0, len(LOCKSTEP_REFERENCE) - 40), st.integers(1, 40)
+    ).map(lambda t: LOCKSTEP_REFERENCE[t[0] : t[0] + t[1]])
+    query = st.one_of(substring, st.text(alphabet="ACGT", min_size=1, max_size=40))
+    queries = draw(st.lists(query, min_size=1, max_size=30))
+    return k, queries + draw(st.lists(st.sampled_from(queries), max_size=6))
+
+
+def _lockstep_inputs(backend: ExmaBackend, queries) -> tuple:
+    """``search_batch``'s inputs to the lockstep pass: the chunk matrix,
+    the steps, the post-tail bounds and alive mask, and the count table."""
+    table = backend.table
+    matrix, steps, leftovers = backend._chunk_matrix(queries)
+    lows = np.zeros(len(queries), dtype=np.int64)
+    highs = np.full(len(queries), table.reference_length, dtype=np.int64)
+    for i, tail in enumerate(leftovers):
+        if tail:
+            lows[i], highs[i] = table.prefix_interval(tail)
+    return matrix, steps, lows, highs, lows < highs, table.count_table()
+
+
+def _both_locksteps(backend: ExmaBackend, queries) -> tuple:
+    """The compiled pass and its spec on the same inputs, which neither may
+    change."""
+    table = backend.table
+    inputs = _lockstep_inputs(backend, queries)
+    before = [array.copy() for array in inputs]
+    compiled = native.lockstep(
+        *inputs, table.increments, table._kmer_rank_base, table.reference_length
+    )
+    spec = _lockstep_spec(*inputs, table.occ_batch, table.reference_length + 1)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+    return compiled, spec
+
+
+def _assert_same_outputs(compiled, spec) -> None:
+    assert compiled is not None and len(compiled) == len(spec) == 7
+    for got, want in zip(compiled, spec):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def _traced_search(backend: ExmaBackend, queries) -> tuple:
+    """Intervals, the stats (compared field for field) and the trace's
+    columns of one search."""
+    stats = BatchStats(trace=BatchTrace())
+    intervals = backend.search_batch(queries, stats)
+    steps = [(s.keys.tolist(), s.occ.tolist(), s.contribution) for s in stats.trace.steps]
+    stats.trace = None
+    return intervals, stats, steps
+
+
+class TestLockstep:
+    """The compiled lockstep pass equals ``_lockstep_spec``, output for
+    output, and ``search_batch`` gives the same intervals and
+    ``BatchStats`` on both paths."""
+
+    @given(lockstep_batches())
+    @kernel_settings
+    def test_oracle(self, compiled, lockstep_spec_calls, lockstep_backends, batch):
+        k, queries = batch
+        backend = lockstep_backends[k]
+        _assert_same_outputs(*_both_locksteps(backend, queries))
+        spec_runs = len(lockstep_spec_calls)  # hypothesis reuses the fixture
+        searched = _traced_search(backend, queries)
+        assert len(lockstep_spec_calls) == spec_runs
+        library, native._library = native._library, None
+        try:
+            assert _traced_search(backend, queries) == searched
+        finally:
+            native._library = library
+        assert len(lockstep_spec_calls) == spec_runs + 1
+
+    @pytest.mark.parametrize(
+        "case",
+        ["tails only", "all die early", "duplicates", "batch of one", "mixed lengths"],
+    )
+    @pytest.mark.parametrize("k", LOCKSTEP_STEPS)
+    def test_named_shapes(self, compiled, lockstep_backends, case, k):
+        hit = LOCKSTEP_REFERENCE[100:136]
+        queries = {
+            "tails only": [hit[: k - 1], "C", hit[5 : 5 + k - 1]],
+            "all die early": ["ACGT" * 9, "TTTTGGGGCCCCAAAA" * 2 + "ACGT"],
+            "duplicates": [hit, hit, hit[:20], hit, hit[:20]],
+            "batch of one": [hit],
+            "mixed lengths": [hit, hit[:1], hit[:k], hit[: k + 1], hit[:13], "GATTACA" * 5],
+        }[case]
+        compiled, spec = _both_locksteps(lockstep_backends[k], queries)
+        _assert_same_outputs(compiled, spec)
+        matrix = _lockstep_inputs(lockstep_backends[k], queries)[0]
+        steps_run = compiled[5].size
+        if case == "tails only":
+            assert matrix.shape[1] == steps_run == 0
+        elif case == "all die early":
+            assert 0 < steps_run < matrix.shape[1]
+        else:
+            assert steps_run == matrix.shape[1]
+        assert compiled[4][0] == 0 and compiled[4][-1] == compiled[2].size
+
+    def test_declines_out_of_range_inside_the_pass(self, compiled, lockstep_backends):
+        backend = lockstep_backends[4]
+        table = backend.table
+        matrix, steps, lows, highs, alive, counts = _lockstep_inputs(
+            backend, [LOCKSTEP_REFERENCE[10:30], LOCKSTEP_REFERENCE[50:70]]
+        )
+        constants = (table.increments, table._kmer_rank_base, table.reference_length)
+        assert native.lockstep(matrix, steps, lows, highs, alive, counts, *constants)
+        n = table.reference_length
+        broken = [(matrix, (1, -1), 256), (matrix, (1, -1), -1), (lows, 1, -1), (highs, 1, n + 1)]
+        for array, slot, value in broken:
+            kept = array[slot]
+            array[slot] = value
+            assert native.lockstep(matrix, steps, lows, highs, alive, counts, *constants) is None
+            array[slot] = kept
+        with pytest.raises(ValueError, match="length"):
+            native.lockstep(matrix, steps[:1], lows, highs, alive, counts, *constants)
+        with pytest.raises(ValueError, match="length"):
+            native.lockstep(matrix, steps, lows, highs, alive, counts[:-1], *constants)
+        # A dead query's slots are never read, whatever they hold.
+        alive[1] = False
+        matrix[1] = 10**6
+        assert native.lockstep(matrix, steps, lows, highs, alive, counts, *constants)
+
+    def test_keys_that_could_pass_int64_decline_before_the_pass(self, compiled):
+        zero = _int64([0])
+        assert native.lockstep(
+            zero.reshape(1, 1), zero + 1, zero, zero, np.ones(1, bool), zero, zero,
+            _int64([0, 0, 0, 0]), 2**61,
+        ) is None
+
+    def test_a_declined_pass_runs_the_spec(
+        self, compiled, monkeypatch, lockstep_spec_calls, lockstep_backends
+    ):
+        backend = lockstep_backends[6]
+        queries = [LOCKSTEP_REFERENCE[i : i + 30] for i in range(0, 300, 7)]
+        expected = _traced_search(backend, queries)
+        monkeypatch.setattr(native, "INT64_END", 4**6)  # the guard declines
+        assert _traced_search(backend, queries) == expected
+        assert lockstep_spec_calls == [len(queries)]
+        # A k-mer past 4^k in the chunk matrix: the pass declines at the
+        # last step, and the spec refuses it.
+        matrix, steps, leftovers = backend._chunk_matrix(queries)
+        matrix[-1, -1] = 4**6
+        monkeypatch.setattr(native, "INT64_END", 2**63)
+        monkeypatch.setattr(backend, "_chunk_matrix", lambda _: (matrix, steps, leftovers))
+        with pytest.raises(ValueError, match="k-mer out of range"):
+            backend.search_batch(queries)
+        assert lockstep_spec_calls == [len(queries)] * 2
+
+    def test_pure_python_runs_the_spec(
+        self, monkeypatch, lockstep_spec_calls, lockstep_backends
+    ):
+        backend = lockstep_backends[4]
+        queries = [LOCKSTEP_REFERENCE[i : i + 25] for i in range(0, 400, 9)] + ["ACG"]
+        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
+        monkeypatch.setattr(native, "_library", native._UNRESOLVED)
+        expected = _traced_search(backend, queries)
+        assert lockstep_spec_calls == []
+        monkeypatch.setattr(native, "_library", native._UNRESOLVED)
+        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
+        assert _traced_search(backend, queries) == expected
+        assert lockstep_spec_calls == [len(queries)]
+        assert native.lockstep(*_lockstep_inputs(backend, queries), None, None, 1) is None
 
 
 def _lru_three_ways(addresses, capacity: int, line: int, ways: int):
@@ -928,6 +1126,8 @@ class TestLoader:
         keep = np.zeros(1, bool)
         assert native.dram_channels(zero, zero + 64, keep, zero, 1, 1, (0, 0, 0), 1, 1) is None
         assert native.occ_ranks(zero, zero, zero, zero, 1) is None
+        matrix = zero.reshape(1, 1)
+        assert native.lockstep(matrix, zero, zero, zero, keep, zero, zero, zero, 1) is None
         assert native.lru_hits(_int64([0, 64]), 64, 1, 1) is None
         hidden = np.full((3, 2), 0.5)
         assert not native.sigmoid(hidden, np.zeros(2))

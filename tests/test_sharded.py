@@ -609,3 +609,46 @@ def test_sharded_batches_replay_like_serial(case, backends, name, executor):
         [serial.search_batch(batch).stats.requests for batch in batches], window=2
     )
     assert sharded == expected
+
+
+def _trace_columns(trace: BatchTrace) -> tuple:
+    """A shard trace as plain values: every step's keys, Occ and
+    contribution, then the tails."""
+    steps = [
+        (step.keys.tolist(), None if step.occ is None else step.occ.tolist(), step.contribution)
+        for step in trace.steps
+    ]
+    return steps, trace.tails, trace.tail_contributions
+
+
+def test_compiled_lockstep_in_process_shards_equals_serial(case, backends):
+    """Each process shard runs the compiled lockstep pass on a backend it
+    unpickled, whose arrays live at other addresses: its intervals and
+    traced ``BatchStats`` equal the same shard searched here, and the
+    merged batch equals the serial one field for field."""
+    from repro import native, runtime
+    from repro.engine.sharded import _search_shard
+
+    # The compiled pass wherever the library loads; the spec under
+    # REPRO_PURE_PYTHON, which the shards inherit.
+    assert native.kernel_active() != runtime.env_flag(runtime.PURE_PYTHON_ENV)
+    _, queries = case
+    backend = backends["exma-mtl"]
+    chunks = split_shards(queries, 3)
+    pool = runtime.BackendWorkerPool(backend, "process", max_workers=2)
+    try:
+        outputs = pool.map_shards(_search_shard, chunks)
+    finally:
+        pool.shutdown()
+    for chunk, (intervals, stats) in zip(chunks, outputs):
+        expected_intervals, expected = _search_shard(backend, chunk)
+        assert intervals == expected_intervals
+        assert _trace_columns(stats.trace) == _trace_columns(expected.trace)
+        stats.price_with(backend._step_contribution)
+        stats.trace = expected.trace = None
+        assert stats == expected
+    serial = QueryEngine(backend).search_batch(queries)
+    with ShardedQueryEngine(backend, shards=3, executor="process") as engine:
+        sharded = engine.search_batch(queries)
+    assert sharded.intervals == serial.intervals
+    assert sharded.stats == serial.stats

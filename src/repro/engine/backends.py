@@ -547,7 +547,8 @@ def _lockstep_spec(matrix, steps, lows, highs, alive, counts, occ_batch, span: i
     ``counts[kmer] + occ``; the first step with no live query ends the
     pass.  Returns the final lows and highs, every step's unique keys and
     Occ concatenated, the step offsets into them, and each step's issued
-    and distinct-k-mer counts.  The inputs are left as they were.
+    and distinct-k-mer counts.  The inputs are left as they were.  A bound
+    outside ``[0, span)`` raises ``ValueError``, as ``occ_batch`` does.
     """
     lows, highs, alive = lows.copy(), highs.copy(), alive.copy()
     keys, occ, issued, distinct = [], [], [], []
@@ -556,11 +557,11 @@ def _lockstep_spec(matrix, steps, lows, highs, alive, counts, occ_batch, span: i
         if not np.any(active):
             break
         packed = matrix[active, step_index]
-        step = coalesce_requests(
-            np.concatenate([packed, packed]),
-            np.concatenate([lows[active], highs[active]]),
-            span=span,
-        )
+        bounds = np.concatenate([lows[active], highs[active]])
+        # Past |G| a bound would fold into the next k-mer's keys.
+        if int(bounds.min()) < 0 or int(bounds.max()) >= span:
+            raise ValueError(f"positions out of range [0, {span - 1}]")
+        step = coalesce_requests(np.concatenate([packed, packed]), bounds, span=span)
         occ_unique = occ_batch(step.kmers, step.positions)
         occ_all = step.scatter(occ_unique)
         lows[active] = counts[packed] + occ_all[: packed.size]

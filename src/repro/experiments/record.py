@@ -7,7 +7,7 @@ file::
 
     {
       "benchmark": "window_capacity",
-      "host":      {...},                 # runtime.host_block() + compiled_recurrence
+      "host":      {...},                 # runtime.host_block() + compiled_kernels
       "workload":  {...},
       "headlines": [{"name": ..., "value": ..., "kind": "bool|higher|lower"}],
       "<section>": ...,                   # e.g. "unwindowed", "frontier", "sweep"
@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from ..native import kernel_active
+from ..native import loaded_kernels
 from ..runtime import host_block
 
 __all__ = ["KINDS", "Record", "finite_positive", "row_dict", "write_record"]
@@ -90,10 +90,8 @@ class Record:
 
     def envelope(self) -> dict:
         """The JSON-ready record, host block stamped, plus
-        ``compiled_recurrence``: whether the compiled library
-        (:mod:`repro.native`) is loaded.  The key keeps the name it had when
-        the library held only the DRAM recurrence, so committed records
-        stay valid."""
+        ``compiled_kernels``: the :data:`repro.native.KERNELS` symbols
+        loaded in this process, ``[]`` where their specs ran."""
         seen = set()
         for name, _value, kind in self.headlines:
             if kind not in KINDS:
@@ -103,7 +101,7 @@ class Record:
             seen.add(name)
         envelope = {
             "benchmark": self.benchmark,
-            "host": {**host_block(), "compiled_recurrence": kernel_active()},
+            "host": {**host_block(), "compiled_kernels": loaded_kernels()},
             "workload": dict(self.workload),
             "headlines": [
                 {"name": name, "value": value, "kind": kind}

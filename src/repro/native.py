@@ -1,12 +1,16 @@
 """The compiled kernels: one C library built on first use, called via ctypes.
 
-:data:`SOURCE` holds the C twins of six specifications, each giving
-the same answers as its Python or NumPy original:
+:data:`SOURCE` holds the kernels and :data:`KERNELS` declares them, one
+row per C symbol with its ctypes signature and the dotted path of its
+specification: the Python or NumPy function whose answers it gives, and
+which its caller runs wherever the wrapper declines.
 
-* ``lru_hits`` is :func:`repro.hw.cache.simulate_lru_hits`: each set's
-  tags in recency order, an O(ways) scan per access;
+* ``lru_hits`` is :func:`repro.hw.cache.simulate_lru_hits` (spec: the
+  stack-distance ``_head_hits``): each set's tags in recency order, an
+  O(ways) scan per access;
 * ``dram_channels`` is :meth:`repro.hw.dram.DRAMModel.process` over each
-  channel's shard of a trace, all in one int64 pass over the whole trace;
+  channel's shard of a trace (spec: ``_columns_spec`` per shard), all in
+  one int64 pass over the whole trace;
 * ``occ_ranks`` is :meth:`repro.exma.table.ExmaTable._occ_spec` as a
   merge walk from each answer to the next in key order;
 * ``lockstep`` is :func:`repro.engine.backends._lockstep_spec`, every
@@ -40,13 +44,14 @@ import subprocess
 import tempfile
 import threading
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from .runtime import PURE_PYTHON_ENV, env_flag
 
-__all__ = ["dram_channels", "kernel_active", "lockstep", "lru_hits", "occ_ranks", "sigmoid",
-           "sigmoid_backward"]
+__all__ = ["KERNELS", "dram_channels", "loaded_kernels", "lockstep", "lru_hits", "occ_ranks",
+           "sigmoid", "sigmoid_backward"]
 
 SOURCE = r"""
 #include <stdint.h>
@@ -227,15 +232,36 @@ _lock = threading.Lock()
 
 _INT64 = ctypes.c_int64
 _POINTER = ctypes.c_void_p
-_SIGNATURES = {
-    "lru_hits": (None, [_INT64, _POINTER, _INT64, _INT64, _POINTER, _INT64, _POINTER, _POINTER]),
-    "dram_channels": (None, [_INT64] + [_POINTER] * 4 + [_INT64] * 8 + [_POINTER] * 3),
-    "occ_ranks": (_INT64, [_INT64] + [_POINTER] * 4 + [_INT64] * 3 + [_POINTER]),
-    "lockstep": (_INT64, [_INT64] * 2 + [_POINTER] * 8 + [_INT64] * 3 + [_POINTER]),
-    "sigmoid_in": (None, [_INT64, _INT64, _POINTER, _POINTER]),
-    "sigmoid_out": (None, [_INT64, _POINTER]),
-    "sigmoid_backward": (None, [_INT64, _INT64] + [_POINTER] * 5),
-}
+
+
+class Kernel(NamedTuple):
+    """One C symbol of :data:`SOURCE`, its ctypes signature, and the dotted
+    path of its specification: what its caller runs where it declines."""
+
+    symbol: str
+    restype: object
+    argtypes: tuple
+    spec: str
+
+
+#: Every compiled kernel, declared once: :func:`_build` binds each row,
+#: and the tests, CI and the record host block read the table.  The
+#: specs are named, not imported, because their modules import this one.
+KERNELS = (
+    Kernel("lru_hits", None, (_INT64, _POINTER, _INT64, _INT64, _POINTER, _INT64, *[_POINTER] * 2),
+           "repro.hw.cache._head_hits"),
+    Kernel("dram_channels", None, (_INT64, *[_POINTER] * 4, *[_INT64] * 8, *[_POINTER] * 3),
+           "repro.hw.dram.DRAMModel._columns_spec"),
+    Kernel("occ_ranks", _INT64, (_INT64, *[_POINTER] * 4, *[_INT64] * 3, _POINTER),
+           "repro.exma.table.ExmaTable._occ_spec"),
+    Kernel("lockstep", _INT64, (_INT64, _INT64, *[_POINTER] * 8, *[_INT64] * 3, _POINTER),
+           "repro.engine.backends._lockstep_spec"),
+    Kernel("sigmoid_in", None, (_INT64, _INT64, _POINTER, _POINTER),
+           "repro.exma.mtl_index._sigmoid_spec"),
+    Kernel("sigmoid_out", None, (_INT64, _POINTER), "repro.exma.mtl_index._sigmoid_spec"),
+    Kernel("sigmoid_backward", None, (_INT64, _INT64, *[_POINTER] * 5),
+           "repro.exma.mtl_index._sigmoid_backward_spec"),
+)
 
 
 def _build():
@@ -259,10 +285,9 @@ def _build():
             if os.path.exists(partial):
                 os.unlink(partial)
     library = ctypes.PyDLL(str(path))
-    for name, (restype, argtypes) in _SIGNATURES.items():
-        function = getattr(library, name)
-        function.restype = restype
-        function.argtypes = argtypes
+    for kernel in KERNELS:
+        function = getattr(library, kernel.symbol)
+        function.restype, function.argtypes = kernel.restype, kernel.argtypes
     return library
 
 
@@ -287,9 +312,10 @@ def _loaded():
     return _library if _library is not _UNRESOLVED else _resolve()
 
 
-def kernel_active() -> bool:
-    """Whether the compiled library is loaded in this process."""
-    return _loaded() is not None
+def loaded_kernels() -> list[str]:
+    """The :data:`KERNELS` symbols loaded in this process: every row (the
+    library binds all or fails to load), or none where the specs run."""
+    return [] if _loaded() is None else [kernel.symbol for kernel in KERNELS]
 
 
 def lru_hits(addresses: np.ndarray, line_bytes: int, set_count: int, ways: int):

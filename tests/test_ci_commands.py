@@ -5,18 +5,21 @@ through ``ci_gates.parse_spec``, the gate registry and — for ``pins`` —
 the floor parser.  The same checks cover the commands the documentation
 tells a reader to run: every such line in the bash blocks of
 ``README.md`` and the verify skill.  Renaming a flag, an experiment or a
-gate without updating CI or the docs fails here first.
+gate without updating CI or the docs fails here first.  So does a
+compiled kernel added to ``repro.native.KERNELS`` without its oracle
+case, an importable spec or a mention in the docs.
 """
 
 from __future__ import annotations
 
 import pathlib
+import pkgutil
 import re
 import shlex
 
 import pytest
 
-from repro import runtime
+from repro import native, runtime
 from repro.cli import build_parser
 
 yaml = pytest.importorskip("yaml")
@@ -146,3 +149,14 @@ def test_ci_sets_only_live_repro_variables():
     reads, so a retired variable fails here instead of lingering in CI."""
     named = set(re.findall(r"\bREPRO_[A-Z0-9_]+", CI_YML.read_text()))
     assert named and named <= set(runtime.ENV_VARIABLES)
+
+
+def test_every_kernel_has_an_oracle_case_a_spec_and_docs():
+    from test_jit_fallback import ORACLE_CASES
+
+    symbols = [kernel.symbol for kernel in native.KERNELS]
+    assert sorted(ORACLE_CASES) == sorted(symbols)
+    for kernel in native.KERNELS:
+        assert callable(pkgutil.resolve_name(kernel.spec)), kernel.spec
+    for name, text in [(path.name, path.read_text()) for path in DOCS] + [("native", native.__doc__)]:
+        assert [symbol for symbol in symbols if f"`{symbol}`" not in text] == [], name

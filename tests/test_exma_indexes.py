@@ -364,3 +364,33 @@ class TestMTLIndex:
         b = MTLIndex(repeat_table, model_threshold=8, samples_per_kmer=16, epochs=30, seed=5)
         packed = a.modelled_kmers[0]
         assert a.predict(packed, 1234) == b.predict(packed, 1234)
+
+
+class TestRecipeValidation:
+    @pytest.mark.parametrize("knob", ["samples_per_kmer", "epochs"])
+    @pytest.mark.parametrize("value", [0, -1, True, 2.5], ids=["zero", "negative", "bool", "float"])
+    def test_nonsense_is_refused(self, knob, value):
+        table = ExmaTable("ACGTTGCA" * 40, k=2)
+        with pytest.raises(ValueError, match=f"{knob} must be an integer >= 1"):
+            MTLIndex(table, **{knob: value})
+
+    @pytest.mark.parametrize("index", [MTLIndex, NaiveLearnedIndex])
+    @pytest.mark.parametrize("value", [-1, True, 2.5, "16"], ids=["negative", "bool", "float", "str"])
+    def test_threshold_nonsense_is_refused(self, index, value):
+        table = ExmaTable("ACGTTGCA" * 40, k=2)
+        with pytest.raises(ValueError, match="model_threshold must be an integer >= 0"):
+            index(table, model_threshold=value)
+
+    @pytest.mark.parametrize("index", [MTLIndex, NaiveLearnedIndex])
+    def test_zero_threshold_models_every_present_kmer(self, index):
+        table = ExmaTable("ACGTTGCA" * 40, k=2)
+        assert index(table, model_threshold=0).modelled_kmers == table.present_kmers()
+
+    @pytest.mark.parametrize(
+        "edges", [(0, 64), (-4,), (True, 64), (2.5, 64), (64, "256")],
+        ids=["zero", "negative", "bool", "float", "str"],
+    )
+    def test_bucket_edge_nonsense_is_refused(self, edges):
+        table = ExmaTable("ACGTTGCA" * 40, k=2)
+        with pytest.raises(ValueError, match="bucket_edges must be an integer >= 1"):
+            MTLIndex(table, bucket_edges=edges)

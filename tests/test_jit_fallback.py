@@ -1,33 +1,28 @@
-"""The compiled kernels, their loader and their specifications.
-
-:mod:`repro.native` builds one C library on first use and loads it with
-ctypes.  It holds the two hardware state machines of the replay — the
-set-associative LRU (``lru_hits``, specified by the stack-distance
-:func:`repro.hw.cache.simulate_lru_hits` and, above it,
-:meth:`~repro.hw.cache.SetAssociativeCache.access`) and the DRAM
-channels (``dram_channels``, specified by ``split_channels`` and
-``DRAMModel._columns_spec`` with its :func:`repro.hw.dram._bus_recurrence`
-per shard and, above them, :meth:`~repro.hw.dram.DRAMModel.process`) —
-the replay's Occ ranks (``occ_ranks``, specified by
-``ExmaTable._occ_spec`` and, above it, :meth:`ExmaTable.occ`), and the
-elementwise tail of an MTL training epoch, specified by the two NumPy
-functions in :mod:`repro.exma.mtl_index`.  The contract is
-**bit-identical outputs** on both paths, and a failed build is one warning, never an exception or
-a different number.  The MTL leaves' stacked least-squares keeps the
-same contract with its spec, the per-k-mer ``np.polyfit``.
+"""The compiled kernels (:data:`repro.native.KERNELS`), their loader and
+their specifications: **bit-identical outputs** on both paths, and a
+failed build is one warning, never an exception or a different number.
+:data:`ORACLE_CASES` gives each row one case, which two tests run: on a
+hypothesis strategy against the spec, and on fixed inputs with the
+library off three ways.  The classes hold what is more than "≡ spec":
+named shapes, declines, edge doubles, adversarial LRU traces and the
+loader's races; and the MTL leaves' stacked least-squares against its
+spec, the per-k-mer ``np.polyfit``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pathlib
+import pkgutil
 import stat
 import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -37,11 +32,9 @@ from hypothesis.extra import numpy as hnp
 
 import repro
 from repro import native
-from repro.engine import backends as engine_backends
 from repro.engine.backends import ExmaBackend, _lockstep_spec
 from repro.engine.coalesce import BatchStats, BatchTrace
 from repro.exma import mtl_index
-from repro.exma.learned_index import NaiveLearnedIndex
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
 from repro.genome.datasets import build_dataset
@@ -61,51 +54,45 @@ def _int64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+ZERO = _int64([0])
+
+
 @pytest.fixture
 def compiled(monkeypatch):
     """Force the compiled library on, whatever ``REPRO_PURE_PYTHON`` says."""
     monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
     monkeypatch.setattr(native, "_library", native._UNRESOLVED)
-    assert native.kernel_active(), "this host has a C compiler: the kernel must load"
+    assert native.loaded_kernels(), "this host has a C compiler: the kernels must load"
 
 
-def _counting(monkeypatch, module, name: str) -> list[int]:
-    """Record the first argument's length at each call of *module.name*."""
-    calls = []
-    spec = getattr(module, name)
-
-    def counted(*args):
-        calls.append(len(args[0]))
-        return spec(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-@pytest.fixture
-def spec_calls(monkeypatch):
-    """Count the DRAM spec's runs (its Python loop) inside ``process_columns``."""
-    return _counting(monkeypatch, hw_dram, "_bus_recurrence")
+@contextlib.contextmanager
+def no_library():
+    """The compiled library unavailable inside the block: every wrapper
+    declines and its caller runs the row's spec."""
+    library, native._library = native._library, None
+    try:
+        yield
+    finally:
+        native._library = library
 
 
 @pytest.fixture
-def lru_spec_calls(monkeypatch):
-    """Count the stack-distance spec's runs inside ``simulate_lru_hits``."""
-    return _counting(monkeypatch, hw_cache, "_head_hits")
+def spec_calls(monkeypatch) -> dict[str, list[int]]:
+    """Per :data:`repro.native.KERNELS` symbol, the length of the data
+    argument at each run of its row's spec (rows sharing a spec share a
+    list)."""
+    calls = {}
+    for path in dict.fromkeys(kernel.spec for kernel in native.KERNELS):
+        owner_path, _, name = path.rpartition(".")
+        owner, runs = pkgutil.resolve_name(owner_path), []
 
+        # A method's data argument follows its instance.
+        def counted(*args, _spec=getattr(owner, name), _runs=runs, _at=int(isinstance(owner, type))):
+            _runs.append(len(args[_at]))
+            return _spec(*args)
 
-@pytest.fixture
-def mtl_spec_calls(monkeypatch):
-    """Record (name, rows) for each run of the MTL epoch's NumPy specs."""
-    calls = []
-    for name in ("_sigmoid_spec", "_sigmoid_backward_spec"):
-        spec = getattr(mtl_index, name)
-
-        def counted(hidden, *args, _spec=spec, _name=name):
-            calls.append((_name, len(hidden)))
-            return _spec(hidden, *args)
-
-        monkeypatch.setattr(mtl_index, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+        calls.update({kernel.symbol: runs for kernel in native.KERNELS if kernel.spec == path})
     return calls
 
 
@@ -146,52 +133,58 @@ def dram_requests(draw):
     ]
 
 
-def _spec_stats(model: DRAMModel, trace: MemoryTrace, channels: int = 1) -> list:
-    """``process_columns`` with the compiled pass unavailable."""
-    library, native._library = native._library, None
-    try:
-        return model.process_columns(trace, channels)
-    finally:
-        native._library = library
-
-
 def _shard_stats(model: DRAMModel, trace: MemoryTrace, channels: int) -> list:
     """The object model over each of :meth:`MemoryTrace.split_channels`' shards."""
-    return [
-        model.process(
-            [
-                MemoryRequest(row=r, nbytes=n, keep_open_hint=k, stream=s)
-                for r, n, k, s in zip(
-                    *(c.tolist() for c in (shard.rows, shard.nbytes, shard.keep_open, shard.streams))
-                )
-            ]
-        )
+    shards = [
+        zip(*(c.tolist() for c in (shard.rows, shard.nbytes, shard.keep_open, shard.streams)))
         for shard in trace.split_channels(channels)
     ]
+    return [model.process([MemoryRequest(*fields) for fields in shard]) for shard in shards]
 
 
-class TestCompiledEqualsSpec:
-    @given(dram_requests(), st.sampled_from(list(PagePolicy)), st.sampled_from([(16, 16, 16), (0, 3, 50)]))
-    @kernel_settings
-    def test_oracle(self, compiled, requests, policy, timings):
-        tcas, trcd, trp = timings
-        model = DRAMModel(DDR4Config(tcas=tcas, trcd=trcd, trp=trp), page_policy=policy)
-        trace = MemoryTrace.from_requests(requests)
-        assert model.process_columns(trace) == [model.process(requests)] == _spec_stats(model, trace)
+DRAM_INPUTS = st.tuples(
+    dram_requests(), st.integers(1, 5), st.sampled_from(list(PagePolicy)),
+    st.sampled_from([(16, 16, 16), (0, 3, 50)]),
+)
 
-    @pytest.mark.parametrize(
-        "rows, streams",
-        [([], []), ([0] * 40, list(range(40))), (list(range(40)), [0] * 40)],
-        ids=["empty", "one-bank", "one-stream"],
-    )
-    @pytest.mark.parametrize("policy", list(PagePolicy))
-    def test_edge_shapes(self, compiled, spec_calls, rows, streams, policy):
-        requests = [MemoryRequest(row=r, stream=s) for r, s in zip(rows, streams)]
-        model = DRAMModel(page_policy=policy)
-        trace = MemoryTrace.from_requests(requests)
-        assert model.process_columns(trace) == [model.process(requests)]
-        assert not spec_calls
 
+def _dram_oracle(spec_calls, drawn) -> None:
+    """``process_columns(trace, c)`` is :meth:`DRAMModel.process` over each
+    ``split_channels(c)`` shard, whichever path computes it."""
+    requests, channels, policy, (tcas, trcd, trp) = drawn
+    model = DRAMModel(DDR4Config(tcas=tcas, trcd=trcd, trp=trp), page_policy=policy)
+    trace = MemoryTrace.from_requests(requests)
+    expected = _shard_stats(model, trace, channels)
+    assert model.process_columns(trace, channels) == expected
+    with no_library():
+        assert model.process_columns(trace, channels) == expected
+
+
+def _dram_case() -> list:
+    """Per policy: two random traces, the empty, one-bank and one-stream
+    shapes, and negative rows with sparse stream ids; then three channels
+    of nothing."""
+    sparse = zip([-1, -49, 5, -1, 47, -96, 0, -1], [0, 10**6, 3, 250_000, 10**6, 7, 0, 3])
+    traces = [
+        _requests(seed=3), _requests(seed=4), [],
+        [MemoryRequest(row=0, stream=s) for s in range(40)],
+        [MemoryRequest(row=r, stream=0) for r in range(40)],
+        [
+            MemoryRequest(row=row, nbytes=64 * (1 + i % 3), keep_open_hint=i % 2 == 0, stream=s)
+            for i, (row, s) in enumerate(sparse)
+        ],
+    ]
+    answers = [DRAMModel().process_columns(MemoryTrace(), 3)]
+    assert answers[0] == [hw_dram.DRAMStats()] * 3
+    for requests in traces:
+        for policy in PagePolicy:
+            model = DRAMModel(page_policy=policy)
+            answers.append(model.process_columns(MemoryTrace.from_requests(requests)))
+            assert answers[-1] == [model.process(requests)]
+    return answers
+
+
+class TestDramDeclines:
     def test_guard_edge(self, compiled):
         # Four requests whose counters are bounded just under 2**63 run
         # compiled; one byte more and the kernel declines.
@@ -226,38 +219,6 @@ class TestCompiledEqualsSpec:
         with pytest.raises(ValueError, match="length"):
             native.dram_channels(ones, ones, np.zeros(1, bool), ones, 1, 48, (16, 16, 16), 16, 2)
 
-
-class TestProcessColumnsBothPaths:
-    @pytest.mark.parametrize("policy", list(PagePolicy))
-    @pytest.mark.parametrize("path", ["compiled", "python"])
-    def test_matches_process(self, request, monkeypatch, spec_calls, policy, path):
-        if path == "python":
-            monkeypatch.setattr(native, "_library", None)
-        else:
-            request.getfixturevalue("compiled")
-        requests = _requests(seed=3)
-        model = DRAMModel(DDR4Config(), page_policy=policy)
-        assert model.process_columns(MemoryTrace.from_requests(requests)) == [
-            model.process(requests)
-        ]
-        assert bool(spec_calls) == (path == "python")
-
-    def test_negative_rows_and_sparse_streams_run_compiled(self, compiled, spec_calls):
-        requests = [
-            MemoryRequest(row=row, nbytes=64 * (1 + i % 3), keep_open_hint=i % 2 == 0, stream=s)
-            for i, (row, s) in enumerate(
-                zip([-1, -49, 5, -1, 47, -96, 0, -1], [0, 10**6, 3, 250_000, 10**6, 7, 0, 3])
-            )
-        ]
-        trace = MemoryTrace.from_requests(requests)
-        models = [DRAMModel(page_policy=policy) for policy in PagePolicy]
-        for model in models:
-            assert model.process_columns(trace) == [model.process(requests)]
-        assert not spec_calls
-        for model in models:
-            assert _spec_stats(model, trace) == [model.process(requests)]
-        assert spec_calls == [len(requests)] * len(models)
-
     @pytest.mark.parametrize("policy", list(PagePolicy))
     def test_huge_request_takes_the_python_path(self, compiled, spec_calls, policy):
         # A caller-built trace can carry any positive nbytes: one of ~2**60
@@ -266,23 +227,9 @@ class TestProcessColumnsBothPaths:
         requests[17] = MemoryRequest(row=3, nbytes=2**60 - 5, stream=1)
         model = DRAMModel(page_policy=policy)
         (stats,) = model.process_columns(MemoryTrace.from_requests(requests))
-        assert spec_calls == [len(requests)]
+        assert spec_calls["dram_channels"] == [len(requests)]
         assert stats == model.process(requests)
         assert stats.total_cycles > 2**56
-
-
-class TestChannelsInOnePass:
-    """``process_columns(trace, c)`` is :meth:`DRAMModel.process` over each
-    ``split_channels(c)`` shard, whichever path computes it."""
-
-    @given(dram_requests(), st.integers(1, 5), st.sampled_from(list(PagePolicy)))
-    @kernel_settings
-    def test_oracle(self, compiled, requests, channels, policy):
-        model = DRAMModel(page_policy=policy)
-        trace = MemoryTrace.from_requests(requests)
-        expected = _shard_stats(model, trace, channels)
-        assert model.process_columns(trace, channels) == expected
-        assert _spec_stats(model, trace, channels) == expected
 
     @pytest.mark.parametrize("channels", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("decline", [None, "huge-request", "no-library"])
@@ -306,7 +253,7 @@ class TestChannelsInOnePass:
             assert per_channel[1:] == [hw_dram.DRAMStats()] * 4
         # The spec runs once per non-empty shard, and only on a decline.
         shards = sum(1 for shard in trace.split_channels(channels) if len(shard))
-        assert len(spec_calls) == (0 if decline is None else shards)
+        assert len(spec_calls["dram_channels"]) == (0 if decline is None else shards)
 
     @pytest.mark.parametrize("channels", [0, -1, True, 2.0])
     def test_refuses_a_channel_count_that_is_not_positive(self, channels):
@@ -314,39 +261,12 @@ class TestChannelsInOnePass:
         with pytest.raises(ValueError, match="channels"):
             DRAMModel().process_columns(trace, channels)
 
-    def test_empty_trace_reads_empty_channels(self, compiled):
-        assert DRAMModel().process_columns(MemoryTrace(), 3) == [hw_dram.DRAMStats()] * 3
 
-
-@pytest.fixture(scope="module")
-def occ_table():
-    """3-mers over a reference with no ``T`` but a long ``A`` run: 37 of the
-    64 k-mers never occur, and ``AAA`` owns a segment of 300 increments."""
-    rng = np.random.default_rng(11)
-    return ExmaTable("".join(rng.choice(list("ACG"), 900)) + "A" * 300 + "CG" * 50, k=3)
-
-
-@pytest.fixture
-def occ_spec_calls(monkeypatch):
-    """Record the request count of each run of ``ExmaTable.occ_batch``'s spec."""
-    calls = []
-    spec = ExmaTable._occ_spec
-
-    def counted(table, kmers, positions):
-        calls.append(kmers.size)
-        return spec(table, kmers, positions)
-
-    monkeypatch.setattr(ExmaTable, "_occ_spec", counted)
-    return calls
-
-
-def _occ_spec(table: ExmaTable, kmers, positions) -> np.ndarray:
-    """``occ_batch`` with the compiled pass unavailable."""
-    library, native._library = native._library, None
-    try:
-        return table.occ_batch(kmers, positions)
-    finally:
-        native._library = library
+# 3-mers over a reference with no ``T`` but a long ``A`` run: 37 of the 64
+# k-mers never occur, and ``AAA`` owns a segment of 300 increments.
+OCC_TABLE = ExmaTable(
+    "".join(np.random.default_rng(11).choice(list("ACG"), 900)) + "A" * 300 + "CG" * 50, k=3
+)
 
 
 @st.composite
@@ -366,46 +286,46 @@ def occ_requests(draw, kmer_count: int = 64, n: int = 1301):
     return _int64(kmers), _int64(positions)
 
 
-class TestOccRanks:
+def _occ_oracle(spec_calls, columns) -> None:
     """The compiled Occ walk equals the augmented-array ``searchsorted`` and
     the scalar :meth:`ExmaTable.occ` in any request order."""
+    kmers, positions = columns
+    ranks = OCC_TABLE.occ_batch(kmers, positions)
+    assert not spec_calls["occ_ranks"]
+    expected = [OCC_TABLE.occ(int(k), int(p)) for k, p in zip(kmers, positions)]
+    assert ranks.dtype == np.int64 and ranks.tolist() == expected
+    with no_library():
+        assert OCC_TABLE.occ_batch(kmers, positions).tolist() == expected
 
-    def test_table_shape(self, occ_table):
-        assert occ_table.reference_length == 1301
-        assert (occ_table.frequencies() == 0).sum() == 37
-        assert occ_table.frequency("AAA") >= 300
 
-    @given(occ_requests())
-    @kernel_settings
-    def test_oracle(self, compiled, occ_spec_calls, occ_table, columns):
-        kmers, positions = columns
-        spec_runs = len(occ_spec_calls)  # hypothesis reuses the fixture
-        ranks = occ_table.occ_batch(kmers, positions)
-        assert len(occ_spec_calls) == spec_runs
-        expected = [occ_table.occ(int(k), int(p)) for k, p in zip(kmers, positions)]
-        assert ranks.dtype == np.int64 and ranks.tolist() == expected
-        assert _occ_spec(occ_table, kmers, positions).tolist() == expected
+OCC_REQUESTS = (_int64([0, 0, 5, 63]), _int64([1301, 0, 700, 1301]))
 
-    def test_every_key_in_order_walks_every_segment(self, compiled, occ_spec_calls, occ_table):
-        # All 64 x 1302 keys sorted: each k-mer's segment is walked from
-        # its first entry to past its last, absent k-mers' empty ones too.
-        n = occ_table.reference_length
-        kmers = np.repeat(np.arange(64, dtype=np.int64), n + 1)
-        positions = np.tile(np.arange(n + 1, dtype=np.int64), 64)
-        for order in (slice(None), slice(None, None, -1)):
-            ranks = occ_table.occ_batch(kmers[order], positions[order])
-            assert np.array_equal(ranks, _occ_spec(occ_table, kmers[order], positions[order]))
-        assert ranks[0] == 0 and ranks[-1] == occ_table.frequency(63)
-        assert len(occ_spec_calls) == 2
 
-    def test_two_dimensional_requests_keep_their_shape(self, compiled, occ_table):
-        kmers = _int64([[0, 5, 5], [63, 0, 2]])
-        positions = _int64([[0, 1301, 7], [1301, 1301, 0]])
-        assert np.array_equal(
-            occ_table.occ_batch(kmers, positions), _occ_spec(occ_table, kmers, positions)
-        )
+def _occ_case() -> list:
+    """Both ends of the reference and an absent k-mer; a 2-D batch, which
+    keeps its shape; and all 64 x 1302 keys in order and reversed, which
+    walk each segment from its first entry to past its last, absent
+    k-mers' empty ones too."""
+    ranks = OCC_TABLE.occ_batch(*OCC_REQUESTS).tolist()
+    assert ranks == [OCC_TABLE.occ(int(k), int(p)) for k, p in zip(*OCC_REQUESTS)]
+    kmers, positions = _int64([[0, 5, 5], [63, 0, 2]]), _int64([[0, 1301, 7], [1301, 1301, 0]])
+    answers = [ranks, OCC_TABLE.occ_batch(kmers, positions).tolist()]
+    assert np.shape(answers[1]) == (2, 3)
+    n = OCC_TABLE.reference_length
+    kmers, positions = np.repeat(np.arange(64), n + 1), np.tile(np.arange(n + 1), 64)
+    for order in (slice(None), slice(None, None, -1)):
+        answers.append(OCC_TABLE.occ_batch(kmers[order], positions[order]).tolist())
+    assert answers[2][0] == 0 and answers[2][-1] == OCC_TABLE.frequency(63)
+    return answers
 
-    def test_requests_out_of_range_decline(self, compiled, occ_spec_calls, occ_table):
+
+class TestOccRanks:
+    def test_table_shape(self):
+        assert OCC_TABLE.reference_length == 1301
+        assert (OCC_TABLE.frequencies() == 0).sum() == 37
+        assert OCC_TABLE.frequency("AAA") >= 300
+
+    def test_requests_out_of_range_decline(self, compiled, spec_calls):
         # The pass finds them itself (C would read past the offsets), and
         # occ_batch then refuses them on the spec path.
         increments = _int64([1, 3, 5, 8, 13, 2, 4, 6, 9, 0, 7, 11])
@@ -419,40 +339,17 @@ class TestOccRanks:
             native.occ_ranks(_int64([0, 1]), _int64([7]), increments, starts, 20)
         for kmers, positions in (([0, 64], [1, 1]), ([0, -1], [1, 1]), ([5, 5], [1302, 0])):
             with pytest.raises(ValueError, match="out of range"):
-                occ_table.occ_batch(_int64(kmers), _int64(positions))
-        assert occ_spec_calls == []
-
-    def test_pure_python_runs_the_spec(self, monkeypatch, unresolved, occ_spec_calls, occ_table):
-        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
-        kmers, positions = _int64([0, 0, 5, 63]), _int64([1301, 0, 700, 1301])
-        ranks = occ_table.occ_batch(kmers, positions)
-        assert occ_spec_calls == [4]
-        assert ranks.tolist() == [occ_table.occ(int(k), int(p)) for k, p in zip(kmers, positions)]
-        starts = _int64([0] * 64)
-        assert native.occ_ranks(kmers, positions, occ_table.increments, starts, 1301) is None
+                OCC_TABLE.occ_batch(_int64(kmers), _int64(positions))
+        assert spec_calls["occ_ranks"] == []
 
 
 LOCKSTEP_REFERENCE = random_genome(1200, seed=21)
 LOCKSTEP_STEPS = (2, 4, 6)
-
-
-@pytest.fixture(scope="module")
-def lockstep_backends():
-    """One EXMA backend per step number k over the same reference."""
-    return {k: ExmaBackend(table=ExmaTable(LOCKSTEP_REFERENCE, k=k)) for k in LOCKSTEP_STEPS}
-
-
-@pytest.fixture
-def lockstep_spec_calls(monkeypatch):
-    """Record the batch size of each run of ``search_batch``'s lockstep spec."""
-    calls = []
-
-    def counted(matrix, *args):
-        calls.append(len(matrix))
-        return _lockstep_spec(matrix, *args)
-
-    monkeypatch.setattr(engine_backends, "_lockstep_spec", counted)
-    return calls
+LOCKSTEP_QUERIES = [LOCKSTEP_REFERENCE[i : i + 25] for i in range(0, 400, 9)] + ["ACG"]
+#: One EXMA backend per step number k over the same reference.
+LOCKSTEP_BACKENDS = {
+    k: ExmaBackend(table=ExmaTable(LOCKSTEP_REFERENCE, k=k)) for k in LOCKSTEP_STEPS
+}
 
 
 @st.composite
@@ -513,33 +410,27 @@ def _traced_search(backend: ExmaBackend, queries) -> tuple:
     return intervals, stats, steps
 
 
-class TestLockstep:
+def _lockstep_oracle(spec_calls, batch) -> None:
     """The compiled lockstep pass equals ``_lockstep_spec``, output for
     output, and ``search_batch`` gives the same intervals and
     ``BatchStats`` on both paths."""
+    k, queries = batch
+    backend = LOCKSTEP_BACKENDS[k]
+    _assert_same_outputs(*_both_locksteps(backend, queries))
+    searched = _traced_search(backend, queries)
+    assert not spec_calls["lockstep"]
+    with no_library():
+        assert _traced_search(backend, queries) == searched
+    assert spec_calls["lockstep"] == [len(queries)]
 
-    @given(lockstep_batches())
-    @kernel_settings
-    def test_oracle(self, compiled, lockstep_spec_calls, lockstep_backends, batch):
-        k, queries = batch
-        backend = lockstep_backends[k]
-        _assert_same_outputs(*_both_locksteps(backend, queries))
-        spec_runs = len(lockstep_spec_calls)  # hypothesis reuses the fixture
-        searched = _traced_search(backend, queries)
-        assert len(lockstep_spec_calls) == spec_runs
-        library, native._library = native._library, None
-        try:
-            assert _traced_search(backend, queries) == searched
-        finally:
-            native._library = library
-        assert len(lockstep_spec_calls) == spec_runs + 1
 
+class TestLockstep:
     @pytest.mark.parametrize(
         "case",
         ["tails only", "all die early", "duplicates", "batch of one", "mixed lengths"],
     )
     @pytest.mark.parametrize("k", LOCKSTEP_STEPS)
-    def test_named_shapes(self, compiled, lockstep_backends, case, k):
+    def test_named_shapes(self, compiled, case, k):
         hit = LOCKSTEP_REFERENCE[100:136]
         queries = {
             "tails only": [hit[: k - 1], "C", hit[5 : 5 + k - 1]],
@@ -548,9 +439,9 @@ class TestLockstep:
             "batch of one": [hit],
             "mixed lengths": [hit, hit[:1], hit[:k], hit[: k + 1], hit[:13], "GATTACA" * 5],
         }[case]
-        compiled, spec = _both_locksteps(lockstep_backends[k], queries)
+        compiled, spec = _both_locksteps(LOCKSTEP_BACKENDS[k], queries)
         _assert_same_outputs(compiled, spec)
-        matrix = _lockstep_inputs(lockstep_backends[k], queries)[0]
+        matrix = _lockstep_inputs(LOCKSTEP_BACKENDS[k], queries)[0]
         steps_run = compiled[5].size
         if case == "tails only":
             assert matrix.shape[1] == steps_run == 0
@@ -560,8 +451,8 @@ class TestLockstep:
             assert steps_run == matrix.shape[1]
         assert compiled[4][0] == 0 and compiled[4][-1] == compiled[2].size
 
-    def test_declines_out_of_range_inside_the_pass(self, compiled, lockstep_backends):
-        backend = lockstep_backends[4]
+    def test_declines_out_of_range_inside_the_pass(self, compiled):
+        backend = LOCKSTEP_BACKENDS[4]
         table = backend.table
         matrix, steps, lows, highs, alive, counts = _lockstep_inputs(
             backend, [LOCKSTEP_REFERENCE[10:30], LOCKSTEP_REFERENCE[50:70]]
@@ -584,57 +475,52 @@ class TestLockstep:
         matrix[1] = 10**6
         assert native.lockstep(matrix, steps, lows, highs, alive, counts, *constants)
 
-    def test_keys_that_could_pass_int64_decline_before_the_pass(self, compiled):
-        zero = _int64([0])
+    def test_keys_that_could_pass_int64_decline_to_the_spec(self, compiled, monkeypatch, spec_calls):
         assert native.lockstep(
-            zero.reshape(1, 1), zero + 1, zero, zero, np.ones(1, bool), zero, zero,
+            ZERO.reshape(1, 1), ZERO + 1, ZERO, ZERO, np.ones(1, bool), ZERO, ZERO,
             _int64([0, 0, 0, 0]), 2**61,
         ) is None
-
-    def test_a_declined_pass_runs_the_spec(
-        self, compiled, monkeypatch, lockstep_spec_calls, lockstep_backends
-    ):
-        backend = lockstep_backends[6]
+        backend = LOCKSTEP_BACKENDS[6]
         queries = [LOCKSTEP_REFERENCE[i : i + 30] for i in range(0, 300, 7)]
         expected = _traced_search(backend, queries)
         monkeypatch.setattr(native, "INT64_END", 4**6)  # the guard declines
         assert _traced_search(backend, queries) == expected
-        assert lockstep_spec_calls == [len(queries)]
-        # A k-mer past 4^k in the chunk matrix: the pass declines at the
-        # last step, and the spec refuses it.
-        matrix, steps, leftovers = backend._chunk_matrix(queries)
-        matrix[-1, -1] = 4**6
-        monkeypatch.setattr(native, "INT64_END", 2**63)
-        monkeypatch.setattr(backend, "_chunk_matrix", lambda _: (matrix, steps, leftovers))
-        with pytest.raises(ValueError, match="k-mer out of range"):
-            backend.search_batch(queries)
-        assert lockstep_spec_calls == [len(queries)] * 2
+        assert spec_calls["lockstep"] == [len(queries)]
 
-    def test_pure_python_runs_the_spec(
-        self, monkeypatch, lockstep_spec_calls, lockstep_backends
+    @pytest.mark.parametrize("path", ["declined", "pure-python"])
+    @pytest.mark.parametrize("bad", ["k-mer", "positions"])
+    def test_out_of_range_is_refused_on_the_spec_path(
+        self, compiled, monkeypatch, spec_calls, bad, path
     ):
-        backend = lockstep_backends[4]
-        queries = [LOCKSTEP_REFERENCE[i : i + 25] for i in range(0, 400, 9)] + ["ACG"]
-        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
-        monkeypatch.setattr(native, "_library", native._UNRESOLVED)
-        expected = _traced_search(backend, queries)
-        assert lockstep_spec_calls == []
-        monkeypatch.setattr(native, "_library", native._UNRESOLVED)
-        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
-        assert _traced_search(backend, queries) == expected
-        assert lockstep_spec_calls == [len(queries)]
-        assert native.lockstep(*_lockstep_inputs(backend, queries), None, None, 1) is None
+        # The pass declines a k-mer past 4^k (at the last step) or a count
+        # table shifted by |G| (every bound past |G|); the spec refuses
+        # both, where a bound would otherwise fold into the next k-mer.
+        backend = LOCKSTEP_BACKENDS[6]
+        table = backend.table
+        queries = [LOCKSTEP_REFERENCE[i : i + 30] for i in range(0, 300, 7)]
+        if bad == "k-mer":
+            matrix, steps, leftovers = backend._chunk_matrix(queries)
+            matrix[-1, -1] = 4**6
+            monkeypatch.setattr(backend, "_chunk_matrix", lambda _: (matrix, steps, leftovers))
+        else:
+            shifted = table.count_table() + table.reference_length
+            monkeypatch.setattr(table, "count_table", lambda: shifted)
+        constants = (table.increments, table._kmer_rank_base, table.reference_length)
+        assert native.lockstep(*_lockstep_inputs(backend, queries), *constants) is None
+        if path == "pure-python":
+            monkeypatch.setattr(native, "_library", native._UNRESOLVED)
+            monkeypatch.setenv(PURE_PYTHON_ENV, "1")
+        with pytest.raises(ValueError, match=f"{bad} out of range"):
+            backend.search_batch(queries)
+        assert spec_calls["lockstep"] == [len(queries)]
 
 
 def _lru_three_ways(addresses, capacity: int, line: int, ways: int):
     """(compiled, spec, object model) hit masks of one cold cache."""
     addresses = _int64(addresses)
     compiled = native.lru_hits(addresses, line, capacity // (line * ways), ways)
-    library, native._library = native._library, None
-    try:
+    with no_library():
         spec = hw_cache.simulate_lru_hits(addresses, capacity, line, ways)
-    finally:
-        native._library = library
     return compiled, spec, _reference_hits(addresses, capacity, line, ways)
 
 
@@ -655,34 +541,40 @@ def _adversarial(sets: int, ways: int, line: int) -> dict[str, list[int]]:
     }
 
 
-class TestLruKernel:
-    @given(
-        st.integers(1, 64),
-        st.integers(1, 16),
-        st.one_of(st.sampled_from([16, 32, 64, 128]), st.integers(16, 128)),
-        st.lists(st.integers(0, 2**20), max_size=200),
-    )
-    @kernel_settings
-    def test_oracle(self, compiled, sets, ways, line, addresses):
-        compiled_hits, spec, expected = _lru_three_ways(addresses, sets * ways * line, line, ways)
-        assert np.array_equal(compiled_hits, expected)
-        assert np.array_equal(spec, expected)
+LRU_INPUTS = st.tuples(
+    st.integers(1, 64),
+    st.integers(1, 16),
+    st.one_of(st.sampled_from([16, 32, 64, 128]), st.integers(16, 128)),
+    st.lists(st.integers(0, 2**20), max_size=200),
+)
 
+
+def _lru_oracle(spec_calls, drawn) -> None:
+    sets, ways, line, addresses = drawn
+    compiled_hits, spec, expected = _lru_three_ways(addresses, sets * ways * line, line, ways)
+    assert np.array_equal(compiled_hits, expected) and np.array_equal(spec, expected)
+
+
+def _lru_case() -> list:
+    answers = []
+    for addresses in (
+        MemoryTrace.from_requests(_requests(seed=4)).rows * 64,
+        np.random.default_rng(7).integers(0, 4096, 500) * 8,
+    ):
+        hits = hw_cache.simulate_lru_hits(addresses, 2048, 64, 4)
+        assert np.array_equal(hits, _reference_hits(addresses, 2048, 64, 4))
+        answers.append(hits.tolist())
+    return answers
+
+
+class TestLruKernel:
     @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (64, 16), (2048, 8)])
     @pytest.mark.parametrize(
         "trace", ["cycle-of-ways-plus-one", "hot-and-streaming", "one-set", "same-line-runs", "empty"]
     )
     def test_adversarial_traces(self, compiled, shape, trace):
         sets, ways = shape
-        addresses = _adversarial(sets, ways, 64)[trace]
-        compiled_hits, spec, expected = _lru_three_ways(addresses, sets * ways * 64, 64, ways)
-        assert np.array_equal(compiled_hits, expected) and np.array_equal(spec, expected)
-
-    def test_public_entry_point_runs_compiled(self, compiled, lru_spec_calls):
-        addresses = np.random.default_rng(7).integers(0, 4096, 500) * 8
-        hits = hw_cache.simulate_lru_hits(addresses, 2048, 64, 4)
-        assert not lru_spec_calls
-        assert np.array_equal(hits, _reference_hits(addresses, 2048, 64, 4))
+        _lru_oracle(None, (sets, ways, 64, _adversarial(sets, ways, 64)[trace]))
 
     def test_small_flush_on_a_table_one_cache_allocates_for_the_flush(self, compiled):
         # 2048 sets x 8 ways would be 128 KiB of tags; ten touched sets
@@ -698,12 +590,12 @@ class TestLruKernel:
         assert hits is not None and not hits.any()
         assert peak < 16 * 1024, peak
 
-    def test_scratch_beyond_its_bound_declines(self, compiled, lru_spec_calls):
+    def test_scratch_beyond_its_bound_declines(self, compiled, spec_calls):
         # 256 ways in 256 touched sets would be 256 tags per access.
         addresses = _int64(np.repeat(np.arange(256) * 64, 2))
         assert native.lru_hits(addresses, 64, 256, 256) is None
         hits = hw_cache.simulate_lru_hits(addresses, 256 * 256 * 64, 64, 256)
-        assert lru_spec_calls and np.array_equal(hits, np.arange(512) % 2 == 1)
+        assert spec_calls["lru_hits"] and np.array_equal(hits, np.arange(512) % 2 == 1)
 
     def test_negative_address_declines(self, compiled):
         assert native.lru_hits(_int64([0, -64]), 64, 4, 2) is None
@@ -762,20 +654,24 @@ def _assert_same_bits(left, right):
         assert np.array_equal(_bits(a), _bits(b))
 
 
+def _sigmoid_oracle(spec_calls, arrays) -> None:
+    hidden, _rows, bias = arrays
+    compiled_out, spec_out = _both_sigmoids(hidden, bias)
+    _assert_same_bits([compiled_out], [spec_out])
+
+
+def _sigmoid_backward_oracle(spec_calls, arrays) -> None:
+    _assert_same_bits(*_both_backwards(*arrays))
+
+
+def _sigmoid_case() -> list:
+    """The smallest layer that runs compiled."""
+    rng = np.random.default_rng(1)
+    features, w1 = rng.random((mtl_index.COMPILED_MIN_ROWS, 2)), rng.normal(size=(2, 10))
+    return _bits(mtl_index._hidden_layer(features, w1, rng.normal(size=10))).tolist()
+
+
 class TestMTLKernelsEqualSpec:
-    @given(layer_arrays())
-    @kernel_settings
-    def test_sigmoid_oracle(self, compiled, arrays):
-        hidden, _rows, bias = arrays
-        compiled_out, spec_out = _both_sigmoids(hidden, bias)
-        _assert_same_bits([compiled_out], [spec_out])
-
-    @given(st.one_of(layer_arrays(min_width=2), layer_arrays(probabilities, min_width=2)))
-    @kernel_settings
-    def test_sigmoid_backward_oracle(self, compiled, arrays):
-        hidden, grad_pred, w2 = arrays
-        _assert_same_bits(*_both_backwards(hidden, grad_pred, w2))
-
     @pytest.mark.parametrize("rows", [0, 1])
     def test_no_rows_and_one_row(self, compiled, rows):
         rng = np.random.default_rng(rows)
@@ -859,24 +755,22 @@ class TestContiguityGuard:
         assert native.sigmoid_backward(hidden, ones, np.ones(4), scratch) is None
         assert not native.sigmoid(hidden, hidden[0]), "the bias may not overlap the output"
 
-    def test_declined_layer_runs_the_spec_with_the_same_bits(self, compiled, mtl_spec_calls):
+    def test_declined_layer_runs_the_spec_with_the_same_bits(self, compiled, spec_calls):
+        # _sigmoid_case's layer, with its bias strided: C cannot address it.
         rng = np.random.default_rng(1)
         rows = mtl_index.COMPILED_MIN_ROWS
         features, w1 = rng.random((rows, 2)), rng.normal(size=(2, 10))
-        bias = rng.normal(size=10)
-        expected = mtl_index._hidden_layer(features, w1, bias)
-        assert not mtl_spec_calls
-        strided = np.repeat(bias, 2)[::2]
-        _assert_same_bits([mtl_index._hidden_layer(features, w1, strided)], [expected])
-        assert mtl_spec_calls == [("_sigmoid_spec", rows)]
+        strided = np.repeat(rng.normal(size=10), 2)[::2]
+        assert _bits(mtl_index._hidden_layer(features, w1, strided)).tolist() == _sigmoid_case()
+        assert spec_calls["sigmoid_in"] == [rows] and not spec_calls["sigmoid_backward"]
 
-    def test_small_layers_take_the_spec_with_the_same_bits(self, compiled, mtl_spec_calls):
+    def test_small_layers_take_the_spec_with_the_same_bits(self, compiled, spec_calls):
         rng = np.random.default_rng(2)
         rows = mtl_index.COMPILED_MIN_ROWS
         features, w1, bias = rng.random((rows, 2)), rng.normal(size=(2, 10)), rng.normal(size=10)
         full = mtl_index._hidden_layer(features, w1, bias)
         head = mtl_index._hidden_layer(features[: rows - 1], w1, bias)
-        assert mtl_spec_calls == [("_sigmoid_spec", rows - 1)]
+        assert spec_calls["sigmoid_in"] == [rows - 1] and not spec_calls["sigmoid_backward"]
         _assert_same_bits([head], [full[: rows - 1]])
 
 
@@ -904,16 +798,24 @@ def _fingerprint(index: MTLIndex) -> dict:
     return {"nodes": nodes, "leaves": leaves, "predictions": predictions}
 
 
+def _training_case() -> tuple:
+    table = ExmaTable("ACGTTGCAAC" * 60, k=2)
+    index = MTLIndex(table, model_threshold=8, samples_per_kmer=16, epochs=5)
+    kmers = np.array(index.modelled_kmers)
+    return _fingerprint(index), _bits(index.predict_many(kmers, np.zeros(kmers.size))).tolist()
+
+
 class TestTrainedIndexBothPaths:
     @pytest.mark.parametrize("length", [20_000, 40_000])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_identical_index(self, compiled, monkeypatch, mtl_spec_calls, length, seed):
+    def test_identical_index(self, compiled, spec_calls, length, seed):
         fast = _fingerprint(_trained(length, seed))
         # Training runs compiled; only layers too small to pay take the spec.
-        assert all(rows < mtl_index.COMPILED_MIN_ROWS for _name, rows in mtl_spec_calls)
-        monkeypatch.setattr(native, "_library", None)
-        spec = _fingerprint(_trained(length, seed))
-        assert {"_sigmoid_spec", "_sigmoid_backward_spec"} <= {name for name, _ in mtl_spec_calls}
+        layers = spec_calls["sigmoid_in"] + spec_calls["sigmoid_backward"]
+        assert all(rows < mtl_index.COMPILED_MIN_ROWS for rows in layers)
+        with no_library():
+            spec = _fingerprint(_trained(length, seed))
+        assert spec_calls["sigmoid_in"] and spec_calls["sigmoid_backward"]
         assert fast["leaves"] and fast == spec
 
 
@@ -1011,26 +913,18 @@ class TestStackedLeaves:
         mtl_index._fit_leaves(outputs, targets, takes)
         assert sorted(scalar_sizes) == [1] * 4 + [5] * 4
 
-    @pytest.mark.parametrize(
-        "gufunc",
-        # Missing, or failing the way a LAPACK error surfaces under the errstate.
-        [None, lambda *args, **kwargs: np.zeros(2) / np.zeros(2)],
-        ids=["missing", "failing"],
-    )
-    def test_fallback_without_the_gufunc_has_the_same_bits(
-        self, monkeypatch, scalar_sizes, gufunc
-    ):
+    @pytest.mark.parametrize("off", ["missing", "failing", "pure-python"])
+    def test_fallback_has_the_same_bits(self, monkeypatch, scalar_sizes, off):
+        # The gufunc missing, or failing the way a LAPACK error surfaces
+        # under the errstate; or REPRO_PURE_PYTHON.
         monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
         stacked = _fingerprint(_trained(20_000, 1))
         assert not scalar_sizes
-        monkeypatch.setattr(mtl_index, "_LSTSQ", gufunc)
-        assert _fingerprint(_trained(20_000, 1)) == stacked
-        assert len(scalar_sizes) == len(stacked["leaves"])
-
-    def test_pure_python_runs_the_spec_with_the_same_bits(self, monkeypatch, scalar_sizes):
-        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
-        stacked = _fingerprint(_trained(20_000, 1))
-        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
+        if off == "pure-python":
+            monkeypatch.setenv(PURE_PYTHON_ENV, "1")
+        else:
+            failing = lambda *args, **kwargs: np.zeros(2) / np.zeros(2)  # noqa: E731
+            monkeypatch.setattr(mtl_index, "_LSTSQ", None if off == "missing" else failing)
         assert _fingerprint(_trained(20_000, 1)) == stacked
         assert len(scalar_sizes) == len(stacked["leaves"])
 
@@ -1042,104 +936,109 @@ class TestStackedLeaves:
         assert digest == GOLDEN_COLUMNS_60K_SEED0
 
 
-class TestRecipeValidation:
-    @pytest.mark.parametrize("knob", ["samples_per_kmer", "epochs"])
-    @pytest.mark.parametrize("value", [0, -1, True, 2.5], ids=["zero", "negative", "bool", "float"])
-    def test_nonsense_is_refused(self, knob, value):
-        table = ExmaTable("ACGTTGCA" * 40, k=2)
-        with pytest.raises(ValueError, match=f"{knob} must be an integer >= 1"):
-            MTLIndex(table, **{knob: value})
+class OracleCase(NamedTuple):
+    """A kernel row's entry in the harness.  ``oracle(spec_calls, drawn)``
+    asserts compiled ≡ spec (≡ the object model where there is one) on a
+    draw from *inputs*; *run* drives the public entry point on fixed
+    inputs and returns its answer, checked as the oracle checks; and
+    *declines* calls the wrapper directly and returns what it gave."""
 
-    @pytest.mark.parametrize("index", [MTLIndex, NaiveLearnedIndex])
-    @pytest.mark.parametrize("value", [-1, True, 2.5, "16"], ids=["negative", "bool", "float", "str"])
-    def test_threshold_nonsense_is_refused(self, index, value):
-        table = ExmaTable("ACGTTGCA" * 40, k=2)
-        with pytest.raises(ValueError, match="model_threshold must be an integer >= 0"):
-            index(table, model_threshold=value)
+    inputs: st.SearchStrategy
+    oracle: Callable[..., None]
+    run: Callable[[], object]
+    declines: Callable[[], list]
 
-    @pytest.mark.parametrize("index", [MTLIndex, NaiveLearnedIndex])
-    def test_zero_threshold_models_every_present_kmer(self, index):
-        table = ExmaTable("ACGTTGCA" * 40, k=2)
-        assert index(table, model_threshold=0).modelled_kmers == table.present_kmers()
 
-    @pytest.mark.parametrize(
-        "edges", [(0, 64), (-4,), (True, 64), (2.5, 64), (64, "256")],
-        ids=["zero", "negative", "bool", "float", "str"],
-    )
-    def test_bucket_edge_nonsense_is_refused(self, edges):
-        table = ExmaTable("ACGTTGCA" * 40, k=2)
-        with pytest.raises(ValueError, match="bucket_edges must be an integer >= 1"):
-            MTLIndex(table, bucket_edges=edges)
+SIGMOID = OracleCase(
+    layer_arrays(), _sigmoid_oracle, _sigmoid_case,
+    lambda: [native.sigmoid(np.full((3, 2), 0.5), np.zeros(2))],
+)
+#: One case per :data:`repro.native.KERNELS` row (``test_ci_commands``
+#: holds the keys to the table).
+ORACLE_CASES = {
+    "lru_hits": OracleCase(
+        LRU_INPUTS, _lru_oracle, _lru_case, lambda: [native.lru_hits(_int64([0, 64]), 64, 1, 1)]
+    ),
+    "dram_channels": OracleCase(DRAM_INPUTS, _dram_oracle, _dram_case, lambda: [
+        native.dram_channels(ZERO, ZERO + 64, np.zeros(1, bool), ZERO, 1, 1, (0, 0, 0), 1, 1),
+    ]),
+    "occ_ranks": OracleCase(occ_requests(), _occ_oracle, _occ_case, lambda: [
+        native.occ_ranks(ZERO, ZERO, ZERO, ZERO, 1),
+        native.occ_ranks(*OCC_REQUESTS, OCC_TABLE.increments, _int64([0] * 64), 1301),
+    ]),
+    "lockstep": OracleCase(
+        lockstep_batches(), _lockstep_oracle,
+        lambda: _traced_search(LOCKSTEP_BACKENDS[4], LOCKSTEP_QUERIES),
+        lambda: [
+            native.lockstep(ZERO.reshape(1, 1), ZERO, ZERO, ZERO, np.zeros(1, bool), *[ZERO] * 3, 1),
+            native.lockstep(*_lockstep_inputs(LOCKSTEP_BACKENDS[4], LOCKSTEP_QUERIES), None, None, 1),
+        ],
+    ),
+    "sigmoid_in": SIGMOID,
+    "sigmoid_out": SIGMOID,
+    "sigmoid_backward": OracleCase(
+        st.one_of(layer_arrays(min_width=2), layer_arrays(probabilities, min_width=2)),
+        _sigmoid_backward_oracle, _training_case,
+        lambda: [
+            native.sigmoid_backward(np.full((3, 2), 0.5), np.ones(3), np.ones(2), np.empty((3, 2)))
+        ],
+    ),
+}
+#: One symbol per distinct case: rows that share a case run it once.
+ORACLE_SYMBOLS = list({case: symbol for symbol, case in reversed(ORACLE_CASES.items())}.values())
+
+
+@pytest.mark.parametrize("symbol", ORACLE_SYMBOLS)
+@given(data=st.data())
+@kernel_settings
+def test_compiled_equals_spec(compiled, spec_calls, symbol, data):
+    for runs in spec_calls.values():  # hypothesis reuses the fixture
+        runs.clear()
+    case = ORACLE_CASES[symbol]
+    case.oracle(spec_calls, data.draw(case.inputs))
+
+
+@pytest.mark.parametrize("off", ["no-library", "pure-python", "no-compiler"])
+@pytest.mark.parametrize("kernel", native.KERNELS, ids=lambda kernel: kernel.symbol)
+def test_each_kernel_equals_its_spec_with_the_library_off(
+    compiled, monkeypatch, tmp_path, spec_calls, kernel, off
+):
+    """A row's case gives the same answer compiled and off, and only the
+    off run reaches the row's spec.  Off as ``cc`` missing, the first use
+    warns once for the whole library and every row's case after it is
+    quiet; as ``REPRO_PURE_PYTHON`` or an unloaded library, nothing warns.
+    No cache is written, and every wrapper declines."""
+    case = ORACLE_CASES[kernel.symbol]
+    expected = case.run()
+    assert spec_calls[kernel.symbol] == []
+    monkeypatch.setattr(native, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(native, "_library", None if off == "no-library" else native._UNRESOLVED)
+    if off == "pure-python":
+        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
+    monkeypatch.setattr(native, "COMPILER", "repro-no-such-compiler")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert case.run() == expected
+        assert spec_calls[kernel.symbol]
+        if off == "no-compiler":  # one warning for the whole library
+            for other in ORACLE_CASES.values():
+                other.run()
+            assert all(spec_calls[other.symbol] for other in native.KERNELS)
+    messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    assert len(messages) == (off == "no-compiler")
+    assert all("repro-no-such-compiler" in message for message in messages)
+    assert not native.loaded_kernels()
+    assert all(answer is None or answer is False for answer in case.declines())
+    assert not (tmp_path / "cache").exists()
 
 
 class TestLoader:
-    def test_no_compiler_warns_once_and_runs_the_specs(
-        self, monkeypatch, unresolved, spec_calls, lru_spec_calls
-    ):
-        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
-        monkeypatch.setattr(native, "COMPILER", "repro-no-such-compiler")
-        requests = _requests(seed=4)
-        model = DRAMModel(page_policy=PagePolicy.DYNAMIC)
-        trace = MemoryTrace.from_requests(requests)
-        addresses = trace.rows * 64
-        with pytest.warns(RuntimeWarning, match="repro-no-such-compiler"):
-            first = model.process_columns(trace)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            second = model.process_columns(trace)
-            hits = hw_cache.simulate_lru_hits(addresses, 2048, 64, 4)
-        assert first == second == [model.process(requests)]
-        assert np.array_equal(hits, _reference_hits(addresses, 2048, 64, 4))
-        assert len(spec_calls) == 2 and len(lru_spec_calls) == 1
-        assert not native.kernel_active()
-        assert not unresolved.exists()
-
-    def test_no_compiler_one_warning_for_every_kernel(
-        self, monkeypatch, unresolved, spec_calls, lru_spec_calls, mtl_spec_calls
-    ):
-        # MTL training comes first in a stack's set-up: it warns once for the
-        # whole library, and the replay's cache and DRAM kernels stay quiet.
-        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
-        monkeypatch.setattr(native, "COMPILER", "repro-no-such-compiler")
-        table = ExmaTable("ACGTTGCAAC" * 60, k=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            index = MTLIndex(table, model_threshold=8, samples_per_kmer=16, epochs=5)
-            index.predict_many(np.array(index.modelled_kmers), np.zeros(len(index.modelled_kmers)))
-            requests = _requests(seed=4)
-            trace = MemoryTrace.from_requests(requests)
-            (stats,) = DRAMModel(page_policy=PagePolicy.DYNAMIC).process_columns(trace)
-            hw_cache.simulate_lru_hits(trace.rows * 64, 2048, 64, 4)
-        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
-        assert len(messages) == 1 and "compiled kernels unavailable" in messages[0]
-        assert {"_sigmoid_spec", "_sigmoid_backward_spec"} <= {name for name, _ in mtl_spec_calls}
-        assert spec_calls == [len(requests)] and len(lru_spec_calls) == 1
-        assert stats == DRAMModel(page_policy=PagePolicy.DYNAMIC).process(requests)
-        assert not unresolved.exists()
-
-    def test_pure_python_forces_the_specs(self, monkeypatch, unresolved):
-        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not native.kernel_active()
-        zero = _int64([0])
-        keep = np.zeros(1, bool)
-        assert native.dram_channels(zero, zero + 64, keep, zero, 1, 1, (0, 0, 0), 1, 1) is None
-        assert native.occ_ranks(zero, zero, zero, zero, 1) is None
-        matrix = zero.reshape(1, 1)
-        assert native.lockstep(matrix, zero, zero, zero, keep, zero, zero, zero, 1) is None
-        assert native.lru_hits(_int64([0, 64]), 64, 1, 1) is None
-        hidden = np.full((3, 2), 0.5)
-        assert not native.sigmoid(hidden, np.zeros(2))
-        assert native.sigmoid_backward(hidden, np.ones(3), np.ones(2), np.empty((3, 2))) is None
-        assert not unresolved.exists()
-
     def test_shared_cache_directory_is_refused(self, monkeypatch, unresolved):
         monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
         unresolved.mkdir(mode=0o777)
         unresolved.chmod(0o777)
         with pytest.warns(RuntimeWarning, match="not private"):
-            assert not native.kernel_active()
+            assert not native.loaded_kernels()
         assert list(unresolved.iterdir()) == []
 
     def test_cold_compile_writes_only_to_the_cache(self, monkeypatch, unresolved):
@@ -1149,7 +1048,7 @@ class TestLoader:
             return {p for p in SOURCE_TREE.rglob("*") if "__pycache__" not in p.parts}
 
         before = files()
-        assert native.kernel_active()
+        assert native.loaded_kernels()
         assert files() == before
         (library,) = unresolved.iterdir()
         assert library.suffix == ".so"
@@ -1179,7 +1078,7 @@ class TestLoader:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert native.kernel_active()
+        assert native.loaded_kernels()
         assert results == [[model.process(requests)]] * 8
         assert len(list(unresolved.iterdir())) == 1
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import pytest
 
+from repro import native
 from repro.accel.configspace import baseline_point
 from repro.cli import build_parser, main
 from repro.engine.sharded import ShardedQueryEngine
@@ -119,8 +120,8 @@ class TestRegistryRecords:
         entry, _toy, result, envelope, path = case
         assert list(envelope)[:4] == ["benchmark", "host", "workload", "headlines"]
         assert list(envelope)[-1] == "rows" and envelope["rows"]
-        assert set(envelope["host"]) == {*host_block(), "compiled_recurrence"}
-        assert isinstance(envelope["host"]["compiled_recurrence"], bool)
+        assert set(envelope["host"]) == {*host_block(), "compiled_kernels"}
+        assert envelope["host"]["compiled_kernels"] in ([], [k.symbol for k in native.KERNELS])
         assert envelope["workload"]["genome_length"] == int(_toy.argv[1])
         assert envelope["headlines"]
         for headline in envelope["headlines"]:

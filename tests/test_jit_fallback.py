@@ -949,6 +949,9 @@ class OracleCase(NamedTuple):
     declines: Callable[[], list]
 
 
+#: ``sigmoid_in`` and ``sigmoid_out`` run together in :func:`native.sigmoid`;
+#: the out row draws ``hidden`` where ``exp`` runs from 0 to inf, which
+#: ``1 / (x + 1)`` rounds.
 SIGMOID = OracleCase(
     layer_arrays(), _sigmoid_oracle, _sigmoid_case,
     lambda: [native.sigmoid(np.full((3, 2), 0.5), np.zeros(2))],
@@ -975,7 +978,7 @@ ORACLE_CASES = {
         ],
     ),
     "sigmoid_in": SIGMOID,
-    "sigmoid_out": SIGMOID,
+    "sigmoid_out": SIGMOID._replace(inputs=layer_arrays(st.floats(-750.0, 750.0))),
     "sigmoid_backward": OracleCase(
         st.one_of(layer_arrays(min_width=2), layer_arrays(probabilities, min_width=2)),
         _sigmoid_backward_oracle, _training_case,
@@ -984,11 +987,9 @@ ORACLE_CASES = {
         ],
     ),
 }
-#: One symbol per distinct case: rows that share a case run it once.
-ORACLE_SYMBOLS = list({case: symbol for symbol, case in reversed(ORACLE_CASES.items())}.values())
 
 
-@pytest.mark.parametrize("symbol", ORACLE_SYMBOLS)
+@pytest.mark.parametrize("symbol", ORACLE_CASES)
 @given(data=st.data())
 @kernel_settings
 def test_compiled_equals_spec(compiled, spec_calls, symbol, data):

@@ -143,7 +143,8 @@ EXPLAINED: dict[str, str] = {
     "tests/test_sharded.py sets against the trace-based shard merge",
     "engine/window.py:WindowedBatch.from_requests": "oracle: builds the expected flush "
     "from plain requests (tests/test_window.py)",
-    "genome/alphabet.py:decode": "oracle: inverts encode in tests/test_alphabet.py",
+    "genome/alphabet.py:decode": "oracle: inverts encode in tests/test_alphabet.py (a search "
+    "batch with partial-chunk tails also reaches it)",
     "genome/alphabet.py:gc_content": "oracle: tests/test_sequence.py checks random_genome's "
     "GC bias with it",
     "hw/dram.py:MemoryTrace.from_requests": "oracle: columns of a plain request list, so "
@@ -215,9 +216,6 @@ EXPLAINED: dict[str, str] = {
     "app-path tests read the flushes",
     "engine/backends.py:ExmaBackend.index": "test-seam: tests read the backend's MTL index",
     "engine/backends.py:ExmaBackend.table": "test-seam: tests read the backend's EXMA table",
-    "engine/backends.py:SearchBackend.count_batch": _CONVENIENCE,
-    "engine/backends.py:SearchBackend.find_batch": _CONVENIENCE,
-    "engine/backends.py:SearchBackend.search": _CONVENIENCE,
     "engine/engine.py:QueryEngine.count_batch": _CONVENIENCE,
     "engine/engine.py:QueryEngine.find": _CONVENIENCE,
     "engine/engine.py:QueryEngine.occurrence_count": _CONVENIENCE,

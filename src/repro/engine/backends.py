@@ -1,7 +1,8 @@
 """Search backends: one batched interface over every index structure.
 
-A :class:`SearchBackend` answers batches of exact-match queries with
-BW-matrix intervals.  Each backend wraps one of the repository's search
+A :class:`SearchBackend` answers a :class:`~repro.genome.alphabet
+.QueryBatch` of exact-match queries with BW-matrix intervals, as ``lows``
+and ``highs`` columns.  Each backend wraps one of the repository's search
 structures — the 1-step :class:`~repro.index.fmindex.FMIndex`, an EXMA
 table (exact, naive-learned or MTL Occ resolution) or LISA's IP-BWT — and
 implements the same lockstep discipline: all live queries advance their
@@ -18,18 +19,12 @@ import abc
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import native
 from ..exma.search import OccIndex
 from ..exma.table import ExmaTable
-from ..genome.alphabet import (
-    FULL_ALPHABET,
-    SENTINEL,
-    AlphabetError,
-    encode_right_aligned,
-    pack_kmer,
-    unpack_kmer,
-)
+from ..genome.alphabet import FULL_ALPHABET, SENTINEL, QueryBatch, decode, unpack_kmer
 from ..index.fmindex import FMIndex, Interval
 from ..lisa.search import LisaIndex
 from .coalesce import (
@@ -54,9 +49,8 @@ class SearchBackend(abc.ABC):
     """Batched exact-match search over one index structure.
 
     Subclasses implement :meth:`search_batch` (the lockstep core) and
-    :meth:`locate`; everything else — single-query search, find, counting
-    — derives from those, so single-query paths stay thin wrappers over
-    the batched engine.
+    :meth:`locate`; single queries, finding and counting live in
+    :class:`~repro.engine.engine.QueryEngine`, over batches.
     """
 
     #: Registry name, set by :func:`register_backend`.
@@ -64,9 +58,10 @@ class SearchBackend(abc.ABC):
 
     @abc.abstractmethod
     def search_batch(
-        self, queries: Sequence[str], stats: BatchStats | None = None
-    ) -> list[Interval]:
-        """BW-matrix interval of every query, advancing all in lockstep."""
+        self, batch: QueryBatch, stats: BatchStats | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The BW-matrix interval of every query of *batch* as int64
+        ``(lows, highs)`` columns, advancing all queries in lockstep."""
 
     @abc.abstractmethod
     def locate(self, interval: Interval, limit: int | None = None) -> list[int]:
@@ -77,33 +72,50 @@ class SearchBackend(abc.ABC):
     def reference_length(self) -> int:
         """Length of the sentinel-terminated reference."""
 
-    def search(self, query: str, stats: BatchStats | None = None) -> Interval:
-        """Single-query search: a batch of one."""
-        return self.search_batch([query], stats)[0]
 
-    def find_batch(
-        self,
-        queries: Sequence[str],
-        stats: BatchStats | None = None,
-        limit: int | None = None,
-    ) -> list[list[int]]:
-        """Occurrence positions of every query (sorted per query)."""
-        return [
-            self.locate(interval, limit=limit)
-            for interval in self.search_batch(queries, stats)
-        ]
+def _full_interval(batch: QueryBatch, reference_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every query's starting interval: all ``reference_length`` rows."""
+    size = len(batch)
+    return np.zeros(size, dtype=np.int64), np.full(size, reference_length, dtype=np.int64)
 
-    def count_batch(
-        self, queries: Sequence[str], stats: BatchStats | None = None
-    ) -> list[int]:
-        """Occurrence count of every query."""
-        return [interval.count for interval in self.search_batch(queries, stats)]
 
-    @staticmethod
-    def _validate(queries: Sequence[str]) -> None:
-        for query in queries:
-            if not query:
-                raise ValueError("query must be non-empty")
+def _resolve_tails(
+    batch: QueryBatch, k: int, lows, highs, stats: BatchStats | None, resolve
+) -> None:
+    """Start every query whose length is not a multiple of *k* at its tail,
+    its last ``length % k`` symbols, before the lockstep steps.  Tails are
+    coalesced: each distinct one, in first-seen order, is resolved once by
+    ``resolve(tail) -> (low, high, TailContribution)`` and recorded."""
+    sizes = batch.lengths % k
+    rows = np.flatnonzero(sizes)
+    if not rows.size:
+        return
+    sizes = sizes[rows]
+    # The tails' codes back to back, decoded at once: tail j ends at ends[j].
+    ends = np.cumsum(sizes)
+    shift = np.repeat(np.cumsum(batch.lengths)[rows] - ends, sizes)
+    text = decode(batch.codes[shift + np.arange(ends[-1])])
+    first: dict[str, int] = {}
+    spans = zip(ends.tolist(), sizes.tolist())
+    which = [first.setdefault(text[end - size : end], len(first)) for end, size in spans]
+    resolved = [resolve(tail) for tail in first]
+    lows[rows], highs[rows] = np.array([bounds[:2] for bounds in resolved], dtype=np.int64)[which].T
+    if stats is not None:
+        stats.iterations += rows.size
+        for tail, (_, _, contribution) in zip(first, resolved):
+            stats.record_tail(tail, contribution)
+
+
+def _packed_chunks(lengths: np.ndarray, codes: np.ndarray, k: int):
+    """Every k-symbol window of the concatenated *codes* packed 2 bits a
+    symbol (-1 where a code is outside 1..4), each query's first offset and
+    its count of whole chunks.  Chunk *t* of query *i*, the *t*-th consumed
+    right to left, is the window at ``starts[i] + (steps[i] - 1 - t) * k``."""
+    # Padded so that even a batch shorter than k has a window.
+    windows = sliding_window_view(np.append(codes.astype(np.int64) - 1, [-1] * k), k)
+    packed = windows @ 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    packed[((windows < 0) | (windows > 3)).any(axis=1)] = -1
+    return packed, np.cumsum(lengths) - lengths, lengths // k
 
 
 # --------------------------------------------------------------------- #
@@ -181,40 +193,27 @@ class FMIndexBackend(SearchBackend):
     def locate(self, interval: Interval, limit: int | None = None) -> list[int]:
         return self._fm.locate(interval, limit=limit)
 
-    def _encode_reversed(self, queries: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Encode queries right-to-left into a padded code matrix."""
-        lengths = np.array([len(q) for q in queries], dtype=np.int64)
-        codes = encode_right_aligned(queries, lengths, lengths)[:, ::-1]
-        sentinel = (codes == 0).any(axis=1)
-        if sentinel.any():
-            raise ValueError(
-                f"query {queries[int(sentinel.argmax())]!r} contains the sentinel symbol"
-            )
-        return codes, lengths
-
     def search_batch(
-        self, queries: Sequence[str], stats: BatchStats | None = None
-    ) -> list[Interval]:
-        if not queries:
-            return []
-        self._validate(queries)
-        codes, lengths = self._encode_reversed(queries)
+        self, batch: QueryBatch, stats: BatchStats | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         n = self._fm.reference_length
+        lows, highs = _full_interval(batch, n)
+        if not len(batch):
+            return lows, highs
         occ = self._fm.occ_prefix_sums()
         count = self._fm.count_table
-
-        n_queries = len(queries)
-        lows = np.zeros(n_queries, dtype=np.int64)
-        highs = np.full(n_queries, n, dtype=np.int64)
-        alive = np.ones(n_queries, dtype=bool)
+        lengths = batch.lengths
+        ends = np.cumsum(lengths)
+        alive = np.ones(len(batch), dtype=bool)
         if stats is not None:
-            stats.queries += n_queries
+            stats.queries += len(batch)
 
-        for step_index in range(codes.shape[1]):
+        # Step t consumes every live query's t-th symbol from its end.
+        for step_index in range(int(lengths.max())):
             active = alive & (lengths > step_index)
             if not np.any(active):
                 break
-            symbols = codes[active, step_index]
+            symbols = batch.codes[ends[active] - 1 - step_index].astype(np.int64)
             step = coalesce_requests(
                 np.concatenate([symbols, symbols]),
                 np.concatenate([lows[active], highs[active]]),
@@ -233,7 +232,7 @@ class FMIndexBackend(SearchBackend):
                 # step: record_step charges exactly that base-read rule.
                 stats.record_step(step.keys, step.span, step.issued, step.unique_kmers)
 
-        return [Interval(low, high) for low, high in zip(lows.tolist(), highs.tolist())]
+        return lows, highs
 
     # ------------------------------------------------------------------ #
     # Batched seeding
@@ -420,74 +419,29 @@ class ExmaBackend(SearchBackend):
         high = interval.high if limit is None else min(interval.high, interval.low + limit)
         return self._table.locate(interval.low, high)
 
-    def _chunk_matrix(self, queries: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Pack every query's full k-chunks right-to-left, padded with -1.
-
-        The whole batch is encoded once, the bodies right-aligned into one
-        code matrix and packed with a single reshape + matmul against the
-        2-bit place values — no per-query or per-chunk Python.  Right
-        alignment makes slot ``max_steps - 1 - j`` of every row the j-th
-        chunk consumed by the lockstep loop, regardless of query length.
-        """
-        k = self._table.k
-        lengths = np.array([len(query) for query in queries], dtype=np.int64)
-        steps = lengths // k
-        max_steps = int(steps.max(initial=0))
-        bodies = steps * k
-        aligned = encode_right_aligned(queries, lengths, bodies)
-        if np.any(aligned == 0):
-            raise AlphabetError("invalid k-mer symbol: '$'")
-        leftovers = [query[body:] for query, body in zip(queries, bodies.tolist())]
-        place_values = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        packed = (aligned - 1).reshape(len(queries), max_steps, k) @ place_values
-        matrix = np.where(
-            steps[:, None] > np.arange(max_steps), packed[:, ::-1], np.int64(-1)
-        )
-        return matrix, steps, leftovers
-
     def search_batch(
-        self, queries: Sequence[str], stats: BatchStats | None = None
-    ) -> list[Interval]:
-        if not queries:
-            return []
-        self._validate(queries)
-        n = self._table.reference_length
-        matrix, steps, leftovers = self._chunk_matrix(queries)
-
-        n_queries = len(queries)
-        lows = np.zeros(n_queries, dtype=np.int64)
-        highs = np.full(n_queries, n, dtype=np.int64)
-        alive = np.ones(n_queries, dtype=bool)
+        self, batch: QueryBatch, stats: BatchStats | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        table = self._table
+        n = table.reference_length
+        lows, highs = _full_interval(batch, n)
+        if not len(batch):
+            return lows, highs
         if stats is not None:
-            stats.queries += n_queries
+            stats.queries += len(batch)
             stats.price_with(self._step_contribution)
 
-        # Trailing partial chunk first, straight from the per-k-mer counts
-        # (coalesced by tail string: each distinct tail is resolved once).
-        tail_cache: dict[str, tuple[int, int]] = {}
-        for i, tail in enumerate(leftovers):
-            if not tail:
-                continue
-            bounds = tail_cache.get(tail)
-            if bounds is None:
-                bounds = self._table.prefix_interval(tail)
-                tail_cache[tail] = bounds
-                if stats is not None:
-                    stats.record_tail(tail, TailContribution(base_reads=1))
-            lows[i], highs[i] = bounds
-            if stats is not None:
-                stats.iterations += 1
-            if lows[i] >= highs[i]:
-                alive[i] = False
-
-        table, counts = self._table, self._table.count_table()
-        result = native.lockstep(
-            matrix, steps, lows, highs, alive, counts, table.increments, table._kmer_rank_base, n
+        # Trailing partial chunks first, straight from the per-k-mer counts.
+        _resolve_tails(
+            batch, table.k, lows, highs, stats,
+            lambda tail: (*table.prefix_interval(tail), TailContribution(base_reads=1)),
         )
+
+        counts = table.count_table()
+        inputs = (batch.lengths, batch.codes, table.k, lows, highs, lows < highs, counts)
+        result = native.lockstep(*inputs, table.increments, table._kmer_rank_base, n)
         if result is None:
-            result = _lockstep_spec(
-                matrix, steps, lows, highs, alive, counts, self._occ_batch, self._span
-            )
+            result = _lockstep_spec(*inputs, self._occ_batch, self._span)
         lows, highs, keys, occ, offsets, issued, distinct = result
         if stats is not None:
             stats.iterations += int(issued.sum()) // 2
@@ -497,8 +451,7 @@ class ExmaBackend(SearchBackend):
             for step, (count, kmers) in enumerate(zip(issued.tolist(), distinct.tolist())):
                 begin, end = offsets[step], offsets[step + 1]
                 stats.record_step(keys[begin:end], self._span, count, kmers, occ[begin:end])
-
-        return [Interval(low, high) for low, high in zip(lows.tolist(), highs.tolist())]
+        return lows, highs
 
     def _step_contribution(self, keys: np.ndarray, occ_values: np.ndarray) -> StepContribution:
         """Per-unique-request resolution costs of packed ``kmer * span + pos``
@@ -537,26 +490,31 @@ class ExmaBackend(SearchBackend):
         return StepContribution(entries=entries, predicted=modelled, errors=errors)
 
 
-def _lockstep_spec(matrix, steps, lows, highs, alive, counts, occ_batch, span: int):
+def _lockstep_spec(lengths, codes, k: int, lows, highs, alive, counts, occ_batch, span: int):
     """:func:`repro.native.lockstep`'s specification and fallback: the
     lockstep steps of :meth:`ExmaBackend.search_batch` after its tails.
 
-    Step *t* coalesces the ``(kmer, low)`` and ``(kmer, high)`` requests
-    of every live query with a chunk *t* (``steps > t``), resolves the
-    unique ones with one *occ_batch* call and moves each issuer to
-    ``counts[kmer] + occ``; the first step with no live query ends the
-    pass.  Returns the final lows and highs, every step's unique keys and
-    Occ concatenated, the step offsets into them, and each step's issued
-    and distinct-k-mer counts.  The inputs are left as they were.  A bound
-    outside ``[0, span)`` raises ``ValueError``, as ``occ_batch`` does.
+    The queries are a :class:`QueryBatch`'s *lengths* and concatenated
+    *codes*; a query has ``length // k`` whole chunks, consumed right to
+    left after its tail, each packed 2 bits a symbol.  Step *t*
+    coalesces the ``(kmer, low)`` and ``(kmer, high)`` requests of every
+    live query with a chunk *t*, resolves the unique ones with one
+    *occ_batch* call and moves each issuer to ``counts[kmer] + occ``; the
+    first step with no live query ends the pass.  Returns the final lows
+    and highs, every step's unique keys and Occ concatenated, the step
+    offsets into them, and each step's issued and distinct-k-mer counts.
+    The inputs are left as they were.  A bound outside ``[0, span)``, or
+    a chunk with a code outside 1..4, raises ``ValueError``, as
+    ``occ_batch`` does for a k-mer out of range.
     """
+    chunks, starts, steps = _packed_chunks(lengths, codes, k)
     lows, highs, alive = lows.copy(), highs.copy(), alive.copy()
     keys, occ, issued, distinct = [], [], [], []
-    for step_index in range(matrix.shape[1]):
+    for step_index in range(int(steps.max(initial=0))):
         active = alive & (steps > step_index)
         if not np.any(active):
             break
-        packed = matrix[active, step_index]
+        packed = chunks[(starts + (steps - 1 - step_index) * k)[active]]
         bounds = np.concatenate([lows[active], highs[active]])
         # Past |G| a bound would fold into the next k-mer's keys.
         if int(bounds.min()) < 0 or int(bounds.max()) >= span:
@@ -660,79 +618,31 @@ class LisaBackend(SearchBackend):
         return self._lisa.ipbwt.locate(interval)
 
     def search_batch(
-        self, queries: Sequence[str], stats: BatchStats | None = None
-    ) -> list[Interval]:
-        if not queries:
-            return []
-        self._validate(queries)
+        self, batch: QueryBatch, stats: BatchStats | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         k = self._lisa.k
         n = len(self._lisa.ipbwt)
-
-        chunk_lists: list[list[str]] = []
-        leftovers: list[str] = []
-        for query in queries:
-            leftover = len(query) % k
-            leftovers.append(query[len(query) - leftover :] if leftover else "")
-            body = query[: len(query) - leftover]
-            chunk_lists.append([body[right - k : right] for right in range(len(body), 0, -k)])
-        steps = [len(chunks) for chunks in chunk_lists]
-
-        n_queries = len(queries)
-        lows = [0] * n_queries
-        highs = [n] * n_queries
-        alive = [True] * n_queries
+        lows, highs = _full_interval(batch, n)
+        if not len(batch):
+            return lows, highs
         if stats is not None:
-            stats.queries += n_queries
+            stats.queries += len(batch)
 
-        # Trailing partial chunks, coalesced by tail (LISA padding rule).
-        # Each distinct tail costs two lower bounds, recorded with their
-        # costs so the sharded merge re-accounts them without a replay.
-        tail_cache: dict[str, tuple[int, int]] = {}
-        for i, tail in enumerate(leftovers):
-            if not tail:
-                continue
-            bounds = tail_cache.get(tail)
-            if bounds is None:
-                low, low_cost = self._lisa.lower_bound(
-                    self._lisa.padded_chunk(tail, smallest=True), 0
-                )
-                high, high_cost = self._lisa.lower_bound(
-                    self._lisa.padded_chunk(tail, smallest=False), n
-                )
-                bounds = (low, high)
-                tail_cache[tail] = bounds
-                if stats is not None:
-                    if self._lisa.learned_index is None:
-                        contribution = TailContribution(comparisons=low_cost + high_cost)
-                    else:
-                        contribution = TailContribution(
-                            predictions=2, errors=(low_cost, high_cost)
-                        )
-                    stats.record_tail(tail, contribution)
-            lows[i], highs[i] = bounds
-            if stats is not None:
-                stats.iterations += 1
-            if lows[i] >= highs[i]:
-                alive[i] = False
-
-        max_steps = max(steps, default=0)
-        for step_index in range(max_steps):
-            issuers = [
-                i
-                for i in range(n_queries)
-                if alive[i] and step_index < steps[i]
-            ]
-            if not issuers:
+        # Trailing partial chunks first (LISA padding rule).
+        _resolve_tails(batch, k, lows, highs, stats, self._tail_bounds)
+        alive = lows < highs
+        chunks, starts, steps = _packed_chunks(batch.lengths, batch.codes, k)
+        for step_index in range(int(steps.max())):
+            issuers = np.flatnonzero(alive & (steps > step_index))
+            if not issuers.size:
                 break
             # Coalesce exactly as the other backends do: chunks are pure
             # DNA here (padded tails were handled above), so they pack
             # into the shared (kmer, pos) key space.
-            packed = np.array(
-                [pack_kmer(chunk_lists[i][step_index]) for i in issuers], dtype=np.int64
-            )
+            packed = chunks[starts[issuers] + (steps[issuers] - 1 - step_index) * k]
             step = coalesce_requests(
                 np.concatenate([packed, packed]),
-                np.array([lows[i] for i in issuers] + [highs[i] for i in issuers]),
+                np.concatenate([lows[issuers], highs[issuers]]),
                 span=n + 1,
             )
             bounds = np.empty(step.unique, dtype=np.int64)
@@ -745,7 +655,7 @@ class LisaBackend(SearchBackend):
                 )
             bounds_all = step.scatter(bounds)
             if stats is not None:
-                stats.iterations += len(issuers)
+                stats.iterations += issuers.size
                 if self._lisa.learned_index is None:
                     contribution = StepContribution(comparisons=costs)
                 else:
@@ -755,13 +665,21 @@ class LisaBackend(SearchBackend):
                 stats.record_step(
                     step.keys, step.span, step.issued, step.unique_kmers, contribution=contribution
                 )
-            for slot, i in enumerate(issuers):
-                lows[i] = int(bounds_all[slot])
-                highs[i] = int(bounds_all[slot + len(issuers)])
-                if lows[i] >= highs[i]:
-                    alive[i] = False
+            lows[issuers] = bounds_all[: issuers.size]
+            highs[issuers] = bounds_all[issuers.size :]
+            alive[issuers] = lows[issuers] < highs[issuers]
 
-        return [Interval(low, high) for low, high in zip(lows, highs)]
+        return lows, highs
+
+    def _tail_bounds(self, tail: str) -> tuple[int, int, TailContribution]:
+        """A tail's interval from two lower bounds, with their costs, so
+        the sharded merge re-accounts them without a replay."""
+        n = len(self._lisa.ipbwt)
+        low, low_cost = self._lisa.lower_bound(self._lisa.padded_chunk(tail, smallest=True), 0)
+        high, high_cost = self._lisa.lower_bound(self._lisa.padded_chunk(tail, smallest=False), n)
+        if self._lisa.learned_index is None:
+            return low, high, TailContribution(comparisons=low_cost + high_cost)
+        return low, high, TailContribution(predictions=2, errors=(low_cost, high_cost))
 
 
 @register_backend("lisa-learned")

@@ -4,9 +4,10 @@
 a :class:`~repro.engine.backends.SearchBackend` and exposes the batch
 lifecycle the rest of the repository builds on —
 
-1. **submit** a batch of queries (:meth:`QueryEngine.search_batch`);
+1. **submit** a batch of queries (:meth:`QueryEngine.search_batch`),
+   encoded once into a :class:`~repro.genome.alphabet.QueryBatch`;
 2. the backend advances every live query's ``(low, high)`` interval in
-   lockstep, one multi-symbol step per iteration;
+   lockstep, one multi-symbol step per iteration, into ``lows`` / ``highs``;
 3. each step's ``(kmer, pos)`` Occ requests are **coalesced** across the
    batch, so duplicates are resolved once (the paper's DRAM-side merge);
 4. the coalesced request stream and counters come back as
@@ -14,7 +15,8 @@ lifecycle the rest of the repository builds on —
    accelerator model to replay.
 
 Single-query calls are thin wrappers over batches of one, so there is
-exactly one search implementation per backend.
+exactly one search implementation per backend; ``Interval`` objects are
+made only where answers leave one by one (:attr:`BatchResult.intervals`).
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ import copy
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .. import runtime
 from ..exma.search import OccRequest
+from ..genome.alphabet import QueryBatch
 from ..index.fmindex import Interval
 from .backends import SearchBackend, create_backend
 from .coalesce import BatchStats
@@ -32,17 +37,30 @@ from .coalesce import BatchStats
 __all__ = ["BatchResult", "QueryEngine"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchResult:
-    """Intervals plus counters for one submitted batch."""
+    """One batch's BW-matrix intervals as int64 ``lows`` / ``highs``, plus counters."""
 
-    intervals: list[Interval]
+    lows: np.ndarray
+    highs: np.ndarray
     stats: BatchStats
 
     @property
     def counts(self) -> list[int]:
         """Occurrence count per query."""
-        return [interval.count for interval in self.intervals]
+        return np.maximum(self.highs - self.lows, 0).tolist()
+
+    @property
+    def intervals(self) -> list[Interval]:
+        """One :class:`Interval` per query, made on each read."""
+        return [Interval(low, high) for low, high in zip(self.lows.tolist(), self.highs.tolist())]
+
+    def __eq__(self, other: object) -> bool:
+        """Equal columns and field-for-field equal :class:`BatchStats`."""
+        return (
+            isinstance(other, BatchResult) and self.stats == other.stats
+            and np.array_equal(self.lows, other.lows) and np.array_equal(self.highs, other.highs)
+        )
 
 
 class QueryEngine(runtime.PoolOwner):
@@ -138,31 +156,31 @@ class QueryEngine(runtime.PoolOwner):
     # Batch lifecycle
     # ------------------------------------------------------------------ #
 
-    def search_batch(self, queries: Sequence[str]) -> BatchResult:
+    def search_batch(self, queries: Sequence[str] | QueryBatch) -> BatchResult:
         """Search a batch of queries in lockstep, with request coalescing.
 
-        Dispatches to the sharded parallel path when the engine resolved
-        more than one shard; intervals and stats are identical either
-        way.  The search-side cost counters are priced when first read
-        (see :class:`BatchStats`), so a caller that wants only the
-        intervals and the request stream never pays for them.
+        Strings are encoded into one :class:`QueryBatch` here.  Dispatches
+        to the sharded parallel path when the engine resolved more than
+        one shard; intervals and stats are identical either way.  The search-side cost counters are priced
+        when first read (see :class:`BatchStats`), so a caller that wants
+        only the intervals and the request stream never pays for them.
         """
+        batch = queries if isinstance(queries, QueryBatch) else QueryBatch.from_strings(queries)
         shards = self._effective_shards
         if shards > 1:
             from .sharded import run_sharded_batch
 
             return run_sharded_batch(
                 self._backend,
-                queries,
+                batch,
                 shards,
                 pool=self._pool_for(self._backend, self._executor, shards),
             )
         stats = BatchStats()
-        intervals = self._backend.search_batch(list(queries), stats)
-        return BatchResult(intervals=intervals, stats=stats)
+        return BatchResult(*self._backend.search_batch(batch, stats), stats)
 
     def find_batch(
-        self, queries: Sequence[str], limit: int | None = None
+        self, queries: Sequence[str] | QueryBatch, limit: int | None = None
     ) -> tuple[list[list[int]], BatchStats]:
         """Occurrence positions of every query plus the batch counters."""
         result = self.search_batch(queries)
@@ -171,12 +189,12 @@ class QueryEngine(runtime.PoolOwner):
         ]
         return positions, result.stats
 
-    def count_batch(self, queries: Sequence[str]) -> list[int]:
+    def count_batch(self, queries: Sequence[str] | QueryBatch) -> list[int]:
         """Occurrence count of every query."""
         return self.search_batch(queries).counts
 
     def request_stream(
-        self, queries: Sequence[str]
+        self, queries: Sequence[str] | QueryBatch
     ) -> tuple[list[OccRequest], BatchStats]:
         """The coalesced (k-mer, pos) request stream of a batch.
 

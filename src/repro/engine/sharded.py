@@ -9,8 +9,8 @@ per-shard results back into one :class:`~repro.engine.engine.BatchResult`
 that is **byte-identical** to what the serial engine would have produced
 — without ever re-running the search or its accounting:
 
-* intervals are trivially order-preserving (contiguous split + ordered
-  gather);
+* the ``lows`` / ``highs`` columns are trivially order-preserving
+  (contiguous row split + ordered concatenation);
 * the shard-decomposable counters (``queries``, ``iterations``,
   ``occ_requests_issued``) are plain sums;
 * the coalescing-dependent state is rebuilt by **contribution dedupe**:
@@ -30,7 +30,7 @@ that is **byte-identical** to what the serial engine would have produced
 This module is the split and the merge only.  *Where* the shards run —
 the persistent :class:`~repro.runtime.BackendWorkerPool` an engine owns
 (the process pool ships the backend **once** per worker; submitted calls
-carry only their shard of queries), how many workers it has and what
+carry only their shard's two query columns), how many workers it has and what
 happens when it fails — is :mod:`repro.runtime`'s business.
 
 The equivalence is locked down by the property-based suite in
@@ -45,8 +45,8 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
-from ..index.fmindex import Interval
 from .. import runtime
+from ..genome.alphabet import QueryBatch
 from .backends import SearchBackend
 from .coalesce import (
     BatchStats,
@@ -68,9 +68,9 @@ __all__ = [
 T = TypeVar("T")
 
 
-def split_shards(items: Sequence[T], shards: int) -> list[list[T]]:
-    """Split *items* into at most *shards* contiguous, balanced, non-empty
-    chunks, preserving order.
+def split_shards(items: Sequence[T], shards: int) -> list[Sequence[T]]:
+    """Split *items* (a :class:`QueryBatch` or a list) into at most
+    *shards* contiguous, balanced, non-empty row slices, preserving order.
 
     Contiguity matters beyond cache locality: it keeps the global
     first-seen order of partial-chunk tails reconstructible from the
@@ -82,26 +82,26 @@ def split_shards(items: Sequence[T], shards: int) -> list[list[T]]:
     if count == 0:
         return []
     base, extra = divmod(len(items), count)
-    chunks: list[list[T]] = []
+    chunks: list[Sequence[T]] = []
     start = 0
     for index in range(count):
         size = base + (1 if index < extra else 0)
-        chunks.append(list(items[start : start + size]))
+        chunks.append(items[start : start + size])
         start += size
     return chunks
 
 
 def _search_shard(
-    backend: SearchBackend, queries: list[str]
-) -> tuple[list[Interval], BatchStats]:
+    backend: SearchBackend, batch: QueryBatch
+) -> tuple[np.ndarray, np.ndarray, BatchStats]:
     """One shard's lockstep search, with contribution tracing enabled.
 
     Nothing is priced here: steps priced on read stay pending in the
     trace, and a process shard's stats pickle without their backend.
     """
     stats = BatchStats(trace=BatchTrace())
-    intervals = backend.search_batch(queries, stats)
-    return intervals, stats
+    lows, highs = backend.search_batch(batch, stats)
+    return lows, highs, stats
 
 
 def _priced_by(backend: SearchBackend, stats: BatchStats) -> BatchStats:
@@ -220,33 +220,32 @@ def merge_shard_stats(backend: SearchBackend, shard_stats: Sequence[BatchStats])
 
 def run_sharded_batch(
     backend: SearchBackend,
-    queries: Sequence[str],
+    batch: QueryBatch,
     shards: int,
     executor: str = "thread",
     pool: runtime.BackendWorkerPool | None = None,
 ) -> BatchResult:
-    """Search *queries* across shards; result identical to the serial path.
+    """Search *batch* across shards; result identical to the serial path.
 
     With *pool* given (the engine-owned persistent pool) the call reuses
     it and leaves it running; otherwise a one-shot pool is created and
     shut down around the batch.
     """
-    queries = list(queries)
-    if shards <= 1 or len(queries) <= 1:
+    if shards <= 1 or len(batch) <= 1:
         stats = BatchStats()
-        return BatchResult(intervals=backend.search_batch(queries, stats), stats=stats)
-    shard_lists = split_shards(queries, shards)
+        return BatchResult(*backend.search_batch(batch, stats), stats)
+    shard_batches = split_shards(batch, shards)
     owned = pool is None
     if pool is None:
-        pool = runtime.BackendWorkerPool(backend, executor, max_workers=len(shard_lists))
+        pool = runtime.BackendWorkerPool(backend, executor, max_workers=len(shard_batches))
     try:
-        outputs = pool.map_shards(_search_shard, shard_lists)
+        outputs = pool.map_shards(_search_shard, shard_batches)
     finally:
         if owned:
             pool.shutdown()
-    intervals = [interval for shard_intervals, _ in outputs for interval in shard_intervals]
-    stats = merge_shard_stats(backend, [shard_stats for _, shard_stats in outputs])
-    return BatchResult(intervals=intervals, stats=stats)
+    lows, highs, shard_stats = zip(*outputs)
+    stats = merge_shard_stats(backend, shard_stats)
+    return BatchResult(np.concatenate(lows), np.concatenate(highs), stats)
 
 
 class ShardedQueryEngine(QueryEngine):
@@ -275,8 +274,9 @@ class ShardedQueryEngine(QueryEngine):
     def search_batch_per_shard(self, queries: Sequence[str]) -> list[BatchResult]:
         """The per-shard results before merging (introspection/debugging)."""
         pool = self._pool_for(self._backend, self.executor, self.shards)
-        outputs = pool.map_shards(_search_shard, split_shards(list(queries), self.shards))
+        shards = split_shards(QueryBatch.from_strings(queries), self.shards)
+        outputs = pool.map_shards(_search_shard, shards)
         return [
-            BatchResult(intervals=intervals, stats=_priced_by(self._backend, stats))
-            for intervals, stats in outputs
+            BatchResult(lows, highs, _priced_by(self._backend, stats))
+            for lows, highs, stats in outputs
         ]

@@ -27,6 +27,7 @@ from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
 from ..exma.search import ExmaSearch
 from ..exma.table import exma_size_breakdown
+from ..genome.alphabet import QueryBatch
 from ..genome.datasets import DATASETS, HUMAN_PAPER_LENGTH
 from ..lisa.ipbwt import lisa_size_bytes
 from .common import Workload, best_of, build_stack, build_workload, sample_queries, scaled_config
@@ -235,7 +236,9 @@ def run_fig18_batching(
         sequential_seconds, _ = best_of(
             repeats, lambda: [sequential.backward_search(q) for q in queries]
         )
-        batched_seconds, _ = best_of(repeats, lambda: engine.backend.search_batch(queries))
+        batched_seconds, _ = best_of(
+            repeats, lambda: engine.backend.search_batch(QueryBatch.from_strings(queries))
+        )
         stats = engine.search_batch(queries).stats
         rows.append(
             BatchingRow(

@@ -20,6 +20,7 @@ Two encodings are used throughout the repository:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,8 @@ SENTINEL = "$"
 FULL_ALPHABET = SENTINEL + DNA_ALPHABET
 
 _CHAR_TO_CODE = {c: i for i, c in enumerate(FULL_ALPHABET)}
-_CODE_TO_CHAR = np.array(list(FULL_ALPHABET))
+#: ``bytes.translate`` table from the codes 0..4 back to ``$ACGT``.
+_CODE_TO_BYTE = bytes.maketrans(bytes(range(len(FULL_ALPHABET))), FULL_ALPHABET.encode())
 
 _DNA_TO_2BIT = {c: i for i, c in enumerate(DNA_ALPHABET)}
 _2BIT_TO_DNA = np.array(list(DNA_ALPHABET))
@@ -44,6 +46,11 @@ _2BIT_TO_DNA = np.array(list(DNA_ALPHABET))
 _BYTE_TO_CODE = np.full(256, 0xFF, dtype=np.uint8)
 for _char, _code in _CHAR_TO_CODE.items():
     _BYTE_TO_CODE[ord(_char)] = _code
+#: ``bytes.translate`` table to the same codes for ``ACGT`` only: every
+#: other byte (the sentinel, each byte of a non-ASCII symbol) becomes 0.
+_TEXT_TO_DNA_CODE = bytes(
+    _CHAR_TO_CODE[chr(b)] if chr(b) in DNA_ALPHABET else 0 for b in range(256)
+)
 
 _COMPLEMENT = {"A": "T", "C": "G", "G": "C", "T": "A", SENTINEL: SENTINEL, "N": "N"}
 _COMPLEMENT_TABLE = str.maketrans(_COMPLEMENT)
@@ -68,8 +75,7 @@ def encode(sequence: str) -> np.ndarray:
 
     The sentinel encodes to 0, so ``np.sort`` and comparisons on encoded
     arrays agree with lexicographic string order.  Encoding is one table
-    gather over the raw bytes, so batched callers (the engine backends
-    encode every query of a batch) stay off the per-character Python path.
+    gather over the raw bytes, off the per-character Python path.
     """
     try:
         raw = np.frombuffer(sequence.encode("ascii"), dtype=np.uint8)
@@ -82,26 +88,44 @@ def encode(sequence: str) -> np.ndarray:
     return codes
 
 
-def encode_right_aligned(
-    sequences: Sequence[str], lengths: np.ndarray, take: np.ndarray
-) -> np.ndarray:
-    """Encode a prefix of every sequence into one right-aligned matrix.
-
-    Row ``i`` holds the codes of the first ``take[i] <= lengths[i]``
-    symbols of ``sequences[i]`` (*lengths* are the sequences' lengths,
-    which batched callers already hold), flush right in ``take.max()``
-    columns and padded on the left with -1.  The whole batch is one
-    :func:`encode` over the concatenation plus a cumulative-length gather
-    — no per-sequence Python — so a symbol outside ``$ACGT`` anywhere in
-    the batch raises :class:`AlphabetError`, and because padding is -1 a
-    code 0 in the result is always a real ``$``.
+@dataclass(frozen=True, eq=False)
+class QueryBatch:
+    """The input of every search backend: each query's :func:`encode`
+    codes (1..4 for ``ACGT``) concatenated as ``uint8`` ``codes``, and its
+    ``int64`` ``lengths``.  :meth:`from_strings` is where text becomes
+    queries and the one validator.  ``batch[begin:end]`` is a batch over
+    views of the same arrays: how a sharded search splits one.
     """
-    flat = encode("".join(sequences)).astype(np.int64)
-    width = int(take.max(initial=0))
-    offsets = np.arange(width) - (width - take)[:, None]
-    kept = offsets >= 0
-    starts = np.cumsum(lengths) - lengths
-    return np.where(kept, flat[np.where(kept, starts[:, None] + offsets, 0)], -1)
+
+    codes: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def from_strings(cls, queries: Sequence[str]) -> "QueryBatch":
+        """Encode *queries* once, as one byte translation of their
+        concatenation.  Raises ``ValueError`` for an empty query and
+        :class:`AlphabetError` for a symbol outside ``ACGT`` (the sentinel
+        included), naming the first one."""
+        lengths = np.fromiter(map(len, queries), dtype=np.int64, count=len(queries))
+        if lengths.size and not lengths.all():
+            raise ValueError("query must be non-empty")
+        text = "".join(queries)
+        codes = bytearray(text, "utf-8").translate(_TEXT_TO_DNA_CODE)
+        if 0 in codes:
+            bad = next(symbol for symbol in text if symbol not in DNA_ALPHABET)
+            raise AlphabetError(f"invalid DNA symbol: {bad!r}")
+        return cls(np.frombuffer(codes, dtype=np.uint8), lengths)
+
+    def __len__(self) -> int:
+        return int(self.lengths.size)
+
+    def __getitem__(self, rows: slice) -> "QueryBatch":
+        begin, end, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("a batch slices into contiguous rows only")
+        offset = int(self.lengths[:begin].sum())
+        size = int(self.lengths[begin:end].sum())
+        return QueryBatch(self.codes[offset : offset + size], self.lengths[begin:end])
 
 
 def decode(codes: np.ndarray) -> str:
@@ -109,9 +133,9 @@ def decode(codes: np.ndarray) -> str:
     codes = np.asarray(codes)
     if codes.size == 0:
         return ""
-    if codes.max(initial=0) >= len(FULL_ALPHABET):
+    if codes.min() < 0 or codes.max() >= len(FULL_ALPHABET):
         raise AlphabetError("code out of range for the $ACGT alphabet")
-    return "".join(_CODE_TO_CHAR[codes])
+    return codes.astype(np.uint8).tobytes().translate(_CODE_TO_BYTE).decode("ascii")
 
 
 def reverse_complement(sequence: str) -> str:

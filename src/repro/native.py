@@ -14,7 +14,9 @@ which its caller runs wherever the wrapper declines.
 * ``occ_ranks`` is :meth:`repro.exma.table.ExmaTable._occ_spec` as a
   merge walk from each answer to the next in key order;
 * ``lockstep`` is :func:`repro.engine.backends._lockstep_spec`, every
-  step of a search batch in one call, ranked by ``occ_ranks``' walk;
+  step of a search batch in one call: it packs each query's k-mer chunks
+  from the batch's codes and lengths (a :class:`~repro.genome.alphabet
+  .QueryBatch`'s columns) and ranks them by ``occ_ranks``' walk;
 * ``sigmoid_in``, ``sigmoid_out`` and ``sigmoid_backward`` are the
   elementwise tail of an MTL training epoch,
   :func:`repro.exma.mtl_index._sigmoid_spec` and
@@ -148,31 +150,48 @@ static void sort_pairs(int64_t n, int64_t *keys, int64_t *slots, int64_t *spare,
         swap = slots, slots = spare_slots, spare_slots = swap;
     }
 }
-int64_t lockstep(int64_t queries, int64_t max_steps, const int64_t *matrix, const int64_t *steps,
-    const int64_t *lows, const int64_t *highs, const int64_t *alive, const int64_t *counts,
-    const int64_t *increments, const int64_t *starts, int64_t kmer_count, int64_t total,
-    int64_t max_pos, int64_t *out) {
-    /* Every lockstep step of a batch; returns the steps run, -1 at a k-mer or
-       position out of range.  `out` holds, in order: the bounds (lows, then
-       highs), the steps' unique keys and their Occ (2 * queries * max_steps
-       each), the step offsets into them (max_steps + 1), each step's issued
-       and distinct-k-mer counts (max_steps each), then the sort's scratch
-       (8 * queries).  A query issues while alive, with steps left and, after
-       the first step, its interval non-empty. */
+int64_t lockstep(int64_t queries, int64_t max_steps, int64_t k, int64_t code_count,
+    const uint8_t *codes, const int64_t *lengths, const int64_t *lows, const int64_t *highs,
+    const int64_t *alive, const int64_t *counts, const int64_t *increments, const int64_t *starts,
+    int64_t kmer_count, int64_t total, int64_t max_pos, int64_t *out) {
+    /* Every lockstep step of a batch; returns the steps run, -1 at a code
+       outside 1..4 or a k-mer or position out of range, -2 when the lengths
+       (none negative) do not sum to code_count.  `codes` holds the queries
+       back to back; step s packs chunk s of query i, the k codes
+       ending s * k + lengths[i] % k before its end, 2 bits a code.  `out`
+       holds, in order: the bounds (lows, then highs), the steps' unique keys
+       and their Occ (2 * queries * max_steps each), the step offsets into
+       them (max_steps + 1), each step's issued and distinct-k-mer counts
+       (max_steps each), then scratch: the sort's (8 * queries) and each
+       query's chunk count and end of its first chunk (queries each).  A query
+       issues while alive, with a chunk left and, after the first step, its
+       interval non-empty. */
     int64_t span = max_pos + 1, capacity = 2 * queries * max_steps, key_bytes = 1;
     int64_t *bounds = out, *keys = bounds + 2 * queries, *occ = keys + capacity;
     int64_t *offsets = occ + capacity, *issued = offsets + max_steps + 1;
     int64_t *distinct = issued + max_steps, *sort_keys = distinct + max_steps;
     int64_t *sort_slots = sort_keys + 2 * queries, *spare = sort_slots + 2 * queries, s = 0;
+    int64_t *chunks = spare + 4 * queries, *ends = chunks + queries, end = 0;
     while (key_bytes < 8 && (kmer_count * span - 1) >> (8 * key_bytes)) ++key_bytes;
-    for (int64_t i = 0; i < queries; ++i) bounds[i] = lows[i], bounds[queries + i] = highs[i];
+    for (int64_t i = 0; i < queries; ++i) {
+        if (lengths[i] < 0) return -2;
+        bounds[i] = lows[i], bounds[queries + i] = highs[i], end += lengths[i];
+        chunks[i] = lengths[i] / k, ends[i] = end - lengths[i] % k;
+    }
+    if (end != code_count) return -2;
     offsets[0] = 0;
     for (; s < max_steps; ++s) {
         int64_t n = 0, unique = offsets[s], previous = -1, value = 0;
         for (int64_t i = 0; i < queries; ++i) {
-            if (!alive[i] || steps[i] <= s || (s && bounds[i] >= bounds[queries + i])) continue;
-            int64_t kmer = matrix[i * max_steps + s], low = bounds[i], high = bounds[queries + i];
-            if ((uint64_t)kmer >= (uint64_t)kmer_count || (uint64_t)low > (uint64_t)max_pos
+            if (!alive[i] || chunks[i] <= s || (s && bounds[i] >= bounds[queries + i])) continue;
+            const uint8_t *chunk = codes + ends[i] - (s + 1) * k;
+            int64_t kmer = 0, low = bounds[i], high = bounds[queries + i];
+            for (int64_t j = 0; j < k; ++j) {
+                uint8_t digit = chunk[j] - 1;
+                if (digit > 3) return -1;
+                kmer = kmer << 2 | digit;
+            }
+            if (kmer >= kmer_count || (uint64_t)low > (uint64_t)max_pos
                 || (uint64_t)high > (uint64_t)max_pos) return -1;
             sort_keys[n] = kmer * span + low, sort_slots[n++] = i;
             sort_keys[n] = kmer * span + high, sort_slots[n++] = queries + i;
@@ -254,7 +273,7 @@ KERNELS = (
            "repro.hw.dram.DRAMModel._columns_spec"),
     Kernel("occ_ranks", _INT64, (_INT64, *[_POINTER] * 4, *[_INT64] * 3, _POINTER),
            "repro.exma.table.ExmaTable._occ_spec"),
-    Kernel("lockstep", _INT64, (_INT64, _INT64, *[_POINTER] * 8, *[_INT64] * 3, _POINTER),
+    Kernel("lockstep", _INT64, (*[_INT64] * 4, *[_POINTER] * 8, *[_INT64] * 3, _POINTER),
            "repro.engine.backends._lockstep_spec"),
     Kernel("sigmoid_in", None, (_INT64, _INT64, _POINTER, _POINTER),
            "repro.exma.mtl_index._sigmoid_spec"),
@@ -402,35 +421,43 @@ def occ_ranks(kmers, positions, increments, starts, max_pos: int) -> np.ndarray 
     return ranks if found else None
 
 
-def lockstep(matrix, steps, lows, highs, alive, counts, increments, starts, max_pos: int):
+def lockstep(lengths, codes, k: int, lows, highs, alive, counts, increments, starts,
+             max_pos: int):
     """:func:`repro.engine.backends._lockstep_spec` compiled, every step in
-    one pass, with the same outputs; ``None`` where it declines (disabled,
-    unavailable, keys that could pass int64, or a k-mer or position out of
-    range: found by the pass itself).  The inputs are left as they were."""
+    one pass that packs each chunk from *codes*, with the same outputs;
+    ``None`` where it declines (disabled, unavailable, a *k* outside
+    ``[1, 31]``, keys that could pass int64, or a code, k-mer or position
+    out of range: found by the pass itself).  The inputs are left as they
+    were; columns that disagree in length raise ``ValueError``."""
     library = _loaded()
-    queries, max_steps = np.shape(matrix)
-    if library is None or starts.size * (max_pos + 1) >= INT64_END:
+    if library is None or not 0 < k < 32 or starts.size * (max_pos + 1) >= INT64_END:
         return None
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
     columns = [
         np.ascontiguousarray(c, dtype=np.int64)
-        for c in (matrix, steps, lows, highs, alive, counts, increments, starts)
+        for c in (lengths, lows, highs, alive, counts, increments, starts)
     ]
-    if any(c.size != queries for c in columns[1:5]) or columns[5].size != columns[7].size:
+    queries = columns[0].size
+    if any(c.size != queries for c in columns[1:4]) or columns[4].size != columns[6].size:
         raise ValueError("lockstep columns differ in length")
+    max_steps = int(columns[0].max(initial=0)) // k
     capacity = 2 * queries * max_steps
     # Where C's outputs begin in `out`: keys, Occ, offsets, issued, distinct.
     at = np.cumsum((2 * queries, capacity, capacity, max_steps + 1, max_steps)).tolist()
-    out = np.empty(at[-1] + max_steps + 8 * queries, dtype=np.int64)
+    out = np.empty(at[-1] + max_steps + 10 * queries, dtype=np.int64)
     ran = library.lockstep(
-        queries, max_steps, *(c.ctypes.data for c in columns), columns[7].size, columns[6].size,
-        max_pos, out.ctypes.data,
+        queries, max_steps, k, codes.size, codes.ctypes.data, *(c.ctypes.data for c in columns),
+        columns[6].size, columns[5].size, max_pos, out.ctypes.data,
     )
+    if ran == -2:
+        raise ValueError("lockstep columns differ in length")
     if ran < 0:
         return None
     offsets = out[at[2] : at[2] + ran + 1]
     used = int(offsets[-1])
+    bounds = out[: 2 * queries].copy()  # copies, so that no result keeps `out` alive
     return (
-        out[:queries], out[queries : 2 * queries], out[at[0] : at[0] + used].copy(),
+        bounds[:queries], bounds[queries:], out[at[0] : at[0] + used].copy(),
         out[at[1] : at[1] + used].copy(), offsets, out[at[3] : at[3] + ran],
         out[at[4] : at[4] + ran],
     )

@@ -18,13 +18,15 @@ import numpy as np
 
 from .exma.bdi import SECTION_BYTES
 from .exma.chain import ENTRY_BYTES, LINE_BYTES
-from .genome.alphabet import DNA_ALPHABET, reverse_complement
+from .genome.alphabet import DNA_ALPHABET, QueryBatch, reverse_complement
 from .genome.reads import ReadSimulator, SimulatedRead
 from .genome.sequence import random_genome
+from .index.fmindex import Interval
 
 __all__ = [
     "BdiLine",
     "CompressedLine",
+    "backend_search",
     "bdi_compress",
     "bdi_compress_line",
     "bdi_decompress",
@@ -38,6 +40,13 @@ __all__ = [
     "run_once",
     "scalar_reads",
 ]
+
+
+def backend_search(backend, queries, stats=None) -> list[Interval]:
+    """One :class:`Interval` per query of *queries* (strings) from
+    *backend*'s ``search_batch`` itself, below the engine."""
+    lows, highs = backend.search_batch(QueryBatch.from_strings(queries), stats)
+    return [Interval(low, high) for low, high in zip(lows.tolist(), highs.tolist())]
 
 
 def brute_force_find(reference: str, query: str) -> list[int]:

@@ -44,39 +44,41 @@ class TestEncodeDecode:
         assert alphabet.decode(alphabet.encode(text)) == text
 
 
-class TestEncodeRightAligned:
-    @staticmethod
-    def reference(sequences, take):
-        """Per-sequence :func:`alphabet.encode`, right-aligned by hand."""
-        width = max(take, default=0)
-        rows = np.full((len(sequences), width), -1, dtype=np.int64)
-        for row, sequence, kept in zip(rows, sequences, take):
-            if kept:
-                row[width - kept :] = alphabet.encode(sequence[:kept])
-        return rows
-
-    @given(st.lists(dna_strings, max_size=8), st.integers(min_value=1, max_value=7))
+class TestQueryBatch:
+    @given(st.lists(nonempty_dna, max_size=8), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_sequence_encode(self, sequences, k):
-        lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-        for take in (lengths, lengths // k * k):
-            aligned = alphabet.encode_right_aligned(sequences, lengths, take)
-            assert aligned.dtype == np.int64
-            assert np.array_equal(aligned, self.reference(sequences, take.tolist()))
+    def test_matches_per_sequence_encode(self, sequences, data):
+        batch = alphabet.QueryBatch.from_strings(sequences)
+        assert batch.codes.dtype == np.uint8 and batch.lengths.dtype == np.int64
+        assert batch.lengths.tolist() == [len(s) for s in sequences]
+        expected = [alphabet.encode(s) for s in sequences]
+        assert np.array_equal(batch.codes, np.concatenate(expected + [np.empty(0, np.uint8)]))
+        begin = data.draw(st.integers(0, len(sequences)))
+        end = data.draw(st.integers(begin, len(sequences)))
+        rows = batch[begin:end]
+        assert len(rows) == end - begin
+        again = alphabet.QueryBatch.from_strings(sequences[begin:end])
+        assert np.array_equal(rows.codes, again.codes)
+        assert np.array_equal(rows.lengths, again.lengths)
 
-    def test_sentinel_is_the_only_zero(self):
-        aligned = alphabet.encode_right_aligned(
-            ["AC$T", "G"], np.array([4, 1]), np.array([4, 1])
-        )
-        assert aligned.tolist() == [[1, 2, 0, 4], [-1, -1, -1, 3]]
+    def test_sentinel_is_refused(self):
+        with pytest.raises(alphabet.AlphabetError, match=r"invalid DNA symbol: '\$'"):
+            alphabet.QueryBatch.from_strings(["ACGT", "AC$T", "G"])
 
     def test_invalid_symbol_anywhere_raises(self):
-        lengths = np.array([4, 5])
-        with pytest.raises(alphabet.AlphabetError, match="N"):
-            # Outside the kept prefix too: the whole batch is validated.
-            alphabet.encode_right_aligned(["ACGT", "ACGTN"], lengths, np.array([4, 4]))
-        with pytest.raises(alphabet.AlphabetError):
-            alphabet.encode_right_aligned(["AC\u00e9T", "ACGTA"], lengths, lengths)
+        with pytest.raises(alphabet.AlphabetError, match="invalid DNA symbol: 'N'"):
+            alphabet.QueryBatch.from_strings(["ACGT", "ACGTN"])
+        with pytest.raises(alphabet.AlphabetError, match="invalid DNA symbol: '\u00e9'"):
+            alphabet.QueryBatch.from_strings(["AC\u00e9T", "ACGTA"])
+        with pytest.raises(ValueError, match="non-empty"):
+            alphabet.QueryBatch.from_strings(["ACGT", ""])
+
+    def test_rows_slice_contiguously_only(self):
+        batch = alphabet.QueryBatch.from_strings(["AC", "G", "TTA"])
+        assert alphabet.decode(batch[1:].codes) == "GTTA"
+        assert len(batch[3:]) == 0 and batch[3:].codes.size == 0
+        with pytest.raises(ValueError, match="contiguous"):
+            batch[::2]
 
 
 class TestValidate:

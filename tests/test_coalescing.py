@@ -24,7 +24,7 @@ from repro.exma.mtl_index import MTLIndex
 from repro.exma.search import ExmaSearch, ExmaSearchStats, OccRequest
 from repro.exma.table import ExmaTable
 from repro.genome.sequence import RepeatProfile, random_genome
-from repro.testing import random_queries
+from repro.testing import backend_search, random_queries
 
 #: 8 bp toy reference; sentinel-terminated length n = 9.
 TINY = "ACGTACGT"
@@ -84,7 +84,7 @@ class TestExmaCoalescingOracle:
     def test_counters_match_hand_oracle(self, table):
         stats = BatchStats()
         backend = ExmaBackend(table=table)
-        intervals = backend.search_batch(["ACGT", "ACGT", "ACGT"], stats)
+        intervals = backend_search(backend, ["ACGT", "ACGT", "ACGT"], stats)
 
         assert stats.queries == 3
         assert stats.lockstep_iterations == 2          # GT step, AC step
@@ -106,13 +106,13 @@ class TestExmaCoalescingOracle:
         """Duplicates merge to exactly the one-query request stream."""
         single_requests, _ = ExmaSearch(table).request_stream(["ACGT"])
         stats = BatchStats()
-        ExmaBackend(table=table).search_batch(["ACGT"] * 3, stats)
+        backend_search(ExmaBackend(table=table), ["ACGT"] * 3, stats)
         # Same pairs per step; the engine orders each step k-mer-major.
         assert stats.requests == single_requests
 
     def test_first_step_full_matrix_bounds(self, table):
         stats = BatchStats()
-        ExmaBackend(table=table).search_batch(["ACGT", "ACGT"], stats)
+        backend_search(ExmaBackend(table=table), ["ACGT", "ACGT"], stats)
         n = table.reference_length
         first_step = stats.requests[:2]
         assert first_step == [
@@ -209,7 +209,7 @@ class TestColumnarStepAccounting:
             merged = BatchStats()
             for query in queries:
                 one = BatchStats()
-                backend.search_batch([query], one)
+                backend_search(backend, [query], one)
                 merged.merge(one)
             assert merged.iterations == sequential.iterations
             assert merged.occ_requests_unique == sequential.occ_lookups
@@ -232,7 +232,7 @@ class TestColumnarStepAccounting:
         shapes = set()
         for queries in batches.values():
             stats = BatchStats(trace=BatchTrace())
-            backend.search_batch(queries, stats)
+            backend_search(backend, queries, stats)
             oracle = ExmaSearchStats()
             for request in stats.requests:
                 search._occ(request.packed_kmer, request.pos, oracle)
@@ -260,7 +260,7 @@ class TestColumnarStepAccounting:
         index = _CountingIndex(NaiveLearnedIndex(table, model_threshold=threshold))
         backend = ExmaBackend(table=table, index=index)
         stats = BatchStats()
-        backend.search_batch(batches["ragged"], stats)
+        backend_search(backend, batches["ragged"], stats)
         assert stats.index_predictions > 0
         assert 0 < index.calls["predict_many"] <= stats.lockstep_iterations
         assert index.calls["predict"] == index.calls["has_model"] == 0
@@ -278,7 +278,7 @@ class TestFMIndexCoalescingOracle:
     def test_counters_match_hand_oracle(self):
         stats = BatchStats()
         backend = FMIndexBackend(TINY)
-        backend.search_batch(["CGT", "AGT"], stats)
+        backend_search(backend, ["CGT", "AGT"], stats)
         assert stats.queries == 2
         assert stats.lockstep_iterations == 3
         assert stats.occ_requests_issued == 12
@@ -288,7 +288,7 @@ class TestFMIndexCoalescingOracle:
         stats = BatchStats()
         backend = FMIndexBackend(TINY)
         batch = ["ACGT"] * 8
-        intervals = backend.search_batch(batch, stats)
+        intervals = backend_search(backend, batch, stats)
         assert stats.occ_requests_issued == 8 * 2 * 4
         assert stats.occ_requests_unique == 2 * 4
         assert stats.coalescing_factor == pytest.approx(8.0)
@@ -351,7 +351,7 @@ class TestRequestStream:
     def test_columns_round_trip_through_engine(self):
         stats = BatchStats()
         table = ExmaTable(TINY, k=2)
-        ExmaBackend(table=table).search_batch(["ACGT", "ACGT"], stats)
+        backend_search(ExmaBackend(table=table), ["ACGT", "ACGT"], stats)
         stream = stats.requests
         assert isinstance(stream, RequestStream)
         assert len(stream) == stats.occ_requests_unique

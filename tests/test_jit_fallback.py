@@ -37,12 +37,14 @@ from repro.engine.coalesce import BatchStats, BatchTrace
 from repro.exma import mtl_index
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
+from repro.genome.alphabet import QueryBatch
 from repro.genome.datasets import build_dataset
 from repro.genome.sequence import random_genome
 from repro.hw import cache as hw_cache
 from repro.hw import dram as hw_dram
 from repro.hw.dram import DDR4Config, DRAMModel, MemoryRequest, MemoryTrace, PagePolicy
 from repro.runtime import PURE_PYTHON_ENV
+from repro.testing import backend_search
 
 SOURCE_TREE = pathlib.Path(repro.__file__).resolve().parent
 kernel_settings = settings(
@@ -354,29 +356,32 @@ LOCKSTEP_BACKENDS = {
 
 @st.composite
 def lockstep_batches(draw):
-    """A step number and a batch mixing reference substrings (hits of any
-    length, shorter than k included), random strings (which die within a
-    few steps) and repeats of both."""
+    """A step number and a batch of variable lengths mixing reference
+    substrings (hits), random strings (which die within a few steps) and
+    repeats of both.  The longest query is below k (every row a tail with
+    zero steps), up to 3k + 2, or up to 40 symbols."""
     k = draw(st.sampled_from(LOCKSTEP_STEPS))
+    longest = draw(st.sampled_from([k - 1, 3 * k + 2, 40]))
     substring = st.tuples(
-        st.integers(0, len(LOCKSTEP_REFERENCE) - 40), st.integers(1, 40)
+        st.integers(0, len(LOCKSTEP_REFERENCE) - 40), st.integers(1, longest)
     ).map(lambda t: LOCKSTEP_REFERENCE[t[0] : t[0] + t[1]])
-    query = st.one_of(substring, st.text(alphabet="ACGT", min_size=1, max_size=40))
+    query = st.one_of(substring, st.text(alphabet="ACGT", min_size=1, max_size=longest))
     queries = draw(st.lists(query, min_size=1, max_size=30))
     return k, queries + draw(st.lists(st.sampled_from(queries), max_size=6))
 
 
 def _lockstep_inputs(backend: ExmaBackend, queries) -> tuple:
-    """``search_batch``'s inputs to the lockstep pass: the chunk matrix,
-    the steps, the post-tail bounds and alive mask, and the count table."""
-    table = backend.table
-    matrix, steps, leftovers = backend._chunk_matrix(queries)
+    """``search_batch``'s inputs to the lockstep pass: the batch's lengths
+    and codes, k, the bounds and alive mask after each query's tail (its
+    last ``len % k`` symbols), and the count table."""
+    table, k = backend.table, backend.table.k
+    batch = QueryBatch.from_strings(queries)
     lows = np.zeros(len(queries), dtype=np.int64)
     highs = np.full(len(queries), table.reference_length, dtype=np.int64)
-    for i, tail in enumerate(leftovers):
-        if tail:
-            lows[i], highs[i] = table.prefix_interval(tail)
-    return matrix, steps, lows, highs, lows < highs, table.count_table()
+    for i, query in enumerate(queries):
+        if len(query) % k:
+            lows[i], highs[i] = table.prefix_interval(query[len(query) - len(query) % k :])
+    return batch.lengths, batch.codes, k, lows, highs, lows < highs, table.count_table()
 
 
 def _both_locksteps(backend: ExmaBackend, queries) -> tuple:
@@ -384,7 +389,7 @@ def _both_locksteps(backend: ExmaBackend, queries) -> tuple:
     change."""
     table = backend.table
     inputs = _lockstep_inputs(backend, queries)
-    before = [array.copy() for array in inputs]
+    before = [np.copy(value) for value in inputs]
     compiled = native.lockstep(
         *inputs, table.increments, table._kmer_rank_base, table.reference_length
     )
@@ -404,7 +409,7 @@ def _traced_search(backend: ExmaBackend, queries) -> tuple:
     """Intervals, the stats (compared field for field) and the trace's
     columns of one search."""
     stats = BatchStats(trace=BatchTrace())
-    intervals = backend.search_batch(queries, stats)
+    intervals = backend_search(backend, queries, stats)
     steps = [(s.keys.tolist(), s.occ.tolist(), s.contribution) for s in stats.trace.steps]
     stats.trace = None
     return intervals, stats, steps
@@ -441,43 +446,55 @@ class TestLockstep:
         }[case]
         compiled, spec = _both_locksteps(LOCKSTEP_BACKENDS[k], queries)
         _assert_same_outputs(compiled, spec)
-        matrix = _lockstep_inputs(LOCKSTEP_BACKENDS[k], queries)[0]
+        max_steps = max(len(query) for query in queries) // k
         steps_run = compiled[5].size
         if case == "tails only":
-            assert matrix.shape[1] == steps_run == 0
+            assert max_steps == steps_run == 0
         elif case == "all die early":
-            assert 0 < steps_run < matrix.shape[1]
+            assert 0 < steps_run < max_steps
         else:
-            assert steps_run == matrix.shape[1]
+            assert steps_run == max_steps
         assert compiled[4][0] == 0 and compiled[4][-1] == compiled[2].size
 
     def test_declines_out_of_range_inside_the_pass(self, compiled):
         backend = LOCKSTEP_BACKENDS[4]
         table = backend.table
-        matrix, steps, lows, highs, alive, counts = _lockstep_inputs(
+        lengths, codes, k, lows, highs, alive, counts = _lockstep_inputs(
             backend, [LOCKSTEP_REFERENCE[10:30], LOCKSTEP_REFERENCE[50:70]]
         )
         constants = (table.increments, table._kmer_rank_base, table.reference_length)
-        assert native.lockstep(matrix, steps, lows, highs, alive, counts, *constants)
+        assert native.lockstep(lengths, codes, k, lows, highs, alive, counts, *constants)
         n = table.reference_length
-        broken = [(matrix, (1, -1), 256), (matrix, (1, -1), -1), (lows, 1, -1), (highs, 1, n + 1)]
+        # The second query's first code leads its last chunk: a 5 there
+        # packs past 4^k; a 0 or a 5 anywhere in a chunk is no code.
+        broken = [
+            (codes, 20, 5), (codes, 20, 0), (codes, 22, 5), (lows, 1, -1), (highs, 1, n + 1)
+        ]
         for array, slot, value in broken:
             kept = array[slot]
             array[slot] = value
-            assert native.lockstep(matrix, steps, lows, highs, alive, counts, *constants) is None
+            assert native.lockstep(
+                lengths, codes, k, lows, highs, alive, counts, *constants
+            ) is None
             array[slot] = kept
         with pytest.raises(ValueError, match="length"):
-            native.lockstep(matrix, steps[:1], lows, highs, alive, counts, *constants)
+            native.lockstep(lengths[:1], codes, k, lows, highs, alive, counts, *constants)
         with pytest.raises(ValueError, match="length"):
-            native.lockstep(matrix, steps, lows, highs, alive, counts[:-1], *constants)
-        # A dead query's slots are never read, whatever they hold.
+            native.lockstep(lengths, codes[:-1], k, lows, highs, alive, counts, *constants)
+        # The right total, but a row past the codes' end.
+        overrun = np.array([lengths.sum() + 1, -1])
+        with pytest.raises(ValueError, match="length"):
+            native.lockstep(overrun, codes, k, lows, highs, alive, counts, *constants)
+        with pytest.raises(ValueError, match="length"):
+            native.lockstep(lengths, codes, k, lows, highs, alive, counts[:-1], *constants)
+        # A dead query's codes are never read, whatever they hold.
         alive[1] = False
-        matrix[1] = 10**6
-        assert native.lockstep(matrix, steps, lows, highs, alive, counts, *constants)
+        codes[20:] = 9
+        assert native.lockstep(lengths, codes, k, lows, highs, alive, counts, *constants)
 
     def test_keys_that_could_pass_int64_decline_to_the_spec(self, compiled, monkeypatch, spec_calls):
         assert native.lockstep(
-            ZERO.reshape(1, 1), ZERO + 1, ZERO, ZERO, np.ones(1, bool), ZERO, ZERO,
+            ZERO + 1, np.ones(1, np.uint8), 1, ZERO, ZERO, np.ones(1, bool), ZERO, ZERO,
             _int64([0, 0, 0, 0]), 2**61,
         ) is None
         backend = LOCKSTEP_BACKENDS[6]
@@ -498,20 +515,25 @@ class TestLockstep:
         backend = LOCKSTEP_BACKENDS[6]
         table = backend.table
         queries = [LOCKSTEP_REFERENCE[i : i + 30] for i in range(0, 300, 7)]
+        batch = QueryBatch.from_strings(queries)
         if bad == "k-mer":
-            matrix, steps, leftovers = backend._chunk_matrix(queries)
-            matrix[-1, -1] = 4**6
-            monkeypatch.setattr(backend, "_chunk_matrix", lambda _: (matrix, steps, leftovers))
+            # The last query's first code leads its last chunk: packed
+            # from a 5, that chunk is past 4^k.
+            codes = batch.codes.copy()
+            codes[-30] = 5
+            batch = QueryBatch(codes, batch.lengths)
         else:
             shifted = table.count_table() + table.reference_length
             monkeypatch.setattr(table, "count_table", lambda: shifted)
+        inputs = list(_lockstep_inputs(backend, queries))
+        inputs[1] = batch.codes
         constants = (table.increments, table._kmer_rank_base, table.reference_length)
-        assert native.lockstep(*_lockstep_inputs(backend, queries), *constants) is None
+        assert native.lockstep(*inputs, *constants) is None
         if path == "pure-python":
             monkeypatch.setattr(native, "_library", native._UNRESOLVED)
             monkeypatch.setenv(PURE_PYTHON_ENV, "1")
         with pytest.raises(ValueError, match=f"{bad} out of range"):
-            backend.search_batch(queries)
+            backend.search_batch(batch)
         assert spec_calls["lockstep"] == [len(queries)]
 
 
@@ -973,7 +995,8 @@ ORACLE_CASES = {
         lockstep_batches(), _lockstep_oracle,
         lambda: _traced_search(LOCKSTEP_BACKENDS[4], LOCKSTEP_QUERIES),
         lambda: [
-            native.lockstep(ZERO.reshape(1, 1), ZERO, ZERO, ZERO, np.zeros(1, bool), *[ZERO] * 3, 1),
+            native.lockstep(ZERO, np.zeros(0, np.uint8), 1, ZERO, ZERO, np.zeros(1, bool),
+                            *[ZERO] * 3, 1),
             native.lockstep(*_lockstep_inputs(LOCKSTEP_BACKENDS[4], LOCKSTEP_QUERIES), None, None, 1),
         ],
     ),

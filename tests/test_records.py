@@ -166,7 +166,7 @@ class TestScalingSweep:
         class Diverging(ShardedQueryEngine):
             def search_batch(self, queries):
                 result = super().search_batch(queries)
-                return replace(result, intervals=result.intervals[:-1])
+                return replace(result, lows=result.lows[:-1], highs=result.highs[:-1])
 
         monkeypatch.setattr(scaling, "ShardedQueryEngine", Diverging)
         argv = ["experiment", "scaling", *TOYS["scaling"].argv, "--executor", "thread"]

@@ -35,7 +35,8 @@ from repro.engine.sharded import (
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
 from repro.genome.sequence import random_genome
-from repro.testing import reference_and_queries
+from repro.genome.alphabet import QueryBatch
+from repro.testing import backend_search, reference_and_queries
 
 SHARD_COUNTS = (1, 2, 4, 7)
 EXECUTORS = ("thread", "process")
@@ -177,7 +178,8 @@ class TestShardMergeSemantics:
         _, queries = case
         backend = backends["exma"]
         serial = QueryEngine(backend, shards=1).search_batch(queries).stats
-        sharded = run_sharded_batch(backend, queries, shards=4, executor="thread").stats
+        batch = QueryBatch.from_strings(queries)
+        sharded = run_sharded_batch(backend, batch, shards=4, executor="thread").stats
         assert serial.base_reads > 0
         assert sharded.base_reads == serial.base_reads
         assert sharded.increment_entries_read == serial.increment_entries_read
@@ -204,7 +206,7 @@ class TestShardMergeSemantics:
         _, queries = case
         backend = backends["fmindex"]
         stats = BatchStats(trace=BatchTrace())
-        backend.search_batch(queries, stats)
+        backend_search(backend, queries, stats)
         merged = merge_shard_stats(backend, [stats])
         serial = QueryEngine(backend, shards=1).search_batch(queries).stats
         assert_stats_identical(serial, merged)
@@ -236,7 +238,7 @@ class TestReplayFreeMerge:
         shard_stats = []
         for shard in split_shards(queries, 4):
             stats = BatchStats(trace=BatchTrace())
-            backend.search_batch(shard, stats)
+            backend_search(backend, shard, stats)
             shard_stats.append(stats)
         pricings = []
 
@@ -359,7 +361,9 @@ class TestEngineDispatch:
         with pytest.raises(ValueError):
             QueryEngine(backend, shards=4, executor="processes")
         with pytest.raises(ValueError):
-            run_sharded_batch(backend, ["ACGT", "TTTT"], shards=2, executor="rocket")
+            run_sharded_batch(
+                backend, QueryBatch.from_strings(["ACGT", "TTTT"]), shards=2, executor="rocket"
+            )
 
     def test_single_query_and_empty_batches(self, case):
         reference, _ = case
@@ -414,7 +418,7 @@ def eager_reference(backend: SearchBackend, queries: list[str]) -> tuple:
     pending, one unique request at a time.
     """
     traced = BatchStats(trace=BatchTrace())
-    backend.search_batch(queries, traced)
+    backend_search(backend, queries, traced)
     entries = predictions = comparisons = 0
     errors: list[int] = []
     for tail in traced.trace.tail_contributions:
@@ -535,10 +539,11 @@ class TestPriceOnRead:
         backend = backends["exma-mtl"]
         pool = runtime.BackendWorkerPool(backend, "process", max_workers=2)
         try:
-            outputs = pool.map_shards(_search_shard, split_shards(queries, 2))
+            shards = split_shards(QueryBatch.from_strings(queries), 2)
+            outputs = pool.map_shards(_search_shard, shards)
         finally:
             pool.shutdown()
-        for _, stats in outputs:
+        for _, _, stats in outputs:
             assert stats.pending_steps == stats.lockstep_iterations > 0
             with pytest.raises(RuntimeError, match="no pricer"):
                 stats.increment_entries_read
@@ -634,15 +639,16 @@ def test_compiled_lockstep_in_process_shards_equals_serial(case, backends):
     assert bool(native.loaded_kernels()) != runtime.env_flag(runtime.PURE_PYTHON_ENV)
     _, queries = case
     backend = backends["exma-mtl"]
-    chunks = split_shards(queries, 3)
+    chunks = split_shards(QueryBatch.from_strings(queries), 3)
     pool = runtime.BackendWorkerPool(backend, "process", max_workers=2)
     try:
         outputs = pool.map_shards(_search_shard, chunks)
     finally:
         pool.shutdown()
-    for chunk, (intervals, stats) in zip(chunks, outputs):
-        expected_intervals, expected = _search_shard(backend, chunk)
-        assert intervals == expected_intervals
+    for chunk, (lows, highs, stats) in zip(chunks, outputs):
+        expected_lows, expected_highs, expected = _search_shard(backend, chunk)
+        assert lows.tolist() == expected_lows.tolist()
+        assert highs.tolist() == expected_highs.tolist()
         assert _trace_columns(stats.trace) == _trace_columns(expected.trace)
         stats.price_with(backend._step_contribution)
         stats.trace = expected.trace = None

@@ -366,6 +366,11 @@ class ExmaAccelerator(runtime.PoolOwner):
         :meth:`run_reference` (the request-at-a-time object model) by the
         oracle suite's contract.
 
+        The true Occ of each request is the column an EXMA search ranked
+        and the stream or flush carried here (see
+        :meth:`repro.engine.window.CoalescingWindow.flush`); only a
+        container without one is ranked, by :meth:`_request_columns`.
+
         Args:
             requests: the Occ request stream to replay — the engine's
                 columnar :class:`~repro.engine.coalesce.RequestStream`, a
@@ -379,7 +384,7 @@ class ExmaAccelerator(runtime.PoolOwner):
                 the coalescing factor.
         """
         config = self._config
-        kmers, positions = _request_columns(requests)
+        kmers, positions, occ = self._request_columns(requests)
         count = int(kmers.size)
         ledger = EnergyLedger()
         row_bytes = self._dram_config.row_bytes
@@ -417,12 +422,10 @@ class ExmaAccelerator(runtime.PoolOwner):
         exact_slots = np.flatnonzero(~modelled)
         modelled_kmers = stage2_kmers[modelled_slots]
 
-        # Occ is ranked in arrival order — a flushed window arrives
-        # key-sorted, so the rank queries walk the increment array forward
-        # — and then permuted into issue order.  An exact scan reads from
-        # the k-mer's first entry up to the true one; a modelled lookup
-        # reads its probe distance plus two entries.
-        true_index = self._table.occ_batch(kmers, positions)[stage2]
+        # Occ, in arrival order, is permuted into issue order.  An exact
+        # scan reads from the k-mer's first entry up to the true one; a
+        # modelled lookup reads its probe distance plus two entries.
+        true_index = occ[stage2]
         exact_true = true_index[exact_slots]
         exact_entries = np.maximum(
             1,
@@ -918,6 +921,29 @@ class ExmaAccelerator(runtime.PoolOwner):
             )
         return merged
 
+    def _request_columns(
+        self, requests: "Sequence[OccRequest]"
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Packed k-mer, position and Occ columns of any request container.
+
+        The engine's :class:`~repro.engine.coalesce.RequestStream` and the
+        window's :class:`~repro.engine.window.WindowedBatch` hand their
+        arrays over directly (no object materialisation), Occ included
+        when the search ranked it; plain sequences are packed once.  Only
+        a container without an Occ column is ranked here, in arrival
+        order (a key-sorted flush walks the increments forward).
+        """
+        if isinstance(requests, (WindowedBatch, RequestStream)):
+            kmers, positions, occ = requests.kmers, requests.positions, requests.occ
+        else:
+            count = len(requests)
+            kmers = np.fromiter((request.packed_kmer for request in requests), np.int64, count)
+            positions = np.fromiter((request.pos for request in requests), np.int64, count)
+            occ = None
+        if occ is None:
+            occ = self._table.occ_batch(kmers, positions)
+        return kmers, positions, occ
+
     def _bases_processed(self, request_count: int) -> int:
         """DNA bases consumed by *request_count* Occ lookups.
 
@@ -927,24 +953,6 @@ class ExmaAccelerator(runtime.PoolOwner):
         if request_count == 0:
             return 0
         return max(1, request_count * self._table.k // 2)
-
-
-def _request_columns(
-    requests: "Sequence[OccRequest]",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Packed k-mer and position columns of any request container.
-
-    The engine's :class:`~repro.engine.coalesce.RequestStream` and the
-    window's :class:`~repro.engine.window.WindowedBatch` hand their arrays
-    over directly (no object materialisation); plain sequences are packed
-    once.
-    """
-    if isinstance(requests, (WindowedBatch, RequestStream)):
-        return requests.kmers, requests.positions
-    count = len(requests)
-    kmers = np.fromiter((request.packed_kmer for request in requests), np.int64, count)
-    positions = np.fromiter((request.pos for request in requests), np.int64, count)
-    return kmers, positions
 
 
 def _segment_arange(counts: np.ndarray) -> np.ndarray:

@@ -438,7 +438,7 @@ class ExmaBackend(SearchBackend):
         )
 
         counts = table.count_table()
-        inputs = (batch.lengths, batch.codes, table.k, lows, highs, lows < highs, counts)
+        inputs = (batch.lengths, batch.codes, table.k, lows, highs, counts)
         result = native.lockstep(*inputs, table.increments, table._kmer_rank_base, n)
         if result is None:
             result = _lockstep_spec(*inputs, self._occ_batch, self._span)
@@ -490,7 +490,7 @@ class ExmaBackend(SearchBackend):
         return StepContribution(entries=entries, predicted=modelled, errors=errors)
 
 
-def _lockstep_spec(lengths, codes, k: int, lows, highs, alive, counts, occ_batch, span: int):
+def _lockstep_spec(lengths, codes, k: int, lows, highs, counts, occ_batch, span: int):
     """:func:`repro.native.lockstep`'s specification and fallback: the
     lockstep steps of :meth:`ExmaBackend.search_batch` after its tails.
 
@@ -498,9 +498,10 @@ def _lockstep_spec(lengths, codes, k: int, lows, highs, alive, counts, occ_batch
     *codes*; a query has ``length // k`` whole chunks, consumed right to
     left after its tail, each packed 2 bits a symbol.  Step *t*
     coalesces the ``(kmer, low)`` and ``(kmer, high)`` requests of every
-    live query with a chunk *t*, resolves the unique ones with one
-    *occ_batch* call and moves each issuer to ``counts[kmer] + occ``; the
-    first step with no live query ends the pass.  Returns the final lows
+    live query (one with a non-empty interval) with a chunk *t*,
+    resolves the unique ones with one *occ_batch* call and moves each
+    issuer to ``counts[kmer] + occ``; the first step with no live query
+    ends the pass.  Returns the final lows
     and highs, every step's unique keys and Occ concatenated, the step
     offsets into them, and each step's issued and distinct-k-mer counts.
     The inputs are left as they were.  A bound outside ``[0, span)``, or
@@ -508,7 +509,8 @@ def _lockstep_spec(lengths, codes, k: int, lows, highs, alive, counts, occ_batch
     ``occ_batch`` does for a k-mer out of range.
     """
     chunks, starts, steps = _packed_chunks(lengths, codes, k)
-    lows, highs, alive = lows.copy(), highs.copy(), alive.copy()
+    lows, highs = lows.copy(), highs.copy()
+    alive = lows < highs
     keys, occ, issued, distinct = [], [], [], []
     for step_index in range(int(steps.max(initial=0))):
         active = alive & (steps > step_index)

@@ -150,25 +150,31 @@ class RequestStream(Sequence):
     step, in schedule order — the exact array the coalescer produced, so
     appending a step is O(1) and a traced sharded run ships each step's
     keys over the process-pool pipe **once** (the trace references the
-    same array objects; pickle memoises them).  ``kmers``/``positions``
-    decompose the keys on demand (cached), and
-    :class:`~repro.exma.search.OccRequest` objects are built only when
+    same array objects; pickle memoises them).  An EXMA search also
+    hands each step's Occ values over, stored by reference beside its
+    keys, so the replay never ranks a key the search already ranked
+    (:meth:`repro.engine.window.CoalescingWindow.flush` carries them on).
+    ``kmers``/``positions``/``occ`` decompose the keys on demand (cached),
+    and :class:`~repro.exma.search.OccRequest` objects are built only when
     something indexes or iterates the stream, cached until it grows.
     """
 
-    __slots__ = ("_key_chunks", "_spans", "_size", "_columns", "_view")
+    __slots__ = ("_key_chunks", "_spans", "_occ_chunks", "_size", "_columns", "_view")
 
     def __init__(self) -> None:
         self._key_chunks: list[np.ndarray] = []
         self._spans: list[int] = []
+        self._occ_chunks: list[np.ndarray | None] = []
         self._size = 0
-        self._columns: tuple[np.ndarray, np.ndarray] | None = None
+        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
         self._view: list[OccRequest] | None = None
 
-    def append_step(self, keys: np.ndarray, span: int) -> None:
-        """Append one step's packed unique keys (stored by reference)."""
+    def append_step(self, keys: np.ndarray, span: int, occ: np.ndarray | None = None) -> None:
+        """Append one step's packed unique keys and, when the step ranked
+        them, their Occ values (both stored by reference)."""
         self._key_chunks.append(keys)
         self._spans.append(int(span))
+        self._occ_chunks.append(occ)
         self._size += int(keys.size)
         self._columns = None
         self._view = None
@@ -178,6 +184,7 @@ class RequestStream(Sequence):
         if isinstance(other, RequestStream):
             self._key_chunks.extend(other._key_chunks)
             self._spans.extend(other._spans)
+            self._occ_chunks.extend(other._occ_chunks)
             self._size += other._size
             self._columns = None
             self._view = None
@@ -186,21 +193,22 @@ class RequestStream(Sequence):
         if requests:
             self.append_step(*pack_requests(requests))
 
-    def chunks(self) -> list[tuple[np.ndarray, int]]:
-        """The per-step ``(packed keys, span)`` pairs, arrays by reference.
+    def chunks(self) -> list[tuple[np.ndarray, int, np.ndarray | None]]:
+        """The per-step ``(packed keys, span, Occ or None)`` triples,
+        arrays by reference.
 
-        The key arrays are never mutated in place after being appended, so
+        The arrays are never mutated in place after being appended, so
         handing them out by reference is also a snapshot: a consumer — the
         :class:`~repro.engine.window.CoalescingWindow` buffer — can hold
         the chunk list while the producing stats object keeps growing.
         """
-        return list(zip(self._key_chunks, self._spans))
+        return list(zip(self._key_chunks, self._spans, self._occ_chunks))
 
-    def _decomposed(self) -> tuple[np.ndarray, np.ndarray]:
+    def _decomposed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         if self._columns is None:
             if not self._key_chunks:
                 empty = np.empty(0, dtype=np.int64)
-                self._columns = (empty, empty)
+                self._columns = (empty, empty, empty)
             else:
                 kmers = np.concatenate(
                     [keys // span for keys, span in zip(self._key_chunks, self._spans)]
@@ -208,7 +216,10 @@ class RequestStream(Sequence):
                 positions = np.concatenate(
                     [keys % span for keys, span in zip(self._key_chunks, self._spans)]
                 )
-                self._columns = (kmers, positions)
+                occ = None
+                if all(chunk is not None for chunk in self._occ_chunks):
+                    occ = np.concatenate(self._occ_chunks)
+                self._columns = (kmers, positions, occ)
         return self._columns
 
     @property
@@ -221,10 +232,17 @@ class RequestStream(Sequence):
         """All Occ positions, concatenated in schedule order."""
         return self._decomposed()[1]
 
+    @property
+    def occ(self) -> np.ndarray | None:
+        """Every request's Occ value, aligned with :attr:`kmers`, or
+        ``None`` when a chunk came without them (packed from objects, or
+        from a backend that does not rank EXMA keys)."""
+        return self._decomposed()[2]
+
     def materialize(self) -> list[OccRequest]:
         """The stream as :class:`OccRequest` objects (cached until it grows)."""
         if self._view is None:
-            kmers, positions = self._decomposed()
+            kmers, positions, _ = self._decomposed()
             self._view = [
                 OccRequest(packed_kmer=kmer, pos=pos)
                 for kmer, pos in zip(kmers.tolist(), positions.tolist())
@@ -502,9 +520,9 @@ class BatchStats:
         self.lockstep_iterations += 1
         self.occ_requests_unique += int(keys.size)
         self.base_reads += distinct_kmers
-        # The stream and the trace reference the *same* keys array, so a
-        # traced shard pickles each step's requests exactly once.
-        self.requests.append_step(keys, span)
+        # The stream and the trace reference the *same* keys and Occ
+        # arrays, so a traced shard pickles each step's requests once.
+        self.requests.append_step(keys, span, occ)
         if contribution is not None:
             self.apply_contribution(contribution)
         if occ is not None:

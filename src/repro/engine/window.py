@@ -17,10 +17,13 @@ packed ``kmer * span + pos`` int64 key arrays the engine's
 dedupe is one sort of those keys plus a neighbour mask, and the flushed
 :class:`WindowedBatch` holds the merged key array itself — which the
 accelerator's columnar replay consumes as-is, through to the cycle
-counts.  No :class:`~repro.exma.search.OccRequest` objects are
-materialised anywhere on that path — the batch only builds them lazily
-when a legacy consumer (the object-path reference replay, tests)
-iterates its ``requests`` view.
+counts.  The Occ values an EXMA search ranked travel with the keys: the
+flush lines them up with its unique keys by one more sort
+(:meth:`CoalescingWindow.flush`), so the replay ranks nothing again.
+No :class:`~repro.exma.search.OccRequest` objects are materialised
+anywhere on that path — the batch only builds them lazily when a legacy
+consumer (the object-path reference replay, tests) iterates its
+``requests`` view.
 
 Two oracle properties pin the semantics down (``tests/test_window.py``):
 
@@ -53,15 +56,24 @@ class WindowedBatch(Sequence):
     The merged stream is stored columnar — ``keys`` holds each unique
     ``(k-mer, pos)`` pair once as a packed ``kmer * span + pos`` int64,
     sorted ascending, which equals the lexicographic ``(k-mer, pos)``
-    order the stage-1 scheduler wants.  ``kmers``/``positions`` decompose
+    order the stage-1 scheduler wants.  ``occ``, when present, is each
+    key's Occ value, aligned with ``keys`` (see
+    :meth:`CoalescingWindow.flush`).  ``kmers``/``positions`` decompose
     the keys on demand; the ``requests`` view materialises
     :class:`~repro.exma.search.OccRequest` objects lazily (cached), so
     only legacy consumers pay for objects.
     """
 
-    __slots__ = ("keys", "span", "batches", "issued", "_columns", "_view")
+    __slots__ = ("keys", "span", "batches", "issued", "occ", "_columns", "_view")
 
-    def __init__(self, keys: np.ndarray, span: int, batches: int, issued: int) -> None:
+    def __init__(
+        self,
+        keys: np.ndarray,
+        span: int,
+        batches: int,
+        issued: int,
+        occ: np.ndarray | None = None,
+    ) -> None:
         #: Unique packed ``kmer * span + pos`` keys, sorted ascending.
         self.keys = keys
         #: Exclusive upper bound on positions used to pack ``keys``.
@@ -70,6 +82,8 @@ class WindowedBatch(Sequence):
         self.batches = batches
         #: Requests entering the window (after per-batch, pre-window merging).
         self.issued = issued
+        #: Occ value per key, or ``None`` when a buffered chunk had none.
+        self.occ = occ
         self._columns: tuple[np.ndarray, np.ndarray] | None = None
         self._view: tuple[OccRequest, ...] | None = None
 
@@ -93,7 +107,8 @@ class WindowedBatch(Sequence):
 
     def _decomposed(self) -> tuple[np.ndarray, np.ndarray]:
         if self._columns is None:
-            self._columns = (self.keys // self.span, self.keys % self.span)
+            kmers = self.keys // self.span
+            self._columns = (kmers, self.keys - kmers * self.span)
         return self._columns
 
     @property
@@ -148,7 +163,7 @@ class CoalescingWindow:
 
     def __init__(self, capacity: int = 1) -> None:
         self._capacity = check_workers(capacity, "window capacity")
-        self._buffered: list[list[tuple[np.ndarray, int]]] = []
+        self._buffered: list[list[tuple[np.ndarray, int, np.ndarray | None]]] = []
 
     @property
     def capacity(self) -> int:
@@ -161,23 +176,26 @@ class CoalescingWindow:
         return len(self._buffered)
 
     @staticmethod
-    def _chunks(requests: Sequence[OccRequest]) -> list[tuple[np.ndarray, int]]:
-        """One batch's stream as packed ``(keys, span)`` column chunks.
+    def _chunks(
+        requests: Sequence[OccRequest],
+    ) -> list[tuple[np.ndarray, int, np.ndarray | None]]:
+        """One batch's stream as packed ``(keys, span, Occ or None)`` chunks.
 
         The engine's columnar :class:`~repro.engine.coalesce.RequestStream`
-        and a prior :class:`WindowedBatch` hand their key arrays over by
+        and a prior :class:`WindowedBatch` hand their arrays over by
         reference (the producers never mutate them in place, so this is
         also the snapshot that decouples the buffer from a stats object
-        growing afterwards); any other request sequence is packed once.
+        growing afterwards); any other request sequence is packed once,
+        without Occ values.
         """
         if isinstance(requests, RequestStream):
             return requests.chunks()
         if isinstance(requests, WindowedBatch):
-            return [(requests.keys, requests.span)] if requests.keys.size else []
+            return [(requests.keys, requests.span, requests.occ)] if requests.keys.size else []
         requests = list(requests)
         if not requests:
             return []
-        return [pack_requests(requests)]
+        return [(*pack_requests(requests), None)]
 
     def push(self, requests: Sequence[OccRequest]) -> WindowedBatch | None:
         """Buffer one batch; return the merged window once W are buffered."""
@@ -197,32 +215,55 @@ class CoalescingWindow:
         references) are re-based onto the widest span before the union;
         the common case — one engine, one span — is a plain concatenate
         of the arrays the coalescer already produced.
+
+        When every chunk carries its Occ values (an EXMA search's steps),
+        the flush carries them on as ``occ``, aligned with the unique keys,
+        without an argsort.  Over one table ``kmer * span + Occ(kmer, pos)``
+        never decreases as the key ``kmer * span + pos`` grows, since
+        ``Occ <= pos < span`` and Occ never decreases in ``pos`` (re-based
+        keys included: the span only widens).  So the sorted values of
+        that column sit in key order; the ``first`` mask keeps one per
+        unique key, and subtracting ``kmer * span`` takes the Occ back
+        out.  A chunk without Occ values (packed from objects) leaves
+        ``occ`` ``None``, and :meth:`repro.accel.exma_accelerator
+        .ExmaAccelerator.run` ranks such a flush itself.
         """
         if not self._buffered:
             return None
         chunks = [chunk for batch in self._buffered for chunk in batch]
         batches = len(self._buffered)
-        issued = sum(int(keys.size) for keys, _ in chunks)
+        issued = sum(int(keys.size) for keys, _, _ in chunks)
         self._buffered = []
         if issued == 0:
-            return WindowedBatch(
-                keys=np.empty(0, dtype=np.int64), span=1, batches=batches, issued=0
-            )
-        spans = {span for _, span in chunks}
+            empty = np.empty(0, dtype=np.int64)
+            return WindowedBatch(keys=empty, span=1, batches=batches, issued=0, occ=empty)
+        spans = {span for _, span, _ in chunks}
         if len(spans) == 1:
             span = spans.pop()
-            packed = [keys for keys, _ in chunks]
+            packed = [keys for keys, _, _ in chunks]
         else:
             span = max(spans)
             packed = [
                 keys if chunk_span == span else (keys // chunk_span) * span + keys % chunk_span
-                for keys, chunk_span in chunks
+                for keys, chunk_span, _ in chunks
             ]
-        keys = np.sort(np.concatenate(packed))
+        keys = np.concatenate(packed)
+        ranked = None
+        if all(occ is not None for _, _, occ in chunks):
+            ranked = keys // span
+            ranked *= span
+            ranked += np.concatenate([occ for _, _, occ in chunks])
+            ranked.sort()
+        keys.sort()
         first = np.empty(keys.size, dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        return WindowedBatch(keys=keys[first], span=span, batches=batches, issued=issued)
+        keys = keys[first]
+        occ = None
+        if ranked is not None:
+            occ = ranked[first]
+            occ -= keys // span * span
+        return WindowedBatch(keys=keys, span=span, batches=batches, issued=issued, occ=occ)
 
     def stream(
         self, batch_streams: Iterable[Sequence[OccRequest]]

@@ -152,7 +152,7 @@ static void sort_pairs(int64_t n, int64_t *keys, int64_t *slots, int64_t *spare,
 }
 int64_t lockstep(int64_t queries, int64_t max_steps, int64_t k, int64_t code_count,
     const uint8_t *codes, const int64_t *lengths, const int64_t *lows, const int64_t *highs,
-    const int64_t *alive, const int64_t *counts, const int64_t *increments, const int64_t *starts,
+    const int64_t *counts, const int64_t *increments, const int64_t *starts,
     int64_t kmer_count, int64_t total, int64_t max_pos, int64_t *out) {
     /* Every lockstep step of a batch; returns the steps run, -1 at a code
        outside 1..4 or a k-mer or position out of range, -2 when the lengths
@@ -164,8 +164,7 @@ int64_t lockstep(int64_t queries, int64_t max_steps, int64_t k, int64_t code_cou
        them (max_steps + 1), each step's issued and distinct-k-mer counts
        (max_steps each), then scratch: the sort's (8 * queries) and each
        query's chunk count and end of its first chunk (queries each).  A query
-       issues while alive, with a chunk left and, after the first step, its
-       interval non-empty. */
+       issues while it has a chunk left and a non-empty interval. */
     int64_t span = max_pos + 1, capacity = 2 * queries * max_steps, key_bytes = 1;
     int64_t *bounds = out, *keys = bounds + 2 * queries, *occ = keys + capacity;
     int64_t *offsets = occ + capacity, *issued = offsets + max_steps + 1;
@@ -183,7 +182,7 @@ int64_t lockstep(int64_t queries, int64_t max_steps, int64_t k, int64_t code_cou
     for (; s < max_steps; ++s) {
         int64_t n = 0, unique = offsets[s], previous = -1, value = 0;
         for (int64_t i = 0; i < queries; ++i) {
-            if (!alive[i] || chunks[i] <= s || (s && bounds[i] >= bounds[queries + i])) continue;
+            if (chunks[i] <= s || bounds[i] >= bounds[queries + i]) continue;
             const uint8_t *chunk = codes + ends[i] - (s + 1) * k;
             int64_t kmer = 0, low = bounds[i], high = bounds[queries + i];
             for (int64_t j = 0; j < k; ++j) {
@@ -273,7 +272,7 @@ KERNELS = (
            "repro.hw.dram.DRAMModel._columns_spec"),
     Kernel("occ_ranks", _INT64, (_INT64, *[_POINTER] * 4, *[_INT64] * 3, _POINTER),
            "repro.exma.table.ExmaTable._occ_spec"),
-    Kernel("lockstep", _INT64, (*[_INT64] * 4, *[_POINTER] * 8, *[_INT64] * 3, _POINTER),
+    Kernel("lockstep", _INT64, (*[_INT64] * 4, *[_POINTER] * 7, *[_INT64] * 3, _POINTER),
            "repro.engine.backends._lockstep_spec"),
     Kernel("sigmoid_in", None, (_INT64, _INT64, _POINTER, _POINTER),
            "repro.exma.mtl_index._sigmoid_spec"),
@@ -421,8 +420,7 @@ def occ_ranks(kmers, positions, increments, starts, max_pos: int) -> np.ndarray 
     return ranks if found else None
 
 
-def lockstep(lengths, codes, k: int, lows, highs, alive, counts, increments, starts,
-             max_pos: int):
+def lockstep(lengths, codes, k: int, lows, highs, counts, increments, starts, max_pos: int):
     """:func:`repro.engine.backends._lockstep_spec` compiled, every step in
     one pass that packs each chunk from *codes*, with the same outputs;
     ``None`` where it declines (disabled, unavailable, a *k* outside
@@ -435,31 +433,35 @@ def lockstep(lengths, codes, k: int, lows, highs, alive, counts, increments, sta
     codes = np.ascontiguousarray(codes, dtype=np.uint8)
     columns = [
         np.ascontiguousarray(c, dtype=np.int64)
-        for c in (lengths, lows, highs, alive, counts, increments, starts)
+        for c in (lengths, lows, highs, counts, increments, starts)
     ]
     queries = columns[0].size
-    if any(c.size != queries for c in columns[1:4]) or columns[4].size != columns[6].size:
+    if any(c.size != queries for c in columns[1:3]) or columns[3].size != columns[5].size:
         raise ValueError("lockstep columns differ in length")
     max_steps = int(columns[0].max(initial=0)) // k
     capacity = 2 * queries * max_steps
     # Where C's outputs begin in `out`: keys, Occ, offsets, issued, distinct.
-    at = np.cumsum((2 * queries, capacity, capacity, max_steps + 1, max_steps)).tolist()
-    out = np.empty(at[-1] + max_steps + 10 * queries, dtype=np.int64)
+    keys_at = 2 * queries
+    occ_at = keys_at + capacity
+    offsets_at = occ_at + capacity
+    issued_at = offsets_at + max_steps + 1
+    distinct_at = issued_at + max_steps
+    out = np.empty(distinct_at + max_steps + 10 * queries, dtype=np.int64)
     ran = library.lockstep(
         queries, max_steps, k, codes.size, codes.ctypes.data, *(c.ctypes.data for c in columns),
-        columns[6].size, columns[5].size, max_pos, out.ctypes.data,
+        columns[5].size, columns[4].size, max_pos, out.ctypes.data,
     )
     if ran == -2:
         raise ValueError("lockstep columns differ in length")
     if ran < 0:
         return None
-    offsets = out[at[2] : at[2] + ran + 1]
+    offsets = out[offsets_at : offsets_at + ran + 1]
     used = int(offsets[-1])
-    bounds = out[: 2 * queries].copy()  # copies, so that no result keeps `out` alive
+    bounds = out[:keys_at].copy()  # copies, so that no result keeps `out` alive
     return (
-        bounds[:queries], bounds[queries:], out[at[0] : at[0] + used].copy(),
-        out[at[1] : at[1] + used].copy(), offsets, out[at[3] : at[3] + ran],
-        out[at[4] : at[4] + ran],
+        bounds[:queries], bounds[queries:], out[keys_at : keys_at + used].copy(),
+        out[occ_at : occ_at + used].copy(), offsets, out[issued_at : issued_at + ran],
+        out[distinct_at : distinct_at + ran],
     )
 
 

@@ -372,8 +372,8 @@ def lockstep_batches(draw):
 
 def _lockstep_inputs(backend: ExmaBackend, queries) -> tuple:
     """``search_batch``'s inputs to the lockstep pass: the batch's lengths
-    and codes, k, the bounds and alive mask after each query's tail (its
-    last ``len % k`` symbols), and the count table."""
+    and codes, k, the bounds after each query's tail (its last
+    ``len % k`` symbols), and the count table."""
     table, k = backend.table, backend.table.k
     batch = QueryBatch.from_strings(queries)
     lows = np.zeros(len(queries), dtype=np.int64)
@@ -381,7 +381,7 @@ def _lockstep_inputs(backend: ExmaBackend, queries) -> tuple:
     for i, query in enumerate(queries):
         if len(query) % k:
             lows[i], highs[i] = table.prefix_interval(query[len(query) - len(query) % k :])
-    return batch.lengths, batch.codes, k, lows, highs, lows < highs, table.count_table()
+    return batch.lengths, batch.codes, k, lows, highs, table.count_table()
 
 
 def _both_locksteps(backend: ExmaBackend, queries) -> tuple:
@@ -459,11 +459,11 @@ class TestLockstep:
     def test_declines_out_of_range_inside_the_pass(self, compiled):
         backend = LOCKSTEP_BACKENDS[4]
         table = backend.table
-        lengths, codes, k, lows, highs, alive, counts = _lockstep_inputs(
+        lengths, codes, k, lows, highs, counts = _lockstep_inputs(
             backend, [LOCKSTEP_REFERENCE[10:30], LOCKSTEP_REFERENCE[50:70]]
         )
         constants = (table.increments, table._kmer_rank_base, table.reference_length)
-        assert native.lockstep(lengths, codes, k, lows, highs, alive, counts, *constants)
+        assert native.lockstep(lengths, codes, k, lows, highs, counts, *constants)
         n = table.reference_length
         # The second query's first code leads its last chunk: a 5 there
         # packs past 4^k; a 0 or a 5 anywhere in a chunk is no code.
@@ -474,27 +474,27 @@ class TestLockstep:
             kept = array[slot]
             array[slot] = value
             assert native.lockstep(
-                lengths, codes, k, lows, highs, alive, counts, *constants
+                lengths, codes, k, lows, highs, counts, *constants
             ) is None
             array[slot] = kept
         with pytest.raises(ValueError, match="length"):
-            native.lockstep(lengths[:1], codes, k, lows, highs, alive, counts, *constants)
+            native.lockstep(lengths[:1], codes, k, lows, highs, counts, *constants)
         with pytest.raises(ValueError, match="length"):
-            native.lockstep(lengths, codes[:-1], k, lows, highs, alive, counts, *constants)
+            native.lockstep(lengths, codes[:-1], k, lows, highs, counts, *constants)
         # The right total, but a row past the codes' end.
         overrun = np.array([lengths.sum() + 1, -1])
         with pytest.raises(ValueError, match="length"):
-            native.lockstep(overrun, codes, k, lows, highs, alive, counts, *constants)
+            native.lockstep(overrun, codes, k, lows, highs, counts, *constants)
         with pytest.raises(ValueError, match="length"):
-            native.lockstep(lengths, codes, k, lows, highs, alive, counts[:-1], *constants)
+            native.lockstep(lengths, codes, k, lows, highs, counts[:-1], *constants)
         # A dead query's codes are never read, whatever they hold.
-        alive[1] = False
+        highs[1] = lows[1]
         codes[20:] = 9
-        assert native.lockstep(lengths, codes, k, lows, highs, alive, counts, *constants)
+        assert native.lockstep(lengths, codes, k, lows, highs, counts, *constants)
 
     def test_keys_that_could_pass_int64_decline_to_the_spec(self, compiled, monkeypatch, spec_calls):
         assert native.lockstep(
-            ZERO + 1, np.ones(1, np.uint8), 1, ZERO, ZERO, np.ones(1, bool), ZERO, ZERO,
+            ZERO + 1, np.ones(1, np.uint8), 1, ZERO, ZERO, ZERO, ZERO,
             _int64([0, 0, 0, 0]), 2**61,
         ) is None
         backend = LOCKSTEP_BACKENDS[6]
@@ -995,8 +995,7 @@ ORACLE_CASES = {
         lockstep_batches(), _lockstep_oracle,
         lambda: _traced_search(LOCKSTEP_BACKENDS[4], LOCKSTEP_QUERIES),
         lambda: [
-            native.lockstep(ZERO, np.zeros(0, np.uint8), 1, ZERO, ZERO, np.zeros(1, bool),
-                            *[ZERO] * 3, 1),
+            native.lockstep(ZERO, np.zeros(0, np.uint8), 1, ZERO, ZERO, *[ZERO] * 3, 1),
             native.lockstep(*_lockstep_inputs(LOCKSTEP_BACKENDS[4], LOCKSTEP_QUERIES), None, None, 1),
         ],
     ),

@@ -369,7 +369,8 @@ class ExmaAccelerator(runtime.PoolOwner):
         The true Occ of each request is the column an EXMA search ranked
         and the stream or flush carried here (see
         :meth:`repro.engine.window.CoalescingWindow.flush`); only a
-        container without one is ranked, by :meth:`_request_columns`.
+        container without one is ranked, by :meth:`_request_columns`'
+        one ``occ_batch`` call (made over no requests otherwise).
 
         Args:
             requests: the Occ request stream to replay — the engine's
@@ -929,9 +930,14 @@ class ExmaAccelerator(runtime.PoolOwner):
         The engine's :class:`~repro.engine.coalesce.RequestStream` and the
         window's :class:`~repro.engine.window.WindowedBatch` hand their
         arrays over directly (no object materialisation), Occ included
-        when the search ranked it; plain sequences are packed once.  Only
-        a container without an Occ column is ranked here, in arrival
-        order (a key-sorted flush walks the increments forward).
+        when the search ranked it; plain sequences are packed once.
+
+        The table ranks, in arrival order (a key-sorted flush walks the
+        increments forward), the requests the container carries no Occ
+        for: all of them, or none.  Its one ``occ_batch`` call per replay
+        is made either way, so the replay's Occ stage stays one boundary
+        call whose size is what it ranked — the ``exma.occ`` layer of
+        ``bench/trace.py`` reads 0 lookups for an engine flush.
         """
         if isinstance(requests, (WindowedBatch, RequestStream)):
             kmers, positions, occ = requests.kmers, requests.positions, requests.occ
@@ -940,9 +946,9 @@ class ExmaAccelerator(runtime.PoolOwner):
             kmers = np.fromiter((request.packed_kmer for request in requests), np.int64, count)
             positions = np.fromiter((request.pos for request in requests), np.int64, count)
             occ = None
-        if occ is None:
-            occ = self._table.occ_batch(kmers, positions)
-        return kmers, positions, occ
+        unranked = slice(None) if occ is None else slice(0)
+        ranked = self._table.occ_batch(kmers[unranked], positions[unranked])
+        return kmers, positions, ranked if occ is None else occ
 
     def _bases_processed(self, request_count: int) -> int:
         """DNA bases consumed by *request_count* Occ lookups.

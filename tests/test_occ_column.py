@@ -11,8 +11,9 @@ argsort) and into :meth:`~repro.accel.exma_accelerator.ExmaAccelerator
   element for element, for every engine stream and every flush — serial,
   thread- and process-sharded, compiled and ``REPRO_PURE_PYTHON``
   lockstep, any window;
-* the engine path (search, window, ``replay_flush``) never calls
-  ``occ_batch``; a plain request list is ranked once and replays as
+* the engine path (search, window, ``replay_flush``) ranks nothing: each
+  replay makes its one ``occ_batch`` call over no requests; a plain
+  request list is ranked once and replays as
   :meth:`~repro.accel.exma_accelerator.ExmaAccelerator.run_reference`;
 * the window's edge cases: a chunk packed from objects drops the column
   (and ``run`` ranks the flush), chunks under two spans keep it, and
@@ -157,7 +158,7 @@ class TestReplayRanksOnce:
         assert len(results) == 2 and all(result.requests for result in results)
         # The stream replayed whole goes the same way.
         accelerator.run(streams[0])
-        assert occ_batch_calls == []
+        assert occ_batch_calls == [0, 0, 0]
 
     def test_plain_request_list_is_ranked_once_and_matches_the_reference(
         self, accelerator, occ_batch_calls
@@ -169,7 +170,7 @@ class TestReplayRanksOnce:
         assert occ_batch_calls == [len(requests)]
         assert ranked == accelerator.run_reference(requests, bases_processed=bases)
         assert ranked == accelerator.replay_flush(flushed)
-        assert occ_batch_calls == [len(requests)]
+        assert occ_batch_calls == [len(requests), 0]
 
 
 class TestWindowEdges:
@@ -187,7 +188,7 @@ class TestWindowEdges:
         assert_column(table, engine_flush)
         assert occ_batch_calls == [engine_flush.unique]  # assert_column's own call
         assert accelerator.replay_flush(mixed_flush) == accelerator.replay_flush(engine_flush)
-        assert occ_batch_calls == [engine_flush.unique, mixed_flush.unique]
+        assert occ_batch_calls == [engine_flush.unique, mixed_flush.unique, 0]
 
     def test_engine_chunks_under_two_spans_keep_the_column(self):
         backend = BACKENDS[4]

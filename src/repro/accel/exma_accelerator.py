@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .. import runtime
+from .. import native, runtime
 from ..engine.coalesce import RequestStream
 from ..engine.window import CoalescingWindow, WindowedBatch
 from ..exma.chain import compression_ratio as chain_ratio
@@ -358,10 +358,10 @@ class ExmaAccelerator(runtime.PoolOwner):
         :func:`~repro.hw.scheduler.scheduled_orders`, both caches are
         simulated over their full access sequences with
         :func:`~repro.hw.cache.simulate_lru_hits`, Occ resolution and MTL
-        prediction run grouped by shared node, the increment fetches
-        expand into a :class:`~repro.hw.dram.MemoryTrace` (only the few
-        that cross a row or the chunk cap run the general row-span
-        expansion), and one call replays that trace on every DRAM channel.
+        prediction run grouped by shared node, one compiled pass
+        (:func:`repro.native.replay_trace`; spec :func:`_assemble_trace`)
+        writes the issue-order :class:`~repro.hw.dram.MemoryTrace`, and
+        one call replays that trace on every DRAM channel.
         Field-for-field identical to
         :meth:`run_reference` (the request-at-a-time object model) by the
         oracle suite's contract.
@@ -458,32 +458,21 @@ class ExmaAccelerator(runtime.PoolOwner):
         inference_lookups = int(modelled_slots.size)
         increment_entries = int(entries.sum())
 
-        # Increment fetch: one byte range per slot.
-        entry_bytes = INCREMENT_ENTRY_BYTES * self._chain_ratio
-        fetch_start = self._layout["increment_offset"] + (
-            (self._fetch_bases[stage2_kmers] + predicted).astype(np.float64)
-            * entry_bytes
-        ).astype(np.int64)
-        fetch_bytes = np.maximum(
-            1,
-            (
-                (entries * INCREMENT_ENTRY_BYTES).astype(np.float64)
-                * self._chain_ratio
-            ).astype(np.int64),
+        # The issue-order DRAM trace, compiled where the kernel accepts the
+        # columns, else by its NumPy spec.
+        columns = (
+            base_addresses, base_miss, modelled_slots, index_addresses, index_hits,
+            self._fetch_bases[stage2_kmers] + predicted, entries, keep_open,
         )
-
-        trace = self._assemble_trace(
-            count,
-            cam_entries,
-            row_bytes,
-            base_addresses,
-            base_miss,
-            modelled_slots,
-            index_addresses,
-            index_hits,
-            fetch_start,
-            fetch_bytes,
-            keep_open,
+        increment_offset = self._layout["increment_offset"]
+        built = native.replay_trace(
+            *columns, cam_entries, (row_bytes, BURST_BYTES * 8, BURST_BYTES),
+            (increment_offset, INCREMENT_ENTRY_BYTES, self._chain_ratio),
+        )
+        trace = (
+            _assemble_trace(*columns, cam_entries, row_bytes, increment_offset, self._chain_ratio)
+            if built is None
+            else MemoryTrace(*built)
         )
 
         if count:
@@ -546,99 +535,6 @@ class ExmaAccelerator(runtime.PoolOwner):
             increment_entries_read=increment_entries,
             dram_requests=len(trace),
             per_channel=per_channel,
-        )
-
-    @staticmethod
-    def _assemble_trace(
-        count: int,
-        cam_entries: int,
-        row_bytes: int,
-        base_addresses: np.ndarray,
-        base_miss: np.ndarray,
-        modelled_slots: np.ndarray,
-        index_addresses: np.ndarray,
-        index_hits: np.ndarray,
-        fetch_start: np.ndarray,
-        fetch_bytes: np.ndarray,
-        keep_open: np.ndarray,
-    ) -> MemoryTrace:
-        """Scatter the per-stage access columns into one issue-order trace.
-
-        The reference interleaving per CAM batch is: every stage-1 base
-        miss (stage-1 order), then per stage-2 slot its index-node misses
-        (bucket before leaf) followed by its increment chunks (the fetch
-        byte range cut by :func:`_expand_row_spans`), on the slot's stream
-        ``slot % cam_entries``.  Each slot owns its misses and chunks and a
-        batch's stage-1 misses are charged to its first slot, so one
-        cumulative sum over the slots places everything.  Per-slot columns
-        are scattered once, to each slot's first chunk; only the misses and
-        the later chunks of multi-chunk slots (a few per cent of each) are
-        expanded on their own.
-        """
-        if count == 0:
-            return MemoryTrace()
-        first_rows, first_bytes, chunks_per_slot, rest_rows, rest_bytes = (
-            _expand_row_spans(fetch_start, fetch_bytes, row_bytes, BURST_BYTES * 8)
-        )
-        batches = -(-count // cam_entries)
-        streams = np.tile(np.arange(cam_entries, dtype=np.int64), batches)[:count]
-        base_slots = np.flatnonzero(base_miss)
-        base_batches = base_slots // cam_entries
-        stage1_per_batch = np.bincount(base_batches, minlength=batches)
-        bucket_missed = ~index_hits[0::2]
-        leaf_missed = ~index_hits[1::2]
-        bucket_slots = modelled_slots[bucket_missed]
-        leaf_slots = modelled_slots[leaf_missed]
-
-        owned = chunks_per_slot.copy()
-        owned[bucket_slots] += 1
-        owned[leaf_slots] += 1
-        owned[::cam_entries] += stage1_per_batch
-        slot_end = np.cumsum(owned)
-        chunk_start = slot_end - chunks_per_slot
-
-        total = int(slot_end[-1])
-        rows = np.empty(total, dtype=np.int64)
-        nbytes = np.empty(total, dtype=np.int64)
-        keep = np.zeros(total, dtype=bool)
-        request_streams = np.zeros(total, dtype=np.int64)
-
-        # Stage-1 misses open their batch, right after the previous
-        # batch's last slot.
-        batch_begin = np.zeros(batches, dtype=np.int64)
-        batch_begin[1:] = slot_end[cam_entries - 1 : count - 1 : cam_entries]
-        stage1_before = np.cumsum(stage1_per_batch) - stage1_per_batch
-        stage1_dest = np.arange(base_slots.size, dtype=np.int64) + (
-            batch_begin - stage1_before
-        )[base_batches]
-        rows[stage1_dest] = base_addresses[base_slots] // row_bytes
-        nbytes[stage1_dest] = BURST_BYTES
-
-        # Index-node misses sit just before their slot's first chunk.
-        leaf_dest = chunk_start[leaf_slots] - 1
-        rows[leaf_dest] = index_addresses[1::2][leaf_missed] // row_bytes
-        nbytes[leaf_dest] = BURST_BYTES
-        request_streams[leaf_dest] = streams[leaf_slots]
-        bucket_dest = chunk_start[bucket_slots] - 1 - leaf_missed[bucket_missed]
-        rows[bucket_dest] = index_addresses[0::2][bucket_missed] // row_bytes
-        nbytes[bucket_dest] = BURST_BYTES
-        request_streams[bucket_dest] = streams[bucket_slots]
-
-        # Increment chunks: every slot's first, then the rest of the
-        # multi-chunk slots, each carrying its slot's hint and stream.
-        rows[chunk_start] = first_rows
-        nbytes[chunk_start] = first_bytes
-        keep[chunk_start] = keep_open
-        request_streams[chunk_start] = streams
-        multi = np.flatnonzero(chunks_per_slot > 1)
-        more = chunks_per_slot[multi] - 1
-        rest_dest = np.repeat(chunk_start[multi] + 1, more) + _segment_arange(more)
-        rows[rest_dest] = rest_rows
-        nbytes[rest_dest] = rest_bytes
-        keep[rest_dest] = np.repeat(keep_open[multi], more)
-        request_streams[rest_dest] = np.repeat(streams[multi], more)
-        return MemoryTrace(
-            rows=rows, nbytes=nbytes, keep_open=keep, streams=request_streams
         )
 
     def run_reference(
@@ -959,6 +855,119 @@ class ExmaAccelerator(runtime.PoolOwner):
         if request_count == 0:
             return 0
         return max(1, request_count * self._table.k // 2)
+
+
+def _assemble_trace(
+    base_addresses: np.ndarray,
+    base_miss: np.ndarray,
+    modelled_slots: np.ndarray,
+    index_addresses: np.ndarray,
+    index_hits: np.ndarray,
+    fetch_offsets: np.ndarray,
+    entries: np.ndarray,
+    keep_open: np.ndarray,
+    cam_entries: int,
+    row_bytes: int,
+    increment_offset: int,
+    chain_ratio: float,
+) -> MemoryTrace:
+    """Scatter the per-stage access columns into one issue-order trace:
+    the specification and fallback of :func:`repro.native.replay_trace`.
+
+    The reference interleaving per CAM batch is: every stage-1 base
+    miss (stage-1 order), then per stage-2 slot its index-node misses
+    (bucket before leaf) followed by its increment chunks (its fetch
+    byte range from :func:`_fetch_ranges`, cut by
+    :func:`_expand_row_spans`), on the slot's stream
+    ``slot % cam_entries``.  Each slot owns its misses and chunks and a
+    batch's stage-1 misses are charged to its first slot, so one
+    cumulative sum over the slots places everything.  Per-slot columns
+    are scattered once, to each slot's first chunk; only the misses and
+    the later chunks of multi-chunk slots (a few per cent of each) are
+    expanded on their own.
+    """
+    count = base_addresses.size
+    if count == 0:
+        return MemoryTrace()
+    fetch_start, fetch_bytes = _fetch_ranges(fetch_offsets, entries, increment_offset, chain_ratio)
+    first_rows, first_bytes, chunks_per_slot, rest_rows, rest_bytes = (
+        _expand_row_spans(fetch_start, fetch_bytes, row_bytes, BURST_BYTES * 8)
+    )
+    batches = -(-count // cam_entries)
+    streams = np.tile(np.arange(cam_entries, dtype=np.int64), batches)[:count]
+    base_slots = np.flatnonzero(base_miss)
+    base_batches = base_slots // cam_entries
+    stage1_per_batch = np.bincount(base_batches, minlength=batches)
+    bucket_missed = ~index_hits[0::2]
+    leaf_missed = ~index_hits[1::2]
+    bucket_slots = modelled_slots[bucket_missed]
+    leaf_slots = modelled_slots[leaf_missed]
+
+    owned = chunks_per_slot.copy()
+    owned[bucket_slots] += 1
+    owned[leaf_slots] += 1
+    owned[::cam_entries] += stage1_per_batch
+    slot_end = np.cumsum(owned)
+    chunk_start = slot_end - chunks_per_slot
+
+    total = int(slot_end[-1])
+    rows = np.empty(total, dtype=np.int64)
+    nbytes = np.empty(total, dtype=np.int64)
+    keep = np.zeros(total, dtype=bool)
+    request_streams = np.zeros(total, dtype=np.int64)
+
+    # Stage-1 misses open their batch, right after the previous
+    # batch's last slot.
+    batch_begin = np.zeros(batches, dtype=np.int64)
+    batch_begin[1:] = slot_end[cam_entries - 1 : count - 1 : cam_entries]
+    stage1_before = np.cumsum(stage1_per_batch) - stage1_per_batch
+    stage1_dest = np.arange(base_slots.size, dtype=np.int64) + (
+        batch_begin - stage1_before
+    )[base_batches]
+    rows[stage1_dest] = base_addresses[base_slots] // row_bytes
+    nbytes[stage1_dest] = BURST_BYTES
+
+    # Index-node misses sit just before their slot's first chunk.
+    leaf_dest = chunk_start[leaf_slots] - 1
+    rows[leaf_dest] = index_addresses[1::2][leaf_missed] // row_bytes
+    nbytes[leaf_dest] = BURST_BYTES
+    request_streams[leaf_dest] = streams[leaf_slots]
+    bucket_dest = chunk_start[bucket_slots] - 1 - leaf_missed[bucket_missed]
+    rows[bucket_dest] = index_addresses[0::2][bucket_missed] // row_bytes
+    nbytes[bucket_dest] = BURST_BYTES
+    request_streams[bucket_dest] = streams[bucket_slots]
+
+    # Increment chunks: every slot's first, then the rest of the
+    # multi-chunk slots, each carrying its slot's hint and stream.
+    rows[chunk_start] = first_rows
+    nbytes[chunk_start] = first_bytes
+    keep[chunk_start] = keep_open
+    request_streams[chunk_start] = streams
+    multi = np.flatnonzero(chunks_per_slot > 1)
+    more = chunks_per_slot[multi] - 1
+    rest_dest = np.repeat(chunk_start[multi] + 1, more) + _segment_arange(more)
+    rows[rest_dest] = rest_rows
+    nbytes[rest_dest] = rest_bytes
+    keep[rest_dest] = np.repeat(keep_open[multi], more)
+    request_streams[rest_dest] = np.repeat(streams[multi], more)
+    return MemoryTrace(rows=rows, nbytes=nbytes, keep_open=keep, streams=request_streams)
+
+
+def _fetch_ranges(
+    fetch_offsets: np.ndarray, entries: np.ndarray, increment_offset: int, chain_ratio: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's increment fetch as a byte range ``(start, nbytes)``:
+    *fetch_offsets* (base pointer plus predicted entry) and *entries*
+    scaled by the CHAIN-compressed entry size, truncated, at least a byte."""
+    entry_bytes = INCREMENT_ENTRY_BYTES * chain_ratio
+    fetch_start = increment_offset + (
+        fetch_offsets.astype(np.float64) * entry_bytes
+    ).astype(np.int64)
+    fetch_bytes = np.maximum(
+        1,
+        ((entries * INCREMENT_ENTRY_BYTES).astype(np.float64) * chain_ratio).astype(np.int64),
+    )
+    return fetch_start, fetch_bytes
 
 
 def _segment_arange(counts: np.ndarray) -> np.ndarray:

@@ -470,7 +470,8 @@ class ExmaBackend(SearchBackend):
             # frequencies() copies the 4^k counts table; fetch it once per
             # backend, not once per priced batch.
             self._frequencies = self._table.frequencies()
-        kmers, positions = np.divmod(keys, self._span)
+        kmers = keys // self._span
+        positions = keys - kmers * self._span  # NumPy's remainder is slower
         freqs = self._frequencies[kmers]
         entries = np.maximum(
             1, np.frexp(freqs.astype(np.float64))[1].astype(np.int64)

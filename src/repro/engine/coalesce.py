@@ -133,9 +133,10 @@ def coalesce_requests(kmers: np.ndarray, positions: np.ndarray, span: int) -> Co
         raise ValueError("kmers and positions must have identical shapes")
     keys = kmers * span + positions
     unique_keys, inverse = np.unique(keys, return_inverse=True)
+    kmers = unique_keys // span
     return CoalescedStep(
-        kmers=unique_keys // span,
-        positions=unique_keys % span,
+        kmers=kmers,
+        positions=unique_keys - kmers * span,
         inverse=inverse,
         issued=int(keys.size),
         keys=unique_keys,
@@ -210,11 +211,13 @@ class RequestStream(Sequence):
                 empty = np.empty(0, dtype=np.int64)
                 self._columns = (empty, empty, empty)
             else:
-                kmers = np.concatenate(
-                    [keys // span for keys, span in zip(self._key_chunks, self._spans)]
-                )
+                # ``keys % span`` as ``keys - kmers * span``: NumPy's
+                # remainder by a scalar is several times slower.
+                chunks = list(zip(self._key_chunks, self._spans))
+                kmer_chunks = [keys // span for keys, span in chunks]
+                kmers = np.concatenate(kmer_chunks)
                 positions = np.concatenate(
-                    [keys % span for keys, span in zip(self._key_chunks, self._spans)]
+                    [keys - k * span for (keys, span), k in zip(chunks, kmer_chunks)]
                 )
                 occ = None
                 if all(chunk is not None for chunk in self._occ_chunks):

@@ -23,8 +23,8 @@ that is **byte-identical** to what the serial engine would have produced
   in every shard, so one vectorized ``np.unique`` over the shards' packed
   keys at step *t* recovers exactly the serial batch's unique set — and
   selecting each surviving key's row once re-creates the serial
-  accounting.  No ``replay_trace`` pass, no second trip through the
-  index; shards price nothing, and the merged steps are priced on read
+  accounting.  No replay of the recorded steps, no second trip through
+  the index; shards price nothing, and the merged steps are priced on read
   with the parent's backend.
 
 This module is the split and the merge only.  *Where* the shards run —

@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.accel import ExmaAccelerator, exma_accelerator
 from repro.accel.config import ExmaAcceleratorConfig, exma_full_config
 from repro.engine import QueryEngine
@@ -62,6 +63,7 @@ from repro.hw.scheduler import (
     scheduled_orders,
 )
 from repro.lisa.search import LisaIndex
+from repro.runtime import PURE_PYTHON_ENV
 from repro.testing import random_queries, reference_and_queries
 
 BACKEND_NAMES = ("fmindex", "exma", "exma-learned", "exma-mtl", "lisa", "lisa-learned")
@@ -627,22 +629,26 @@ def long_scans(repeat_genome):
 
 @pytest.mark.parametrize("two_stage", (True, False))
 @pytest.mark.parametrize("policy", list(PagePolicy))
+@pytest.mark.parametrize("compiled", (True, False), ids=("compiled", "spec"))
 class TestRunAcrossRows:
-    def test_run_field_for_field_equal(self, two_stage, policy, long_scans, monkeypatch):
+    def test_run_field_for_field_equal(self, compiled, two_stage, policy, long_scans, monkeypatch):
+        # The trace's inputs are read where they cross into the kernel's
+        # wrapper, which both paths pass: the spec runs only where it
+        # declines (here: no library).
         table, stream = long_scans
         config = _config(two_stage, policy).with_overrides(use_chain_compression=False)
         accelerator = ExmaAccelerator(table, None, config)
-        fetched = []
-        expand = exma_accelerator._expand_row_spans
-
-        def recorded(starts, nbytes, row_bytes, cap):
-            fetched.append((starts, nbytes, row_bytes, cap))
-            return expand(starts, nbytes, row_bytes, cap)
-
-        monkeypatch.setattr(exma_accelerator, "_expand_row_spans", recorded)
+        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
+        monkeypatch.setattr(native, "_library", native._UNRESOLVED if compiled else None)
+        handed, specs = [], []
+        wrapper, spec = native.replay_trace, exma_accelerator._assemble_trace
+        monkeypatch.setattr(native, "replay_trace", lambda *a: handed.append(a) or wrapper(*a))
+        monkeypatch.setattr(exma_accelerator, "_assemble_trace", lambda *a: specs.append(a) or spec(*a))
         assert accelerator.run(stream) == accelerator.run_reference(list(stream))
-        ((starts, nbytes, row_bytes, cap),) = fetched
-        assert len(stream) % config.cam_entries  # a partial last CAM batch
+        ((*columns, cam_entries, (row_bytes, cap, _), (offset, _, ratio)),) = handed
+        assert len(specs) == (not compiled)
+        starts, nbytes = exma_accelerator._fetch_ranges(columns[5], columns[6], offset, ratio)
+        assert len(stream) % cam_entries  # a partial last CAM batch
         assert (starts % row_bytes + nbytes > row_bytes).any()  # fetches cross rows
         assert (nbytes > cap).any()  # and exceed the chunk cap
 

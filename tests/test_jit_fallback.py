@@ -12,6 +12,7 @@ spec, the per-k-mer ``np.polyfit``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 import pathlib
@@ -32,6 +33,11 @@ from hypothesis.extra import numpy as hnp
 
 import repro
 from repro import native
+from repro.accel import ExmaAccelerator
+from repro.accel import exma_accelerator as accel_module
+from repro.accel.config import ExmaAcceleratorConfig
+from repro.accel.exma_accelerator import INCREMENT_ENTRY_BYTES
+from repro.engine import QueryEngine
 from repro.engine.backends import ExmaBackend, _lockstep_spec
 from repro.engine.coalesce import BatchStats, BatchTrace
 from repro.exma import mtl_index
@@ -39,12 +45,14 @@ from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
 from repro.genome.alphabet import QueryBatch
 from repro.genome.datasets import build_dataset
-from repro.genome.sequence import random_genome
+from repro.genome.sequence import RepeatProfile, random_genome
 from repro.hw import cache as hw_cache
 from repro.hw import dram as hw_dram
-from repro.hw.dram import DDR4Config, DRAMModel, MemoryRequest, MemoryTrace, PagePolicy
+from repro.hw.dram import (
+    BURST_BYTES, DDR4Config, DRAMModel, MemoryRequest, MemoryTrace, PagePolicy,
+)
 from repro.runtime import PURE_PYTHON_ENV
-from repro.testing import backend_search
+from repro.testing import backend_search, random_queries
 
 SOURCE_TREE = pathlib.Path(repro.__file__).resolve().parent
 kernel_settings = settings(
@@ -262,6 +270,209 @@ class TestDramDeclines:
         trace = MemoryTrace.from_requests([MemoryRequest(row=0)])
         with pytest.raises(ValueError, match="channels"):
             DRAMModel().process_columns(trace, channels)
+
+
+# The trace kernel's inputs are `ExmaAccelerator.run`'s columns: base and
+# index-cache outcomes, each stage-2 slot's fetch offset (base pointer plus
+# predicted entry) and entry count, and its keep-open hint.
+TRACE_SIZES = (BURST_BYTES * 8, BURST_BYTES)  # the chunk cap and a miss's bytes
+
+
+def _trace_columns(
+    rng, count: int, modelled: str, base_hits: str, index_hits: str, max_entries: int
+) -> tuple:
+    """One flush's columns: each of *modelled*, *base_hits* and
+    *index_hits* is ``"none"``, ``"some"`` or ``"all"`` of the slots."""
+
+    def share(mode: str, size: int) -> np.ndarray:
+        return rng.random(size) < {"none": 0.0, "some": 0.5, "all": 1.0}[mode]
+
+    modelled_slots = np.flatnonzero(share(modelled, count))
+    return (
+        rng.integers(0, 10**6, count), ~share(base_hits, count), modelled_slots,
+        rng.integers(0, 10**6, 2 * modelled_slots.size), share(index_hits, 2 * modelled_slots.size),
+        rng.integers(0, 50_000, count), rng.integers(1, max_entries + 1, count),
+        rng.random(count) < 0.5,
+    )
+
+
+@st.composite
+def trace_inputs(draw):
+    """Row sizes of 64, 96 and 2048 bytes; a CAM of 1-512 entries, with a
+    partial last batch or none; zero, some or all slots modelled; caches
+    that hit always, never or sometimes; fetches inside a row, across
+    rows and over the cap (up to 700 entries); CHAIN ratios below 1."""
+    cam_entries = draw(st.integers(1, 512))
+    count = draw(st.integers(0, 2)) * cam_entries + draw(st.integers(0, cam_entries - 1))
+    modes = st.sampled_from(["none", "some", "all"])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = _trace_columns(
+        rng, max(count, 1), draw(modes), draw(modes), draw(modes),
+        draw(st.sampled_from([1, 16, 700])),
+    )
+    row_bytes = draw(st.sampled_from([64, 96, 2048]))
+    ratio = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0, exclude_max=True)))
+    return columns, cam_entries, row_bytes, draw(st.integers(0, 10**6)), ratio
+
+
+def _scalar_trace(columns, cam_entries: int, row_bytes: int, offset: int, ratio: float) -> list:
+    """The trace :meth:`ExmaAccelerator.run_reference` issues, one
+    ``(row, nbytes, keep_open, stream)`` at a time: each batch's base
+    misses, then each slot's bucket and leaf misses and its cursor chunks."""
+    base, base_miss, modelled, index, index_hits, offsets, entries, keep = (
+        c.tolist() for c in columns
+    )
+    nodes = {slot: 2 * m for m, slot in enumerate(modelled)}
+    cap, miss_bytes = TRACE_SIZES
+    trace = []
+    for batch in range(0, len(base), cam_entries):
+        end = min(batch + cam_entries, len(base))
+        trace += [(base[i] // row_bytes, miss_bytes, False, 0) for i in range(batch, end) if base_miss[i]]
+        for slot in range(batch, end):
+            if slot in nodes:
+                trace += [
+                    (index[node] // row_bytes, miss_bytes, False, slot - batch)
+                    for node in (nodes[slot], nodes[slot] + 1) if not index_hits[node]
+                ]
+            cursor = offset + int(offsets[slot] * (INCREMENT_ENTRY_BYTES * ratio))
+            remaining = max(1, int(entries[slot] * INCREMENT_ENTRY_BYTES * ratio))
+            while remaining > 0:
+                chunk = min(remaining, row_bytes - cursor % row_bytes, cap)
+                trace.append((cursor // row_bytes, chunk, keep[slot], slot - batch))
+                cursor, remaining = cursor + chunk, remaining - chunk
+    return trace
+
+
+def _compiled_trace(columns, cam_entries: int, row_bytes: int, offset: int, ratio: float):
+    return native.replay_trace(
+        *columns, cam_entries, (row_bytes, *TRACE_SIZES), (offset, INCREMENT_ENTRY_BYTES, ratio)
+    )
+
+
+def _trace_tuples(rows, nbytes, keep_open, streams) -> list:
+    assert [c.dtype for c in (rows, nbytes, keep_open, streams)] == [np.int64] * 2 + [bool, np.int64]
+    return list(zip(rows.tolist(), nbytes.tolist(), keep_open.tolist(), streams.tolist()))
+
+
+def _trace_oracle(spec_calls, drawn) -> None:
+    """The compiled trace equals its spec and the reference's scalar
+    cursor, entry for entry."""
+    columns, cam_entries, row_bytes, offset, ratio = drawn
+    expected = _scalar_trace(*drawn)
+    assert _trace_tuples(*_compiled_trace(*drawn)) == expected
+    spec = accel_module._assemble_trace(*columns, cam_entries, row_bytes, offset, ratio)
+    assert _trace_tuples(spec.rows, spec.nbytes, spec.keep_open, spec.streams) == expected
+
+
+@functools.cache
+def _replay_runs() -> tuple:
+    """Accelerators, streams and their reference replays: an MTL-indexed
+    4-mer table with CHAIN on (a ratio below 1; 16 of 256 k-mers modelled)
+    and a repeat-rich unindexed 2-mer table with CHAIN off (exact scans
+    of up to ~1.5 KB); 24-entry CAMs with a partial last batch."""
+    config = ExmaAcceleratorConfig().with_overrides(
+        base_cache_bytes=2048, index_cache_bytes=1024, cam_entries=24
+    )
+    table = ExmaTable(LOCKSTEP_REFERENCE, k=4)
+    mtl = MTLIndex(table, model_threshold=8, samples_per_kmer=32, epochs=30, seed=0)
+    repeats = random_genome(
+        4000, repeat_profile=RepeatProfile(repeat_fraction=0.7, repeat_unit_length=120), seed=11
+    )
+    scans = ExmaTable(repeats, k=2)
+    runs = []
+    for accelerator, backend, reference in (
+        (ExmaAccelerator(table, mtl, config), ExmaBackend(table=table, index=mtl), LOCKSTEP_REFERENCE),
+        (
+            ExmaAccelerator(scans, None, config.with_overrides(use_chain_compression=False)),
+            ExmaBackend(table=scans),
+            repeats,
+        ),
+    ):
+        stream, _ = QueryEngine(backend).request_stream(random_queries(reference, 12, 20, seed=3))
+        assert len(stream) % 24
+        runs.append((accelerator, stream, accelerator.run_reference(list(stream))))
+    return tuple(runs)
+
+
+def _replay_case() -> list:
+    """``run`` on both stacks, each field for field its reference replay."""
+    answers = []
+    for accelerator, stream, reference in _replay_runs():
+        answers.append(accelerator.run(stream))
+        assert answers[-1] == reference
+    return answers
+
+
+TRACE_DECLINED = _trace_columns(np.random.default_rng(5), 40, "some", "some", "some", 700)
+
+
+class TestReplayTraceDeclines:
+    @pytest.mark.parametrize("column, value", [(0, -64), (3, -64), (5, -1)],
+                             ids=["base-miss-address", "index-miss-address", "fetch-start"])
+    def test_negative_addresses_decline(self, compiled, column, value):
+        # C truncates a negative quotient toward zero where Python floors.
+        columns = [np.copy(c) for c in TRACE_DECLINED]
+        columns[1][:], columns[4][:] = True, False  # every access misses
+        assert _compiled_trace(columns, 8, 96, 0, 1.0) is not None
+        columns[column][7] = value
+        assert _compiled_trace(columns, 8, 96, 0, 1.0) is None
+        assert _compiled_trace(TRACE_DECLINED, 8, 96, -1, 1.0) is None
+
+    def test_byte_ranges_that_could_pass_int64_decline(self, compiled):
+        # A start's double product must stay below 2**61 (so start plus
+        # size stays below 2**63): 128 entries short of it runs compiled.
+        columns = [np.copy(c) for c in TRACE_DECLINED]
+        columns[5][3] = 2**59 - 2**7
+        trace = _compiled_trace(columns, 8, 2048, 0, 1.0)
+        assert _trace_tuples(*trace) == _scalar_trace(columns, 8, 2048, 0, 1.0)
+        columns[5][3] = 2**59
+        assert _compiled_trace(columns, 8, 2048, 0, 1.0) is None
+        columns[5][3] = 0
+        columns[6][3] = 2**59  # a size of 2**61 bytes
+        assert _compiled_trace(columns, 8, 2048, 0, 1.0) is None
+        for ratio in (float("nan"), float("inf")):
+            assert _compiled_trace(TRACE_DECLINED, 8, 2048, 0, ratio) is None
+        assert _compiled_trace(TRACE_DECLINED, 8, 2048, 2**61, 1.0) is None
+
+    @pytest.mark.parametrize("cam_entries, row_bytes, cap", [(0, 2048, 512), (8, 0, 512), (8, 2048, 0)])
+    def test_sizes_below_one_decline(self, compiled, cam_entries, row_bytes, cap):
+        fetch = (0, INCREMENT_ENTRY_BYTES, 1.0)
+        assert native.replay_trace(*TRACE_DECLINED, cam_entries, (row_bytes, cap, 64), fetch) is None
+
+    def test_modelled_slots_out_of_order_decline(self, compiled):
+        columns = list(TRACE_DECLINED)
+        columns[2] = columns[2][::-1]
+        assert columns[2].size > 1 and _compiled_trace(columns, 8, 2048, 0, 1.0) is None
+
+    def test_ragged_columns_are_refused(self, compiled):
+        for column in (0, 3, 7):
+            columns = list(TRACE_DECLINED)
+            columns[column] = columns[column][1:]
+            with pytest.raises(ValueError, match="length"):
+                _compiled_trace(columns, 8, 2048, 0, 1.0)
+
+    @pytest.mark.parametrize("row_bytes", [64, 96, 2048])
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_a_trace_longer_than_its_first_buffer_is_written_again(
+        self, compiled, monkeypatch, row_bytes, aligned
+    ):
+        # 40 fetches of several chunks each, past the first buffer's room
+        # for a chunk a slot plus an eighth: the pass counts the rest
+        # exactly, then writes the whole trace at its length.  Aligned
+        # fetches start and end on 512-byte boundaries and span whole
+        # 2 KB rows, the edges of that count.
+        columns = [np.copy(c) for c in TRACE_DECLINED]
+        if aligned:
+            rng = np.random.default_rng(8)
+            columns[5], columns[6] = rng.integers(0, 400, 40) * 128, rng.integers(1, 24, 40) * 128
+        calls, library = [], native._loaded()
+        monkeypatch.setattr(native, "_library", type("Spy", (), {
+            "replay_trace": staticmethod(lambda *a: calls.append(a[-3]) or library.replay_trace(*a)),
+        })())
+        ratio = 1.0 if aligned else 0.9
+        trace = _trace_tuples(*_compiled_trace(columns, 8, row_bytes, 0, ratio))
+        assert trace == _scalar_trace(columns, 8, row_bytes, 0, ratio)
+        assert len(calls) == 2 and calls[0] < calls[1] == len(trace)
 
 
 # 3-mers over a reference with no ``T`` but a long ``A`` run: 37 of the 64
@@ -987,6 +1198,10 @@ ORACLE_CASES = {
     "dram_channels": OracleCase(DRAM_INPUTS, _dram_oracle, _dram_case, lambda: [
         native.dram_channels(ZERO, ZERO + 64, np.zeros(1, bool), ZERO, 1, 1, (0, 0, 0), 1, 1),
     ]),
+    "replay_trace": OracleCase(
+        trace_inputs(), _trace_oracle, _replay_case,
+        lambda: [_compiled_trace(TRACE_DECLINED, 8, 96, 0, 0.9)],
+    ),
     "occ_ranks": OracleCase(occ_requests(), _occ_oracle, _occ_case, lambda: [
         native.occ_ranks(ZERO, ZERO, ZERO, ZERO, 1),
         native.occ_ranks(*OCC_REQUESTS, OCC_TABLE.increments, _int64([0] * 64), 1301),

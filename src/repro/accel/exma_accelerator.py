@@ -460,20 +460,13 @@ class ExmaAccelerator(runtime.PoolOwner):
 
         # The issue-order DRAM trace, compiled where the kernel accepts the
         # columns, else by its NumPy spec.
-        columns = (
+        arguments = (
             base_addresses, base_miss, modelled_slots, index_addresses, index_hits,
             self._fetch_bases[stage2_kmers] + predicted, entries, keep_open,
+            cam_entries, row_bytes, self._layout["increment_offset"], self._chain_ratio,
         )
-        increment_offset = self._layout["increment_offset"]
-        built = native.replay_trace(
-            *columns, cam_entries, (row_bytes, BURST_BYTES * 8, BURST_BYTES),
-            (increment_offset, INCREMENT_ENTRY_BYTES, self._chain_ratio),
-        )
-        trace = (
-            _assemble_trace(*columns, cam_entries, row_bytes, increment_offset, self._chain_ratio)
-            if built is None
-            else MemoryTrace(*built)
-        )
+        built = native.replay_trace(*arguments)
+        trace = _assemble_trace(*arguments) if built is None else MemoryTrace(*built)
 
         if count:
             ledger.record("scheduling_queue", count)

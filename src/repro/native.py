@@ -60,9 +60,17 @@ from .runtime import PURE_PYTHON_ENV, env_flag
 __all__ = ["KERNELS", "dram_channels", "loaded_kernels", "lockstep", "lru_hits", "occ_ranks",
            "replay_trace", "sigmoid", "sigmoid_backward"]
 
-SOURCE = r"""
+#: The replay trace's fixed sizes, the spec's ``8 * hw.dram.BURST_BYTES``,
+#: ``BURST_BYTES`` and ``accel.exma_accelerator.INCREMENT_ENTRY_BYTES``: a
+#: DMA chunk's cap, a cache miss's bytes and an increment entry's bytes.
+TRACE_CHUNK_CAP, TRACE_MISS_BYTES, TRACE_ENTRY_BYTES = 512, 64, 4
+
+SOURCE = f"""
 #include <stdint.h>
-void lru_hits(int64_t count, const int64_t *addresses, int64_t line_bytes, int64_t set_count,
+#define CHUNK_CAP {TRACE_CHUNK_CAP}
+#define MISS_BYTES {TRACE_MISS_BYTES}
+#define ENTRY_BYTES {TRACE_ENTRY_BYTES}
+""" + r"""void lru_hits(int64_t count, const int64_t *addresses, int64_t line_bytes, int64_t set_count,
     const int64_t *dense_sets, int64_t ways, int64_t *tags, uint8_t *hits) {
     /* Each set's `ways` tags, most recent first; -1 is an empty way.  A
        shift and a mask replace dividing by powers of two (addresses >= 0). */
@@ -107,32 +115,26 @@ void dram_channels(int64_t count, const int64_t *rows, const int64_t *nbytes,
     }
     for (int64_t *s = stats; s < stats + 11 * channels; s += 11) s[4] = s[2] + s[3];
 }
-static int64_t span_chunks(int64_t cursor, int64_t size, int64_t row_bytes, int64_t cap) {
-    /* How many chunks the cursor rule cuts [cursor, cursor + size) into. */
-    int64_t room = row_bytes - cursor % row_bytes, first = size < room ? size : room;
-    int64_t rest = size - first, full = rest / row_bytes, last = rest - full * row_bytes;
-    return (first - 1) / cap + 1 + full * ((row_bytes - 1) / cap + 1) + (last ? (last - 1) / cap + 1 : 0);
-}
 int64_t replay_trace(int64_t count, int64_t cam_entries, const int64_t *base_addresses,
     const uint8_t *base_miss, int64_t modelled_count, const int64_t *modelled_slots,
     const int64_t *index_addresses, const uint8_t *index_hits, const int64_t *fetch_offsets,
-    const int64_t *entries, const uint8_t *keep_open, int64_t row_bytes, int64_t cap,
-    int64_t miss_bytes, int64_t increment_offset, double start_scale, int64_t entry_bytes,
-    double chain_ratio, int64_t capacity, int64_t *out, uint8_t *keep) {
+    const int64_t *entries, const uint8_t *keep_open, int64_t row_bytes,
+    int64_t increment_offset, double chain_ratio, int64_t capacity, int64_t *out, uint8_t *keep) {
     /* The issue-order trace: per CAM batch its stage-1 base misses, then per
        stage-2 slot its bucket and leaf misses and its increment chunks, cut by
-       min(remaining, room in row, cap).  `out` holds the rows, sizes and
-       streams, `capacity` each; the trace's length is returned, and only its
-       first `capacity` entries are written.  -1 at a negative address, a
-       fetch range whose double steps leave (-2^61, 2^61), a trace that could
-       pass 2^62 entries, or modelled slots that are not ascending slots. */
+       min(remaining, room in row, CHUNK_CAP).  `out` holds the rows, sizes and
+       streams, `capacity` each; the trace's length is returned.  -1 at a
+       negative address, a fetch range whose double steps leave (-2^61, 2^61),
+       a trace longer than `capacity`, or modelled slots that are not
+       ascending slots. */
     int pow2 = !(row_bytes & (row_bytes - 1)), shift = __builtin_ctzll(row_bytes);
     int64_t *rows = out, *sizes = out + capacity, *streams = out + 2 * capacity, n = 0, m = 0;
+    double start_scale = (double)ENTRY_BYTES * chain_ratio;
 #define ROW(address) (pow2 ? (address) >> shift : (address) / row_bytes)
 #define MISS(address, stream) do { \
-        if ((address) < 0) return -1; \
-        if (n < capacity) rows[n] = ROW(address), sizes[n] = miss_bytes, keep[n] = 0, streams[n] = stream; \
-        ++n; } while (0)
+        if ((address) < 0 || n >= capacity) return -1; \
+        rows[n] = ROW(address), sizes[n] = MISS_BYTES, keep[n] = 0, streams[n++] = stream; \
+    } while (0)
     for (int64_t batch = 0; batch < count; batch += cam_entries) {
         int64_t end = count - batch < cam_entries ? count : batch + cam_entries;
         for (int64_t i = batch; i < end; ++i)
@@ -146,19 +148,16 @@ int64_t replay_trace(int64_t count, int64_t cam_entries, const int64_t *base_add
             /* NumPy's steps: int64 product (wrapping), to double, one
                multiply, truncate toward zero. */
             double start = (double)fetch_offsets[slot] * start_scale;
-            double size = (double)(int64_t)((uint64_t)entries[slot] * (uint64_t)entry_bytes) * chain_ratio;
+            double size = (double)(int64_t)((uint64_t)entries[slot] * ENTRY_BYTES) * chain_ratio;
             if (!(start > -0x1p61 && start < 0x1p61 && size > -0x1p61 && size < 0x1p61)) return -1;
             int64_t cursor = increment_offset + (int64_t)start, remaining = (int64_t)size;
-            if (cursor < 0 || n > 0x1p62) return -1;
+            if (cursor < 0) return -1;
             if (remaining < 1) remaining = 1;
             while (remaining > 0) {
-                if (n >= capacity) {  /* past the room: count the rest */
-                    n += span_chunks(cursor, remaining, row_bytes, cap);
-                    break;
-                }
+                if (n >= capacity) return -1;
                 int64_t row = ROW(cursor), room = row_bytes - (cursor - row * row_bytes);
                 int64_t chunk = remaining < room ? remaining : room;
-                if (chunk > cap) chunk = cap;
+                if (chunk > CHUNK_CAP) chunk = CHUNK_CAP;
                 rows[n] = row, sizes[n] = chunk, keep[n] = keep_open[slot], streams[n++] = slot - batch;
                 cursor += chunk, remaining -= chunk;
             }
@@ -338,8 +337,8 @@ KERNELS = (
     Kernel("dram_channels", None, (_INT64, *[_POINTER] * 4, *[_INT64] * 8, *[_POINTER] * 3),
            "repro.hw.dram.DRAMModel._columns_spec"),
     Kernel("replay_trace", _INT64,
-           (_INT64, _INT64, _POINTER, _POINTER, _INT64, *[_POINTER] * 6, *[_INT64] * 4, _DOUBLE,
-            _INT64, _DOUBLE, _INT64, _POINTER, _POINTER),
+           (_INT64, _INT64, _POINTER, _POINTER, _INT64, *[_POINTER] * 6, *[_INT64] * 2, _DOUBLE,
+            _INT64, _POINTER, _POINTER),
            "repro.accel.exma_accelerator._assemble_trace"),
     Kernel("occ_ranks", _INT64, (_INT64, *[_POINTER] * 4, *[_INT64] * 3, _POINTER),
            "repro.exma.table.ExmaTable._occ_spec"),
@@ -472,23 +471,20 @@ def dram_channels(
 
 def replay_trace(
     base_addresses, base_miss, modelled_slots, index_addresses, index_hits, fetch_offsets,
-    entries, keep_open, cam_entries: int, sizes, fetch,
+    entries, keep_open, cam_entries: int, row_bytes: int, increment_offset: int,
+    chain_ratio: float,
 ):
-    """``ExmaAccelerator``'s issue-order DRAM trace in one compiled pass:
-    its ``(rows, nbytes, keep_open, streams)`` columns, or ``None`` where
-    it declines (disabled, unavailable, a CAM size, row size or chunk cap
-    below 1, a negative address or fetch start (C truncates where Python
-    floors), or byte ranges that could pass int64: found by the pass
-    itself).  *sizes* is ``(row_bytes, chunk_cap, miss_bytes)``; *fetch*
-    is ``(increment_offset, entry_bytes, chain_ratio)``, each slot's fetch
-    starting at ``increment_offset + int(float(fetch_offsets) *
-    entry_bytes * chain_ratio)`` and spanning ``max(1, int(float(entries
-    * entry_bytes) * chain_ratio))`` bytes.  Columns that disagree in
-    length raise ``ValueError``."""
+    """``ExmaAccelerator``'s issue-order DRAM trace in one compiled pass,
+    its spec's arguments in, its ``(rows, nbytes, keep_open, streams)``
+    columns out; ``None`` where it declines (disabled, unavailable, a CAM
+    or row size below 1, a negative address or fetch start (C truncates
+    where Python floors), byte ranges that could pass int64, or a trace
+    longer than the bound below: found by the pass itself).  Each slot's
+    fetch is the byte range that ``exma_accelerator._fetch_ranges`` gives,
+    in the same float64 steps.  Columns that disagree in length raise
+    ``ValueError``."""
     library = _loaded()
-    row_bytes, chunk_cap, miss_bytes = sizes
-    increment_offset, entry_bytes, chain_ratio = fetch
-    if library is None or min(cam_entries, row_bytes, chunk_cap) <= 0 or not (
+    if library is None or min(cam_entries, row_bytes) <= 0 or not (
         0 <= increment_offset < 2**61
     ):
         return None
@@ -502,25 +498,26 @@ def replay_trace(
         ints[2].size != 2 * modelled or flags[1].size != 2 * modelled
     ):
         raise ValueError("replay trace columns differ in length")
-    # Room for every miss and one chunk a slot, plus an eighth: the pass
-    # measures a longer trace and is run again at its length.
+    # Room for the longest trace the columns can make: every miss, and per
+    # slot of s bytes at most s // cap + s // row_bytes + 2 chunks (a part
+    # chunk in each row it touches).  The slots' bytes sum to at most
+    # `spans`, with slack for the float steps' rounding; negative entries or
+    # a sum past int64 can break the bound, and then the pass declines.
+    spans = float(ints[4].sum()) * (TRACE_ENTRY_BYTES * chain_ratio) * (1 + 2**-40) + count
+    if not 0 <= spans < 2**61:
+        return None
     misses = np.count_nonzero(flags[0]) + flags[1].size - np.count_nonzero(flags[1])
-    capacity = misses + count + count // 8 + 16
-    for _ in range(2):
-        out = np.empty(3 * capacity, dtype=np.int64)
-        keep = np.empty(capacity, dtype=bool)
-        length = library.replay_trace(
-            count, cam_entries, ints[0].ctypes.data, flags[0].ctypes.data, modelled,
-            ints[1].ctypes.data, ints[2].ctypes.data, flags[1].ctypes.data, ints[3].ctypes.data,
-            ints[4].ctypes.data, flags[2].ctypes.data, row_bytes, chunk_cap, miss_bytes,
-            increment_offset, entry_bytes * chain_ratio, entry_bytes, chain_ratio, capacity,
-            out.ctypes.data, keep.ctypes.data,
-        )
-        if length < 0:
-            return None
-        if length <= capacity:
-            break
-        capacity = length
+    capacity = misses + 2 * count + int(spans) // TRACE_CHUNK_CAP + int(spans) // row_bytes
+    out = np.empty(3 * capacity, dtype=np.int64)
+    keep = np.empty(capacity, dtype=bool)
+    length = library.replay_trace(
+        count, cam_entries, ints[0].ctypes.data, flags[0].ctypes.data, modelled,
+        ints[1].ctypes.data, ints[2].ctypes.data, flags[1].ctypes.data, ints[3].ctypes.data,
+        ints[4].ctypes.data, flags[2].ctypes.data, row_bytes, increment_offset, chain_ratio,
+        capacity, out.ctypes.data, keep.ctypes.data,
+    )
+    if length < 0:
+        return None
     columns = out.reshape(3, capacity)[:, :length]
     return columns[0], columns[1], keep[:length], columns[2]
 

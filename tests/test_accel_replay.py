@@ -47,6 +47,7 @@ from repro.genome.sequence import RepeatProfile, random_genome
 from repro.hw.cache import SetAssociativeCache, simulate_lru_hits
 from repro.hw.cam import CamConfig
 from repro.hw.dram import (
+    BURST_BYTES,
     DDR4Config,
     DRAMModel,
     MemoryRequest,
@@ -645,12 +646,12 @@ class TestRunAcrossRows:
         monkeypatch.setattr(native, "replay_trace", lambda *a: handed.append(a) or wrapper(*a))
         monkeypatch.setattr(exma_accelerator, "_assemble_trace", lambda *a: specs.append(a) or spec(*a))
         assert accelerator.run(stream) == accelerator.run_reference(list(stream))
-        ((*columns, cam_entries, (row_bytes, cap, _), (offset, _, ratio)),) = handed
+        ((*columns, cam_entries, row_bytes, offset, ratio),) = handed
         assert len(specs) == (not compiled)
         starts, nbytes = exma_accelerator._fetch_ranges(columns[5], columns[6], offset, ratio)
         assert len(stream) % cam_entries  # a partial last CAM batch
         assert (starts % row_bytes + nbytes > row_bytes).any()  # fetches cross rows
-        assert (nbytes > cap).any()  # and exceed the chunk cap
+        assert (nbytes > BURST_BYTES * 8).any()  # and exceed the chunk cap
 
 
 class TestRunWithoutIndex:

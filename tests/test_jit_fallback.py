@@ -344,9 +344,7 @@ def _scalar_trace(columns, cam_entries: int, row_bytes: int, offset: int, ratio:
 
 
 def _compiled_trace(columns, cam_entries: int, row_bytes: int, offset: int, ratio: float):
-    return native.replay_trace(
-        *columns, cam_entries, (row_bytes, *TRACE_SIZES), (offset, INCREMENT_ENTRY_BYTES, ratio)
-    )
+    return native.replay_trace(*columns, cam_entries, row_bytes, offset, ratio)
 
 
 def _trace_tuples(rows, nbytes, keep_open, streams) -> list:
@@ -434,10 +432,13 @@ class TestReplayTraceDeclines:
             assert _compiled_trace(TRACE_DECLINED, 8, 2048, 0, ratio) is None
         assert _compiled_trace(TRACE_DECLINED, 8, 2048, 2**61, 1.0) is None
 
-    @pytest.mark.parametrize("cam_entries, row_bytes, cap", [(0, 2048, 512), (8, 0, 512), (8, 2048, 0)])
-    def test_sizes_below_one_decline(self, compiled, cam_entries, row_bytes, cap):
-        fetch = (0, INCREMENT_ENTRY_BYTES, 1.0)
-        assert native.replay_trace(*TRACE_DECLINED, cam_entries, (row_bytes, cap, 64), fetch) is None
+    @pytest.mark.parametrize("cam_entries, row_bytes", [(0, 2048), (8, 0)])
+    def test_sizes_below_one_decline(self, compiled, cam_entries, row_bytes):
+        assert _compiled_trace(TRACE_DECLINED, cam_entries, row_bytes, 0, 1.0) is None
+
+    def test_fixed_sizes_are_the_specs(self):
+        sizes = (native.TRACE_CHUNK_CAP, native.TRACE_MISS_BYTES, native.TRACE_ENTRY_BYTES)
+        assert sizes == (*TRACE_SIZES, INCREMENT_ENTRY_BYTES)
 
     def test_modelled_slots_out_of_order_decline(self, compiled):
         columns = list(TRACE_DECLINED)
@@ -452,27 +453,33 @@ class TestReplayTraceDeclines:
                 _compiled_trace(columns, 8, 2048, 0, 1.0)
 
     @pytest.mark.parametrize("row_bytes", [64, 96, 2048])
-    @pytest.mark.parametrize("aligned", [False, True])
-    def test_a_trace_longer_than_its_first_buffer_is_written_again(
-        self, compiled, monkeypatch, row_bytes, aligned
-    ):
-        # 40 fetches of several chunks each, past the first buffer's room
-        # for a chunk a slot plus an eighth: the pass counts the rest
-        # exactly, then writes the whole trace at its length.  Aligned
-        # fetches start and end on 512-byte boundaries and span whole
-        # 2 KB rows, the edges of that count.
+    @pytest.mark.parametrize("shape", ["crossing", "aligned"])
+    def test_the_buffer_holds_the_densest_traces(self, compiled, row_bytes, shape):
+        # The wrapper sizes one buffer from the misses and the entries'
+        # sum.  Its tightest cases: every access missing and every fetch
+        # 8 bytes across a row boundary (two chunks), or fetches starting
+        # and ending on 512-byte boundaries, whole rows and chunk caps.
         columns = [np.copy(c) for c in TRACE_DECLINED]
-        if aligned:
-            rng = np.random.default_rng(8)
+        columns[1][:], columns[4][:] = True, False
+        rng = np.random.default_rng(8)
+        if shape == "crossing":
+            columns[5] = rng.integers(1, 400, 40) * (row_bytes // 4) - 1
+            columns[6] = np.full(40, 2)
+        else:
             columns[5], columns[6] = rng.integers(0, 400, 40) * 128, rng.integers(1, 24, 40) * 128
-        calls, library = [], native._loaded()
-        monkeypatch.setattr(native, "_library", type("Spy", (), {
-            "replay_trace": staticmethod(lambda *a: calls.append(a[-3]) or library.replay_trace(*a)),
-        })())
-        ratio = 1.0 if aligned else 0.9
-        trace = _trace_tuples(*_compiled_trace(columns, 8, row_bytes, 0, ratio))
-        assert trace == _scalar_trace(columns, 8, row_bytes, 0, ratio)
-        assert len(calls) == 2 and calls[0] < calls[1] == len(trace)
+        trace = _compiled_trace(columns, 8, row_bytes, 0, 1.0)
+        assert _trace_tuples(*trace) == _scalar_trace(columns, 8, row_bytes, 0, 1.0)
+
+    def test_a_trace_past_its_buffer_declines(self, compiled):
+        # A negative entry count (a fetch of one byte) hides another
+        # slot's 400 KB from the entries' sum that sizes the buffer.
+        columns = [np.copy(c) for c in TRACE_DECLINED]
+        columns[6][0], columns[6][1] = -(10**5), 10**5
+        assert _compiled_trace(columns, 8, 2048, 0, 1.0) is None
+        spec = accel_module._assemble_trace(*columns, 8, 2048, 0, 1.0)
+        assert _trace_tuples(spec.rows, spec.nbytes, spec.keep_open, spec.streams) == (
+            _scalar_trace(columns, 8, 2048, 0, 1.0)
+        )
 
 
 # 3-mers over a reference with no ``T`` but a long ``A`` run: 37 of the 64

@@ -499,10 +499,11 @@ def replay_trace(
     ):
         raise ValueError("replay trace columns differ in length")
     # Room for the longest trace the columns can make: every miss, and per
-    # slot of s bytes at most s // cap + s // row_bytes + 2 chunks (a part
-    # chunk in each row it touches).  The slots' bytes sum to at most
-    # `spans`, with slack for the float steps' rounding; negative entries or
-    # a sum past int64 can break the bound, and then the pass declines.
+    # slot of s bytes at most s // cap + s // row_bytes + 2 chunks (its
+    # whole-cap chunks, plus one part chunk in each row it touches).  The
+    # slots' bytes sum to at most `spans`, with slack for the float steps'
+    # rounding; negative entries or a sum past int64 can break the bound,
+    # and then the pass declines.
     spans = float(ints[4].sum()) * (TRACE_ENTRY_BYTES * chain_ratio) * (1 + 2**-40) + count
     if not 0 <= spans < 2**61:
         return None

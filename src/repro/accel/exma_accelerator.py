@@ -44,11 +44,10 @@ from ..hw.cache import CacheStats, SetAssociativeCache, simulate_lru_hits
 from ..hw.dram import BURST_BYTES, DRAMModel, DRAMStats, MemoryRequest, MemoryTrace
 from ..hw.energy import DRAM_SYSTEM_POWER_W, EnergyLedger
 from ..hw.pe_array import InferenceEngine
-from ..hw.scheduler import (
+from ..hw.scheduler import (  # bench/trace.py wraps both scheduler names here
     FrFcfsScheduler,
     TwoStageScheduler,
-    keep_open_flags,
-    kmer_grouping,
+    keep_open_flags,  # noqa: F401
     pair_requests_by_kmer,
     scheduled_orders,
 )
@@ -354,7 +353,8 @@ class ExmaAccelerator(runtime.PoolOwner):
     ) -> AcceleratorRunResult:
         """Replay *requests* columnar and return the measured statistics.
 
-        The whole replay stays array-shaped: scheduling orders come from
+        The whole replay stays array-shaped: scheduling orders and
+        keep-open hints come from
         :func:`~repro.hw.scheduler.scheduled_orders`, both caches are
         simulated over their full access sequences with
         :func:`~repro.hw.cache.simulate_lru_hits`, Occ resolution and MTL
@@ -391,7 +391,9 @@ class ExmaAccelerator(runtime.PoolOwner):
         row_bytes = self._dram_config.row_bytes
         cam_entries = config.cam_entries
 
-        stage1, stage2 = scheduled_orders(
+        # The keep-open hints come with the orders: each request's but the
+        # last of its (batch, k-mer) run, whichever scheduler issues them.
+        stage1, stage2, keep_open = scheduled_orders(
             kmers, positions, cam_entries, config.two_stage_scheduling
         )
 
@@ -410,14 +412,8 @@ class ExmaAccelerator(runtime.PoolOwner):
         )
         base_miss = ~base_hits
 
-        # Stage 2 columns, in per-batch pos order.  The keep-open hints
-        # are read off a per-batch k-mer grouping, which is stage 1 of the
-        # 2-stage order whichever scheduler issues the requests.
+        # Stage 2 columns, in per-batch pos order.
         stage2_kmers = kmers[stage2]
-        grouped = (
-            stage1 if config.two_stage_scheduling else kmer_grouping(kmers, cam_entries)
-        )
-        keep_open = keep_open_flags(kmers, grouped, stage2, cam_entries)
         modelled = self._modelled_lookup[stage2_kmers]
         modelled_slots = np.flatnonzero(modelled)
         exact_slots = np.flatnonzero(~modelled)

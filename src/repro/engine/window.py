@@ -17,9 +17,9 @@ packed ``kmer * span + pos`` int64 key arrays the engine's
 dedupe is one sort of those keys plus a neighbour mask, and the flushed
 :class:`WindowedBatch` holds the merged key array itself — which the
 accelerator's columnar replay consumes as-is, through to the cycle
-counts.  The Occ values an EXMA search ranked travel with the keys: the
-flush lines them up with its unique keys by one more sort
-(:meth:`CoalescingWindow.flush`), so the replay ranks nothing again.
+counts.  The Occ values an EXMA search ranked travel with the keys,
+packed into the same sort (:meth:`CoalescingWindow.flush`), so the replay
+ranks nothing again.
 No :class:`~repro.exma.search.OccRequest` objects are materialised
 anywhere on that path — the batch only builds them lazily when a legacy
 consumer (the object-path reference replay, tests) iterates its
@@ -147,6 +147,14 @@ class WindowedBatch(Sequence):
         return self.requests[index]
 
 
+def _first_mask(values: np.ndarray) -> np.ndarray:
+    """Over sorted *values*: True at the first of every run of equal ones."""
+    first = np.empty(values.size, dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
 class CoalescingWindow:
     """Buffers up to *capacity* consecutive batches and merges duplicates.
 
@@ -218,15 +226,20 @@ class CoalescingWindow:
 
         When every chunk carries its Occ values (an EXMA search's steps),
         the flush carries them on as ``occ``, aligned with the unique keys,
-        without an argsort.  Over one table ``kmer * span + Occ(kmer, pos)``
-        never decreases as the key ``kmer * span + pos`` grows, since
-        ``Occ <= pos < span`` and Occ never decreases in ``pos`` (re-based
-        keys included: the span only widens).  So the sorted values of
-        that column sit in key order; the ``first`` mask keeps one per
-        unique key, and subtracting ``kmer * span`` takes the Occ back
-        out.  A chunk without Occ values (packed from objects) leaves
-        ``occ`` ``None``, and :meth:`repro.accel.exma_accelerator
-        .ExmaAccelerator.run` ranks such a flush itself.
+        without an argsort.  Where ``(max key + 1) * span < 2**63`` one
+        sort does both: ``key * span + Occ`` orders as the key does (``Occ
+        <= pos < span``), and over one table equal keys carry equal Occ,
+        so its distinct values are the unique keys' and a floor division
+        splits each back into key and Occ.  Wider keys take two sorts:
+        over one table ``kmer * span + Occ(kmer, pos)`` never decreases as
+        the key ``kmer * span + pos`` grows, since Occ never decreases in
+        ``pos`` (re-based keys included: the span only widens), so the
+        sorted values of that column sit in key order; the ``first`` mask
+        keeps one per unique key, and subtracting ``kmer * span`` takes
+        the Occ back out.  A chunk without Occ values (packed from
+        objects) leaves ``occ`` ``None``, and
+        :meth:`repro.accel.exma_accelerator.ExmaAccelerator.run` ranks
+        such a flush itself.
         """
         if not self._buffered:
             return None
@@ -251,19 +264,25 @@ class CoalescingWindow:
                 for keys, chunk_span, _ in chunks
             ]
         keys = np.concatenate(packed)
-        ranked = None
-        if all(occ is not None for _, _, occ in chunks):
+        occ = None
+        if all(chunk_occ is not None for _, _, chunk_occ in chunks):
+            occ = np.concatenate([chunk_occ for _, _, chunk_occ in chunks])
+            if (int(keys.max()) + 1) * span < 2**63:
+                keys *= span
+                keys += occ
+                keys.sort()
+                ranked = keys[_first_mask(keys)]
+                keys = ranked // span
+                ranked -= keys * span
+                return WindowedBatch(keys, span, batches, issued, occ=ranked)
             ranked = keys // span
             ranked *= span
-            ranked += np.concatenate([occ for _, _, occ in chunks])
+            ranked += occ
             ranked.sort()
         keys.sort()
-        first = np.empty(keys.size, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        first = _first_mask(keys)
         keys = keys[first]
-        occ = None
-        if ranked is not None:
+        if occ is not None:
             occ = ranked[first]
             occ -= keys // span * span
         return WindowedBatch(keys=keys, span=span, batches=batches, issued=issued, occ=occ)

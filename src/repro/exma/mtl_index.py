@@ -244,6 +244,55 @@ def _fit_leaves(
     return weights, biases
 
 
+def _group_spec(
+    kmers: np.ndarray, positions: np.ndarray, buckets: np.ndarray, frequencies: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+    """:meth:`MTLIndex.predict_many`'s grouping, the specification of
+    :func:`repro.native.mtl_group` and its fallback: one stable argsort of
+    the narrow bucket ids, the ``(pos / n, count / n)`` feature rows in
+    that order, and each node's ``(bucket, start, stop)`` slice."""
+    request_buckets = buckets[kmers]
+    order = np.argsort(request_buckets, kind="stable")
+    grouped = request_buckets[order]
+    if grouped[0] < 0:
+        raise ValueError(native.UNMODELLED)
+    size = kmers.size
+    features = np.empty((size, 2), dtype=np.float64)
+    np.divide(positions[order], n, out=features[:, 0])
+    np.divide(frequencies[kmers[order]], n, out=features[:, 1])
+    bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), size]
+    return features, order, [
+        (int(grouped[start]), start, stop) for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _leaf_spec(
+    kmers: np.ndarray,
+    order: np.ndarray,
+    shared_output: np.ndarray,
+    weights: np.ndarray,
+    biases: np.ndarray,
+    frequencies: np.ndarray,
+) -> np.ndarray:
+    """:meth:`MTLIndex.predict_many`'s leaves, the specification of
+    :func:`repro.native.mtl_leaf` and its fallback: over the grouped
+    *shared_output*, ``rint((w · s + b) · count)`` clipped to
+    ``[0, max(0, count - 1)]``, scattered back to request order."""
+    kmers = kmers[order]
+    counts = frequencies[kmers]
+    raw = weights[kmers] * shared_output
+    raw += biases[kmers]
+    raw *= counts
+    np.rint(raw, out=raw)
+    # clip(raw, 0, max(0, counts - 1)) in two in-place passes, which
+    # NumPy runs several times faster than clip's broadcast bounds.
+    np.minimum(raw, counts - 1, out=raw)
+    np.maximum(raw, 0, out=raw)
+    result = np.empty(kmers.size, dtype=np.int64)
+    result[order] = raw
+    return result
+
+
 class MTLIndex:
     """The MTL-based index over an EXMA table.
 
@@ -386,52 +435,36 @@ class MTLIndex:
     def predict_many(self, kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`predict` over aligned k-mer/position arrays.
 
-        Groups the requests by shared node (bucket) with one stable
-        argsort of the narrow bucket ids: each node's MLP forward pass runs
-        over one contiguous slice of a feature matrix written in grouped
-        order, and the per-k-mer linear leaves apply elementwise through
-        gathered weight/bias/count columns — the same normalisation,
+        Three steps: group the requests by shared node (bucket) and write
+        their feature rows in grouped order, run each node's MLP forward
+        pass over its contiguous slice, then apply the per-k-mer linear
+        leaves and scatter back to request order — the same normalisation,
         rounding and clipping as :meth:`predict`, so the results agree
-        exactly.  Every k-mer must be modelled — the lockstep search and
-        the columnar replay separate unmodelled requests
-        (:meth:`modelled_lookup`) before calling, the way the accelerator's
-        exact-scan path does; an unmodelled one raises ``ValueError``.
+        exactly.  The grouping and the leaves run compiled
+        (:func:`repro.native.mtl_group`, :func:`repro.native.mtl_leaf`)
+        where they can, else their specs :func:`_group_spec` and
+        :func:`_leaf_spec`; ``forward`` sees the same slices either way.
+        Every k-mer must be modelled — the lockstep search and the columnar
+        replay separate unmodelled requests (:meth:`modelled_lookup`) before
+        calling, the way the accelerator's exact-scan path does; an
+        unmodelled one raises ``ValueError``.
         """
         kmers = np.asarray(kmers, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
-        size = kmers.size
-        result = np.empty(size, dtype=np.int64)
-        if size == 0:
-            return result
-        request_buckets = self._buckets[kmers]
-        order = np.argsort(request_buckets, kind="stable")
-        grouped = request_buckets[order]
-        if grouped[0] < 0:
-            raise ValueError(
-                "predict_many needs every k-mer modelled; separate the "
-                "unmodelled ones with modelled_lookup first"
-            )
-        kmers = kmers[order]
-        counts = self._table.frequencies_view()[kmers]
-        n = self._table.reference_length
-        features = np.empty((size, 2), dtype=np.float64)
-        np.divide(positions[order], n, out=features[:, 0])
-        np.divide(counts, n, out=features[:, 1])
-        shared_output = np.empty(size, dtype=np.float64)
-        bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), size]
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            shared_output[start:stop] = self._nodes[int(grouped[start])].forward(
-                features[start:stop]
-            )
-        raw = self._weights[kmers] * shared_output
-        raw += self._biases[kmers]
-        raw *= counts
-        np.rint(raw, out=raw)
-        # clip(raw, 0, max(0, counts - 1)) in two in-place passes, which
-        # NumPy runs several times faster than clip's broadcast bounds.
-        np.minimum(raw, counts - 1, out=raw)
-        np.maximum(raw, 0, out=raw)
-        result[order] = raw
+        if kmers.size == 0:
+            return np.empty(0, dtype=np.int64)
+        columns = (self._buckets, self._table.frequencies_view(), self._table.reference_length)
+        grouped = native.mtl_group(kmers, positions, *columns)
+        if grouped is None:
+            grouped = _group_spec(kmers, positions, *columns)
+        features, order, groups = grouped
+        shared_output = np.empty(kmers.size, dtype=np.float64)
+        for bucket, start, stop in groups:
+            shared_output[start:stop] = self._nodes[bucket].forward(features[start:stop])
+        leaves = (self._weights, self._biases, columns[1])
+        result = native.mtl_leaf(kmers, order, shared_output, *leaves)
+        if result is None:
+            result = _leaf_spec(kmers, order, shared_output, *leaves)
         return result
 
     def modelled_lookup(self, kmer_count: int) -> np.ndarray:

@@ -16,9 +16,11 @@ that do not fit are scheduled in a later batch, which is what limits the
 
 The object classes replay the CAM one :class:`~repro.exma.search
 .OccRequest` at a time and remain the oracle reference; the columnar
-replay uses :func:`scheduled_orders` / :func:`keep_open_flags`, which
-compute the identical stage-1/stage-2 orders and page-policy hints for a
-whole packed request stream with one packed-key sort per stage.
+replay uses :func:`scheduled_orders`, which computes the identical
+stage-1/stage-2 orders and page-policy hints for a whole packed request
+stream: compiled around one sort of the stage-2 keys, or in NumPy
+(:func:`kmer_grouping`, one packed-key sort per stage, and
+:func:`keep_open_flags`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .. import native
 from ..exma.search import OccRequest
 from .cam import CamConfig, SchedulingQueue
 
@@ -134,41 +137,64 @@ def scheduled_orders(
     positions: np.ndarray,
     cam_entries: int,
     two_stage: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-1/stage-2 issue orders of a whole packed request stream.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage-1/stage-2 issue orders and keep-open hints of a whole packed
+    request stream.
 
     The columnar equivalent of running :class:`FrFcfsScheduler` /
-    :class:`TwoStageScheduler` over the stream and concatenating every
-    batch's ``stage1``/``stage2`` tuples: returns two index arrays into
+    :class:`TwoStageScheduler` over the stream, concatenating every
+    batch's ``stage1``/``stage2`` tuples and annotating each ``stage2``
+    with :func:`pair_requests_by_kmer`: returns two index arrays into
     *kmers*/*positions* whose consecutive ``cam_entries``-sized slices are
-    the CAM batches in issue order.  The 2-stage orders reproduce the
-    sorting CAM exactly — stage 1 is the stable per-batch k-mer sort of
-    the arrival order, stage 2 the stable per-batch pos sort of the
-    stage-1 order — because :meth:`~repro.hw.cam.SchedulingQueue
-    .sort_by_pos` reorders the already k-mer-sorted residents.  Stage 1
-    is :func:`kmer_grouping`; stage 2 one plain sort of the unique
-    ``(batch * span + pos) << b | slot``, each request's stage-1 slot in
-    its batch in the low ``b`` bits.
+    the CAM batches in issue order, and the hints aligned with stage 2.
+    Compiled (:func:`repro.native.cam_schedule`) where it can be, else
+    :func:`_schedule_spec`; both raise ``ValueError`` on keys too wide to
+    pack.
     """
     if cam_entries <= 0:
         raise ValueError("cam_entries must be positive")
-    kmers = np.asarray(kmers, dtype=np.int64)
-    positions = np.asarray(positions, dtype=np.int64)
+    scheduled = native.cam_schedule(kmers, positions, cam_entries, two_stage, kmer_grouping)
+    if scheduled is None:
+        scheduled = _schedule_spec(
+            np.asarray(kmers, dtype=np.int64), np.asarray(positions, dtype=np.int64), cam_entries,
+            two_stage,
+        )
+    return scheduled
+
+
+def _schedule_spec(
+    kmers: np.ndarray, positions: np.ndarray, cam_entries: int, two_stage: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`scheduled_orders` in NumPy: the specification of
+    :func:`repro.native.cam_schedule`, and its fallback.
+
+    The 2-stage orders reproduce the sorting CAM exactly — stage 1 is the
+    stable per-batch k-mer sort of the arrival order, stage 2 the stable
+    per-batch pos sort of the stage-1 order — because
+    :meth:`~repro.hw.cam.SchedulingQueue.sort_by_pos` reorders the already
+    k-mer-sorted residents.  Stage 1 is :func:`kmer_grouping`; stage 2 one
+    plain sort of the unique ``(batch * span + pos) << b | slot``, each
+    request's stage-1 slot in its batch in the low ``b`` bits.  FR-FCFS
+    issues both stages in arrival order.  The hints are
+    :func:`keep_open_flags` over the k-mer grouping, whichever scheduler
+    issues the requests.
+    """
     arrival = np.arange(kmers.size, dtype=np.int64)
+    grouped = kmer_grouping(kmers, cam_entries)
     if not two_stage or kmers.size == 0:
-        return arrival, arrival
+        return arrival, arrival, keep_open_flags(kmers, grouped, arrival, cam_entries)
     # Both stages keep every batch in its slice, so slot i of either
     # order belongs to batch i // cam_entries.
     batch_of = _batch_of(kmers.size, cam_entries)
-    stage1 = kmer_grouping(kmers, cam_entries)
     slot_mask = (1 << (cam_entries - 1).bit_length()) - 1
     batch_start = batch_of * cam_entries
-    keys = _batch_major(batch_of, positions[stage1], slot_mask + 1)
+    keys = _batch_major(batch_of, positions[grouped], slot_mask + 1)
     keys |= arrival - batch_start
     keys.sort()
     keys &= slot_mask
     keys += batch_start
-    return stage1, stage1[keys]
+    stage2 = grouped[keys]
+    return grouped, stage2, keep_open_flags(kmers, grouped, stage2, cam_entries)
 
 
 def keep_open_flags(

@@ -10,12 +10,27 @@ which its caller runs wherever the wrapper declines.
   O(ways) scan per access;
 * ``dram_channels`` is :meth:`repro.hw.dram.DRAMModel.process` over each
   channel's shard of a trace (spec: ``_columns_spec`` per shard), all in
-  one int64 pass over the whole trace;
+  one int64 pass over the whole trace (a mask and a shift where the
+  channels and the bus bytes are powers of two);
 * ``replay_trace`` is :func:`repro.accel.exma_accelerator._assemble_trace`,
   the replay's issue-order DRAM trace in one pass over the CAM batches:
   each batch's base misses, then each slot's index-node misses and its
   increment fetch (the spec's float64 steps) cut by the reference
   replay's cursor rule, ``min(remaining, room in row, cap)``;
+* ``cam_keys`` and ``cam_stage2`` are :func:`repro.hw.scheduler
+  ._schedule_spec`, the CAM's stage orders and keep-open hints, as two
+  passes around one ``np.sort`` of the stage-2 keys: the first writes
+  them (stage 1 is the arrival order where each CAM batch's k-mers
+  ascend, else the caller's stable argsort), the second reads stage 2
+  off their slot bits and the hints off the k-mer runs;
+* ``mtl_group`` and ``mtl_leaf`` are the NumPy lines of
+  :meth:`repro.exma.mtl_index.MTLIndex.predict_many` around its shared
+  nodes' forward passes (:func:`repro.exma.mtl_index._group_spec`, a
+  stable argsort by bucket and the feature rows, and
+  :func:`repro.exma.mtl_index._leaf_spec`, the leaves in float64, the
+  rounding, clip and scatter).  The forward passes stay in NumPy, on
+  the spec's exact slices, because OpenBLAS's bits depend on a
+  product's shape;
 * ``occ_ranks`` is :meth:`repro.exma.table.ExmaTable._occ_spec` as a
   merge walk from each answer to the next in key order;
 * ``lockstep`` is :func:`repro.engine.backends._lockstep_spec`, every
@@ -57,8 +72,8 @@ import numpy as np
 
 from .runtime import PURE_PYTHON_ENV, env_flag
 
-__all__ = ["KERNELS", "dram_channels", "loaded_kernels", "lockstep", "lru_hits", "occ_ranks",
-           "replay_trace", "sigmoid", "sigmoid_backward"]
+__all__ = ["KERNELS", "cam_schedule", "dram_channels", "loaded_kernels", "lockstep", "lru_hits",
+           "mtl_group", "mtl_leaf", "occ_ranks", "replay_trace", "sigmoid", "sigmoid_backward"]
 
 #: The replay trace's fixed sizes, the spec's ``8 * hw.dram.BURST_BYTES``,
 #: ``BURST_BYTES`` and ``accel.exma_accelerator.INCREMENT_ENTRY_BYTES``: a
@@ -92,9 +107,14 @@ void dram_channels(int64_t count, const int64_t *rows, const int64_t *nbytes,
     int64_t stream_count, int64_t *banks, int64_t *stream_ready, int64_t *stats) {
     /* Per channel (floored, as Python's %): banks of (ready, open, row), stream
        ready cycles, DRAMStats' ints from `requests` (`total_cycles` is the data
-       bus's free cycle throughout) and the address bus's free cycle. */
+       bus's free cycle throughout) and the address bus's free cycle.  A power
+       of two of channels is a mask (the floored % for every int64) and of bus
+       bytes a shift (nbytes >= 1). */
+    int channel_pow2 = !(channels & (channels - 1));
+    int bus_pow2 = !(bus_bytes & (bus_bytes - 1)), bus_shift = __builtin_ctzll(bus_bytes);
     for (int64_t i = 0; i < count; ++i) {
-        int64_t row = rows[i], channel = row % channels, slot = row % bank_count;
+        int64_t row = rows[i], channel = channel_pow2 ? row & (channels - 1) : row % channels;
+        int64_t slot = row % bank_count;
         if (channel < 0) channel += channels;
         if (slot < 0) slot += bank_count;
         int64_t *bank = banks + 3 * (channel * bank_count + slot), *s = stats + 11 * channel;
@@ -105,7 +125,8 @@ void dram_channels(int64_t count, const int64_t *rows, const int64_t *nbytes,
         else commands = 3, latency += trp + trcd, ++s[3], ++s[5];
         if (s[10] > issue) issue = s[10];
         s[10] = issue + commands;
-        int64_t burst = (nbytes[i] - 1) / bus_bytes + 1, data_start = issue + latency;
+        int64_t burst = (bus_pow2 ? (nbytes[i] - 1) >> bus_shift : (nbytes[i] - 1) / bus_bytes) + 1;
+        int64_t data_start = issue + latency;
         if (s[9] > data_start) data_start = s[9];
         s[9] = data_start + burst;
         ++s[0], s[6] += nbytes[i], s[7] += burst, s[8] += commands;
@@ -119,16 +140,18 @@ int64_t replay_trace(int64_t count, int64_t cam_entries, const int64_t *base_add
     const uint8_t *base_miss, int64_t modelled_count, const int64_t *modelled_slots,
     const int64_t *index_addresses, const uint8_t *index_hits, const int64_t *fetch_offsets,
     const int64_t *entries, const uint8_t *keep_open, int64_t row_bytes,
-    int64_t increment_offset, double chain_ratio, int64_t capacity, int64_t *out, uint8_t *keep) {
+    int64_t increment_offset, double chain_ratio, int64_t capacity, int64_t *out) {
     /* The issue-order trace: per CAM batch its stage-1 base misses, then per
        stage-2 slot its bucket and leaf misses and its increment chunks, cut by
        min(remaining, room in row, CHUNK_CAP).  `out` holds the rows, sizes and
-       streams, `capacity` each; the trace's length is returned.  -1 at a
+       streams, `capacity` each, then `capacity` keep-open bytes; the trace's
+       length is returned.  -1 at a
        negative address, a fetch range whose double steps leave (-2^61, 2^61),
        a trace longer than `capacity`, or modelled slots that are not
        ascending slots. */
     int pow2 = !(row_bytes & (row_bytes - 1)), shift = __builtin_ctzll(row_bytes);
     int64_t *rows = out, *sizes = out + capacity, *streams = out + 2 * capacity, n = 0, m = 0;
+    uint8_t *keep = (uint8_t *)(out + 3 * capacity);
     double start_scale = (double)ENTRY_BYTES * chain_ratio;
 #define ROW(address) (pow2 ? (address) >> shift : (address) / row_bytes)
 #define MISS(address, stream) do { \
@@ -278,6 +301,136 @@ int64_t lockstep(int64_t queries, int64_t max_steps, int64_t k, int64_t code_cou
     }
     return s;
 }
+int64_t cam_keys(int64_t count, int64_t cam_entries, int64_t two_stage, const int64_t *kmers,
+    const int64_t *positions, const int64_t *grouped, int64_t *out) {
+    /* The CAM schedule's first pass over `out` (see cam_stage2).  Stage 1 is
+       `grouped`, or with NULL the arrival order, written (two-stage) to
+       out[count, 2 count).  Two-stage, out[0, count) gets each stage-1
+       slot's stage-2 sort key ((batch * span + pos) << bits) | slot, span the
+       largest position + 1.  Returns 1; 0 where `grouped` is NULL and a CAM
+       batch's k-mers do not ascend (its stable k-mer sort is the caller's);
+       -1 at a negative k-mer or position, or a batch * (k-mer or key) bound
+       past int64. */
+    int64_t max_kmer = 0, max_pos = 0, ascend = 1, bits = 0, batches = 0, bound;
+    for (int64_t start = 0; start < count; start += cam_entries, ++batches) {
+        int64_t end = count - start < cam_entries ? count : start + cam_entries;
+        for (int64_t i = start; i < end; ++i) {
+            if (kmers[i] < 0 || positions[i] < 0) return -1;
+            if (kmers[i] > max_kmer) max_kmer = kmers[i];
+            if (positions[i] > max_pos) max_pos = positions[i];
+            if (i > start && kmers[i] < kmers[i - 1]) ascend = 0;
+        }
+    }
+    while (bits < 62 && (int64_t)1 << bits < cam_entries) ++bits;
+    if (bits == 62 || __builtin_add_overflow(max_kmer, 1, &bound)
+        || __builtin_mul_overflow(batches, bound, &bound)) return -1;
+    if (two_stage && (__builtin_add_overflow(max_pos, 1, &bound)
+        || __builtin_mul_overflow(batches, bound, &bound)
+        || __builtin_mul_overflow(bound, (int64_t)1 << bits, &bound))) return -1;
+    if (!grouped && !ascend) return 0;
+    int64_t *stage1 = out + count;
+    if (two_stage && !grouped)
+        for (int64_t i = 0; i < count; ++i) stage1[i] = i;
+    if (two_stage) {
+        const int64_t *order = grouped ? grouped : stage1;
+        for (int64_t start = 0, base = 0; start < count; start += cam_entries, base += max_pos + 1) {
+            int64_t end = count - start < cam_entries ? count : start + cam_entries;
+            for (int64_t i = start; i < end; ++i)
+                out[i] = (base + positions[order[i]]) << bits | (i - start);
+        }
+    }
+    return 1;
+}
+void cam_stage2(int64_t count, int64_t cam_entries, int64_t two_stage, const int64_t *kmers,
+    const int64_t *grouped, int64_t *out) {
+    /* `out` holds stage 2 (two-stage: its sorted keys, replaced in place;
+       FR-FCFS: the arrival order, written here), stage 1 (as cam_keys left
+       it), scratch (count) and the keep-open bytes.  A request's hint is 0
+       only where it is its (batch, k-mer) run's last in stage 2; the runs
+       are read off `grouped` (NULL: the arrival order), whose batches hold
+       their equal k-mers together. */
+    int64_t *stage2 = out, *stage2_slot = out + 2 * count, mask = 1;
+    const int64_t *stage1 = grouped ? grouped : out + count;
+    uint8_t *keep = (uint8_t *)(out + 3 * count);
+    while (mask < cam_entries) mask <<= 1;
+    --mask;
+    for (int64_t start = 0; start < count; start += cam_entries) {
+        int64_t end = count - start < cam_entries ? count : start + cam_entries;
+        for (int64_t j = start; j < end; ++j) {
+            keep[j] = 1;
+            if (!two_stage) stage2[j] = j;
+            else {
+                int64_t slot = start + (stage2[j] & mask);
+                stage2_slot[slot] = j, stage2[j] = stage1[slot];
+            }
+        }
+        for (int64_t i = start, last = -1; i < end; ++i) {
+            /* two-stage: the stage-2 slot of stage-1 slot i; FR-FCFS: of the
+               request at grouped slot i, its arrival slot. */
+            int64_t at = two_stage ? stage2_slot[i] : grouped ? grouped[i] : i;
+            int64_t kmer = kmers[grouped ? grouped[i] : i];
+            if (i == start || kmer != kmers[grouped ? grouped[i - 1] : i - 1]) {
+                if (last >= 0) keep[last] = 0;
+                last = at;
+            } else if (at > last) last = at;
+            if (i == end - 1) keep[last] = 0;
+        }
+    }
+}
+int64_t mtl_group(int64_t count, const int64_t *kmers, const int64_t *positions,
+    const int8_t *buckets, const int64_t *frequencies, int64_t kmer_count, int64_t n,
+    int64_t *out) {
+    /* predict_many's grouping: a stable counting sort of the requests by
+       bucket.  `out` gets the (pos / n, count / n) feature rows in grouped
+       order (2 * count doubles), the grouped order (count), then per group
+       its bucket and end.  Returns the group count; -1 at an unmodelled
+       k-mer (bucket < 0), -2 at a k-mer outside [0, kmer_count). */
+    double *features = (double *)out;
+    int64_t *order = out + 2 * count, *groups = order + count, at[128] = {0}, g = 0, end = 0;
+    int unmodelled = 0;
+    for (int64_t i = 0; i < count; ++i) {
+        if ((uint64_t)kmers[i] >= (uint64_t)kmer_count) return -2;
+        int8_t bucket = buckets[kmers[i]];
+        if (bucket < 0) unmodelled = 1;
+        else ++at[bucket];
+    }
+    if (unmodelled) return -1;
+    for (int64_t bucket = 0; bucket < 128; ++bucket) {
+        if (!at[bucket]) continue;
+        end += at[bucket], at[bucket] = end - at[bucket];
+        groups[2 * g] = bucket, groups[2 * g++ + 1] = end;
+    }
+    for (int64_t i = 0; i < count; ++i) {
+        int64_t j = at[buckets[kmers[i]]]++;
+        order[j] = i;
+        features[2 * j] = (double)positions[i] / (double)n;
+        features[2 * j + 1] = (double)frequencies[kmers[i]] / (double)n;
+    }
+    return g;
+}
+int64_t mtl_leaf(int64_t count, const int64_t *order, const int64_t *kmers,
+    const double *shared, const double *weights, const double *biases,
+    const int64_t *frequencies, int64_t kmer_count, int64_t *result) {
+    /* The leaves in NumPy's float64 steps, (w * s + b) * count, rint (half to
+       even: adding and removing 2^52 under the default rounding), then
+       min(count - 1), max(0), scattered to request order.  0 at a NaN, which
+       the spec's cast turns into an undefined value, or at an order entry or
+       k-mer out of range. */
+    for (int64_t j = 0; j < count; ++j) {
+        int64_t i = order[j], kmer;
+        if ((uint64_t)i >= (uint64_t)count) return 0;
+        kmer = kmers[i];
+        if ((uint64_t)kmer >= (uint64_t)kmer_count) return 0;
+        double raw = (weights[kmer] * shared[j] + biases[kmer]) * (double)frequencies[kmer];
+        double top = (double)(frequencies[kmer] - 1);
+        if (raw != raw) return 0;
+        if (raw > 0 && raw < 0x1p52) raw = (raw + 0x1p52) - 0x1p52;
+        else if (raw < 0 && raw > -0x1p52) raw = (raw - 0x1p52) + 0x1p52;
+        if (raw > top) raw = top;
+        result[i] = raw < 0 ? 0 : (int64_t)raw;
+    }
+    return 1;
+}
 void sigmoid_in(int64_t rows, int64_t width, const double *restrict bias, double *restrict x) {
     for (int64_t i = 0; i < rows; ++i, x += width)
         for (int64_t j = 0; j < width; ++j) x[j] = -(x[j] + bias[j]);
@@ -338,12 +491,19 @@ KERNELS = (
            "repro.hw.dram.DRAMModel._columns_spec"),
     Kernel("replay_trace", _INT64,
            (_INT64, _INT64, _POINTER, _POINTER, _INT64, *[_POINTER] * 6, *[_INT64] * 2, _DOUBLE,
-            _INT64, _POINTER, _POINTER),
+            _INT64, _POINTER),
            "repro.accel.exma_accelerator._assemble_trace"),
     Kernel("occ_ranks", _INT64, (_INT64, *[_POINTER] * 4, *[_INT64] * 3, _POINTER),
            "repro.exma.table.ExmaTable._occ_spec"),
     Kernel("lockstep", _INT64, (*[_INT64] * 4, *[_POINTER] * 7, *[_INT64] * 3, _POINTER),
            "repro.engine.backends._lockstep_spec"),
+    Kernel("cam_keys", _INT64, (*[_INT64] * 3, *[_POINTER] * 4), "repro.hw.scheduler._schedule_spec"),
+    Kernel("cam_stage2", None, (*[_INT64] * 3, *[_POINTER] * 3),
+           "repro.hw.scheduler._schedule_spec"),
+    Kernel("mtl_group", _INT64, (_INT64, *[_POINTER] * 4, *[_INT64] * 2, _POINTER),
+           "repro.exma.mtl_index._group_spec"),
+    Kernel("mtl_leaf", _INT64, (_INT64, *[_POINTER] * 6, _INT64, _POINTER),
+           "repro.exma.mtl_index._leaf_spec"),
     Kernel("sigmoid_in", None, (_INT64, _INT64, _POINTER, _POINTER),
            "repro.exma.mtl_index._sigmoid_spec"),
     Kernel("sigmoid_out", None, (_INT64, _POINTER), "repro.exma.mtl_index._sigmoid_spec"),
@@ -509,18 +669,18 @@ def replay_trace(
         return None
     misses = np.count_nonzero(flags[0]) + flags[1].size - np.count_nonzero(flags[1])
     capacity = misses + 2 * count + int(spans) // TRACE_CHUNK_CAP + int(spans) // row_bytes
-    out = np.empty(3 * capacity, dtype=np.int64)
-    keep = np.empty(capacity, dtype=bool)
+    # Three int64 columns, then the keep-open bytes: one buffer, one pointer.
+    out = np.empty(3 * capacity + -(-capacity // 8), dtype=np.int64)
     length = library.replay_trace(
         count, cam_entries, ints[0].ctypes.data, flags[0].ctypes.data, modelled,
         ints[1].ctypes.data, ints[2].ctypes.data, flags[1].ctypes.data, ints[3].ctypes.data,
         ints[4].ctypes.data, flags[2].ctypes.data, row_bytes, increment_offset, chain_ratio,
-        capacity, out.ctypes.data, keep.ctypes.data,
+        capacity, out.ctypes.data,
     )
     if length < 0:
         return None
-    columns = out.reshape(3, capacity)[:, :length]
-    return columns[0], columns[1], keep[:length], columns[2]
+    columns = out[: 3 * capacity].reshape(3, capacity)[:, :length]
+    return columns[0], columns[1], out[3 * capacity :].view(bool)[:length], columns[2]
 
 
 def occ_ranks(kmers, positions, increments, starts, max_pos: int) -> np.ndarray | None:
@@ -587,6 +747,117 @@ def lockstep(lengths, codes, k: int, lows, highs, counts, increments, starts, ma
         out[occ_at : occ_at + used].copy(), offsets, out[issued_at : issued_at + ran],
         out[distinct_at : distinct_at + ran],
     )
+
+
+def cam_schedule(kmers, positions, cam_entries: int, two_stage: bool, group):
+    """:func:`repro.hw.scheduler.scheduled_orders` compiled: the stage-1 and
+    stage-2 orders and the keep-open hints, ``None`` where it declines
+    (disabled, unavailable, a CAM size below 1, or a negative k-mer or
+    position or keys that could pass int64: found by the pass itself, and
+    the spec raises on the last).  Stage 1 is the arrival order where each
+    CAM batch's k-mers ascend (every window flush), else ``group(kmers,
+    cam_entries)``, the stable per-batch k-mer sort.  Stage 2 is one
+    ``np.sort`` of the keys a C pass writes; a second pass reads it and the
+    hints off the k-mer runs.  Columns that disagree in length raise
+    ``ValueError``."""
+    library = _loaded()
+    if library is None or cam_entries < 1:
+        return None
+    kmers, positions = (np.ascontiguousarray(c, dtype=np.int64) for c in (kmers, positions))
+    count = kmers.size
+    if positions.size != count:
+        raise ValueError("kmers and positions differ in length")
+    # Stage 2 (its sort keys first), stage 1, scratch, the hints' bytes.
+    out = np.empty(3 * count + -(-count // 8), dtype=np.int64)
+    address, kmers_at = out.ctypes.data, kmers.ctypes.data
+    columns = (count, cam_entries, two_stage, kmers_at, positions.ctypes.data)
+    grouped = None
+    ran = library.cam_keys(*columns, None, address)
+    if ran == 0:
+        grouped = np.ascontiguousarray(group(kmers, cam_entries), dtype=np.int64)
+        ran = library.cam_keys(*columns, grouped.ctypes.data, address)
+    if ran < 0:
+        return None
+    stage2 = out[:count]
+    if two_stage:
+        stage2.sort()
+    library.cam_stage2(
+        count, cam_entries, two_stage, kmers_at, None if grouped is None else grouped.ctypes.data,
+        address,
+    )
+    keep = out[3 * count :].view(bool)[:count]
+    if not two_stage:
+        return stage2, stage2, keep
+    return out[count : 2 * count] if grouped is None else grouped, stage2, keep
+
+
+#: predict_many's refusal of an unmodelled k-mer, on both paths.
+UNMODELLED = (
+    "predict_many needs every k-mer modelled; separate the unmodelled ones with "
+    "modelled_lookup first"
+)
+
+
+def mtl_group(kmers, positions, buckets, frequencies, n: int):
+    """``MTLIndex.predict_many``'s grouping compiled, the spec's outputs:
+    the ``(pos / n, count / n)`` feature rows in grouped order, that order,
+    and each shared node's ``(bucket, start, stop)``; ``None`` where it
+    declines (disabled, unavailable, buckets not int8 ids, an *n* below 1,
+    or a k-mer out of range: found by the pass itself).  An unmodelled
+    k-mer raises ``ValueError``, as the spec does; so do columns that
+    disagree in length."""
+    library = _loaded()
+    buckets = np.ascontiguousarray(buckets)
+    if library is None or n < 1 or buckets.dtype != np.int8 or np.size(frequencies) != buckets.size:
+        return None
+    kmers, positions, frequencies = (
+        np.ascontiguousarray(c, dtype=np.int64) for c in (kmers, positions, frequencies)
+    )
+    count = kmers.size
+    if positions.size != count:
+        raise ValueError("kmers and positions differ in length")
+    # The feature rows (as doubles), the order, then each group's bucket and
+    # end: at most 128, the non-negative int8 ids.
+    out = np.empty(3 * count + 2 * 128, dtype=np.int64)
+    groups = library.mtl_group(
+        count, kmers.ctypes.data, positions.ctypes.data, buckets.ctypes.data,
+        frequencies.ctypes.data, buckets.size, n, out.ctypes.data,
+    )
+    if groups == -1:
+        raise ValueError(UNMODELLED)
+    if groups < 0:
+        return None
+    ends = out[3 * count : 3 * count + 2 * groups].tolist()
+    starts = [0, *ends[1:-1:2]]
+    features = out[: 2 * count].view(np.float64).reshape(count, 2)
+    return features, out[2 * count : 3 * count], list(zip(ends[0::2], starts, ends[1::2]))
+
+
+def mtl_leaf(kmers, order, shared_output, weights, biases, frequencies):
+    """``MTLIndex.predict_many``'s leaves compiled: per request the clipped,
+    rounded ``(w · s + b) · count``, in request order; ``None`` where it
+    declines (disabled, unavailable, or a NaN, an *order* entry or k-mer out
+    of range: found by the pass itself).  *kmers* are in request order,
+    *order* and *shared_output* in :func:`mtl_group`'s; columns that
+    disagree in length raise ``ValueError``."""
+    library = _loaded()
+    if library is None:
+        return None
+    kmers, order, frequencies = (
+        np.ascontiguousarray(c, dtype=np.int64) for c in (kmers, order, frequencies)
+    )
+    doubles = [np.ascontiguousarray(c, dtype=np.float64) for c in (shared_output, weights, biases)]
+    count = kmers.size
+    if order.size != count or doubles[0].size != count or not (
+        doubles[1].size == doubles[2].size == frequencies.size
+    ):
+        raise ValueError("leaf columns differ in length")
+    result = np.empty(count, dtype=np.int64)
+    done = library.mtl_leaf(
+        count, order.ctypes.data, kmers.ctypes.data, *(c.ctypes.data for c in doubles),
+        frequencies.ctypes.data, frequencies.size, result.ctypes.data,
+    )
+    return result if done else None
 
 
 def _doubles(array, shape: tuple[int, ...]) -> bool:

@@ -99,7 +99,7 @@ class TestSchedulerOrders:
         for batch in scheduler.schedule(requests):
             stage1_ref.extend(batch.stage1)
             stage2_ref.extend(batch.stage2)
-        stage1, stage2 = scheduled_orders(kmers, positions, cam_entries, two_stage)
+        stage1, stage2, _ = scheduled_orders(kmers, positions, cam_entries, two_stage)
         assert [requests[i] for i in stage1] == stage1_ref
         assert [requests[i] for i in stage2] == stage2_ref
 
@@ -125,7 +125,7 @@ class TestSchedulerOrders:
         scheduler_type = TwoStageScheduler if two_stage else FrFcfsScheduler
         batches = list(scheduler_type(CamConfig(entries=cam_entries)).schedule(requests))
         assert len(batches[-1]) == 389 % cam_entries or cam_entries == 1
-        stage1, stage2 = scheduled_orders(kmers, positions, cam_entries, two_stage)
+        stage1, stage2, _ = scheduled_orders(kmers, positions, cam_entries, two_stage)
         assert [requests[i] for i in stage1] == [r for b in batches for r in b.stage1]
         assert [requests[i] for i in stage2] == [r for b in batches for r in b.stage2]
         hints, hints_ref = _columnar_and_queue_hints(requests, cam_entries, two_stage)
@@ -135,7 +135,7 @@ class TestSchedulerOrders:
         kmers = np.array([3, 1, 3, 0, 2, 2, 1], dtype=np.int64)
         positions = np.arange(kmers.size, dtype=np.int64)
         for cam_entries in (1, 3, 7):
-            stage1, _ = scheduled_orders(kmers, positions, cam_entries, True)
+            stage1, _, _ = scheduled_orders(kmers, positions, cam_entries, True)
             assert kmer_grouping(kmers, cam_entries).tolist() == stage1.tolist()
         assert kmer_grouping(np.empty(0, dtype=np.int64), 4).size == 0
         with pytest.raises(ValueError):
@@ -155,7 +155,7 @@ class TestSchedulerOrders:
         for top, fits in ((2**61 - 2, True), (2**61 - 1, False), (2**62, False)):
             positions = np.array([top, 0, 5, top], dtype=np.int64)
             if fits:
-                stage1, stage2 = scheduled_orders(kmers, positions, 4, True)
+                stage1, stage2, _ = scheduled_orders(kmers, positions, 4, True)
                 assert stage1.tolist() == [3, 1, 0, 2]
                 assert stage2.tolist() == [1, 2, 3, 0]
             else:
@@ -166,7 +166,8 @@ class TestSchedulerOrders:
 def _columnar_and_queue_hints(
     requests: list[OccRequest], cam_entries: int, two_stage: bool
 ) -> tuple[list[bool], list[bool]]:
-    """Keep-open hints of the columnar replay and of the CAM object model."""
+    """Keep-open hints of the columnar replay and of the CAM object model;
+    ``keep_open_flags`` over the k-mer grouping gives the same hints."""
     kmers = np.array([r.packed_kmer for r in requests], dtype=np.int64)
     positions = np.array([r.pos for r in requests], dtype=np.int64)
     scheduler_type = TwoStageScheduler if two_stage else FrFcfsScheduler
@@ -175,8 +176,9 @@ def _columnar_and_queue_hints(
         for batch in scheduler_type(CamConfig(entries=cam_entries)).schedule(requests)
         for _, hint in pair_requests_by_kmer(batch.stage2)
     ]
-    _, stage2 = scheduled_orders(kmers, positions, cam_entries, two_stage)
-    hints = keep_open_flags(kmers, kmer_grouping(kmers, cam_entries), stage2, cam_entries)
+    _, stage2, hints = scheduled_orders(kmers, positions, cam_entries, two_stage)
+    grouped = keep_open_flags(kmers, kmer_grouping(kmers, cam_entries), stage2, cam_entries)
+    assert grouped.tolist() == hints.tolist()
     return hints.tolist(), hints_ref
 
 

@@ -40,14 +40,18 @@ from repro.accel.exma_accelerator import INCREMENT_ENTRY_BYTES
 from repro.engine import QueryEngine
 from repro.engine.backends import ExmaBackend, _lockstep_spec
 from repro.engine.coalesce import BatchStats, BatchTrace
+from repro.engine.window import CoalescingWindow
 from repro.exma import mtl_index
-from repro.exma.mtl_index import MTLIndex
+from repro.exma.mtl_index import MTLIndex, SharedNode
+from repro.exma.search import OccRequest
 from repro.exma.table import ExmaTable
 from repro.genome.alphabet import QueryBatch
 from repro.genome.datasets import build_dataset
 from repro.genome.sequence import RepeatProfile, random_genome
 from repro.hw import cache as hw_cache
 from repro.hw import dram as hw_dram
+from repro.hw import scheduler as hw_scheduler
+from repro.hw.cam import CamConfig
 from repro.hw.dram import (
     BURST_BYTES, DDR4Config, DRAMModel, MemoryRequest, MemoryTrace, PagePolicy,
 )
@@ -152,17 +156,20 @@ def _shard_stats(model: DRAMModel, trace: MemoryTrace, channels: int) -> list:
     return [model.process([MemoryRequest(*fields) for fields in shard]) for shard in shards]
 
 
+#: Channel counts and bus widths either side of a power of two (the
+#: kernel's mask and shift).
 DRAM_INPUTS = st.tuples(
-    dram_requests(), st.integers(1, 5), st.sampled_from(list(PagePolicy)),
-    st.sampled_from([(16, 16, 16), (0, 3, 50)]),
+    dram_requests(), st.integers(1, 8), st.sampled_from(list(PagePolicy)),
+    st.sampled_from([(16, 16, 16), (0, 3, 50)]), st.sampled_from([16, 1, 24, 64]),
 )
 
 
 def _dram_oracle(spec_calls, drawn) -> None:
     """``process_columns(trace, c)`` is :meth:`DRAMModel.process` over each
     ``split_channels(c)`` shard, whichever path computes it."""
-    requests, channels, policy, (tcas, trcd, trp) = drawn
-    model = DRAMModel(DDR4Config(tcas=tcas, trcd=trcd, trp=trp), page_policy=policy)
+    requests, channels, policy, (tcas, trcd, trp), bus = drawn
+    config = DDR4Config(tcas=tcas, trcd=trcd, trp=trp, bus_bytes_per_cycle=bus)
+    model = DRAMModel(config, page_policy=policy)
     trace = MemoryTrace.from_requests(requests)
     expected = _shard_stats(model, trace, channels)
     assert model.process_columns(trace, channels) == expected
@@ -1176,6 +1183,312 @@ class TestStackedLeaves:
         assert digest == GOLDEN_COLUMNS_60K_SEED0
 
 
+# The CAM schedule's inputs.  A window flush is key-sorted, so every CAM
+# batch's k-mers ascend and stage 1 is the arrival order; a search's
+# stream is not, and stage 1 is the stable per-batch k-mer sort.
+CAM_SIZES = (1, 3, 128, 512)
+
+
+def _schedule_columns(rng, count: int, kmer_span: int, pos_span: int, order: str) -> tuple:
+    kmers, positions = rng.integers(0, kmer_span, count), rng.integers(0, pos_span, count)
+    if order == "flush":  # unique (k-mer, pos) keys, ascending
+        keys = np.unique(kmers * pos_span + positions)
+        kmers, positions = keys // pos_span, keys % pos_span
+    elif order == "by-kmer":
+        kmers = np.sort(kmers)
+    elif order == "repeats":
+        picks = rng.integers(0, max(count // 3, 1), count)
+        kmers, positions = kmers[picks], positions[picks]
+    return _int64(kmers), _int64(positions)
+
+
+@st.composite
+def schedule_inputs(draw):
+    """A CAM of 1, 3, 128 or 512 entries (or 1-17) with full batches and a
+    partial last one or none; requests key-sorted and unique (a window
+    flush), sorted by k-mer only, shuffled, or shuffled with repeats;
+    either scheduler."""
+    cam_entries = draw(st.one_of(st.sampled_from(CAM_SIZES), st.integers(1, 17)))
+    count = draw(st.integers(0, 2)) * cam_entries + draw(st.integers(0, cam_entries - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = _schedule_columns(
+        rng, count, draw(st.sampled_from([1, 4, 64])), draw(st.sampled_from([1, 50, 10**6])),
+        draw(st.sampled_from(["flush", "by-kmer", "shuffled", "repeats"])),
+    )
+    return (*columns, cam_entries, draw(st.booleans()))
+
+
+def _cam_model(kmers, positions, cam_entries: int, two_stage: bool) -> tuple:
+    """Stage 1, stage 2 (as ``(k-mer, pos)`` pairs) and the hints of the
+    object schedulers and ``pair_requests_by_kmer``."""
+    requests = [OccRequest(k, p) for k, p in zip(kmers.tolist(), positions.tolist())]
+    scheduler = (hw_scheduler.TwoStageScheduler if two_stage else hw_scheduler.FrFcfsScheduler)(
+        CamConfig(entries=cam_entries)
+    )
+    batches = list(scheduler.schedule(requests))
+    pairs = [
+        [(r.packed_kmer, r.pos) for batch in batches for r in getattr(batch, stage)]
+        for stage in ("stage1", "stage2")
+    ]
+    hints = [hint for batch in batches for _, hint in hw_scheduler.pair_requests_by_kmer(batch.stage2)]
+    return (*pairs, hints)
+
+
+def _schedule_oracle(spec_calls, drawn) -> None:
+    """``scheduled_orders`` compiled equals its spec array for array, and
+    the CAM object model request for request and hint for hint."""
+    kmers, positions, cam_entries, two_stage = drawn
+    compiled = hw_scheduler.scheduled_orders(kmers, positions, cam_entries, two_stage)
+    assert not spec_calls["cam_keys"]
+    with no_library():
+        spec = hw_scheduler.scheduled_orders(kmers, positions, cam_entries, two_stage)
+    assert spec_calls["cam_keys"] == [kmers.size]
+    assert [c.dtype for c in compiled] == [np.int64, np.int64, bool]
+    assert [c.tolist() for c in compiled] == [c.tolist() for c in spec]
+    stage1, stage2, hints = compiled
+    model = _cam_model(kmers, positions, cam_entries, two_stage)
+    pairs = list(zip(kmers.tolist(), positions.tolist()))
+    assert ([pairs[i] for i in stage1], [pairs[i] for i in stage2], hints.tolist()) == model
+
+
+def _schedule_case() -> list:
+    """``run`` under both schedulers on both replay stacks' shuffled
+    streams and their key-sorted W = 1 flushes (24-entry CAMs, partial last
+    batches), each field for field its reference replay."""
+    answers = []
+    for accelerator, stream, _ in _replay_runs():
+        flush = CoalescingWindow(1).push(stream)
+        for two_stage in (True, False):
+            config = accelerator.config.with_overrides(two_stage_scheduling=two_stage)
+            replay = ExmaAccelerator(accelerator._table, accelerator._index, config)
+            for requests in (stream, flush):
+                answers.append(replay.run(requests))
+                assert answers[-1] == replay.run_reference(list(requests))
+    return answers
+
+
+class TestCamSchedule:
+    @pytest.mark.parametrize("order", ["flush", "shuffled"])
+    @pytest.mark.parametrize("two_stage", [True, False])
+    @pytest.mark.parametrize("cam_entries", CAM_SIZES)
+    def test_cam_sizes_with_a_partial_last_batch(
+        self, compiled, spec_calls, cam_entries, two_stage, order
+    ):
+        rng = np.random.default_rng(cam_entries)
+        count = 2 * cam_entries + cam_entries // 2 + 1
+        kmers, positions = _schedule_columns(rng, count, 16, 400, order)
+        assert kmers.size % cam_entries or cam_entries == 1
+        _schedule_oracle(spec_calls, (kmers, positions, cam_entries, two_stage))
+
+    def test_a_flush_is_scheduled_without_the_kmer_sort(self, compiled):
+        kmers, positions = _schedule_columns(np.random.default_rng(3), 700, 64, 5000, "flush")
+
+        def refused(*args):
+            raise AssertionError("a key-sorted flush needs no stable k-mer sort")
+
+        stage1, stage2, hints = native.cam_schedule(kmers, positions, 128, True, refused)
+        assert stage1.tolist() == list(range(kmers.size))
+        spec = hw_scheduler._schedule_spec(kmers, positions, 128, True)
+        assert [stage2.tolist(), hints.tolist()] == [spec[1].tolist(), spec[2].tolist()]
+
+    @pytest.mark.parametrize("two_stage", [True, False])
+    def test_negative_columns_decline(self, compiled, two_stage):
+        for kmers, positions in (([0, -1], [3, 3]), ([0, 1], [3, -1])):
+            assert native.cam_schedule(
+                _int64(kmers), _int64(positions), 2, two_stage, hw_scheduler.kmer_grouping
+            ) is None
+
+    @pytest.mark.parametrize("two_stage", [True, False])
+    def test_keys_too_wide_decline_and_raise_on_both_paths(self, compiled, spec_calls, two_stage):
+        # 2**20 one-entry batches of k-mer 2**43 overflow batch * span;
+        # stage 2's keys also carry the positions, FR-FCFS's hints do not.
+        wide = np.full(2**20 + 1, 2**43, dtype=np.int64)
+        zeros = np.zeros(wide.size, dtype=np.int64)
+        assert native.cam_schedule(wide, zeros, 1, two_stage, hw_scheduler.kmer_grouping) is None
+        for path in (contextlib.nullcontext, no_library):
+            with path(), pytest.raises(ValueError, match="too wide"):
+                hw_scheduler.scheduled_orders(wide, zeros, 1, two_stage)
+        kmers, positions = _int64([0, 0]), _int64([2**62, 0])
+        declined = native.cam_schedule(kmers, positions, 2, two_stage, hw_scheduler.kmer_grouping)
+        assert (declined is None) == two_stage
+        assert spec_calls["cam_keys"] == [wide.size] * 2
+
+    def test_ragged_columns_are_refused(self, compiled):
+        with pytest.raises(ValueError, match="length"):
+            native.cam_schedule(_int64([0, 1]), ZERO, 2, True, hw_scheduler.kmer_grouping)
+
+
+class _Counts:
+    """The two fields of a table that ``predict_many`` reads."""
+
+    def __init__(self, counts: np.ndarray, reference_length: int) -> None:
+        self._counts, self.reference_length = counts, reference_length
+
+    def frequencies_view(self) -> np.ndarray:
+        return self._counts
+
+
+def _synthetic_index(rng, node_count: int, kmer_count: int = 64) -> MTLIndex:
+    """An untrained index over *kmer_count* codes: 1-7 shared nodes with
+    random weights, each code modelled by one or unmodelled, increment
+    counts of 0, 1, 2 or up to 5000, and leaves that overshoot both clip
+    edges."""
+    index = MTLIndex.__new__(MTLIndex)
+    index._nodes = {}
+    for bucket in range(node_count):
+        node = index._nodes[bucket] = SharedNode()
+        node.w1, node.b1 = rng.normal(0.0, 2.0, (2, 10)), rng.normal(size=10)
+        node.w2, node.b2 = rng.normal(size=10), float(rng.normal())
+    buckets = rng.integers(-1, node_count, kmer_count)
+    buckets[rng.integers(kmer_count)] = rng.integers(node_count)
+    index._buckets = buckets.astype(np.int8)
+    counts = np.where(
+        rng.random(kmer_count) < 0.4, rng.integers(0, 3, kmer_count), rng.integers(3, 5000, kmer_count)
+    )
+    index._table = _Counts(_int64(counts), int(rng.integers(1, 10**6)))
+    index._weights, index._biases = rng.normal(1.0, 1.5, kmer_count), rng.normal(0.0, 0.5, kmer_count)
+    return index
+
+
+@st.composite
+def mtl_inputs(draw):
+    """A synthetic index of 1-7 nodes and 0-300 requests over its modelled
+    codes in any order, positions 0 to n; now and then one unmodelled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    index = _synthetic_index(rng, draw(st.integers(1, 7)))
+    size = draw(st.integers(0, 300))
+    kmers = rng.choice(np.flatnonzero(index._buckets >= 0), size)
+    positions = rng.integers(0, index.table.reference_length + 1, size)
+    unmodelled = np.flatnonzero(index._buckets < 0)
+    if size and unmodelled.size and draw(st.booleans()):
+        kmers[rng.integers(size)] = unmodelled[0]
+    return index, _int64(kmers), _int64(positions)
+
+
+def _predictions(index: MTLIndex, kmers, positions):
+    """``predict_many``'s answer, or the message it raised."""
+    try:
+        return index.predict_many(kmers, positions).tolist()
+    except ValueError as error:
+        return str(error)
+
+
+def _mtl_oracle(spec_calls, drawn) -> None:
+    """``predict_many`` compiled equals its specs, and an unmodelled k-mer
+    raises the same error on both paths."""
+    index, kmers, positions = drawn
+    compiled = _predictions(index, kmers, positions)
+    assert not spec_calls["mtl_group"] and not spec_calls["mtl_leaf"]
+    with no_library():
+        assert _predictions(index, kmers, positions) == compiled
+    assert spec_calls["mtl_group"] == ([kmers.size] if kmers.size else [])
+
+
+@functools.cache
+def _three_node_index() -> MTLIndex:
+    """The replay stack's 4-mer table, its 16 modelled k-mers split over
+    three shared nodes (increment counts 9, 10-11 and 23-27)."""
+    table = ExmaTable(LOCKSTEP_REFERENCE, k=4)
+    return MTLIndex(table, bucket_edges=(10, 12), model_threshold=8, samples_per_kmer=32,
+                    epochs=30, seed=0)
+
+
+def _mtl_case() -> list:
+    """``predict_many`` on a trained three-node index: its search stream's
+    modelled requests in arrival order and reversed, one request, and every
+    modelled code at both ends of the reference."""
+    index = _three_node_index()
+    backend = ExmaBackend(table=index.table, index=index)
+    stream, _ = QueryEngine(backend).request_stream(random_queries(LOCKSTEP_REFERENCE, 12, 20, seed=3))
+    modelled = index.modelled_lookup(index.table.kmer_count)[stream.kmers]
+    kmers, positions = stream.kmers[modelled], stream.positions[modelled]
+    assert index.shared_node_count == 3 and len(set(index._buckets[kmers].tolist())) == 3
+    codes = np.repeat(np.array(index.modelled_kmers, dtype=np.int64), 2)
+    ends = np.tile(_int64([0, index.table.reference_length]), codes.size // 2)
+    return [
+        index.predict_many(k, p).tolist()
+        for k, p in ((kmers, positions), (kmers[::-1], positions[::-1]), (kmers[:1], positions[:1]),
+                     (codes, ends))
+    ]
+
+
+class TestMtlKernels:
+    def test_forward_sees_the_same_slices(self, compiled, monkeypatch):
+        # OpenBLAS's bits depend on a product's shape, so the nodes must
+        # run on the same rows in the same order on both paths.
+        rng = np.random.default_rng(4)
+        index = _synthetic_index(rng, 7)
+        modelled = np.flatnonzero(index._buckets >= 0)
+        kmers, positions = _int64(rng.choice(modelled, 2000)), _int64(rng.integers(0, 10**5, 2000))
+        seen, forward = [], SharedNode.forward
+
+        def recorded(node, features):
+            seen.append((id(node), features.shape, _bits(features).tolist()))
+            return forward(node, features)
+
+        monkeypatch.setattr(SharedNode, "forward", recorded)
+        compiled_answer = index.predict_many(kmers, positions).tolist()
+        compiled_seen, seen[:] = list(seen), []
+        with no_library():
+            assert index.predict_many(kmers, positions).tolist() == compiled_answer
+        assert compiled_seen == seen and len(seen) == len(set(index._buckets[kmers].tolist()))
+
+    def test_an_unmodelled_kmer_raises_on_both_paths(self, compiled, spec_calls):
+        index = _synthetic_index(np.random.default_rng(5), 3)
+        modelled, unmodelled = np.flatnonzero(index._buckets >= 0), np.flatnonzero(index._buckets < 0)
+        kmers = _int64([modelled[0], unmodelled[0], modelled[-1]])
+        for path in (contextlib.nullcontext, no_library):
+            with path(), pytest.raises(ValueError, match="modelled_lookup"):
+                index.predict_many(kmers, _int64([1, 2, 3]))
+        assert spec_calls["mtl_group"] == [3]
+
+    def test_clip_edges(self, compiled, spec_calls):
+        # Counts 0, 1 and 2 clip to [0, max(0, count - 1)]; leaves of -3
+        # and +3 push every prediction past one edge or the other.
+        index = _synthetic_index(np.random.default_rng(6), 2, kmer_count=6)
+        index._buckets[:] = [0, 1, 0, 1, 0, 1]
+        index._table._counts[:] = [0, 1, 2, 0, 1, 2]
+        index._weights[:] = [-3.0, -3.0, -3.0, 3.0, 3.0, 3.0]
+        kmers, positions = np.repeat(np.arange(6), 3), np.tile(_int64([0, 7, 10**5]), 6)
+        compiled_answer = index.predict_many(kmers, positions).tolist()
+        with no_library():
+            assert index.predict_many(kmers, positions).tolist() == compiled_answer
+        assert max(compiled_answer[3:6] + compiled_answer[12:15]) == 0
+        assert set(compiled_answer[6:9] + compiled_answer[15:18]) <= {0, 1}
+        assert spec_calls["mtl_group"] == [kmers.size]
+
+    def test_declines(self, compiled):
+        index = _synthetic_index(np.random.default_rng(7), 3)
+        buckets, counts, n = index._buckets, index._table._counts, index.table.reference_length
+        for kmer in (64, -1):
+            assert native.mtl_group(_int64([0, kmer]), _int64([1, 1]), buckets, counts, n) is None
+        wide = buckets.astype(np.int16)
+        modelled = _int64(np.flatnonzero(buckets >= 0)[:2])
+        assert native.mtl_group(modelled, _int64([1, 1]), wide, counts, n) is None
+        order, shared = _int64([1, 0]), np.array([0.5, 0.25])
+        leaves = [index._weights, index._biases, counts]
+        assert native.mtl_leaf(modelled, order, shared, *leaves) is not None
+        for broken in (_int64([2, 0]), _int64([-1, 0])):
+            assert native.mtl_leaf(modelled, broken, shared, *leaves) is None
+        assert native.mtl_leaf(_int64([0, 64]), order, shared, *leaves) is None
+        assert native.mtl_leaf(modelled, order, np.array([0.5, np.nan]), *leaves) is None
+        with pytest.raises(ValueError, match="length"):
+            native.mtl_group(modelled, _int64([1]), buckets, counts, n)
+        with pytest.raises(ValueError, match="length"):
+            native.mtl_leaf(modelled, order, shared[:1], *leaves)
+
+    def test_a_nan_leaf_takes_the_spec(self, compiled, spec_calls):
+        index = _synthetic_index(np.random.default_rng(8), 2)
+        kmer = int(np.flatnonzero(index._buckets >= 0)[0])
+        index._weights[kmer] = np.nan
+        kmers, positions = _int64([kmer, kmer]), _int64([0, 9])
+        with np.errstate(invalid="ignore"):
+            compiled_answer = index.predict_many(kmers, positions).tolist()
+            assert spec_calls["mtl_leaf"] == [2]
+            with no_library():
+                assert index.predict_many(kmers, positions).tolist() == compiled_answer
+
+
 class OracleCase(NamedTuple):
     """A kernel row's entry in the harness.  ``oracle(spec_calls, drawn)``
     asserts compiled ≡ spec (≡ the object model where there is one) on a
@@ -1196,6 +1509,15 @@ SIGMOID = OracleCase(
     layer_arrays(), _sigmoid_oracle, _sigmoid_case,
     lambda: [native.sigmoid(np.full((3, 2), 0.5), np.zeros(2))],
 )
+#: ``cam_keys`` and ``cam_stage2`` run together in
+#: :func:`native.cam_schedule`, ``mtl_group`` and ``mtl_leaf`` around the
+#: shared nodes in :meth:`MTLIndex.predict_many`.
+CAM_SCHEDULE = OracleCase(schedule_inputs(), _schedule_oracle, _schedule_case, lambda: [
+    native.cam_schedule(ZERO, ZERO, 1, True, hw_scheduler.kmer_grouping),
+])
+MTL_INFERENCE = OracleCase(mtl_inputs(), _mtl_oracle, _mtl_case, lambda: [
+    native.mtl_group(ZERO, ZERO, np.zeros(1, np.int8), ZERO + 1, 1),
+])
 #: One case per :data:`repro.native.KERNELS` row (``test_ci_commands``
 #: holds the keys to the table).
 ORACLE_CASES = {
@@ -1221,6 +1543,12 @@ ORACLE_CASES = {
             native.lockstep(*_lockstep_inputs(LOCKSTEP_BACKENDS[4], LOCKSTEP_QUERIES), None, None, 1),
         ],
     ),
+    "cam_keys": CAM_SCHEDULE,
+    "cam_stage2": CAM_SCHEDULE,
+    "mtl_group": MTL_INFERENCE,
+    "mtl_leaf": MTL_INFERENCE._replace(declines=lambda: [
+        native.mtl_leaf(ZERO, ZERO, np.zeros(1), np.ones(1), np.zeros(1), ZERO + 1),
+    ]),
     "sigmoid_in": SIGMOID,
     "sigmoid_out": SIGMOID._replace(inputs=layer_arrays(st.floats(-750.0, 750.0))),
     "sigmoid_backward": OracleCase(

@@ -170,6 +170,43 @@ class TestColumnarFlush:
         assert merged.span == 1000 and merged.issued == 360
         assert list(zip(merged.kmers.tolist(), merged.positions.tolist())) == sorted(pairs)
 
+    @staticmethod
+    def _ranked(kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """A stand-in Occ: at most pos, never decreasing in pos, one value
+        per pair."""
+        return positions * (kmers % 7 + 1) // 7
+
+    def _merged_with_occ(self, spans, kmer_count: int, pos_count: int, seed: int):
+        rng = np.random.default_rng(seed)
+        window = CoalescingWindow(len(spans))
+        pairs: set[tuple[int, int]] = set()
+        merged = None
+        for span in spans:
+            stream = RequestStream()
+            for _ in range(3):
+                kmers, positions = rng.integers(0, kmer_count, 40), rng.integers(0, pos_count, 40)
+                keys, first = np.unique(kmers * span + positions, return_index=True)
+                stream.append_step(keys, span, self._ranked(kmers, positions)[first])
+                pairs.update(zip(kmers.tolist(), positions.tolist()))
+            merged = window.push(stream)
+        expected = sorted(pairs)
+        assert list(zip(merged.kmers.tolist(), merged.positions.tolist())) == expected
+        kmers, positions = (np.array(column) for column in zip(*expected))
+        assert merged.occ.tolist() == self._ranked(kmers, positions).tolist()
+        return merged
+
+    def test_occ_travels_through_mixed_spans(self):
+        # Spans 8, 50 and 1000, re-based onto 1000: key * span + Occ fits
+        # int64, so one sort carries the keys and their Occ.
+        merged = self._merged_with_occ((8, 50, 1000), 6, 8, seed=5)
+        assert merged.span == 1000 and merged.unique < merged.issued
+
+    def test_occ_with_keys_too_wide_for_one_sort(self):
+        # (max key + 1) * span passes 2**63 (k-mers up to 2**20 at a span
+        # of 2**41 + 1): the keys and their Occ take a sort each.
+        merged = self._merged_with_occ((2**41 + 1, 2**41 + 1), 2**20, 2**41, seed=6)
+        assert (int(merged.keys.max()) + 1) * merged.span >= 2**63
+
     def test_all_duplicate_window_keeps_one_copy(self):
         batch = [R(3, 1), R(1, 9), R(2, 0)]
         window = CoalescingWindow(4)

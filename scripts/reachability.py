@@ -74,7 +74,6 @@ ENTRY_POINTS: tuple[tuple[str, ...], ...] = (
     (*_CLI, "experiment", "fig13", "--genome-length", "8000"),
     (*_CLI, "experiment", "fig15-window", "--genome-length", "8000", "--window", "4"),
     (*_CLI, "experiment", "fig18", "--genome-length", "8000"),
-    (*_CLI, "experiment", "fig18-batching", "--genome-length", "8000"),
     (*_CLI, "experiment", "fig18-window", "--genome-length", "8000", "--window", "8",
      "--json", "{tmp}/window.json"),
     (*_CLI, "experiment", "fig21"),

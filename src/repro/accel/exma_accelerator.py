@@ -14,21 +14,22 @@ The model replays a request stream produced by
 cache/CAM/PE/DRAM models and returns throughput, bandwidth utilisation,
 cache hit rates and energy — the quantities behind Figs. 18, 20, 21 and 22.
 
-The replay itself is **columnar**: :meth:`ExmaAccelerator.run` consumes the
-packed ``(k-mer, pos)`` arrays that the engine's
-:class:`~repro.engine.coalesce.RequestStream` and the window's
-:class:`~repro.engine.window.WindowedBatch` already carry, schedules them
-with array sorts, simulates both caches set-grouped, expands the increment
-fetches into a structured DRAM trace and replays every channel in one
-pass — no per-request Python objects anywhere on the hot path.
+The replay itself is **columnar**: :meth:`ExmaAccelerator.run` chains
+the module's stage functions in pipeline order — :func:`_request_columns`,
+:func:`~repro.hw.scheduler.scheduled_orders`, :func:`_base_cache`,
+:func:`_fetch_plan`, :func:`_index_cache`, :func:`_issue_trace`,
+:meth:`~repro.hw.dram.DRAMModel.process_columns` and :func:`_price` —
+each taking columns and configuration and returning columns, with no
+per-request Python objects anywhere on the hot path.
 :meth:`ExmaAccelerator.run_reference` keeps the original request-at-a-time
-object pipeline as the oracle the equivalence suite replays against; both
-paths produce field-for-field identical :class:`AcceleratorRunResult`\\ s.
+object pipeline as the oracle the equivalence suite replays against; it
+shares only :func:`_price` with :meth:`~ExmaAccelerator.run`, and both
+produce field-for-field identical :class:`AcceleratorRunResult`\\ s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -267,12 +268,18 @@ class ExmaAccelerator(runtime.PoolOwner):
         self._dram_config = self._config.dram_config()
         self._dram = DRAMModel(self._dram_config, page_policy=self._config.page_policy)
         self._chain_ratio = self._effective_chain_ratio()
-        self._layout = self._compute_layout()
+        # DRAM layout: the base array from byte 0 (:func:`_base_address`),
+        # then the index nodes, then the increments.
+        self._index_offset = self._increment_offset = table.kmer_count * BASE_ENTRY_BYTES
         # Per packed code: whether it is modelled, the index-cache
         # addresses of its shared bucket node and of its leaf (gathered for
         # modelled codes only), and its increment base pointer with an
         # absent k-mer's MAX sentinel read as 0 (:meth:`_increment_address`).
         if index is not None:
+            self._increment_offset += (
+                index.shared_node_count * SHARED_NODE_BYTES
+                + len(index.modelled_kmers) * LEAF_NODE_BYTES
+            )
             self._modelled_lookup = index.modelled_lookup(table.kmer_count)
             self._bucket_addresses = self._index_node_address(
                 index.bucket_lookup(table.kmer_count).astype(np.int64)
@@ -312,37 +319,19 @@ class ExmaAccelerator(runtime.PoolOwner):
         sample = increments[: min(increments.size, 65536)]
         return chain_ratio(sample)
 
-    def _compute_layout(self) -> dict[str, int]:
-        """Byte offsets of the base array, index nodes and increments."""
-        base_region = self._table.kmer_count * BASE_ENTRY_BYTES
-        if self._index is not None:
-            index_region = (
-                self._index.shared_node_count * SHARED_NODE_BYTES
-                + len(self._index.modelled_kmers) * LEAF_NODE_BYTES
-            )
-        else:
-            index_region = 0
-        return {
-            "base_offset": 0,
-            "index_offset": base_region,
-            "increment_offset": base_region + index_region,
-        }
-
-    def _base_address(self, packed_kmer: int) -> int:
-        return self._layout["base_offset"] + packed_kmer * BASE_ENTRY_BYTES
-
-    def _index_node_address(self, node_id: int) -> int:
-        return self._layout["index_offset"] + node_id * SHARED_NODE_BYTES
+    def _index_node_address(self, node_id):
+        """Index-cache address of an index node id (an int or an array)."""
+        return self._index_offset + node_id * SHARED_NODE_BYTES
 
     def _increment_address(self, packed_kmer: int, entry_index: int) -> int:
         base = self._table.base(packed_kmer)
         if base >= self._table.max_sentinel:
             base = 0
         entry_bytes = INCREMENT_ENTRY_BYTES * self._chain_ratio
-        return self._layout["increment_offset"] + int((base + entry_index) * entry_bytes)
+        return self._increment_offset + int((base + entry_index) * entry_bytes)
 
     # ------------------------------------------------------------------ #
-    # Main replay loop
+    # Replays
     # ------------------------------------------------------------------ #
 
     def run(
@@ -351,179 +340,48 @@ class ExmaAccelerator(runtime.PoolOwner):
         name: str = "EXMA",
         bases_processed: int | None = None,
     ) -> AcceleratorRunResult:
-        """Replay *requests* columnar and return the measured statistics.
+        """Replay *requests* columnar: the module's stage functions in
+        pipeline order, field-for-field identical to :meth:`run_reference`.
 
-        The whole replay stays array-shaped: scheduling orders and
-        keep-open hints come from
-        :func:`~repro.hw.scheduler.scheduled_orders`, both caches are
-        simulated over their full access sequences with
-        :func:`~repro.hw.cache.simulate_lru_hits`, Occ resolution and MTL
-        prediction run grouped by shared node, one compiled pass
-        (:func:`repro.native.replay_trace`; spec :func:`_assemble_trace`)
-        writes the issue-order :class:`~repro.hw.dram.MemoryTrace`, and
-        one call replays that trace on every DRAM channel.
-        Field-for-field identical to
-        :meth:`run_reference` (the request-at-a-time object model) by the
-        oracle suite's contract.
-
-        The true Occ of each request is the column an EXMA search ranked
-        and the stream or flush carried here (see
-        :meth:`repro.engine.window.CoalescingWindow.flush`); only a
-        container without one is ranked, by :meth:`_request_columns`'
-        one ``occ_batch`` call (made over no requests otherwise).
-
-        Args:
-            requests: the Occ request stream to replay — the engine's
-                columnar :class:`~repro.engine.coalesce.RequestStream`, a
-                flushed :class:`~repro.engine.window.WindowedBatch` (both
-                consumed without materialising request objects), or any
-                :class:`~repro.exma.search.OccRequest` sequence.
-            bases_processed: DNA bases the stream represents.  Defaults to
-                the pre-coalescing estimate ``len(requests) * k / 2``; pass
-                the issued-request count explicitly when replaying a
-                coalesced stream, otherwise throughput is understated by
-                the coalescing factor.
+        *requests* is the engine's columnar
+        :class:`~repro.engine.coalesce.RequestStream`, a flushed
+        :class:`~repro.engine.window.WindowedBatch` (both consumed without
+        request objects) or any :class:`~repro.exma.search.OccRequest`
+        sequence.  *bases_processed* defaults to the pre-coalescing
+        estimate ``len(requests) * k / 2``; pass the issued-request count
+        when replaying a coalesced stream, or throughput is understated by
+        the coalescing factor.
         """
         config = self._config
-        kmers, positions, occ = self._request_columns(requests)
-        count = int(kmers.size)
-        ledger = EnergyLedger()
-        row_bytes = self._dram_config.row_bytes
-        cam_entries = config.cam_entries
-
-        # The keep-open hints come with the orders: each request's but the
-        # last of its (batch, k-mer) run, whichever scheduler issues them.
+        kmers, positions, occ = _request_columns(self._table, requests)
         stage1, stage2, keep_open = scheduled_orders(
-            kmers, positions, cam_entries, config.two_stage_scheduling
+            kmers, positions, config.cam_entries, config.two_stage_scheduling
         )
-
-        # Stage 1: base-cache accesses in per-batch k-mer order.  The
-        # cache's behaviour depends only on its own access sequence, so
-        # the whole run's stage-1 stream is simulated in one call even
-        # though the trace interleaves stage-1 and stage-2 per CAM batch.
-        base_addresses = (
-            self._layout["base_offset"] + kmers[stage1] * BASE_ENTRY_BYTES
-        )
-        base_hits = simulate_lru_hits(
-            base_addresses,
-            config.base_cache_bytes,
-            config.cache_line_bytes,
-            config.base_cache_ways,
-        )
-        base_miss = ~base_hits
-
-        # Stage 2 columns, in per-batch pos order.
+        base_addresses = _base_address(kmers[stage1])
+        base_hits = _base_cache(base_addresses, config)
         stage2_kmers = kmers[stage2]
-        modelled = self._modelled_lookup[stage2_kmers]
-        modelled_slots = np.flatnonzero(modelled)
-        exact_slots = np.flatnonzero(~modelled)
-        modelled_kmers = stage2_kmers[modelled_slots]
-
-        # Occ, in arrival order, is permuted into issue order.  An exact
-        # scan reads from the k-mer's first entry up to the true one; a
-        # modelled lookup reads its probe distance plus two entries.
-        true_index = occ[stage2]
-        exact_true = true_index[exact_slots]
-        exact_entries = np.maximum(
-            1,
-            np.minimum(self._table.frequency_batch(stage2_kmers[exact_slots]), exact_true + 1),
+        modelled_slots, predicted, entries = _fetch_plan(
+            self._table, self._index, self._modelled_lookup[stage2_kmers],
+            stage2_kmers, positions[stage2], occ[stage2],
         )
-        predicted = np.empty(count, dtype=np.int64)
-        predicted[exact_slots] = np.maximum(0, exact_true - exact_entries + 1)
-        if modelled_slots.size:
-            assert self._index is not None
-            predicted[modelled_slots] = self._index.predict_many(
-                modelled_kmers, positions[stage2[modelled_slots]]
-            )
-        entries = np.abs(true_index - predicted)
-        entries += 2
-        entries[exact_slots] = exact_entries
-
-        # Index-cache accesses: the shared bucket node then the leaf, per
-        # modelled request, again simulated as one sequence.
-        index_addresses = np.empty(2 * modelled_slots.size, dtype=np.int64)
-        index_addresses[0::2] = self._bucket_addresses[modelled_kmers]
-        index_addresses[1::2] = self._leaf_addresses[modelled_kmers]
-        index_hits = simulate_lru_hits(
-            index_addresses,
-            config.index_cache_bytes,
-            config.cache_line_bytes,
-            config.index_cache_ways,
+        index_addresses, index_hits = _index_cache(
+            self._bucket_addresses, self._leaf_addresses, stage2_kmers[modelled_slots], config
         )
-
-        inference_lookups = int(modelled_slots.size)
-        increment_entries = int(entries.sum())
-
-        # The issue-order DRAM trace, compiled where the kernel accepts the
-        # columns, else by its NumPy spec.
-        arguments = (
-            base_addresses, base_miss, modelled_slots, index_addresses, index_hits,
-            self._fetch_bases[stage2_kmers] + predicted, entries, keep_open,
-            cam_entries, row_bytes, self._layout["increment_offset"], self._chain_ratio,
+        trace = _issue_trace(
+            base_addresses, ~base_hits, modelled_slots, index_addresses, index_hits,
+            self._fetch_bases[stage2_kmers] + predicted, entries, keep_open, config.cam_entries,
+            self._dram_config.row_bytes, self._increment_offset, self._chain_ratio,
         )
-        built = native.replay_trace(*arguments)
-        trace = _assemble_trace(*arguments) if built is None else MemoryTrace(*built)
-
-        if count:
-            ledger.record("scheduling_queue", count)
-            ledger.record("base_cache", count)
-            ledger.record("sched_and_row", count)
-        index_misses = int(index_hits.size - index_hits.sum())
-        # Every trace entry is one DMA transfer: a base miss, an index-node
-        # miss or an increment chunk.
-        dma_operations = len(trace)
-        if dma_operations:
-            ledger.record("dma_ctrl", dma_operations)
-        if index_hits.size:
-            ledger.record("index_cache", int(index_hits.size))
-        if inference_lookups:
-            ledger.record("inference_engine", inference_lookups)
-        if increment_entries:
-            ledger.record("decompress", increment_entries)
-
-        base_misses = int(base_miss.sum())
-        base_cache_stats = CacheStats(hits=count - base_misses, misses=base_misses)
-        index_cache_stats = CacheStats(
-            hits=int(index_hits.size) - index_misses, misses=index_misses
-        )
-
-        # Replay DRAM traffic, sharded over channels.
-        per_channel = self._dram.process_columns(trace, config.channels)
-        dram_cycles = max((stats.total_cycles for stats in per_channel), default=0)
-        dram_stats = self._merge_dram(per_channel, dram_cycles)
-
-        inference_cost = self._engine.batch_cost(inference_lookups)
-        # Convert engine cycles (800 MHz) to DRAM-clock cycles (1200 MHz).
-        dram_clock = self._dram_config.clock_mhz
-        inference_cycles = int(
-            inference_cost.cycles * dram_clock / self._engine.config.clock_mhz
-        )
-        total_cycles = max(dram_cycles, inference_cycles)
-        seconds = total_cycles / (dram_clock * 1e6)
-
-        bases = (
-            bases_processed if bases_processed is not None else self._bases_processed(count)
-        )
-        accelerator_energy = ledger.total_energy_j(seconds) + inference_cost.energy_pj * 1e-12
-        dram_energy = dram_stats.energy_nj * 1e-9
-
-        return AcceleratorRunResult(
-            name=name,
-            requests=count,
-            bases_processed=bases,
-            total_cycles=total_cycles,
-            dram_cycles=dram_cycles,
-            inference_cycles=inference_cycles,
-            seconds=seconds,
-            base_cache=base_cache_stats,
-            index_cache=index_cache_stats,
-            dram=dram_stats,
-            energy=ledger,
-            accelerator_energy_j=accelerator_energy,
-            dram_energy_j=dram_energy,
-            increment_entries_read=increment_entries,
+        count, lookups, entries_read = int(kmers.size), int(modelled_slots.size), int(entries.sum())
+        if bases_processed is None:
+            bases_processed = self._bases_processed(count)
+        return _price(
+            name, self._dram.process_columns(trace, config.channels),
+            _ledger(count, len(trace), int(index_hits.size), lookups, entries_read),
+            self._engine, self._dram_config.clock_mhz, lookups,
+            requests=count, bases_processed=bases_processed, base_cache=_cache_stats(base_hits),
+            index_cache=_cache_stats(index_hits), increment_entries_read=entries_read,
             dram_requests=len(trace),
-            per_channel=per_channel,
         )
 
     def run_reference(
@@ -537,8 +395,9 @@ class ExmaAccelerator(runtime.PoolOwner):
         The original request-at-a-time model — CAM scheduling via
         :class:`~repro.hw.cam.SchedulingQueue`, per-access
         :meth:`~repro.hw.cache.SetAssociativeCache.access` calls,
-        :class:`~repro.hw.dram.MemoryRequest` objects — kept as the
-        executable specification the oracle suite holds :meth:`run` to.
+        :class:`~repro.hw.dram.MemoryRequest` objects, one ledger record
+        per event — kept as the executable specification the oracle suite
+        holds :meth:`run` to; only the pricing, :func:`_price`, is shared.
         Orders of magnitude slower than the columnar replay; use it for
         equivalence checks, not experiments.
         """
@@ -566,7 +425,7 @@ class ExmaAccelerator(runtime.PoolOwner):
             for request in batch.stage1:
                 ledger.record("scheduling_queue")
                 ledger.record("base_cache")
-                address = self._base_address(request.packed_kmer)
+                address = _base_address(request.packed_kmer)
                 hit = base_cache.access(address)
                 if not hit:
                     dram_trace.append(
@@ -629,43 +488,14 @@ class ExmaAccelerator(runtime.PoolOwner):
                     cursor += chunk
                     remaining -= chunk
 
-        # Replay DRAM traffic, sharded over channels.
-        per_channel = self._run_dram(dram_trace)
-        dram_cycles = max((stats.total_cycles for stats in per_channel), default=0)
-        dram_stats = self._merge_dram(per_channel, dram_cycles)
-
-        inference_cost = self._engine.batch_cost(inference_lookups)
-        # Convert engine cycles (800 MHz) to DRAM-clock cycles (1200 MHz).
-        dram_clock = self._dram_config.clock_mhz
-        inference_cycles = int(
-            inference_cost.cycles * dram_clock / self._engine.config.clock_mhz
-        )
-        total_cycles = max(dram_cycles, inference_cycles)
-        seconds = total_cycles / (dram_clock * 1e6)
-
-        bases = (
-            bases_processed if bases_processed is not None else self._bases_processed(len(requests))
-        )
-        accelerator_energy = ledger.total_energy_j(seconds) + inference_cost.energy_pj * 1e-12
-        dram_energy = dram_stats.energy_nj * 1e-9
-
-        return AcceleratorRunResult(
-            name=name,
-            requests=len(requests),
-            bases_processed=bases,
-            total_cycles=total_cycles,
-            dram_cycles=dram_cycles,
-            inference_cycles=inference_cycles,
-            seconds=seconds,
-            base_cache=base_cache.stats,
-            index_cache=index_cache.stats,
-            dram=dram_stats,
-            energy=ledger,
-            accelerator_energy_j=accelerator_energy,
-            dram_energy_j=dram_energy,
-            increment_entries_read=increment_entries,
-            dram_requests=len(dram_trace),
-            per_channel=per_channel,
+        if bases_processed is None:
+            bases_processed = self._bases_processed(len(requests))
+        return _price(
+            name, self._run_dram(dram_trace), ledger,
+            self._engine, self._dram_config.clock_mhz, inference_lookups,
+            requests=len(requests), bases_processed=bases_processed,
+            base_cache=base_cache.stats, index_cache=index_cache.stats,
+            increment_entries_read=increment_entries, dram_requests=len(dram_trace),
         )
 
     def run_stream(
@@ -783,58 +613,6 @@ class ExmaAccelerator(runtime.PoolOwner):
             channels[request.row % channel_count].append(request)
         return [self._dram.process(channel_trace) for channel_trace in channels]
 
-    @staticmethod
-    def _merge_dram(per_channel: list[DRAMStats], total_cycles: int) -> DRAMStats:
-        """Aggregate per-channel statistics into one record."""
-        merged = DRAMStats()
-        for stats in per_channel:
-            merged.requests += stats.requests
-            merged.row_hits += stats.row_hits
-            merged.row_misses += stats.row_misses
-            merged.row_conflicts += stats.row_conflicts
-            merged.activations += stats.activations
-            merged.precharges += stats.precharges
-            merged.bytes_transferred += stats.bytes_transferred
-            merged.data_bus_busy_cycles += stats.data_bus_busy_cycles
-            merged.address_bus_busy_cycles += stats.address_bus_busy_cycles
-            merged.energy_nj += stats.energy_nj
-        merged.total_cycles = total_cycles
-        # Utilisation across channels: busy cycles relative to what all
-        # channels could have moved in the same window.
-        if total_cycles > 0 and per_channel:
-            merged.data_bus_busy_cycles = int(
-                merged.data_bus_busy_cycles / len(per_channel)
-            )
-        return merged
-
-    def _request_columns(
-        self, requests: "Sequence[OccRequest]"
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Packed k-mer, position and Occ columns of any request container.
-
-        The engine's :class:`~repro.engine.coalesce.RequestStream` and the
-        window's :class:`~repro.engine.window.WindowedBatch` hand their
-        arrays over directly (no object materialisation), Occ included
-        when the search ranked it; plain sequences are packed once.
-
-        The table ranks, in arrival order (a key-sorted flush walks the
-        increments forward), the requests the container carries no Occ
-        for: all of them, or none.  Its one ``occ_batch`` call per replay
-        is made either way, so the replay's Occ stage stays one boundary
-        call whose size is what it ranked — the ``exma.occ`` layer of
-        ``bench/trace.py`` reads 0 lookups for an engine flush.
-        """
-        if isinstance(requests, (WindowedBatch, RequestStream)):
-            kmers, positions, occ = requests.kmers, requests.positions, requests.occ
-        else:
-            count = len(requests)
-            kmers = np.fromiter((request.packed_kmer for request in requests), np.int64, count)
-            positions = np.fromiter((request.pos for request in requests), np.int64, count)
-            occ = None
-        unranked = slice(None) if occ is None else slice(0)
-        ranked = self._table.occ_batch(kmers[unranked], positions[unranked])
-        return kmers, positions, ranked if occ is None else occ
-
     def _bases_processed(self, request_count: int) -> int:
         """DNA bases consumed by *request_count* Occ lookups.
 
@@ -844,6 +622,202 @@ class ExmaAccelerator(runtime.PoolOwner):
         if request_count == 0:
             return 0
         return max(1, request_count * self._table.k // 2)
+
+
+# --------------------------------------------------------------------- #
+# The columnar replay's stages, in pipeline order
+# --------------------------------------------------------------------- #
+
+
+def _request_columns(
+    table: ExmaTable, requests: "Sequence[OccRequest]"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed k-mer, position and Occ columns of any request container.
+
+    The engine's :class:`~repro.engine.coalesce.RequestStream` and the
+    window's :class:`~repro.engine.window.WindowedBatch` hand their
+    arrays over directly (no object materialisation), Occ included
+    when the search ranked it; plain sequences are packed once.
+
+    The table ranks, in arrival order (a key-sorted flush walks the
+    increments forward), the requests the container carries no Occ
+    for: all of them, or none.  Its one ``occ_batch`` call per replay
+    is made either way, so the replay's Occ stage stays one boundary
+    call whose size is what it ranked — the ``exma.occ`` layer of
+    ``bench/trace.py`` reads 0 lookups for an engine flush.
+    """
+    if isinstance(requests, (WindowedBatch, RequestStream)):
+        kmers, positions, occ = requests.kmers, requests.positions, requests.occ
+    else:
+        count = len(requests)
+        kmers = np.fromiter((request.packed_kmer for request in requests), np.int64, count)
+        positions = np.fromiter((request.pos for request in requests), np.int64, count)
+        occ = None
+    unranked = slice(None) if occ is None else slice(0)
+    ranked = table.occ_batch(kmers[unranked], positions[unranked])
+    return kmers, positions, ranked if occ is None else occ
+
+
+def _base_address(packed_kmer):
+    """Base-array address of a packed k-mer (an int or an array); the base
+    array starts at byte 0 of the accelerator's DRAM layout."""
+    return packed_kmer * BASE_ENTRY_BYTES
+
+
+def _base_cache(addresses: np.ndarray, config: ExmaAcceleratorConfig) -> np.ndarray:
+    """The base cache's hit per stage-1 access.  A cache's behaviour
+    depends only on its own access sequence, so the whole run's stage-1
+    stream is one call although the trace interleaves stage 1 and stage 2
+    per CAM batch."""
+    return simulate_lru_hits(
+        addresses, config.base_cache_bytes, config.cache_line_bytes, config.base_cache_ways
+    )
+
+
+def _fetch_plan(
+    table: ExmaTable,
+    index: MTLIndex | None,
+    modelled: np.ndarray,
+    kmers: np.ndarray,
+    positions: np.ndarray,
+    true_index: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each stage-2 slot's increment fetch: ``(modelled_slots, predicted,
+    entries)``, the slots *modelled* marks, the fetch's first entry and
+    its length in entries.
+
+    An exact scan reads from the k-mer's first entry up to the true one
+    (*true_index*, the slot's Occ); a modelled lookup reads from the MTL
+    prediction, its distance to the true entry plus two entries.
+    """
+    modelled_slots = np.flatnonzero(modelled)
+    exact_slots = np.flatnonzero(~modelled)
+    exact_true = true_index[exact_slots]
+    exact_entries = np.maximum(
+        1, np.minimum(table.frequency_batch(kmers[exact_slots]), exact_true + 1)
+    )
+    predicted = np.empty(kmers.size, dtype=np.int64)
+    predicted[exact_slots] = np.maximum(0, exact_true - exact_entries + 1)
+    if modelled_slots.size:
+        predicted[modelled_slots] = index.predict_many(
+            kmers[modelled_slots], positions[modelled_slots]
+        )
+    entries = np.abs(true_index - predicted)
+    entries += 2
+    entries[exact_slots] = exact_entries
+    return modelled_slots, predicted, entries
+
+
+def _index_cache(
+    bucket_addresses: np.ndarray,
+    leaf_addresses: np.ndarray,
+    modelled_kmers: np.ndarray,
+    config: ExmaAcceleratorConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The index cache's ``(addresses, hits)``: per modelled lookup its
+    shared bucket node, then its leaf, simulated as one sequence."""
+    addresses = np.empty(2 * modelled_kmers.size, dtype=np.int64)
+    addresses[0::2] = bucket_addresses[modelled_kmers]
+    addresses[1::2] = leaf_addresses[modelled_kmers]
+    hits = simulate_lru_hits(
+        addresses, config.index_cache_bytes, config.cache_line_bytes, config.index_cache_ways
+    )
+    return addresses, hits
+
+
+def _issue_trace(*columns) -> MemoryTrace:
+    """The issue-order DRAM trace: :func:`repro.native.replay_trace` where
+    it accepts the columns, else its spec :func:`_assemble_trace`."""
+    built = native.replay_trace(*columns)
+    return _assemble_trace(*columns) if built is None else MemoryTrace(*built)
+
+
+def _cache_stats(hits: np.ndarray) -> CacheStats:
+    """Hit and miss counts of one cache's hit mask."""
+    hit_count = int(np.count_nonzero(hits))
+    return CacheStats(hits=hit_count, misses=int(hits.size) - hit_count)
+
+
+def _ledger(
+    requests: int, dma_operations: int, index_accesses: int, lookups: int, entries: int
+) -> EnergyLedger:
+    """The columnar replay's energy ledger, from its counts: each request
+    passes the queue, the base cache and the scheduler's row logic; every
+    trace entry is one DMA transfer (a base miss, an index-node miss or an
+    increment chunk)."""
+    ledger = EnergyLedger()
+    for component, count in (
+        ("scheduling_queue", requests),
+        ("base_cache", requests),
+        ("sched_and_row", requests),
+        ("dma_ctrl", dma_operations),
+        ("index_cache", index_accesses),
+        ("inference_engine", lookups),
+        ("decompress", entries),
+    ):
+        if count:
+            ledger.record(component, count)
+    return ledger
+
+
+def _price(
+    name: str,
+    per_channel: list[DRAMStats],
+    ledger: EnergyLedger,
+    engine: InferenceEngine,
+    dram_clock_mhz: float,
+    inference_lookups: int,
+    **counts,
+) -> AcceleratorRunResult:
+    """The pricing rule of both replays.
+
+    The channels run in parallel, so the DRAM takes its slowest channel's
+    cycles; the inference engine's cycles (at its own clock) convert to
+    DRAM-clock cycles; the two overlap, so the replay takes the larger.
+    The accelerator's energy is the ledger's dynamic energy, its leakage
+    over that time and the inference energy; the DRAM's is its channels'.
+    *counts* are the result's remaining fields, passed through.
+    """
+    dram_cycles = max((stats.total_cycles for stats in per_channel), default=0)
+    dram = _merge_dram(per_channel, dram_cycles)
+    inference = engine.batch_cost(inference_lookups)
+    inference_cycles = int(inference.cycles * dram_clock_mhz / engine.config.clock_mhz)
+    total_cycles = max(dram_cycles, inference_cycles)
+    seconds = total_cycles / (dram_clock_mhz * 1e6)
+    return AcceleratorRunResult(
+        name=name,
+        total_cycles=total_cycles,
+        dram_cycles=dram_cycles,
+        inference_cycles=inference_cycles,
+        seconds=seconds,
+        dram=dram,
+        energy=ledger,
+        accelerator_energy_j=ledger.total_energy_j(seconds) + inference.energy_pj * 1e-12,
+        dram_energy_j=dram.energy_nj * 1e-9,
+        per_channel=per_channel,
+        **counts,
+    )
+
+
+def _merge_dram(per_channel: list[DRAMStats], total_cycles: int) -> DRAMStats:
+    """Aggregate per-channel statistics into one record."""
+    merged = DRAMStats()
+    for counter in fields(DRAMStats):
+        name = counter.name
+        setattr(merged, name, sum((getattr(s, name) for s in per_channel), getattr(merged, name)))
+    merged.total_cycles = total_cycles
+    # Utilisation across channels: busy cycles relative to what all
+    # channels could have moved in the same window.
+    if total_cycles > 0 and per_channel:
+        merged.data_bus_busy_cycles = int(
+            merged.data_bus_busy_cycles / len(per_channel)
+        )
+    return merged
+
+
+# --------------------------------------------------------------------- #
+# The trace stage's specification
+# --------------------------------------------------------------------- #
 
 
 def _assemble_trace(

@@ -250,7 +250,12 @@ def _group_spec(
     """:meth:`MTLIndex.predict_many`'s grouping, the specification of
     :func:`repro.native.mtl_group` and its fallback: one stable argsort of
     the narrow bucket ids, the ``(pos / n, count / n)`` feature rows in
-    that order, and each node's ``(bucket, start, stop)`` slice."""
+    that order, and each node's ``(bucket, start, stop)`` slice.  A
+    k-mer outside ``[0, 4^k)`` is refused, as :meth:`MTLIndex.predict`
+    refuses it, not wrapped by NumPy's indexing."""
+    outside = (kmers < 0) | (kmers >= buckets.size)
+    if outside.any():
+        raise ValueError(f"packed k-mer {kmers[outside][0]} out of range")
     request_buckets = buckets[kmers]
     order = np.argsort(request_buckets, kind="stable")
     grouped = request_buckets[order]
@@ -415,13 +420,14 @@ class MTLIndex:
         return shared + 2 * int(np.count_nonzero(self._buckets >= 0))
 
     def has_model(self, packed: int) -> bool:
-        """Whether *packed* is covered by the MTL index."""
-        return bool(self._buckets[packed] >= 0)
+        """Whether *packed* is covered by the MTL index (``ValueError``
+        outside ``[0, 4^k)``)."""
+        return bool(self._buckets[self._table._packed(packed)] >= 0)
 
     def predict(self, kmer: str | int, pos: int) -> int:
         """Predicted index of *pos* within the k-mer's increment list
         (Eq. 3: the leaf scales the shared CDF estimate by the count)."""
-        packed = kmer if isinstance(kmer, int) else self._table._packed(kmer)
+        packed = self._table._packed(kmer)
         bucket = int(self._buckets[packed])
         if bucket < 0:
             return self._table.occ(packed, pos)
@@ -495,9 +501,10 @@ class MTLIndex:
         """Identifiers of the index nodes touched by a lookup of *kmer*.
 
         Used by the accelerator's index cache: a lookup touches the shared
-        bucket node and the k-mer's leaf.  Unmodelled k-mers touch nothing.
+        bucket node and the k-mer's leaf.  Unmodelled k-mers touch nothing;
+        one outside ``[0, 4^k)`` is refused with ``ValueError``.
         """
-        packed = kmer if isinstance(kmer, int) else self._table._packed(kmer)
+        packed = self._table._packed(kmer)
         bucket = int(self._buckets[packed])
         if bucket < 0:
             return ()

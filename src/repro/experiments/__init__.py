@@ -12,7 +12,7 @@ from .fig10_exma_tradeoff import run_fig10
 from .fig11_12_increments import run_fig11_12
 from .fig13_index_error import format_fig13, run_fig13
 from .fig15_window import format_fig15, run_fig15_window
-from .fig18_throughput import format_fig18, format_fig18_batching, run_fig18, run_fig18_batching
+from .fig18_throughput import format_fig18, run_fig18
 from .fig18_window import format_fig18_window, run_fig18_window
 from .fig19_20_apps import format_fig19, format_fig20, run_fig19_20
 from .fig21_23_memory import run_fig21, run_fig22, run_fig23
@@ -25,7 +25,6 @@ __all__ = [
     "format_fig13",
     "format_fig15",
     "format_fig18",
-    "format_fig18_batching",
     "format_fig18_window",
     "format_fig19",
     "format_fig20",
@@ -37,7 +36,6 @@ __all__ = [
     "run_fig13",
     "run_fig15_window",
     "run_fig18",
-    "run_fig18_batching",
     "run_fig18_window",
     "run_fig19_20",
     "run_fig21",

@@ -25,12 +25,10 @@ from ..accel.config import ex_2stage_config, ex_acc_config, exma_full_config
 from ..accel.exma_accelerator import AcceleratorRunResult, ExmaAccelerator
 from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
-from ..exma.search import ExmaSearch
 from ..exma.table import exma_size_breakdown
-from ..genome.alphabet import QueryBatch
 from ..genome.datasets import DATASETS, HUMAN_PAPER_LENGTH
 from ..lisa.ipbwt import lisa_size_bytes
-from .common import Workload, best_of, build_stack, build_workload, sample_queries, scaled_config
+from .common import Workload, build_workload, scaled_config
 
 GB = 1024**3
 
@@ -184,81 +182,5 @@ def format_fig18(result: Fig18Result) -> str:
         lines.append(
             f"{row.dataset:8s} {row.exma15_software:9.2f} {row.ex_acc:8.2f} "
             f"{row.ex_2stage:10.2f} {row.exma:8.2f} {row.coalescing_factor:8.2f}x"
-        )
-    return "\n".join(lines)
-
-
-# --------------------------------------------------------------------- #
-# Batched vs sequential software search
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class BatchingRow:
-    """Wall-clock comparison of batched vs per-query software search."""
-
-    batch_size: int
-    sequential_seconds: float
-    batched_seconds: float
-    coalescing_factor: float
-
-    @property
-    def speedup(self) -> float:
-        """Sequential-to-batched wall-clock ratio (> 1 means batching wins)."""
-        return self.sequential_seconds / max(self.batched_seconds, 1e-12)
-
-
-def run_fig18_batching(
-    genome_length: int = 20_000,
-    seed: int = 0,
-    batch_sizes: tuple[int, ...] = (16, 64, 256),
-    k: int = 6,
-    query_length: int = 48,
-    repeats: int = 3,
-) -> list[BatchingRow]:
-    """Time the engine's lockstep batch path against the per-query loop.
-
-    Both paths resolve Occ exactly over the same EXMA table, so results
-    are identical; only the execution strategy differs — one Python-level
-    backward search per query versus one vectorized lockstep pass with
-    request coalescing per batch.  Each measurement takes the best of
-    *repeats* runs to damp scheduler noise.
-    """
-    stack = build_stack("human", genome_length, k, seed)
-    sequential = ExmaSearch(stack.table)
-    engine = QueryEngine(ExmaBackend(table=stack.table))
-
-    rows = []
-    for batch_size in batch_sizes:
-        queries = sample_queries(
-            stack.reference.sequence, count=batch_size, length=query_length, seed=seed
-        )
-        sequential_seconds, _ = best_of(
-            repeats, lambda: [sequential.backward_search(q) for q in queries]
-        )
-        batched_seconds, _ = best_of(
-            repeats, lambda: engine.backend.search_batch(QueryBatch.from_strings(queries))
-        )
-        stats = engine.search_batch(queries).stats
-        rows.append(
-            BatchingRow(
-                batch_size=batch_size,
-                sequential_seconds=sequential_seconds,
-                batched_seconds=batched_seconds,
-                coalescing_factor=stats.coalescing_factor,
-            )
-        )
-    return rows
-
-
-def format_fig18_batching(rows: list[BatchingRow]) -> str:
-    """Render the batched-vs-sequential comparison table."""
-    lines = ["Fig. 18 (engine) - batched vs sequential software search"]
-    lines.append(f"{'batch':>6s} {'seq ms':>9s} {'batch ms':>9s} {'speedup':>8s} {'coalesce':>9s}")
-    for row in rows:
-        lines.append(
-            f"{row.batch_size:6d} {row.sequential_seconds * 1e3:9.2f} "
-            f"{row.batched_seconds * 1e3:9.2f} {row.speedup:7.2f}x "
-            f"{row.coalescing_factor:8.2f}x"
         )
     return "\n".join(lines)

@@ -27,7 +27,7 @@ from .fig01_breakdown import format_fig1, run_fig1
 from .fig06_prior import run_fig6
 from .fig10_exma_tradeoff import run_fig10
 from .fig13_index_error import format_fig13, run_fig13
-from .fig18_throughput import format_fig18, format_fig18_batching, run_fig18, run_fig18_batching
+from .fig18_throughput import format_fig18, run_fig18
 from .fig21_23_memory import run_fig21, run_fig23
 from .tables import format_table2, run_table2
 
@@ -342,9 +342,6 @@ EXPERIMENTS: "tuple[Experiment, ...]" = (
         fig15_window.format_fig15,
     ),
     Experiment("fig18", _reference_flags, _call(run_fig18), format_fig18),
-    Experiment(
-        "fig18-batching", _reference_flags, _call(run_fig18_batching), format_fig18_batching
-    ),
     Experiment(
         "fig18-window",
         _fig18_window_flags,

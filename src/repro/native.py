@@ -13,7 +13,9 @@ which its caller runs wherever the wrapper declines.
   one int64 pass over the whole trace (a mask and a shift where the
   channels and the bus bytes are powers of two);
 * ``replay_trace`` is :func:`repro.accel.exma_accelerator._assemble_trace`,
-  the replay's issue-order DRAM trace in one pass over the CAM batches:
+  the columnar replay's trace stage (``_issue_trace``, between the index
+  cache and the DRAM channels): its issue-order DRAM trace in one pass
+  over the CAM batches:
   each batch's base misses, then each slot's index-node misses and its
   increment fetch (the spec's float64 steps) cut by the reference
   replay's cursor rule, ``min(remaining, room in row, cap)``;

@@ -26,6 +26,8 @@ layer:
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import sys
 
 import numpy as np
@@ -44,12 +46,15 @@ from repro.exma.search import OccRequest
 from repro.exma.table import ExmaTable
 from repro.experiments.common import scaled_config
 from repro.genome.sequence import RepeatProfile, random_genome
-from repro.hw.cache import SetAssociativeCache, simulate_lru_hits
+from repro.hw.cache import CacheStats, SetAssociativeCache, simulate_lru_hits
 from repro.hw.cam import CamConfig
+from repro.hw.energy import EXMA_ACCELERATOR_LEAKAGE_W, EnergyLedger
+from repro.hw.pe_array import InferenceEngine
 from repro.hw.dram import (
     BURST_BYTES,
     DDR4Config,
     DRAMModel,
+    DRAMStats,
     MemoryRequest,
     MemoryTrace,
     PagePolicy,
@@ -724,3 +729,110 @@ class TestReplayStaysColumnar:
         calls_small = _calls_made(accelerator.replay_flush, small)
         calls_large = _calls_made(accelerator.replay_flush, large)
         assert calls_large <= calls_small + 200, (calls_small, calls_large)
+
+
+# --------------------------------------------------------------------- #
+# The stage seams the whole-stack benchmark traces
+# --------------------------------------------------------------------- #
+
+
+def _bench_tracer():
+    """A fresh ``bench/trace.py`` tracer, loaded from its file: its
+    ``install`` names the owner/attribute pairs a replay must reach."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "trace.py"
+    spec = importlib.util.spec_from_file_location("bench_trace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+@pytest.mark.parametrize("path", ("compiled", "pure-python"))
+def test_replay_flush_reaches_every_traced_stage(path, workload, backends, monkeypatch):
+    # Each replay stage is one call of the boundary the benchmark wraps,
+    # made inside the replay's span: a restructure that bypasses one
+    # would leave its layer empty in every traced run.
+    monkeypatch.setattr(native, "_library", native._UNRESOLVED)
+    if path == "pure-python":
+        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
+    else:
+        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
+    assert bool(native.loaded_kernels()) == (path == "compiled")
+    _, batches = workload
+    table, mtl, backend_map = backends
+    engine = QueryEngine(backend_map["exma-mtl"])
+    streams = [engine.request_stream(batch)[0] for batch in batches]
+    flushed = next(iter(CoalescingWindow(len(streams)).stream(streams)))
+    accelerator = ExmaAccelerator(table, mtl, _config(True, PagePolicy.DYNAMIC))
+    tracer = _bench_tracer()
+    with tracer.installed():
+        result = accelerator.replay_flush(flushed)
+    (replay,) = tracer.named("accel.replay")
+    assert replay.counts["requests"] == result.requests > 0
+    spans = {
+        name: tracer.named(name)
+        for name in ("hw.scheduler", "hw.cache", "exma.occ", "exma.mtl", "hw.dram")
+    }
+    assert {name: len(found) for name, found in spans.items()} == {
+        "hw.scheduler": 1, "hw.cache": 2, "exma.occ": 1, "exma.mtl": 1, "hw.dram": 1,
+    }
+    assert all(span.parent == replay.id for found in spans.values() for span in found)
+    # The flush carries the search's Occ column, so the table ranks nothing.
+    assert spans["exma.occ"][0].counts == {"items": 0}
+    assert 0 < spans["exma.mtl"][0].counts["items"] <= result.requests
+    assert spans["hw.dram"][0].counts == {"items": result.dram_requests}
+
+
+# --------------------------------------------------------------------- #
+# The pricing rule both replays share
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "lookups, inference_cycles, total_cycles",
+    [
+        # 10 000 lookups x 42 MACs at 256 MACs a cycle: 1 641 engine
+        # cycles at 800 MHz, int(1 641 x 1 200 / 800) = 2 461 DRAM cycles,
+        # past the slowest channel's 1 500.
+        (10_000, 2461, 2461),
+        # 100 lookups: 17 engine cycles, int(25.5) = 25 DRAM cycles; the
+        # slowest channel's 1 500 cycles set the time.
+        (100, 25, 1500),
+    ],
+    ids=("inference-bound", "dram-bound"),
+)
+def test_pricing_rule_worked_example(lookups, inference_cycles, total_cycles):
+    engine = InferenceEngine()
+    dram_clock = DDR4Config().clock_mhz
+    assert (engine.config.clock_mhz, dram_clock) == (800, 1200)
+    channels = [
+        DRAMStats(requests=10, row_hits=4, data_bus_busy_cycles=300, total_cycles=1000,
+                  energy_nj=5.0),
+        DRAMStats(requests=6, row_hits=3, data_bus_busy_cycles=500, total_cycles=1500,
+                  energy_nj=7.5),
+    ]
+    ledger = EnergyLedger({"base_cache": 3, "dma_ctrl": 2})
+    counts = dict(
+        requests=7, bases_processed=21, base_cache=CacheStats(1, 2),
+        index_cache=CacheStats(3, 4), increment_entries_read=5, dram_requests=16,
+    )
+    result = exma_accelerator._price(
+        "worked", channels, ledger, engine, dram_clock, lookups, **counts
+    )
+    seconds = total_cycles / 1.2e9
+    assert result.dram_cycles == 1500
+    assert result.inference_cycles == inference_cycles
+    assert result.total_cycles == total_cycles == max(result.dram_cycles, inference_cycles)
+    assert result.seconds == pytest.approx(seconds, rel=1e-15)
+    # Dynamic: 3 base-cache accesses x 17.2 pJ + 2 DMA transfers x 3.42 pJ;
+    # leakage over the replay's time; inference: 42 MACs x 0.25 pJ a lookup.
+    dynamic_j = (3 * 17.2 + 2 * 3.42) * 1e-12
+    inference_j = lookups * 42 * 0.25e-12
+    assert result.accelerator_energy_j == pytest.approx(
+        dynamic_j + EXMA_ACCELERATOR_LEAKAGE_W * seconds + inference_j, rel=1e-12
+    )
+    assert result.dram_energy_j == pytest.approx(12.5e-9, rel=1e-12)
+    # The channels merge: counters summed, the bus busy cycles averaged.
+    assert (result.dram.requests, result.dram.row_hits) == (16, 7)
+    assert (result.dram.data_bus_busy_cycles, result.dram.total_cycles) == (400, 1500)
+    assert result.per_channel == channels and result.energy is ledger
+    assert {name: getattr(result, name) for name in counts} == counts

@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import native
 from repro.exma.learned_index import NaiveLearnedIndex, _PerKmerModel
 from repro.exma import mtl_index
 from repro.exma.mtl_index import MTLIndex, SharedNode
 from repro.exma.table import ExmaTable
 from repro.genome.sequence import RepeatProfile, random_genome
 from repro.lisa.learned_index import LinearModel
+from repro.runtime import PURE_PYTHON_ENV
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +309,32 @@ class TestMTLIndex:
         assert index.predict_many(np.array([heavy]), np.array([7])).tolist() == [
             index.predict(heavy, 7)
         ]
+
+    @pytest.mark.parametrize("path", ("compiled", "pure-python"))
+    def test_out_of_range_kmers_are_refused(self, repeat_table, path, monkeypatch):
+        # NumPy's indexing would read -1 as the last code, which is
+        # modelled here: every k-mer entry point refuses a code outside
+        # [0, 4^k) as predict does, whether the grouping runs compiled
+        # (it declines such a k-mer) or as its spec.
+        monkeypatch.setattr(native, "_library", native._UNRESOLVED)
+        if path == "pure-python":
+            monkeypatch.setenv(PURE_PYTHON_ENV, "1")
+        else:
+            monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
+        assert ("mtl_group" in native.loaded_kernels()) == (path == "compiled")
+        index = MTLIndex(repeat_table, model_threshold=0, samples_per_kmer=16, epochs=10)
+        last = repeat_table.kmer_count - 1
+        assert index.has_model(last)
+        for kmer in (-1, -repeat_table.kmer_count, repeat_table.kmer_count):
+            message = f"packed k-mer {kmer} out of range"
+            with pytest.raises(ValueError, match=message):
+                index.predict_many(np.array([last, kmer]), np.array([7, 7]))
+            with pytest.raises(ValueError, match=message):
+                index.has_model(kmer)
+            with pytest.raises(ValueError, match=message):
+                index.node_ids_for(kmer)
+            with pytest.raises(ValueError, match=message):
+                index.predict(kmer, 7)
 
     def test_each_leaf_is_fit_on_its_own_samples(self, repeat_table):
         # Re-draw every k-mer's samples the way the recipe states them — one

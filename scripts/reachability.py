@@ -140,8 +140,6 @@ EXPLAINED: dict[str, str] = {
     "banded version is checked against (tests/test_smith_waterman.py)",
     "engine/coalesce.py:BatchStats.merge": "oracle: the naive per-shard merge "
     "tests/test_sharded.py sets against the trace-based shard merge",
-    "engine/window.py:WindowedBatch.from_requests": "oracle: builds the expected flush "
-    "from plain requests (tests/test_window.py)",
     "genome/alphabet.py:decode": "oracle: inverts encode in tests/test_alphabet.py (a search "
     "batch with partial-chunk tails also reaches it)",
     "genome/alphabet.py:gc_content": "oracle: tests/test_sequence.py checks random_genome's "
@@ -196,10 +194,6 @@ EXPLAINED: dict[str, str] = {
     "engine/coalesce.py:RequestStream.__getitem__": "protocol: abstract in the Sequence ABC",
     "engine/coalesce.py:RequestStream.__iter__": "protocol: Sequence iteration over the "
     "lazy object view (tests/test_coalescing.py TestRequestStream); the replay reads columns",
-    "engine/window.py:WindowedBatch.__getitem__": "protocol: abstract in the Sequence ABC",
-    "engine/window.py:WindowedBatch.__len__": "protocol: abstract in the Sequence ABC",
-    "engine/window.py:WindowedBatch.__iter__": "protocol: Sequence iteration over the "
-    "materialised request view",
     "runtime.py:PoolOwner.__enter__": "protocol: the with statement",
     "runtime.py:PoolOwner.__exit__": "protocol: the with statement",
     # test-seam: a test observes or drives the system through it.
@@ -207,12 +201,6 @@ EXPLAINED: dict[str, str] = {
     "replay tests read",
     "apps/alignment.py:ReadAligner.align_read": "test-seam: one read through the batched "
     "aligner, for the alignment tests",
-    "apps/alignment.py:ReadAligner.window_capacity": "test-seam: the windowed app-path "
-    "tests read the configured W",
-    "apps/alignment.py:ReadAligner.windowed_flushes": "test-seam: the windowed app-path "
-    "tests read the flushes",
-    "apps/annotation.py:ExactWordAnnotator.windowed_flushes": "test-seam: the windowed "
-    "app-path tests read the flushes",
     "engine/backends.py:ExmaBackend.index": "test-seam: tests read the backend's MTL index",
     "engine/backends.py:ExmaBackend.table": "test-seam: tests read the backend's EXMA table",
     "engine/engine.py:QueryEngine.count_batch": _CONVENIENCE,
@@ -227,12 +215,8 @@ EXPLAINED: dict[str, str] = {
     "index error of a batch",
     "engine/sharded.py:ShardedQueryEngine.search_batch_per_shard": "test-seam: the "
     "per-shard results tests/test_sharded.py merges naively",
-    "engine/coalesce.py:RequestStream.materialize": "test-seam: the object view tests "
-    "check stays cached until the stream grows (tests/test_coalescing.py)",
     "engine/window.py:CoalescingWindow.pending": "test-seam: tests read the unflushed "
     "batch count",
-    "engine/window.py:WindowedBatch.materialised": "test-seam: tests check the object "
-    "view stays lazy",
     "exma/mtl_index.py:MTLIndex.table": "test-seam: tests read the indexed table",
     "exma/search.py:ExmaSearch.table": "test-seam: tests read the searched table",
     "faults.py:FaultInjector.injected": "test-seam: the fault tests count landed faults",

@@ -36,7 +36,7 @@ import numpy as np
 
 from .. import native, runtime
 from ..engine.coalesce import RequestStream
-from ..engine.window import CoalescingWindow, WindowedBatch
+from ..engine.window import CoalescingWindow
 from ..exma.chain import compression_ratio as chain_ratio
 from ..exma.mtl_index import MTLIndex
 from ..exma.search import OccRequest
@@ -109,7 +109,7 @@ class AcceleratorRunResult:
 class WindowedRunResult:
     """One streamed run: per-flush accelerator results plus the aggregate.
 
-    Each flushed :class:`~repro.engine.window.WindowedBatch` is one
+    Each flushed :class:`~repro.engine.coalesce.RequestStream` is one
     scheduling epoch — the accelerator replays its merged request stream
     with fresh queue/cache state and accounts cycles and energy for that
     flush alone (``flushes``), so a window capacity of 1 is byte-identical
@@ -223,21 +223,12 @@ class WindowedRunResult:
 
 
 def replay_epoch(
-    accelerator: "ExmaAccelerator",
-    name: str,
-    flushed: "WindowedBatch | Sequence[OccRequest]",
+    accelerator: "ExmaAccelerator", name: str, flushed: RequestStream
 ) -> AcceleratorRunResult:
-    """Replay one flush epoch on *accelerator*.
-
-    The unit every stream replay maps over, inline or on a pool worker
-    (module-level so the process executor pickles it by reference): a
-    :class:`~repro.engine.window.WindowedBatch` goes through
-    :meth:`ExmaAccelerator.replay_flush` (issued-count base accounting),
-    a plain request sequence through :meth:`ExmaAccelerator.run`.
-    """
-    if isinstance(flushed, WindowedBatch):
-        return accelerator.replay_flush(flushed, name=name)
-    return accelerator.run(flushed, name=name)
+    """Replay one flush epoch on *accelerator*: the unit every stream
+    replay maps over, inline or on a pool worker (module-level so the
+    process executor pickles it by reference)."""
+    return accelerator.replay_flush(flushed, name=name)
 
 
 class ExmaAccelerator(runtime.PoolOwner):
@@ -343,11 +334,11 @@ class ExmaAccelerator(runtime.PoolOwner):
         """Replay *requests* columnar: the module's stage functions in
         pipeline order, field-for-field identical to :meth:`run_reference`.
 
-        *requests* is the engine's columnar
-        :class:`~repro.engine.coalesce.RequestStream`, a flushed
-        :class:`~repro.engine.window.WindowedBatch` (both consumed without
-        request objects) or any :class:`~repro.exma.search.OccRequest`
-        sequence.  *bases_processed* defaults to the pre-coalescing
+        *requests* is a columnar
+        :class:`~repro.engine.coalesce.RequestStream` — the engine's or a
+        window's flush, consumed without request objects — or any
+        :class:`~repro.exma.search.OccRequest` sequence, packed once.
+        *bases_processed* defaults to the pre-coalescing
         estimate ``len(requests) * k / 2``; pass the issued-request count
         when replaying a coalesced stream, or throughput is understated by
         the coalescing factor.
@@ -500,25 +491,25 @@ class ExmaAccelerator(runtime.PoolOwner):
 
     def run_stream(
         self,
-        windows: "Iterable[WindowedBatch | Sequence[OccRequest]]",
+        windows: "Iterable[Sequence[OccRequest]]",
         name: str = "EXMA",
         replay_workers: int = 1,
         executor: str = "thread",
     ) -> WindowedRunResult:
         """Replay a stream of flushed windows, accounting each flush alone.
 
-        *windows* is an iterator of :class:`~repro.engine.window
-        .WindowedBatch` flushes (what :meth:`~repro.engine.window
-        .CoalescingWindow.stream` yields) or plain request sequences.
-        Each flush is one scheduling epoch: it is replayed with fresh
-        queue/cache/DRAM state exactly as :meth:`run` would replay the
-        same requests, so a W=1 stream is byte-identical per flush to the
-        per-batch path.  A :class:`WindowedBatch` is consumed columnar
-        end-to-end — its packed key array feeds the array schedulers
-        directly and no request objects exist anywhere in the replay —
-        and its bases default to the *issued* (pre-window-merge) count, so
-        throughput stays comparable across window capacities while the
-        replayed stream shrinks with W.
+        *windows* is an iterator of flushed
+        :class:`~repro.engine.coalesce.RequestStream`\\ s (what
+        :meth:`~repro.engine.window.CoalescingWindow.stream` yields) or
+        plain request sequences, each taken as a one-batch flush.  Each
+        flush is one scheduling epoch, replayed by :meth:`replay_flush`
+        with fresh queue/cache/DRAM state, so a W=1 stream is
+        byte-identical per flush to the per-batch path.  A stream is
+        consumed columnar end-to-end — its packed key array feeds the
+        array schedulers directly and no request objects exist anywhere
+        in the replay — and its bases are the *issued* (pre-window-merge)
+        count, so throughput stays comparable across window capacities
+        while the replayed stream shrinks with W.
 
         Because epochs are independent, ``replay_workers > 1`` fans them
         across this accelerator's persistent worker pool
@@ -536,13 +527,9 @@ class ExmaAccelerator(runtime.PoolOwner):
 
         def accounted():
             nonlocal batches, issued
-            for flushed in windows:
-                if isinstance(flushed, WindowedBatch):
-                    batches += flushed.batches
-                    issued += flushed.issued
-                else:
-                    batches += 1
-                    issued += len(flushed)
+            for flushed in map(RequestStream.of, windows):
+                batches += flushed.batches
+                issued += flushed.issued
                 yield flushed
 
         if workers == 1:
@@ -556,7 +543,7 @@ class ExmaAccelerator(runtime.PoolOwner):
         )
 
     def replay_flush(
-        self, flushed: "WindowedBatch", name: str = "EXMA"
+        self, flushed: RequestStream, name: str = "EXMA"
     ) -> AcceleratorRunResult:
         """Replay one flushed window as an independent scheduling epoch.
 
@@ -632,12 +619,13 @@ class ExmaAccelerator(runtime.PoolOwner):
 def _request_columns(
     table: ExmaTable, requests: "Sequence[OccRequest]"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Packed k-mer, position and Occ columns of any request container.
+    """Packed k-mer, position and Occ columns of any request sequence.
 
-    The engine's :class:`~repro.engine.coalesce.RequestStream` and the
-    window's :class:`~repro.engine.window.WindowedBatch` hand their
-    arrays over directly (no object materialisation), Occ included
-    when the search ranked it; plain sequences are packed once.
+    A :class:`~repro.engine.coalesce.RequestStream` — the engine's or a
+    window's flush — hands its arrays over directly (no object
+    materialisation), Occ included when the search ranked it; other
+    sequences are packed once (:meth:`~repro.engine.coalesce
+    .RequestStream.of`).
 
     The table ranks, in arrival order (a key-sorted flush walks the
     increments forward), the requests the container carries no Occ
@@ -646,13 +634,8 @@ def _request_columns(
     call whose size is what it ranked — the ``exma.occ`` layer of
     ``bench/trace.py`` reads 0 lookups for an engine flush.
     """
-    if isinstance(requests, (WindowedBatch, RequestStream)):
-        kmers, positions, occ = requests.kmers, requests.positions, requests.occ
-    else:
-        count = len(requests)
-        kmers = np.fromiter((request.packed_kmer for request in requests), np.int64, count)
-        positions = np.fromiter((request.pos for request in requests), np.int64, count)
-        occ = None
+    stream = RequestStream.of(requests)
+    kmers, positions, occ = stream.kmers, stream.positions, stream.occ
     unranked = slice(None) if occ is None else slice(0)
     ranked = table.occ_batch(kmers[unranked], positions[unranked])
     return kmers, positions, ranked if occ is None else occ

@@ -22,20 +22,21 @@ of which worker runs it).
 
 Scaling notes: with the *process* executor the epochs escape the GIL
 outright.  With the *thread* executor the replay scales only as far as
-the per-epoch code releases the GIL — the numpy kernels.  The DRAM bus
-recurrence runs compiled (:mod:`repro.native`) but keeps the GIL: at
-a few ns a request it is no longer a serial fraction worth releasing.
+the per-epoch code releases the GIL — the NumPy calls between the
+compiled stages.  Every compiled kernel the replay calls (each a
+:data:`repro.native.KERNELS` row) runs under ``ctypes.PyDLL`` with the
+GIL held, so threads overlap a flush's NumPy stretches, not its
+kernels: two replay threads ran 1.09x and 1.15x as fast as the serial
+replay on the ``offline-replay`` workload (ROADMAP item AB).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Sequence
 
 from .. import runtime
-from ..engine.window import WindowedBatch
-from ..exma.search import OccRequest
+from ..engine.coalesce import RequestStream
 from ..faults import SITE_SUBMIT, FaultInjector, InjectedFault
 from .exma_accelerator import AcceleratorRunResult, ExmaAccelerator, replay_epoch
 
@@ -135,7 +136,7 @@ class ParallelReplay(runtime.PoolOwner):
 
     def replay_flush(
         self,
-        flushed: "WindowedBatch | Sequence[OccRequest]",
+        flushed: RequestStream,
         name: str = "EXMA",
     ) -> AcceleratorRunResult:
         """Replay one flush epoch on a pool worker.

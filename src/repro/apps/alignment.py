@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..engine.backends import FMIndexBackend
-from ..engine.coalesce import BatchStats
-from ..engine.window import CoalescingWindow, WindowedBatch
 from ..genome.alphabet import reverse_complement
 from ..genome.reads import SimulatedRead
 from ..index.fmindex import FMIndex, Seed
@@ -62,13 +60,6 @@ class ReadAligner:
         extension_band: Smith-Waterman band width.
         max_seed_hits: reference positions considered per seed (seeds with
             more hits are repetitive and skipped, as BWA-MEM does).
-        window: scheduling-window capacity W — record each seeding pass's
-            coalesced Occ request stream and merge duplicates across W
-            consecutive passes through a
-            :class:`~repro.engine.window.CoalescingWindow`, producing the
-            flushed :class:`~repro.engine.window.WindowedBatch` stream the
-            accelerator model replays (``windowed_flushes`` /
-            ``flush_window``).
     """
 
     def __init__(
@@ -79,7 +70,6 @@ class ReadAligner:
         extension_band: int = 16,
         max_seed_hits: int = 8,
         scoring: ScoringScheme | None = None,
-        window: int | None = None,
     ) -> None:
         if min_seed_length <= 0:
             raise ValueError("min_seed_length must be positive")
@@ -92,8 +82,6 @@ class ReadAligner:
         self._band = extension_band
         self._max_hits = max_seed_hits
         self._scoring = scoring or ScoringScheme()
-        self._window = CoalescingWindow(window) if window is not None else None
-        self._window_flushes: list[WindowedBatch] = []
 
     def align_read(
         self, read: str, name: str = "read", counters: AlignerCounters | None = None
@@ -106,44 +94,10 @@ class ReadAligner:
         if not read:
             raise ValueError("read must be non-empty")
         oriented = (read, reverse_complement(read))
-        seeds = self._seed_batch(list(oriented))
+        seeds = self._backend.maximal_exact_matches_batch(
+            list(oriented), min_length=self._min_seed
+        )
         return self._align_from_seeds(name, oriented, seeds, counters)
-
-    @property
-    def window_capacity(self) -> int | None:
-        """The configured scheduling-window W, or ``None``."""
-        return self._window.capacity if self._window is not None else None
-
-    @property
-    def windowed_flushes(self) -> tuple[WindowedBatch, ...]:
-        """Windows flushed so far (cross-pass merged Occ request streams)."""
-        return tuple(self._window_flushes)
-
-    def flush_window(self) -> WindowedBatch | None:
-        """Force-flush the partial window (end of the read stream)."""
-        if self._window is None:
-            return None
-        flushed = self._window.flush()
-        if flushed is not None:
-            self._window_flushes.append(flushed)
-        return flushed
-
-    def _seed_batch(self, oriented: list[str]) -> list[list[Seed]]:
-        """Seed a batch of oriented reads in one lockstep MEM pass.
-
-        With a scheduling window configured, the pass records its stats
-        and its columnar request stream is pushed through the window.
-        """
-        if self._window is not None:
-            stats = BatchStats()
-            seeds = self._backend.maximal_exact_matches_batch(
-                oriented, min_length=self._min_seed, stats=stats
-            )
-            flushed = self._window.push(stats.requests)
-            if flushed is not None:
-                self._window_flushes.append(flushed)
-            return seeds
-        return self._backend.maximal_exact_matches_batch(oriented, min_length=self._min_seed)
 
     def _align_from_seeds(
         self,
@@ -228,7 +182,9 @@ class ReadAligner:
                 raise ValueError("read must be non-empty")
             oriented_all.append(read.sequence)
             oriented_all.append(reverse_complement(read.sequence))
-        seeds_all = self._seed_batch(oriented_all)
+        seeds_all = self._backend.maximal_exact_matches_batch(
+            oriented_all, min_length=self._min_seed
+        )
         results = []
         for i, read in enumerate(reads):
             oriented = (oriented_all[2 * i], oriented_all[2 * i + 1])

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..engine.backends import FMIndexBackend
 from ..engine.engine import QueryEngine
-from ..engine.window import CoalescingWindow, WindowedBatch
 from ..index.fmindex import FMIndex
 
 
@@ -48,13 +47,6 @@ class ExactWordAnnotator:
     sharded ``engine`` (e.g. :class:`~repro.engine.sharded
     .ShardedQueryEngine`) to search word sets in parallel; results stay
     identical to serial.
-
-    Passing ``window`` records each annotate call's coalesced Occ request
-    stream into a :class:`~repro.engine.window.CoalescingWindow` of W
-    consecutive word batches; the flushed
-    :class:`~repro.engine.window.WindowedBatch` stream
-    (``windowed_flushes`` / ``flush_window``) is what the windowed
-    accelerator pipeline replays.  Annotations are unaffected.
     """
 
     def __init__(
@@ -62,39 +54,18 @@ class ExactWordAnnotator:
         fm_index: FMIndex,
         max_positions_per_word: int = 1000,
         engine: QueryEngine | None = None,
-        window: int | None = None,
     ) -> None:
         if max_positions_per_word <= 0:
             raise ValueError("max_positions_per_word must be positive")
         self._fm = fm_index
         self._engine = engine or QueryEngine(FMIndexBackend(fm_index=fm_index))
         self._max_positions = max_positions_per_word
-        self._window = CoalescingWindow(window) if window is not None else None
-        self._window_flushes: list[WindowedBatch] = []
-
-    @property
-    def windowed_flushes(self) -> tuple[WindowedBatch, ...]:
-        """Windows flushed so far (cross-batch merged Occ request streams)."""
-        return tuple(self._window_flushes)
-
-    def flush_window(self) -> WindowedBatch | None:
-        """Force-flush the partial window (end of the word stream)."""
-        if self._window is None:
-            return None
-        flushed = self._window.flush()
-        if flushed is not None:
-            self._window_flushes.append(flushed)
-        return flushed
 
     def annotate(
         self, words: list[str], counters: AnnotationCounters | None = None
     ) -> list[WordAnnotation]:
         """Annotate a batch of words in one lockstep engine pass."""
-        positions_per_word, stats = self._engine.find_batch(words, limit=self._max_positions)
-        if self._window is not None:
-            flushed = self._window.push(stats.requests)
-            if flushed is not None:
-                self._window_flushes.append(flushed)
+        positions_per_word, _ = self._engine.find_batch(words, limit=self._max_positions)
         annotations = []
         for word, positions in zip(words, positions_per_word):
             annotation = WordAnnotation(word=word, positions=tuple(positions))

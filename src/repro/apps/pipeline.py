@@ -90,23 +90,12 @@ def run_application(
     read_count: int = 30,
     read_length: int = 101,
     seed: int = 0,
-    window: int | None = None,
-    window_flushes: "list | None" = None,
 ) -> WorkCounters:
     """Run one application at reproduction scale and return its work.
 
     Annotation and compression do not depend on the read error profile (the
     paper evaluates them once per dataset); alignment and assembly use
-    reads simulated with *profile*.  ``window`` opts the FM-Index-heavy
-    applications (alignment seeding, annotation word batches) into
-    recording their coalesced request streams through a scheduling
-    window of W consecutive batches (see :class:`~repro.engine.window
-    .CoalescingWindow`); the flushed
-    :class:`~repro.engine.window.WindowedBatch` stream is appended to the
-    *window_flushes* list when one is supplied — pass it to
-    :meth:`repro.accel.exma_accelerator.ExmaAccelerator.run_stream` to
-    replay the application's windowed stream — and the work counters
-    stay identical.
+    reads simulated with *profile*.
     """
     if application not in APPLICATIONS:
         raise ValueError(f"unknown application {application!r}")
@@ -124,12 +113,8 @@ def run_application(
             fm_index=fm,
             min_seed_length=12 if long_read_profile else 15,
             extension_band=24 if long_read_profile else 16,
-            window=window,
         )
         _, counters = aligner.align_batch(reads)
-        aligner.flush_window()
-        if window_flushes is not None:
-            window_flushes.extend(aligner.windowed_flushes)
         return _alignment_work(counters)
 
     if application == "assembly":
@@ -156,12 +141,9 @@ def run_application(
         words = words_from_reference(reference.sequence, word_length=24, stride=max(64, len(reference.sequence) // max(read_count, 1)))
         # Annotation's word set routes through the batched engine in one
         # lockstep pass; alignment's seeding is batched inside ReadAligner.
-        annotator = ExactWordAnnotator(fm, window=window)
+        annotator = ExactWordAnnotator(fm)
         counters = AnnotationCounters()
         annotator.annotate(words, counters)
-        annotator.flush_window()
-        if window_flushes is not None:
-            window_flushes.extend(annotator.windowed_flushes)
         return WorkCounters(
             fm_bases_searched=counters.bases_searched,
             dp_cells=0,

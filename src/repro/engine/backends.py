@@ -239,7 +239,7 @@ class FMIndexBackend(SearchBackend):
     # ------------------------------------------------------------------ #
 
     def maximal_exact_matches_batch(
-        self, reads: Sequence[str], min_length: int = 10, stats: BatchStats | None = None
+        self, reads: Sequence[str], min_length: int = 10
     ) -> list[list["Seed"]]:
         """Greedy maximal exact matches of many reads, in lockstep.
 
@@ -248,18 +248,13 @@ class FMIndexBackend(SearchBackend):
         seeds, same order — but advances every read together and answers
         each global step's backward extensions with one coalesced batch of
         Occ lookups, so seeding a read batch drives the memory system the
-        way the paper's request streams do.  With *stats*, each global
-        step's coalesced requests are recorded exactly as
-        :meth:`search_batch` records them, so the seeding pass yields the
-        columnar request stream the windowed accelerator pipeline replays.
+        way the paper's request streams do.
         """
         from ..index.fmindex import Seed
 
         n = self._fm.reference_length
         occ = self._fm.occ_prefix_sums()
         count = self._fm.count_table
-        if stats is not None:
-            stats.queries += len(reads)
 
         states = []
         for read in reads:
@@ -307,11 +302,6 @@ class FMIndexBackend(SearchBackend):
             n_active = symbols.size
             new_lows = count[symbols] + occ_all[:n_active]
             new_highs = count[symbols] + occ_all[n_active:]
-            if stats is not None:
-                stats.iterations += int(n_active)
-                # Same base-read rule as search_batch: one gather from the
-                # dense Occ table per unique symbol per global step.
-                stats.record_step(step.keys, step.span, step.issued, step.unique_kmers)
 
             for i, (state, _) in enumerate(extenders):
                 if new_lows[i] < new_highs[i]:

@@ -14,7 +14,9 @@ The post-merge stream itself is **columnar**: :class:`RequestStream` keeps
 the per-step unique ``(kmer, pos)`` pairs as packed int64 arrays, and the
 accelerator's columnar replay (:meth:`repro.accel.exma_accelerator
 .ExmaAccelerator.run`) consumes those arrays directly — neither the hot
-recording loop nor the replay ever leaves NumPy.
+recording loop nor the replay ever leaves NumPy.  The scheduling window's
+flush (:meth:`repro.engine.window.CoalescingWindow.flush`) is the same
+container, one merged chunk long.
 :class:`~repro.exma.search.OccRequest` objects materialise only when a
 legacy consumer (the object-path reference replay, tests) iterates the
 stream.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,10 +63,9 @@ __all__ = [
 def pack_requests(requests: Sequence[OccRequest]) -> tuple[np.ndarray, int]:
     """Pack request objects into one ``kmer * span + pos`` int64 key array.
 
-    The single definition of the packing scheme shared by every consumer
-    that turns an object sequence into columns (:meth:`RequestStream
-    .extend`, the window buffer, :meth:`~repro.engine.window.WindowedBatch
-    .from_requests`): *span* is the exclusive position bound
+    The single definition of the packing scheme, behind
+    :meth:`RequestStream.of`, the one conversion of an object sequence
+    into columns: *span* is the exclusive position bound
     ``max(pos) + 1`` (1 for an empty sequence), so ascending key order is
     the lexicographic ``(kmer, pos)`` order.
     """
@@ -147,20 +148,27 @@ def coalesce_requests(kmers: np.ndarray, positions: np.ndarray, span: int) -> Co
 class RequestStream(Sequence):
     """Columnar post-coalescing request stream with a lazy object view.
 
-    One chunk of packed ``kmer * span + pos`` int64 keys per lockstep
+    The one request container from search to replay.  The engine appends
+    one chunk of packed ``kmer * span + pos`` int64 keys per lockstep
     step, in schedule order — the exact array the coalescer produced, so
     appending a step is O(1) and a traced sharded run ships each step's
     keys over the process-pool pipe **once** (the trace references the
     same array objects; pickle memoises them).  An EXMA search also
     hands each step's Occ values over, stored by reference beside its
-    keys, so the replay never ranks a key the search already ranked
-    (:meth:`repro.engine.window.CoalescingWindow.flush` carries them on).
+    keys, so the replay never ranks a key the search already ranked.
+    A :class:`~repro.engine.window.CoalescingWindow` flush is a stream of
+    one chunk, the merged unique keys with their Occ values, that says
+    how many ``batches`` it merged and how many requests were ``issued``
+    into it; an engine stream is a one-batch flush of its own length.
     ``kmers``/``positions``/``occ`` decompose the keys on demand (cached),
-    and :class:`~repro.exma.search.OccRequest` objects are built only when
-    something indexes or iterates the stream, cached until it grows.
+    and :class:`~repro.exma.search.OccRequest` objects are built only by
+    :meth:`materialize`, when something indexes or iterates the stream.
     """
 
-    __slots__ = ("_key_chunks", "_spans", "_occ_chunks", "_size", "_columns", "_view")
+    __slots__ = (
+        "_key_chunks", "_spans", "_occ_chunks", "_size", "_columns", "_view", "_issued",
+        "batches",
+    )
 
     def __init__(self) -> None:
         self._key_chunks: list[np.ndarray] = []
@@ -169,6 +177,37 @@ class RequestStream(Sequence):
         self._size = 0
         self._columns: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
         self._view: list[OccRequest] | None = None
+        self._issued: int | None = None
+        #: Query batches merged into this stream.
+        self.batches = 1
+
+    @classmethod
+    def of(cls, requests: Sequence[OccRequest]) -> "RequestStream":
+        """*requests* as a stream: a stream is returned as it is, any other
+        request sequence is packed once, without Occ values.  The one
+        place that asks which container it was given."""
+        if isinstance(requests, RequestStream):
+            return requests
+        stream = cls()
+        requests = list(requests)
+        if requests:
+            stream.append_step(*pack_requests(requests))
+        return stream
+
+    @property
+    def issued(self) -> int:
+        """Requests entering the window that merged this stream (its own
+        length unless a flush set it)."""
+        return self._size if self._issued is None else self._issued
+
+    @issued.setter
+    def issued(self, count: int) -> None:
+        self._issued = int(count)
+
+    @property
+    def unique(self) -> int:
+        """Requests in the stream: those surviving the merge."""
+        return self._size
 
     def append_step(self, keys: np.ndarray, span: int, occ: np.ndarray | None = None) -> None:
         """Append one step's packed unique keys and, when the step ranked
@@ -180,19 +219,10 @@ class RequestStream(Sequence):
         self._columns = None
         self._view = None
 
-    def extend(self, other: "RequestStream" | Iterable[OccRequest]) -> None:
-        """Concatenate another stream (O(chunks)) or any request iterable."""
-        if isinstance(other, RequestStream):
-            self._key_chunks.extend(other._key_chunks)
-            self._spans.extend(other._spans)
-            self._occ_chunks.extend(other._occ_chunks)
-            self._size += other._size
-            self._columns = None
-            self._view = None
-            return
-        requests = list(other)
-        if requests:
-            self.append_step(*pack_requests(requests))
+    def extend(self, other: Sequence[OccRequest]) -> None:
+        """Concatenate another stream (O(chunks)) or any request sequence."""
+        for chunk in RequestStream.of(other).chunks():
+            self.append_step(*chunk)
 
     def chunks(self) -> list[tuple[np.ndarray, int, np.ndarray | None]]:
         """The per-step ``(packed keys, span, Occ or None)`` triples,
@@ -215,14 +245,14 @@ class RequestStream(Sequence):
                 # remainder by a scalar is several times slower.
                 chunks = list(zip(self._key_chunks, self._spans))
                 kmer_chunks = [keys // span for keys, span in chunks]
-                kmers = np.concatenate(kmer_chunks)
-                positions = np.concatenate(
-                    [keys - k * span for (keys, span), k in zip(chunks, kmer_chunks)]
-                )
                 occ = None
                 if all(chunk is not None for chunk in self._occ_chunks):
-                    occ = np.concatenate(self._occ_chunks)
-                self._columns = (kmers, positions, occ)
+                    occ = _joined(self._occ_chunks)
+                self._columns = (
+                    _joined(kmer_chunks),
+                    _joined([keys - k * span for (keys, span), k in zip(chunks, kmer_chunks)]),
+                    occ,
+                )
         return self._columns
 
     @property
@@ -264,13 +294,19 @@ class RequestStream(Sequence):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RequestStream):
             return (
-                self._size == other._size
+                (self._size, self.batches, self.issued)
+                == (other._size, other.batches, other.issued)
                 and np.array_equal(self.kmers, other.kmers)
                 and np.array_equal(self.positions, other.positions)
             )
         if isinstance(other, (list, tuple)):
             return self.materialize() == list(other)
         return NotImplemented
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated; a single array as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 @dataclass(frozen=True)

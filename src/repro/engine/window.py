@@ -14,16 +14,16 @@ scheduler wants.
 The window is **columnar end-to-end**: buffered batches are kept as the
 packed ``kmer * span + pos`` int64 key arrays the engine's
 :class:`~repro.engine.coalesce.RequestStream` already carries, the flush
-dedupe is one sort of those keys plus a neighbour mask, and the flushed
-:class:`WindowedBatch` holds the merged key array itself — which the
-accelerator's columnar replay consumes as-is, through to the cycle
-counts.  The Occ values an EXMA search ranked travel with the keys,
-packed into the same sort (:meth:`CoalescingWindow.flush`), so the replay
-ranks nothing again.
+dedupe is one sort of those keys plus a neighbour mask, and the flush is
+itself a :class:`~repro.engine.coalesce.RequestStream` whose one chunk is
+the merged key array — which the accelerator's columnar replay consumes
+as-is, through to the cycle counts.  The Occ values an EXMA search ranked
+travel with the keys, packed into the same sort
+(:meth:`CoalescingWindow.flush`), so the replay ranks nothing again.
 No :class:`~repro.exma.search.OccRequest` objects are materialised
-anywhere on that path — the batch only builds them lazily when a legacy
-consumer (the object-path reference replay, tests) iterates its
-``requests`` view.
+anywhere on that path — the stream only builds them lazily when a legacy
+consumer (the object-path reference replay, tests) calls its
+``materialize``.
 
 Two oracle properties pin the semantics down (``tests/test_window.py``):
 
@@ -45,106 +45,9 @@ import numpy as np
 
 from ..exma.search import OccRequest
 from ..runtime import check_workers
-from .coalesce import RequestStream, pack_requests
+from .coalesce import RequestStream
 
-__all__ = ["CoalescingWindow", "WindowedBatch"]
-
-
-class WindowedBatch(Sequence):
-    """One flushed window: the merged unique requests of up to W batches.
-
-    The merged stream is stored columnar — ``keys`` holds each unique
-    ``(k-mer, pos)`` pair once as a packed ``kmer * span + pos`` int64,
-    sorted ascending, which equals the lexicographic ``(k-mer, pos)``
-    order the stage-1 scheduler wants.  ``occ``, when present, is each
-    key's Occ value, aligned with ``keys`` (see
-    :meth:`CoalescingWindow.flush`).  ``kmers``/``positions`` decompose
-    the keys on demand; the ``requests`` view materialises
-    :class:`~repro.exma.search.OccRequest` objects lazily (cached), so
-    only legacy consumers pay for objects.
-    """
-
-    __slots__ = ("keys", "span", "batches", "issued", "occ", "_columns", "_view")
-
-    def __init__(
-        self,
-        keys: np.ndarray,
-        span: int,
-        batches: int,
-        issued: int,
-        occ: np.ndarray | None = None,
-    ) -> None:
-        #: Unique packed ``kmer * span + pos`` keys, sorted ascending.
-        self.keys = keys
-        #: Exclusive upper bound on positions used to pack ``keys``.
-        self.span = int(span)
-        #: Number of batches merged into this window.
-        self.batches = batches
-        #: Requests entering the window (after per-batch, pre-window merging).
-        self.issued = issued
-        #: Occ value per key, or ``None`` when a buffered chunk had none.
-        self.occ = occ
-        self._columns: tuple[np.ndarray, np.ndarray] | None = None
-        self._view: tuple[OccRequest, ...] | None = None
-
-    @classmethod
-    def from_requests(
-        cls, requests: Sequence[OccRequest], batches: int = 1, issued: int | None = None
-    ) -> "WindowedBatch":
-        """Build a window from already-unique, ``(k-mer, pos)``-sorted requests."""
-        keys, span = pack_requests(requests)
-        return cls(
-            keys=keys,
-            span=span,
-            batches=batches,
-            issued=len(requests) if issued is None else issued,
-        )
-
-    @property
-    def unique(self) -> int:
-        """Requests surviving the window merge."""
-        return int(self.keys.size)
-
-    def _decomposed(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._columns is None:
-            kmers = self.keys // self.span
-            self._columns = (kmers, self.keys - kmers * self.span)
-        return self._columns
-
-    @property
-    def kmers(self) -> np.ndarray:
-        """Unique k-mer codes, in merged (k-mer-major) order."""
-        return self._decomposed()[0]
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Unique Occ positions, aligned with :attr:`kmers`."""
-        return self._decomposed()[1]
-
-    @property
-    def requests(self) -> tuple[OccRequest, ...]:
-        """Lazy object view of the merged stream (cached)."""
-        if self._view is None:
-            kmers, positions = self._decomposed()
-            self._view = tuple(
-                OccRequest(packed_kmer=kmer, pos=pos)
-                for kmer, pos in zip(kmers.tolist(), positions.tolist())
-            )
-        return self._view
-
-    @property
-    def materialised(self) -> bool:
-        """Whether the object view has been built (observability for tests)."""
-        return self._view is not None
-
-    def __len__(self) -> int:
-        return int(self.keys.size)
-
-    def __iter__(self) -> Iterator[OccRequest]:
-        return iter(self.requests)
-
-    def __getitem__(self, index):
-        return self.requests[index]
+__all__ = ["CoalescingWindow"]
 
 
 def _first_mask(values: np.ndarray) -> np.ndarray:
@@ -159,9 +62,9 @@ class CoalescingWindow:
     """Buffers up to *capacity* consecutive batches and merges duplicates.
 
     ``push`` buffers one batch's request stream and returns the flushed
-    :class:`WindowedBatch` once the window fills (``None`` while it is
-    still filling); ``flush`` force-emits a partial window (end of
-    stream).  ``stream`` wraps both for an iterable of batches.
+    :class:`~repro.engine.coalesce.RequestStream` once the window fills
+    (``None`` while it is still filling); ``flush`` force-emits a partial
+    window (end of stream).  ``stream`` wraps both for an iterable of batches.
 
     Args:
         capacity: the scheduling window W — how many consecutive batches
@@ -183,36 +86,20 @@ class CoalescingWindow:
         """Batches currently buffered, awaiting a flush."""
         return len(self._buffered)
 
-    @staticmethod
-    def _chunks(
-        requests: Sequence[OccRequest],
-    ) -> list[tuple[np.ndarray, int, np.ndarray | None]]:
-        """One batch's stream as packed ``(keys, span, Occ or None)`` chunks.
+    def push(self, requests: Sequence[OccRequest]) -> RequestStream | None:
+        """Buffer one batch; return the merged window once W are buffered.
 
-        The engine's columnar :class:`~repro.engine.coalesce.RequestStream`
-        and a prior :class:`WindowedBatch` hand their arrays over by
-        reference (the producers never mutate them in place, so this is
-        also the snapshot that decouples the buffer from a stats object
-        growing afterwards); any other request sequence is packed once,
-        without Occ values.
+        The batch's chunks are held by reference (the producers never
+        mutate them in place, so this is also the snapshot that decouples
+        the buffer from a stats object growing afterwards); a plain request
+        sequence is packed once, without Occ values.
         """
-        if isinstance(requests, RequestStream):
-            return requests.chunks()
-        if isinstance(requests, WindowedBatch):
-            return [(requests.keys, requests.span, requests.occ)] if requests.keys.size else []
-        requests = list(requests)
-        if not requests:
-            return []
-        return [(*pack_requests(requests), None)]
-
-    def push(self, requests: Sequence[OccRequest]) -> WindowedBatch | None:
-        """Buffer one batch; return the merged window once W are buffered."""
-        self._buffered.append(self._chunks(requests))
+        self._buffered.append(RequestStream.of(requests).chunks())
         if len(self._buffered) >= self._capacity:
             return self.flush()
         return None
 
-    def flush(self) -> WindowedBatch | None:
+    def flush(self) -> RequestStream | None:
         """Merge and emit whatever is buffered (``None`` when empty).
 
         The cross-batch dedupe is one ``np.sort`` over the buffered packed
@@ -223,6 +110,8 @@ class CoalescingWindow:
         references) are re-based onto the widest span before the union;
         the common case — one engine, one span — is a plain concatenate
         of the arrays the coalescer already produced.
+        The flush is a one-chunk stream of the unique keys that counts the
+        ``batches`` it merged and the requests ``issued`` into it.
 
         When every chunk carries its Occ values (an EXMA search's steps),
         the flush carries them on as ``occ``, aligned with the unique keys,
@@ -248,8 +137,7 @@ class CoalescingWindow:
         issued = sum(int(keys.size) for keys, _, _ in chunks)
         self._buffered = []
         if issued == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return WindowedBatch(keys=empty, span=1, batches=batches, issued=0, occ=empty)
+            return _flushed(batches, issued)
         spans = {span for _, span, _ in chunks}
         if len(spans) == 1:
             span = spans.pop()
@@ -274,7 +162,7 @@ class CoalescingWindow:
                 ranked = keys[_first_mask(keys)]
                 keys = ranked // span
                 ranked -= keys * span
-                return WindowedBatch(keys, span, batches, issued, occ=ranked)
+                return _flushed(batches, issued, keys, span, ranked)
             ranked = keys // span
             ranked *= span
             ranked += occ
@@ -285,11 +173,11 @@ class CoalescingWindow:
         if occ is not None:
             occ = ranked[first]
             occ -= keys // span * span
-        return WindowedBatch(keys=keys, span=span, batches=batches, issued=issued, occ=occ)
+        return _flushed(batches, issued, keys, span, occ)
 
     def stream(
         self, batch_streams: Iterable[Sequence[OccRequest]]
-    ) -> Iterator[WindowedBatch]:
+    ) -> Iterator[RequestStream]:
         """Windowed merge of an iterable of batch streams, trailing partial
         window included."""
         for batch in batch_streams:
@@ -299,3 +187,14 @@ class CoalescingWindow:
         final = self.flush()
         if final is not None:
             yield final
+
+
+def _flushed(batches: int, issued: int, *chunk) -> RequestStream:
+    """One flush: the merged ``(keys, span, Occ)`` *chunk* (none when
+    nothing was issued) as a stream carrying its window's counts."""
+    stream = RequestStream()
+    if chunk:
+        stream.append_step(*chunk)
+    stream.batches = batches
+    stream.issued = issued
+    return stream

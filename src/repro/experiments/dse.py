@@ -238,7 +238,7 @@ def _check_baseline(
     direct_runs = [direct.replay_flush(flushed) for flushed in flushes]
     reference_runs = [
         direct.run_reference(
-            list(flushed.requests),
+            flushed.materialize(),
             bases_processed=direct._bases_processed(flushed.issued),
         )
         for flushed in flushes

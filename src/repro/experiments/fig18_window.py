@@ -160,7 +160,7 @@ def run_fig18_window(
     anchor_flushes = list(CoalescingWindow(1).stream(streams))
     anchor_runs: list[AcceleratorRunResult] = [
         accelerator.run_reference(
-            list(flushed.requests),
+            flushed.materialize(),
             # The same issued-based accounting run_stream applies, so the
             # anchor can only diverge on the replay path — the thing the
             # comparison is meant to catch.

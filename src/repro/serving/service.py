@@ -1012,7 +1012,7 @@ class QueryService(object):
         batches, the flushes in here are field-for-field identical to the
         offline path over the same batch streams — both run
         :meth:`~repro.accel.exma_accelerator.ExmaAccelerator.replay_flush`
-        on identical :class:`~repro.engine.window.WindowedBatch` merges.
+        on identical :class:`~repro.engine.window.CoalescingWindow` flushes.
         With multiple workers the flushes appear in completion order
         (interleaved across workers); :meth:`worker_results` gives the
         per-worker sequences the offline equivalence pin extends to.

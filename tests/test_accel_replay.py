@@ -40,7 +40,8 @@ from repro.accel import ExmaAccelerator, exma_accelerator
 from repro.accel.config import ExmaAcceleratorConfig, exma_full_config
 from repro.engine import QueryEngine
 from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend, create_backend
-from repro.engine.window import CoalescingWindow, WindowedBatch
+from repro.engine.coalesce import RequestStream
+from repro.engine.window import CoalescingWindow
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.search import OccRequest
 from repro.exma.table import ExmaTable
@@ -617,7 +618,7 @@ class TestRunEqualsReference:
         flushes = list(CoalescingWindow(2).stream(streams))
         expected = [
             accelerator.run_reference(
-                list(flushed.requests),
+                flushed.materialize(),
                 bases_processed=accelerator._bases_processed(flushed.issued),
             )
             for flushed in flushes
@@ -721,8 +722,10 @@ class TestReplayStaysColumnar:
         rng = np.random.default_rng(0)
         keys = rng.choice(table.kmer_count * span, size=8 * 1500, replace=False)
 
-        def flush_of(count: int) -> WindowedBatch:
-            return WindowedBatch(np.sort(keys[:count]), span, batches=1, issued=count)
+        def flush_of(count: int) -> RequestStream:
+            flushed = RequestStream()
+            flushed.append_step(np.sort(keys[:count]), span)
+            return flushed
 
         small, large = flush_of(1500), flush_of(8 * 1500)
         accelerator.replay_flush(small)  # lazy per-table columns are built once

@@ -15,21 +15,28 @@ Pins the contract of :meth:`repro.accel.exma_accelerator.ExmaAccelerator
   widest window, with at most CYCLE_SLACK of local model noise per step
   (shifted scheduling-epoch boundaries can move row-conflict patterns
   slightly even as the stream monotonically shrinks).
+
+Every replay path takes its input through :meth:`repro.engine.coalesce
+.RequestStream.of`, so a plain request list replays alike whichever path
+it enters by, compiled kernels or their specs.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import native
 from repro.accel import ExmaAccelerator
 from repro.accel.config import ExmaAcceleratorConfig
 from repro.accel.baselines import exma_analytic_model
 from repro.engine import QueryEngine
 from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend, create_backend
+from repro.engine.coalesce import RequestStream
 from repro.engine.window import CoalescingWindow
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
 from repro.lisa.search import LisaIndex
+from repro.runtime import PURE_PYTHON_ENV
 from repro.testing import random_queries, reference_and_queries
 
 #: Aligned power-of-two capacities (monotonicity holds along this chain).
@@ -96,7 +103,7 @@ class TestW1EqualsPerBatchPath:
         result = accelerator.run_windowed(batch_streams, window=1)
         direct = [
             accelerator.run(
-                list(flushed.requests),
+                flushed.materialize(),
                 bases_processed=max(1, flushed.issued * k // 2),
             )
             for flushed in CoalescingWindow(1).stream(batch_streams)
@@ -146,7 +153,7 @@ class TestStreamEntryPoints:
     def test_plain_request_sequences_accepted(self, streams, accelerator):
         batch_streams = streams["exma"]
         flushes = list(CoalescingWindow(1).stream(batch_streams))
-        as_lists = [list(flushed.requests) for flushed in flushes]
+        as_lists = [flushed.materialize() for flushed in flushes]
         result = accelerator.run_stream(as_lists)
         assert result.windows == len(flushes)
         # Plain sequences carry no issued/batches metadata beyond length.
@@ -155,3 +162,51 @@ class TestStreamEntryPoints:
     def test_coalescing_factor_below_one_rejected(self):
         with pytest.raises(ValueError):
             exma_analytic_model().throughput(coalescing_factor=0.5)
+
+
+@pytest.fixture(params=["compiled", "pure-python"])
+def kernel_path(request, monkeypatch):
+    """The compiled kernels, or every row's spec as ``REPRO_PURE_PYTHON=1``
+    forces it."""
+    monkeypatch.setattr(native, "_library", native._UNRESOLVED)
+    if request.param == "pure-python":
+        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
+    else:
+        monkeypatch.delenv(PURE_PYTHON_ENV, raising=False)
+    assert bool(native.loaded_kernels()) == (request.param == "compiled")
+    return request.param
+
+
+class TestOneRequestContainer:
+    """A plain request list is a one-batch stream on every replay path."""
+
+    @pytest.fixture
+    def mtl_accelerator(self, backends):
+        backend = backends["exma-mtl"]
+        config = ExmaAcceleratorConfig().with_overrides(
+            base_cache_bytes=2048, index_cache_bytes=1024, cam_entries=32
+        )
+        with ExmaAccelerator(backend.table, backend.index, config) as accelerator:
+            yield accelerator
+
+    def test_plain_list_replays_alike_on_every_path(self, kernel_path, streams, mtl_accelerator):
+        plain = list(streams["exma-mtl"][0])  # schedule order, one step after another
+        assert type(plain) is list and plain
+        expected = mtl_accelerator.run(plain)
+        assert expected.requests == len(plain)
+        assert mtl_accelerator.run(RequestStream.of(plain)) == expected
+        assert mtl_accelerator.replay_flush(RequestStream.of(plain)) == expected
+        for workers in (1, 2):
+            result = mtl_accelerator.run_stream([plain], replay_workers=workers)
+            assert result.flushes == [expected], workers
+            assert (result.batches, result.issued) == (1, len(plain)), workers
+
+    def test_run_stream_tallies_a_flush_by_its_own_counts(
+        self, kernel_path, streams, mtl_accelerator
+    ):
+        flushed = next(CoalescingWindow(2).stream(streams["exma-mtl"]))
+        assert flushed.batches == 2 and flushed.unique < flushed.issued
+        for workers in (1, 2):
+            result = mtl_accelerator.run_stream([flushed], replay_workers=workers)
+            assert (result.batches, result.issued) == (flushed.batches, flushed.issued)
+            assert result.flushes == [mtl_accelerator.replay_flush(flushed)], workers

@@ -291,90 +291,3 @@ class TestShardedAppPaths:
             sharded = ExactWordAnnotator(fm, engine=engine).annotate(words, counters)
         assert sharded == serial
         assert counters.words == len(words)
-
-
-class TestWindowedAppPaths:
-    """Opt-in scheduling windows record streams without changing results."""
-
-    def test_aligner_windowed_results_identical_and_flushes_recorded(self, reference):
-        simulator = ReadSimulator(reference, ILLUMINA, seed=9)
-        reads = simulator.simulate(read_length=80, count=8)
-        plain = ReadAligner(reference, min_seed_length=15)
-        windowed = ReadAligner(reference, min_seed_length=15, window=2)
-        plain_results, plain_counters = plain.align_batch(reads)
-        windowed_results, windowed_counters = windowed.align_batch(reads)
-        assert windowed_results == plain_results
-        assert windowed_counters == plain_counters
-        assert windowed.window_capacity == 2
-        # One seeding pass buffered; the partial window flushes on demand.
-        assert windowed.windowed_flushes == ()
-        flushed = windowed.flush_window()
-        assert flushed is not None
-        assert flushed.batches == 1
-        assert flushed.unique <= flushed.issued
-        assert windowed.windowed_flushes == (flushed,)
-        # Window full after a second pass: push flushes without an explicit call.
-        windowed.align_batch(reads)
-        windowed.align_batch(reads)
-        assert len(windowed.windowed_flushes) == 2
-        assert windowed.windowed_flushes[-1].batches == 2
-
-    def test_aligner_without_window_noops(self, aligner):
-        assert aligner.window_capacity is None
-        assert aligner.flush_window() is None
-        assert aligner.windowed_flushes == ()
-
-    def test_annotator_windowed_annotations_identical(self, reference):
-        fm = FMIndex(reference)
-        words = words_from_reference(reference, word_length=20, stride=150)
-        plain = ExactWordAnnotator(FMIndex(reference)).annotate(words)
-        annotator = ExactWordAnnotator(fm, window=2)
-        assert annotator.annotate(words) == plain
-        assert annotator.windowed_flushes == ()
-        # A second batch fills the W=2 window and flushes the merged stream.
-        assert annotator.annotate(words) == plain
-        flushes = annotator.windowed_flushes
-        assert len(flushes) == 1
-        assert flushes[0].batches == 2
-        # Identical word batches: the second batch merges away entirely, so
-        # at least half of the issued requests are eliminated.
-        assert flushes[0].unique <= flushes[0].issued // 2
-        assert annotator.flush_window() is None  # nothing pending
-
-    def test_windowed_flushes_feed_the_accelerator(self, reference):
-        from repro.accel import ExmaAccelerator
-        from repro.accel.config import ExmaAcceleratorConfig
-        from repro.exma.table import ExmaTable
-
-        fm = FMIndex(reference)
-        words = words_from_reference(reference, word_length=20, stride=150)
-        annotator = ExactWordAnnotator(fm, window=2)
-        annotator.annotate(words)
-        annotator.annotate(words)
-        config = ExmaAcceleratorConfig().with_overrides(
-            base_cache_bytes=2048, index_cache_bytes=1024, cam_entries=32
-        )
-        accelerator = ExmaAccelerator(ExmaTable(reference, k=4), None, config)
-        result = accelerator.run_stream(annotator.windowed_flushes)
-        assert result.windows == 1
-        assert result.batches == 2
-        assert result.merge_ratio >= 2.0
-        assert result.total_cycles > 0
-
-    def test_pipeline_window_keeps_work_counters_identical(self):
-        reference = build_dataset("human", simulated_length=5000, seed=4)
-        for application in ("alignment", "annotate"):
-            plain = run_application(application, reference, ILLUMINA, read_count=4, seed=4)
-            flushes: list = []
-            windowed = run_application(
-                application, reference, ILLUMINA, read_count=4, seed=4, window=2,
-                window_flushes=flushes,
-            )
-            assert windowed == plain, application
-            # The recorded stream surfaces through the collector.
-            assert flushes, application
-            assert all(flushed.unique <= flushed.issued for flushed in flushes)
-
-    def test_aligner_rejects_invalid_window(self, reference):
-        with pytest.raises(ValueError):
-            ReadAligner(reference, window=0)

@@ -33,7 +33,7 @@ from repro.engine import QueryEngine
 from repro.engine.backends import ExmaBackend
 from repro.engine.coalesce import RequestStream
 from repro.engine.sharded import ShardedQueryEngine
-from repro.engine.window import CoalescingWindow, WindowedBatch
+from repro.engine.window import CoalescingWindow
 from repro.exma.table import ExmaTable
 from repro.genome.sequence import random_genome
 from repro.runtime import PURE_PYTHON_ENV
@@ -183,8 +183,10 @@ class TestWindowEdges:
         (engine_flush,), (mixed_flush,) = list(engine_only), list(mixed)
         # The object-packed chunk has its own span; the union re-bases it.
         assert list(streams[1]) and mixed_flush.occ is None
-        assert mixed_flush.keys.tolist() == engine_flush.keys.tolist()
-        assert mixed_flush.span == engine_flush.span
+        ((mixed_keys, mixed_span, _),) = mixed_flush.chunks()
+        ((engine_keys, engine_span, _),) = engine_flush.chunks()
+        assert mixed_keys.tolist() == engine_keys.tolist()
+        assert mixed_span == engine_span
         assert_column(table, engine_flush)
         assert occ_batch_calls == [engine_flush.unique]  # assert_column's own call
         assert accelerator.replay_flush(mixed_flush) == accelerator.replay_flush(engine_flush)
@@ -205,11 +207,14 @@ class TestWindowEdges:
         window.push(narrow)
         window.push(wide)
         flushed = window.push(narrow)  # every key again: duplicates across spans
-        assert flushed.span == wide_span
+        ((keys, flushed_span, _),) = flushed.chunks()
+        assert flushed_span == wide_span
         assert flushed.unique < flushed.issued
         assert_column(table, flushed)
         accelerator = ExmaAccelerator(table, None)
-        unranked = WindowedBatch(flushed.keys, flushed.span, flushed.batches, flushed.issued)
+        unranked = RequestStream()
+        unranked.append_step(keys, flushed_span)
+        unranked.batches, unranked.issued = flushed.batches, flushed.issued
         assert accelerator.replay_flush(flushed) == accelerator.replay_flush(unranked)
 
     def test_empty_and_single_chunk_flushes_carry_a_column_of_their_length(self):

@@ -10,6 +10,7 @@ code) on a throwaway package of a few lines.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import pathlib
 import re
@@ -69,20 +70,37 @@ def test_explained_function_is_defined_with_a_sound_reason(reachability, defined
 # -- ENTRY_POINTS: one check per entry point -----------------------------------
 
 
-def _entry_id(index: int, argv: tuple[str, ...]) -> str:
+def _entry_words(argv: tuple[str, ...]) -> str:
     words = [
         token.rpartition("/")[2] for token in argv
         if not token.startswith("-")
         and (token.endswith(".py") or token.replace("-", "").isalnum())
     ]
     words = [word for word in words if not word.isdigit()] or ["code"]
-    return f"{index:02d}-" + "-".join(words[:2])
+    return "-".join(words[:2])
+
+
+def _entry_ids(entry_points) -> list[str]:
+    """Each entry point's id from its command alone: its first two words,
+    and where two commands share those, a short digest of the argv."""
+    words = [_entry_words(argv) for argv in entry_points]
+    return [
+        f"{word}-{hashlib.sha1(' '.join(argv).encode()).hexdigest()[:6]}"
+        if words.count(word) > 1 else word
+        for word, argv in zip(words, entry_points)
+    ]
+
+
+def test_entry_point_ids_are_unique_and_do_not_depend_on_order():
+    ids = _entry_ids(_AUDIT.ENTRY_POINTS)
+    assert len(set(ids)) == len(ids)
+    assert _entry_ids(_AUDIT.ENTRY_POINTS[::-1]) == ids[::-1]
 
 
 @pytest.mark.parametrize(
     "argv",
     _AUDIT.ENTRY_POINTS,
-    ids=[_entry_id(i, argv) for i, argv in enumerate(_AUDIT.ENTRY_POINTS)],
+    ids=_entry_ids(_AUDIT.ENTRY_POINTS),
 )
 def test_entry_point_is_runnable_as_written(reachability, argv):
     env, command = reachability._command(argv, "audit-tmp")

@@ -17,12 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.coalesce import RequestStream, coalesce_requests
-from repro.engine.window import CoalescingWindow, WindowedBatch
+from repro.engine.window import CoalescingWindow
 from repro.exma.search import OccRequest
 
 
 def R(kmer: int, pos: int) -> OccRequest:
     return OccRequest(packed_kmer=kmer, pos=pos)
+
+
+def merged_chunk(flushed: RequestStream) -> tuple[np.ndarray, int]:
+    """The ``(keys, span)`` of a flush's one merged chunk."""
+    ((keys, span, _),) = flushed.chunks()
+    return keys, span
 
 
 class TestWindowOracle:
@@ -43,7 +49,7 @@ class TestWindowOracle:
         oracle = [
             R(int(k), int(p)) for k, p in zip(step.kmers.tolist(), step.positions.tolist())
         ]
-        assert list(flushed.requests) == oracle == [R(3, 0), R(3, 9), R(7, 4)]
+        assert flushed.materialize() == oracle == [R(3, 0), R(3, 9), R(7, 4)]
         assert flushed.issued == 4
         assert flushed.unique == 3
         assert flushed.batches == 1
@@ -57,7 +63,7 @@ class TestWindowOracle:
         assert window.pending == 1
         flushed = window.push(second)
         assert flushed is not None
-        assert list(flushed.requests) == [R(1, 2), R(3, 0), R(7, 4)]
+        assert flushed.materialize() == [R(1, 2), R(3, 0), R(7, 4)]
         assert flushed.issued == 4
         assert flushed.unique == 3
         assert flushed.batches == 2
@@ -78,7 +84,7 @@ class TestWindowOracle:
         assert flushed is not None
         assert flushed.batches == 2
         assert flushed.issued == 3
-        assert list(flushed.requests) == [R(1, 1), R(2, 2)]
+        assert flushed.materialize() == [R(1, 1), R(2, 2)]
         assert window.flush() is None
 
     def test_stream_yields_full_then_partial_windows(self):
@@ -99,33 +105,61 @@ class TestWindowOracle:
         stream.append_step(np.array([7 * 10 + 7]), 10)  # producer keeps going
         flushed = window.flush()
         assert flushed.issued == 2
-        assert flushed.requests == (R(1, 0), R(2, 5))
+        assert flushed == [R(1, 0), R(2, 5)]
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             CoalescingWindow(0)
 
-    def test_windowed_batch_counters(self):
-        flushed = WindowedBatch.from_requests((R(1, 1),), batches=2, issued=5)
-        assert flushed.unique == 1
-        assert flushed.issued == 5
+    def test_an_engine_stream_counts_as_a_one_batch_flush(self):
+        stream = RequestStream.of([R(1, 1), R(2, 0)])
+        assert (stream.batches, stream.issued, stream.unique) == (1, 2, 2)
+        stream.append_step(np.array([3 * 10 + 3]), 10)
+        assert (stream.batches, stream.issued, stream.unique) == (1, 3, 3)
+        assert RequestStream.of(stream) is stream
+
+    def test_flush_equality_compares_its_counts(self):
+        """Two flushes of the same keys differ when they merged a
+        different number of batches or issued requests."""
+        once = CoalescingWindow(1).push([R(1, 1)])
+        twice = CoalescingWindow(2)
+        twice.push([R(1, 1)])
+        merged = twice.push([R(1, 1)])
+        assert once.materialize() == merged.materialize()
+        assert once != merged
+        assert (merged.batches, merged.issued) == (2, 2)
+        assert once == CoalescingWindow(1).push([R(1, 1)])
 
 
 class TestColumnarFlush:
     """The flush path never materialises request objects."""
 
-    def test_flush_stays_columnar_until_requests_accessed(self):
+    def test_flush_stays_columnar_until_requests_accessed(self, monkeypatch):
         stream = RequestStream()
         stream.append_step(np.array([1 * 10 + 0, 2 * 10 + 5]), 10)
         flushed = CoalescingWindow(1).push(stream)
         assert flushed is not None
-        assert not flushed.materialised
-        assert flushed.keys.dtype == np.int64
+        built = []
+        monkeypatch.setattr(
+            "repro.engine.coalesce.OccRequest",
+            lambda **pair: built.append(pair) or OccRequest(**pair),
+        )
+        keys, _ = merged_chunk(flushed)
+        assert keys.dtype == np.int64
         assert np.array_equal(flushed.kmers, [1, 2])
         assert np.array_equal(flushed.positions, [0, 5])
-        assert not flushed.materialised  # column access keeps it columnar
-        assert flushed.requests == (R(1, 0), R(2, 5))
-        assert flushed.materialised
+        assert built == []  # column access keeps it columnar
+        assert flushed.materialize() == [R(1, 0), R(2, 5)]
+        assert len(built) == 2
+
+    def test_one_chunk_decomposes_without_copying_occ(self):
+        keys = np.array([1 * 10 + 0, 2 * 10 + 5])
+        occ = np.array([0, 3])
+        stream = RequestStream()
+        stream.append_step(keys, 10, occ)
+        assert stream.occ is occ
+        stream.append_step(np.array([3 * 10 + 1]), 10, np.array([1]))
+        assert stream.occ.tolist() == [0, 3, 1]
 
     def test_flush_keys_are_unique_and_sorted(self):
         batches = [[R(3, 1), R(3, 1), R(1, 9)], [R(3, 1), R(2, 0)]]
@@ -133,7 +167,8 @@ class TestColumnarFlush:
         flushed.push(batches[0])
         merged = flushed.push(batches[1])
         assert merged is not None
-        assert np.array_equal(merged.keys, np.unique(merged.keys))
+        keys, _ = merged_chunk(merged)
+        assert np.array_equal(keys, np.unique(keys))
         assert merged.unique == 3
         assert merged.issued == 5
 
@@ -148,7 +183,7 @@ class TestColumnarFlush:
         assert merged is not None
         # (2, 3) appears in both spans: one survivor after the re-base.
         assert merged.unique == 2
-        assert merged.requests == (R(2, 3), R(5, 7))
+        assert merged == [R(2, 3), R(5, 7)]
 
     def test_mixed_span_merge_equals_pairwise_dedupe(self):
         # Three batches, several chunks each, packed under spans 8, 50 and
@@ -167,7 +202,7 @@ class TestColumnarFlush:
                 pairs.update(zip(kmers.tolist(), positions.tolist()))
             merged = window.push(stream)
         assert merged is not None
-        assert merged.span == 1000 and merged.issued == 360
+        assert merged_chunk(merged)[1] == 1000 and merged.issued == 360
         assert list(zip(merged.kmers.tolist(), merged.positions.tolist())) == sorted(pairs)
 
     @staticmethod
@@ -199,13 +234,14 @@ class TestColumnarFlush:
         # Spans 8, 50 and 1000, re-based onto 1000: key * span + Occ fits
         # int64, so one sort carries the keys and their Occ.
         merged = self._merged_with_occ((8, 50, 1000), 6, 8, seed=5)
-        assert merged.span == 1000 and merged.unique < merged.issued
+        assert merged_chunk(merged)[1] == 1000 and merged.unique < merged.issued
 
     def test_occ_with_keys_too_wide_for_one_sort(self):
         # (max key + 1) * span passes 2**63 (k-mers up to 2**20 at a span
         # of 2**41 + 1): the keys and their Occ take a sort each.
         merged = self._merged_with_occ((2**41 + 1, 2**41 + 1), 2**20, 2**41, seed=6)
-        assert (int(merged.keys.max()) + 1) * merged.span >= 2**63
+        keys, span = merged_chunk(merged)
+        assert (int(keys.max()) + 1) * span >= 2**63
 
     def test_all_duplicate_window_keeps_one_copy(self):
         batch = [R(3, 1), R(1, 9), R(2, 0)]
@@ -214,12 +250,13 @@ class TestColumnarFlush:
             assert window.push(list(batch)) is None
         merged = window.push(list(batch))
         assert merged is not None
-        assert merged.requests == (R(1, 9), R(2, 0), R(3, 1))
+        assert merged == [R(1, 9), R(2, 0), R(3, 1)]
         assert (merged.issued, merged.unique) == (12, 3)
         single = CoalescingWindow(1).push([R(7, 7)] * 5)
-        assert single is not None and single.keys.tolist() == [7 * single.span + 7]
+        keys, span = merged_chunk(single)
+        assert keys.tolist() == [7 * span + 7]
 
-    def test_windowed_batch_is_a_sequence(self):
+    def test_flush_is_a_sequence(self):
         flushed = CoalescingWindow(1).push([R(4, 2), R(1, 1)])
         assert flushed is not None
         assert len(flushed) == 2
@@ -260,7 +297,7 @@ class TestWindowProperties:
             assert flushed.unique <= flushed.issued
             assert flushed.batches <= capacity
             # Unique within a flush, sorted (kmer, pos)-major.
-            pairs = [(r.packed_kmer, r.pos) for r in flushed.requests]
+            pairs = [(r.packed_kmer, r.pos) for r in flushed]
             assert pairs == sorted(set(pairs))
 
     @given(stream=stream_strategy)
@@ -268,6 +305,6 @@ class TestWindowProperties:
     def test_whole_stream_window_equals_global_dedupe(self, stream):
         flushes = list(CoalescingWindow(len(stream)).stream(stream))
         assert len(flushes) == 1
-        merged = flushes[0].requests
+        merged = flushes[0].materialize()
         expected = sorted({(r.packed_kmer, r.pos) for batch in stream for r in batch})
         assert [(r.packed_kmer, r.pos) for r in merged] == expected

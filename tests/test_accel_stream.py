@@ -140,6 +140,33 @@ class TestMonotoneInCapacity:
         assert len({r.bases_processed for r in results}) == 1
 
 
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+class TestRepeatedBatchMergesAway:
+    """A batch searched twice into one W=2 window is resolved once: the
+    flush holds the batch's own W=1 keys, counts both batches' issued
+    requests, and replays as that one batch does, on twice its bases."""
+
+    def test_flush_holds_one_copy_of_the_batch(self, name, streams):
+        batch = streams[name][0]
+        merged = next(CoalescingWindow(2).stream([batch, batch]))
+        assert merged == CoalescingWindow(1).push(batch).materialize()
+        assert (merged.batches, merged.issued) == (2, 2 * len(batch))
+        assert merged.unique <= merged.issued // 2
+
+    def test_replays_as_the_one_batch_on_twice_its_bases(self, name, streams, accelerator):
+        batch = streams[name][0]
+        merged = next(CoalescingWindow(2).stream([batch, batch]))
+        k = accelerator._table.k
+        expected = accelerator.run(
+            CoalescingWindow(1).push(batch).materialize(),
+            bases_processed=max(1, merged.issued * k // 2),
+        )
+        result = accelerator.run_stream([merged])
+        assert result.flushes == [expected]
+        assert (result.windows, result.batches, result.issued) == (1, 2, merged.issued)
+        assert result.merge_ratio >= 2.0
+
+
 class TestStreamEntryPoints:
     def test_run_windowed_equals_run_stream_on_same_flushes(self, streams, accelerator):
         batch_streams = streams["exma"]

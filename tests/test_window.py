@@ -11,6 +11,8 @@ arbitrary streams.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,23 @@ class TestWindowOracle:
         stream.append_step(np.array([3 * 10 + 3]), 10)
         assert (stream.batches, stream.issued, stream.unique) == (1, 3, 3)
         assert RequestStream.of(stream) is stream
+
+    @pytest.mark.parametrize("container", [list, tuple], ids=["list", "tuple"])
+    def test_of_packs_any_request_sequence_as_it_stands(self, container):
+        """Packing keeps a plain sequence's order and duplicates (merging
+        is the window's job) and carries no Occ values."""
+        requests = container([R(7, 4), R(3, 0), R(7, 4)])
+        stream = RequestStream.of(requests)
+        assert stream.materialize() == list(requests)
+        assert stream.occ is None
+        assert (stream.batches, stream.issued, stream.unique) == (1, 3, 3)
+
+    def test_of_an_empty_sequence_is_an_empty_one_batch_stream(self):
+        stream = RequestStream.of(())
+        assert (len(stream), stream.batches, stream.issued) == (0, 1, 0)
+        assert stream.chunks() == []
+        flushed = CoalescingWindow(1).push(stream)
+        assert (flushed.batches, flushed.issued, flushed.unique) == (1, 0, 0)
 
     def test_flush_equality_compares_its_counts(self):
         """Two flushes of the same keys differ when they merged a
@@ -255,6 +274,22 @@ class TestColumnarFlush:
         single = CoalescingWindow(1).push([R(7, 7)] * 5)
         keys, span = merged_chunk(single)
         assert keys.tolist() == [7 * span + 7]
+
+    @pytest.mark.parametrize("ranked", [True, False], ids=["with-occ", "without-occ"])
+    def test_flush_survives_pickling_with_its_counts(self, ranked):
+        """A process pool ships each flush by pickle: the copy keeps its
+        keys, Occ values and the window's ``batches`` and ``issued``."""
+        window = CoalescingWindow(2)
+        # Span 10: (3, 0) is pushed twice; Occ is 0 for it both times.
+        for keys, occ in (([30, 74], [0, 2]), ([30, 19], [0, 1])):
+            stream = RequestStream()
+            stream.append_step(np.array(keys), 10, np.array(occ) if ranked else None)
+            flushed = window.push(stream)
+        copy = pickle.loads(pickle.dumps(flushed))
+        assert copy == flushed
+        assert (copy.batches, copy.issued, copy.unique) == (2, 4, 3)
+        assert copy.materialize() == [R(1, 9), R(3, 0), R(7, 4)]
+        assert (copy.occ.tolist() if ranked else copy.occ) == ([1, 0, 2] if ranked else None)
 
     def test_flush_is_a_sequence(self):
         flushed = CoalescingWindow(1).push([R(4, 2), R(1, 1)])

@@ -140,6 +140,9 @@ EXPLAINED: dict[str, str] = {
     "banded version is checked against (tests/test_smith_waterman.py)",
     "engine/coalesce.py:BatchStats.merge": "oracle: the naive per-shard merge "
     "tests/test_sharded.py sets against the trace-based shard merge",
+    "exma/table.py:ExmaTable.prefix_interval": "oracle: the one-tail step _lockstep_spec "
+    "runs, which the compiled lockstep pass is checked against (tests/test_jit_fallback.py); "
+    "also the tail step of the sequential ExmaSearch (tests/test_exma_search.py)",
     "genome/alphabet.py:decode": "oracle: inverts encode in tests/test_alphabet.py (a search "
     "batch with partial-chunk tails also reaches it)",
     "genome/alphabet.py:gc_content": "oracle: tests/test_sequence.py checks random_genome's "

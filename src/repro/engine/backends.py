@@ -24,7 +24,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .. import native
 from ..exma.search import OccIndex
 from ..exma.table import ExmaTable
-from ..genome.alphabet import FULL_ALPHABET, SENTINEL, QueryBatch, decode, unpack_kmer
+from ..genome.alphabet import (
+    FULL_ALPHABET, SENTINEL, QueryBatch, decode, pack_kmer, unpack_kmer,
+)
 from ..index.fmindex import FMIndex, Interval
 from ..lisa.search import LisaIndex
 from .coalesce import (
@@ -79,6 +81,26 @@ def _full_interval(batch: QueryBatch, reference_length: int) -> tuple[np.ndarray
     return np.zeros(size, dtype=np.int64), np.full(size, reference_length, dtype=np.int64)
 
 
+def _distinct_tails(lengths: np.ndarray, codes: np.ndarray, k: int):
+    """The rows whose length is not a multiple of *k*, their distinct
+    tails (last ``length % k`` symbols) in first-seen order, and each
+    row's index into them.  A tail code outside ``$ACGT`` raises
+    :class:`~repro.genome.alphabet.AlphabetError`."""
+    sizes = lengths % k
+    rows = np.flatnonzero(sizes)
+    if not rows.size:
+        return rows, [], []
+    sizes = sizes[rows]
+    # The tails' codes back to back, decoded at once: tail j ends at ends[j].
+    ends = np.cumsum(sizes)
+    shift = np.repeat(np.cumsum(lengths)[rows] - ends, sizes)
+    text = decode(codes[shift + np.arange(ends[-1])])
+    first: dict[str, int] = {}
+    spans = zip(ends.tolist(), sizes.tolist())
+    which = [first.setdefault(text[end - size : end], len(first)) for end, size in spans]
+    return rows, list(first), which
+
+
 def _resolve_tails(
     batch: QueryBatch, k: int, lows, highs, stats: BatchStats | None, resolve
 ) -> None:
@@ -86,23 +108,14 @@ def _resolve_tails(
     its last ``length % k`` symbols, before the lockstep steps.  Tails are
     coalesced: each distinct one, in first-seen order, is resolved once by
     ``resolve(tail) -> (low, high, TailContribution)`` and recorded."""
-    sizes = batch.lengths % k
-    rows = np.flatnonzero(sizes)
+    rows, tails, which = _distinct_tails(batch.lengths, batch.codes, k)
     if not rows.size:
         return
-    sizes = sizes[rows]
-    # The tails' codes back to back, decoded at once: tail j ends at ends[j].
-    ends = np.cumsum(sizes)
-    shift = np.repeat(np.cumsum(batch.lengths)[rows] - ends, sizes)
-    text = decode(batch.codes[shift + np.arange(ends[-1])])
-    first: dict[str, int] = {}
-    spans = zip(ends.tolist(), sizes.tolist())
-    which = [first.setdefault(text[end - size : end], len(first)) for end, size in spans]
-    resolved = [resolve(tail) for tail in first]
+    resolved = [resolve(tail) for tail in tails]
     lows[rows], highs[rows] = np.array([bounds[:2] for bounds in resolved], dtype=np.int64)[which].T
     if stats is not None:
         stats.iterations += rows.size
-        for tail, (_, _, contribution) in zip(first, resolved):
+        for tail, (_, _, contribution) in zip(tails, resolved):
             stats.record_tail(tail, contribution)
 
 
@@ -343,15 +356,19 @@ class FMIndexBackend(SearchBackend):
 class ExmaBackend(SearchBackend):
     """Lockstep batched backward search over an EXMA table.
 
-    One lockstep iteration consumes one k-mer of every live query.  The
-    step's ``(kmer, pos)`` requests are coalesced exactly once across the
-    whole batch — the software mirror of the accelerator's DRAM-side
-    merge — then rank-queried once each.  Every step of a batch runs in
-    one compiled call, :func:`repro.native.lockstep`, with
-    :func:`_lockstep_spec` as its oracle and fallback.  The step's cost
-    (increment scan, MTL inference) is priced on read: the first read of
-    a cost counter prices the whole batch with one
-    ``index.predict_many`` (one MLP forward per shared MTL node).
+    A query whose length is not a multiple of k starts at its tail, its
+    last ``length % k`` symbols, resolved from the table's per-k-mer
+    counts.  One lockstep iteration then consumes one k-mer of every
+    live query.  The step's ``(kmer, pos)`` requests are coalesced
+    exactly once across the whole batch — the software mirror of the
+    accelerator's DRAM-side merge — then rank-queried once each.  The
+    tails and every step of a batch run in one compiled call,
+    :func:`repro.native.lockstep`, with :func:`_lockstep_spec` as its
+    oracle and fallback, and the batch is one stats record (a traced
+    batch records each tail and step).  The steps' cost (increment
+    scan, MTL inference) is priced on read: the first read of a cost
+    counter prices the whole batch with one ``index.predict_many`` (one
+    MLP forward per shared MTL node).
 
     Args:
         reference: DNA reference (ignored when *table* is given).
@@ -417,31 +434,45 @@ class ExmaBackend(SearchBackend):
         lows, highs = _full_interval(batch, n)
         if not len(batch):
             return lows, highs
-        if stats is not None:
-            stats.queries += len(batch)
-            stats.price_with(self._step_contribution)
-
-        # Trailing partial chunks first, straight from the per-k-mer counts.
-        _resolve_tails(
-            batch, table.k, lows, highs, stats,
-            lambda tail: (*table.prefix_interval(tail), TailContribution(base_reads=1)),
+        inputs = (batch.lengths, batch.codes, table.k, lows, highs, table.count_table())
+        result = native.lockstep(
+            *inputs, table.sentinel_codes, table.increments, table._kmer_rank_base, n
         )
-
-        counts = table.count_table()
-        inputs = (batch.lengths, batch.codes, table.k, lows, highs, counts)
-        result = native.lockstep(*inputs, table.increments, table._kmer_rank_base, n)
         if result is None:
-            result = _lockstep_spec(*inputs, self._occ_batch, self._span)
-        lows, highs, keys, occ, offsets, issued, distinct = result
+            result = _lockstep_spec(*inputs, self._occ_batch, self._span, table.prefix_interval)
+        lows, highs, keys, occ, offsets, issued, distinct, tails = result
         if stats is not None:
-            stats.iterations += int(issued.sum()) // 2
-            # Priced on read: the steps' cost is computed only if a cost
-            # counter is ever read (see BatchStats).
-            offsets = offsets.tolist()
-            for step, (count, kmers) in enumerate(zip(issued.tolist(), distinct.tolist())):
-                begin, end = offsets[step], offsets[step + 1]
-                stats.record_step(keys[begin:end], self._span, count, kmers, occ[begin:end])
+            self._record(stats, len(batch), keys, occ, offsets, issued, distinct, tails[tails != 0])
         return lows, highs
+
+    def _record(self, stats: BatchStats, queries: int, keys, occ, offsets, issued, distinct,
+                tails) -> None:
+        """Account one searched batch: *tails* holds the tail code of each
+        query that has one, the rest is the pass's step columns.  Each
+        distinct tail costs one base read.  Untraced, the batch is one
+        :meth:`BatchStats.record_batch`; with a trace (a shard of a
+        sharded search), the distinct tails, as strings in first-seen
+        order, and then the steps are recorded one by one for the merge.
+        The steps' cost is priced on read (see :class:`BatchStats`)."""
+        stats.price_with(self._step_contribution)
+        issued, distinct = issued.tolist(), distinct.tolist()
+        requests = sum(issued)
+        iterations = tails.size + requests // 2
+        if stats.trace is None:
+            stats.record_batch(
+                queries=queries, iterations=iterations, steps=len(issued), issued=requests,
+                base_reads=len(set(tails.tolist())) + sum(distinct),
+                keys=keys, span=self._span, occ=occ,
+            )
+            return
+        stats.queries += queries
+        stats.iterations += iterations
+        for tail in _tail_text(tails):
+            stats.record_tail(tail, TailContribution(base_reads=1))
+        offsets = offsets.tolist()
+        for step, (count, kmers) in enumerate(zip(issued, distinct)):
+            begin, end = offsets[step], offsets[step + 1]
+            stats.record_step(keys[begin:end], self._span, count, kmers, occ[begin:end])
 
     def _step_contribution(self, keys: np.ndarray, occ_values: np.ndarray) -> StepContribution:
         """Per-unique-request resolution costs of packed ``kmer * span + pos``
@@ -481,26 +512,54 @@ class ExmaBackend(SearchBackend):
         return StepContribution(entries=entries, predicted=modelled, errors=errors)
 
 
-def _lockstep_spec(lengths, codes, k: int, lows, highs, counts, occ_batch, span: int):
+def _tail_text(tails: np.ndarray) -> list[str]:
+    """The distinct tails among tail codes *tails* (each the tail packed
+    2 bits a symbol behind a leading 1) as strings, in first-seen order."""
+    codes, first = np.unique(tails, return_index=True)
+    text = []
+    for code in codes[np.argsort(first)].tolist():
+        size = (code.bit_length() - 1) // 2
+        text.append(unpack_kmer(code - (1 << 2 * size), size))
+    return text
+
+
+def _lockstep_spec(
+    lengths, codes, k: int, lows, highs, counts, occ_batch, span: int, prefix_interval
+):
     """:func:`repro.native.lockstep`'s specification and fallback: the
-    lockstep steps of :meth:`ExmaBackend.search_batch` after its tails.
+    tails and lockstep steps of :meth:`ExmaBackend.search_batch`.
 
     The queries are a :class:`QueryBatch`'s *lengths* and concatenated
-    *codes*; a query has ``length // k`` whole chunks, consumed right to
-    left after its tail, each packed 2 bits a symbol.  Step *t*
-    coalesces the ``(kmer, low)`` and ``(kmer, high)`` requests of every
-    live query (one with a non-empty interval) with a chunk *t*,
+    *codes*, starting at *lows* and *highs* (the full interval in a
+    search).  A query whose length is not a multiple of *k* starts
+    instead at its tail, its last ``length % k`` symbols: each distinct
+    tail is resolved once by ``prefix_interval(tail) -> (low, high)``
+    (:meth:`ExmaTable.prefix_interval`, the one-tail oracle), and its tail
+    code is the tail packed 2 bits a symbol behind a leading 1 (0 for a
+    query without a tail).  A query then has ``length // k`` whole
+    chunks, consumed right to left, each packed 2 bits a symbol.  Step
+    *t* coalesces the ``(kmer, low)`` and ``(kmer, high)`` requests of
+    every live query (one with a non-empty interval) with a chunk *t*,
     resolves the unique ones with one *occ_batch* call and moves each
     issuer to ``counts[kmer] + occ``; the first step with no live query
-    ends the pass.  Returns the final lows
-    and highs, every step's unique keys and Occ concatenated, the step
-    offsets into them, and each step's issued and distinct-k-mer counts.
-    The inputs are left as they were.  A bound outside ``[0, span)``, or
-    a chunk with a code outside 1..4, raises ``ValueError``, as
-    ``occ_batch`` does for a k-mer out of range.
+    ends the pass.  Returns the final lows and highs, every step's unique
+    keys and Occ concatenated, the step offsets into them, each step's
+    issued and distinct-k-mer counts, and each query's tail code.  The
+    inputs are left as they were.  A tail with a symbol outside ``ACGT``
+    raises :class:`~repro.genome.alphabet.AlphabetError` (a
+    ``ValueError``); a bound outside ``[0, span)``, or a chunk with a
+    code outside 1..4, raises ``ValueError``, as ``occ_batch`` does for a
+    k-mer out of range.
     """
     chunks, starts, steps = _packed_chunks(lengths, codes, k)
     lows, highs = lows.copy(), highs.copy()
+    rows, tails, which = _distinct_tails(lengths, codes, k)
+    tail_codes = np.zeros(lengths.size, dtype=np.int64)
+    if rows.size:
+        intervals = np.array([prefix_interval(tail) for tail in tails], dtype=np.int64)
+        lows[rows], highs[rows] = intervals[which].T
+        marked = [pack_kmer(tail) | 1 << 2 * len(tail) for tail in tails]
+        tail_codes[rows] = np.array(marked, dtype=np.int64)[which]
     alive = lows < highs
     keys, occ, issued, distinct = [], [], [], []
     for step_index in range(int(steps.max(initial=0))):
@@ -526,7 +585,7 @@ def _lockstep_spec(lengths, codes, k: int, lows, highs, counts, occ_batch, span:
     empty = [np.empty(0, dtype=np.int64)]
     return (
         lows, highs, np.concatenate(keys + empty), np.concatenate(occ + empty), offsets,
-        np.array(issued, dtype=np.int64), np.array(distinct, dtype=np.int64),
+        np.array(issued, dtype=np.int64), np.array(distinct, dtype=np.int64), tail_codes,
     )
 
 

@@ -219,11 +219,6 @@ class RequestStream(Sequence):
         self._columns = None
         self._view = None
 
-    def extend(self, other: Sequence[OccRequest]) -> None:
-        """Concatenate another stream (O(chunks)) or any request sequence."""
-        for chunk in RequestStream.of(other).chunks():
-            self.append_step(*chunk)
-
     def chunks(self) -> list[tuple[np.ndarray, int, np.ndarray | None]]:
         """The per-step ``(packed keys, span, Occ or None)`` triples,
         arrays by reference.
@@ -436,8 +431,9 @@ class BatchStats:
     _predictions: int = field(default=0, init=False, repr=False)
     _comparisons: int = field(default=0, init=False, repr=False)
     _errors: list[int] = field(default_factory=list, init=False, repr=False)
-    #: ``(keys, occ)`` of every step recorded but not yet priced.
-    _pending: list[tuple[np.ndarray, np.ndarray]] = field(
+    #: ``(keys, occ, steps)`` of every step, or untraced batch of *steps*
+    #: steps, recorded but not yet priced.
+    _pending: list[tuple[np.ndarray, np.ndarray, int]] = field(
         default_factory=list, init=False, repr=False
     )
     _pricer: StepPricer | None = field(default=None, init=False, repr=False)
@@ -486,7 +482,7 @@ class BatchStats:
     @property
     def pending_steps(self) -> int:
         """Lockstep steps recorded but not yet priced."""
-        return len(self._pending)
+        return sum(steps for _, _, steps in self._pending)
 
     def price_with(self, pricer: StepPricer) -> None:
         """Attach the pricer of pending steps (the searching backend's).
@@ -512,8 +508,8 @@ class BatchStats:
                     "backend's with price_with()"
                 )
             contribution = self._pricer(
-                np.concatenate([keys for keys, _ in self._pending]),
-                np.concatenate([occ for _, occ in self._pending]),
+                _joined([keys for keys, _, _ in self._pending]),
+                _joined([occ for _, occ, _ in self._pending]),
             )
             self._fold(contribution)
             # Emptied last: a reader that sees no pending step must also
@@ -546,6 +542,36 @@ class BatchStats:
         if self.trace is not None:
             self.trace.steps.append(StepTrace(keys=keys, contribution=contribution, occ=occ))
 
+    def record_batch(
+        self,
+        *,
+        queries: int,
+        iterations: int,
+        steps: int,
+        issued: int,
+        base_reads: int,
+        keys: np.ndarray,
+        span: int,
+        occ: np.ndarray,
+    ) -> None:
+        """Account a whole untraced batch at once: its *queries*, per-query
+        *iterations*, lockstep *steps*, *issued* requests and *base_reads*
+        (tails and steps together), and the steps' unique packed *keys*
+        with their Occ values *occ*, concatenated in step order.  The keys
+        and Occ values are one stream chunk and one pending entry, so the
+        counters, the stream's columns and the pricing equal a
+        :meth:`record_step` per step.  A traced batch records its steps one
+        by one instead: the sharded merge needs them apart."""
+        self.queries += queries
+        self.iterations += iterations
+        self.lockstep_iterations += steps
+        self.occ_requests_issued += issued
+        self.occ_requests_unique += int(keys.size)
+        self.base_reads += base_reads
+        if steps:
+            self.requests.append_step(keys, span, occ)
+            self._pending.append((keys, occ, steps))
+
     def record_unique(
         self,
         keys: np.ndarray,
@@ -565,7 +591,7 @@ class BatchStats:
         if contribution is not None:
             self.apply_contribution(contribution)
         if occ is not None:
-            self._pending.append((keys, occ))
+            self._pending.append((keys, occ, 1))
 
     def apply_contribution(self, contribution: StepContribution) -> None:
         """Fold one step's per-request accounting into the counters.
@@ -624,7 +650,8 @@ class BatchStats:
         self._predictions += other._predictions
         self._comparisons += other._comparisons
         self._errors.extend(other._errors)
-        self.requests.extend(other.requests)
+        for chunk in other.requests.chunks():
+            self.requests.append_step(*chunk)
 
     def __eq__(self, other: object) -> bool:
         """Field-for-field equality, cost counters priced on both sides."""

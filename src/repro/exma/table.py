@@ -146,6 +146,7 @@ class ExmaTable:
         # query (there are at most k of them).
         kmer_rank_base = np.concatenate(([0], np.cumsum(counts)[:-1]))
         self._sentinel_prefixes = self._collect_sentinel_prefixes()
+        self._sentinel_codes = encode("".join(self._sentinel_prefixes)).reshape(-1, k)
         return increments, bases.astype(np.int64), counts, kmer_rank_base
 
     def _collect_sentinel_prefixes(self) -> list[str]:
@@ -175,6 +176,14 @@ class ExmaTable:
     def max_sentinel(self) -> int:
         """The MAX value marking absent k-mers / list ends (``|G| + 1``)."""
         return self._max
+
+    @property
+    def sentinel_codes(self) -> np.ndarray:
+        """The sentinel-reaching row prefixes as a ``(rows, k)`` uint8 code
+        matrix (``$`` = 0, :func:`~repro.genome.alphabet.encode`'s codes),
+        in the order they are held: what the compiled lockstep pass
+        compares a tail against."""
+        return self._sentinel_codes
 
     @property
     def kmer_count(self) -> int:

@@ -58,8 +58,7 @@ def run_fig22(genome_length: int = 60_000, seed: int = 0) -> list[DsePoint]:
     workload = build_workload("human", genome_length=genome_length, seed=seed)
     # Pack the workload's request tuple into columns once; every sweep
     # point replays the same stream, so the objects are never re-walked.
-    requests = RequestStream()
-    requests.extend(workload.requests)
+    requests = RequestStream.of(workload.requests)
 
     def run_with(**overrides) -> float:
         config = scaled_config(exma_full_config()).with_overrides(**overrides)

@@ -36,9 +36,11 @@ which its caller runs wherever the wrapper declines.
 * ``occ_ranks`` is :meth:`repro.exma.table.ExmaTable._occ_spec` as a
   merge walk from each answer to the next in key order;
 * ``lockstep`` is :func:`repro.engine.backends._lockstep_spec`, every
-  step of a search batch in one call: it packs each query's k-mer chunks
-  from the batch's codes and lengths (a :class:`~repro.genome.alphabet
-  .QueryBatch`'s columns) and ranks them by ``occ_ranks``' walk;
+  step of a search batch in one call: it starts each query at its
+  partial-chunk tail from the table's per-k-mer counts and sentinel
+  prefixes, packs its k-mer chunks from the batch's codes and lengths (a
+  :class:`~repro.genome.alphabet.QueryBatch`'s columns), ranks them by
+  ``occ_ranks``' walk, and returns each query's tail code;
 * ``sigmoid_in``, ``sigmoid_out`` and ``sigmoid_backward`` are the
   elementwise tail of an MTL training epoch,
   :func:`repro.exma.mtl_index._sigmoid_spec` and
@@ -242,32 +244,64 @@ static void sort_pairs(int64_t n, int64_t *keys, int64_t *slots, int64_t *spare,
 }
 int64_t lockstep(int64_t queries, int64_t max_steps, int64_t k, int64_t code_count,
     const uint8_t *codes, const int64_t *lengths, const int64_t *lows, const int64_t *highs,
-    const int64_t *counts, const int64_t *increments, const int64_t *starts,
-    int64_t kmer_count, int64_t total, int64_t max_pos, int64_t *out) {
+    const int64_t *counts, const uint8_t *sentinels, int64_t sentinel_count,
+    const int64_t *increments, const int64_t *starts, int64_t kmer_count, int64_t total,
+    int64_t max_pos, int64_t *out) {
     /* Every lockstep step of a batch; returns the steps run, -1 at a code
        outside 1..4 or a k-mer or position out of range, -2 when the lengths
        (none negative) do not sum to code_count.  `codes` holds the queries
-       back to back; step s packs chunk s of query i, the k codes
-       ending s * k + lengths[i] % k before its end, 2 bits a code.  `out`
-       holds, in order: the bounds (lows, then highs), the steps' unique keys
-       and their Occ (2 * queries * max_steps each), the step offsets into
-       them (max_steps + 1), each step's issued and distinct-k-mer counts
-       (max_steps each), then scratch: the sort's (8 * queries) and each
-       query's chunk count and end of its first chunk (queries each).  A query
-       issues while it has a chunk left and a non-empty interval. */
+       back to back.  A query of t = lengths[i] % k > 0 starts at its tail,
+       its last t codes packed as p: the k-mers p << 2(k - t) up to
+       (p + 1) << 2(k - t) (their `starts`, `total` past the last), plus the
+       `sentinels` rows (k codes each, $ = 0) whose first t codes sort
+       below the tail and those equal to it; any other query starts at
+       (lows[i], highs[i]).  Step s packs chunk s of query i, the k codes
+       ending s * k + t before its end, 2 bits a code.  `out` holds, in
+       order: the bounds (lows, then highs), the steps' unique keys and
+       their Occ (2 * queries * max_steps each), the step offsets into them
+       (max_steps + 1), each step's issued and distinct-k-mer counts
+       (max_steps each), each query's tail code (p | 1 << 2t, 0 without a
+       tail), then scratch: the sort's (8 * queries) and each query's chunk
+       count and end of its first chunk (queries each).  A query issues
+       while it has a chunk left and a non-empty interval. */
     int64_t span = max_pos + 1, capacity = 2 * queries * max_steps, key_bytes = 1;
     int64_t *bounds = out, *keys = bounds + 2 * queries, *occ = keys + capacity;
     int64_t *offsets = occ + capacity, *issued = offsets + max_steps + 1;
-    int64_t *distinct = issued + max_steps, *sort_keys = distinct + max_steps;
-    int64_t *sort_slots = sort_keys + 2 * queries, *spare = sort_slots + 2 * queries, s = 0;
-    int64_t *chunks = spare + 4 * queries, *ends = chunks + queries, end = 0;
+    int64_t *distinct = issued + max_steps, *tails = distinct + max_steps;
+    int64_t *sort_keys = tails + queries, *sort_slots = sort_keys + 2 * queries;
+    int64_t *spare = sort_slots + 2 * queries, *chunks = spare + 4 * queries;
+    int64_t *ends = chunks + queries, end = 0, s = 0;
     while (key_bytes < 8 && (kmer_count * span - 1) >> (8 * key_bytes)) ++key_bytes;
     for (int64_t i = 0; i < queries; ++i) {
         if (lengths[i] < 0) return -2;
-        bounds[i] = lows[i], bounds[queries + i] = highs[i], end += lengths[i];
+        end += lengths[i];
         chunks[i] = lengths[i] / k, ends[i] = end - lengths[i] % k;
     }
     if (end != code_count) return -2;
+    for (int64_t i = 0; i < queries; ++i) {
+        int64_t t = lengths[i] % k, packed = 0, below = 0, inside = 0, first, last;
+        const uint8_t *tail = codes + ends[i];
+        bounds[i] = lows[i], bounds[queries + i] = highs[i], tails[i] = 0;
+        if (!t) continue;
+        for (int64_t j = 0; j < t; ++j) {
+            uint8_t digit = tail[j] - 1;
+            if (digit > 3) return -1;
+            packed = packed << 2 | digit;
+        }
+        first = packed << 2 * (k - t), last = (packed + 1) << 2 * (k - t);
+        if (last > kmer_count) return -1;
+        for (int64_t r = 0; r < sentinel_count; ++r) {
+            const uint8_t *prefix = sentinels + r * k;
+            int order = 0;
+            for (int64_t j = 0; j < t && !order; ++j)
+                order = (prefix[j] > tail[j]) - (prefix[j] < tail[j]);
+            below += order < 0, inside += order == 0;
+        }
+        bounds[i] = starts[first] + below;
+        bounds[queries + i] = (last < kmer_count ? starts[last] : total) - starts[first]
+            + bounds[i] + inside;
+        tails[i] = packed | (int64_t)1 << 2 * t;
+    }
     offsets[0] = 0;
     for (; s < max_steps; ++s) {
         int64_t n = 0, unique = offsets[s], previous = -1, value = 0;
@@ -497,7 +531,8 @@ KERNELS = (
            "repro.accel.exma_accelerator._assemble_trace"),
     Kernel("occ_ranks", _INT64, (_INT64, *[_POINTER] * 4, *[_INT64] * 3, _POINTER),
            "repro.exma.table.ExmaTable._occ_spec"),
-    Kernel("lockstep", _INT64, (*[_INT64] * 4, *[_POINTER] * 7, *[_INT64] * 3, _POINTER),
+    Kernel("lockstep", _INT64,
+           (*[_INT64] * 4, *[_POINTER] * 6, _INT64, *[_POINTER] * 2, *[_INT64] * 3, _POINTER),
            "repro.engine.backends._lockstep_spec"),
     Kernel("cam_keys", _INT64, (*[_INT64] * 3, *[_POINTER] * 4), "repro.hw.scheduler._schedule_spec"),
     Kernel("cam_stage2", None, (*[_INT64] * 3, *[_POINTER] * 3),
@@ -706,36 +741,44 @@ def occ_ranks(kmers, positions, increments, starts, max_pos: int) -> np.ndarray 
     return ranks if found else None
 
 
-def lockstep(lengths, codes, k: int, lows, highs, counts, increments, starts, max_pos: int):
+def lockstep(lengths, codes, k: int, lows, highs, counts, sentinels, increments, starts,
+             max_pos: int):
     """:func:`repro.engine.backends._lockstep_spec` compiled, every step in
-    one pass that packs each chunk from *codes*, with the same outputs;
-    ``None`` where it declines (disabled, unavailable, a *k* outside
-    ``[1, 31]``, keys that could pass int64, or a code, k-mer or position
-    out of range: found by the pass itself).  The inputs are left as they
-    were; columns that disagree in length raise ``ValueError``."""
+    one pass that resolves each query's tail and packs each chunk from
+    *codes*, with the same outputs; ``None`` where it declines (disabled,
+    unavailable, a *k* outside ``[1, 31]``, keys that could pass int64,
+    or a code, k-mer or position out of range: found by the pass
+    itself).  *sentinels* is :attr:`repro.exma.table.ExmaTable
+    .sentinel_codes`.  The inputs are left as they were; columns that
+    disagree in length raise ``ValueError``."""
     library = _loaded()
     if library is None or not 0 < k < 32 or starts.size * (max_pos + 1) >= INT64_END:
         return None
     codes = np.ascontiguousarray(codes, dtype=np.uint8)
-    columns = [
-        np.ascontiguousarray(c, dtype=np.int64)
-        for c in (lengths, lows, highs, counts, increments, starts)
-    ]
+    sentinels = np.ascontiguousarray(sentinels, dtype=np.uint8)
+    columns = [np.ascontiguousarray(c, dtype=np.int64) for c in (lengths, lows, highs, counts)]
+    tables = [np.ascontiguousarray(c, dtype=np.int64) for c in (increments, starts)]
     queries = columns[0].size
-    if any(c.size != queries for c in columns[1:3]) or columns[3].size != columns[5].size:
+    if (
+        any(c.size != queries for c in columns[1:3]) or columns[3].size != tables[1].size
+        or sentinels.ndim != 2 or sentinels.shape[1] != k
+    ):
         raise ValueError("lockstep columns differ in length")
     max_steps = int(columns[0].max(initial=0)) // k
     capacity = 2 * queries * max_steps
-    # Where C's outputs begin in `out`: keys, Occ, offsets, issued, distinct.
+    # Where C's outputs begin in `out`: keys, Occ, offsets, issued,
+    # distinct, tails.
     keys_at = 2 * queries
     occ_at = keys_at + capacity
     offsets_at = occ_at + capacity
     issued_at = offsets_at + max_steps + 1
     distinct_at = issued_at + max_steps
-    out = np.empty(distinct_at + max_steps + 10 * queries, dtype=np.int64)
+    tails_at = distinct_at + max_steps
+    out = np.empty(tails_at + 11 * queries, dtype=np.int64)
     ran = library.lockstep(
         queries, max_steps, k, codes.size, codes.ctypes.data, *(c.ctypes.data for c in columns),
-        columns[5].size, columns[4].size, max_pos, out.ctypes.data,
+        sentinels.ctypes.data, len(sentinels), *(c.ctypes.data for c in tables),
+        tables[1].size, tables[0].size, max_pos, out.ctypes.data,
     )
     if ran == -2:
         raise ValueError("lockstep columns differ in length")
@@ -747,7 +790,7 @@ def lockstep(lengths, codes, k: int, lows, highs, counts, increments, starts, ma
     return (
         bounds[:queries], bounds[queries:], out[keys_at : keys_at + used].copy(),
         out[occ_at : occ_at + used].copy(), offsets, out[issued_at : issued_at + ran],
-        out[distinct_at : distinct_at + ran],
+        out[distinct_at : distinct_at + ran], out[tails_at : tails_at + queries],
     )
 
 

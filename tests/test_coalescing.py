@@ -339,14 +339,21 @@ class TestRequestStream:
         assert stream != other
         assert stream != list(other)
 
-    def test_extend_concatenates_columns(self):
-        stream = self._stream()
-        stream.extend(self._stream())
-        assert len(stream) == 6
-        assert stream.kmers.tolist() == [3, 7, 1, 3, 7, 1]
-        assert stream.positions.tolist() == [0, 4, 9, 0, 4, 9]
-        stream.extend([OccRequest(packed_kmer=5, pos=5)])
-        assert stream[-1] == OccRequest(packed_kmer=5, pos=5)
+    def test_merge_concatenates_columns(self):
+        merged, other = BatchStats(), BatchStats()
+        merged.requests, other.requests = self._stream(), self._stream()
+        other.requests.append_step(np.array([5 * 10 + 5]), 10, np.array([2]))
+        merged.merge(other)
+        assert len(merged.requests) == 7
+        assert merged.requests.kmers.tolist() == [3, 7, 1, 3, 7, 1, 5]
+        assert merged.requests.positions.tolist() == [0, 4, 9, 0, 4, 9, 5]
+        assert merged.requests[-1] == OccRequest(packed_kmer=5, pos=5)
+        # The other stream's chunks are appended by reference, Occ included.
+        appended = merged.requests.chunks()[2:]
+        assert all(
+            mine[0] is theirs[0] and mine[2] is theirs[2]
+            for mine, theirs in zip(appended, other.requests.chunks(), strict=True)
+        )
 
     def test_columns_round_trip_through_engine(self):
         stats = BatchStats()
@@ -367,15 +374,17 @@ class TestBatchStats:
         a.occ_requests_unique, b.occ_requests_unique = 5, 2
         a.record_tail("A", TailContribution(predictions=1, errors=(1,)))
         b.record_tail("C", TailContribution(predictions=2, errors=(2, 3)))
-        a.requests = [OccRequest(packed_kmer=1, pos=0)]
-        b.requests = [OccRequest(packed_kmer=2, pos=1)]
+        a.requests.append_step(np.array([1 * 10 + 0]), 10)
+        b.requests.append_step(np.array([2 * 10 + 1]), 10)
         a.merge(b)
         assert a.queries == 5
         assert a.occ_requests_issued == 16
         assert a.occ_requests_unique == 7
         assert a.prediction_errors == [1, 2, 3]
         assert a.index_predictions == 3
-        assert len(a.requests) == 2
+        assert list(a.requests) == [
+            OccRequest(packed_kmer=1, pos=0), OccRequest(packed_kmer=2, pos=1)
+        ]
 
     def test_coalescing_factor_defaults_to_one(self):
         assert BatchStats().coalescing_factor == 1.0

@@ -23,6 +23,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -45,7 +46,7 @@ from repro.exma import mtl_index
 from repro.exma.mtl_index import MTLIndex, SharedNode
 from repro.exma.search import OccRequest
 from repro.exma.table import ExmaTable
-from repro.genome.alphabet import QueryBatch
+from repro.genome.alphabet import AlphabetError, QueryBatch
 from repro.genome.datasets import build_dataset
 from repro.genome.sequence import RepeatProfile, random_genome
 from repro.hw import cache as hw_cache
@@ -581,50 +582,75 @@ LOCKSTEP_BACKENDS = {
 
 @st.composite
 def lockstep_batches(draw):
-    """A step number and a batch of variable lengths mixing reference
-    substrings (hits), random strings (which die within a few steps) and
-    repeats of both.  The longest query is below k (every row a tail with
-    zero steps), up to 3k + 2, or up to 40 symbols."""
+    """A step number, a batch of variable lengths and maybe a bad tail
+    code.  The batch mixes reference substrings (hits), random strings
+    (which die within a few steps), queries whose tail is a prefix of one
+    of the reference's last k - 1 suffixes (so the sentinel rows count
+    both below and inside that tail) and repeats of all three.  The
+    longest query is below k (every row a tail with zero steps), up to
+    3k + 2, or up to 40 symbols; in an all-tails batch no length is a
+    multiple of k.  The bad code, ``None`` in most batches, replaces the
+    first code of the first tail: no chunk holds it."""
     k = draw(st.sampled_from(LOCKSTEP_STEPS))
     longest = draw(st.sampled_from([k - 1, 3 * k + 2, 40]))
     substring = st.tuples(
         st.integers(0, len(LOCKSTEP_REFERENCE) - 40), st.integers(1, longest)
     ).map(lambda t: LOCKSTEP_REFERENCE[t[0] : t[0] + t[1]])
-    query = st.one_of(substring, st.text(alphabet="ACGT", min_size=1, max_size=longest))
+    end = len(LOCKSTEP_REFERENCE)
+    at_the_end = st.tuples(
+        st.integers(0, end - 40), st.integers(0, 3), st.integers(1, k - 1), st.integers(1, k - 1)
+    ).map(
+        lambda t: LOCKSTEP_REFERENCE[t[0] : t[0] + t[1] * k]
+        + LOCKSTEP_REFERENCE[end - max(t[2:]) :][: min(t[2:])]
+    )
+    query = st.one_of(
+        substring, st.text(alphabet="ACGT", min_size=1, max_size=longest), at_the_end
+    )
     queries = draw(st.lists(query, min_size=1, max_size=30))
-    return k, queries + draw(st.lists(st.sampled_from(queries), max_size=6))
+    queries += draw(st.lists(st.sampled_from(queries), max_size=6))
+    if draw(st.sampled_from([False, False, False, True])):  # all tails
+        queries = [query[1:] if len(query) % k == 0 else query for query in queries]
+    return k, queries, draw(st.sampled_from([None, None, None, 0, 5, 255]))
 
 
 def _lockstep_inputs(backend: ExmaBackend, queries) -> tuple:
     """``search_batch``'s inputs to the lockstep pass: the batch's lengths
-    and codes, k, the bounds after each query's tail (its last
-    ``len % k`` symbols), and the count table."""
-    table, k = backend.table, backend.table.k
+    and codes, k, the full interval of every query, and the count
+    table."""
+    table = backend.table
     batch = QueryBatch.from_strings(queries)
     lows = np.zeros(len(queries), dtype=np.int64)
     highs = np.full(len(queries), table.reference_length, dtype=np.int64)
-    for i, query in enumerate(queries):
-        if len(query) % k:
-            lows[i], highs[i] = table.prefix_interval(query[len(query) - len(query) % k :])
-    return batch.lengths, batch.codes, k, lows, highs, table.count_table()
+    return batch.lengths, batch.codes, table.k, lows, highs, table.count_table()
 
 
-def _both_locksteps(backend: ExmaBackend, queries) -> tuple:
-    """The compiled pass and its spec on the same inputs, which neither may
-    change."""
+def _table_columns(table: ExmaTable) -> tuple:
+    """The compiled pass's table arguments after the count table."""
+    return table.sentinel_codes, table.increments, table._kmer_rank_base, table.reference_length
+
+
+def _both_locksteps(backend: ExmaBackend, queries, codes=None) -> tuple:
+    """The compiled pass and its spec on the same inputs (*codes* in place
+    of the batch's), which neither may change; the spec's exception
+    where it raises."""
     table = backend.table
     inputs = _lockstep_inputs(backend, queries)
+    if codes is not None:
+        inputs = (inputs[0], codes, *inputs[2:])
     before = [np.copy(value) for value in inputs]
-    compiled = native.lockstep(
-        *inputs, table.increments, table._kmer_rank_base, table.reference_length
-    )
-    spec = _lockstep_spec(*inputs, table.occ_batch, table.reference_length + 1)
+    compiled = native.lockstep(*inputs, *_table_columns(table))
+    try:
+        spec = _lockstep_spec(
+            *inputs, table.occ_batch, table.reference_length + 1, table.prefix_interval
+        )
+    except ValueError as error:
+        spec = error
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
     return compiled, spec
 
 
 def _assert_same_outputs(compiled, spec) -> None:
-    assert compiled is not None and len(compiled) == len(spec) == 7
+    assert compiled is not None and len(compiled) == len(spec) == 8
     for got, want in zip(compiled, spec):
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
@@ -636,18 +662,37 @@ def _traced_search(backend: ExmaBackend, queries) -> tuple:
     stats = BatchStats(trace=BatchTrace())
     intervals = backend_search(backend, queries, stats)
     steps = [(s.keys.tolist(), s.occ.tolist(), s.contribution) for s in stats.trace.steps]
+    tails = list(zip(stats.trace.tails, stats.trace.tail_contributions))
     stats.trace = None
-    return intervals, stats, steps
+    return intervals, stats, steps, tails
 
 
 def _lockstep_oracle(spec_calls, batch) -> None:
     """The compiled lockstep pass equals ``_lockstep_spec``, output for
     output, and ``search_batch`` gives the same intervals and
-    ``BatchStats`` on both paths."""
-    k, queries = batch
+    ``BatchStats``, traced or not, on both paths.  A bad code in a tail
+    makes the pass decline and the spec raise."""
+    k, queries, bad = batch
     backend = LOCKSTEP_BACKENDS[k]
-    _assert_same_outputs(*_both_locksteps(backend, queries))
+    tailed = [i for i, query in enumerate(queries) if len(query) % k]
+    if bad is not None and tailed:
+        batch = QueryBatch.from_strings(queries)
+        row = tailed[0]
+        codes = batch.codes.copy()
+        codes[int(batch.lengths[: row + 1].sum()) - len(queries[row]) % k] = bad
+        compiled, spec = _both_locksteps(backend, queries, codes)
+        assert compiled is None and isinstance(spec, AlphabetError)
+        with pytest.raises(AlphabetError):
+            backend.search_batch(QueryBatch(codes, batch.lengths), BatchStats())
+        assert spec_calls["lockstep"] == [len(queries)]
+        return
+    compiled, spec = _both_locksteps(backend, queries)
+    _assert_same_outputs(compiled, spec)
+    assert np.count_nonzero(compiled[7]) == len(tailed)
     searched = _traced_search(backend, queries)
+    untraced = BatchStats()
+    assert backend_search(backend, queries, untraced) == searched[0]
+    assert untraced == searched[1]
     assert not spec_calls["lockstep"]
     with no_library():
         assert _traced_search(backend, queries) == searched
@@ -681,19 +726,38 @@ class TestLockstep:
             assert steps_run == max_steps
         assert compiled[4][0] == 0 and compiled[4][-1] == compiled[2].size
 
+    @pytest.mark.parametrize("k", LOCKSTEP_STEPS)
+    def test_every_tail_starts_at_its_prefix_interval(self, compiled, k):
+        """Each of the 4 + 16 + ... + 4^(k-1) tails alone, in one batch:
+        the all-T tails end at the last k-mer, and the sentinel rows sort
+        below, inside and above them."""
+        table = LOCKSTEP_BACKENDS[k].table
+        tails = [
+            "".join(symbols) for size in range(1, k) for symbols in product("ACGT", repeat=size)
+        ]
+        compiled_pass, spec = _both_locksteps(LOCKSTEP_BACKENDS[k], tails)
+        _assert_same_outputs(compiled_pass, spec)
+        intervals = [table.prefix_interval(tail) for tail in tails]
+        assert list(zip(compiled_pass[0].tolist(), compiled_pass[1].tolist())) == intervals
+        assert compiled_pass[5].size == 0
+        assert len(set(compiled_pass[7].tolist())) == len(tails)
+
     def test_declines_out_of_range_inside_the_pass(self, compiled):
         backend = LOCKSTEP_BACKENDS[4]
         table = backend.table
         lengths, codes, k, lows, highs, counts = _lockstep_inputs(
-            backend, [LOCKSTEP_REFERENCE[10:30], LOCKSTEP_REFERENCE[50:70]]
+            backend,
+            [LOCKSTEP_REFERENCE[10:30], LOCKSTEP_REFERENCE[50:70], LOCKSTEP_REFERENCE[80:91]],
         )
-        constants = (table.increments, table._kmer_rank_base, table.reference_length)
+        constants = _table_columns(table)
         assert native.lockstep(lengths, codes, k, lows, highs, counts, *constants)
         n = table.reference_length
         # The second query's first code leads its last chunk: a 5 there
-        # packs past 4^k; a 0 or a 5 anywhere in a chunk is no code.
+        # packs past 4^k; a 0 or a 5 anywhere in a chunk or a tail (the
+        # third query's last three codes) is no code.
         broken = [
-            (codes, 20, 5), (codes, 20, 0), (codes, 22, 5), (lows, 1, -1), (highs, 1, n + 1)
+            (codes, 20, 5), (codes, 20, 0), (codes, 22, 5), (codes, 48, 0), (codes, 50, 5),
+            (lows, 1, -1), (highs, 1, n + 1),
         ]
         for array, slot, value in broken:
             kept = array[slot]
@@ -712,15 +776,18 @@ class TestLockstep:
             native.lockstep(overrun, codes, k, lows, highs, counts, *constants)
         with pytest.raises(ValueError, match="length"):
             native.lockstep(lengths, codes, k, lows, highs, counts[:-1], *constants)
+        with pytest.raises(ValueError, match="length"):
+            native.lockstep(lengths, codes, k, lows, highs, counts, constants[0][:, 1:],
+                            *constants[1:])
         # A dead query's codes are never read, whatever they hold.
         highs[1] = lows[1]
-        codes[20:] = 9
+        codes[20:40] = 9
         assert native.lockstep(lengths, codes, k, lows, highs, counts, *constants)
 
     def test_keys_that_could_pass_int64_decline_to_the_spec(self, compiled, monkeypatch, spec_calls):
         assert native.lockstep(
-            ZERO + 1, np.ones(1, np.uint8), 1, ZERO, ZERO, ZERO, ZERO,
-            _int64([0, 0, 0, 0]), 2**61,
+            ZERO + 1, np.ones(1, np.uint8), 1, ZERO, ZERO, ZERO, np.zeros((0, 1), np.uint8),
+            ZERO, _int64([0, 0, 0, 0]), 2**61,
         ) is None
         backend = LOCKSTEP_BACKENDS[6]
         queries = [LOCKSTEP_REFERENCE[i : i + 30] for i in range(0, 300, 7)]
@@ -752,8 +819,7 @@ class TestLockstep:
             monkeypatch.setattr(table, "count_table", lambda: shifted)
         inputs = list(_lockstep_inputs(backend, queries))
         inputs[1] = batch.codes
-        constants = (table.increments, table._kmer_rank_base, table.reference_length)
-        assert native.lockstep(*inputs, *constants) is None
+        assert native.lockstep(*inputs, *_table_columns(table)) is None
         if path == "pure-python":
             monkeypatch.setattr(native, "_library", native._UNRESOLVED)
             monkeypatch.setenv(PURE_PYTHON_ENV, "1")
@@ -1539,8 +1605,13 @@ ORACLE_CASES = {
         lockstep_batches(), _lockstep_oracle,
         lambda: _traced_search(LOCKSTEP_BACKENDS[4], LOCKSTEP_QUERIES),
         lambda: [
-            native.lockstep(ZERO, np.zeros(0, np.uint8), 1, ZERO, ZERO, *[ZERO] * 3, 1),
-            native.lockstep(*_lockstep_inputs(LOCKSTEP_BACKENDS[4], LOCKSTEP_QUERIES), None, None, 1),
+            native.lockstep(
+                ZERO, np.zeros(0, np.uint8), 1, ZERO, ZERO, ZERO, np.zeros((0, 1), np.uint8),
+                ZERO, ZERO, 1,
+            ),
+            native.lockstep(
+                *_lockstep_inputs(LOCKSTEP_BACKENDS[4], LOCKSTEP_QUERIES), None, None, None, 1
+            ),
         ],
     ),
     "cam_keys": CAM_SCHEDULE,
